@@ -18,7 +18,7 @@ use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::event::{CallbackId, EventCallback};
 use crate::guard::{GuardPolicy, GuardStatus};
 use crate::job::JobStats;
-use crate::typedparam::TypedParam;
+use crate::typedparam::{stats_field, TypedParam};
 use crate::uri::ConnectUri;
 use crate::uuid::Uuid;
 
@@ -255,23 +255,70 @@ impl DomainStatsRecord {
     /// Builds the canonical parameter set from a domain record and its
     /// job stats. Shared by every driver that answers bulk stats.
     pub fn compose(domain: &DomainRecord, job: &JobStats) -> Self {
-        let mut params = vec![
-            TypedParam::uint("state.state", domain.state.as_u32()),
-            TypedParam::ullong("cpu.time", domain.cpu_time_ns),
-            TypedParam::ullong("balloon.current", domain.memory_mib),
-            TypedParam::ullong("balloon.maximum", domain.max_memory_mib),
-            TypedParam::uint("vcpu.current", domain.vcpus),
-        ];
-        if job.kind != crate::job::JobKind::None {
-            params.push(TypedParam::string("job.kind", job.kind.to_string()));
-            params.push(TypedParam::string("job.state", job.state.to_string()));
-            params.push(TypedParam::uint("job.progress", job.progress_percent()));
+        Self::from_parts(
+            &domain.name,
+            domain.state,
+            domain.cpu_time_ns,
+            domain.memory_mib,
+            domain.max_memory_mib,
+            domain.vcpus,
+            job,
+        )
+    }
+
+    /// [`DomainStatsRecord::compose`] from the facts themselves, for a
+    /// driver that reads them without building a [`DomainRecord`].
+    pub(crate) fn from_parts(
+        name: &str,
+        state: DomainState,
+        cpu_time_ns: u64,
+        memory_mib: u64,
+        max_memory_mib: u64,
+        vcpus: u32,
+        job: &JobStats,
+    ) -> Self {
+        let has_job = job.kind != crate::job::JobKind::None;
+        let mut params = Vec::with_capacity(if has_job { 8 } else { 5 });
+        params.extend([
+            TypedParam::uint(stats_field::STATE, state.as_u32()),
+            TypedParam::ullong(stats_field::CPU_TIME, cpu_time_ns),
+            TypedParam::ullong(stats_field::BALLOON_CURRENT, memory_mib),
+            TypedParam::ullong(stats_field::BALLOON_MAXIMUM, max_memory_mib),
+            TypedParam::uint(stats_field::VCPU_CURRENT, vcpus),
+        ]);
+        if has_job {
+            params.extend([
+                TypedParam::string(stats_field::JOB_KIND, job.kind.to_string()),
+                TypedParam::string(stats_field::JOB_STATE, job.state.to_string()),
+                TypedParam::uint(stats_field::JOB_PROGRESS, job.progress_percent()),
+            ]);
         }
         DomainStatsRecord {
-            name: domain.name.clone(),
+            name: name.to_string(),
             params,
         }
     }
+}
+
+/// Bulk stats composed from the per-domain entry points: one
+/// [`HypervisorConnection::list_domains`], then each domain's job stats
+/// (a failed job query costs that domain its `job.*` fields, never its
+/// record). This is [`HypervisorConnection::get_all_domain_stats`]'s
+/// default, and the reference an overriding driver must match record
+/// for record and charge for charge.
+///
+/// # Errors
+///
+/// Whatever `list_domains` fails with.
+pub fn compose_all_domain_stats<C: HypervisorConnection + ?Sized>(
+    conn: &C,
+) -> VirtResult<Vec<DomainStatsRecord>> {
+    let mut records = Vec::new();
+    for domain in conn.list_domains()? {
+        let job = conn.domain_job_stats(&domain.name).unwrap_or_default();
+        records.push(DomainStatsRecord::compose(&domain, &job));
+    }
+    Ok(records)
 }
 
 /// Tunables of a migration.
@@ -677,18 +724,16 @@ pub trait HypervisorConnection: Send + Sync + std::fmt::Debug {
 
     /// Stats of every domain in one call. The default composes records
     /// from [`HypervisorConnection::list_domains`] and per-domain job
-    /// stats; the remote driver overrides it with a single round-trip.
+    /// stats, for drivers without a domain table of their own. The
+    /// embedded driver overrides it with one pass over its host's table
+    /// (same records, same simulated cost), the remote driver with a
+    /// single round-trip.
     ///
     /// # Errors
     ///
     /// Driver-specific failures.
     fn get_all_domain_stats(&self) -> VirtResult<Vec<DomainStatsRecord>> {
-        let mut records = Vec::new();
-        for domain in self.list_domains()? {
-            let job = self.domain_job_stats(&domain.name).unwrap_or_default();
-            records.push(DomainStatsRecord::compose(&domain, &job));
-        }
-        Ok(records)
+        compose_all_domain_stats(self)
     }
 
     // ---- storage ---------------------------------------------------------

@@ -15,8 +15,8 @@ use hypersim::{MigrationParams, SimHost};
 
 use crate::capabilities::Capabilities;
 use crate::driver::{
-    DomainRecord, DomainState, HypervisorConnection, MigrationOptions, MigrationReport,
-    NetworkRecord, NodeInfo, PoolRecord, VolumeRecord,
+    DomainRecord, DomainState, DomainStatsRecord, HypervisorConnection, MigrationOptions,
+    MigrationReport, NetworkRecord, NodeInfo, PoolRecord, VolumeRecord,
 };
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::event::{
@@ -1214,6 +1214,37 @@ impl HypervisorConnection for EmbeddedConnection {
     fn abort_domain_job(&self, name: &str) -> VirtResult<()> {
         self.ensure_alive()?;
         self.jobs.abort(name)
+    }
+
+    /// One pass over the host's domain table instead of the default's
+    /// list-then-query-each: the same records in the same order, and the
+    /// same simulated cost — one `ListDomains`, then one `QueryDomain`
+    /// for every domain without job history, which is what
+    /// [`HypervisorConnection::domain_job_stats`] spends validating the
+    /// name (a failed query never cost the default a record either).
+    fn get_all_domain_stats(&self) -> VirtResult<Vec<DomainStatsRecord>> {
+        self.ensure_alive()?;
+        let jobs = self.jobs.snapshot();
+        let idle = JobStats::default();
+        let mut records = Vec::new();
+        let mut without_history = 0;
+        self.host.visit_domains(|domain| {
+            let job = jobs.get(domain.name).unwrap_or(&idle);
+            if job.kind == JobKind::None {
+                without_history += 1;
+            }
+            records.push(DomainStatsRecord::from_parts(
+                domain.name,
+                domain.state.into(),
+                domain.cpu_time_ns,
+                domain.memory.0,
+                domain.max_memory.0,
+                domain.vcpus,
+                job,
+            ));
+        })?;
+        self.host.charge_domain_queries(without_history);
+        Ok(records)
     }
 
     // ---- storage -----------------------------------------------------------

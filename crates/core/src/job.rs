@@ -372,6 +372,17 @@ impl JobManager {
             .unwrap_or_default()
     }
 
+    /// The [`JobManager::stats`] of every domain with job history, under
+    /// one index read lock — for a bulk pass over many domains, where
+    /// history is rare and a lookup per domain is mostly misses.
+    pub fn snapshot(&self) -> HashMap<String, JobStats> {
+        self.entries
+            .read()
+            .iter()
+            .map(|(domain, entry)| (domain.clone(), entry.lock().stats.clone()))
+            .collect()
+    }
+
     /// Requests cancellation of the running job on `domain`. The job
     /// observes the flag at its next progress slice and finishes as
     /// [`JobState::Aborted`].

@@ -792,10 +792,18 @@ mod tests {
 
     #[test]
     fn settings_swap_is_atomic_under_a_reader_thread() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::time::{Duration, Instant};
         // RCU property: a reader always sees settings wholly from one
         // redefine — never level from A with filters from B.
+        //
+        // The writer keeps swapping until the reader has checked this
+        // many snapshots; a fixed swap count can finish before the
+        // reader thread is ever scheduled.
+        const WANTED: u64 = 200;
         let logger = Arc::new(buffered_logger(LogLevel::Debug));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let observed = Arc::new(AtomicU64::new(0));
         let make = |n: u32| {
             let level = LogLevel::from_number((n % 4) + 1).unwrap();
             LogSettings {
@@ -816,9 +824,9 @@ mod tests {
         let reader = {
             let logger = Arc::clone(&logger);
             let stop = Arc::clone(&stop);
+            let observed = Arc::clone(&observed);
             std::thread::spawn(move || {
-                let mut observed = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.load(Ordering::SeqCst) {
                     let settings = logger.settings();
                     // Internal consistency markers: each generation uses
                     // its own level number in every field.
@@ -826,15 +834,28 @@ mod tests {
                     assert_eq!(settings.filters.len(), 1, "whole generations only");
                     assert_eq!(settings.filters[0].to_string(), format!("{n}:mod{n}"));
                     assert_eq!(settings.outputs[0].to_string(), format!("{n}:buffer"));
-                    observed += 1;
+                    observed.fetch_add(1, Ordering::SeqCst);
                 }
-                observed
             })
         };
-        for n in 0..500 {
+        // Generous ceiling: reached only if the reader is starved for a
+        // minute, and then the test fails loudly instead of hanging.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut n = 0;
+        while observed.load(Ordering::SeqCst) < WANTED
+            && !reader.is_finished()
+            && Instant::now() < deadline
+        {
             logger.redefine(make(n)).unwrap();
+            n = n.wrapping_add(1);
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        assert!(reader.join().unwrap() > 0);
+        stop.store(true, Ordering::SeqCst);
+        // A reader that saw a torn generation panicked; surface that.
+        reader.join().unwrap();
+        let observed = observed.load(Ordering::SeqCst);
+        assert!(
+            observed >= WANTED,
+            "reader checked only {observed} snapshots across {n} redefines in 60 s"
+        );
     }
 }

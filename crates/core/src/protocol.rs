@@ -8,13 +8,15 @@ use virt_rpc::xdr::{XdrDecode, XdrEncode};
 use virt_rpc::xdr_struct;
 
 use crate::driver::{
-    DomainRecord, DomainState, MigrationOptions, MigrationReport, NetworkRecord, NodeInfo,
-    PoolRecord, VolumeRecord,
+    DomainRecord, DomainState, DomainStatsRecord, MigrationOptions, MigrationReport, NetworkRecord,
+    NodeInfo, PoolRecord, VolumeRecord,
 };
 use crate::event::{DomainEvent, DomainEventKind};
 use crate::guard::{GuardPolicy, GuardStatus};
 use crate::job::{JobKind, JobState, JobStats};
-use crate::typedparam::TypedParamList;
+use crate::typedparam::{
+    encode_params, params_encoded_len, xdr_str_len, TypedParam, TypedParamList,
+};
 use crate::uuid::Uuid;
 
 /// Procedure numbers of the remote (hypervisor) program.
@@ -1025,14 +1027,56 @@ xdr_struct! {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireDomainStatsList(pub Vec<WireDomainStatsRecord>);
 
-impl XdrEncode for WireDomainStatsList {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.0.len() as u32).encode(out);
-        for record in &self.0 {
-            record.encode(out);
-        }
+/// The bulk-stats reply payload encoded straight from the driver's
+/// records — the bytes of the equivalent [`WireDomainStatsList`], without
+/// building one.
+#[derive(Debug, Clone, Copy)]
+pub struct DomainStatsReply<'a>(pub &'a [DomainStatsRecord]);
+
+/// The one encoder of a bulk-stats list: reserves the exact encoded
+/// size up front (a 1000-domain reply is ~156 kB; growing there by
+/// doubling would copy it twice over), then writes each record once.
+fn encode_stats_list<'a>(
+    records: impl ExactSizeIterator<Item = (&'a str, &'a [TypedParam])> + Clone,
+    out: &mut Vec<u8>,
+) {
+    let len: usize = records
+        .clone()
+        .map(|(name, params)| xdr_str_len(name) + params_encoded_len(params))
+        .sum();
+    out.reserve(4 + len);
+    (records.len() as u32).encode(out);
+    for (name, params) in records {
+        name.encode(out);
+        encode_params(params, out);
     }
 }
+
+impl XdrEncode for WireDomainStatsList {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_stats_list(
+            self.0
+                .iter()
+                .map(|r| (r.name.as_str(), r.params.0.as_slice())),
+            out,
+        );
+    }
+}
+
+impl XdrEncode for DomainStatsReply<'_> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_stats_list(
+            self.0
+                .iter()
+                .map(|r| (r.name.as_str(), r.params.as_slice())),
+            out,
+        );
+    }
+}
+
+/// Smallest encoding of one record: an empty name and an empty
+/// parameter list.
+const MIN_STATS_RECORD_ENCODED_LEN: usize = 8;
 
 impl XdrDecode for WireDomainStatsList {
     fn decode(cursor: &mut virt_rpc::xdr::Cursor<'_>) -> Result<Self, virt_rpc::xdr::XdrError> {
@@ -1040,7 +1084,13 @@ impl XdrDecode for WireDomainStatsList {
         if len > 1_000_000 {
             return Err(virt_rpc::xdr::XdrError::LengthTooLarge(len));
         }
-        let mut items = Vec::with_capacity((len as usize).min(4096));
+        // A declared length reserves no more records than the bytes
+        // behind it could encode.
+        let mut items = Vec::with_capacity(
+            (len as usize)
+                .min(4096)
+                .min(cursor.remaining() / MIN_STATS_RECORD_ENCODED_LEN),
+        );
         for _ in 0..len {
             items.push(WireDomainStatsRecord::decode(cursor)?);
         }
@@ -1205,6 +1255,55 @@ mod tests {
         ]);
         let decoded = WireDomainStatsList::from_xdr(&list.to_xdr()).unwrap();
         assert_eq!(decoded, list);
+    }
+
+    #[test]
+    fn stats_reply_encodes_driver_records_as_the_wire_list_exactly_sized() {
+        use crate::typedparam::TypedParam;
+        let records = vec![
+            DomainStatsRecord {
+                name: "vm0".into(),
+                params: vec![
+                    TypedParam::uint("state.state", 1),
+                    TypedParam::new("odd", crate::typedparam::ParamValue::Double(1.5)),
+                ],
+            },
+            DomainStatsRecord {
+                name: "näme".into(),
+                params: vec![TypedParam::string("job.kind", "save")],
+            },
+        ];
+        let list = WireDomainStatsList(
+            records
+                .iter()
+                .cloned()
+                .map(|r| WireDomainStatsRecord {
+                    name: r.name,
+                    params: TypedParamList(r.params),
+                })
+                .collect(),
+        );
+        let direct = DomainStatsReply(&records).to_xdr();
+        assert_eq!(direct, list.to_xdr());
+        // Reserved once, to the byte.
+        assert_eq!(direct.capacity(), direct.len());
+        assert_eq!(DomainStatsReply(&[]).to_xdr(), 0u32.to_xdr());
+    }
+
+    #[test]
+    fn stats_list_declared_length_cannot_outrun_its_bytes() {
+        // A million records declared, none present: rejected as short
+        // (and reserves nothing on the way — see the decoder).
+        let mut data = 1_000_000u32.to_xdr();
+        assert!(matches!(
+            WireDomainStatsList::from_xdr(&data).unwrap_err(),
+            virt_rpc::xdr::XdrError::UnexpectedEnd { .. }
+        ));
+        data = 1_000_001u32.to_xdr();
+        assert!(matches!(
+            WireDomainStatsList::from_xdr(&data).unwrap_err(),
+            virt_rpc::xdr::XdrError::LengthTooLarge(1_000_001)
+        ));
     }
 
     #[test]

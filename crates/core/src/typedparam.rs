@@ -5,7 +5,16 @@
 //! parameters instead of fixed structs — libvirt's `virTypedParameter`
 //! pattern. The same encoding travels over the RPC wire unchanged, which
 //! is what keeps old daemons compatible with new clients.
+//!
+//! Field names are `Cow<'static, str>`: almost every parameter in flight
+//! is one of a few well-known names (a 1000-domain bulk-stats reply
+//! repeats the five of [`stats_field`] a thousand times), so constructors
+//! borrow the `&'static str` they are given and the decoder borrows the
+//! constant for a name in that vocabulary, allocating only for a name it
+//! does not know. Comparison, display and the wire form are those of the
+//! string either way.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode, XdrError};
@@ -72,18 +81,66 @@ impl fmt::Display for ParamValue {
     }
 }
 
+/// The field names of a bulk-stats record
+/// (`virConnectGetAllDomainStats`), declared once: the composer, the
+/// embedded drivers' bulk pass, the fleet inventory and the decoder all
+/// name stats fields through these constants.
+pub mod stats_field {
+    /// Lifecycle state, [`crate::driver::DomainState::as_u32`] (uint).
+    pub const STATE: &str = "state.state";
+    /// vCPU time consumed, nanoseconds (ullong).
+    pub const CPU_TIME: &str = "cpu.time";
+    /// Current memory, MiB (ullong).
+    pub const BALLOON_CURRENT: &str = "balloon.current";
+    /// Memory ceiling, MiB (ullong).
+    pub const BALLOON_MAXIMUM: &str = "balloon.maximum";
+    /// vCPU count (uint).
+    pub const VCPU_CURRENT: &str = "vcpu.current";
+    /// Kind of the current or most recent job (string); the `job.*`
+    /// fields are present only for a domain with job history.
+    pub const JOB_KIND: &str = "job.kind";
+    /// State of that job (string).
+    pub const JOB_STATE: &str = "job.state";
+    /// Completion estimate of that job, percent (uint).
+    pub const JOB_PROGRESS: &str = "job.progress";
+
+    /// Every name above — what the decoder recognises.
+    pub const ALL: [&str; 8] = [
+        STATE,
+        CPU_TIME,
+        BALLOON_CURRENT,
+        BALLOON_MAXIMUM,
+        VCPU_CURRENT,
+        JOB_KIND,
+        JOB_STATE,
+        JOB_PROGRESS,
+    ];
+}
+
+/// The field name to store for a decoded `name`: the vocabulary's own
+/// constant when it is one of [`stats_field::ALL`], an owned copy
+/// otherwise.
+fn intern_field(name: &str) -> Cow<'static, str> {
+    match stats_field::ALL.iter().find(|known| **known == name) {
+        Some(known) => Cow::Borrowed(known),
+        None => Cow::Owned(name.to_string()),
+    }
+}
+
 /// One named, typed parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypedParam {
     /// The field name the receiver dispatches on.
-    pub field: String,
+    pub field: Cow<'static, str>,
     /// The value.
     pub value: ParamValue,
 }
 
 impl TypedParam {
-    /// Creates a parameter.
-    pub fn new(field: impl Into<String>, value: ParamValue) -> Self {
+    /// Creates a parameter. A `&'static str` name is borrowed, a `String`
+    /// is taken over; a borrowed name that is not `'static` needs
+    /// `.to_string()`.
+    pub fn new(field: impl Into<Cow<'static, str>>, value: ParamValue) -> Self {
         TypedParam {
             field: field.into(),
             value,
@@ -91,29 +148,50 @@ impl TypedParam {
     }
 
     /// Convenience constructor for unsigned 32-bit values.
-    pub fn uint(field: impl Into<String>, value: u32) -> Self {
+    pub fn uint(field: impl Into<Cow<'static, str>>, value: u32) -> Self {
         TypedParam::new(field, ParamValue::UInt(value))
     }
 
     /// Convenience constructor for unsigned 64-bit values.
-    pub fn ullong(field: impl Into<String>, value: u64) -> Self {
+    pub fn ullong(field: impl Into<Cow<'static, str>>, value: u64) -> Self {
         TypedParam::new(field, ParamValue::ULLong(value))
     }
 
     /// Convenience constructor for strings.
-    pub fn string(field: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn string(field: impl Into<Cow<'static, str>>, value: impl Into<String>) -> Self {
         TypedParam::new(field, ParamValue::Str(value.into()))
     }
 
     /// Convenience constructor for booleans.
-    pub fn boolean(field: impl Into<String>, value: bool) -> Self {
+    pub fn boolean(field: impl Into<Cow<'static, str>>, value: bool) -> Self {
         TypedParam::new(field, ParamValue::Boolean(value))
+    }
+
+    /// Bytes [`XdrEncode::encode`] appends for this parameter.
+    fn encoded_len(&self) -> usize {
+        let value = match &self.value {
+            ParamValue::Int(_) | ParamValue::UInt(_) | ParamValue::Boolean(_) => 4,
+            ParamValue::LLong(_) | ParamValue::ULLong(_) | ParamValue::Double(_) => 8,
+            ParamValue::Str(v) => xdr_str_len(v),
+        };
+        xdr_str_len(&self.field) + 4 + value
     }
 }
 
+/// Encoded size of an XDR string: length word plus the bytes padded to
+/// a 4-byte boundary.
+pub(crate) fn xdr_str_len(s: &str) -> usize {
+    4 + s.len().next_multiple_of(4)
+}
+
+/// Smallest encoding of one parameter: an empty name, the type word and
+/// a 4-byte value. Bounds what a declared list length can make the
+/// decoder reserve.
+const MIN_PARAM_ENCODED_LEN: usize = 12;
+
 impl XdrEncode for TypedParam {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.field.encode(out);
+        (&*self.field).encode(out);
         self.value.discriminant().encode(out);
         match &self.value {
             ParamValue::Int(v) => v.encode(out),
@@ -129,7 +207,7 @@ impl XdrEncode for TypedParam {
 
 impl XdrDecode for TypedParam {
     fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
-        let field = String::decode(cursor)?;
+        let field = intern_field(cursor.read_str()?);
         let value = match u32::decode(cursor)? {
             1 => ParamValue::Int(i32::decode(cursor)?),
             2 => ParamValue::UInt(u32::decode(cursor)?),
@@ -144,6 +222,20 @@ impl XdrDecode for TypedParam {
     }
 }
 
+/// Appends the XDR array encoding of `params` — the one encoder behind
+/// [`TypedParamList`] and the bulk-stats reply.
+pub(crate) fn encode_params(params: &[TypedParam], out: &mut Vec<u8>) {
+    (params.len() as u32).encode(out);
+    for param in params {
+        param.encode(out);
+    }
+}
+
+/// Bytes [`encode_params`] appends for `params`.
+pub(crate) fn params_encoded_len(params: &[TypedParam]) -> usize {
+    4 + params.iter().map(TypedParam::encoded_len).sum::<usize>()
+}
+
 /// A wire-encodable list of typed parameters (newtype over `Vec` because
 /// the XDR traits live in another crate).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -151,10 +243,7 @@ pub struct TypedParamList(pub Vec<TypedParam>);
 
 impl XdrEncode for TypedParamList {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.0.len() as u32).encode(out);
-        for param in &self.0 {
-            param.encode(out);
-        }
+        encode_params(&self.0, out);
     }
 }
 
@@ -164,11 +253,14 @@ impl XdrDecode for TypedParamList {
         if len > 4096 {
             return Err(XdrError::LengthTooLarge(len));
         }
-        Ok(TypedParamList(
-            (0..len)
-                .map(|_| TypedParam::decode(cursor))
-                .collect::<Result<_, _>>()?,
-        ))
+        // Sized once from the declared length, but never for more
+        // parameters than the bytes that are actually there could hold.
+        let mut params =
+            Vec::with_capacity((len as usize).min(cursor.remaining() / MIN_PARAM_ENCODED_LEN));
+        for _ in 0..len {
+            params.push(TypedParam::decode(cursor)?);
+        }
+        Ok(TypedParamList(params))
     }
 }
 
@@ -237,7 +329,7 @@ impl TypedParams for [TypedParam] {
 
     fn validate_fields(&self, allowed: &[&str]) -> VirtResult<()> {
         for (i, param) in self.iter().enumerate() {
-            if !allowed.contains(&param.field.as_str()) {
+            if !allowed.contains(&&*param.field) {
                 return Err(VirtError::new(
                     ErrorCode::InvalidArg,
                     format!("unknown parameter '{}'", param.field),

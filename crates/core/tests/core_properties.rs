@@ -1,14 +1,16 @@
 //! Property tests over virt-core's data structures: URIs, UUIDs, domain
 //! XML descriptions, typed parameters, and protocol records.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 
 use virt_core::protocol::WireDomain;
-use virt_core::typedparam::{ParamValue, TypedParam, TypedParamList};
+use virt_core::typedparam::{stats_field, ParamValue, TypedParam, TypedParamList};
 use virt_core::uri::ConnectUri;
 use virt_core::xmlfmt::{DiskConfig, DomainConfig, InterfaceConfig};
 use virt_core::Uuid;
-use virt_rpc::xdr::{XdrDecode, XdrEncode};
+use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode, XdrError, MAX_ITEM_LEN};
 
 fn name_strategy() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9_.-]{0,20}"
@@ -166,6 +168,77 @@ proptest! {
         );
         let decoded = TypedParamList::from_xdr(&list.to_xdr()).expect("decode");
         prop_assert_eq!(decoded, list);
+    }
+
+    /// A parameter's name survives the wire whatever it is — one of the
+    /// stats vocabulary (decoded borrowed), unknown (decoded owned),
+    /// empty, multi-byte, any padding width — and the decoder's choice of
+    /// representation is invisible to equality.
+    #[test]
+    fn typed_param_names_round_trip(
+        name in prop_oneof![
+            (0usize..stats_field::ALL.len()).prop_map(|i| stats_field::ALL[i].to_string()),
+            "\\PC{0,24}",
+            // A known name with something appended or cut off is unknown.
+            (0usize..stats_field::ALL.len(), "[a-z.]{1,3}")
+                .prop_map(|(i, tail)| format!("{}{tail}", stats_field::ALL[i])),
+            (0usize..stats_field::ALL.len())
+                .prop_map(|i| stats_field::ALL[i][1..].to_string()),
+        ],
+        value: u32,
+    ) {
+        let param = TypedParam::uint(name.clone(), value);
+        let encoded = param.to_xdr();
+        prop_assert_eq!(encoded.len() % 4, 0);
+        let decoded = TypedParam::from_xdr(&encoded).expect("decode");
+        prop_assert_eq!(&decoded, &param);
+        prop_assert_eq!(&*decoded.field, name.as_str());
+        let known = stats_field::ALL.contains(&name.as_str());
+        prop_assert_eq!(matches!(decoded.field, Cow::Borrowed(_)), known);
+        // Same bytes as a plain string name followed by the value.
+        let mut plain = name.to_xdr();
+        2u32.encode(&mut plain);
+        value.encode(&mut plain);
+        prop_assert_eq!(encoded, plain);
+    }
+
+    /// A damaged parameter name is rejected exactly as a damaged string
+    /// is: same variant from `TypedParam::decode` as from
+    /// `String::decode` over the same bytes.
+    #[test]
+    fn typed_param_name_errors_are_string_errors(
+        name in "\\PC{1,24}",
+        junk in 1u8..=255,
+        damage in 0usize..4,
+    ) {
+        let mut encoded = TypedParam::uint(name.clone(), 7).to_xdr();
+        let name_len = name.to_xdr().len();
+        match damage {
+            0 => encoded[4] = 0xff,                       // invalid UTF-8
+            1 => encoded[name_len - 1] = junk,            // padding, or the text's last byte
+            2 => encoded[..4].copy_from_slice(&(MAX_ITEM_LEN + 1).to_be_bytes()),
+            _ => encoded.truncate(name_len - 1),          // cut inside the name
+        }
+        let as_string = String::decode(&mut Cursor::new(&encoded)).map(drop);
+        let as_param = TypedParam::decode(&mut Cursor::new(&encoded)).map(drop);
+        if let Err(expected) = as_string {
+            prop_assert_eq!(as_param, Err(expected));
+        }
+    }
+
+    /// A declared list length never makes the decoder reserve more than
+    /// the bytes behind it could hold, and is still rejected as short.
+    #[test]
+    fn typed_param_list_length_is_bounded_by_the_input(declared in 1u32..=4096, present in 0usize..3) {
+        let mut encoded = Vec::new();
+        declared.encode(&mut encoded);
+        for _ in 0..present.min(declared as usize - 1) {
+            TypedParam::uint("", 1).encode(&mut encoded);
+        }
+        prop_assert!(matches!(
+            TypedParamList::from_xdr(&encoded),
+            Err(XdrError::UnexpectedEnd { .. })
+        ));
     }
 
     /// Wire domain records survive encoding regardless of field values.

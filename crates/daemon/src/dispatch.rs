@@ -440,17 +440,7 @@ impl RemoteDispatcher {
                 ().to_xdr()
             }
             proc::CONNECT_GET_ALL_DOMAIN_STATS => {
-                let records = c.get_all_domain_stats()?;
-                protocol::WireDomainStatsList(
-                    records
-                        .into_iter()
-                        .map(|r| protocol::WireDomainStatsRecord {
-                            name: r.name,
-                            params: virt_core::typedparam::TypedParamList(r.params),
-                        })
-                        .collect(),
-                )
-                .to_xdr()
+                protocol::DomainStatsReply(&c.get_all_domain_stats()?).to_xdr()
             }
 
             proc::LIST_POOLS => c.list_pools()?.to_xdr(),

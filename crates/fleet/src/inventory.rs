@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use virt_core::driver::{DomainStatsRecord, NodeInfo};
-use virt_core::typedparam::ParamValue;
+use virt_core::typedparam::{stats_field, ParamValue};
 use virt_core::{DomainEventKind, DomainState};
 
 /// One domain's entry in the inventory: the subset of the bulk-stats
@@ -50,12 +50,16 @@ impl DomainSummary {
             job: None,
         };
         for param in &record.params {
-            match (param.field.as_str(), &param.value) {
-                ("state.state", ParamValue::UInt(v)) => summary.state = DomainState::from_u32(*v),
-                ("balloon.current", ParamValue::ULLong(v)) => summary.memory_mib = *v,
-                ("balloon.maximum", ParamValue::ULLong(v)) => summary.max_memory_mib = *v,
-                ("vcpu.current", ParamValue::UInt(v)) => summary.vcpus = *v,
-                ("job.kind", ParamValue::Str(v)) => summary.job = Some(v.clone()),
+            match (&*param.field, &param.value) {
+                (stats_field::STATE, ParamValue::UInt(v)) => {
+                    summary.state = DomainState::from_u32(*v);
+                }
+                (stats_field::BALLOON_CURRENT, ParamValue::ULLong(v)) => summary.memory_mib = *v,
+                (stats_field::BALLOON_MAXIMUM, ParamValue::ULLong(v)) => {
+                    summary.max_memory_mib = *v;
+                }
+                (stats_field::VCPU_CURRENT, ParamValue::UInt(v)) => summary.vcpus = *v,
+                (stats_field::JOB_KIND, ParamValue::Str(v)) => summary.job = Some(v.clone()),
                 _ => {}
             }
         }

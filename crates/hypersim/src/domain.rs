@@ -351,10 +351,44 @@ impl SimDomain {
         }
     }
 
+    /// The bulk-stats subset of [`SimDomain::info_at`], borrowed instead
+    /// of cloned.
+    pub fn stats_view_at(&self, now: SimTime) -> DomainStatsView<'_> {
+        DomainStatsView {
+            name: self.spec.name(),
+            state: self.state,
+            memory: self.spec.memory(),
+            max_memory: self.spec.max_memory(),
+            vcpus: self.spec.vcpu_count(),
+            cpu_time_ns: self.cpu_time_ns_at(now),
+        }
+    }
+
     #[cfg(test)]
     pub fn info(&self) -> DomainInfo {
         self.info_at(SimTime::ZERO)
     }
+}
+
+/// The facts a monitoring pass reads of one domain, borrowed from the
+/// host's domain table for the duration of one
+/// [`crate::SimHost::visit_domains`] callback — what [`DomainInfo`]
+/// reports, minus everything a stats record does not carry, with no
+/// per-domain allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DomainStatsView<'a> {
+    /// Unique name on the host.
+    pub name: &'a str,
+    /// Current lifecycle state.
+    pub state: DomainState,
+    /// Current memory allocation.
+    pub memory: MiB,
+    /// Memory ceiling.
+    pub max_memory: MiB,
+    /// vCPU count.
+    pub vcpus: u32,
+    /// Simulated vCPU time consumed, in nanoseconds.
+    pub cpu_time_ns: u64,
 }
 
 /// A point-in-time snapshot of a domain's externally visible state.

@@ -16,7 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::clock::SimClock;
-use crate::domain::{transition, DomainInfo, DomainSpec, DomainState, SimDisk, SimDomain};
+use crate::domain::{
+    transition, DomainInfo, DomainSpec, DomainState, DomainStatsView, SimDisk, SimDomain,
+};
 use crate::error::{SimError, SimErrorKind, SimResult};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::latency::{LatencyModel, OpKind};
@@ -282,6 +284,12 @@ impl SimHost {
     /// The shared virtual clock.
     pub fn clock(&self) -> &SimClock {
         &self.shared.clock
+    }
+
+    /// The fault plan this host was built with (its occurrence counters
+    /// say how many operations of each kind the host has been charged).
+    pub fn fault_plan(&self) -> &FaultPlan {
+        &self.shared.faults
     }
 
     /// Host facts snapshot.
@@ -909,6 +917,37 @@ impl SimHost {
             .values()
             .map(|d| d.lock().info_at(self.shared.clock.now()))
             .collect())
+    }
+
+    /// Visits every domain, name-ordered, in one pass under one index
+    /// read lock — the monitoring path, where [`SimHost::list_domains`]
+    /// would clone a name and a snapshot list per domain only for the
+    /// caller to drop them. Costs what `list_domains` costs (one
+    /// [`OpKind::ListDomains`]), and every domain's vCPU time is taken
+    /// against one clock reading made right after that charge.
+    ///
+    /// `visit` runs with the index and one domain locked: it must not
+    /// call back into this host.
+    pub fn visit_domains(&self, mut visit: impl FnMut(DomainStatsView<'_>)) -> SimResult<()> {
+        self.charge(OpKind::ListDomains, MiB::ZERO)?;
+        let now = self.shared.clock.now();
+        let domains = self.shared.domains.read();
+        for domain in domains.values() {
+            visit(domain.lock().stats_view_at(now));
+        }
+        Ok(())
+    }
+
+    /// Charges the clock and the fault plan what `count` calls to
+    /// [`SimHost::domain`] cost, without looking anything up — for a
+    /// caller that already has the facts from [`SimHost::visit_domains`]
+    /// but whose modeled cost is still one hypervisor query per domain.
+    /// Like a caller that ignores a failed query, this ignores injected
+    /// failures: the occurrence is counted and the time is spent.
+    pub fn charge_domain_queries(&self, count: usize) {
+        for _ in 0..count {
+            let _ = self.charge(OpKind::QueryDomain, MiB::ZERO);
+        }
     }
 
     // ---- storage ---------------------------------------------------------

@@ -61,7 +61,7 @@ pub mod storage;
 mod error;
 
 pub use clock::{SimClock, SimTime};
-pub use domain::{DomainInfo, DomainSpec, DomainState, SimDisk, SimNic};
+pub use domain::{DomainInfo, DomainSpec, DomainState, DomainStatsView, SimDisk, SimNic};
 pub use error::{SimError, SimErrorKind};
 pub use fault::{FaultAction, FaultPlan};
 pub use host::{HostInfo, SimHost, SimHostBuilder};

@@ -48,6 +48,12 @@ const DEFAULT_MAX_POOLED: usize = 256;
 /// Per-buffer capacity cap (64 KiB): covers every control-plane frame;
 /// oversized one-offs are returned to the allocator.
 const DEFAULT_MAX_BUF_CAPACITY: usize = 64 * 1024;
+/// Capacity cap (256 KiB) of the one record buffer a TLS-sim session
+/// parks outside the pool between sends: large enough that a session
+/// serving 1000-domain bulk-stats replies (~156 kB) stops allocating,
+/// small enough that a one-off giant record is returned to the
+/// allocator rather than pinned by a session that then sits idle.
+pub(crate) const MAX_PARKED_RECORD_CAPACITY: usize = 256 * 1024;
 
 impl BufferPool {
     /// A pool with the default bounds and detached (unregistered)

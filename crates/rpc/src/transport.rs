@@ -20,6 +20,7 @@ use std::sync::Arc;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
+use crate::bufpool::MAX_PARKED_RECORD_CAPACITY;
 use crate::message::MAX_PACKET_LEN;
 
 /// How a transport can participate in a readiness (event) loop.
@@ -676,15 +677,41 @@ pub struct TlsStats {
 ///
 /// **Not security**: the keystream is a toy. It exists to burn the right
 /// CPU per byte and to detect corruption, nothing more.
+///
+/// **The cipher arithmetic is the cost model — do not optimise it.**
+/// `keystream_apply` and `fnv1a` stand for the per-byte price of a real
+/// cipher and MAC (F1's TLS increment); making them cheaper would not
+/// make anything faster, it would only make the simulation wrong. What
+/// *is* fair game is everything around them: the record layer seals into
+/// one per-session buffer and emits prefix + record as a single
+/// [`Transport::send_framed`] on the inner transport, and opens a
+/// received record in place in the caller's buffer — no allocation and
+/// no copy beyond the one into the record buffer once the session is
+/// warm. The record format (`body ‖ fnv1a(body)`, keystream over both)
+/// and the MAC-before-use order are pinned by golden bytes in
+/// `crates/core/tests/wire_golden.rs`.
 pub struct TlsSimTransport<T: Transport> {
     inner: T,
     key: u64,
     stats: Arc<TlsStats>,
-    /// Sequence counter, held across encrypt + write so concurrent
-    /// senders cannot put frames on the wire out of keystream order.
-    send_seq: Mutex<u64>,
+    /// Held across seal + write so concurrent senders cannot put frames
+    /// on the wire out of keystream order.
+    send: Mutex<SendState>,
     recv_seq: AtomicU64,
 }
+
+/// The send half of a session: the next sequence number and the record
+/// buffer the session parks between sends.
+struct SendState {
+    seq: u64,
+    /// Length prefix + sealed record of the last send, kept for its
+    /// capacity. Released to the allocator instead when it outgrew
+    /// [`MAX_PARKED_RECORD_CAPACITY`].
+    record: Vec<u8>,
+}
+
+/// Bytes of integrity checksum behind every record body.
+const MAC_LEN: usize = 8;
 
 impl<T: Transport> std::fmt::Debug for TlsSimTransport<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -701,6 +728,8 @@ pub(crate) fn xorshift64(mut x: u64) -> u64 {
     x
 }
 
+/// The simulated cipher. Its per-byte arithmetic *is* the TLS cost model
+/// (see [`TlsSimTransport`]): do not make it cheaper.
 fn keystream_apply(key: u64, seq: u64, data: &mut [u8]) {
     let mut state = key ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let mut i = 0;
@@ -715,6 +744,7 @@ fn keystream_apply(key: u64, seq: u64, data: &mut [u8]) {
     }
 }
 
+/// The simulated MAC; part of the cost model like [`keystream_apply`].
 fn fnv1a(data: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
@@ -761,7 +791,10 @@ impl<T: Transport> TlsSimTransport<T> {
             inner,
             key: xorshift64(key | 1),
             stats: Arc::new(TlsStats::default()),
-            send_seq: Mutex::new(0),
+            send: Mutex::new(SendState {
+                seq: 0,
+                record: Vec::new(),
+            }),
             recv_seq: AtomicU64::new(0),
         }
     }
@@ -770,36 +803,21 @@ impl<T: Transport> TlsSimTransport<T> {
     pub fn stats(&self) -> Arc<TlsStats> {
         Arc::clone(&self.stats)
     }
-}
 
-impl<T: Transport> Transport for TlsSimTransport<T> {
-    fn send_frame(&self, body: &[u8]) -> io::Result<()> {
-        // The receiver decrypts strictly in arrival order, so sequence
-        // assignment and the wire write must be one atomic step.
-        let mut seq = self.send_seq.lock();
-        let mut protected = Vec::with_capacity(body.len() + 8);
-        protected.extend_from_slice(body);
-        protected.extend_from_slice(&fnv1a(body).to_be_bytes());
-        keystream_apply(self.key, *seq, &mut protected);
-        *seq += 1;
-        self.stats
-            .bytes_protected
-            .fetch_add(body.len() as u64, Ordering::Relaxed);
-        self.stats.frames.fetch_add(1, Ordering::Relaxed);
-        self.inner.send_frame(&protected)
-    }
-
-    fn recv_frame(&self) -> io::Result<Vec<u8>> {
-        let mut frame = self.inner.recv_frame()?;
+    /// Receives one record into `buf`, decrypts it in place, verifies
+    /// the MAC and truncates it off. On error `buf` holds unverified
+    /// bytes: the caller must discard them.
+    fn open_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
+        self.inner.recv_frame_into(buf)?;
         let seq = self.recv_seq.fetch_add(1, Ordering::Relaxed);
-        keystream_apply(self.key, seq, &mut frame);
-        if frame.len() < 8 {
+        keystream_apply(self.key, seq, buf);
+        let Some(body_len) = buf.len().checked_sub(MAC_LEN) else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "short TLS record",
             ));
-        }
-        let (body, mac) = frame.split_at(frame.len() - 8);
+        };
+        let (body, mac) = buf.split_at(body_len);
         let expected = u64::from_be_bytes(mac.try_into().expect("8 bytes"));
         if fnv1a(body) != expected {
             return Err(io::Error::new(
@@ -807,11 +825,56 @@ impl<T: Transport> Transport for TlsSimTransport<T> {
                 "record integrity check failed",
             ));
         }
+        buf.truncate(body_len);
+        self.count(body_len);
+        Ok(body_len)
+    }
+
+    fn count(&self, body_len: usize) {
         self.stats
             .bytes_protected
-            .fetch_add(body.len() as u64, Ordering::Relaxed);
+            .fetch_add(body_len as u64, Ordering::Relaxed);
         self.stats.frames.fetch_add(1, Ordering::Relaxed);
-        Ok(body.to_vec())
+    }
+}
+
+impl<T: Transport> Transport for TlsSimTransport<T> {
+    fn send_frame(&self, body: &[u8]) -> io::Result<()> {
+        // The receiver decrypts strictly in arrival order, so sequence
+        // assignment and the wire write must be one atomic step.
+        let mut send = self.send.lock();
+        let SendState { seq, record } = &mut *send;
+        let sealed_len = body.len() + MAC_LEN;
+        record.clear();
+        record.reserve(4 + sealed_len);
+        record.extend_from_slice(&(sealed_len as u32).to_be_bytes());
+        record.extend_from_slice(body);
+        record.extend_from_slice(&fnv1a(body).to_be_bytes());
+        keystream_apply(self.key, *seq, &mut record[4..]);
+        *seq += 1;
+        self.count(body.len());
+        let sent = self.inner.send_framed(record);
+        if record.capacity() > MAX_PARKED_RECORD_CAPACITY {
+            *record = Vec::new();
+        }
+        sent
+    }
+
+    fn recv_frame(&self) -> io::Result<Vec<u8>> {
+        let mut body = Vec::new();
+        self.recv_frame_into(&mut body)?;
+        Ok(body)
+    }
+
+    /// Reads the record into `buf` and opens it there. `buf` holds the
+    /// body only once its MAC has been verified; on any error it is
+    /// left empty.
+    fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
+        let opened = self.open_into(buf);
+        if opened.is_err() {
+            buf.clear();
+        }
+        opened
     }
 
     fn kind(&self) -> TransportKind {

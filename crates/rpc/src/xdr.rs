@@ -106,6 +106,27 @@ impl<'a> Cursor<'a> {
         }
         Ok(())
     }
+
+    /// Reads one XDR string as a slice of the input, with no allocation.
+    /// This is the string decoder: `String::decode` is this plus a copy,
+    /// so both apply the same length, UTF-8 and padding checks in the
+    /// same order. For decoders that can avoid owning the text — e.g. a
+    /// field name drawn from a known vocabulary.
+    ///
+    /// # Errors
+    ///
+    /// [`XdrError::LengthTooLarge`], [`XdrError::UnexpectedEnd`],
+    /// [`XdrError::InvalidUtf8`] or [`XdrError::BadPadding`].
+    pub fn read_str(&mut self) -> Result<&'a str, XdrError> {
+        let len = u32::decode(self)?;
+        if len > MAX_ITEM_LEN {
+            return Err(XdrError::LengthTooLarge(len));
+        }
+        let bytes = self.take(len as usize)?;
+        let s = std::str::from_utf8(bytes).map_err(|_| XdrError::InvalidUtf8)?;
+        self.take_padding(len as usize)?;
+        Ok(s)
+    }
 }
 
 /// Types encodable to XDR.
@@ -248,16 +269,7 @@ impl XdrEncode for &str {
 
 impl XdrDecode for String {
     fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
-        let len = u32::decode(cursor)?;
-        if len > MAX_ITEM_LEN {
-            return Err(XdrError::LengthTooLarge(len));
-        }
-        let bytes = cursor.take(len as usize)?;
-        let s = std::str::from_utf8(bytes)
-            .map_err(|_| XdrError::InvalidUtf8)?
-            .to_string();
-        cursor.take_padding(len as usize)?;
-        Ok(s)
+        cursor.read_str().map(str::to_string)
     }
 }
 

@@ -7,39 +7,56 @@
 //! global allocator, warms the path up, then asserts that a long run of
 //! framed round trips with ≤ 1 KiB payloads performs no further heap
 //! allocations.
+//!
+//! The same audit covers the TLS-sim record layer at bulk size: a warm
+//! session seals a 128 KiB frame into its parked record buffer and opens
+//! one in the caller's buffer without touching the allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use virt_rpc::message::{self, Header, REMOTE_PROGRAM};
-use virt_rpc::transport::{Transport, UnixTransport};
+use virt_rpc::transport::{TlsSimTransport, Transport, UnixTransport};
 use virt_rpc::BufferPool;
 
-struct CountingAllocator {
-    enabled: AtomicBool,
-    allocations: AtomicU64,
+thread_local! {
+    /// Allocations made by this thread. Per thread, so a measurement sees
+    /// only its own work — not the harness reporting another test's
+    /// result, nor another test measuring at the same time.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+fn allocations_on_this_thread() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+struct CountingAllocator;
+
+impl CountingAllocator {
+    fn count() {
+        // `try_with`: the allocator also runs while a thread is being
+        // torn down.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given; the counter is a plain thread-local integer with no destructor
+// and does not allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.allocations.fetch_add(1, Ordering::Relaxed);
-        }
+        Self::count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.allocations.fetch_add(1, Ordering::Relaxed);
-        }
+        Self::count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.allocations.fetch_add(1, Ordering::Relaxed);
-        }
+        Self::count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -49,10 +66,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 }
 
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator {
-    enabled: AtomicBool::new(false),
-    allocations: AtomicU64::new(0),
-};
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const WARMUP_ROUNDS: usize = 64;
 const MEASURED_ROUNDS: usize = 512;
@@ -105,8 +119,7 @@ fn framed_round_trips_do_not_allocate_once_warm() {
         );
     }
 
-    ALLOCATOR.allocations.store(0, Ordering::SeqCst);
-    ALLOCATOR.enabled.store(true, Ordering::SeqCst);
+    let before = allocations_on_this_thread();
     for _ in 0..MEASURED_ROUNDS {
         round_trip(
             &mut send_buf,
@@ -115,14 +128,73 @@ fn framed_round_trips_do_not_allocate_once_warm() {
             &mut reply_recv_buf,
         );
     }
-    ALLOCATOR.enabled.store(false, Ordering::SeqCst);
-
-    let allocations = ALLOCATOR.allocations.load(Ordering::SeqCst);
+    let allocations = allocations_on_this_thread() - before;
     assert!(
         allocations <= ALLOWED_ALLOCATIONS,
         "framed hot path allocated {allocations} times over {MEASURED_ROUNDS} \
          round trips (allowed: {ALLOWED_ALLOCATIONS}); the pooled zero-copy \
          path has regressed"
+    );
+}
+
+/// Bulk-stats-sized traffic through TLS-sim: 128 KiB frames one way, a
+/// one-byte acknowledgement back, the peer on a thread of its own (the
+/// frame is larger than a socket buffer). Each side counts its own
+/// thread's allocations once warm.
+#[test]
+fn warm_tls_sim_bulk_frames_do_not_allocate() {
+    const FRAME_LEN: usize = 128 * 1024;
+    const TLS_WARMUP_ROUNDS: usize = 8;
+    const TLS_MEASURED_ROUNDS: usize = 64;
+
+    let (client_stream, server_stream) = UnixStream::pair().expect("socketpair");
+    let server_inner =
+        UnixTransport::from_stream(server_stream, "server").expect("server transport");
+    let peer = std::thread::spawn(move || {
+        let server = TlsSimTransport::server(server_inner, 2).expect("server handshake");
+        let ack = [0, 0, 0, 1, 0xac];
+        let mut frame = Vec::new();
+        let mut before = 0;
+        for round in 0..TLS_WARMUP_ROUNDS + TLS_MEASURED_ROUNDS {
+            if round == TLS_WARMUP_ROUNDS {
+                before = allocations_on_this_thread();
+            }
+            let n = server.recv_frame_into(&mut frame).expect("recv");
+            assert_eq!(n, FRAME_LEN);
+            assert_eq!((frame[0], frame[FRAME_LEN - 1]), (0x11, 0x77));
+            server.send_framed(&ack).expect("ack");
+        }
+        allocations_on_this_thread() - before
+    });
+    let client_inner =
+        UnixTransport::from_stream(client_stream, "client").expect("client transport");
+    let client = TlsSimTransport::client(client_inner, 1).expect("client handshake");
+
+    let mut frame = vec![0x5a_u8; 4 + FRAME_LEN];
+    frame[..4].copy_from_slice(&(FRAME_LEN as u32).to_be_bytes());
+    frame[4] = 0x11;
+    frame[4 + FRAME_LEN - 1] = 0x77;
+    let mut ack = Vec::new();
+    let mut round_trip = || {
+        client.send_framed(&frame).expect("send");
+        client.recv_frame_into(&mut ack).expect("ack");
+        assert_eq!(ack, [0xac]);
+    };
+
+    for _ in 0..TLS_WARMUP_ROUNDS {
+        round_trip();
+    }
+    let before = allocations_on_this_thread();
+    for _ in 0..TLS_MEASURED_ROUNDS {
+        round_trip();
+    }
+    let sender = allocations_on_this_thread() - before;
+    let receiver = peer.join().expect("peer thread");
+    assert!(
+        sender + receiver <= ALLOWED_ALLOCATIONS,
+        "warm TLS-sim session allocated {sender} (sender) + {receiver} (receiver) times \
+         over {TLS_MEASURED_ROUNDS} 128 KiB round trips (allowed: {ALLOWED_ALLOCATIONS}); \
+         the in-place record layer has regressed"
     );
 }
 

@@ -2,7 +2,7 @@
 //! type, 4-byte alignment, and decoder robustness on arbitrary bytes.
 
 use proptest::prelude::*;
-use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode};
+use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode, XdrError, MAX_ITEM_LEN};
 use virt_rpc::xdr_struct;
 
 fn assert_round_trip<T: XdrEncode + XdrDecode + PartialEq + std::fmt::Debug>(value: T) {
@@ -203,5 +203,129 @@ proptest! {
         prop_assert_eq!(String::decode(&mut cursor).unwrap(), b);
         prop_assert_eq!(u64::decode(&mut cursor).unwrap(), c);
         prop_assert!(cursor.is_exhausted());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The borrowed string read
+// ---------------------------------------------------------------------------
+
+/// `String::decode` as it was before it was expressed through
+/// [`Cursor::read_str`], spelled out over public pieces only: the
+/// reference the borrowed read must agree with, check for check.
+fn reference_string_decode(data: &[u8]) -> Result<(String, usize), XdrError> {
+    let mut cursor = Cursor::new(data);
+    let len = u32::decode(&mut cursor)?;
+    if len > MAX_ITEM_LEN {
+        return Err(XdrError::LengthTooLarge(len));
+    }
+    let len = len as usize;
+    let rest = &data[4..];
+    if rest.len() < len {
+        return Err(XdrError::UnexpectedEnd {
+            needed: len - rest.len(),
+        });
+    }
+    let text = std::str::from_utf8(&rest[..len])
+        .map_err(|_| XdrError::InvalidUtf8)?
+        .to_string();
+    let pad = (4 - len % 4) % 4;
+    let tail = &rest[len..];
+    if tail.len() < pad {
+        return Err(XdrError::UnexpectedEnd {
+            needed: pad - tail.len(),
+        });
+    }
+    if tail[..pad].iter().any(|&b| b != 0) {
+        return Err(XdrError::BadPadding);
+    }
+    Ok((text, 4 + len + pad))
+}
+
+fn read_str_at_start(data: &[u8]) -> Result<(String, usize), XdrError> {
+    let mut cursor = Cursor::new(data);
+    let text = cursor.read_str()?.to_string();
+    Ok((text, cursor.position()))
+}
+
+fn string_decode_at_start(data: &[u8]) -> Result<(String, usize), XdrError> {
+    let mut cursor = Cursor::new(data);
+    let text = String::decode(&mut cursor)?;
+    Ok((text, cursor.position()))
+}
+
+proptest! {
+    /// Any string — empty, multi-byte, every padding width — reads back
+    /// borrowed, consuming exactly its encoding and leaving the cursor on
+    /// the next item.
+    #[test]
+    fn read_str_round_trips_and_borrows(v in "\\PC{0,40}", next: u32) {
+        let mut encoded = v.to_xdr();
+        next.encode(&mut encoded);
+        let mut cursor = Cursor::new(&encoded);
+        let text = cursor.read_str().expect("read_str");
+        prop_assert_eq!(text, v.as_str());
+        // Borrowed from the input, not copied.
+        let input = encoded.as_ptr_range();
+        prop_assert!(v.is_empty() || input.contains(&text.as_ptr()));
+        prop_assert_eq!(cursor.position(), encoded.len() - 4);
+        prop_assert_eq!(u32::decode(&mut cursor).unwrap(), next);
+    }
+
+    /// On arbitrary bytes the borrowed read, `String::decode` and the
+    /// spelled-out reference agree: same text and position, or the same
+    /// error variant.
+    #[test]
+    fn read_str_agrees_with_string_decode_on_arbitrary_bytes(
+        len in 0u32..24,
+        body in proptest::collection::vec(any::<u8>(), 0..28),
+    ) {
+        let mut data = Vec::new();
+        len.encode(&mut data);
+        data.extend_from_slice(&body);
+        let expected = reference_string_decode(&data);
+        prop_assert_eq!(read_str_at_start(&data), expected.clone());
+        prop_assert_eq!(string_decode_at_start(&data), expected);
+    }
+
+    /// Every way a string encoding can be damaged is rejected with the
+    /// variant `String::decode` has always returned for it.
+    #[test]
+    fn read_str_rejects_damaged_encodings(v in "\\PC{1,40}", junk in 1u8..=255) {
+        let encoded = v.to_xdr();
+        let pad = encoded.len() - 4 - v.len();
+
+        // Truncated anywhere: UnexpectedEnd, never a short read.
+        for cut in 0..encoded.len() {
+            prop_assert!(matches!(
+                read_str_at_start(&encoded[..cut]),
+                Err(XdrError::UnexpectedEnd { .. })
+            ));
+        }
+        // Non-zero padding (when there is any).
+        for i in 0..pad {
+            let mut damaged = encoded.clone();
+            let at = damaged.len() - 1 - i;
+            damaged[at] = junk;
+            prop_assert_eq!(read_str_at_start(&damaged), Err(XdrError::BadPadding));
+            prop_assert_eq!(string_decode_at_start(&damaged), Err(XdrError::BadPadding));
+        }
+        // Invalid UTF-8: 0xff never appears in well-formed text.
+        let mut damaged = encoded.clone();
+        damaged[4] = 0xff;
+        prop_assert_eq!(read_str_at_start(&damaged), Err(XdrError::InvalidUtf8));
+        prop_assert_eq!(string_decode_at_start(&damaged), Err(XdrError::InvalidUtf8));
+        // Over-long: rejected on the length word alone, before any bytes
+        // are looked at.
+        let mut damaged = encoded.clone();
+        damaged[..4].copy_from_slice(&(MAX_ITEM_LEN + 1).to_be_bytes());
+        prop_assert_eq!(
+            read_str_at_start(&damaged),
+            Err(XdrError::LengthTooLarge(MAX_ITEM_LEN + 1))
+        );
+        prop_assert_eq!(
+            string_decode_at_start(&damaged),
+            Err(XdrError::LengthTooLarge(MAX_ITEM_LEN + 1))
+        );
     }
 }

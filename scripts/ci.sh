@@ -21,6 +21,13 @@ cargo build --release --offline --examples
 echo "== test =="
 cargo test -q --offline
 
+# The benchmark package is a workspace of its own (path dependencies on
+# crates/*), so the root build and test never compile it. Build it here:
+# a product-crate API change that breaks it must fail CI, not the
+# benchmark driver.
+echo "== benchmark package builds against the product crates (release) =="
+cargo build --release --offline --manifest-path virt_bench/Cargo.toml
+
 echo "== fmt =="
 cargo fmt --check
 
@@ -41,8 +48,14 @@ fi
 # Perf smoke: the framing hot path must stay allocation-free once warm.
 # Release mode — the counting-allocator bound is calibrated for it, and
 # debug-mode Vec growth heuristics differ.
-echo "== perf smoke (zero-alloc framing hot path, release) =="
+echo "== perf smoke (zero-alloc framing hot path + warm TLS-sim record layer, release) =="
 cargo test -q --release --offline -p virt-rpc --test framing_hotpath
+
+# Bulk stats: encode + decode of a 1000-record reply stays within two
+# allocations per record (the name and the parameter Vec) — no
+# per-parameter field-name Strings.
+echo "== perf smoke (bulk-stats codec allocation budget, release) =="
+cargo test -q --release --offline -p virt-core --test bulk_stats_allocs
 
 # Tracing must be free when off: the disabled span path performs no
 # allocations and a disabled span costs < 50 ns. Release mode for the

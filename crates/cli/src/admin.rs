@@ -341,6 +341,9 @@ fn execute(
 /// Human-readable metric table: one line per counter/gauge; histograms
 /// show count, mean and p50/p90/p99 quantile estimates, with the raw
 /// per-bucket breakdown (µs upper bounds) only when `buckets` is set.
+/// Each server's event-loop counters are followed by the two ratios
+/// they exist for: request frames per socket read, and replies (one per
+/// frame) per socket write.
 fn print_metrics(
     out: &mut dyn Write,
     snapshots: &[virt_core::metrics::MetricSnapshot],
@@ -378,6 +381,32 @@ fn print_metrics(
                         .map_or_else(|| "+Inf".to_string(), |u| u.to_string());
                     w(out, &format!("    le {upper:>10} us  {bucket}"));
                 }
+            }
+        }
+    }
+    let counter = |name: &str| {
+        snapshots.iter().find_map(|s| match s.value {
+            MetricValue::Counter(v) if s.name == name => Some(v),
+            _ => None,
+        })
+    };
+    for snapshot in snapshots {
+        let Some(base) = snapshot.name.strip_suffix(".frames_in") else {
+            continue;
+        };
+        let MetricValue::Counter(frames) = snapshot.value else {
+            continue;
+        };
+        for (ratio, calls) in [
+            ("frames_per_read", "read_calls"),
+            ("replies_per_write", "write_calls"),
+        ] {
+            if let Some(calls) = counter(&format!("{base}.{calls}")).filter(|&c| c > 0) {
+                let name = format!("{base}.{ratio}");
+                w(
+                    out,
+                    &format!("{name:<40} {:.2}", frames as f64 / calls as f64),
+                );
             }
         }
     }
@@ -736,6 +765,29 @@ mod tests {
         assert!(text.contains("server.admin.bytes_out"), "{text}");
         // Driver lifecycle timings.
         assert!(text.contains("driver.qemu.create_us"), "{text}");
+    }
+
+    #[test]
+    fn metrics_shows_event_loop_batching_ratios() {
+        // The vadm connection itself has put frames through the admin
+        // server's loop by the time the metrics call is answered.
+        let results = run_against_daemon(&["srv-list", "metrics server.admin.event_loop."]);
+        assert_eq!(results[1].0, 0, "{}", results[1].1);
+        let text = &results[1].1;
+        for name in ["read_calls", "write_calls", "frames_in"] {
+            assert!(
+                text.contains(&format!("server.admin.event_loop.{name}")),
+                "{text}"
+            );
+        }
+        for ratio in ["frames_per_read", "replies_per_write"] {
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&format!("server.admin.event_loop.{ratio}")))
+                .unwrap_or_else(|| panic!("no {ratio} line in {text}"));
+            let value: f64 = line.split_whitespace().last().unwrap().parse().unwrap();
+            assert!(value > 0.0, "{line}");
+        }
     }
 
     #[test]

@@ -6,30 +6,51 @@
 //! transport that exposes a readiness surface ([`Readiness::Fd`] for
 //! sockets, [`Readiness::Notify`] for in-process channels) is handed to
 //! one of N loop threads, which multiplex all of them over a single
-//! [`Poller`]:
+//! [`Poller`]. A burst — whatever one client has sent by the time the
+//! loop gets to it — costs one read and one write:
 //!
-//! - **Reads** are nonblocking and incremental: a per-connection
-//!   [`FrameReader`] accumulates the 4-byte length prefix and then the
-//!   body into a pooled buffer, surviving any split across reads. A
-//!   complete frame is handed to the server (keepalive and high-priority
-//!   procedures run inline on the loop thread; everything else goes to
-//!   the worker pool).
-//! - **Writes** go through a per-connection [`ConnSink`]: worker threads
-//!   try a direct nonblocking write, and only when the socket pushes
-//!   back does the remainder spill into a bounded queue drained on
-//!   `EPOLLOUT`. Past a soft cap the loop stops *reading* from that
-//!   client (natural backpressure); past a hard cap the client is
+//! - **Reads** are nonblocking and buffered: one `try_read` of up to
+//!   [`READ_CHUNK`](virt_rpc::framebuf::READ_CHUNK) bytes lands in the
+//!   connection's [`FrameBuf`] (the same splitter the socket transports
+//!   use), and every complete frame in it is handed to the server *in
+//!   place* (keepalive and high-priority procedures run inline on the
+//!   loop thread; everything else goes to the worker pool). A short read
+//!   means the socket is drained — level-triggered epoll reports
+//!   whatever arrives next, so nothing probes for `EAGAIN`. A partial
+//!   frame stays buffered across any number of readiness events. At
+//!   most `MAX_FRAMES_PER_EVENT` frames are handed up per turn;
+//!   complete frames left in the buffer are bytes the kernel will never
+//!   announce again, so that connection goes on the loop's *ready list*
+//!   (the one in-process channels use) instead of waiting for an event
+//!   that will not come.
+//! - **Writes** go through a per-connection [`ConnSink`]: a reply is
+//!   tried as a direct nonblocking write, and only what the socket does
+//!   not take is kept — whole frames back to back in one pooled buffer,
+//!   drained on `EPOLLOUT`. When the loop finds more than one frame
+//!   buffered for a connection it *corks* the sink for that burst:
+//!   replies written meanwhile (inline ones, and any worker reply that
+//!   lands in the window) are gathered into the same buffer and leave in
+//!   one write when the burst ends. A cork never outlives one turn of
+//!   one connection on the loop thread, and a single-frame burst never
+//!   corks — a lone call keeps the direct write. Owed bytes, gathered or
+//!   spilled, count alike: past a soft cap the loop stops *reading* from
+//!   that client and hands out no more of its buffered frames (natural
+//!   backpressure; it resumes, from the buffer first, once a flush takes
+//!   the backlog under the resume mark); past a hard cap the client is
 //!   disconnected rather than allowed to balloon daemon memory.
+//! - **Idle connections hold no buffers.** The read buffer and the write
+//!   buffer are checked out of the [`BufferPool`] when a burst needs
+//!   them and go back as soon as they are empty.
 //! - **Teardown** is single-owner: whichever event notices the death
 //!   (read EOF, write error, hangup) removes the connection exactly
-//!   once, deregistering the fd and dropping the pooled read buffer back
-//!   to the freelist.
+//!   once, deregistering the fd and dropping whatever pooled buffers the
+//!   connection held back to the freelist.
 //!
 //! Transports with no readiness surface ([`Readiness::Blocking`], e.g.
 //! the simulated-TLS transport) keep the legacy dedicated reader thread
 //! — the server falls back per connection, not globally.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -38,17 +59,19 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use virt_metrics::{Counter, Gauge, Registry};
-use virt_rpc::message::MAX_PACKET_LEN;
+use virt_rpc::framebuf::FrameBuf;
 use virt_rpc::poll::{PollEvent, Poller, WAKE_TOKEN};
 use virt_rpc::transport::{Readiness, Transport};
 use virt_rpc::{BufferPool, PooledBuf};
 
 use crate::server::ClientHandle;
 
-/// Frames processed per connection per readiness event before yielding.
-/// Level-triggered epoll re-reports leftover data on the next wait, so
-/// capping the batch keeps one flooding client from starving the rest of
-/// the loop without losing any frames.
+/// Frames processed per connection per turn before yielding. Capping the
+/// batch keeps one flooding client from starving the rest of the loop
+/// without losing any frames: what is left in the socket is re-reported
+/// by level-triggered epoll, what is left in the connection's buffer
+/// puts it on the ready list. (The bytes asked of a socket per read are
+/// the splitter's [`virt_rpc::framebuf::READ_CHUNK`].)
 const MAX_FRAMES_PER_EVENT: usize = 32;
 
 /// Tuning for the event loops of one server.
@@ -87,6 +110,12 @@ pub(crate) struct EventLoopMetrics {
     pub wakeups: Arc<Counter>,
     /// Readiness events delivered across all wakeups.
     pub ready_events: Arc<Counter>,
+    /// `try_read` calls the loops made on sockets.
+    pub read_calls: Arc<Counter>,
+    /// `try_write` calls made on sockets (direct, gathered and flushed).
+    pub write_calls: Arc<Counter>,
+    /// Complete frames handed to the server.
+    pub frames_in: Arc<Counter>,
     /// Bytes currently queued for write across all connections.
     pub write_queue_bytes: Arc<Gauge>,
     /// Times a connection's reads were paused by the write soft cap.
@@ -101,6 +130,9 @@ impl EventLoopMetrics {
             registered_fds: Arc::new(Gauge::new()),
             wakeups: Arc::new(Counter::new()),
             ready_events: Arc::new(Counter::new()),
+            read_calls: Arc::new(Counter::new()),
+            write_calls: Arc::new(Counter::new()),
+            frames_in: Arc::new(Counter::new()),
             write_queue_bytes: Arc::new(Gauge::new()),
             reads_paused: Arc::new(Counter::new()),
             backpressure_closes: Arc::new(Counter::new()),
@@ -123,6 +155,21 @@ impl EventLoopMetrics {
             &format!("server.{n}.event_loop.ready_events"),
             "Readiness events delivered to the event loops",
             Arc::clone(&self.ready_events),
+        );
+        let _ = registry.register_counter(
+            &format!("server.{n}.event_loop.read_calls"),
+            "Socket reads issued by the event loops",
+            Arc::clone(&self.read_calls),
+        );
+        let _ = registry.register_counter(
+            &format!("server.{n}.event_loop.write_calls"),
+            "Socket writes issued for event-loop connections",
+            Arc::clone(&self.write_calls),
+        );
+        let _ = registry.register_counter(
+            &format!("server.{n}.event_loop.frames_in"),
+            "Complete request frames the event loops handed to the server",
+            Arc::clone(&self.frames_in),
         );
         let _ = registry.register_gauge(
             &format!("server.{n}.event_loop.write_queue_bytes"),
@@ -158,55 +205,35 @@ pub(crate) trait ConnEvents: Send + Sync + 'static {
     fn on_loop_error(&self, _error: &io::Error) {}
 }
 
-/// Incremental frame parser: 4-byte big-endian length prefix, then the
-/// body, accumulated across arbitrarily small reads into a pooled
-/// buffer. Dropping the reader returns the buffer to the pool — the
-/// teardown path leaks nothing even when a client dies mid-frame.
-struct FrameReader {
-    prefix: [u8; 4],
-    prefix_have: usize,
-    body: PooledBuf,
-    body_have: usize,
-    body_len: usize,
-    in_body: bool,
-}
-
-impl FrameReader {
-    fn new() -> FrameReader {
-        FrameReader {
-            prefix: [0; 4],
-            prefix_have: 0,
-            body: BufferPool::global().get(),
-            body_have: 0,
-            body_len: 0,
-            in_body: false,
-        }
-    }
-}
-
-/// One queued (possibly partially written) wire frame.
-struct QueuedFrame {
-    buf: PooledBuf,
-    off: usize,
-}
-
 struct SinkState {
-    queue: VecDeque<QueuedFrame>,
-    /// Total unwritten bytes across `queue`.
-    queued: usize,
+    /// Reply bytes accepted but not yet on the wire: whole frames back
+    /// to back, of which `out[written..]` is still owed to the socket.
+    /// `None` whenever nothing is owed — an idle connection parks no
+    /// buffer.
+    out: Option<PooledBuf>,
+    written: usize,
+    /// The owning loop is inside a multi-frame burst: replies gather in
+    /// `out` and leave in one write when the burst ends.
+    corked: bool,
     /// EPOLLOUT interest is armed.
     want_write: bool,
-    /// EPOLLIN interest is dropped (write soft cap exceeded).
-    paused_reads: bool,
     closed: bool,
+}
+
+impl SinkState {
+    /// Bytes owed to the socket.
+    fn queued(&self) -> usize {
+        self.out.as_ref().map_or(0, |out| out.len() - self.written)
+    }
 }
 
 enum SinkRoute {
     /// The transport's own send never blocks (in-process channels) —
     /// frames go straight through.
     Direct,
-    /// Nonblocking fd: direct-write fast path with spillover queue
-    /// drained by the owning loop on `EPOLLOUT`.
+    /// Nonblocking fd: direct-write fast path, with what the socket does
+    /// not take (and what a corked burst gathers) kept in one buffer the
+    /// owning loop writes out.
     Queued {
         fd: i32,
         token: u64,
@@ -223,6 +250,12 @@ enum SinkRoute {
 pub(crate) struct ConnSink {
     transport: Arc<dyn Transport>,
     route: SinkRoute,
+    /// EPOLLIN interest is dropped (write soft cap exceeded). Changed
+    /// only under the state lock, but read by the loop without it: a
+    /// worker can be pre-empted inside its reply's write with the lock
+    /// held, and the loop's next turn must not queue up behind that just
+    /// to look at a flag. It publishes nothing else, hence `Relaxed`.
+    paused_reads: AtomicBool,
     metrics: Arc<EventLoopMetrics>,
     bytes_out: Arc<Counter>,
 }
@@ -259,10 +292,11 @@ impl ConnSink {
             ));
         }
         let mut off = 0;
-        if st.queue.is_empty() {
+        if !st.corked && st.out.is_none() {
             // Fast path: the socket usually accepts the whole frame and
             // no queuing (or loop involvement) happens at all.
             loop {
+                self.metrics.write_calls.inc();
                 match self.transport.try_write(&wire[off..]) {
                     Ok(0) => {
                         self.close_locked(&mut st);
@@ -284,16 +318,22 @@ impl ConnSink {
                 }
             }
         }
-        // Spill the remainder (or, with a backlog, the whole frame —
-        // ordering must hold) into the queue and arm EPOLLOUT.
-        let mut buf = BufferPool::global().get();
-        buf.extend_from_slice(&wire[off..]);
-        let add = buf.len();
-        st.queue.push_back(QueuedFrame { buf, off: 0 });
-        st.queued += add;
-        self.metrics.write_queue_bytes.add(add as u64);
+        // Keep the remainder (or, corked or with a backlog, the whole
+        // frame — ordering must hold) behind what is already owed.
+        let SinkState { out, written, .. } = &mut *st;
+        let out = out.get_or_insert_with(|| BufferPool::global().get());
+        if *written > out.len() - *written {
+            // More written than owed: reclaim the front, so a steady
+            // slow reader cannot grow the buffer past its backlog.
+            out.drain(..*written);
+            *written = 0;
+        }
+        out.extend_from_slice(&wire[off..]);
+        self.metrics
+            .write_queue_bytes
+            .add((wire.len() - off) as u64);
         self.bytes_out.add(wire.len().saturating_sub(4) as u64);
-        if st.queued > *hard_cap {
+        if st.queued() > *hard_cap {
             // The client is not reading replies; cut it loose instead of
             // letting its backlog grow without bound.
             self.metrics.backpressure_closes.inc();
@@ -304,12 +344,13 @@ impl ConnSink {
             ));
         }
         let mut update = false;
-        if !st.want_write {
+        // A corked burst writes (and arms EPOLLOUT if it must) itself.
+        if !st.corked && !st.want_write {
             st.want_write = true;
             update = true;
         }
-        if st.queued > *soft_cap && !st.paused_reads {
-            st.paused_reads = true;
+        if st.queued() > *soft_cap && !self.reads_paused() {
+            self.paused_reads.store(true, Ordering::Relaxed);
             self.metrics.reads_paused.inc();
             update = true;
         }
@@ -319,74 +360,98 @@ impl ConnSink {
         Ok(())
     }
 
-    /// Drains as much of the queue as the socket accepts. Called by the
-    /// loop on `EPOLLOUT`; returns whether the connection survives.
-    fn flush(&self) -> bool {
-        let SinkRoute::Queued {
-            state, resume_mark, ..
-        } = &self.route
-        else {
+    /// Starts gathering: until [`ConnSink::uncork`], replies are appended
+    /// to the write buffer instead of written one by one. Loop thread
+    /// only, around one multi-frame burst.
+    fn cork(&self) {
+        if let SinkRoute::Queued { state, .. } = &self.route {
+            state.lock().corked = true;
+        }
+    }
+
+    /// Ends a corked burst: everything gathered leaves in one write
+    /// (what the socket refuses waits for `EPOLLOUT`). Returns whether
+    /// the connection survives.
+    fn uncork(&self) -> bool {
+        let SinkRoute::Queued { state, .. } = &self.route else {
             return true;
         };
         let mut st = state.lock();
+        st.corked = false;
+        self.write_out(&mut st)
+    }
+
+    /// Drains as much of the owed bytes as the socket accepts. Called by
+    /// the loop on `EPOLLOUT`; returns whether the connection survives.
+    fn flush(&self) -> bool {
+        let SinkRoute::Queued { state, .. } = &self.route else {
+            return true;
+        };
+        self.write_out(&mut state.lock())
+    }
+
+    /// Writes `out[written..]` until it is gone or the socket pushes
+    /// back, releases the buffer once nothing is owed, and settles the
+    /// epoll interest: `EPOLLOUT` exactly while bytes are owed, reads
+    /// resumed once the backlog is under the resume mark.
+    fn write_out(&self, st: &mut SinkState) -> bool {
+        let SinkRoute::Queued { resume_mark, .. } = &self.route else {
+            return true;
+        };
         if st.closed {
             return false;
         }
-        while let Some(front) = st.queue.front_mut() {
-            match self.transport.try_write(&front.buf[front.off..]) {
+        while let Some(out) = &st.out {
+            if st.written == out.len() {
+                st.out = None;
+                st.written = 0;
+                break;
+            }
+            self.metrics.write_calls.inc();
+            match self.transport.try_write(&out[st.written..]) {
                 Ok(0) => {
-                    self.close_locked(&mut st);
+                    self.close_locked(st);
                     return false;
                 }
                 Ok(n) => {
-                    front.off += n;
-                    let done = front.off == front.buf.len();
-                    st.queued -= n;
+                    st.written += n;
                     self.metrics.write_queue_bytes.sub(n as u64);
-                    if done {
-                        st.queue.pop_front();
-                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.close_locked(&mut st);
+                    self.close_locked(st);
                     return false;
                 }
             }
         }
-        let mut update = false;
-        if st.queue.is_empty() && st.want_write {
-            st.want_write = false;
-            update = true;
-        }
-        if st.paused_reads && st.queued <= *resume_mark {
-            st.paused_reads = false;
+        let owed = st.queued();
+        let mut update = st.want_write != (owed > 0);
+        st.want_write = owed > 0;
+        if self.reads_paused() && owed <= *resume_mark {
+            self.paused_reads.store(false, Ordering::Relaxed);
             update = true;
         }
         if update {
-            self.update_interest_locked(&st);
+            self.update_interest_locked(st);
         }
         true
     }
 
     /// Whether backpressure currently pauses reads from this connection.
     fn reads_paused(&self) -> bool {
-        match &self.route {
-            SinkRoute::Direct => false,
-            SinkRoute::Queued { state, .. } => state.lock().paused_reads,
-        }
+        self.paused_reads.load(Ordering::Relaxed)
     }
 
     /// Unwritten reply bytes queued on this connection.
     fn queued_bytes(&self) -> usize {
         match &self.route {
             SinkRoute::Direct => 0,
-            SinkRoute::Queued { state, .. } => state.lock().queued,
+            SinkRoute::Queued { state, .. } => state.lock().queued(),
         }
     }
 
-    /// Marks the sink dead, releases the queue, and shuts the transport
+    /// Marks the sink dead, releases the buffer, and shuts the transport
     /// down (which surfaces as a hangup on the owning loop).
     fn close(&self) {
         if let SinkRoute::Queued { state, .. } = &self.route {
@@ -401,9 +466,9 @@ impl ConnSink {
 
     fn close_locked(&self, st: &mut SinkState) {
         st.closed = true;
-        self.metrics.write_queue_bytes.sub(st.queued as u64);
-        st.queued = 0;
-        st.queue.clear();
+        self.metrics.write_queue_bytes.sub(st.queued() as u64);
+        st.out = None;
+        st.written = 0;
         // Waking the peer: shutdown makes the fd readable-with-EOF, so
         // the owning loop notices and runs the teardown path. EPOLLERR
         // and EPOLLHUP are always delivered regardless of interest.
@@ -415,7 +480,7 @@ impl ConnSink {
             fd, token, poller, ..
         } = &self.route
         {
-            let _ = poller.modify(*fd, *token, !st.paused_reads, st.want_write);
+            let _ = poller.modify(*fd, *token, !self.reads_paused(), st.want_write);
         }
     }
 }
@@ -425,18 +490,20 @@ enum ConnKind {
     Channel,
 }
 
-/// One event-loop-owned connection: the read state machine plus the
-/// write sink, keyed by the client id (which doubles as the epoll
-/// token).
+/// One event-loop-owned connection: the read buffer plus the write
+/// sink, keyed by the client id (which doubles as the epoll token).
 struct Conn {
     id: u64,
     client: Arc<ClientHandle>,
     kind: ConnKind,
-    reader: Mutex<FrameReader>,
+    /// Fd conns: bytes read off the socket but not yet handed up.
+    /// `None` between bursts that ended with nothing left over.
+    reader: Mutex<Option<FrameBuf<PooledBuf>>>,
     sink: Arc<ConnSink>,
-    /// Channel conns: set by the notifier, cleared by the drain — one
-    /// queued wakeup at a time no matter how many frames arrive.
-    notify_pending: Arc<AtomicBool>,
+    /// On the ready list: set by whoever queues the connection (the
+    /// channel notifier, or the loop itself for frames left buffered),
+    /// cleared by the drain — one queued wakeup at a time.
+    ready_pending: Arc<AtomicBool>,
     /// First closer wins; everything else becomes a no-op.
     closing: AtomicBool,
 }
@@ -444,8 +511,10 @@ struct Conn {
 struct LoopShared {
     poller: Arc<Poller>,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    /// Channel connections flagged ready since the last drain.
-    ready_channels: Mutex<Vec<u64>>,
+    /// Connections with frames to hand up that no fd event will
+    /// announce: channels flagged by their notifier, and sockets with
+    /// complete frames left in their read buffer.
+    ready: Mutex<Vec<u64>>,
     shutdown: AtomicBool,
     /// Set when the loop thread dies on a poller error: `register`
     /// skips dead loops so new connections never land on a poller
@@ -481,7 +550,7 @@ impl EventCore {
             let shared = Arc::new(LoopShared {
                 poller: Arc::new(Poller::new()?),
                 conns: Mutex::new(HashMap::new()),
-                ready_channels: Mutex::new(Vec::new()),
+                ready: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
                 events: Arc::clone(&events),
@@ -532,16 +601,17 @@ impl EventCore {
                         token: id,
                         poller: Arc::clone(&shared.poller),
                         state: Mutex::new(SinkState {
-                            queue: VecDeque::new(),
-                            queued: 0,
+                            out: None,
+                            written: 0,
+                            corked: false,
                             want_write: false,
-                            paused_reads: false,
                             closed: false,
                         }),
                         soft_cap: self.options.write_soft_cap,
                         resume_mark: self.options.write_resume_mark,
                         hard_cap: self.options.write_hard_cap,
                     },
+                    paused_reads: AtomicBool::new(false),
                     metrics: Arc::clone(&self.metrics),
                     bytes_out,
                 });
@@ -563,9 +633,9 @@ impl EventCore {
                     id,
                     client: Arc::clone(client),
                     kind: ConnKind::Fd(fd),
-                    reader: Mutex::new(FrameReader::new()),
+                    reader: Mutex::new(None),
                     sink,
-                    notify_pending: Arc::new(AtomicBool::new(false)),
+                    ready_pending: Arc::new(AtomicBool::new(false)),
                     closing: AtomicBool::new(false),
                 });
                 shared.conns.lock().insert(id, conn);
@@ -575,6 +645,7 @@ impl EventCore {
                 let sink = Arc::new(ConnSink {
                     transport: Arc::clone(&transport),
                     route: SinkRoute::Direct,
+                    paused_reads: AtomicBool::new(false),
                     metrics: Arc::clone(&self.metrics),
                     bytes_out,
                 });
@@ -583,21 +654,21 @@ impl EventCore {
                     id,
                     client: Arc::clone(client),
                     kind: ConnKind::Channel,
-                    reader: Mutex::new(FrameReader::new()),
+                    reader: Mutex::new(None),
                     sink,
-                    notify_pending: Arc::new(AtomicBool::new(false)),
+                    ready_pending: Arc::new(AtomicBool::new(false)),
                     closing: AtomicBool::new(false),
                 });
                 shared.conns.lock().insert(id, Arc::clone(&conn));
                 self.metrics.registered_fds.inc();
-                let flag = Arc::clone(&conn.notify_pending);
+                let flag = Arc::clone(&conn.ready_pending);
                 let weak: Weak<LoopShared> = Arc::downgrade(shared);
                 // The notifier fires immediately if frames are already
                 // waiting, so registration cannot miss a wakeup.
                 transport.set_ready_notifier(Some(Arc::new(move || {
                     if !flag.swap(true, Ordering::AcqRel) {
                         if let Some(shared) = weak.upgrade() {
-                            shared.ready_channels.lock().push(id);
+                            shared.ready.lock().push(id);
                             shared.poller.wake();
                         }
                     }
@@ -679,17 +750,21 @@ impl EventCore {
             }
             for ev in &events {
                 if ev.token == WAKE_TOKEN {
-                    Self::drain_channels(shared);
+                    Self::drain_ready(shared);
                     continue;
                 }
                 let conn = shared.conns.lock().get(&ev.token).cloned();
                 let Some(conn) = conn else { continue };
                 let mut keep = true;
+                let mut turn = ev.readable || ev.hangup;
                 if ev.writable {
                     keep = conn.sink.flush();
+                    // A flush may have resumed paused reads: start with
+                    // what is buffered, which no fd event will announce.
+                    turn |= conn.reader.lock().is_some();
                 }
-                if keep && (ev.readable || ev.hangup) {
-                    keep = Self::handle_readable(shared, &conn);
+                if keep && turn {
+                    keep = Self::handle_readable(shared, &conn, ev.hangup);
                 }
                 if !keep {
                     Self::teardown(shared, &conn);
@@ -698,79 +773,114 @@ impl EventCore {
         }
     }
 
-    /// Reads until the socket would block, a frame budget is spent, or
-    /// the connection dies. Returns whether it survives.
-    fn handle_readable(shared: &Arc<LoopShared>, conn: &Arc<Conn>) -> bool {
-        let transport = &conn.client.transport;
-        let mut r = conn.reader.lock();
+    /// One turn of an fd connection: hands up what is buffered, reads
+    /// the socket for more, and sends gathered replies off. Returns
+    /// whether the connection survives.
+    fn handle_readable(shared: &Arc<LoopShared>, conn: &Arc<Conn>, hangup: bool) -> bool {
+        if conn.sink.reads_paused() {
+            // Backpressure: nothing more is read or handed up until the
+            // backlog drains. A peer that is gone will never drain it.
+            return !hangup;
+        }
+        let mut slot = conn.reader.lock();
+        let mut buf = slot
+            .take()
+            .unwrap_or_else(|| FrameBuf::new(BufferPool::global().get()));
+        let mut corked = false;
+        let mut keep = Self::read_burst(shared, conn, &mut buf, &mut corked);
+        if corked {
+            keep &= conn.sink.uncork();
+        }
+        if keep && !buf.is_empty() {
+            // Frames the budget (or a pause the gathered write has just
+            // lifted) left behind get their turn off the ready list;
+            // frames held back by a pause wait for the flush.
+            if buf.has_frame() && !conn.sink.reads_paused() {
+                Self::queue_ready(shared, conn);
+            }
+            *slot = Some(buf);
+        }
+        keep
+    }
+
+    /// Hands up complete frames and reads until the socket is drained
+    /// (a short read), the frame budget is spent, backpressure pauses
+    /// the connection, or it dies.
+    fn read_burst(
+        shared: &Arc<LoopShared>,
+        conn: &Arc<Conn>,
+        buf: &mut FrameBuf<PooledBuf>,
+        corked: &mut bool,
+    ) -> bool {
+        let metrics = &shared.metrics;
         let mut frames = 0;
+        let mut drained = false;
         loop {
-            if !r.in_body {
-                let have = r.prefix_have;
-                match transport.try_read(&mut r.prefix[have..]) {
-                    Ok(0) => return false, // EOF
-                    Ok(n) => {
-                        r.prefix_have += n;
-                        if r.prefix_have == 4 {
-                            let len = u32::from_be_bytes(r.prefix);
-                            if len == 0 || len > MAX_PACKET_LEN {
-                                return false; // protocol garbage
-                            }
-                            r.body_len = len as usize;
-                            r.body_have = 0;
-                            r.body.clear();
-                            r.body.resize(len as usize, 0);
-                            r.in_body = true;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return false,
+            loop {
+                let (body, more) = match buf.next_frame() {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
+                    Err(_) => return false, // protocol garbage
+                };
+                if !*corked && (more || frames > 0) {
+                    // A burst: gather its replies into one write.
+                    conn.sink.cork();
+                    *corked = true;
                 }
-            } else {
-                let (have, len) = (r.body_have, r.body_len);
-                match transport.try_read(&mut r.body[have..len]) {
-                    Ok(0) => return false, // died mid-frame
-                    Ok(n) => {
-                        r.body_have += n;
-                        if r.body_have == r.body_len {
-                            r.in_body = false;
-                            r.prefix_have = 0;
-                            let body_len = r.body_len;
-                            if !shared.events.on_frame(&conn.client, &r.body[..body_len]) {
-                                return false;
-                            }
-                            frames += 1;
-                            // Backpressure: once replies queue past the
-                            // soft cap, stop pulling new requests.
-                            if frames >= MAX_FRAMES_PER_EVENT || conn.sink.reads_paused() {
-                                return true;
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return false,
+                metrics.frames_in.inc();
+                if !shared.events.on_frame(&conn.client, body) {
+                    return false;
                 }
+                frames += 1;
+                if frames >= MAX_FRAMES_PER_EVENT || conn.sink.reads_paused() {
+                    return true;
+                }
+            }
+            if drained {
+                return true;
+            }
+            let read = buf.fill(|space| {
+                metrics.read_calls.inc();
+                conn.client.transport.try_read(space)
+            });
+            match read {
+                Ok(0) => return false, // EOF (mid-frame or not)
+                // Level-triggered epoll announces whatever comes after a
+                // short read; only a full buffer is worth another try.
+                Ok(_) => drained = !buf.is_full(),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false, // socket error or a bad prefix
             }
         }
     }
 
-    fn drain_channels(shared: &Arc<LoopShared>) {
-        loop {
-            let ids: Vec<u64> = std::mem::take(&mut *shared.ready_channels.lock());
-            if ids.is_empty() {
-                return;
-            }
-            for id in ids {
-                let conn = shared.conns.lock().get(&id).cloned();
-                let Some(conn) = conn else { continue };
-                // Clear before draining: a frame arriving mid-drain
-                // re-flags and re-queues rather than getting lost.
-                conn.notify_pending.store(false, Ordering::Release);
-                if !Self::drain_one_channel(shared, &conn) {
-                    Self::teardown(shared, &conn);
-                }
+    /// Puts `conn` on the ready list (once) and wakes the loop for it.
+    fn queue_ready(shared: &Arc<LoopShared>, conn: &Arc<Conn>) {
+        if !conn.ready_pending.swap(true, Ordering::AcqRel) {
+            shared.ready.lock().push(conn.id);
+            shared.poller.wake();
+        }
+    }
+
+    /// Gives every connection on the ready list one turn. Whoever
+    /// queues a connection wakes the poller *after* pushing it, so one
+    /// pass per wake-up loses nothing — and a connection that re-queues
+    /// itself waits behind the fds of the next `epoll_wait`.
+    fn drain_ready(shared: &Arc<LoopShared>) {
+        let ids: Vec<u64> = std::mem::take(&mut *shared.ready.lock());
+        for id in ids {
+            let conn = shared.conns.lock().get(&id).cloned();
+            let Some(conn) = conn else { continue };
+            // Clear before the turn: a frame arriving mid-turn re-flags
+            // and re-queues rather than getting lost.
+            conn.ready_pending.store(false, Ordering::Release);
+            let keep = match conn.kind {
+                ConnKind::Fd(_) => Self::handle_readable(shared, &conn, false),
+                ConnKind::Channel => Self::drain_one_channel(shared, &conn),
+            };
+            if !keep {
+                Self::teardown(shared, &conn);
             }
         }
     }
@@ -779,6 +889,7 @@ impl EventCore {
         for _ in 0..MAX_FRAMES_PER_EVENT {
             match conn.client.transport.try_recv_frame() {
                 Ok(Some(body)) => {
+                    shared.metrics.frames_in.inc();
                     if !shared.events.on_frame(&conn.client, &body) {
                         return false;
                     }
@@ -789,10 +900,7 @@ impl EventCore {
         }
         // Budget spent with frames still queued: self-requeue so other
         // connections get a turn first.
-        if !conn.notify_pending.swap(true, Ordering::AcqRel) {
-            shared.ready_channels.lock().push(conn.id);
-            shared.poller.wake();
-        }
+        Self::queue_ready(shared, conn);
         true
     }
 
@@ -808,8 +916,8 @@ impl EventCore {
         conn.sink.close();
         shared.metrics.registered_fds.dec();
         shared.events.on_closed(&conn.client);
-        // Dropping the last Conn reference returns the FrameReader's
-        // pooled buffer to the freelist — even mid-frame.
+        // Dropping the last Conn reference returns its read buffer (if a
+        // partial frame held one) to the freelist.
     }
 }
 

@@ -22,7 +22,7 @@ use virt_core::log::Logger;
 use virt_metrics::span::{self, Stage};
 use virt_metrics::{Counter, Gauge, Registry};
 use virt_rpc::keepalive;
-use virt_rpc::message::{Header, MessageStatus, Packet, RpcError};
+use virt_rpc::message::{Header, MessageStatus, Packet, RpcError, KEEPALIVE_PROGRAM};
 use virt_rpc::transport::{Listener, MeteredTransport, Readiness, Transport, TransportKind};
 use virt_rpc::{PoolLimits, PoolStats, WorkerPool};
 
@@ -84,9 +84,10 @@ pub struct ClientHandle {
     /// Session identity, filled in by the dispatcher (AUTH/OPEN).
     pub identity: Mutex<ClientIdentity>,
     /// When the connection is owned by the event core, the write side
-    /// routes through its sink (direct-write fast path + bounded
-    /// spillover queue). Legacy reader-thread connections leave this
-    /// unset and write straight to the transport.
+    /// routes through its sink (direct-write fast path, replies of a
+    /// burst gathered into one write, bounded backlog). Legacy
+    /// reader-thread connections leave this unset and write straight to
+    /// the transport.
     sink: OnceLock<Arc<ConnSink>>,
 }
 
@@ -666,30 +667,34 @@ impl Server {
     /// pool. Returns whether to keep the connection (protocol garbage
     /// drops it). Shared by the event loops and legacy reader threads.
     fn process_frame(&self, client: &Arc<ClientHandle>, body: &[u8]) -> bool {
-        let packet = match Packet::from_body(body) {
-            Ok(packet) => packet,
-            Err(_) => return false, // protocol garbage: drop the client
+        // The header is decoded in place; the payload stays a slice of
+        // the caller's buffer for everything answered on this thread.
+        let Ok((header, payload)) = Packet::split_body(body) else {
+            return false; // protocol garbage: drop the client
         };
 
-        // Keepalive is answered inline, never queued: liveness probes
-        // must not wait behind a busy pool.
-        if let Some(pong) = keepalive::respond(&packet) {
-            self.metrics.keepalive_pings.inc();
-            let _ = client.send(&pong);
-            return true;
-        }
-        if keepalive::is_pong(&packet) || keepalive::is_bye(&packet) {
-            // A bye announces the client's own clean shutdown; the
-            // connection teardown follows on its own.
-            return true;
+        if header.program == KEEPALIVE_PROGRAM {
+            match header.procedure {
+                // Keepalive is answered inline, never queued: liveness
+                // probes must not wait behind a busy pool.
+                keepalive::PROC_PING => {
+                    self.metrics.keepalive_pings.inc();
+                    let _ = client.send(&keepalive::pong_packet());
+                    return true;
+                }
+                // A bye announces the client's own clean shutdown; the
+                // connection teardown follows on its own.
+                keepalive::PROC_PONG | keepalive::PROC_BYE => return true,
+                _ => {}
+            }
         }
 
-        if packet.header.program != self.dispatcher.program() {
+        if header.program != self.dispatcher.program() {
             let reply = Packet::new(
-                packet.header.reply_error(),
+                header.reply_error(),
                 &RpcError::new(
                     virt_core::ErrorCode::RpcFailure.as_u32(),
-                    format!("unknown program {:#x}", packet.header.program),
+                    format!("unknown program {:#x}", header.program),
                 ),
             );
             let _ = client.send(&reply);
@@ -704,21 +709,22 @@ impl Server {
         // while an inline call is on this thread's stack); everything
         // that can block rides the ordinary pool, keeping the thread
         // free to notice disconnects on its other connections.
-        if self.dispatcher.is_high_priority(packet.header.procedure) {
+        if self.dispatcher.is_high_priority(header.procedure) {
             let _trace = span::server_enter(
-                packet.header.trace_id,
-                packet.header.parent_span,
-                u64::from(packet.header.procedure),
+                header.trace_id,
+                header.parent_span,
+                u64::from(header.procedure),
             );
-            let reply = self
-                .dispatcher
-                .dispatch(client, packet.header, &packet.payload);
-            debug_assert_eq!(reply.header.serial, packet.header.serial);
+            let reply = self.dispatcher.dispatch(client, header, payload);
+            debug_assert_eq!(reply.header.serial, header.serial);
             let _write = span::stage(Stage::ReplyWrite);
             let _ = client.send(&reply);
             return true;
         }
 
+        // The pooled path crosses a thread hop, so it alone must own its
+        // bytes.
+        let payload = payload.to_vec();
         let dispatcher = Arc::clone(&self.dispatcher);
         let job_client = Arc::clone(client);
         let received = Instant::now();
@@ -728,13 +734,13 @@ impl Server {
             // this closure sat in the pool queue is attributed as a
             // queue-wait stage.
             let _trace = span::server_enter(
-                packet.header.trace_id,
-                packet.header.parent_span,
-                u64::from(packet.header.procedure),
+                header.trace_id,
+                header.parent_span,
+                u64::from(header.procedure),
             );
             span::record_span(Stage::QueueWait, received.elapsed(), 0);
-            let reply = dispatcher.dispatch(&job_client, packet.header, &packet.payload);
-            debug_assert_eq!(reply.header.serial, packet.header.serial);
+            let reply = dispatcher.dispatch(&job_client, header, &payload);
+            debug_assert_eq!(reply.header.serial, header.serial);
             debug_assert!(matches!(
                 reply.header.status,
                 MessageStatus::Ok | MessageStatus::Error

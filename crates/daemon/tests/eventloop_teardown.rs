@@ -1,25 +1,35 @@
-//! Mid-frame client death must not leak the pooled receive buffer or
-//! the registered fd.
+//! Client death must not leak a pooled buffer or the registered fd —
+//! and a connection with nothing buffered must not hold one at all.
 //!
-//! This is the regression suite for the event-loop teardown path: a
-//! client that dies after sending a length prefix and a partial body
-//! has already caused the loop to check a buffer out of the global
-//! [`virt_rpc::BufferPool`]. Teardown must return that buffer to the
-//! pool and drop the fd from the epoll set, every time.
+//! This is the regression suite for the event-loop teardown path. An
+//! event-loop connection checks its read buffer and its write buffer
+//! out of the global [`virt_rpc::BufferPool`] only while it has bytes
+//! in them, so the two ways to die holding one are mid-frame (a length
+//! prefix and a partial body read) and with replies gathered but not
+//! yet written (the peer stopped reading). Teardown must return the
+//! buffer and drop the fd from the epoll set, every time; and a
+//! connection that is merely idle after a burst must have returned both
+//! already.
 //!
 //! Kept in its own test binary on purpose: the buffer pool is
-//! process-global, and the hit/miss deltas asserted here would be
-//! meaningless with unrelated tests churning the pool concurrently.
+//! process-global, and the deltas asserted here would be meaningless
+//! with unrelated tests churning the pool concurrently. The tests in
+//! this file take turns for the same reason.
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use virt_metrics::MetricValue;
 use virt_rpc::keepalive::ping_packet;
-use virt_rpc::transport::TcpSocketListener;
+use virt_rpc::transport::{TcpSocketListener, UnixSocketListener};
 use virt_rpc::BufferPool;
 use virtd::Virtd;
+
+/// One test at a time: they all measure the process-global pool.
+static POOL: Mutex<()> = Mutex::new(());
 
 fn metric(daemon: &Virtd, name: &str) -> u64 {
     daemon
@@ -44,6 +54,7 @@ fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
 
 #[test]
 fn mid_frame_death_releases_fd_and_pooled_buffer() {
+    let _turn = POOL.lock().unwrap_or_else(|e| e.into_inner());
     let daemon = Virtd::builder(format!("teardown-{}", std::process::id()))
         .with_quiet_hosts()
         .build()
@@ -111,4 +122,105 @@ fn mid_frame_death_releases_fd_and_pooled_buffer() {
     );
 
     daemon.shutdown();
+}
+
+/// Sixteen pings, as one write.
+fn ping_burst() -> Vec<u8> {
+    ping_packet().to_frame().repeat(16)
+}
+
+#[test]
+fn gathered_reply_death_and_idle_after_a_burst_hold_no_pooled_buffer() {
+    let _turn = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = Virtd::builder(format!("gathered-{}", std::process::id()))
+        .with_quiet_hosts()
+        .build()
+        .unwrap();
+    let path = format!("/tmp/virtd-teardown-{}.sock", std::process::id());
+    daemon.serve(Box::new(UnixSocketListener::bind(&path).unwrap()));
+    let fds = "server.virtd.event_loop.registered_fds";
+    let queued = "server.virtd.event_loop.write_queue_bytes";
+    let pool = BufferPool::global();
+    let burst = ping_burst();
+
+    // One burst, answered in full; the connection stays open.
+    let burst_answered = || {
+        let mut sock = UnixStream::connect(&path).unwrap();
+        sock.write_all(&burst).unwrap();
+        let mut replies = vec![0u8; burst.len()];
+        sock.read_exact(&mut replies).unwrap();
+        sock
+    };
+
+    // Warm until the buffers a burst uses have reached their working
+    // sizes (they swap roles from burst to burst).
+    for _ in 0..8 {
+        drop(burst_answered());
+        wait_until("warm client to drain", Duration::from_secs(5), || {
+            metric(&daemon, fds) == 0
+        });
+    }
+    let resident_no_clients = pool.stats().2;
+    assert!(resident_no_clients > 0, "a warm pool parks its buffers");
+
+    // Idle after a burst — connected, nothing buffered either way — the
+    // connection has handed back both buffers: the pool is as full as
+    // with no client at all.
+    let idle = burst_answered();
+    wait_until(
+        "the idle connection to hold no pooled buffer",
+        Duration::from_secs(5),
+        || pool.stats().2 >= resident_no_clients,
+    );
+    assert_eq!(metric(&daemon, fds), 1);
+    drop(idle);
+    wait_until("idle client to drain", Duration::from_secs(5), || {
+        metric(&daemon, fds) == 0
+    });
+
+    // A client that stops reading, sends one more 16-request burst and
+    // dies: its replies are gathered, the socket will not take them, and
+    // teardown is all that can release the buffer they sit in.
+    let (_, misses_before, _) = pool.stats();
+    const CYCLES: usize = 16;
+    for _ in 0..CYCLES {
+        let mut sock = UnixStream::connect(&path).unwrap();
+        sock.set_nonblocking(true).unwrap();
+        let end = Instant::now() + Duration::from_secs(10);
+        while metric(&daemon, queued) == 0 {
+            assert!(Instant::now() < end, "replies never backed up");
+            match sock.write(&burst) {
+                // A torn burst would leave a partial frame behind; the
+                // send buffer empties as the daemon reads, so just retry.
+                Ok(n) if n < burst.len() => panic!("short write of {n} bytes"),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("flood write: {e}"),
+            }
+        }
+        drop(sock);
+        wait_until(
+            "fd to deregister after death",
+            Duration::from_secs(5),
+            || metric(&daemon, fds) == 0,
+        );
+        assert_eq!(metric(&daemon, queued), 0, "owed bytes outlived the client");
+    }
+    let (_, misses_after, _) = pool.stats();
+    let fresh = misses_after - misses_before;
+    assert!(
+        fresh <= CYCLES as u64 / 8,
+        "pooled buffers leaked: {fresh} fresh allocations across {CYCLES} deaths \
+         with gathered replies"
+    );
+    assert_eq!(
+        metric(&daemon, "server.virtd.clients_connected"),
+        0,
+        "client table entries leaked"
+    );
+
+    daemon.shutdown();
+    let _ = std::fs::remove_file(&path);
 }

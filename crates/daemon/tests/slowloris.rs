@@ -2,8 +2,10 @@
 //!
 //! Three hostile client shapes, all over real TCP sockets:
 //!
-//! 1. a client trickling one framed request a single byte per write —
-//!    the incremental frame reader must reassemble it and answer;
+//! 1. a client trickling framed requests a single byte per write, or
+//!    cutting a run of them at arbitrary boundaries — the buffered frame
+//!    splitter must reassemble every one, in order, and answer (and drop
+//!    the client at a bad length prefix, answering nothing behind it);
 //! 2. a client that floods requests but never reads replies — write
 //!    backpressure must pause its reads and bound the queued memory
 //!    while the server keeps serving well-behaved clients;
@@ -13,13 +15,19 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
 use virt_core::{Connect, KeepaliveConfig};
 use virt_metrics::MetricValue;
+use virt_rpc::framebuf::READ_CHUNK;
 use virt_rpc::keepalive::{is_pong, ping_packet};
-use virt_rpc::transport::TcpSocketListener;
+use virt_rpc::message::{Header, MessageStatus, MAX_PACKET_LEN};
+use virt_rpc::transport::{TcpSocketListener, UnixSocketListener};
+use virt_rpc::xdr::XdrEncode;
 use virt_rpc::Packet;
 use virtd::Virtd;
 
@@ -65,36 +73,129 @@ fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
     }
 }
 
-fn read_frame(sock: &mut TcpStream) -> Packet {
+fn read_frame(sock: &mut impl Read) -> std::io::Result<Packet> {
     let mut prefix = [0u8; 4];
-    sock.read_exact(&mut prefix).unwrap();
+    sock.read_exact(&mut prefix)?;
     let len = u32::from_be_bytes(prefix) as usize;
     let mut body = vec![0u8; len];
-    sock.read_exact(&mut body).unwrap();
-    Packet::from_body(&body).unwrap()
+    sock.read_exact(&mut body)?;
+    Ok(Packet::from_body(&body).unwrap())
 }
 
 #[test]
-fn trickled_frame_is_reassembled_and_answered() {
+fn trickled_frames_are_reassembled_and_answered() {
     let (daemon, addr) = start_tcp_daemon("trickle");
 
     let mut sock = TcpStream::connect(&addr).unwrap();
     sock.set_nodelay(true).ok();
-    let frame = ping_packet().to_frame();
+    let frames = ping_packet().to_frame().repeat(3);
     // One byte per write: every segment arrives as its own readiness
-    // event, so the frame reader must hold partial state across dozens
-    // of epoll round trips without ever blocking an event thread.
-    for &byte in &frame {
+    // event, so the connection's buffer must hold a partial frame across
+    // dozens of epoll round trips without ever blocking an event thread
+    // — and start the next frame in the bytes behind the last.
+    for &byte in &frames {
         sock.write_all(&[byte]).unwrap();
         sock.flush().ok();
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    let reply = read_frame(&mut sock);
-    assert!(is_pong(&reply), "trickled ping got {:?}", reply.header);
+    for _ in 0..3 {
+        let reply = read_frame(&mut sock).unwrap();
+        assert!(is_pong(&reply), "trickled ping got {:?}", reply.header);
+    }
 
     drop(sock);
     daemon.shutdown();
+}
+
+/// One daemon for every case of the property below.
+fn splitter_daemon() -> &'static str {
+    static DAEMON: OnceLock<(Virtd, String)> = OnceLock::new();
+    let (_, path) = DAEMON.get_or_init(|| {
+        let daemon = Virtd::builder(unique("split"))
+            .with_quiet_hosts()
+            .build()
+            .unwrap();
+        let path = format!("/tmp/virtd-{}.sock", unique("split"));
+        daemon.serve(Box::new(UnixSocketListener::bind(&path).unwrap()));
+        (daemon, path)
+    });
+    path
+}
+
+/// Frame body lengths as in `crates/rpc/tests/framebuf_properties.rs`,
+/// from a bare header up: small, around one read chunk, up to three.
+fn body_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        40usize..104,
+        40usize..104,
+        Just(READ_CHUNK - 4),
+        Just(READ_CHUNK - 3),
+        Just(READ_CHUNK),
+        40usize..3 * READ_CHUNK + 1,
+    ]
+}
+
+proptest! {
+    /// The event loop is held to the splitter's property: frames cut at
+    /// arbitrary byte boundaries are answered one for one and in order,
+    /// and a zero or over-limit prefix drops the client with nothing
+    /// behind it answered. Each frame is a call to a program nobody
+    /// serves — the one request of any size that earns an (error) reply
+    /// carrying its serial.
+    #[test]
+    fn split_frames_are_answered_in_order_up_to_a_bad_prefix(
+        lens in proptest::collection::vec(body_len(), 1..10),
+        cuts in proptest::collection::vec(1usize..2 * READ_CHUNK, 1..12),
+        bad in proptest::option::of((
+            0usize..16,
+            prop_oneof![Just(0u32), Just(MAX_PACKET_LEN + 1), Just(u32::MAX)],
+        )),
+    ) {
+        let bad = bad.map(|(at, prefix)| (at % (lens.len() + 1), prefix));
+        let mut wire = Vec::new();
+        for index in 0..=lens.len() {
+            if let Some((_, prefix)) = bad.filter(|&(at, _)| at == index) {
+                wire.extend_from_slice(&prefix.to_be_bytes());
+            }
+            let Some(&len) = lens.get(index) else { break };
+            wire.extend_from_slice(&(len as u32).to_be_bytes());
+            Header::call(0xbad, 1, index as u32 + 1).encode(&mut wire);
+            wire.resize(wire.len() + len - 40, 0xa5);
+        }
+        let answered = bad.map_or(lens.len(), |(at, _)| at);
+
+        let mut sock = UnixStream::connect(splitter_daemon()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut writer = sock.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            let mut rest = &wire[..];
+            for cut in cuts.iter().cycle() {
+                let (piece, tail) = rest.split_at((*cut).min(rest.len()));
+                // The daemon hangs up at a bad prefix; the rest is moot.
+                if piece.is_empty() || writer.write_all(piece).is_err() {
+                    break;
+                }
+                rest = tail;
+            }
+        });
+        for serial in 1..=answered {
+            let reply = read_frame(&mut sock)
+                .unwrap_or_else(|e| panic!("reply {serial} of {answered}: {e}"));
+            prop_assert_eq!(reply.header.serial, serial as u32);
+            prop_assert_eq!(reply.header.status, MessageStatus::Error);
+        }
+        sender.join().unwrap();
+        if bad.is_some() {
+            // Dropped, and nothing behind the bad prefix was answered.
+            let mut byte = [0u8; 1];
+            match sock.read(&mut byte) {
+                Ok(0) => {}
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+                other => panic!("expected the connection to be closed, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]

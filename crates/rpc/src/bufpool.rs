@@ -198,6 +198,20 @@ impl DerefMut for PooledBuf {
     }
 }
 
+// Lets generic buffer holders (`FrameBuf`) take either a plain `Vec<u8>`
+// or a pooled one.
+impl std::borrow::Borrow<Vec<u8>> for PooledBuf {
+    fn borrow(&self) -> &Vec<u8> {
+        &self.buf
+    }
+}
+
+impl std::borrow::BorrowMut<Vec<u8>> for PooledBuf {
+    fn borrow_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+}
+
 impl Drop for PooledBuf {
     fn drop(&mut self) {
         self.pool.put(std::mem::take(&mut self.buf));

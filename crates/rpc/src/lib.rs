@@ -8,6 +8,9 @@
 //! - [`xdr`] — an RFC 4506 (XDR) subset encoder/decoder,
 //! - [`message`] — the packet format: 4-byte length prefix + header
 //!   (program, version, procedure, type, serial, status) + payload,
+//! - [`framebuf`] — the one frame splitter: buffered stream bytes in,
+//!   whole frames out, shared by the socket transports and the daemon's
+//!   event loop,
 //! - [`transport`] — in-memory, Unix-socket, TCP and simulated-TLS
 //!   transports behind one object-safe trait,
 //! - [`pool`] — the worker pool with min/max limits and priority workers,
@@ -49,6 +52,7 @@ pub mod bufpool;
 pub mod client;
 pub mod fanout;
 pub mod fault;
+pub mod framebuf;
 pub mod keepalive;
 pub mod message;
 pub mod poll;
@@ -62,6 +66,7 @@ pub use bufpool::{BufferPool, PooledBuf};
 pub use client::CallClient;
 pub use fanout::run_bounded;
 pub use fault::{FaultControl, FaultMode, FaultyTransport};
+pub use framebuf::FrameBuf;
 pub use message::{Header, MessageStatus, MessageType, Packet, RpcError};
 pub use poll::{PollEvent, Poller};
 pub use pool::{PoolLimits, PoolStats, WorkerPool};

@@ -202,17 +202,31 @@ impl Packet {
         finish_frame(out);
     }
 
-    /// Parses a packet from a frame *body* (the bytes after the length
-    /// prefix, as delivered by a transport).
+    /// Splits a frame *body* (the bytes after the length prefix, as
+    /// delivered by a transport) into its decoded header and the payload
+    /// bytes, borrowed in place.
+    ///
+    /// # Errors
+    ///
+    /// [`XdrError`] when the header is malformed.
+    pub fn split_body(body: &[u8]) -> Result<(Header, &[u8]), XdrError> {
+        let mut cursor = Cursor::new(body);
+        let header = Header::decode(&mut cursor)?;
+        Ok((header, &body[cursor.position()..]))
+    }
+
+    /// Parses an owned packet from a frame body: [`Packet::split_body`]
+    /// plus a copy of the payload.
     ///
     /// # Errors
     ///
     /// [`XdrError`] when the header is malformed.
     pub fn from_body(body: &[u8]) -> Result<Packet, XdrError> {
-        let mut cursor = Cursor::new(body);
-        let header = Header::decode(&mut cursor)?;
-        let payload = body[cursor.position()..].to_vec();
-        Ok(Packet { header, payload })
+        let (header, payload) = Packet::split_body(body)?;
+        Ok(Packet {
+            header,
+            payload: payload.to_vec(),
+        })
     }
 
     /// Decodes the payload as the given type, consuming it fully.
@@ -331,6 +345,17 @@ mod tests {
         let parsed = Packet::from_body(&frame[4..]).unwrap();
         assert_eq!(parsed, packet);
         assert_eq!(parsed.decode_payload::<String>().unwrap(), "hello");
+    }
+
+    #[test]
+    fn split_body_borrows_the_payload_in_place() {
+        let packet = Packet::new(Header::call(REMOTE_PROGRAM, 5, 1), &"hello".to_string());
+        let frame = packet.to_frame();
+        let (header, payload) = Packet::split_body(&frame[4..]).unwrap();
+        assert_eq!(header, packet.header);
+        assert_eq!(payload, &packet.payload[..]);
+        assert!(std::ptr::eq(payload.as_ptr(), frame[4 + 40..].as_ptr()));
+        assert!(Packet::split_body(&frame[4..20]).is_err());
     }
 
     #[test]

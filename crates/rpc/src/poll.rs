@@ -7,10 +7,11 @@
 //! `Unsupported` and the server falls back to blocking reader threads,
 //! so the crate stays portable even though the fast path is Linux-only.
 //!
-//! The poller is level-triggered: a connection that still has buffered
-//! input or queued output keeps showing up in [`Poller::wait`] until it
-//! is drained. That matches the frame state machine in the daemon, which
-//! reads until `WouldBlock` on every readable event.
+//! The poller is level-triggered: a connection whose socket still holds
+//! input, or has room for queued output, keeps showing up in
+//! [`Poller::wait`] until it is drained. The daemon's loop relies on
+//! that: it stops reading at the first short read, and whatever arrives
+//! next is simply reported again.
 
 use std::io;
 use std::time::Duration;
@@ -188,9 +189,13 @@ impl Poller {
     }
 
     fn interest_mask(readable: bool, writable: bool) -> u32 {
-        let mut mask = sys::EPOLLRDHUP;
+        // A peer closing its write side is read-side news: an owner that
+        // has stopped reading (backpressure) must not be woken for it
+        // over and over — it is level-triggered — until it reads again.
+        // Full hangups and errors are reported regardless of the mask.
+        let mut mask = 0;
         if readable {
-            mask |= sys::EPOLLIN;
+            mask |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if writable {
             mask |= sys::EPOLLOUT;

@@ -9,6 +9,13 @@
 //! [`crate::message::Packet`], with the 4-byte length prefix handled here.
 //! Sending and receiving are independently lockable so a reader thread can
 //! block in [`Transport::recv_frame`] while other threads send.
+//!
+//! The socket transports receive through a [`FrameBuf`] kept under their
+//! read lock: one `read` pulls in whatever the peer has sent and
+//! back-to-back frames are then served out of the buffer, so a burst of
+//! replies costs one syscall, not two per reply. The buffer is allocated
+//! by the first framed receive — a socket the daemon's event loops drive
+//! through [`Transport::try_read`] never has one.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -21,7 +28,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::bufpool::MAX_PARKED_RECORD_CAPACITY;
-use crate::message::MAX_PACKET_LEN;
+use crate::framebuf::FrameBuf;
 
 /// How a transport can participate in a readiness (event) loop.
 ///
@@ -114,13 +121,16 @@ pub trait Transport: Send + Sync {
     }
 
     /// Receives one frame into `buf`, reusing its capacity, and returns
-    /// the body length. Socket transports read straight into the buffer
-    /// with no allocation once it has grown to the working frame size;
-    /// the default copies out of [`Transport::recv_frame`].
+    /// the body length. Socket transports serve it from their read
+    /// buffer (see [`FrameBuf::read_frame_into`]) with no allocation once
+    /// `buf` has grown to the working frame size; the default copies out
+    /// of [`Transport::recv_frame`].
     ///
     /// # Errors
     ///
-    /// As [`Transport::recv_frame`].
+    /// As [`Transport::recv_frame`]. On a socket transport an error that
+    /// leaves the stream open (a read timeout) also leaves it in step:
+    /// the partial frame stays buffered and the next call resumes it.
     fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
         let frame = self.recv_frame()?;
         buf.clear();
@@ -491,30 +501,6 @@ fn write_framed(stream: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     stream.flush()
 }
 
-/// Reads one frame into `buf`, reusing its capacity. Allocation-free
-/// once `buf` has grown to the connection's working frame size.
-fn read_frame_into(stream: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<usize> {
-    let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes);
-    if len > MAX_PACKET_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds limit"),
-        ));
-    }
-    buf.clear();
-    buf.resize(len as usize, 0);
-    stream.read_exact(buf)?;
-    Ok(len as usize)
-}
-
-fn read_frame(stream: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    read_frame_into(stream, &mut body)?;
-    Ok(body)
-}
-
 macro_rules! socket_transport {
     ($(#[$meta:meta])* $name:ident, $stream:ty, $kind:expr) => {
         $(#[$meta])*
@@ -526,7 +512,10 @@ macro_rules! socket_transport {
             // Earlier versions dup'd reader/writer halves instead,
             // which cost 3 fds per connection — the difference between
             // ~6k and ~20k fds at the C10K rung of expt_f9.
-            read_lock: Mutex<()>,
+            //
+            // The read guard also owns the bytes a read pulled in beyond
+            // the frame it was asked for.
+            read: Mutex<FrameBuf>,
             write_lock: Mutex<()>,
             stream: $stream,
             peer: String,
@@ -541,7 +530,7 @@ macro_rules! socket_transport {
             /// stays signature-compatible with fallible constructors.
             pub fn from_stream(stream: $stream, peer: impl Into<String>) -> io::Result<Self> {
                 Ok($name {
-                    read_lock: Mutex::new(()),
+                    read: Mutex::new(FrameBuf::new(Vec::new())),
                     write_lock: Mutex::new(()),
                     stream,
                     peer: peer.into(),
@@ -562,8 +551,9 @@ macro_rules! socket_transport {
             }
 
             fn recv_frame(&self) -> io::Result<Vec<u8>> {
-                let _r = self.read_lock.lock();
-                read_frame(&mut &self.stream)
+                let mut body = Vec::new();
+                self.recv_frame_into(&mut body)?;
+                Ok(body)
             }
 
             fn send_framed(&self, frame: &[u8]) -> io::Result<()> {
@@ -572,8 +562,7 @@ macro_rules! socket_transport {
             }
 
             fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
-                let _r = self.read_lock.lock();
-                read_frame_into(&mut &self.stream, buf)
+                self.read.lock().read_frame_into(&mut &self.stream, buf)
             }
 
             fn kind(&self) -> TransportKind {
@@ -601,7 +590,12 @@ macro_rules! socket_transport {
             }
 
             fn try_read(&self, buf: &mut [u8]) -> io::Result<usize> {
-                let _r = self.read_lock.lock();
+                let mut read = self.read.lock();
+                // One stream, one reader: bytes a framed receive already
+                // pulled in come first.
+                if !read.is_empty() {
+                    return Ok(read.take_bytes(buf));
+                }
                 (&self.stream).read(buf)
             }
 
@@ -1167,6 +1161,54 @@ mod tests {
         raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
         let err = server.join().unwrap().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Regression: a read timeout in the middle of a body used to throw
+    /// away the bytes already read, so the next receive parsed body
+    /// bytes as a length prefix. Both the small-frame path and the
+    /// larger-than-a-chunk path must leave the partial frame buffered.
+    #[test]
+    fn timed_out_read_keeps_the_stream_in_step() {
+        for len in [300, 3 * crate::framebuf::READ_CHUNK] {
+            let (reader, mut writer) = UnixStream::pair().unwrap();
+            reader
+                .set_read_timeout(Some(Duration::from_millis(1)))
+                .unwrap();
+            let reader = UnixTransport::from_stream(reader, "reader").unwrap();
+            let (first, second) = (frame(len), frame(40));
+
+            writer.write_all(&(len as u32).to_be_bytes()).unwrap();
+            writer.write_all(&first[..len / 2]).unwrap();
+            let mut buf = Vec::new();
+            let err = reader.recv_frame_into(&mut buf).unwrap_err();
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "{err}"
+            );
+
+            writer.write_all(&first[len / 2..]).unwrap();
+            write_frame(&mut writer, &second).unwrap();
+            assert_eq!(reader.recv_frame_into(&mut buf).unwrap(), len);
+            assert_eq!(buf, first);
+            assert_eq!(reader.recv_frame_into(&mut buf).unwrap(), 40);
+            assert_eq!(buf, second);
+        }
+    }
+
+    #[test]
+    fn try_read_returns_what_a_framed_receive_pulled_in_first() {
+        let (reader, mut writer) = UnixStream::pair().unwrap();
+        let reader = UnixTransport::from_stream(reader, "reader").unwrap();
+        write_frame(&mut writer, &frame(32)).unwrap();
+        writer.write_all(b"raw bytes").unwrap();
+        // Both writes have landed, so the framed read pulls in the lot.
+        assert_eq!(reader.recv_frame().unwrap(), frame(32));
+        let mut raw = [0u8; 16];
+        let n = reader.try_read(&mut raw).unwrap();
+        assert_eq!(&raw[..n], b"raw bytes");
     }
 
     #[test]

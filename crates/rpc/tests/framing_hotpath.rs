@@ -8,9 +8,14 @@
 //! framed round trips with ≤ 1 KiB payloads performs no further heap
 //! allocations.
 //!
+//! Receives go through the socket transports' read buffer
+//! (`FrameBuf`), so the audit also covers it: a burst of frames served
+//! out of one buffered read allocates nothing once the buffer exists.
+//!
 //! The same audit covers the TLS-sim record layer at bulk size: a warm
 //! session seals a 128 KiB frame into its parked record buffer and opens
-//! one in the caller's buffer without touching the allocator.
+//! one in the caller's buffer — read straight there, past the chunk the
+//! read buffer holds — without touching the allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -134,6 +139,46 @@ fn framed_round_trips_do_not_allocate_once_warm() {
         "framed hot path allocated {allocations} times over {MEASURED_ROUNDS} \
          round trips (allowed: {ALLOWED_ALLOCATIONS}); the pooled zero-copy \
          path has regressed"
+    );
+}
+
+/// Pipelined traffic: eight frames written back to back, then received
+/// one by one out of the transport's read buffer — one `read` serves
+/// several of them, and none of it allocates once warm.
+#[test]
+fn buffered_bursts_do_not_allocate_once_warm() {
+    const DEPTH: usize = 8;
+    let (client_stream, server_stream) = UnixStream::pair().expect("socketpair");
+    let client = UnixTransport::from_stream(client_stream, "client").expect("client transport");
+    let server = UnixTransport::from_stream(server_stream, "server").expect("server transport");
+
+    let payload: Vec<u8> = (0..200).map(|i| i as u8).collect();
+    let mut send_buf = Vec::new();
+    let mut recv_buf = Vec::new();
+    let burst = |send_buf: &mut Vec<u8>, recv_buf: &mut Vec<u8>| {
+        for serial in 0..DEPTH {
+            let header = Header::call(REMOTE_PROGRAM, 42, serial as u32);
+            message::encode_frame(&header, &payload, send_buf);
+            client.send_framed(send_buf).expect("send");
+        }
+        for _ in 0..DEPTH {
+            let n = server.recv_frame_into(recv_buf).expect("recv");
+            assert_eq!(n, 40 + 4 + payload.len());
+        }
+    };
+
+    for _ in 0..WARMUP_ROUNDS {
+        burst(&mut send_buf, &mut recv_buf);
+    }
+    let before = allocations_on_this_thread();
+    for _ in 0..MEASURED_ROUNDS {
+        burst(&mut send_buf, &mut recv_buf);
+    }
+    let allocations = allocations_on_this_thread() - before;
+    assert!(
+        allocations <= ALLOWED_ALLOCATIONS,
+        "buffered receive path allocated {allocations} times over {MEASURED_ROUNDS} \
+         bursts of {DEPTH} frames (allowed: {ALLOWED_ALLOCATIONS})"
     );
 }
 

@@ -48,8 +48,15 @@ fi
 # Perf smoke: the framing hot path must stay allocation-free once warm.
 # Release mode — the counting-allocator bound is calibrated for it, and
 # debug-mode Vec growth heuristics differ.
-echo "== perf smoke (zero-alloc framing hot path + warm TLS-sim record layer, release) =="
+echo "== perf smoke (zero-alloc framing hot path, buffered receive + warm TLS-sim record layer, release) =="
 cargo test -q --release --offline -p virt-rpc --test framing_hotpath
+
+# Structural, not timed: by the daemon's own read_calls/write_calls
+# counters a 16-call burst costs <= 2 reads and <= 2 writes, a lone call
+# <= 1 read and exactly 1 write — plus the burst paths' regression tests
+# (budget re-queue, resume from the buffer).
+echo "== perf guard (event loop: one read and one write per burst, release) =="
+cargo test -q --release --offline -p virtd --test eventloop_burst
 
 # Bulk stats: encode + decode of a 1000-record reply stays within two
 # allocations per record (the name and the parameter Vec) — no

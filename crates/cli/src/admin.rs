@@ -343,7 +343,8 @@ fn execute(
 /// per-bucket breakdown (µs upper bounds) only when `buckets` is set.
 /// Each server's event-loop counters are followed by the two ratios
 /// they exist for: request frames per socket read, and replies (one per
-/// frame) per socket write.
+/// frame) per socket write. `rpc.proc.<n>.*` rows end in the procedure's
+/// symbolic name; the keys stay numeric because tools read them.
 fn print_metrics(
     out: &mut dyn Write,
     snapshots: &[virt_core::metrics::MetricSnapshot],
@@ -352,9 +353,15 @@ fn print_metrics(
     use virt_core::metrics::{bucket_upper_bound_us, MetricValue};
     let q = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |value| format!("{value:.1}"));
     for snapshot in snapshots {
+        let note = snapshot
+            .name
+            .strip_prefix("rpc.proc.")
+            .and_then(|rest| rest.split('.').next()?.parse().ok())
+            .and_then(virt_core::protocol::proc::name)
+            .map_or_else(String::new, |name| format!("  # {name}"));
         match &snapshot.value {
-            MetricValue::Counter(v) => w(out, &format!("{:<40} {v}", snapshot.name)),
-            MetricValue::Gauge(v) => w(out, &format!("{:<40} {v}", snapshot.name)),
+            MetricValue::Counter(v) => w(out, &format!("{:<40} {v}{note}", snapshot.name)),
+            MetricValue::Gauge(v) => w(out, &format!("{:<40} {v}{note}", snapshot.name)),
             MetricValue::Histogram(h) => {
                 let mean = h
                     .mean_us()
@@ -362,7 +369,7 @@ fn print_metrics(
                 w(
                     out,
                     &format!(
-                        "{:<40} count={} mean={mean}us p50={}us p90={}us p99={}us",
+                        "{:<40} count={} mean={mean}us p50={}us p90={}us p99={}us{note}",
                         snapshot.name,
                         h.count,
                         q(h.p50_us()),
@@ -757,6 +764,10 @@ mod tests {
         let text = &results[1].1;
         // Per-procedure RPC latency histograms.
         assert!(text.contains("rpc.proc.1.latency_us"), "{text}");
+        // ... keyed by number, annotated with the symbolic name.
+        for line in text.lines().filter(|l| l.starts_with("rpc.proc.1.")) {
+            assert!(line.ends_with("  # OPEN"), "{line}");
+        }
         // Worker-pool wait/queue stats for both servers.
         assert!(text.contains("pool.virtd.wait_us"), "{text}");
         assert!(text.contains("pool.admin.queue_depth"), "{text}");

@@ -159,37 +159,6 @@ impl Connect {
         }
     }
 
-    /// Opens a connection using the default driver registry.
-    ///
-    /// Deprecated: [`Connect::builder`] is the single way in — the
-    /// equivalent spelling is `Connect::builder(uri).open()`, and every
-    /// connection option (deadlines, keepalive, retry, reconnect,
-    /// breaker, registry) hangs off the same builder.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::ErrorCode::InvalidUri`] on a malformed URI;
-    /// [`crate::ErrorCode::NoConnect`] when no endpoint answers.
-    #[deprecated(since = "0.2.0", note = "use Connect::builder(uri).open()")]
-    pub fn open(uri: &str) -> VirtResult<Connect> {
-        Connect::builder(uri).open()
-    }
-
-    /// Opens using an explicit registry (embedders and tests).
-    ///
-    /// Deprecated: use `Connect::builder(uri).registry(registry).open()`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConnectBuilder::open`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Connect::builder(uri).registry(registry).open()"
-    )]
-    pub fn open_with_registry(uri: &str, registry: &DriverRegistry) -> VirtResult<Connect> {
-        Connect::builder(uri).registry(registry).open()
-    }
-
     /// Wraps an already constructed driver connection (the daemon uses
     /// this to re-enter the API over its local drivers).
     pub fn from_driver(inner: Arc<dyn HypervisorConnection>) -> Connect {
@@ -497,19 +466,6 @@ mod tests {
             .registry(&registry)
             .open()
             .unwrap();
-        assert!(conn.is_alive());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_still_work() {
-        // The old names are one-line wrappers over the builder; they
-        // must keep working for external callers until removed.
-        let conn = Connect::open("test:///default").unwrap();
-        assert!(conn.is_alive());
-        let mut registry = DriverRegistry::new();
-        registry.register(Arc::new(crate::drivers::test::TestDriver::new()));
-        let conn = Connect::open_with_registry("test:///default", &registry).unwrap();
         assert!(conn.is_alive());
     }
 

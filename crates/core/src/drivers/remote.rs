@@ -6,6 +6,12 @@
 //! platform driver. The remote driver is the registry fallback — any URI
 //! scheme no stateless driver claims ends up here, as does any URI with an
 //! explicit `+transport` suffix.
+//!
+//! The stub of every regular procedure is generated from
+//! [`crate::remote_procedures!`] — the same table the daemon's dispatcher
+//! is generated from, so the two ends cannot disagree on a procedure's
+//! argument struct or reply shape. Hand-written here: connecting, the
+//! session handshake, and the stubs of the table's `custom` rows.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,12 +28,13 @@ use virt_rpc::xdr::XdrEncode;
 use crate::capabilities::Capabilities;
 use crate::client_metrics;
 use crate::driver::{
-    DomainRecord, HypervisorConnection, HypervisorDriver, MigrationOptions, MigrationReport,
-    NetworkRecord, NodeInfo, OpenOptions, PoolRecord, VolumeRecord,
+    DomainRecord, DomainStatsRecord, HypervisorConnection, HypervisorDriver, MigrationOptions,
+    MigrationReport, NetworkRecord, NodeInfo, OpenOptions, PoolRecord, VolumeRecord,
 };
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::event::{CallbackId, EventBus, EventCallback};
 use crate::guard::{GuardPolicy, GuardStatus};
+use crate::job::JobStats;
 use crate::protocol::{self, proc};
 use crate::testbed;
 use crate::uri::{ConnectUri, UriTransport};
@@ -276,39 +283,55 @@ impl RemoteConnection {
             )
             .map_err(VirtError::from)
     }
+}
 
-    fn domain_call(&self, procedure: u32, name: &str) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            procedure,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn unit_name_call(&self, procedure: u32, name: &str) -> VirtResult<()> {
-        self.call::<()>(
-            procedure,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )
-    }
+/// Table callback, invoked inside the `impl` below: the client stub of
+/// every regular row — build the argument struct, call, convert the
+/// reply. `custom` rows expand to nothing; their stubs are hand-written
+/// next to the invocation.
+macro_rules! remote_stubs {
+    (@sig str) => { &str };
+    (@sig $ty:ident) => { $ty };
+    (@own $arg:ident str) => { $arg.to_string() };
+    (@own $arg:ident $ty:ident) => { $arg };
+    (@args ()) => { () };
+    (@args $args:ident $($arg:ident: $ty:ident),*) => {{
+        $( let $arg = remote_stubs!(@own $arg $ty); )*
+        protocol::$args { $($arg),* }
+    }};
+    (@row $name:ident, custom) => {};
+    (@row $name:ident, $method:ident($($arg:ident: $ty:ident),*), $args:tt, unit) => {
+        remote_stubs!(@row $name, $method($($arg: $ty),*), $args, plain(()));
+    };
+    (@row $name:ident, $method:ident($($arg:ident: $ty:ident),*), $args:tt, plain($ret:ty)) => {
+        fn $method(&self $(, $arg: remote_stubs!(@sig $ty))*) -> VirtResult<$ret> {
+            self.call(proc::$name, &remote_stubs!(@args $args $($arg: $ty),*))
+        }
+    };
+    (
+        @row $name:ident, $method:ident($($arg:ident: $ty:ident),*), $args:tt,
+        wire($wire:ident, $ret:ty)
+    ) => {
+        fn $method(&self $(, $arg: remote_stubs!(@sig $ty))*) -> VirtResult<$ret> {
+            let reply: protocol::$wire =
+                self.call(proc::$name, &remote_stubs!(@args $args $($arg: $ty),*))?;
+            Ok(reply.into())
+        }
+    };
+    (
+        calls { $( ($num:literal, $name:ident, $doc:literal,
+            $priority:ident, $retry:ident, $access:ident, $($shape:tt)+); )* }
+        events { $($events:tt)* }
+    ) => {
+        $( remote_stubs!(@row $name, $($shape)+); )*
+    };
 }
 
 impl HypervisorConnection for RemoteConnection {
+    crate::remote_procedures!(remote_stubs);
+
     fn uri(&self) -> String {
         self.uri.clone()
-    }
-
-    fn hostname(&self) -> VirtResult<String> {
-        self.call(proc::GET_HOSTNAME, &())
-    }
-
-    fn node_info(&self) -> VirtResult<NodeInfo> {
-        let wire: protocol::WireNodeInfo = self.call(proc::NODE_INFO, &())?;
-        Ok(wire.into())
     }
 
     fn capabilities(&self) -> VirtResult<Capabilities> {
@@ -337,10 +360,6 @@ impl HypervisorConnection for RemoteConnection {
         Ok(wire.0.into_iter().map(DomainRecord::from).collect())
     }
 
-    fn lookup_domain_by_name(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_LOOKUP_NAME, name)
-    }
-
     fn lookup_domain_by_id(&self, id: u32) -> VirtResult<DomainRecord> {
         let wire: protocol::WireDomain = self.call(
             proc::DOMAIN_LOOKUP_ID,
@@ -357,192 +376,10 @@ impl HypervisorConnection for RemoteConnection {
         Ok(wire.into())
     }
 
-    fn define_domain_xml(&self, xml: &str) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::DOMAIN_DEFINE_XML,
-            &protocol::XmlArgs {
-                xml: xml.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn create_domain_xml(&self, xml: &str) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::DOMAIN_CREATE_XML,
-            &protocol::XmlArgs {
-                xml: xml.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn undefine_domain(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::DOMAIN_UNDEFINE, name)
-    }
-
-    fn start_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_START, name)
-    }
-
-    fn shutdown_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_SHUTDOWN, name)
-    }
-
-    fn reboot_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_REBOOT, name)
-    }
-
-    fn destroy_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_DESTROY, name)
-    }
-
-    fn suspend_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_SUSPEND, name)
-    }
-
-    fn resume_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_RESUME, name)
-    }
-
-    fn save_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_SAVE, name)
-    }
-
-    fn restore_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_RESTORE, name)
-    }
-
-    fn set_domain_memory(&self, name: &str, memory_mib: u64) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::DOMAIN_SET_MEMORY,
-            &protocol::NameU64Args {
-                name: name.to_string(),
-                value: memory_mib,
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn set_domain_vcpus(&self, name: &str, vcpus: u32) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::DOMAIN_SET_VCPUS,
-            &protocol::NameU32Args {
-                name: name.to_string(),
-                value: vcpus,
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn attach_device(&self, name: &str, device_xml: &str) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::DOMAIN_ATTACH_DEVICE,
-            &protocol::NameStringArgs {
-                name: name.to_string(),
-                value: device_xml.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn detach_device(&self, name: &str, target: &str) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::DOMAIN_DETACH_DEVICE,
-            &protocol::NameStringArgs {
-                name: name.to_string(),
-                value: target.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn snapshot_domain(&self, name: &str, snapshot: &str) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::DOMAIN_SNAPSHOT,
-            &protocol::NameStringArgs {
-                name: name.to_string(),
-                value: snapshot.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn revert_snapshot(&self, name: &str, snapshot: &str) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::DOMAIN_SNAPSHOT_REVERT,
-            &protocol::NameStringArgs {
-                name: name.to_string(),
-                value: snapshot.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn delete_snapshot(&self, name: &str, snapshot: &str) -> VirtResult<()> {
-        self.call::<()>(
-            proc::DOMAIN_SNAPSHOT_DELETE,
-            &protocol::NameStringArgs {
-                name: name.to_string(),
-                value: snapshot.to_string(),
-            },
-        )
-    }
-
-    fn list_snapshots(&self, name: &str) -> VirtResult<Vec<String>> {
-        self.call(
-            proc::DOMAIN_LIST_SNAPSHOTS,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )
-    }
-
-    fn set_autostart(&self, name: &str, autostart: bool) -> VirtResult<()> {
-        self.call::<()>(
-            proc::DOMAIN_SET_AUTOSTART,
-            &protocol::NameBoolArgs {
-                name: name.to_string(),
-                value: autostart,
-            },
-        )
-    }
-
-    fn get_autostart(&self, name: &str) -> VirtResult<bool> {
-        self.call(
-            proc::DOMAIN_GET_AUTOSTART,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )
-    }
-
-    fn dump_domain_xml(&self, name: &str) -> VirtResult<String> {
-        self.call(
-            proc::DOMAIN_DUMP_XML,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )
-    }
-
-    fn crash_domain(&self, name: &str) -> VirtResult<DomainRecord> {
-        self.domain_call(proc::DOMAIN_CRASH, name)
-    }
-
     fn guard_set(&self, name: &str, policy: &GuardPolicy) -> VirtResult<()> {
         self.call::<()>(
             proc::GUARD_SET,
             &protocol::GuardSetArgs::from_policy(name, policy),
-        )
-    }
-
-    fn guard_remove(&self, name: &str) -> VirtResult<()> {
-        self.call::<()>(
-            proc::GUARD_REMOVE,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
         )
     }
 
@@ -566,24 +403,6 @@ impl HypervisorConnection for RemoteConnection {
         })
     }
 
-    fn migrate_begin(&self, name: &str) -> VirtResult<String> {
-        self.call(
-            proc::MIGRATE_BEGIN,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )
-    }
-
-    fn migrate_prepare(&self, xml: &str) -> VirtResult<()> {
-        self.call::<()>(
-            proc::MIGRATE_PREPARE,
-            &protocol::XmlArgs {
-                xml: xml.to_string(),
-            },
-        )
-    }
-
     fn migrate_perform(
         &self,
         name: &str,
@@ -596,39 +415,7 @@ impl HypervisorConnection for RemoteConnection {
         Ok(wire.into())
     }
 
-    fn migrate_finish(&self, xml: &str) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
-            proc::MIGRATE_FINISH,
-            &protocol::XmlArgs {
-                xml: xml.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn migrate_confirm(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::MIGRATE_CONFIRM, name)
-    }
-
-    fn migrate_abort(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::MIGRATE_ABORT, name)
-    }
-
-    fn domain_job_stats(&self, name: &str) -> VirtResult<crate::job::JobStats> {
-        let wire: protocol::WireJobStats = self.call(
-            proc::DOMAIN_GET_JOB_STATS,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn abort_domain_job(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::DOMAIN_ABORT_JOB, name)
-    }
-
-    fn get_all_domain_stats(&self) -> VirtResult<Vec<crate::driver::DomainStatsRecord>> {
+    fn get_all_domain_stats(&self) -> VirtResult<Vec<DomainStatsRecord>> {
         // The whole point of the bulk procedure: one round-trip for the
         // entire host, never one call per domain.
         let wire: protocol::WireDomainStatsList =
@@ -636,147 +423,11 @@ impl HypervisorConnection for RemoteConnection {
         Ok(wire
             .0
             .into_iter()
-            .map(|record| crate::driver::DomainStatsRecord {
+            .map(|record| DomainStatsRecord {
                 name: record.name,
                 params: record.params.0,
             })
             .collect())
-    }
-
-    fn list_pools(&self) -> VirtResult<Vec<String>> {
-        self.call(proc::LIST_POOLS, &())
-    }
-
-    fn pool_info(&self, name: &str) -> VirtResult<PoolRecord> {
-        let wire: protocol::WirePool = self.call(
-            proc::POOL_INFO,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn define_pool_xml(&self, xml: &str) -> VirtResult<PoolRecord> {
-        let wire: protocol::WirePool = self.call(
-            proc::POOL_DEFINE_XML,
-            &protocol::XmlArgs {
-                xml: xml.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn start_pool(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::POOL_START, name)
-    }
-
-    fn stop_pool(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::POOL_STOP, name)
-    }
-
-    fn undefine_pool(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::POOL_UNDEFINE, name)
-    }
-
-    fn list_volumes(&self, pool: &str) -> VirtResult<Vec<String>> {
-        self.call(
-            proc::LIST_VOLUMES,
-            &protocol::NameArgs {
-                name: pool.to_string(),
-            },
-        )
-    }
-
-    fn volume_info(&self, pool: &str, name: &str) -> VirtResult<VolumeRecord> {
-        let wire: protocol::WireVolume = self.call(
-            proc::VOLUME_INFO,
-            &protocol::PoolVolArgs {
-                pool: pool.to_string(),
-                name: name.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn create_volume_xml(&self, pool: &str, xml: &str) -> VirtResult<VolumeRecord> {
-        let wire: protocol::WireVolume = self.call(
-            proc::VOLUME_CREATE_XML,
-            &protocol::PoolXmlArgs {
-                pool: pool.to_string(),
-                xml: xml.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn delete_volume(&self, pool: &str, name: &str) -> VirtResult<()> {
-        self.call::<()>(
-            proc::VOLUME_DELETE,
-            &protocol::PoolVolArgs {
-                pool: pool.to_string(),
-                name: name.to_string(),
-            },
-        )
-    }
-
-    fn resize_volume(&self, pool: &str, name: &str, capacity_mib: u64) -> VirtResult<()> {
-        self.call::<()>(
-            proc::VOLUME_RESIZE,
-            &protocol::VolResizeArgs {
-                pool: pool.to_string(),
-                name: name.to_string(),
-                capacity_mib,
-            },
-        )
-    }
-
-    fn clone_volume(&self, pool: &str, source: &str, new_name: &str) -> VirtResult<VolumeRecord> {
-        let wire: protocol::WireVolume = self.call(
-            proc::VOLUME_CLONE,
-            &protocol::VolCloneArgs {
-                pool: pool.to_string(),
-                source: source.to_string(),
-                new_name: new_name.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn list_networks(&self) -> VirtResult<Vec<String>> {
-        self.call(proc::LIST_NETWORKS, &())
-    }
-
-    fn network_info(&self, name: &str) -> VirtResult<NetworkRecord> {
-        let wire: protocol::WireNetwork = self.call(
-            proc::NETWORK_INFO,
-            &protocol::NameArgs {
-                name: name.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn define_network_xml(&self, xml: &str) -> VirtResult<NetworkRecord> {
-        let wire: protocol::WireNetwork = self.call(
-            proc::NETWORK_DEFINE_XML,
-            &protocol::XmlArgs {
-                xml: xml.to_string(),
-            },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn start_network(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::NETWORK_START, name)
-    }
-
-    fn stop_network(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::NETWORK_STOP, name)
-    }
-
-    fn undefine_network(&self, name: &str) -> VirtResult<()> {
-        self.unit_name_call(proc::NETWORK_UNDEFINE, name)
     }
 
     fn register_event_callback(&self, callback: EventCallback) -> VirtResult<CallbackId> {

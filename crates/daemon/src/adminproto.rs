@@ -10,66 +10,50 @@ use virt_rpc::xdr::{XdrDecode, XdrEncode};
 use virt_rpc::xdr_struct;
 use virt_rpc::PoolStats;
 
+/// The admin program, one row per procedure: number, NAME, doc line
+/// (what it does; arguments → reply). Only the number/name half of
+/// `virt_core`'s table machinery applies here — handlers and
+/// `AdminClient` are written by hand.
+///
+/// Numbers are stable on the wire — never reuse one.
+macro_rules! admin_procedures {
+    ($callback:ident) => {
+        $callback! {
+            calls {
+                (1, SRV_LIST, "List server names; `()` → server-name list.");
+                (2, THREADPOOL_INFO,
+                    "Worker-pool statistics of a server; `ServerArgs` → `WirePoolStats`.");
+                (3, THREADPOOL_SET, "Adjust worker-pool limits; `ServerParamsArgs` → `()`.");
+                (4, CLIENT_LIST,
+                    "List connected clients of a server; `ServerArgs` → `WireClientList`.");
+                (5, CLIENT_INFO, "Identity details of one client; `ClientArgs` → `WireClient`.");
+                (6, CLIENT_DISCONNECT, "Forcefully disconnect a client; `ClientArgs` → `()`.");
+                (7, CLIENT_LIMITS_INFO,
+                    "Client-limit statistics of a server; `ServerArgs` → `WireClientLimits`.");
+                (8, CLIENT_LIMITS_SET, "Adjust client limits; `ServerParamsArgs` → `()`.");
+                (9, LOG_INFO,
+                    "Current logging settings (level, filters, outputs); `()` → `WireLogInfo`.");
+                (10, LOG_SET_LEVEL, "Set the global logging level; level → `()`.");
+                (11, LOG_SET_FILTERS, "Replace the logging filter set; filter string → `()`.");
+                (12, LOG_SET_OUTPUTS, "Replace the logging output set; output string → `()`.");
+                (13, METRICS_LIST, "List registered metric names; `()` → metric-name list.");
+                (14, METRICS_FETCH,
+                    "Fetch a metrics snapshot, optionally by name prefix; `MetricsFetchArgs` → `WireMetricList`.");
+                (15, TRACE_CONFIG,
+                    "Read or change flight-recorder settings; `TraceConfigArgs` → `WireTraceConfig`.");
+                (16, TRACE_DUMP,
+                    "Drain the flight recorder's buffered events; `TraceDumpArgs` → `WireTraceEventList`.");
+            }
+            events {}
+        }
+    };
+}
+
 /// Procedure numbers of the admin program.
-///
-/// Assigned numbers (stable on the wire — never reuse):
-///
-/// | # | procedure | direction |
-/// |---|-----------|-----------|
-/// | 1 | `SRV_LIST` | `()` → server-name list |
-/// | 2 | `THREADPOOL_INFO` | [`ServerArgs`] → [`WirePoolStats`] |
-/// | 3 | `THREADPOOL_SET` | [`ServerParamsArgs`] → `()` |
-/// | 4 | `CLIENT_LIST` | [`ServerArgs`] → [`WireClientList`] |
-/// | 5 | `CLIENT_INFO` | [`ClientArgs`] → [`WireClient`] |
-/// | 6 | `CLIENT_DISCONNECT` | [`ClientArgs`] → `()` |
-/// | 7 | `CLIENT_LIMITS_INFO` | [`ServerArgs`] → [`WireClientLimits`] |
-/// | 8 | `CLIENT_LIMITS_SET` | [`ServerParamsArgs`] → `()` |
-/// | 9 | `LOG_INFO` | `()` → [`WireLogInfo`] |
-/// | 10 | `LOG_SET_LEVEL` | level → `()` |
-/// | 11 | `LOG_SET_FILTERS` | filter string → `()` |
-/// | 12 | `LOG_SET_OUTPUTS` | output string → `()` |
-/// | 13 | `METRICS_LIST` | `()` → metric-name list |
-/// | 14 | `METRICS_FETCH` | [`MetricsFetchArgs`] → [`WireMetricList`] |
-/// | 15 | `TRACE_CONFIG` | [`TraceConfigArgs`] → [`WireTraceConfig`] |
-/// | 16 | `TRACE_DUMP` | [`TraceDumpArgs`] → [`WireTraceEventList`] |
-///
-/// Procedures 13–14 and 16 are read-only: the dispatcher allows them
-/// for read-only admin clients. `TRACE_CONFIG` with every field absent
-/// is a pure read too, but numbering it writable keeps the check simple
-/// and honest — it *can* reconfigure the recorder.
 pub mod proc {
-    /// List server names.
-    pub const SRV_LIST: u32 = 1;
-    /// Worker-pool statistics of a server.
-    pub const THREADPOOL_INFO: u32 = 2;
-    /// Adjust worker-pool limits.
-    pub const THREADPOOL_SET: u32 = 3;
-    /// List connected clients of a server.
-    pub const CLIENT_LIST: u32 = 4;
-    /// Identity details of one client.
-    pub const CLIENT_INFO: u32 = 5;
-    /// Forcefully disconnect a client.
-    pub const CLIENT_DISCONNECT: u32 = 6;
-    /// Client-limit statistics of a server.
-    pub const CLIENT_LIMITS_INFO: u32 = 7;
-    /// Adjust client limits.
-    pub const CLIENT_LIMITS_SET: u32 = 8;
-    /// Current logging settings (level, filters, outputs).
-    pub const LOG_INFO: u32 = 9;
-    /// Set the global logging level.
-    pub const LOG_SET_LEVEL: u32 = 10;
-    /// Replace the logging filter set.
-    pub const LOG_SET_FILTERS: u32 = 11;
-    /// Replace the logging output set.
-    pub const LOG_SET_OUTPUTS: u32 = 12;
-    /// List registered metric names.
-    pub const METRICS_LIST: u32 = 13;
-    /// Fetch a snapshot of metrics, optionally filtered by name prefix.
-    pub const METRICS_FETCH: u32 = 14;
-    /// Read or change flight-recorder settings (enable, slow threshold).
-    pub const TRACE_CONFIG: u32 = 15;
-    /// Drain the flight recorder's buffered trace events.
-    pub const TRACE_DUMP: u32 = 16;
+    use virt_core::procedure_numbers;
+
+    admin_procedures!(procedure_numbers);
 }
 
 /// Typed-parameter field: minimum ordinary workers.

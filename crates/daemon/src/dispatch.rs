@@ -1,4 +1,4 @@
-//! The remote-program procedure table.
+//! The remote-program dispatcher.
 //!
 //! Decodes each call's XDR arguments, executes it against the daemon's
 //! local driver for the URI the client opened, and encodes the reply —
@@ -6,6 +6,12 @@
 //! re-enter the same [`HypervisorConnection`] trait, a remote call is
 //! *semantically identical* to a local one; only latency differs. That
 //! equivalence is what the differential tests in `tests/` assert.
+//!
+//! The decode → call → encode arm of every regular procedure is
+//! generated from `virt_core::remote_procedures!` (`call_regular`); what
+//! is written by hand here is the session (AUTH, OPEN, the read-only
+//! gate, CLOSE, event subscription) and the arms of the table's `custom`
+//! rows. `tests/wire_procedures.rs` fails if a row has no arm.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -262,7 +268,7 @@ impl RemoteDispatcher {
                         ErrorCode::AccessDenied,
                         format!(
                             "procedure {} forbidden on a read-only connection",
-                            header.procedure
+                            describe(header.procedure)
                         ),
                     ));
                 }
@@ -272,104 +278,39 @@ impl RemoteDispatcher {
         let conn = self.session_conn(client.id)?;
         let c: &dyn HypervisorConnection = conn.as_ref();
 
+        if let Some(reply) = call_regular(c, header.procedure, payload)? {
+            return Ok(reply);
+        }
+
+        // The table's `custom` rows.
         let reply: Vec<u8> = match header.procedure {
             proc::CLOSE => {
                 self.cleanup_session(client.id);
                 ().to_xdr()
             }
-            proc::GET_HOSTNAME => c.hostname()?.to_xdr(),
             proc::GET_CAPABILITIES => c.capabilities()?.to_xml_string().to_xdr(),
-            proc::NODE_INFO => protocol::WireNodeInfo::from(&c.node_info()?).to_xdr(),
-
             proc::LIST_DOMAINS => {
                 let records = c.list_domains()?;
                 protocol::WireDomainList(records.iter().map(protocol::WireDomain::from).collect())
                     .to_xdr()
             }
-            proc::DOMAIN_LOOKUP_NAME => {
-                let args: protocol::NameArgs = decode(payload)?;
-                domain_reply(c.lookup_domain_by_name(&args.name)?)
-            }
             proc::DOMAIN_LOOKUP_ID => {
                 let args: protocol::NameU32Args = decode(payload)?;
-                domain_reply(c.lookup_domain_by_id(args.value)?)
+                protocol::WireDomain::from(&c.lookup_domain_by_id(args.value)?).to_xdr()
             }
             proc::DOMAIN_LOOKUP_UUID => {
                 let uuid: [u8; 16] = decode(payload)?;
-                domain_reply(c.lookup_domain_by_uuid(virt_core::Uuid::from_bytes(uuid))?)
+                let record = c.lookup_domain_by_uuid(virt_core::Uuid::from_bytes(uuid))?;
+                protocol::WireDomain::from(&record).to_xdr()
             }
-            proc::DOMAIN_DEFINE_XML => {
-                let args: protocol::XmlArgs = decode(payload)?;
-                domain_reply(c.define_domain_xml(&args.xml)?)
+            proc::CONNECT_GET_ALL_DOMAIN_STATS => {
+                protocol::DomainStatsReply(&c.get_all_domain_stats()?).to_xdr()
             }
-            proc::DOMAIN_CREATE_XML => {
-                let args: protocol::XmlArgs = decode(payload)?;
-                domain_reply(c.create_domain_xml(&args.xml)?)
+            proc::MIGRATE_PERFORM => {
+                let args: protocol::MigratePerformArgs = decode(payload)?;
+                let report = c.migrate_perform(&args.name, &args.to_options())?;
+                protocol::WireMigrationReport::from(&report).to_xdr()
             }
-            proc::DOMAIN_UNDEFINE => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.undefine_domain(&args.name)?;
-                ().to_xdr()
-            }
-            proc::DOMAIN_START => name_op(payload, |n| c.start_domain(n))?,
-            proc::DOMAIN_SHUTDOWN => name_op(payload, |n| c.shutdown_domain(n))?,
-            proc::DOMAIN_REBOOT => name_op(payload, |n| c.reboot_domain(n))?,
-            proc::DOMAIN_DESTROY => name_op(payload, |n| c.destroy_domain(n))?,
-            proc::DOMAIN_SUSPEND => name_op(payload, |n| c.suspend_domain(n))?,
-            proc::DOMAIN_RESUME => name_op(payload, |n| c.resume_domain(n))?,
-            proc::DOMAIN_SAVE => name_op(payload, |n| c.save_domain(n))?,
-            proc::DOMAIN_RESTORE => name_op(payload, |n| c.restore_domain(n))?,
-            proc::DOMAIN_SET_MEMORY => {
-                let args: protocol::NameU64Args = decode(payload)?;
-                domain_reply(c.set_domain_memory(&args.name, args.value)?)
-            }
-            proc::DOMAIN_SET_VCPUS => {
-                let args: protocol::NameU32Args = decode(payload)?;
-                domain_reply(c.set_domain_vcpus(&args.name, args.value)?)
-            }
-            proc::DOMAIN_ATTACH_DEVICE => {
-                let args: protocol::NameStringArgs = decode(payload)?;
-                domain_reply(c.attach_device(&args.name, &args.value)?)
-            }
-            proc::DOMAIN_DETACH_DEVICE => {
-                let args: protocol::NameStringArgs = decode(payload)?;
-                domain_reply(c.detach_device(&args.name, &args.value)?)
-            }
-            proc::DOMAIN_SNAPSHOT => {
-                let args: protocol::NameStringArgs = decode(payload)?;
-                domain_reply(c.snapshot_domain(&args.name, &args.value)?)
-            }
-            proc::DOMAIN_SNAPSHOT_REVERT => {
-                let args: protocol::NameStringArgs = decode(payload)?;
-                domain_reply(c.revert_snapshot(&args.name, &args.value)?)
-            }
-            proc::DOMAIN_SNAPSHOT_DELETE => {
-                let args: protocol::NameStringArgs = decode(payload)?;
-                c.delete_snapshot(&args.name, &args.value)?;
-                ().to_xdr()
-            }
-            proc::DOMAIN_LIST_SNAPSHOTS => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.list_snapshots(&args.name)?.to_xdr()
-            }
-            proc::DOMAIN_SET_AUTOSTART => {
-                let args: protocol::NameBoolArgs = decode(payload)?;
-                c.set_autostart(&args.name, args.value)?;
-                ().to_xdr()
-            }
-            proc::DOMAIN_GET_AUTOSTART => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.get_autostart(&args.name)?.to_xdr()
-            }
-            proc::DOMAIN_DUMP_XML => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.dump_domain_xml(&args.name)?.to_xdr()
-            }
-            proc::DOMAIN_CRASH => {
-                let args: protocol::NameArgs = decode(payload)?;
-                domain_reply(c.crash_domain(&args.name)?)
-            }
-
             proc::GUARD_SET => {
                 let args: protocol::GuardSetArgs = decode(payload)?;
                 let policy = args.to_policy().ok_or_else(|| {
@@ -379,11 +320,6 @@ impl RemoteDispatcher {
                     )
                 })?;
                 c.guard_set(&args.name, &policy)?;
-                ().to_xdr()
-            }
-            proc::GUARD_REMOVE => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.guard_remove(&args.name)?;
                 ().to_xdr()
             }
             proc::GUARD_LIST => {
@@ -400,130 +336,6 @@ impl RemoteDispatcher {
                 let args: protocol::NameArgs = decode(payload)?;
                 protocol::WireGuardStatus::from(&c.guard_status(&args.name)?).to_xdr()
             }
-
-            proc::MIGRATE_BEGIN => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.migrate_begin(&args.name)?.to_xdr()
-            }
-            proc::MIGRATE_PREPARE => {
-                let args: protocol::XmlArgs = decode(payload)?;
-                c.migrate_prepare(&args.xml)?;
-                ().to_xdr()
-            }
-            proc::MIGRATE_PERFORM => {
-                let args: protocol::MigratePerformArgs = decode(payload)?;
-                let report = c.migrate_perform(&args.name, &args.to_options())?;
-                protocol::WireMigrationReport::from(&report).to_xdr()
-            }
-            proc::MIGRATE_FINISH => {
-                let args: protocol::XmlArgs = decode(payload)?;
-                domain_reply(c.migrate_finish(&args.xml)?)
-            }
-            proc::MIGRATE_CONFIRM => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.migrate_confirm(&args.name)?;
-                ().to_xdr()
-            }
-            proc::MIGRATE_ABORT => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.migrate_abort(&args.name)?;
-                ().to_xdr()
-            }
-
-            proc::DOMAIN_GET_JOB_STATS => {
-                let args: protocol::NameArgs = decode(payload)?;
-                protocol::WireJobStats::from(&c.domain_job_stats(&args.name)?).to_xdr()
-            }
-            proc::DOMAIN_ABORT_JOB => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.abort_domain_job(&args.name)?;
-                ().to_xdr()
-            }
-            proc::CONNECT_GET_ALL_DOMAIN_STATS => {
-                protocol::DomainStatsReply(&c.get_all_domain_stats()?).to_xdr()
-            }
-
-            proc::LIST_POOLS => c.list_pools()?.to_xdr(),
-            proc::POOL_INFO => {
-                let args: protocol::NameArgs = decode(payload)?;
-                protocol::WirePool::from(&c.pool_info(&args.name)?).to_xdr()
-            }
-            proc::POOL_DEFINE_XML => {
-                let args: protocol::XmlArgs = decode(payload)?;
-                protocol::WirePool::from(&c.define_pool_xml(&args.xml)?).to_xdr()
-            }
-            proc::POOL_START => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.start_pool(&args.name)?;
-                ().to_xdr()
-            }
-            proc::POOL_STOP => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.stop_pool(&args.name)?;
-                ().to_xdr()
-            }
-            proc::POOL_UNDEFINE => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.undefine_pool(&args.name)?;
-                ().to_xdr()
-            }
-            proc::LIST_VOLUMES => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.list_volumes(&args.name)?.to_xdr()
-            }
-            proc::VOLUME_INFO => {
-                let args: protocol::PoolVolArgs = decode(payload)?;
-                protocol::WireVolume::from(&c.volume_info(&args.pool, &args.name)?).to_xdr()
-            }
-            proc::VOLUME_CREATE_XML => {
-                let args: protocol::PoolXmlArgs = decode(payload)?;
-                protocol::WireVolume::from(&c.create_volume_xml(&args.pool, &args.xml)?).to_xdr()
-            }
-            proc::VOLUME_DELETE => {
-                let args: protocol::PoolVolArgs = decode(payload)?;
-                c.delete_volume(&args.pool, &args.name)?;
-                ().to_xdr()
-            }
-            proc::VOLUME_RESIZE => {
-                let args: protocol::VolResizeArgs = decode(payload)?;
-                c.resize_volume(&args.pool, &args.name, args.capacity_mib)?;
-                ().to_xdr()
-            }
-            proc::VOLUME_CLONE => {
-                let args: protocol::VolCloneArgs = decode(payload)?;
-                protocol::WireVolume::from(&c.clone_volume(
-                    &args.pool,
-                    &args.source,
-                    &args.new_name,
-                )?)
-                .to_xdr()
-            }
-
-            proc::LIST_NETWORKS => c.list_networks()?.to_xdr(),
-            proc::NETWORK_INFO => {
-                let args: protocol::NameArgs = decode(payload)?;
-                protocol::WireNetwork::from(&c.network_info(&args.name)?).to_xdr()
-            }
-            proc::NETWORK_DEFINE_XML => {
-                let args: protocol::XmlArgs = decode(payload)?;
-                protocol::WireNetwork::from(&c.define_network_xml(&args.xml)?).to_xdr()
-            }
-            proc::NETWORK_START => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.start_network(&args.name)?;
-                ().to_xdr()
-            }
-            proc::NETWORK_STOP => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.stop_network(&args.name)?;
-                ().to_xdr()
-            }
-            proc::NETWORK_UNDEFINE => {
-                let args: protocol::NameArgs = decode(payload)?;
-                c.undefine_network(&args.name)?;
-                ().to_xdr()
-            }
-
             proc::EVENT_REGISTER => {
                 let mut sessions = self.sessions.lock();
                 let session = sessions.get_mut(&client.id).ok_or_else(|| {
@@ -562,7 +374,7 @@ impl RemoteDispatcher {
             other => {
                 return Err(VirtError::new(
                     ErrorCode::RpcFailure,
-                    format!("unknown procedure {other}"),
+                    format!("unknown procedure {}", describe(other)),
                 ))
             }
         };
@@ -584,17 +396,54 @@ fn decode<T: virt_rpc::xdr::XdrDecode>(payload: &[u8]) -> VirtResult<T> {
         .map_err(|e| VirtError::new(ErrorCode::RpcFailure, format!("bad arguments: {e}")))
 }
 
-fn domain_reply(record: virt_core::DomainRecord) -> Vec<u8> {
-    protocol::WireDomain::from(&record).to_xdr()
+/// `DOMAIN_START (17)` for a number the table names, `17` otherwise.
+fn describe(procedure: u32) -> String {
+    match proc::name(procedure) {
+        Some(name) => format!("{name} ({procedure})"),
+        None => procedure.to_string(),
+    }
 }
 
-fn name_op(
-    payload: &[u8],
-    op: impl FnOnce(&str) -> VirtResult<virt_core::DomainRecord>,
-) -> VirtResult<Vec<u8>> {
-    let args: protocol::NameArgs = decode(payload)?;
-    Ok(domain_reply(op(&args.name)?))
+/// Table callback: `call_regular`, the decode → driver call → encode arm
+/// of every regular row in one `match`. `custom` rows and numbers
+/// outside the table yield `None` and fall to the hand-written arms.
+macro_rules! regular_dispatch {
+    (@pass $value:expr, str) => { &$value };
+    (@pass $value:expr, $ty:ident) => { $value };
+    (@call $c:ident $payload:ident $method:ident() ()) => { $c.$method()? };
+    (@call $c:ident $payload:ident $method:ident($($arg:ident: $ty:ident),+) $args:ident) => {{
+        let args: protocol::$args = decode($payload)?;
+        $c.$method($(regular_dispatch!(@pass args.$arg, $ty)),+)?
+    }};
+    (@arm $c:ident $payload:ident custom) => { return Ok(None) };
+    (@arm $c:ident $payload:ident $method:ident $params:tt, $args:tt, unit) => {
+        regular_dispatch!(@arm $c $payload $method $params, $args, plain(()))
+    };
+    (@arm $c:ident $payload:ident $method:ident $params:tt, $args:tt, plain($ret:ty)) => {
+        regular_dispatch!(@call $c $payload $method $params $args).to_xdr()
+    };
+    (@arm $c:ident $payload:ident $method:ident $params:tt, $args:tt, wire($wire:ident, $ret:ty)) => {
+        protocol::$wire::from(&regular_dispatch!(@call $c $payload $method $params $args)).to_xdr()
+    };
+    (
+        calls { $( ($num:literal, $name:ident, $doc:literal,
+            $priority:ident, $retry:ident, $access:ident, $($shape:tt)+); )* }
+        events { $($events:tt)* }
+    ) => {
+        fn call_regular(
+            c: &dyn HypervisorConnection,
+            procedure: u32,
+            payload: &[u8],
+        ) -> VirtResult<Option<Vec<u8>>> {
+            Ok(Some(match procedure {
+                $( $num => regular_dispatch!(@arm c payload $($shape)+), )*
+                _ => return Ok(None),
+            }))
+        }
+    };
 }
+
+virt_core::remote_procedures!(regular_dispatch);
 
 impl ProgramDispatcher for RemoteDispatcher {
     fn program(&self) -> u32 {
@@ -639,7 +488,8 @@ impl ProgramDispatcher for RemoteDispatcher {
                     "daemon.rpc",
                     &format!(
                         "client {} proc {} failed: {err}",
-                        client.id, header.procedure
+                        client.id,
+                        describe(header.procedure)
                     ),
                 );
                 Packet::new(header.reply_error(), &err.to_rpc())

@@ -332,7 +332,7 @@ fn active_keepalive_keeps_healthy_connections_and_kills_dead_ones() {
     let transport = connector.connect().unwrap();
     use virt_rpc::transport::Transport as _;
     // Simulate the keepalive judgement directly against the silent peer:
-    // the OPEN call itself can't complete, so Connect::open would block on
+    // the OPEN call itself can't complete, so opening a `Connect` would block on
     // its 30 s timeout — instead verify at the protocol level that pings
     // go unanswered.
     let ping = virt_rpc::keepalive::ping_packet();

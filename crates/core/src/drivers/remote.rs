@@ -432,6 +432,10 @@ impl HypervisorConnection for RemoteConnection {
 
     fn register_event_callback(&self, callback: EventCallback) -> VirtResult<CallbackId> {
         if !self.events_subscribed.swap(true, Ordering::AcqRel) {
+            // Events come unasked: from here on the connection keeps a
+            // listener on the socket, this generation and every later
+            // one. Until now nobody read it between calls.
+            self.client.listen();
             self.call::<()>(proc::EVENT_REGISTER, &())?;
         }
         Ok(self.events.register(callback))

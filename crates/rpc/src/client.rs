@@ -1,22 +1,32 @@
 //! The call client: concurrent request/reply with serial matching.
 //!
-//! One background reader thread owns the transport's receive side and
-//! routes replies to waiting callers by serial number; event messages go
-//! to a registered handler. Multiple threads may issue calls
-//! simultaneously over one connection — the property that makes a single
-//! daemon connection usable by a whole management application.
+//! Multiple threads may issue calls simultaneously over one connection —
+//! the property that makes a single daemon connection usable by a whole
+//! management application — and no thread is dedicated to reading it.
+//! After sending, a caller reads the socket itself: it holds the
+//! connection's *baton* ([`crate::baton`]) until its own reply arrives,
+//! decodes that reply straight out of the receive buffer, files any
+//! other caller's reply it happens to read, and on the way out wakes one
+//! waiting caller to take over. A lone caller therefore pays one send
+//! and one receive per call and never changes threads.
+//!
+//! Frames nobody asked for — events, keepalive — are read by whoever
+//! reads next. A connection that must see them promptly starts a
+//! *listener* ([`CallClient::listen`]): the one thread this module can
+//! spawn, which takes the baton and keeps it.
 
-use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use virt_metrics::span::{self, Stage};
+use virt_metrics::Counter;
 
-use crate::bufpool::BufferPool;
+use crate::baton::{Baton, Enter, Routed};
+use crate::bufpool::{BufferPool, MAX_PARKED_RECORD_CAPACITY};
 use crate::message::{self, Header, MessageStatus, MessageType, Packet, RpcError};
 use crate::transport::Transport;
 use crate::xdr::{XdrDecode, XdrEncode, XdrError};
@@ -76,27 +86,86 @@ impl From<XdrError> for CallError {
     }
 }
 
-type ReplySlot = Sender<Result<Packet, CallError>>;
-type EventHandler = Box<dyn Fn(Packet) + Send + 'static>;
+type EventHandler = Box<dyn Fn(&CallClient, Packet) + Send + 'static>;
+
+/// What a listener does between frames: called before each receive, it
+/// returns when to call it again at the latest (`None`: at the next
+/// frame).
+type Idle = Box<dyn FnMut(&CallClient) -> Option<Instant> + Send + 'static>;
+
+/// The receive side of a connection, under one lock.
+struct Receive {
+    /// Who reads, who waits. A reply filed for another caller is `None`
+    /// when the connection failed before it arrived.
+    baton: Baton<Thread, Option<Packet>>,
+    /// The receive buffer of the callers, taken with the baton and put
+    /// back with it. Grown to the working frame size, it stays there.
+    buf: Vec<u8>,
+}
+
+/// Process-wide counters of the stub (`rpc.late_replies`,
+/// `rpc.client.*`), resolved once.
+struct StubMetrics {
+    late_replies: Arc<Counter>,
+    replies_direct: Arc<Counter>,
+    replies_routed: Arc<Counter>,
+    baton_handoffs: Arc<Counter>,
+}
+
+fn stub_metrics() -> &'static StubMetrics {
+    static METRICS: OnceLock<StubMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = crate::process_metrics();
+        StubMetrics {
+            late_replies: registry.counter(
+                "rpc.late_replies",
+                "Replies whose serial matched no waiting call (read after their call gave up)",
+            ),
+            replies_direct: registry.counter(
+                "rpc.client.replies_direct",
+                "Replies read by their own caller and decoded in the receive buffer",
+            ),
+            replies_routed: registry.counter(
+                "rpc.client.replies_routed",
+                "Replies read by another thread and filed for their caller",
+            ),
+            baton_handoffs: registry.counter(
+                "rpc.client.baton_handoffs",
+                "Times a thread done reading woke another to take the socket over",
+            ),
+        }
+    })
+}
 
 struct ClientInner {
     transport: Arc<dyn Transport>,
     next_serial: AtomicU32,
-    pending: Mutex<HashMap<u32, ReplySlot>>,
+    receive: Mutex<Receive>,
     event_handler: Mutex<Option<EventHandler>>,
-    closed: AtomicBool,
     call_timeout: Mutex<Option<Duration>>,
-    /// Replies whose serial matched no waiting caller — late arrivals
-    /// after a timeout gave up on them. Shared process-wide
-    /// (`rpc.late_replies`) so deadline/retry tuning is observable.
-    late_replies: Arc<virt_metrics::Counter>,
+    metrics: &'static StubMetrics,
+}
+
+impl Drop for ClientInner {
+    /// The last handle is gone: hang up, so the peer sees it now and a
+    /// listener — which holds the transport but only a `Weak` of this —
+    /// falls out of its receive and exits.
+    fn drop(&mut self) {
+        unpark_all(self.receive.get_mut().baton.fail_all(|| None));
+        let _ = self.transport.shutdown();
+    }
+}
+
+fn unpark_all(waiters: Vec<Thread>) {
+    for waiter in waiters {
+        waiter.unpark();
+    }
 }
 
 /// A client endpoint over one transport.
 ///
-/// Cloning shares the connection. Dropping the last handle does **not**
-/// close the transport (the reader thread holds it); call
-/// [`CallClient::close`] for a deterministic shutdown.
+/// Cloning shares the connection. Dropping the last handle closes it;
+/// [`CallClient::close`] does so while other handles remain.
 #[derive(Clone)]
 pub struct CallClient {
     inner: Arc<ClientInner>,
@@ -106,37 +175,32 @@ impl std::fmt::Debug for CallClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CallClient")
             .field("peer", &self.inner.transport.peer())
-            .field("closed", &self.inner.closed.load(Ordering::Relaxed))
+            .field("closed", &self.is_known_closed())
             .finish()
     }
 }
 
 impl CallClient {
-    /// Wraps a transport and spawns the reader thread.
+    /// Wraps a transport. Spawns nothing.
     pub fn new(transport: impl Transport + 'static) -> Self {
         Self::from_arc(Arc::new(transport))
     }
 
     /// Wraps an already shared transport.
     pub fn from_arc(transport: Arc<dyn Transport>) -> Self {
-        let inner = Arc::new(ClientInner {
-            transport,
-            next_serial: AtomicU32::new(1),
-            pending: Mutex::new(HashMap::new()),
-            event_handler: Mutex::new(None),
-            closed: AtomicBool::new(false),
-            call_timeout: Mutex::new(Some(Duration::from_secs(30))),
-            late_replies: crate::process_metrics().counter(
-                "rpc.late_replies",
-                "Replies whose serial matched no waiting call (dropped after a timeout)",
-            ),
-        });
-        let reader_inner = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("virt-rpc-reader".to_string())
-            .spawn(move || reader_loop(reader_inner))
-            .expect("spawning rpc reader thread");
-        CallClient { inner }
+        CallClient {
+            inner: Arc::new(ClientInner {
+                transport,
+                next_serial: AtomicU32::new(1),
+                receive: Mutex::new(Receive {
+                    baton: Baton::new(),
+                    buf: Vec::new(),
+                }),
+                event_handler: Mutex::new(None),
+                call_timeout: Mutex::new(Some(Duration::from_secs(30))),
+                metrics: stub_metrics(),
+            }),
+        }
     }
 
     /// Sets the *default* reply timeout (`None` waits forever) used by
@@ -156,15 +220,57 @@ impl CallClient {
         *self.inner.call_timeout.lock()
     }
 
-    /// Registers the handler invoked for every event message. Replaces any
+    /// Registers the handler invoked for every message that is not a
+    /// reply, on whichever thread read it off the socket — before that
+    /// thread reads on, so an event ahead of a reply on the wire is
+    /// handled before that call returns. The handler is passed the
+    /// connection (to answer on it) rather than capturing a handle,
+    /// which would keep the connection open forever. Replaces any
     /// previous handler.
-    pub fn set_event_handler(&self, handler: impl Fn(Packet) + Send + 'static) {
+    ///
+    /// Without a listener such messages are read when the next call is —
+    /// see [`CallClient::listen`].
+    pub fn set_event_handler(&self, handler: impl Fn(&CallClient, Packet) + Send + 'static) {
         *self.inner.event_handler.lock() = Some(Box::new(handler));
     }
 
-    /// Whether the connection has been closed (locally or by the peer).
+    /// Whether the connection has been closed (locally or by the peer),
+    /// as of now: when no thread is reading the socket this looks at it
+    /// first, without blocking, and handles what it finds — a farewell,
+    /// a late reply, the peer's hang-up.
     pub fn is_closed(&self) -> bool {
-        self.inner.closed.load(Ordering::Acquire)
+        {
+            let mut receive = self.inner.receive.lock();
+            if !receive.baton.try_take() {
+                return receive.baton.is_closed();
+            }
+        }
+        let holding = Holding {
+            client: self,
+            serial: None,
+            buf: Vec::new(),
+        };
+        loop {
+            match self.inner.transport.try_recv_frame() {
+                Ok(Some(frame)) if self.route(&frame, None).is_ok() => {}
+                Ok(None) => break,
+                // A transport that cannot look without blocking: all we
+                // know is what the last call saw.
+                Err(e) if e.kind() == io::ErrorKind::Unsupported => break,
+                Ok(Some(_)) | Err(_) => {
+                    self.close();
+                    break;
+                }
+            }
+        }
+        drop(holding);
+        self.is_known_closed()
+    }
+
+    /// Whether the connection is closed as far as anyone has seen —
+    /// without looking at the socket.
+    pub(crate) fn is_known_closed(&self) -> bool {
+        self.inner.receive.lock().baton.is_closed()
     }
 
     /// The underlying transport's peer description.
@@ -172,22 +278,22 @@ impl CallClient {
         self.inner.transport.peer()
     }
 
-    /// Issues a call and blocks for the matching reply, returning the raw
-    /// reply packet.
+    /// Issues a call, blocks for the matching reply and decodes it as
+    /// `R`, within the connection's default timeout.
     ///
     /// # Errors
     ///
     /// - [`CallError::Remote`] when the peer replied with an error status,
     /// - [`CallError::Io`]/[`CallError::Disconnected`] on transport loss,
-    /// - [`CallError::TimedOut`] past the configured timeout.
-    pub fn call_raw(
+    /// - [`CallError::TimedOut`] past the configured timeout,
+    /// - [`CallError::Protocol`] when the reply does not decode as `R`.
+    pub fn call<R: XdrDecode>(
         &self,
         program: u32,
         procedure: u32,
         args: &impl XdrEncode,
-    ) -> Result<Packet, CallError> {
-        let timeout = *self.inner.call_timeout.lock();
-        self.call_raw_timeout(program, procedure, args, timeout)
+    ) -> Result<R, CallError> {
+        self.call_with_deadline(program, procedure, args, None)
     }
 
     /// Issues a call that must complete by `deadline` (an absolute
@@ -196,98 +302,9 @@ impl CallClient {
     ///
     /// # Errors
     ///
-    /// As [`CallClient::call_raw`]; [`CallError::TimedOut`] when the
-    /// deadline passes first (including a deadline already in the past).
-    pub fn call_raw_with_deadline(
-        &self,
-        program: u32,
-        procedure: u32,
-        args: &impl XdrEncode,
-        deadline: Option<Instant>,
-    ) -> Result<Packet, CallError> {
-        let timeout = match deadline {
-            Some(deadline) => {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(CallError::TimedOut);
-                }
-                Some(remaining)
-            }
-            None => *self.inner.call_timeout.lock(),
-        };
-        self.call_raw_timeout(program, procedure, args, timeout)
-    }
-
-    fn call_raw_timeout(
-        &self,
-        program: u32,
-        procedure: u32,
-        args: &impl XdrEncode,
-        timeout: Option<Duration>,
-    ) -> Result<Packet, CallError> {
-        if self.is_closed() {
-            return Err(CallError::Disconnected);
-        }
-        let serial = self.inner.next_serial.fetch_add(1, Ordering::Relaxed);
-        let mut header = Header::call(program, procedure, serial);
-
-        // The client-side stub span covers send through reply receipt;
-        // its context rides in the frame header so the daemon can attach
-        // its spans to the same trace. Inert when tracing is off.
-        let stub_span = span::enter(Stage::ClientSend, u64::from(procedure));
-        if let Some(ctx) = stub_span.context() {
-            header.trace_id = ctx.trace_id;
-            header.parent_span = ctx.span_id;
-        }
-
-        let (tx, rx) = bounded(1);
-        self.inner.pending.lock().insert(serial, tx);
-
-        // Encode prefix + header + args straight into a pooled buffer and
-        // put it on the wire as one write — no intermediate packet body.
-        let sent = {
-            let _socket = span::stage(Stage::Socket);
-            let mut frame = BufferPool::global().get();
-            message::encode_frame(&header, args, &mut frame);
-            self.inner.transport.send_framed(&frame)
-        };
-        if let Err(e) = sent {
-            self.inner.pending.lock().remove(&serial);
-            return Err(CallError::Io(e));
-        }
-
-        let outcome = match timeout {
-            Some(t) => rx.recv_timeout(t).map_err(|_| {
-                self.inner.pending.lock().remove(&serial);
-                CallError::TimedOut
-            })?,
-            None => rx.recv().map_err(|_| CallError::Disconnected)?,
-        };
-        outcome
-    }
-
-    /// Issues a call and decodes the successful reply as `R`.
-    ///
-    /// # Errors
-    ///
-    /// As [`CallClient::call_raw`], plus [`CallError::Protocol`] when the
-    /// reply payload does not decode as `R`.
-    pub fn call<R: XdrDecode>(
-        &self,
-        program: u32,
-        procedure: u32,
-        args: &impl XdrEncode,
-    ) -> Result<R, CallError> {
-        let reply = self.call_raw(program, procedure, args)?;
-        Ok(reply.decode_payload::<R>()?)
-    }
-
-    /// Issues a call with an absolute deadline and decodes the reply.
-    ///
-    /// # Errors
-    ///
-    /// As [`CallClient::call_raw_with_deadline`], plus
-    /// [`CallError::Protocol`] on a payload that does not decode as `R`.
+    /// As [`CallClient::call`]; [`CallError::TimedOut`] when the
+    /// deadline passes first (including a deadline already in the past,
+    /// which fails without sending).
     pub fn call_with_deadline<R: XdrDecode>(
         &self,
         program: u32,
@@ -295,8 +312,227 @@ impl CallClient {
         args: &impl XdrEncode,
         deadline: Option<Instant>,
     ) -> Result<R, CallError> {
-        let reply = self.call_raw_with_deadline(program, procedure, args, deadline)?;
-        Ok(reply.decode_payload::<R>()?)
+        // The generic shell only encodes and decodes; everything between
+        // is compiled once.
+        let mut reply = None;
+        self.transact(
+            Header::call(program, procedure, 0),
+            deadline,
+            &|header, frame| message::encode_frame(header, args, frame),
+            &mut |payload| {
+                reply = Some(R::from_xdr(payload)?);
+                Ok(())
+            },
+        )?;
+        Ok(reply.expect("a call that succeeded decoded its reply"))
+    }
+
+    /// One call: register, send, then wait for the reply — reading the
+    /// socket if nobody else is. `decode` sees the payload of a
+    /// successful reply exactly once, borrowed from wherever it lies.
+    fn transact(
+        &self,
+        mut header: Header,
+        deadline: Option<Instant>,
+        encode: &dyn Fn(&Header, &mut Vec<u8>),
+        decode: &mut dyn FnMut(&[u8]) -> Result<(), XdrError>,
+    ) -> Result<(), CallError> {
+        let deadline = match deadline {
+            Some(deadline) if deadline <= Instant::now() => return Err(CallError::TimedOut),
+            Some(deadline) => Some(deadline),
+            None => self.call_timeout().map(|timeout| Instant::now() + timeout),
+        };
+        let inner = &*self.inner;
+        let serial = inner.next_serial.fetch_add(1, Ordering::Relaxed);
+        header.serial = serial;
+
+        // The client-side stub span covers send through reply receipt;
+        // its context rides in the frame header so the daemon can attach
+        // its spans to the same trace. Inert when tracing is off.
+        let stub_span = span::enter(Stage::ClientSend, u64::from(header.procedure));
+        if let Some(ctx) = stub_span.context() {
+            header.trace_id = ctx.trace_id;
+            header.parent_span = ctx.span_id;
+        }
+
+        if !inner.receive.lock().baton.register(serial) {
+            return Err(CallError::Disconnected);
+        }
+
+        // Encode prefix + header + args straight into a pooled buffer and
+        // put it on the wire as one write — no intermediate packet body.
+        let sent = {
+            let _socket = span::stage(Stage::Socket);
+            let mut frame = BufferPool::global().get();
+            encode(&header, &mut frame);
+            inner.transport.send_framed(&frame)
+        };
+        if let Err(e) = sent {
+            // A stream that failed a write — perhaps halfway through the
+            // frame — carries nothing more: every call on it is over,
+            // and the next one should find the connection closed.
+            self.close();
+            inner.receive.lock().baton.abandon(serial);
+            return Err(CallError::Io(e));
+        }
+
+        let mut receive = inner.receive.lock();
+        let mut holding = loop {
+            match receive.baton.enter(serial, std::thread::current) {
+                Enter::Done(filed) => {
+                    drop(receive);
+                    let reply = filed.ok_or(CallError::Disconnected)?;
+                    return finish(&reply.header, &reply.payload, decode);
+                }
+                Enter::Read => {
+                    break Holding {
+                        client: self,
+                        serial: Some(serial),
+                        buf: std::mem::take(&mut receive.buf),
+                    }
+                }
+                Enter::Wait => {
+                    let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                    if left.is_some_and(|left| left.is_zero()) {
+                        receive.baton.abandon(serial);
+                        return Err(CallError::TimedOut);
+                    }
+                    drop(receive);
+                    // Woken when the reply is filed, when it is this
+                    // caller's turn to read, or for no reason at all:
+                    // `enter` tells which.
+                    match left {
+                        Some(left) => std::thread::park_timeout(left),
+                        None => std::thread::park(),
+                    }
+                    receive = inner.receive.lock();
+                }
+            }
+        };
+        drop(receive);
+
+        // The baton is put down when `holding` goes — after the reply has
+        // been decoded where it lies, and also should a handler or a
+        // decoder panic under us.
+        loop {
+            match inner.transport.recv_frame_until(&mut holding.buf, deadline) {
+                Ok(_) => match self.route(&holding.buf, Some(serial)) {
+                    Ok(Some((header, payload))) => {
+                        inner.metrics.replies_direct.inc();
+                        return finish(&header, payload, decode);
+                    }
+                    Ok(None) => continue,
+                    Err(_) => break,
+                },
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => return Err(CallError::TimedOut),
+                Err(_) => break,
+            }
+        }
+        // The wire broke, or the peer is not speaking the protocol.
+        self.close();
+        Err(CallError::Disconnected)
+    }
+
+    /// Delivers one frame read off the socket, by whoever read it: a
+    /// reply goes to its caller's slot (and wakes the caller), a reply
+    /// nobody waits for is counted, anything else goes to the handler.
+    /// The reply to `own` — the reader's own call — is handed back
+    /// instead, still in the receive buffer.
+    ///
+    /// # Errors
+    ///
+    /// A frame without a valid header: the peer is not speaking the
+    /// protocol and the connection is beyond saving.
+    fn route<'a>(
+        &self,
+        body: &'a [u8],
+        own: Option<u32>,
+    ) -> Result<Option<(Header, &'a [u8])>, XdrError> {
+        let (header, payload) = Packet::split_body(body)?;
+        let owned = || Packet {
+            header,
+            payload: payload.to_vec(),
+        };
+        match header.mtype {
+            MessageType::Reply if own == Some(header.serial) => return Ok(Some((header, payload))),
+            MessageType::Reply => {
+                let routed = self
+                    .inner
+                    .receive
+                    .lock()
+                    .baton
+                    .route(header.serial, || Some(owned()));
+                match routed {
+                    Routed::Filed(owner) => {
+                        self.inner.metrics.replies_routed.inc();
+                        if let Some(owner) = owner {
+                            owner.unpark();
+                        }
+                    }
+                    // Its caller timed out (or was failed by a
+                    // disconnect) and forgot the serial. Dropped, but
+                    // counted — a rising rate means deadlines are
+                    // tighter than the daemon's actual latency.
+                    Routed::Late => {
+                        self.inner.metrics.late_replies.inc();
+                        if rpc_debug() {
+                            eprintln!(
+                                "virt-rpc: dropped late reply serial={} proc={} from {}",
+                                header.serial,
+                                header.procedure,
+                                self.inner.transport.peer(),
+                            );
+                        }
+                    }
+                }
+            }
+            // Clients do not serve calls; one that arrives is shown to
+            // the handler like an event (keepalive rides on this).
+            MessageType::Event | MessageType::Call => {
+                let handler = self.inner.event_handler.lock();
+                if let Some(handler) = handler.as_ref() {
+                    handler(self, owned());
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Wakes the waiter a departing baton holder was told to.
+    fn hand_off(&self, next: Option<Thread>) {
+        if let Some(next) = next {
+            self.inner.metrics.baton_handoffs.inc();
+            next.unpark();
+        }
+    }
+
+    /// Starts the connection's listener, if it has none: a thread that
+    /// takes the receive side as soon as it is free and keeps it, so
+    /// frames nobody called for are handled when they arrive, not when
+    /// the next call happens to read them. From then on every caller
+    /// waits for the listener to file its reply — one thread hop more
+    /// per call, which is why a connection only gets a listener when it
+    /// subscribes to something.
+    ///
+    /// `idle` runs on the listener before each receive and returns when
+    /// it wants to run again at the latest; keepalive probing lives
+    /// there. The listener holds the connection weakly: it exits when
+    /// the connection closes or its last handle is dropped.
+    pub fn listen(&self, idle: impl FnMut(&CallClient) -> Option<Instant> + Send + 'static) {
+        let mut receive = self.inner.receive.lock();
+        if receive.baton.is_closed() || receive.baton.has_listener() {
+            return;
+        }
+        let weak = Arc::downgrade(&self.inner);
+        let transport = Arc::clone(&self.inner.transport);
+        let idle: Idle = Box::new(idle);
+        let listener = std::thread::Builder::new()
+            .name("virt-rpc-listener".to_string())
+            .spawn(move || listener_loop(weak, transport, idle))
+            .expect("spawning rpc listener thread");
+        // Claimed here, under the lock the thread starts by taking, so a
+        // second `listen` cannot start a second listener.
+        receive.baton.listener_enter(|| listener.thread().clone());
     }
 
     /// Sends a message without expecting a reply (events, keepalive pongs).
@@ -315,350 +551,100 @@ impl CallClient {
 
     /// Closes the connection, failing all in-flight calls.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::Release);
+        unpark_all(self.inner.receive.lock().baton.fail_all(|| None));
         let _ = self.inner.transport.shutdown();
-        fail_all_pending(&self.inner);
     }
 }
 
-fn fail_all_pending(inner: &ClientInner) {
-    let mut pending = inner.pending.lock();
-    for (_, slot) in pending.drain() {
-        let _ = slot.send(Err(CallError::Disconnected));
+/// The baton in a thread's hand. Dropping it puts the baton down — the
+/// caller's slot forgotten, its receive buffer back with the connection,
+/// one waiter woken to read on — however the holder's work ended.
+struct Holding<'a> {
+    client: &'a CallClient,
+    /// The holder's own call; `None` for a liveness probe.
+    serial: Option<u32>,
+    buf: Vec<u8>,
+}
+
+impl Drop for Holding<'_> {
+    fn drop(&mut self) {
+        let mut receive = self.client.inner.receive.lock();
+        if (1..=MAX_PARKED_RECORD_CAPACITY).contains(&self.buf.capacity()) {
+            receive.buf = std::mem::take(&mut self.buf);
+        }
+        if let Some(serial) = self.serial {
+            receive.baton.abandon(serial);
+        }
+        let next = receive.baton.put_down();
+        drop(receive);
+        self.client.hand_off(next);
     }
+}
+
+/// Turns a reply into the call's result: an error status becomes
+/// [`CallError::Remote`], anything else is `decode`'s to read.
+fn finish(
+    header: &Header,
+    payload: &[u8],
+    decode: &mut dyn FnMut(&[u8]) -> Result<(), XdrError>,
+) -> Result<(), CallError> {
+    if header.status == MessageStatus::Error {
+        return Err(match RpcError::from_xdr(payload) {
+            Ok(err) => CallError::Remote(err),
+            Err(xdr) => CallError::Protocol(xdr),
+        });
+    }
+    Ok(decode(payload)?)
 }
 
 /// Whether `VIRT_RPC_DEBUG` asked for wire-level diagnostics on stderr,
 /// resolved once (this crate has no logger dependency).
 fn rpc_debug() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::env::var_os("VIRT_RPC_DEBUG").is_some())
 }
 
-fn reader_loop(inner: Arc<ClientInner>) {
-    // One receive buffer for the life of the connection: after the first
-    // few frames it has grown to the working size and refills in place.
+/// The listener: waits for the baton, then reads every frame the
+/// connection receives for as long as the connection lives. It holds the
+/// transport (it blocks in it) but the connection only weakly, and only
+/// upgrades for as long as one frame or one `idle` call takes.
+fn listener_loop(weak: Weak<ClientInner>, transport: Arc<dyn Transport>, mut idle: Idle) {
+    let client = || weak.upgrade().map(|inner| CallClient { inner });
+    loop {
+        let Some(client) = client() else { return };
+        let mut receive = client.inner.receive.lock();
+        if receive.baton.is_closed() {
+            return;
+        }
+        if receive.baton.listener_enter(std::thread::current) {
+            break;
+        }
+        drop(receive);
+        drop(client);
+        // Woken by the caller that puts the baton down, or by the close.
+        std::thread::park();
+    }
     let mut frame = BufferPool::global().get();
-    while inner.transport.recv_frame_into(&mut frame).is_ok() {
-        let packet = match Packet::from_body(&frame) {
-            Ok(packet) => packet,
-            // A peer speaking garbage is a fatal protocol error.
-            Err(_) => break,
+    loop {
+        let deadline = {
+            let Some(client) = client() else { return };
+            if client.is_known_closed() {
+                return;
+            }
+            idle(&client)
         };
-        match packet.header.mtype {
-            MessageType::Reply => {
-                let slot = inner.pending.lock().remove(&packet.header.serial);
-                if let Some(slot) = slot {
-                    let outcome = if packet.header.status == MessageStatus::Error {
-                        match packet.decode_payload::<RpcError>() {
-                            Ok(err) => Err(CallError::Remote(err)),
-                            Err(xdr) => Err(CallError::Protocol(xdr)),
-                        }
-                    } else {
-                        Ok(packet)
-                    };
-                    let _ = slot.send(outcome);
-                } else {
-                    // A late reply: its caller timed out (or was failed
-                    // by a disconnect) and forgot the serial. Dropped,
-                    // but counted — a rising rate means deadlines are
-                    // tighter than the daemon's actual latency.
-                    inner.late_replies.inc();
-                    if rpc_debug() {
-                        eprintln!(
-                            "virt-rpc: dropped late reply serial={} proc={} from {}",
-                            packet.header.serial,
-                            packet.header.procedure,
-                            inner.transport.peer(),
-                        );
-                    }
-                }
-            }
-            MessageType::Event => {
-                let handler = inner.event_handler.lock();
-                if let Some(handler) = handler.as_ref() {
-                    handler(packet);
-                }
-            }
-            MessageType::Call => {
-                // Clients do not serve calls; ignore (the keepalive ping
-                // is handled by the keepalive module wrapping the handler).
-                let handler = inner.event_handler.lock();
-                if let Some(handler) = handler.as_ref() {
-                    handler(packet);
-                }
+        let received = transport.recv_frame_until(&mut frame, deadline);
+        let Some(client) = client() else { return };
+        match received {
+            Ok(_) if client.route(&frame, None).is_ok() => {}
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+            Ok(_) | Err(_) => {
+                client.close();
+                return;
             }
         }
     }
-    inner.closed.store(true, Ordering::Release);
-    fail_all_pending(&inner);
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::message::REMOTE_PROGRAM;
-    use crate::transport::{memory_pair, Transport};
-
-    /// A trivial echo server: replies to every call with its own payload;
-    /// procedure 99 replies with an error; procedure 50 sends an event
-    /// first.
-    fn spawn_echo_server(server_side: impl Transport + 'static) {
-        std::thread::spawn(move || {
-            while let Ok(frame) = server_side.recv_frame() {
-                let packet = Packet::from_body(&frame).expect("valid packet");
-                match packet.header.procedure {
-                    99 => {
-                        let reply =
-                            Packet::new(packet.header.reply_error(), &RpcError::new(42, "nope"));
-                        let _ = server_side.send_frame(&reply.to_frame()[4..]);
-                    }
-                    50 => {
-                        let event =
-                            Packet::new(Header::event(REMOTE_PROGRAM, 7), &"boom".to_string());
-                        let _ = server_side.send_frame(&event.to_frame()[4..]);
-                        let reply = Packet {
-                            header: packet.header.reply_ok(),
-                            payload: packet.payload.clone(),
-                        };
-                        let _ = server_side.send_frame(&reply.to_frame()[4..]);
-                    }
-                    _ => {
-                        let reply = Packet {
-                            header: packet.header.reply_ok(),
-                            payload: packet.payload.clone(),
-                        };
-                        let _ = server_side.send_frame(&reply.to_frame()[4..]);
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn call_round_trips() {
-        let (client_side, server_side) = memory_pair();
-        spawn_echo_server(server_side);
-        let client = CallClient::new(client_side);
-        let reply: String = client
-            .call(REMOTE_PROGRAM, 1, &"hello".to_string())
-            .expect("echo");
-        assert_eq!(reply, "hello");
-        client.close();
-    }
-
-    #[test]
-    fn error_replies_surface_as_remote_errors() {
-        let (client_side, server_side) = memory_pair();
-        spawn_echo_server(server_side);
-        let client = CallClient::new(client_side);
-        let err = client.call::<String>(REMOTE_PROGRAM, 99, &()).unwrap_err();
-        match err {
-            CallError::Remote(e) => {
-                assert_eq!(e.code, 42);
-                assert_eq!(e.message, "nope");
-            }
-            other => panic!("expected Remote error, got {other:?}"),
-        }
-        client.close();
-    }
-
-    #[test]
-    fn concurrent_calls_are_matched_by_serial() {
-        let (client_side, server_side) = memory_pair();
-        spawn_echo_server(server_side);
-        let client = CallClient::new(client_side);
-        let threads: Vec<_> = (0..16)
-            .map(|i| {
-                let c = client.clone();
-                std::thread::spawn(move || {
-                    let arg = format!("payload-{i}");
-                    let reply: String = c.call(REMOTE_PROGRAM, 1, &arg).expect("echo");
-                    assert_eq!(reply, arg);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        client.close();
-    }
-
-    #[test]
-    fn events_reach_the_handler() {
-        let (client_side, server_side) = memory_pair();
-        spawn_echo_server(server_side);
-        let client = CallClient::new(client_side);
-        let (tx, rx) = std::sync::mpsc::channel();
-        client.set_event_handler(move |packet| {
-            let body: String = packet.decode_payload().expect("event payload");
-            tx.send((packet.header.procedure, body)).unwrap();
-        });
-        let _: String = client
-            .call(REMOTE_PROGRAM, 50, &"x".to_string())
-            .expect("call ok");
-        let (procedure, body) = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("event delivered");
-        assert_eq!(procedure, 7);
-        assert_eq!(body, "boom");
-        client.close();
-    }
-
-    #[test]
-    fn peer_disconnect_fails_in_flight_calls() {
-        let (client_side, server_side) = memory_pair();
-        // Server that reads one frame then drops the connection.
-        std::thread::spawn(move || {
-            let _ = server_side.recv_frame();
-            let _ = server_side.shutdown();
-        });
-        let client = CallClient::new(client_side);
-        let err = client.call::<String>(REMOTE_PROGRAM, 1, &()).unwrap_err();
-        assert!(
-            matches!(err, CallError::Disconnected | CallError::Io(_)),
-            "got {err:?}"
-        );
-        assert!(client.is_closed());
-    }
-
-    #[test]
-    fn calls_after_close_fail_immediately() {
-        let (client_side, _server_side) = memory_pair();
-        let client = CallClient::new(client_side);
-        client.close();
-        let err = client.call::<String>(REMOTE_PROGRAM, 1, &()).unwrap_err();
-        assert!(matches!(err, CallError::Disconnected));
-    }
-
-    #[test]
-    fn timeout_fires_when_server_is_silent() {
-        let (client_side, _server_side) = memory_pair();
-        let client = CallClient::new(client_side);
-        client.set_call_timeout(Some(Duration::from_millis(50)));
-        let start = std::time::Instant::now();
-        let err = client.call::<String>(REMOTE_PROGRAM, 1, &()).unwrap_err();
-        assert!(matches!(err, CallError::TimedOut), "got {err:?}");
-        assert!(start.elapsed() < Duration::from_secs(5));
-        client.close();
-    }
-
-    #[test]
-    fn garbage_from_peer_closes_the_connection() {
-        let (client_side, server_side) = memory_pair();
-        std::thread::spawn(move || {
-            let _ = server_side.recv_frame();
-            // Too short to contain a header.
-            let _ = server_side.send_frame(&[1, 2, 3, 4]);
-        });
-        let client = CallClient::new(client_side);
-        let err = client.call::<String>(REMOTE_PROGRAM, 1, &()).unwrap_err();
-        assert!(matches!(err, CallError::Disconnected), "got {err:?}");
-    }
-
-    #[test]
-    fn call_error_display_variants() {
-        let remote = CallError::Remote(RpcError::new(1, "x"));
-        assert!(remote.to_string().contains("rpc error 1"));
-        assert!(CallError::TimedOut.to_string().contains("timed out"));
-        assert!(CallError::Disconnected.to_string().contains("closed"));
-        assert!(CallError::CircuitOpen.to_string().contains("circuit"));
-    }
-
-    #[test]
-    fn call_error_source_exposes_the_chain() {
-        use std::error::Error as _;
-        let io = CallError::Io(std::io::Error::other("boom"));
-        assert_eq!(io.source().unwrap().to_string(), "boom");
-        let remote = CallError::Remote(RpcError::new(1, "x"));
-        assert!(remote.source().is_some());
-        assert!(CallError::TimedOut.source().is_none());
-        assert!(CallError::Disconnected.source().is_none());
-    }
-
-    #[test]
-    fn late_replies_are_counted() {
-        let (client_side, server_side) = memory_pair();
-        // A server that replies only after the client has given up.
-        std::thread::spawn(move || {
-            while let Ok(frame) = server_side.recv_frame() {
-                let packet = Packet::from_body(&frame).expect("valid packet");
-                std::thread::sleep(Duration::from_millis(80));
-                let reply = Packet {
-                    header: packet.header.reply_ok(),
-                    payload: packet.payload.clone(),
-                };
-                let _ = server_side.send_frame(&reply.to_frame()[4..]);
-            }
-        });
-        let client = CallClient::new(client_side);
-        client.set_call_timeout(Some(Duration::from_millis(10)));
-        let counter = crate::process_metrics().counter("rpc.late_replies", "");
-        let before = counter.get();
-        let err = client
-            .call::<String>(REMOTE_PROGRAM, 1, &"x".to_string())
-            .unwrap_err();
-        assert!(matches!(err, CallError::TimedOut), "got {err:?}");
-        // The reply lands ~70 ms after the timeout and must be counted.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while counter.get() == before {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "late reply was never counted"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        client.close();
-    }
-
-    #[test]
-    fn per_call_deadline_overrides_the_default_timeout() {
-        let (client_side, _server_side) = memory_pair();
-        let client = CallClient::new(client_side);
-        // Generous default; the per-call deadline must win.
-        client.set_call_timeout(Some(Duration::from_secs(30)));
-        let start = std::time::Instant::now();
-        let err = client
-            .call_with_deadline::<String>(
-                REMOTE_PROGRAM,
-                1,
-                &(),
-                Some(std::time::Instant::now() + Duration::from_millis(50)),
-            )
-            .unwrap_err();
-        assert!(matches!(err, CallError::TimedOut), "got {err:?}");
-        assert!(start.elapsed() < Duration::from_secs(5));
-        client.close();
-    }
-
-    #[test]
-    fn expired_deadline_fails_without_sending() {
-        let (client_side, server_side) = memory_pair();
-        let client = CallClient::new(client_side);
-        let err = client
-            .call_with_deadline::<String>(
-                REMOTE_PROGRAM,
-                1,
-                &(),
-                Some(std::time::Instant::now() - Duration::from_millis(1)),
-            )
-            .unwrap_err();
-        assert!(matches!(err, CallError::TimedOut), "got {err:?}");
-        // Nothing was put on the wire.
-        server_side.shutdown().unwrap();
-        assert!(server_side.recv_frame().is_err());
-        client.close();
-    }
-
-    #[test]
-    fn deadline_none_uses_the_default_timeout() {
-        let (client_side, server_side) = memory_pair();
-        spawn_echo_server(server_side);
-        let client = CallClient::new(client_side);
-        let reply: String = client
-            .call_with_deadline(REMOTE_PROGRAM, 1, &"hi".to_string(), None)
-            .expect("echo");
-        assert_eq!(reply, "hi");
-        client.close();
-    }
-}
+mod tests;

@@ -9,6 +9,7 @@
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -104,6 +105,20 @@ impl FaultyTransport {
             control,
         )
     }
+
+    /// Counts a receive (a bounded one that times out included) and
+    /// resets the connection if the plan says this one fails.
+    fn before_recv(&self) -> io::Result<()> {
+        let mode = *self.control.inner.mode.lock();
+        let recvs = self.control.inner.recvs.fetch_add(1, Ordering::Relaxed);
+        if let FaultMode::ResetOnRecv(n) = mode {
+            if recvs >= n {
+                let _ = self.inner.shutdown();
+                return Err(reset_err("connection reset on receive"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Transport for FaultyTransport {
@@ -138,15 +153,19 @@ impl Transport for FaultyTransport {
     }
 
     fn recv_frame(&self) -> io::Result<Vec<u8>> {
-        let mode = *self.control.inner.mode.lock();
-        let recvs = self.control.inner.recvs.fetch_add(1, Ordering::Relaxed);
-        if let FaultMode::ResetOnRecv(n) = mode {
-            if recvs >= n {
-                let _ = self.inner.shutdown();
-                return Err(reset_err("connection reset on receive"));
-            }
-        }
+        self.before_recv()?;
         self.inner.recv_frame()
+    }
+
+    fn recv_frame_until(&self, buf: &mut Vec<u8>, deadline: Option<Instant>) -> io::Result<usize> {
+        self.before_recv()?;
+        self.inner.recv_frame_until(buf, deadline)
+    }
+
+    /// A look at the connection is not a receive of the fault plan: it
+    /// passes through uncounted.
+    fn try_recv_frame(&self) -> io::Result<Option<Vec<u8>>> {
+        self.inner.try_recv_frame()
     }
 
     fn kind(&self) -> TransportKind {

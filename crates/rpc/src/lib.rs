@@ -14,8 +14,9 @@
 //! - [`transport`] — in-memory, Unix-socket, TCP and simulated-TLS
 //!   transports behind one object-safe trait,
 //! - [`pool`] — the worker pool with min/max limits and priority workers,
-//! - [`client`] — a concurrent call client with serial matching and
-//!   asynchronous event delivery,
+//! - [`client`] — a concurrent call client with serial matching, in
+//!   which the caller reads its own reply off the socket (no reader
+//!   thread), and event delivery,
 //! - [`keepalive`] — the ping/pong liveness protocol,
 //! - [`retry`] — retry policies with capped, jittered backoff and a
 //!   circuit breaker,
@@ -48,6 +49,7 @@
 //! # }
 //! ```
 
+mod baton;
 pub mod bufpool;
 pub mod client;
 pub mod fanout;
@@ -76,7 +78,7 @@ pub use transport::{memory_pair, MeteredTransport, Readiness, Transport, Transpo
 
 /// The process-wide registry for client-side RPC metrics
 /// (`rpc.reconnect.*`, `rpc.retry.*`, `rpc.late_replies`,
-/// `rpc.buf_pool.*`). Counters aggregate across every connection and
+/// `rpc.client.*`, `rpc.buf_pool.*`). Counters aggregate across every connection and
 /// pool in the process; the daemon's admin metrics procedures merge it
 /// into their listings.
 pub fn process_metrics() -> &'static std::sync::Arc<virt_metrics::Registry> {

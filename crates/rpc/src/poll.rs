@@ -57,6 +57,8 @@ mod sys {
 
     pub const RLIMIT_NOFILE: c_int = 7;
 
+    pub const MSG_DONTWAIT: c_int = 0x40;
+
     /// Mirrors `struct epoll_event`. The kernel packs it only on x86
     /// (32- and 64-bit); every other architecture uses natural alignment
     /// with `data` at offset 8, so the repr must match per-arch or
@@ -98,6 +100,7 @@ mod sys {
         pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         pub fn close(fd: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        pub fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
         pub fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
@@ -136,6 +139,33 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
     {
         let _ = want;
         1024
+    }
+}
+
+/// Reads what a socket holds right now into `buf` without waiting for
+/// more — `WouldBlock` when that is nothing, 0 at end of stream — and
+/// without touching the socket's blocking mode, which concurrent
+/// senders rely on. `Unsupported` off Linux.
+///
+/// # Errors
+///
+/// As `recv(2)` with `MSG_DONTWAIT`.
+pub fn recv_nowait(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
+    #[cfg(target_os = "linux")]
+    {
+        // SAFETY: `buf` is a live, exclusively borrowed buffer and the
+        // length passed is its length; the kernel writes at most that
+        // many bytes into it. A bad `fd` is an error return, not UB.
+        let n = unsafe { sys::recv(fd, buf.as_mut_ptr().cast(), buf.len(), sys::MSG_DONTWAIT) };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(n as usize)
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (fd, buf);
+        Err(io::ErrorKind::Unsupported.into())
     }
 }
 

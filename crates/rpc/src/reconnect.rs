@@ -17,12 +17,18 @@
 //!   instead of queueing behind doomed dials;
 //! - an optional keepalive probe detects silent peers per generation.
 //!
+//! A generation costs no thread unless it must hear from the daemon
+//! unasked — keepalive is configured, or [`ReconnectingClient::listen`]
+//! was called for an event subscription — and then exactly one: the
+//! [`CallClient`] listener, which also drives the keepalive probe from
+//! its receive deadline.
+//!
 //! Everything is observable through [`ReconnectMetrics`].
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use virt_metrics::{Counter, Registry};
@@ -148,6 +154,15 @@ impl ReconnectMetrics {
 
 type SharedHandler = Arc<dyn Fn(Packet) + Send + Sync + 'static>;
 
+/// How long a connection may sit unused before the next call looks at
+/// the socket first. With no thread reading between calls, a daemon that
+/// went away in the meantime is only found by looking: doing so before
+/// sending lets *any* call — mutating ones too — move to a fresh
+/// connection with nothing lost. In a tight loop of calls the look would
+/// buy nothing (a peer that dies there fails the call in progress) and
+/// cost a syscall per call; after this much quiet its cost is noise.
+const LOOK_BEFORE_CALL_AFTER: Duration = Duration::from_millis(1);
+
 struct Shared {
     factory: TransportFactory,
     setup: SessionSetup,
@@ -165,6 +180,12 @@ struct Shared {
     generation: AtomicU64,
     shut: AtomicBool,
     peer_bye: AtomicBool,
+    /// Every generation gets a listener (set by `listen`, implied by
+    /// keepalive).
+    listening: AtomicBool,
+    /// When the last call started, in nanoseconds since `born`.
+    last_call_ns: AtomicU64,
+    born: Instant,
 }
 
 /// A resilient client endpoint. Cloning shares the connection.
@@ -226,6 +247,9 @@ impl ReconnectingClient {
             generation: AtomicU64::new(0),
             shut: AtomicBool::new(false),
             peer_bye: AtomicBool::new(false),
+            listening: AtomicBool::new(config.keepalive.is_some()),
+            last_call_ns: AtomicU64::new(0),
+            born: Instant::now(),
         });
         let client = ReconnectingClient { inner };
         if let Err(e) = client.install_generation(first) {
@@ -237,31 +261,26 @@ impl ReconnectingClient {
 
     /// Registers the handler invoked for every application event, on
     /// this and every future generation. Keepalive traffic is consumed
-    /// internally and never reaches the handler.
+    /// internally and never reaches the handler. Events are handled when
+    /// somebody reads them: promptly once [`ReconnectingClient::listen`]
+    /// has been called, otherwise with the next call.
     pub fn set_event_handler(&self, handler: impl Fn(Packet) + Send + Sync + 'static) {
         *self.inner.event_handler.lock() = Some(Arc::new(handler));
     }
 
-    /// Issues a call, reconnecting and (for idempotent calls) retrying
-    /// per policy, and decodes the reply.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReconnectingClient::call_raw`], plus [`CallError::Protocol`]
-    /// on a reply payload that does not decode as `R`.
-    pub fn call<R: XdrDecode>(
-        &self,
-        program: u32,
-        procedure: u32,
-        idempotent: bool,
-        args: &impl XdrEncode,
-        deadline: Option<Instant>,
-    ) -> Result<R, CallError> {
-        let reply = self.call_raw(program, procedure, idempotent, args, deadline)?;
-        Ok(reply.decode_payload::<R>()?)
+    /// Gives this generation and every future one a listener (see
+    /// [`CallClient::listen`]), so events arrive without a call to carry
+    /// them. Call it before subscribing to anything.
+    pub fn listen(&self) {
+        // Not while a re-dial is wiring up the next generation: it would
+        // have read the flag before we set it and be missed below.
+        let _gate = self.inner.redial_gate.lock();
+        self.inner.listening.store(true, Ordering::Release);
+        let current = self.inner.current.lock().clone();
+        current.listen(keepalive_probe(None));
     }
 
-    /// Issues a call and blocks for the raw reply packet.
+    /// Issues a call and blocks for the decoded reply.
     ///
     /// A dead connection is transparently re-dialed first (any call may
     /// do this: nothing has been sent yet). After a *mid-call*
@@ -277,24 +296,22 @@ impl ReconnectingClient {
     ///   outcome is unknown),
     /// - [`CallError::CircuitOpen`]: breaker rejecting re-dials,
     /// - [`CallError::Io`]/[`CallError::Disconnected`]: connection loss
-    ///   that could not (or must not) be retried away.
-    pub fn call_raw(
+    ///   that could not (or must not) be retried away,
+    /// - [`CallError::Protocol`]: a reply that does not decode as `R`.
+    pub fn call<R: XdrDecode>(
         &self,
         program: u32,
         procedure: u32,
         idempotent: bool,
         args: &impl XdrEncode,
         deadline: Option<Instant>,
-    ) -> Result<Packet, CallError> {
+    ) -> Result<R, CallError> {
         if self.inner.shut.load(Ordering::Acquire) {
             return Err(CallError::Disconnected);
         }
-        let deadline = deadline.or_else(|| {
-            self.inner
-                .config
-                .call_deadline
-                .map(|limit| Instant::now() + limit)
-        });
+        let now = Instant::now();
+        let deadline =
+            deadline.or_else(|| self.inner.config.call_deadline.map(|limit| now + limit));
         let policy = self.inner.config.retry;
         let max_attempts = if idempotent {
             policy.max_attempts.max(1)
@@ -303,9 +320,9 @@ impl ReconnectingClient {
         };
         let mut attempt = 1u32;
         loop {
-            let outcome = self.healthy_client().and_then(|client| {
-                client.call_raw_with_deadline(program, procedure, args, deadline)
-            });
+            let outcome = self
+                .healthy_client(now)
+                .and_then(|client| client.call_with_deadline(program, procedure, args, deadline));
             let err = match outcome {
                 Ok(reply) => return Ok(reply),
                 // The daemon answered: its verdict is final. A timeout is
@@ -333,9 +350,11 @@ impl ReconnectingClient {
     }
 
     /// Whether the current generation is connected and the client has
-    /// not been shut down.
+    /// not been shut down — as of now: a connection nobody is reading
+    /// is looked at first (see [`CallClient::is_closed`]).
     pub fn is_alive(&self) -> bool {
-        !self.inner.shut.load(Ordering::Acquire) && !self.inner.current.lock().is_closed()
+        let current = self.inner.current.lock().clone();
+        !self.inner.shut.load(Ordering::Acquire) && !current.is_closed()
     }
 
     /// The current generation's peer description.
@@ -349,8 +368,10 @@ impl ReconnectingClient {
         self.inner.generation.load(Ordering::Relaxed)
     }
 
-    /// Whether the peer announced a clean shutdown (`bye`) at any point.
+    /// Whether the peer announced a clean shutdown (`bye`) at any point
+    /// up to now (a farewell still sitting in the socket counts).
     pub fn peer_said_bye(&self) -> bool {
+        self.is_alive();
         self.inner.peer_bye.load(Ordering::Acquire)
     }
 
@@ -380,10 +401,18 @@ impl ReconnectingClient {
     }
 
     /// Returns a connected client, re-dialing if the current generation
-    /// is dead.
-    fn healthy_client(&self) -> Result<CallClient, CallError> {
+    /// is dead. `now` is when the call started.
+    fn healthy_client(&self, now: Instant) -> Result<CallClient, CallError> {
         let client = self.inner.current.lock().clone();
-        if !client.is_closed() {
+        let now_ns = now.saturating_duration_since(self.inner.born).as_nanos() as u64;
+        let quiet_ns =
+            now_ns.saturating_sub(self.inner.last_call_ns.swap(now_ns, Ordering::Relaxed));
+        let dead = if quiet_ns > LOOK_BEFORE_CALL_AFTER.as_nanos() as u64 {
+            client.is_closed()
+        } else {
+            client.is_known_closed()
+        };
+        if !dead {
             return Ok(client);
         }
         if self.inner.shut.load(Ordering::Acquire) || !self.inner.config.auto_reconnect {
@@ -392,7 +421,7 @@ impl ReconnectingClient {
         let _gate = self.inner.redial_gate.lock();
         // Another caller may have reconnected while we waited.
         let client = self.inner.current.lock().clone();
-        if !client.is_closed() {
+        if !client.is_known_closed() {
             return Ok(client);
         }
         if !self.inner.breaker.lock().check(Instant::now()) {
@@ -427,8 +456,8 @@ impl ReconnectingClient {
     }
 
     /// Wires a fresh generation: keepalive interception + user events,
-    /// the keepalive probe thread, and the session handshake. Closes the
-    /// client on handshake failure.
+    /// the listener if this connection has one, and the session
+    /// handshake. Closes the client on handshake failure.
     fn install_generation(&self, client: CallClient) -> Result<(), CallError> {
         self.inner.generation.fetch_add(1, Ordering::Relaxed);
         let keepalive_state = self
@@ -440,11 +469,10 @@ impl ReconnectingClient {
         // Weak: the handler must not keep the shared state (and thus the
         // generation chain) alive forever.
         let shared: Weak<Shared> = Arc::downgrade(&self.inner);
-        let pong_client = client.clone();
         let pong_state = keepalive_state.clone();
-        client.set_event_handler(move |packet: Packet| {
+        client.set_event_handler(move |client: &CallClient, packet: Packet| {
             if let Some(pong) = keepalive::respond(&packet) {
-                let _ = pong_client.send_oneway(&pong);
+                let _ = client.send_oneway(&pong);
                 return;
             }
             if keepalive::is_pong(&packet) {
@@ -467,12 +495,8 @@ impl ReconnectingClient {
             }
         });
 
-        if let Some(state) = keepalive_state {
-            let probe_client = client.clone();
-            std::thread::Builder::new()
-                .name("virt-keepalive".to_string())
-                .spawn(move || keepalive_loop(probe_client, state))
-                .expect("spawning keepalive thread");
+        if self.inner.listening.load(Ordering::Acquire) {
+            client.listen(keepalive_probe(keepalive_state));
         }
 
         if let Err(e) = (self.inner.setup)(&client) {
@@ -483,32 +507,31 @@ impl ReconnectingClient {
     }
 }
 
-/// Drives the keepalive state machine for one generation; closes the
-/// client when the peer stops answering, which hands control to the
-/// reconnect path on the next call.
-fn keepalive_loop(client: CallClient, state: Arc<Mutex<KeepaliveState>>) {
-    loop {
-        if client.is_closed() {
-            return;
-        }
-        let now = Instant::now();
-        let action = state.lock().poll(now);
-        match action {
-            KeepaliveAction::Wait(deadline) => {
-                let sleep_for = deadline
-                    .saturating_duration_since(now)
-                    .min(std::time::Duration::from_millis(200));
-                std::thread::sleep(sleep_for);
-            }
-            KeepaliveAction::SendPing => {
-                if client.send_oneway(&keepalive::ping_packet()).is_err() {
-                    return;
+/// What a generation's listener does between frames: drives the
+/// keepalive state machine, if there is one, and asks to be called again
+/// at its next action time — so probing costs no thread and no polling.
+/// A peer that stops answering gets the connection closed, which hands
+/// control to the reconnect path on the next call.
+fn keepalive_probe(
+    state: Option<Arc<Mutex<KeepaliveState>>>,
+) -> impl FnMut(&CallClient) -> Option<Instant> + Send + 'static {
+    move |client| {
+        let state = state.as_ref()?;
+        loop {
+            let action = state.lock().poll(Instant::now());
+            match action {
+                KeepaliveAction::Wait(deadline) => return Some(deadline),
+                KeepaliveAction::SendPing => {
+                    if client.send_oneway(&keepalive::ping_packet()).is_err() {
+                        client.close();
+                        return None;
+                    }
+                    state.lock().on_ping_sent(Instant::now());
                 }
-                state.lock().on_ping_sent(Instant::now());
-            }
-            KeepaliveAction::Dead => {
-                client.close();
-                return;
+                KeepaliveAction::Dead => {
+                    client.close();
+                    return None;
+                }
             }
         }
     }
@@ -842,6 +865,8 @@ mod tests {
         client.set_event_handler(move |packet| {
             let _ = tx.send(packet.header.procedure);
         });
+        // What a subscription does: without it nobody reads between calls.
+        client.listen();
         // Push an event and a pong from the server side.
         let server_conn = service.first_conn();
         let pong = keepalive::pong_packet();
@@ -851,6 +876,49 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).expect("event"), 90);
         assert!(rx.try_recv().is_err(), "keepalive never reaches handler");
         client.close();
+    }
+
+    #[test]
+    fn keepalive_keeps_an_answering_peer_and_drops_a_silent_one() {
+        use crate::fault::{FaultMode, FaultyTransport};
+        use crate::keepalive::KeepaliveConfig;
+
+        let service = EchoService::start();
+        let (faulty, control) = FaultyTransport::new((service.factory())().unwrap());
+        let client = ReconnectingClient::with_transport(
+            Arc::new(faulty),
+            service.factory(),
+            Box::new(|_| Ok(())),
+            ReconnectConfig {
+                auto_reconnect: false,
+                keepalive: Some(KeepaliveConfig {
+                    interval: Duration::from_millis(10),
+                    count: 2,
+                }),
+                ..ReconnectConfig::default()
+            },
+            ReconnectMetrics::detached(),
+        )
+        .unwrap();
+        let wait_for = |what: &str, pred: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !pred() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // Nobody calls: the pings below are sent by the listener, off its
+        // receive deadline. Twice `count` of them answered and the
+        // connection is still there.
+        wait_for("pings to go out", &|| control.sends() >= 5);
+        assert!(client.is_alive(), "every ping was answered");
+        let reply: String = client
+            .call(REMOTE_PROGRAM, 1, true, &"between pings".to_string(), None)
+            .unwrap();
+        assert_eq!(reply, "between pings");
+        // From here on the pings vanish: `count` of them later it is over.
+        control.set(FaultMode::BlackHole);
+        wait_for("the silent peer to be given up", &|| !client.is_alive());
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //!
 //! All transports exchange *frames*: the body bytes of one
 //! [`crate::message::Packet`], with the 4-byte length prefix handled here.
-//! Sending and receiving are independently lockable so a reader thread can
-//! block in [`Transport::recv_frame`] while other threads send.
+//! Sending and receiving are independently lockable so one thread can
+//! block in a receive while other threads send. A client receives
+//! through [`Transport::recv_frame_until`], which gives up at a deadline
+//! and leaves the stream in step, so whichever caller happens to be
+//! reading can stop and let another take over.
 //!
 //! The socket transports receive through a [`FrameBuf`] kept under their
 //! read lock: one `read` pulls in whatever the peer has sent and
@@ -23,8 +26,9 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::bufpool::MAX_PARKED_RECORD_CAPACITY;
@@ -138,6 +142,23 @@ pub trait Transport: Send + Sync {
         Ok(frame.len())
     }
 
+    /// As [`Transport::recv_frame_into`], but gives up with `TimedOut`
+    /// once `deadline` has passed (`None` waits for as long as it
+    /// takes). A frame that is already buffered is returned even past
+    /// the deadline. The default ignores the deadline and blocks, which
+    /// is all a transport outside this crate has to offer; every
+    /// transport here honours it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::recv_frame_into`]; `TimedOut` leaves the stream
+    /// in step — what has arrived of a frame stays buffered and the next
+    /// receive resumes it.
+    fn recv_frame_until(&self, buf: &mut Vec<u8>, deadline: Option<Instant>) -> io::Result<usize> {
+        let _ = deadline;
+        self.recv_frame_into(buf)
+    }
+
     /// The transport flavor.
     fn kind(&self) -> TransportKind;
 
@@ -197,12 +218,16 @@ pub trait Transport: Send + Sync {
         Err(unsupported("try_write"))
     }
 
-    /// Dequeues one complete frame if one is ready ([`Readiness::Notify`]
-    /// only). Never blocks.
+    /// Dequeues one complete frame if one is ready. Never blocks. The
+    /// receive contract of a [`Readiness::Notify`] transport; the socket
+    /// transports answer it too, so a client can look at a connection
+    /// nobody is reading (a farewell, a late reply, a hang-up) without
+    /// waiting on it.
     ///
     /// # Errors
     ///
-    /// `UnexpectedEof` when the peer closed; `Unsupported` elsewhere.
+    /// `UnexpectedEof` when the peer closed; `Unsupported` on a
+    /// transport that cannot look without blocking.
     fn try_recv_frame(&self) -> io::Result<Option<Vec<u8>>> {
         Err(unsupported("try_recv_frame"))
     }
@@ -273,7 +298,11 @@ impl Transport for MeteredTransport {
     }
 
     fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        let n = self.inner.recv_frame_into(buf)?;
+        self.recv_frame_until(buf, None)
+    }
+
+    fn recv_frame_until(&self, buf: &mut Vec<u8>, deadline: Option<Instant>) -> io::Result<usize> {
+        let n = self.inner.recv_frame_until(buf, deadline)?;
         self.bytes_in.add(n as u64);
         Ok(n)
     }
@@ -351,6 +380,22 @@ impl MemDirection {
     }
 }
 
+/// What a dequeued memory frame means to its receiver: the empty frame
+/// is the close sentinel, and `None` a peer that is gone altogether.
+fn memory_frame(dequeued: Option<Vec<u8>>) -> io::Result<Vec<u8>> {
+    match dequeued {
+        Some(frame) if frame.is_empty() => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "transport closed",
+        )),
+        Some(frame) => Ok(frame),
+        None => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "peer disconnected",
+        )),
+    }
+}
+
 /// One side of an in-process transport pair.
 ///
 /// Created with [`memory_pair`]. An empty frame is reserved as the close
@@ -419,17 +464,24 @@ impl Transport for MemoryTransport {
     }
 
     fn recv_frame(&self) -> io::Result<Vec<u8>> {
-        match self.inbound.rx.recv() {
-            Ok(frame) if frame.is_empty() => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "transport closed",
-            )),
-            Ok(frame) => Ok(frame),
-            Err(_) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer disconnected",
-            )),
-        }
+        memory_frame(self.inbound.rx.recv().ok())
+    }
+
+    fn recv_frame_until(&self, buf: &mut Vec<u8>, deadline: Option<Instant>) -> io::Result<usize> {
+        let dequeued = match deadline {
+            None => self.inbound.rx.recv().ok(),
+            Some(deadline) => {
+                let wait = deadline.saturating_duration_since(Instant::now());
+                match self.inbound.rx.recv_timeout(wait) {
+                    Ok(frame) => Some(frame),
+                    Err(RecvTimeoutError::Timeout) => return Err(io::ErrorKind::TimedOut.into()),
+                    Err(RecvTimeoutError::Disconnected) => None,
+                }
+            }
+        };
+        // The frame arrives owned: hand it over instead of copying it.
+        *buf = memory_frame(dequeued)?;
+        Ok(buf.len())
     }
 
     fn kind(&self) -> TransportKind {
@@ -458,16 +510,9 @@ impl Transport for MemoryTransport {
 
     fn try_recv_frame(&self) -> io::Result<Option<Vec<u8>>> {
         match self.inbound.rx.try_recv() {
-            Ok(frame) if frame.is_empty() => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "transport closed",
-            )),
-            Ok(frame) => Ok(Some(frame)),
+            Ok(frame) => memory_frame(Some(frame)).map(Some),
             Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer disconnected",
-            )),
+            Err(TryRecvError::Disconnected) => memory_frame(None).map(Some),
         }
     }
 
@@ -501,6 +546,61 @@ fn write_framed(stream: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     stream.flush()
 }
 
+/// The receive half of a socket transport, kept under its read lock.
+struct ReadSide {
+    /// The bytes a read pulled in beyond the frame it was asked for.
+    frames: FrameBuf,
+    /// The receive timeout this transport last put on the socket
+    /// (`None`: blocking). Remembered so that back-to-back bounded
+    /// receives with the same allowance reuse it instead of paying a
+    /// `setsockopt` each.
+    timeout: Option<Duration>,
+}
+
+/// Puts the receive timeout on a socket that a receive bounded by
+/// `deadline` needs — through `set`, and only when the one `installed`
+/// will not do. An installed timeout within a sixteenth of the time left
+/// is close enough: a read that returns early is simply retried against
+/// the deadline, one that returns late overshoots by that sixteenth at
+/// most.
+///
+/// # Errors
+///
+/// `TimedOut` when the deadline has passed; whatever `set` fails with.
+fn arm_timeout(
+    installed: &mut Option<Duration>,
+    deadline: Option<Instant>,
+    set: impl FnOnce(Option<Duration>) -> io::Result<()>,
+) -> io::Result<()> {
+    let want = match deadline {
+        None => None,
+        Some(deadline) => {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            Some(left)
+        }
+    };
+    let close_enough = match (want, *installed) {
+        (None, None) => true,
+        (Some(want), Some(have)) => have.abs_diff(want) <= want / 16,
+        _ => false,
+    };
+    if !close_enough {
+        set(want)?;
+        *installed = want;
+    }
+    Ok(())
+}
+
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 macro_rules! socket_transport {
     ($(#[$meta:meta])* $name:ident, $stream:ty, $kind:expr) => {
         $(#[$meta])*
@@ -513,9 +613,7 @@ macro_rules! socket_transport {
             // which cost 3 fds per connection — the difference between
             // ~6k and ~20k fds at the C10K rung of expt_f9.
             //
-            // The read guard also owns the bytes a read pulled in beyond
-            // the frame it was asked for.
-            read: Mutex<FrameBuf>,
+            read: Mutex<ReadSide>,
             write_lock: Mutex<()>,
             stream: $stream,
             peer: String,
@@ -530,7 +628,10 @@ macro_rules! socket_transport {
             /// stays signature-compatible with fallible constructors.
             pub fn from_stream(stream: $stream, peer: impl Into<String>) -> io::Result<Self> {
                 Ok($name {
-                    read: Mutex::new(FrameBuf::new(Vec::new())),
+                    read: Mutex::new(ReadSide {
+                        frames: FrameBuf::new(Vec::new()),
+                        timeout: None,
+                    }),
                     write_lock: Mutex::new(()),
                     stream,
                     peer: peer.into(),
@@ -562,7 +663,29 @@ macro_rules! socket_transport {
             }
 
             fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
-                self.read.lock().read_frame_into(&mut &self.stream, buf)
+                self.recv_frame_until(buf, None)
+            }
+
+            fn recv_frame_until(
+                &self,
+                buf: &mut Vec<u8>,
+                deadline: Option<Instant>,
+            ) -> io::Result<usize> {
+                let mut read = self.read.lock();
+                let ReadSide { frames, timeout } = &mut *read;
+                loop {
+                    // A frame the last read already brought in costs no
+                    // syscall at all, not even for the timeout.
+                    if !frames.has_frame() {
+                        arm_timeout(timeout, deadline, |t| self.stream.set_read_timeout(t))?;
+                    }
+                    match frames.read_frame_into(&mut &self.stream, buf) {
+                        // The socket's timeout is only close to the time
+                        // left: the deadline itself decides, above.
+                        Err(e) if deadline.is_some() && timed_out(&e) => {}
+                        received => return received,
+                    }
+                }
             }
 
             fn kind(&self) -> TransportKind {
@@ -593,10 +716,27 @@ macro_rules! socket_transport {
                 let mut read = self.read.lock();
                 // One stream, one reader: bytes a framed receive already
                 // pulled in come first.
-                if !read.is_empty() {
-                    return Ok(read.take_bytes(buf));
+                if !read.frames.is_empty() {
+                    return Ok(read.frames.take_bytes(buf));
                 }
                 (&self.stream).read(buf)
+            }
+
+            fn try_recv_frame(&self) -> io::Result<Option<Vec<u8>>> {
+                let mut read = self.read.lock();
+                let fd = self.stream.as_raw_fd();
+                loop {
+                    if let Some((body, _)) = read.frames.next_frame()? {
+                        return Ok(Some(body.to_vec()));
+                    }
+                    match read.frames.fill(|space| crate::poll::recv_nowait(fd, space)) {
+                        Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                        Ok(_) => {}
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e),
+                    }
+                }
             }
 
             fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
@@ -798,11 +938,10 @@ impl<T: Transport> TlsSimTransport<T> {
         Arc::clone(&self.stats)
     }
 
-    /// Receives one record into `buf`, decrypts it in place, verifies
-    /// the MAC and truncates it off. On error `buf` holds unverified
-    /// bytes: the caller must discard them.
-    fn open_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        self.inner.recv_frame_into(buf)?;
+    /// Decrypts the record in `buf` in place, verifies the MAC and
+    /// truncates it off. On error `buf` holds unverified bytes: the
+    /// caller must discard them.
+    fn open(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
         let seq = self.recv_seq.fetch_add(1, Ordering::Relaxed);
         keystream_apply(self.key, seq, buf);
         let Some(body_len) = buf.len().checked_sub(MAC_LEN) else {
@@ -860,15 +999,31 @@ impl<T: Transport> Transport for TlsSimTransport<T> {
         Ok(body)
     }
 
+    fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
+        self.recv_frame_until(buf, None)
+    }
+
     /// Reads the record into `buf` and opens it there. `buf` holds the
     /// body only once its MAC has been verified; on any error it is
-    /// left empty.
-    fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        let opened = self.open_into(buf);
+    /// left empty. A receive that times out has consumed no record, so
+    /// the keystream stays in step with the peer's.
+    fn recv_frame_until(&self, buf: &mut Vec<u8>, deadline: Option<Instant>) -> io::Result<usize> {
+        let opened = self
+            .inner
+            .recv_frame_until(buf, deadline)
+            .and_then(|_| self.open(buf));
         if opened.is_err() {
             buf.clear();
         }
         opened
+    }
+
+    fn try_recv_frame(&self) -> io::Result<Option<Vec<u8>>> {
+        let Some(mut record) = self.inner.try_recv_frame()? else {
+            return Ok(None);
+        };
+        self.open(&mut record)?;
+        Ok(Some(record))
     }
 
     fn kind(&self) -> TransportKind {

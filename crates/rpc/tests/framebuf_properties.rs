@@ -5,10 +5,14 @@
 //! splits at those boundaries. A zero or over-limit prefix is rejected
 //! at the same frame index on both paths, with nothing after it
 //! delivered. (The daemon's event loop is held to the same property in
-//! `crates/daemon/tests/slowloris.rs`.)
+//! `crates/daemon/tests/slowloris.rs`.) The bounded receive a client
+//! reads through is held to it as well: giving up at a deadline —
+//! anywhere in a prefix or a body, any number of times — never costs or
+//! corrupts a frame.
 
 use std::io::{self, Write};
 use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use virt_rpc::framebuf::{FrameBuf, READ_CHUNK};
@@ -152,5 +156,55 @@ proptest! {
             io::ErrorKind::UnexpectedEof
         };
         prop_assert_eq!(end, expected_end);
+    }
+
+    /// The writer stops after every piece and the reader receives until
+    /// it times out: with an already expired deadline (which may only
+    /// hand out what is buffered) or a short real one (which reads, and
+    /// may give up in the middle of a frame).
+    #[test]
+    fn a_bounded_receive_may_time_out_anywhere_and_stays_in_step(
+        lens in proptest::collection::vec(body_len(), 1..6),
+        cuts in proptest::collection::vec(1usize..2 * READ_CHUNK, 1..12),
+        waits in proptest::collection::vec(prop_oneof![Just(0u64), 1u64..300], 1..8),
+        bad in proptest::option::of((0usize..16, bad_prefix())),
+    ) {
+        let (bytes, delivered) = wire(&lens, bad);
+        let (reader, mut writer) = UnixStream::pair().expect("socketpair");
+        let reader = UnixTransport::from_stream(reader, "reader").expect("transport");
+        let mut waits = waits.iter().cycle();
+        let mut got = Vec::new();
+        let mut buf = Vec::new();
+        let mut end = None;
+        // Receives until a deadline passes; `Some` is the stream's end.
+        let mut receive = |wait: Duration, got: &mut Vec<Vec<u8>>| loop {
+            match reader.recv_frame_until(&mut buf, Some(Instant::now() + wait)) {
+                Ok(n) => {
+                    assert_eq!(n, buf.len());
+                    got.push(buf.clone());
+                }
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => return None,
+                Err(e) => return Some(e.kind()),
+            }
+        };
+        for piece in pieces(&bytes, &cuts) {
+            writer.write_all(piece).expect("the socket buffer holds a whole case");
+            let wait = Duration::from_micros(*waits.next().expect("cycled"));
+            end = receive(wait, &mut got);
+            if end.is_some() {
+                break;
+            }
+        }
+        // Everything is written: what the timeouts left behind arrives
+        // now, and then the end of the stream.
+        drop(writer);
+        let end = end.or_else(|| receive(Duration::from_secs(5), &mut got));
+        prop_assert_eq!(got, delivered);
+        let expected_end = if bad.is_some() {
+            io::ErrorKind::InvalidData
+        } else {
+            io::ErrorKind::UnexpectedEof
+        };
+        prop_assert_eq!(end, Some(expected_end));
     }
 }

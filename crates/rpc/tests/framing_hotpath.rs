@@ -17,61 +17,15 @@
 //! one in the caller's buffer — read straight there, past the chunk the
 //! read buffer holds — without touching the allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::os::unix::net::UnixStream;
 
 use virt_rpc::message::{self, Header, REMOTE_PROGRAM};
 use virt_rpc::transport::{TlsSimTransport, Transport, UnixTransport};
 use virt_rpc::BufferPool;
 
-thread_local! {
-    /// Allocations made by this thread. Per thread, so a measurement sees
-    /// only its own work — not the harness reporting another test's
-    /// result, nor another test measuring at the same time.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn allocations_on_this_thread() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-struct CountingAllocator;
-
-impl CountingAllocator {
-    fn count() {
-        // `try_with`: the allocator also runs while a thread is being
-        // torn down.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards to `System` with the arguments it was
-// given; the counter is a plain thread-local integer with no destructor
-// and does not allocate.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_on_this_thread;
 
 const WARMUP_ROUNDS: usize = 64;
 const MEASURED_ROUNDS: usize = 512;

@@ -61,6 +61,16 @@ done
 echo "== perf smoke (zero-alloc framing hot path, buffered receive + warm TLS-sim record layer, release) =="
 cargo test -q --release --offline -p virt-rpc --test framing_hotpath
 
+# Structural, not timed: a lone caller reads its own reply — <= 1.1
+# voluntary context switches and <= 2 allocations per call on the calling
+# thread, no thread per connection, and by the stub's own counters every
+# reply read by its caller (depth 1) or by its caller or filed for it
+# (16 callers). Then the hand-off under scheduler pressure: 8 callers x
+# 20 k calls on one pinned CPU (the tests pin themselves), no call may
+# wait out its 2 s timeout.
+echo "== perf guard (client stub: the caller reads its own reply; baton hand-off stress, release) =="
+cargo test -q --release --offline -p virt-rpc --test client_hotpath --test client_handoff_stress
+
 # Structural, not timed: by the daemon's own read_calls/write_calls
 # counters a 16-call burst costs <= 2 reads and <= 2 writes, a lone call
 # <= 1 read and exactly 1 write — plus the burst paths' regression tests

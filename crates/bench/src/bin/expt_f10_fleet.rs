@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use hypersim::latency::{OpCost, OpKind};
 use hypersim::personality::QemuLike;
 use hypersim::{LatencyModel, SimHost};
-use virt_bench::unique;
+use virt_bench::{percentile, unique};
 use virt_core::driver::MigrationOptions;
 use virt_core::metrics::MetricValue;
 use virt_core::xmlfmt::DomainConfig;
@@ -117,14 +117,6 @@ fn histogram(fleet: &FleetManager, name: &str) -> (f64, f64) {
         Some(MetricValue::Histogram(h)) => (h.p50_us().unwrap_or(0.0), h.p99_us().unwrap_or(0.0)),
         other => panic!("{name}: {other:?}"),
     }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Part 1: create `domains` guests through fleet placement over

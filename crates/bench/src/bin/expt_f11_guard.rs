@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use hypersim::personality::{QemuLike, XenLike};
 use hypersim::{FaultAction, FaultPlan, LatencyModel, OpKind, SimHost};
-use virt_bench::unique;
+use virt_bench::{percentile, unique};
 use virt_core::guard::GuardPolicy;
 use virt_core::metrics::MetricValue;
 use virt_core::xmlfmt::DomainConfig;
@@ -60,14 +60,6 @@ fn counter(daemon: &Virtd, name: &str) -> u64 {
         Some(MetricValue::Counter(v)) => v,
         _ => 0,
     }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Part 1: crash `storm` guarded domains at once; measure per-domain

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use hypersim::latency::OpCost;
 use hypersim::personality::QemuLike;
 use hypersim::{DomainSpec, LatencyModel, OpKind, SimClock, SimHost};
-use virt_bench::unique;
+use virt_bench::{percentile, unique};
 use virt_core::driver::{HypervisorConnection, MigrationOptions};
 use virt_core::drivers::embedded::EmbeddedConnection;
 use virt_core::xmlfmt::DomainConfig;
@@ -54,14 +54,6 @@ fn hammer(deadline: Instant, mut op: impl FnMut(u64)) -> Vec<u64> {
         i += 1;
     }
     samples
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 struct SweepPoint {

@@ -24,7 +24,7 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use virt_bench::unique;
+use virt_bench::{percentile, unique};
 use virt_core::metrics::MetricValue;
 use virt_core::xmlfmt::DomainConfig;
 use virt_core::Connect;
@@ -65,14 +65,6 @@ fn registered_fds(daemon: &Virtd) -> u64 {
             other => panic!("{name}: {other:?}"),
         })
         .expect("event loop metrics registered")
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Part 1: park idle raw connections rung by rung.

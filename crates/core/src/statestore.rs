@@ -21,9 +21,10 @@
 //!
 //! ## The group-commit pipeline
 //!
-//! Writers never touch the disk themselves. Every mutation is a
-//! *dirty-object record* pushed onto a coalescing queue drained by one
-//! persister thread:
+//! Writers never touch the disk themselves, and there is no other mode:
+//! every mutation is a *dirty-object record* pushed onto a coalescing
+//! queue drained by one persister thread, whose `flush_batch` is the
+//! only code that writes, syncs or renames a state file:
 //!
 //! - [`StateStore::put`] / [`StateStore::remove`] enqueue and then block
 //!   on the **group-commit barrier**: the caller returns once a flush
@@ -58,9 +59,16 @@
 //! the previous committed version or the new one — never a torn mixture.
 //!
 //! Every read is *validated*: files carry a header line with the payload
-//! length and an FNV-1a checksum. A file that fails validation (torn
+//! length and an FNV-1a checksum (corruption *detection*, not an
+//! integrity MAC). A file that fails validation (torn
 //! write from a crashed kernel, bit rot, truncation) is moved to
-//! `quarantine/` and counted — never parsed, never a panic.
+//! `quarantine/` and counted — never parsed, never a panic — under a
+//! name no earlier quarantined file holds, so evidence accumulates
+//! across daemon lives instead of being overwritten.
+//!
+//! A daemon killed between staging a temp file and renaming it leaves
+//! the temp file behind; opening the store removes those, before the
+//! persister thread of the new life exists.
 //!
 //! ## Fault injection
 //!
@@ -87,6 +95,7 @@ use crate::log::Logger;
 use crate::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::uuid::Uuid;
 use hypersim::DomainState;
+use virt_rpc::fnv1a;
 use virt_xml::Element;
 
 /// Magic prefix of the header line; bump the version on format changes.
@@ -167,25 +176,19 @@ struct ArmedFault {
     at_write: u64,
 }
 
-/// Tuning knobs of the persistence pipeline.
+/// The persistence pipeline's one tunable: the coalesce window.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// How long a batch containing only write-behind records may wait
     /// for more work to coalesce before it is flushed. A barrier waiter
     /// (durable `put`/`remove`, `flush`) always flushes immediately.
     pub coalesce_window: Duration,
-    /// Bypass the pipeline entirely: every write performs its own full
-    /// temp → fsync → rename → dirsync cycle inline on the caller's
-    /// thread. This is the pre-group-commit behavior, kept as the
-    /// baseline arm of the F12 experiment.
-    pub sync_writes: bool,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             coalesce_window: Duration::from_millis(2),
-            sync_writes: false,
         }
     }
 }
@@ -196,6 +199,16 @@ struct ObjKey {
     kind: ObjectKind,
     driver: String,
     name: String,
+}
+
+impl ObjKey {
+    fn new(kind: ObjectKind, driver: &str, name: &str) -> ObjKey {
+        ObjKey {
+            kind,
+            driver: driver.to_string(),
+            name: name.to_string(),
+        }
+    }
 }
 
 /// One record of a multi-object [`StateStore::commit`].
@@ -338,12 +351,10 @@ struct Shared {
     /// Wakes `flush()` waiters (a cycle completed and the queue is dry).
     idle_cv: Condvar,
     /// Monotone write counter driving deterministic fault injection.
-    /// Also serializes inline (sync-mode) writers via `committed`.
     writes: Counter,
     fault: Mutex<Option<ArmedFault>>,
     /// FNV-1a of the last cleanly committed payload per object: a queued
     /// put whose content already matches the committed frame is skipped.
-    /// Doubles as the writer lock for sync-mode inline writes.
     committed: Mutex<HashMap<ObjKey, u64>>,
     logger: Mutex<Option<Arc<Logger>>>,
     /// Directory-fsync failures are counted per occurrence but logged
@@ -356,7 +367,7 @@ struct Shared {
 pub struct StateStore {
     shared: Arc<Shared>,
     /// The persister thread; joined when the last store handle drops.
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    worker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for StateStore {
@@ -376,20 +387,9 @@ fn io_err(context: &str, err: std::io::Error) -> VirtError {
     )
 }
 
-/// FNV-1a 64-bit — tiny, dependency-free, and plenty to detect torn
-/// writes (this is corruption *detection*, not an integrity MAC).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl StateStore {
     /// Opens (creating if needed) a store rooted at `root`, with the
-    /// default pipeline tuning.
+    /// default coalesce window.
     ///
     /// # Errors
     ///
@@ -399,7 +399,7 @@ impl StateStore {
         Self::open_with_options(root, StoreOptions::default())
     }
 
-    /// Opens a store with explicit pipeline tuning.
+    /// Opens a store with an explicit coalesce window.
     ///
     /// # Errors
     ///
@@ -417,11 +417,11 @@ impl StateStore {
             ObjectKind::DomainStatus,
             ObjectKind::Guard,
         ] {
-            fs::create_dir_all(root.join(kind.rel_dir()))
-                .map_err(|e| io_err("create layout", e))?;
+            let kind_dir = root.join(kind.rel_dir());
+            fs::create_dir_all(&kind_dir).map_err(|e| io_err("create layout", e))?;
+            sweep_stale_temps(&kind_dir);
         }
         fs::create_dir_all(root.join("quarantine")).map_err(|e| io_err("create layout", e))?;
-        let sync_writes = options.sync_writes;
         let shared = Arc::new(Shared {
             root,
             options,
@@ -445,20 +445,14 @@ impl StateStore {
             dirsync_logged: AtomicBool::new(false),
             metrics: StoreMetrics::new(),
         });
-        let worker = if sync_writes {
-            None
-        } else {
-            let thread_shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("statestore-persist".to_string())
-                    .spawn(move || persister_loop(&thread_shared))
-                    .map_err(|e| io_err("spawn persister", e))?,
-            )
-        };
+        let thread_shared = Arc::clone(&shared);
+        let worker = std::thread::Builder::new()
+            .name("statestore-persist".to_string())
+            .spawn(move || persister_loop(&thread_shared))
+            .map_err(|e| io_err("spawn persister", e))?;
         Ok(Arc::new(StateStore {
             shared,
-            worker: Mutex::new(worker),
+            worker: Some(worker),
         }))
     }
 
@@ -551,6 +545,13 @@ impl StateStore {
         self.shared.metrics.deduped.get()
     }
 
+    /// Queues one record with a barrier waiter for the caller to block on.
+    fn enqueue_durable(&self, key: ObjKey, op: QueuedOp) -> Arc<OpWaiter> {
+        let waiter = OpWaiter::new();
+        enqueue(&self.shared, key, op, Some(Arc::clone(&waiter)));
+        waiter
+    }
+
     /// Commits `payload` for `name`, atomically and durably: the record
     /// is queued and the call blocks on the group-commit barrier until a
     /// flush cycle containing (or superseding) it has committed.
@@ -563,25 +564,9 @@ impl StateStore {
     /// for an injected [`StoreFault::TornWrite`] which deliberately
     /// leaves a corrupt file for validation to catch.
     pub fn put(&self, kind: ObjectKind, driver: &str, name: &str, payload: &str) -> VirtResult<()> {
-        let key = ObjKey {
-            kind,
-            driver: driver.to_string(),
-            name: name.to_string(),
-        };
-        if self.shared.options.sync_writes {
-            return write_now(&self.shared, &key, QueuedOp::Put(payload.to_string()));
-        }
-        let waiter = OpWaiter::new();
-        match enqueue(
-            &self.shared,
-            key.clone(),
-            QueuedOp::Put(payload.to_string()),
-            Some(Arc::clone(&waiter)),
-        ) {
-            Ok(()) => waiter.wait(),
-            // The pipeline is shut down (store mid-drop); write inline.
-            Err(op) => write_now(&self.shared, &key, op),
-        }
+        let op = QueuedOp::Put(payload.to_string());
+        self.enqueue_durable(ObjKey::new(kind, driver, name), op)
+            .wait()
     }
 
     /// Queues `payload` for `name` **write-behind** and returns
@@ -593,23 +578,8 @@ impl StateStore {
     ///
     /// [`flush`]: StateStore::flush
     pub fn put_behind(&self, kind: ObjectKind, driver: &str, name: &str, payload: &str) {
-        let key = ObjKey {
-            kind,
-            driver: driver.to_string(),
-            name: name.to_string(),
-        };
-        if self.shared.options.sync_writes {
-            let _ = write_now(&self.shared, &key, QueuedOp::Put(payload.to_string()));
-            return;
-        }
-        if let Err(op) = enqueue(
-            &self.shared,
-            key.clone(),
-            QueuedOp::Put(payload.to_string()),
-            None,
-        ) {
-            let _ = write_now(&self.shared, &key, op);
-        }
+        let op = QueuedOp::Put(payload.to_string());
+        enqueue(&self.shared, ObjKey::new(kind, driver, name), op, None);
     }
 
     /// Removes `name`'s committed file, blocking on the group-commit
@@ -619,24 +589,8 @@ impl StateStore {
     ///
     /// [`ErrorCode::OperationFailed`] on I/O failure other than absence.
     pub fn remove(&self, kind: ObjectKind, driver: &str, name: &str) -> VirtResult<()> {
-        let key = ObjKey {
-            kind,
-            driver: driver.to_string(),
-            name: name.to_string(),
-        };
-        if self.shared.options.sync_writes {
-            return write_now(&self.shared, &key, QueuedOp::Remove);
-        }
-        let waiter = OpWaiter::new();
-        match enqueue(
-            &self.shared,
-            key.clone(),
-            QueuedOp::Remove,
-            Some(Arc::clone(&waiter)),
-        ) {
-            Ok(()) => waiter.wait(),
-            Err(op) => write_now(&self.shared, &key, op),
-        }
+        self.enqueue_durable(ObjKey::new(kind, driver, name), QueuedOp::Remove)
+            .wait()
     }
 
     /// Commits several records through **one** group-commit barrier: all
@@ -651,54 +605,25 @@ impl StateStore {
     /// failed independently (per-record semantics identical to
     /// [`StateStore::put`] / [`StateStore::remove`]).
     pub fn commit(&self, ops: Vec<StoreOp>) -> VirtResult<()> {
-        if self.shared.options.sync_writes {
-            for op in ops {
+        let waiters: Vec<_> = ops
+            .into_iter()
+            .map(|op| {
                 let (key, queued) = op.into_parts();
-                write_now(&self.shared, &key, queued)?;
-            }
-            return Ok(());
-        }
-        let mut waiters = Vec::with_capacity(ops.len());
+                self.enqueue_durable(key, queued)
+            })
+            .collect();
+        // Wait for every record, not only up to the first failure.
         let mut first_error = Ok(());
-        for op in ops {
-            let (key, queued) = op.into_parts();
-            let waiter = OpWaiter::new();
-            match enqueue(&self.shared, key.clone(), queued, Some(Arc::clone(&waiter))) {
-                Ok(()) => waiters.push(waiter),
-                // Pipeline shut down mid-drop: fall back inline.
-                Err(queued) => {
-                    if let Err(e) = write_now(&self.shared, &key, queued) {
-                        if first_error.is_ok() {
-                            first_error = Err(e);
-                        }
-                    }
-                }
-            }
-        }
         for waiter in waiters {
-            if let Err(e) = waiter.wait() {
-                if first_error.is_ok() {
-                    first_error = Err(e);
-                }
-            }
+            first_error = first_error.and(waiter.wait());
         }
         first_error
     }
 
     /// Queues a removal write-behind (see [`StateStore::put_behind`]).
     pub fn remove_behind(&self, kind: ObjectKind, driver: &str, name: &str) {
-        let key = ObjKey {
-            kind,
-            driver: driver.to_string(),
-            name: name.to_string(),
-        };
-        if self.shared.options.sync_writes {
-            let _ = write_now(&self.shared, &key, QueuedOp::Remove);
-            return;
-        }
-        if let Err(op) = enqueue(&self.shared, key.clone(), QueuedOp::Remove, None) {
-            let _ = write_now(&self.shared, &key, op);
-        }
+        let key = ObjKey::new(kind, driver, name);
+        enqueue(&self.shared, key, QueuedOp::Remove, None);
     }
 
     /// Drains the pipeline: blocks until every record queued so far has
@@ -710,9 +635,6 @@ impl StateStore {
     /// The first error of any flush cycle completed during the drain —
     /// this is how write-behind failures surface to a caller.
     pub fn flush(&self) -> VirtResult<()> {
-        if self.shared.options.sync_writes {
-            return Ok(());
-        }
         let mut q = self.shared.queue.lock();
         let epoch = q.error_epoch;
         if !q.order.is_empty() {
@@ -812,9 +734,6 @@ impl StateStore {
 
 impl Drop for StateStore {
     fn drop(&mut self) {
-        let Some(worker) = self.worker.lock().take() else {
-            return;
-        };
         {
             let mut q = self.shared.queue.lock();
             q.shutdown = true;
@@ -823,7 +742,9 @@ impl Drop for StateStore {
         // The persister drains every pending record before exiting —
         // this is the drain-on-shutdown half of the write-behind
         // contract. Errors were already counted and logged by the loop.
-        let _ = worker.join();
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -833,11 +754,9 @@ impl Shared {
     }
 
     fn forget_committed(&self, kind: ObjectKind, driver: &str, name: &str) {
-        self.committed.lock().remove(&ObjKey {
-            kind,
-            driver: driver.to_string(),
-            name: name.to_string(),
-        });
+        self.committed
+            .lock()
+            .remove(&ObjKey::new(kind, driver, name));
     }
 
     /// Checks the armed fault against this write's sequence number.
@@ -850,17 +769,25 @@ impl Shared {
     }
 
     fn quarantine_path(&self, path: &Path) {
-        let n = self.metrics.quarantined.get();
         self.metrics.quarantined.inc();
         let base = path
             .file_name()
             .and_then(|s| s.to_str())
             .unwrap_or("corrupt");
-        let dest = self.root.join("quarantine").join(format!("{n}-{base}"));
-        if fs::rename(path, &dest).is_err() {
-            // Cross-device or racing writer: removal still protects boot.
-            let _ = fs::remove_file(path);
+        let quarantine = self.root.join("quarantine");
+        // `hard_link` refuses an existing destination, so the first free
+        // `{n}-{base}` is claimed atomically: evidence kept by an earlier
+        // daemon life or a racing thread is never replaced.
+        let mut n = 0u64;
+        while matches!(
+            fs::hard_link(path, quarantine.join(format!("{n}-{base}"))),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists
+        ) {
+            n += 1;
         }
+        // Linked or not (source gone, no hard links here): removal is
+        // what protects boot.
+        let _ = fs::remove_file(path);
     }
 
     fn log_warning(&self, message: &str) {
@@ -883,19 +810,31 @@ impl Shared {
     }
 }
 
-/// Enqueues one record, coalescing last-writer-wins per object. When the
-/// pipeline has shut down, hands the op back (`Err`) so the caller can
-/// write it inline.
-fn enqueue(
-    shared: &Shared,
-    key: ObjKey,
-    op: QueuedOp,
-    waiter: Option<Arc<OpWaiter>>,
-) -> Result<(), QueuedOp> {
-    let mut q = shared.queue.lock();
-    if q.shutdown {
-        return Err(op);
+/// Removes the `.<name>.tmp<seq>` files ([`stage_one`]) a killed daemon
+/// staged but never renamed, in every driver directory under
+/// `kind_dir`. Called before the persister thread exists, so it cannot
+/// take a temp file a running flush cycle owns.
+fn sweep_stale_temps(kind_dir: &Path) {
+    let entries = |dir: &Path| fs::read_dir(dir).into_iter().flatten().flatten();
+    for driver_dir in entries(kind_dir) {
+        for entry in entries(&driver_dir.path()) {
+            let name = entry.file_name();
+            let is_temp = name.to_str().is_some_and(|name| {
+                let seq = name.rsplit_once(".tmp").map(|(_, seq)| seq);
+                name.starts_with('.') && seq.is_some_and(|seq| seq.parse::<u64>().is_ok())
+            });
+            if is_temp {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
     }
+}
+
+/// Enqueues one record, coalescing last-writer-wins per object. Cannot
+/// meet a shut-down pipeline: `shutdown` is set only by `Drop`, whose
+/// `&mut self` rules out a concurrent caller.
+fn enqueue(shared: &Shared, key: ObjKey, op: QueuedOp, waiter: Option<Arc<OpWaiter>>) {
+    let mut q = shared.queue.lock();
     q.enqueued += 1;
     let urgent = waiter.is_some();
     match q.slots.get_mut(&key) {
@@ -920,7 +859,6 @@ fn enqueue(
     }
     shared.metrics.queue_depth.set(q.order.len() as u64);
     shared.work_cv.notify_one();
-    Ok(())
 }
 
 /// The persister thread: waits for work, optionally lets a volatile-only
@@ -1205,73 +1143,6 @@ fn stage_one(
     Ok((tmp, f, torn))
 }
 
-/// Inline (sync-mode) commit of one record: the full pre-pipeline
-/// temp → fsync → rename → dirsync cycle on the caller's thread, with
-/// dirsync failures surfaced instead of discarded.
-fn write_now(shared: &Shared, key: &ObjKey, op: QueuedOp) -> VirtResult<()> {
-    // The committed-content map doubles as the writer lock here, so
-    // concurrent sync-mode writers cannot interleave.
-    let mut committed = shared.committed.lock();
-    let dir = shared.dir(key.kind, &key.driver);
-    let dest = dir.join(format!("{}.xml", key.name));
-    match op {
-        QueuedOp::Remove => {
-            committed.remove(key);
-            match fs::remove_file(&dest) {
-                Ok(()) => {
-                    if let Err(e) = File::open(&dir).and_then(|d| d.sync_all()) {
-                        shared.note_dirsync_failure(&dir, &e);
-                        return Err(io_err(&format!("sync directory {}", dir.display()), e));
-                    }
-                    Ok(())
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-                Err(e) => {
-                    shared.metrics.write_error.inc();
-                    Err(io_err(&format!("remove {}", key.name), e))
-                }
-            }
-        }
-        QueuedOp::Put(payload) => {
-            let content_hash = fnv1a(payload.as_bytes());
-            let seq = shared.writes.get() + 1;
-            shared.writes.inc();
-            let fault = shared.take_fault(seq);
-            let written = stage_one(key, &dir, &payload, seq, fault).and_then(|(tmp, f, torn)| {
-                let synced = f.sync_all();
-                drop(f);
-                if let Err(e) = synced.and_then(|()| fs::rename(&tmp, &dest)) {
-                    let _ = fs::remove_file(&tmp);
-                    return Err(e);
-                }
-                Ok(torn)
-            });
-            match written {
-                Ok(torn) => {
-                    if let Err(e) = File::open(&dir).and_then(|d| d.sync_all()) {
-                        shared.note_dirsync_failure(&dir, &e);
-                        return Err(io_err(&format!("sync directory {}", dir.display()), e));
-                    }
-                    if torn {
-                        committed.remove(key);
-                        shared.metrics.write_error.inc();
-                        return Err(VirtError::new(
-                            ErrorCode::OperationFailed,
-                            "state store: injected torn write",
-                        ));
-                    }
-                    committed.insert(key.clone(), content_hash);
-                    Ok(())
-                }
-                Err(e) => {
-                    shared.metrics.write_error.inc();
-                    Err(io_err(&format!("write {}", key.name), e))
-                }
-            }
-        }
-    }
-}
-
 /// Validates a raw file: header magic, length, checksum. Returns the
 /// payload on success.
 fn validate(bytes: &[u8]) -> Option<String> {
@@ -1506,6 +1377,109 @@ mod tests {
         // The quarantined copy is preserved for inspection.
         let quarantine = store.root().join("quarantine");
         assert_eq!(fs::read_dir(quarantine).unwrap().count(), 1);
+    }
+
+    #[test]
+    fn quarantine_never_overwrites_an_earlier_lifes_evidence() {
+        let dir = temp_dir("quarantine-lives");
+        let victim = dir.join("etc/domains/qemu/web.xml");
+        for life in ["torn in life one", "torn in life two"] {
+            let store = StateStore::open(&dir).unwrap();
+            fs::create_dir_all(victim.parent().unwrap()).unwrap();
+            fs::write(&victim, life).unwrap();
+            assert_eq!(store.get(ObjectKind::Domain, "qemu", "web").unwrap(), None);
+            assert_eq!(store.quarantined_total(), 1);
+        }
+        let mut kept: Vec<String> = fs::read_dir(dir.join("quarantine"))
+            .unwrap()
+            .map(|e| fs::read_to_string(e.unwrap().path()).unwrap())
+            .collect();
+        kept.sort();
+        assert_eq!(kept, ["torn in life one", "torn in life two"]);
+    }
+
+    #[test]
+    fn concurrent_quarantines_of_one_base_name_lose_none() {
+        let store = temp_store("quarantine-race");
+        let targets = [
+            (ObjectKind::Domain, "qemu"),
+            (ObjectKind::Domain, "xen"),
+            (ObjectKind::DomainStatus, "qemu"),
+            (ObjectKind::DomainStatus, "xen"),
+            (ObjectKind::Network, "qemu"),
+            (ObjectKind::Pool, "qemu"),
+            (ObjectKind::Guard, "qemu"),
+            (ObjectKind::Guard, "xen"),
+        ];
+        let rounds = 25;
+        // Lines the threads up so each round's quarantines really race.
+        let start = Arc::new(std::sync::Barrier::new(targets.len()));
+        let threads: Vec<_> = targets
+            .into_iter()
+            .map(|(kind, driver)| {
+                let (store, start) = (Arc::clone(&store), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let dir = store.dir(kind, driver);
+                    fs::create_dir_all(&dir).unwrap();
+                    for round in 0..rounds {
+                        fs::write(dir.join("web.xml"), format!("{kind:?} {driver} {round}"))
+                            .unwrap();
+                        start.wait();
+                        store.quarantine(kind, driver, "web");
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let kept: std::collections::HashSet<String> = fs::read_dir(store.root().join("quarantine"))
+            .unwrap()
+            .map(|e| fs::read_to_string(e.unwrap().path()).unwrap())
+            .collect();
+        assert_eq!(kept.len(), targets.len() * rounds);
+        assert_eq!(store.quarantined_total(), (targets.len() * rounds) as u64);
+    }
+
+    #[test]
+    fn reopen_sweeps_staged_temp_files_and_nothing_else() {
+        let dir = temp_dir("sweep");
+        {
+            let store = StateStore::open(&dir).unwrap();
+            store.put(ObjectKind::Domain, "qemu", "web", "v1").unwrap();
+        }
+        let qemu = dir.join("etc/domains/qemu");
+        // What a SIGKILL between staging and rename leaves behind.
+        fs::write(qemu.join(".web.tmp7"), "#virtstate v1 fnv=00").unwrap();
+        fs::write(qemu.join(".db.tmp12"), "").unwrap();
+        fs::write(qemu.join(".tmpfile"), "not ours: no sequence number").unwrap();
+        let store = StateStore::open(&dir).unwrap();
+        let mut left: Vec<String> = fs::read_dir(&qemu)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, [".tmpfile", "web.xml"]);
+        assert_eq!(
+            store.get(ObjectKind::Domain, "qemu", "web").unwrap(),
+            Some("v1".to_string())
+        );
+    }
+
+    #[test]
+    fn frame_written_before_the_shared_fnv1a_still_validates() {
+        // etc/domains/qemu/web.xml as the pre-PR 19 tree wrote it, when
+        // the store carried its own copy of the checksum.
+        let frame = b"#virtstate v1 fnv=416425a3e6a16ff0 len=19\n<domain>v2</domain>";
+        let store = temp_store("old-frame");
+        let path = store.file(ObjectKind::Domain, "qemu", "web");
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, frame).unwrap();
+        assert_eq!(
+            store.get(ObjectKind::Domain, "qemu", "web").unwrap(),
+            Some("<domain>v2</domain>".to_string())
+        );
+        assert_eq!(store.quarantined_total(), 0);
     }
 
     #[test]
@@ -1749,32 +1723,6 @@ mod tests {
         }
         let store = StateStore::open(&dir).unwrap();
         assert_eq!(store.load_all(ObjectKind::DomainStatus, "qemu").len(), 20);
-    }
-
-    #[test]
-    fn sync_mode_matches_pipeline_semantics() {
-        let store = StateStore::open_with_options(
-            temp_dir("sync-mode"),
-            StoreOptions {
-                sync_writes: true,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        store.put(ObjectKind::Domain, "qemu", "web", "v1").unwrap();
-        assert_eq!(
-            store.get(ObjectKind::Domain, "qemu", "web").unwrap(),
-            Some("v1".to_string())
-        );
-        store.inject_fault(StoreFault::FailWrite, 1);
-        store
-            .put(ObjectKind::Domain, "qemu", "web", "v2")
-            .unwrap_err();
-        assert_eq!(store.write_error_total(), 1);
-        store.remove(ObjectKind::Domain, "qemu", "web").unwrap();
-        assert_eq!(store.get(ObjectKind::Domain, "qemu", "web").unwrap(), None);
-        store.flush().unwrap();
-        assert_eq!(store.group_commits_total(), 0);
     }
 
     #[test]

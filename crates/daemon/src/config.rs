@@ -38,9 +38,8 @@ pub struct VirtdConfig {
     /// Restart-backoff ladder used by the guard engine for `keep-running`
     /// policies. `None` keeps the engine's built-in default.
     pub guard_backoff: Option<BackoffSchedule>,
-    /// Tuning of the statestore's group-commit pipeline (coalesce
-    /// window, synchronous-write fallback). Only meaningful when
-    /// `statedir` is set.
+    /// The coalesce window of the statestore's group-commit pipeline.
+    /// Only meaningful when `statedir` is set.
     pub statestore: StoreOptions,
 }
 
@@ -100,7 +99,7 @@ impl VirtdConfig {
         self
     }
 
-    /// Overrides the statestore pipeline tuning.
+    /// Overrides the statestore's coalesce window.
     pub fn statestore(mut self, options: StoreOptions) -> Self {
         self.statestore = options;
         self

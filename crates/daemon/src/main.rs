@@ -7,7 +7,7 @@
 //! ```text
 //! virtd [--name NAME] [--unix PATH] [--tcp ADDR] [--admin-unix PATH]
 //!       [--max-clients N] [--quiet-hosts] [--slow-migration] [--statedir DIR]
-//!       [--statestore-flush-ms MS] [--statestore-sync]
+//!       [--statestore-flush-ms MS]
 //! ```
 //!
 //! Defaults: name `virtd`, remote socket `/tmp/virtd.sock`, admin socket
@@ -15,9 +15,7 @@
 //! directory (all state in memory). With `--statedir`, definitions are
 //! persisted crash-safe under `DIR` and recovered at the next start;
 //! `--statestore-flush-ms` tunes how long the persister lets volatile
-//! write-behind records coalesce before flushing, and
-//! `--statestore-sync` disables the pipeline entirely (every write pays
-//! its own fsync cycle — the pre-group-commit behavior).
+//! write-behind records coalesce before flushing.
 
 use virt_rpc::transport::{TcpSocketListener, UnixSocketListener};
 use virtd::{Virtd, VirtdConfig};
@@ -32,7 +30,6 @@ struct Options {
     slow_migration: bool,
     statedir: Option<String>,
     statestore_flush_ms: Option<u64>,
-    statestore_sync: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -46,7 +43,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         slow_migration: false,
         statedir: None,
         statestore_flush_ms: None,
-        statestore_sync: false,
     };
     let mut i = 0;
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
@@ -93,13 +89,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 );
                 i += 1;
             }
-            "--statestore-sync" => options.statestore_sync = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: virtd [--name NAME] [--unix PATH|--no-unix] [--tcp ADDR] \
                             [--admin-unix PATH] [--max-clients N] [--quiet-hosts] \
                             [--slow-migration] [--statedir DIR] \
-                            [--statestore-flush-ms MS] [--statestore-sync]"
+                            [--statestore-flush-ms MS]"
                         .to_string(),
                 )
             }
@@ -128,7 +123,6 @@ fn main() {
     if let Some(ms) = options.statestore_flush_ms {
         store_options.coalesce_window = std::time::Duration::from_millis(ms);
     }
-    store_options.sync_writes = options.statestore_sync;
     config = config.statestore(store_options);
     let mut builder = Virtd::builder(&options.name).config(config);
     builder = if options.quiet_hosts {

@@ -86,3 +86,18 @@ pub fn process_metrics() -> &'static std::sync::Arc<virt_metrics::Registry> {
         std::sync::OnceLock::new();
     PROCESS_METRICS.get_or_init(|| std::sync::Arc::new(virt_metrics::Registry::new()))
 }
+
+/// FNV-1a 64-bit, the toolkit's one non-cryptographic hash: the TLS-sim
+/// record MAC (where its per-byte arithmetic is part of the cost model —
+/// see [`transport::TlsSimTransport`] — so do not make it cheaper), the
+/// state-file header checksum (an on-disk format) and the per-actor
+/// jitter seed.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}

@@ -13,6 +13,7 @@
 
 use std::time::{Duration, Instant};
 
+use crate::fnv1a;
 use crate::transport::xorshift64;
 
 /// Capped exponential growth with deterministic, seed-mixed jitter — the
@@ -74,13 +75,8 @@ impl BackoffSchedule {
 
     /// A stable per-actor jitter seed: FNV-1a over the name.
     pub fn seed_for(name: &str) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in name.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
         // xorshift64 maps 0 to 0; keep the seed non-degenerate.
-        hash | 1
+        fnv1a(name.as_bytes()) | 1
     }
 }
 

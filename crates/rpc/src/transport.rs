@@ -32,6 +32,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvE
 use parking_lot::Mutex;
 
 use crate::bufpool::MAX_PARKED_RECORD_CAPACITY;
+use crate::fnv1a;
 use crate::framebuf::FrameBuf;
 
 /// How a transport can participate in a readiness (event) loop.
@@ -876,16 +877,6 @@ fn keystream_apply(key: u64, seq: u64, data: &mut [u8]) {
         }
         i += n;
     }
-}
-
-/// The simulated MAC; part of the cost model like [`keystream_apply`].
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 impl<T: Transport> TlsSimTransport<T> {

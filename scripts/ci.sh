@@ -109,10 +109,12 @@ cargo run -q --release --offline -p virt-bench --bin expt_f10_fleet -- --smoke
 echo "== perf smoke (guard revive storm + crash-loop containment, release) =="
 cargo run -q --release --offline -p virt-bench --bin expt_f11_guard -- --smoke
 
-# Statestore smoke: group commit vs per-op fsync at 8 writers, plus the
-# built-in assert that a status-write storm collapses into ≤ 2 cycles.
-echo "== perf smoke (statestore group commit, release) =="
-cargo run -q --release --offline -p virt-bench --bin expt_f12_statestore -- --smoke
+# Durability end to end, over the one write path there is: a statedir
+# daemon serves lifecycle cycles, is SIGKILLed and restarted; exit code 0
+# only if recovered == acknowledged and nothing was quarantined.
+echo "== durability smoke (lifecycle_durable_unix: SIGKILL, restart, recovered == acknowledged) =="
+cargo run -q --release --offline --manifest-path virt_bench/Cargo.toml -- \
+    --workload lifecycle_durable_unix --seed 1 --seconds 2 --trace 0 --smoke
 
 # Release perf guard: counter-based batching/coalescing contract — K
 # back-to-back status writes to one domain take ≤ 2 fsync cycles, and

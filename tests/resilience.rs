@@ -613,6 +613,10 @@ fn sigkill_mid_batch_recovers_whole_frames_and_all_definitions() {
             );
         }
     }
+    // The kill rarely lands between a frame's staging and its rename, so
+    // plant what that instant leaves behind: a staged temp file.
+    let stray = statedir.join("etc/domains/qemu/.batch00.tmp31");
+    std::fs::write(&stray, b"#virtstate v1 fnv=").unwrap();
 
     let mut child2 = spawn_virtd_with(
         &socket,
@@ -634,6 +638,18 @@ fn sigkill_mid_batch_recovers_whole_frames_and_all_definitions() {
     assert_eq!(recovery_metric(&admin_socket, "recovery.recovered"), 30);
     // …and nothing was quarantined: the batch left no torn frames.
     assert_eq!(recovery_metric(&admin_socket, "recovery.quarantined"), 0);
+    // Recovery swept the dead daemon's staged temp files. (The new life
+    // stages none of its own meanwhile: nothing here mutates, and its
+    // write-behind window is 30 s.)
+    for sub in ["etc/domains/qemu", "run/domains/qemu"] {
+        for entry in std::fs::read_dir(statedir.join(sub)).into_iter().flatten() {
+            let name = entry.unwrap().file_name();
+            assert!(
+                !name.to_string_lossy().contains(".tmp"),
+                "{sub}/{name:?} survived recovery"
+            );
+        }
+    }
 
     conn.close();
     let _ = child2.kill();

@@ -16,50 +16,10 @@ use std::time::Instant;
 use virt_bench::unique;
 use virt_core::xmlfmt::{DiskConfig, DomainConfig};
 use virt_core::Connect;
-use virt_rpc::transport::{
-    Listener, TcpSocketListener, TlsSimTransport, Transport, UnixSocketListener,
-};
+use virt_rpc::transport::{TcpSocketListener, TlsSimListener, UnixSocketListener};
 use virtd::Virtd;
 
 const ITERS: u32 = 300;
-
-struct TlsListener(TcpSocketListener);
-
-struct BoxTransport(Box<dyn Transport>);
-
-impl Transport for BoxTransport {
-    fn send_frame(&self, body: &[u8]) -> std::io::Result<()> {
-        self.0.send_frame(body)
-    }
-    fn recv_frame(&self) -> std::io::Result<Vec<u8>> {
-        self.0.recv_frame()
-    }
-    fn kind(&self) -> virt_rpc::TransportKind {
-        self.0.kind()
-    }
-    fn peer(&self) -> String {
-        self.0.peer()
-    }
-    fn shutdown(&self) -> std::io::Result<()> {
-        self.0.shutdown()
-    }
-}
-
-impl Listener for TlsListener {
-    fn accept(&self) -> std::io::Result<Box<dyn Transport>> {
-        let inner = self.0.accept()?;
-        Ok(Box::new(TlsSimTransport::server(
-            BoxTransport(inner),
-            rand::random(),
-        )?))
-    }
-    fn local_desc(&self) -> String {
-        format!("tls:{}", self.0.local_desc())
-    }
-    fn close(&self) {
-        self.0.close();
-    }
-}
 
 fn domain_with_disks(name: &str, disks: usize) -> DomainConfig {
     let mut config = DomainConfig::new(name, 64, 1);
@@ -172,7 +132,7 @@ fn main() {
             .unwrap();
         let listener = TcpSocketListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().to_string();
-        daemon.serve(Box::new(TlsListener(listener)));
+        daemon.serve(Box::new(TlsSimListener(listener)));
         let conn = Connect::builder(format!("qemu+tls://{addr}/system"))
             .open()
             .unwrap();

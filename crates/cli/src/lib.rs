@@ -23,7 +23,6 @@ use std::collections::HashMap;
 
 use virt_core::driver::MigrationOptions;
 use virt_core::guard::{GuardPolicy, GuardStatus, DEFAULT_MAX_RESTARTS, DEFAULT_STOP_TIMEOUT_MS};
-use virt_core::xmlfmt::DomainConfig;
 use virt_core::{Connect, RetryPolicy, VirtError, VirtResult};
 
 /// Executes one command line.
@@ -923,16 +922,6 @@ pub fn run_line(line: &str) -> (i32, String) {
     (code, String::from_utf8_lossy(&out).into_owned())
 }
 
-/// Builds a domain XML string for CLI tests (inline XML arguments cannot
-/// contain spaces when passed through [`run_line`]).
-pub fn inline_domain_xml(name: &str, memory_mib: u64, vcpus: u32) -> String {
-    DomainConfig::new(name, memory_mib, vcpus)
-        .to_xml_string()
-        .replace(' ', "")
-        .replace("unit=\"MiB\"", "")
-        .replace("unit=\"MiB/s\"", "")
-}
-
 /// Serializes tests that flip the process-global flight recorder, so
 /// `trace off` in one test cannot blind another running concurrently in
 /// the same harness process.
@@ -946,6 +935,7 @@ pub(crate) fn recorder_test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use virt_core::xmlfmt::DomainConfig;
 
     #[test]
     fn help_lists_command_groups() {
@@ -1188,6 +1178,7 @@ mod shell_tests {
 mod migrate_cli_tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use virt_core::xmlfmt::DomainConfig;
     use virtd::Virtd;
 
     fn unique(name: &str) -> String {
@@ -1334,6 +1325,7 @@ mod migrate_cli_tests {
 mod guard_cli_tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use virt_core::xmlfmt::DomainConfig;
     use virtd::Virtd;
 
     fn unique(name: &str) -> String {
@@ -1444,6 +1436,7 @@ mod guard_cli_tests {
 mod fleet_cli_tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use virt_core::xmlfmt::DomainConfig;
     use virtd::Virtd;
 
     fn unique(name: &str) -> String {

@@ -225,11 +225,6 @@ impl EmbeddedConnection {
         &self.guard
     }
 
-    /// The state-store binding, if this connection persists to disk.
-    pub fn store_binding(&self) -> Option<&StoreBinding> {
-        self.store.as_ref()
-    }
-
     /// The job manager tracking background jobs on this host.
     pub fn jobs(&self) -> &Arc<JobManager> {
         &self.jobs

@@ -356,8 +356,8 @@ impl HypervisorConnection for RemoteConnection {
     }
 
     fn list_domains(&self) -> VirtResult<Vec<DomainRecord>> {
-        let wire: protocol::WireDomainList = self.call(proc::LIST_DOMAINS, &())?;
-        Ok(wire.0.into_iter().map(DomainRecord::from).collect())
+        let wire: Vec<protocol::WireDomain> = self.call(proc::LIST_DOMAINS, &())?;
+        Ok(wire.into_iter().map(DomainRecord::from).collect())
     }
 
     fn lookup_domain_by_id(&self, id: u32) -> VirtResult<DomainRecord> {
@@ -384,8 +384,8 @@ impl HypervisorConnection for RemoteConnection {
     }
 
     fn guard_list(&self) -> VirtResult<Vec<GuardStatus>> {
-        let list: protocol::WireGuardStatusList = self.call(proc::GUARD_LIST, &())?;
-        Ok(list.0.into_iter().filter_map(|w| w.into_status()).collect())
+        let list: Vec<protocol::WireGuardStatus> = self.call(proc::GUARD_LIST, &())?;
+        Ok(list.into_iter().filter_map(|w| w.into_status()).collect())
     }
 
     fn guard_status(&self, name: &str) -> VirtResult<GuardStatus> {
@@ -408,11 +408,10 @@ impl HypervisorConnection for RemoteConnection {
         name: &str,
         options: &MigrationOptions,
     ) -> VirtResult<MigrationReport> {
-        let wire: protocol::WireMigrationReport = self.call(
+        self.call(
             proc::MIGRATE_PERFORM,
             &protocol::MigratePerformArgs::from_options(name, options),
-        )?;
-        Ok(wire.into())
+        )
     }
 
     fn get_all_domain_stats(&self) -> VirtResult<Vec<DomainStatsRecord>> {

@@ -10,9 +10,9 @@
 //! completion; the client-side [`JobHandle`] pairs a started operation
 //! with the polling/abort calls.
 //!
-//! Query and abort ride the RPC server's **priority workers**, so both
-//! succeed even when every normal worker is occupied by running jobs —
-//! the same reason libvirt has priority workers at all.
+//! Query and abort are **high-priority** procedures, answered inline by
+//! the RPC server, so both succeed even when every worker is occupied by
+//! running jobs — the same reason libvirt has priority workers at all.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,6 +22,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use virt_metrics::{Counter, Gauge, Histogram, Registry};
+use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode, XdrError};
 
 use crate::error::{ErrorCode, VirtError, VirtResult};
 
@@ -130,6 +131,27 @@ impl std::fmt::Display for JobState {
         })
     }
 }
+
+/// On the wire both enums are the `u32` of `as_u32`. A number this build
+/// does not know decodes through `from_u32`'s fallback, never as an error:
+/// a newer daemon's job kinds must not break `domjobinfo`.
+macro_rules! xdr_as_u32 {
+    ($($name:ty),*) => {$(
+        impl XdrEncode for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.as_u32().encode(out);
+            }
+        }
+
+        impl XdrDecode for $name {
+            fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
+                u32::decode(cursor).map(Self::from_u32)
+            }
+        }
+    )*};
+}
+
+xdr_as_u32!(JobKind, JobState);
 
 /// A point-in-time snapshot of a domain's (most recent) job.
 ///

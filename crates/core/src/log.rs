@@ -435,12 +435,6 @@ impl Logger {
     pub fn journal(&self) -> Vec<LogRecord> {
         self.journal.lock().clone()
     }
-
-    /// Clears both capturing sinks.
-    pub fn clear_captured(&self) {
-        self.buffer.lock().clear();
-        self.journal.lock().clear();
-    }
 }
 
 impl Default for Logger {

@@ -7,9 +7,19 @@
 //! stated in one row and nowhere else. All records are XDR structs;
 //! growth headroom comes from typed-parameter lists rather than struct
 //! changes, as in libvirt.
+//!
+//! A reply record is defined once. An API struct whose fields go on the
+//! wire as they are (`NodeInfo`, `PoolRecord`, `JobStats`, …) gets its XDR
+//! form from one `xdr_fields!` line below the table and its rows say
+//! `plain(X)`. A separate `Wire*` struct exists only where the two forms
+//! really differ: an `Option` sent as a sentinel ([`WireDomain`]), tuples
+//! sent as parallel arrays ([`WireNetwork`]), or a discriminant this
+//! build may not know, which the conversion drops rather than rejects
+//! ([`WireGuardStatus`], [`WireEvent`]). Every list reply is a `Vec` of
+//! its record type; the one list codec is `virt_rpc::xdr`'s.
 
 use virt_rpc::xdr::{XdrDecode, XdrEncode};
-use virt_rpc::xdr_struct;
+use virt_rpc::{xdr_fields, xdr_struct};
 
 use crate::driver::{
     DomainRecord, DomainState, DomainStatsRecord, MigrationOptions, MigrationReport, NetworkRecord,
@@ -17,7 +27,7 @@ use crate::driver::{
 };
 use crate::event::{DomainEvent, DomainEventKind};
 use crate::guard::{GuardPolicy, GuardStatus};
-use crate::job::{JobKind, JobState, JobStats};
+use crate::job::JobStats;
 use crate::typedparam::{
     encode_params, params_encoded_len, xdr_str_len, TypedParam, TypedParamList,
 };
@@ -29,18 +39,19 @@ use crate::uuid::Uuid;
 /// `drivers::remote` and the daemon's dispatch arms are all generated
 /// from it, so a procedure is described exactly once.
 ///
-/// A call row reads: number, NAME, doc line, priority (`inline` runs on a
-/// priority worker, guaranteed not to wait on a hypervisor; `pooled`
-/// queues for an ordinary one), retry class (`idempotent` calls are
+/// A call row reads: number, NAME, doc line, priority (`inline` is
+/// guaranteed not to wait on a hypervisor and is answered on the thread
+/// that read it; `pooled` queues for a worker), retry class (`idempotent` calls are
 /// re-issued after an ambiguous connection failure; `mutating` ones are
 /// not), access (`read` is allowed on a read-only session; `write` is
 /// not), then either the word `custom` — stub and dispatch arm are
 /// written by hand — or the driver method with its arguments, the wire
 /// argument struct (`()` for none; argument names are its field names)
 /// and the reply shape: `unit`, `plain(T)` for a `T` that is its own
-/// wire form, `wire(WireX, X)` for an `X` sent as `WireX`. Argument type
-/// `str` is `&str` in the method and `String` on the wire. Event rows
-/// are server→client message numbers: never callable, in no class.
+/// wire form (a scalar, a list, or a record with an `xdr_fields!` line
+/// below), `wire(WireX, X)` for an `X` whose wire form differs. Argument
+/// type `str` is `&str` in the method and `String` on the wire. Event
+/// rows are server→client message numbers: never callable, in no class.
 ///
 /// Numbers are stable on the wire — never reuse one.
 #[macro_export]
@@ -58,7 +69,7 @@ macro_rules! remote_procedures {
                 // Travels as XML text, parsed back on the client.
                 (4, GET_CAPABILITIES, "Capabilities XML.", inline, idempotent, read, custom);
                 (5, NODE_INFO, "Node facts.", inline, idempotent, read,
-                    node_info(), (), wire(WireNodeInfo, NodeInfo));
+                    node_info(), (), plain(NodeInfo));
 
                 // List replies convert element by element.
                 (10, LIST_DOMAINS, "All domains.", inline, idempotent, read, custom);
@@ -118,7 +129,7 @@ macro_rules! remote_procedures {
                     delete_snapshot(name: str, value: str), NameStringArgs, unit);
                 (35, DOMAIN_GET_JOB_STATS, "Current/most-recent job stats of a domain.",
                     inline, idempotent, read,
-                    domain_job_stats(name: str), NameArgs, wire(WireJobStats, JobStats));
+                    domain_job_stats(name: str), NameArgs, plain(JobStats));
                 // Inline yet `write`: an abort has to get through when every
                 // ordinary worker is saturated by jobs, but cancelling
                 // someone's migration is no read-only action — and a retried
@@ -152,9 +163,9 @@ macro_rules! remote_procedures {
                 (50, LIST_POOLS, "Pool names.", inline, idempotent, read,
                     list_pools(), (), plain(Vec<String>));
                 (51, POOL_INFO, "Pool facts.", inline, idempotent, read,
-                    pool_info(name: str), NameArgs, wire(WirePool, PoolRecord));
+                    pool_info(name: str), NameArgs, plain(PoolRecord));
                 (52, POOL_DEFINE_XML, "Define pool from XML.", pooled, mutating, write,
-                    define_pool_xml(xml: str), XmlArgs, wire(WirePool, PoolRecord));
+                    define_pool_xml(xml: str), XmlArgs, plain(PoolRecord));
                 (53, POOL_START, "Start pool.", pooled, mutating, write,
                     start_pool(name: str), NameArgs, unit);
                 (54, POOL_STOP, "Stop pool.", pooled, mutating, write,
@@ -164,17 +175,16 @@ macro_rules! remote_procedures {
                 (56, LIST_VOLUMES, "Volume names.", inline, idempotent, read,
                     list_volumes(name: str), NameArgs, plain(Vec<String>));
                 (57, VOLUME_INFO, "Volume facts.", inline, idempotent, read,
-                    volume_info(pool: str, name: str), PoolVolArgs, wire(WireVolume, VolumeRecord));
+                    volume_info(pool: str, name: str), PoolVolArgs, plain(VolumeRecord));
                 (58, VOLUME_CREATE_XML, "Create volume from XML.", pooled, mutating, write,
-                    create_volume_xml(pool: str, xml: str), PoolXmlArgs,
-                    wire(WireVolume, VolumeRecord));
+                    create_volume_xml(pool: str, xml: str), PoolXmlArgs, plain(VolumeRecord));
                 (59, VOLUME_DELETE, "Delete volume.", pooled, mutating, write,
                     delete_volume(pool: str, name: str), PoolVolArgs, unit);
                 (60, VOLUME_RESIZE, "Resize volume.", pooled, mutating, write,
                     resize_volume(pool: str, name: str, capacity_mib: u64), VolResizeArgs, unit);
                 (61, VOLUME_CLONE, "Clone volume.", pooled, mutating, write,
                     clone_volume(pool: str, source: str, new_name: str), VolCloneArgs,
-                    wire(WireVolume, VolumeRecord));
+                    plain(VolumeRecord));
 
                 (70, LIST_NETWORKS, "Network names.", inline, idempotent, read,
                     list_networks(), (), plain(Vec<String>));
@@ -260,10 +270,10 @@ macro_rules! procedure_classes {
         events { $($events:tt)* }
     ) => {
         /// Whether a procedure is high-priority: guaranteed to finish
-        /// without waiting on a hypervisor, so it may run on a priority
-        /// worker even when every ordinary worker is wedged. Mirrors
-        /// libvirt's tagging of lookups/getters — and, as in libvirt, job
-        /// query/abort are here precisely because normal workers are busy
+        /// without waiting on a hypervisor, so the daemon answers it
+        /// inline even when every worker is wedged. Mirrors libvirt's
+        /// tagging of lookups/getters — and, as in libvirt, job
+        /// query/abort are here precisely because the workers are busy
         /// running the jobs.
         pub fn is_high_priority(procedure: u32) -> bool {
             match procedure {
@@ -298,6 +308,54 @@ macro_rules! procedure_classes {
 }
 
 remote_procedures!(procedure_classes);
+
+// Reply records that are their own wire form (`plain(X)` rows, and the
+// custom MIGRATE_PERFORM): the API struct's fields in wire order. The
+// struct lives with its API in `driver`/`job`; its layout lives here.
+xdr_fields!(NodeInfo {
+    hostname,
+    hypervisor,
+    cpus,
+    memory_mib,
+    free_memory_mib,
+    active_domains,
+    inactive_domains,
+});
+xdr_fields!(PoolRecord {
+    name,
+    uuid,
+    backend,
+    capacity_mib,
+    allocation_mib,
+    active,
+    volume_count,
+});
+xdr_fields!(VolumeRecord {
+    name,
+    pool,
+    capacity_mib,
+    allocation_mib,
+    format,
+    path,
+});
+xdr_fields!(MigrationReport {
+    total_ms,
+    downtime_ms,
+    iterations,
+    transferred_mib,
+    converged,
+});
+xdr_fields!(JobStats {
+    kind,
+    state,
+    elapsed_ms,
+    data_total_mib,
+    data_processed_mib,
+    data_remaining_mib,
+    memory_iterations,
+    error,
+    trace_id,
+});
 
 xdr_struct! {
     /// Arguments carrying one name.
@@ -518,33 +576,6 @@ impl From<WireDomain> for DomainRecord {
     }
 }
 
-/// Wire list of domains.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireDomainList(pub Vec<WireDomain>);
-
-impl XdrEncode for WireDomainList {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.0.len() as u32).encode(out);
-        for domain in &self.0 {
-            domain.encode(out);
-        }
-    }
-}
-
-impl XdrDecode for WireDomainList {
-    fn decode(cursor: &mut virt_rpc::xdr::Cursor<'_>) -> Result<Self, virt_rpc::xdr::XdrError> {
-        let len = u32::decode(cursor)?;
-        if len > 1_000_000 {
-            return Err(virt_rpc::xdr::XdrError::LengthTooLarge(len));
-        }
-        let mut items = Vec::with_capacity((len as usize).min(4096));
-        for _ in 0..len {
-            items.push(WireDomain::decode(cursor)?);
-        }
-        Ok(WireDomainList(items))
-    }
-}
-
 xdr_struct! {
     /// Arguments for `GUARD_SET`.
     pub struct GuardSetArgs {
@@ -626,173 +657,6 @@ impl WireGuardStatus {
     }
 }
 
-/// Wire list of guard statuses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireGuardStatusList(pub Vec<WireGuardStatus>);
-
-impl XdrEncode for WireGuardStatusList {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.0.len() as u32).encode(out);
-        for status in &self.0 {
-            status.encode(out);
-        }
-    }
-}
-
-impl XdrDecode for WireGuardStatusList {
-    fn decode(cursor: &mut virt_rpc::xdr::Cursor<'_>) -> Result<Self, virt_rpc::xdr::XdrError> {
-        let len = u32::decode(cursor)?;
-        if len > 1_000_000 {
-            return Err(virt_rpc::xdr::XdrError::LengthTooLarge(len));
-        }
-        let mut items = Vec::with_capacity((len as usize).min(4096));
-        for _ in 0..len {
-            items.push(WireGuardStatus::decode(cursor)?);
-        }
-        Ok(WireGuardStatusList(items))
-    }
-}
-
-xdr_struct! {
-    /// Wire form of node facts.
-    pub struct WireNodeInfo {
-        /// Host name.
-        pub hostname: String,
-        /// Hypervisor kind.
-        pub hypervisor: String,
-        /// Physical CPUs.
-        pub cpus: u32,
-        /// Physical memory in MiB.
-        pub memory_mib: u64,
-        /// Free memory in MiB.
-        pub free_memory_mib: u64,
-        /// Active domain count.
-        pub active_domains: u32,
-        /// Inactive domain count.
-        pub inactive_domains: u32,
-    }
-}
-
-impl From<&NodeInfo> for WireNodeInfo {
-    fn from(n: &NodeInfo) -> Self {
-        WireNodeInfo {
-            hostname: n.hostname.clone(),
-            hypervisor: n.hypervisor.clone(),
-            cpus: n.cpus,
-            memory_mib: n.memory_mib,
-            free_memory_mib: n.free_memory_mib,
-            active_domains: n.active_domains,
-            inactive_domains: n.inactive_domains,
-        }
-    }
-}
-
-impl From<WireNodeInfo> for NodeInfo {
-    fn from(w: WireNodeInfo) -> Self {
-        NodeInfo {
-            hostname: w.hostname,
-            hypervisor: w.hypervisor,
-            cpus: w.cpus,
-            memory_mib: w.memory_mib,
-            free_memory_mib: w.free_memory_mib,
-            active_domains: w.active_domains,
-            inactive_domains: w.inactive_domains,
-        }
-    }
-}
-
-xdr_struct! {
-    /// Wire form of a pool record.
-    pub struct WirePool {
-        /// Name.
-        pub name: String,
-        /// UUID bytes.
-        pub uuid: [u8; 16],
-        /// Backend kind name.
-        pub backend: String,
-        /// Capacity in MiB.
-        pub capacity_mib: u64,
-        /// Allocation in MiB.
-        pub allocation_mib: u64,
-        /// Active flag.
-        pub active: bool,
-        /// Volume count.
-        pub volume_count: u32,
-    }
-}
-
-impl From<&PoolRecord> for WirePool {
-    fn from(p: &PoolRecord) -> Self {
-        WirePool {
-            name: p.name.clone(),
-            uuid: *p.uuid.as_bytes(),
-            backend: p.backend.clone(),
-            capacity_mib: p.capacity_mib,
-            allocation_mib: p.allocation_mib,
-            active: p.active,
-            volume_count: p.volume_count,
-        }
-    }
-}
-
-impl From<WirePool> for PoolRecord {
-    fn from(w: WirePool) -> Self {
-        PoolRecord {
-            name: w.name,
-            uuid: Uuid::from_bytes(w.uuid),
-            backend: w.backend,
-            capacity_mib: w.capacity_mib,
-            allocation_mib: w.allocation_mib,
-            active: w.active,
-            volume_count: w.volume_count,
-        }
-    }
-}
-
-xdr_struct! {
-    /// Wire form of a volume record.
-    pub struct WireVolume {
-        /// Name.
-        pub name: String,
-        /// Owning pool.
-        pub pool: String,
-        /// Capacity in MiB.
-        pub capacity_mib: u64,
-        /// Allocation in MiB.
-        pub allocation_mib: u64,
-        /// Format.
-        pub format: String,
-        /// Path.
-        pub path: String,
-    }
-}
-
-impl From<&VolumeRecord> for WireVolume {
-    fn from(v: &VolumeRecord) -> Self {
-        WireVolume {
-            name: v.name.clone(),
-            pool: v.pool.clone(),
-            capacity_mib: v.capacity_mib,
-            allocation_mib: v.allocation_mib,
-            format: v.format.clone(),
-            path: v.path.clone(),
-        }
-    }
-}
-
-impl From<WireVolume> for VolumeRecord {
-    fn from(w: WireVolume) -> Self {
-        VolumeRecord {
-            name: w.name,
-            pool: w.pool,
-            capacity_mib: w.capacity_mib,
-            allocation_mib: w.allocation_mib,
-            format: w.format,
-            path: w.path,
-        }
-    }
-}
-
 xdr_struct! {
     /// Wire form of a network record. Leases travel as three parallel
     /// arrays (mac/ip/domain) to stay within scalar XDR array support.
@@ -852,46 +716,6 @@ impl From<WireNetwork> for NetworkRecord {
 }
 
 xdr_struct! {
-    /// Wire form of a migration report.
-    pub struct WireMigrationReport {
-        /// Total duration in ms.
-        pub total_ms: u64,
-        /// Downtime in ms.
-        pub downtime_ms: u64,
-        /// Pre-copy iterations.
-        pub iterations: u32,
-        /// Transferred MiB.
-        pub transferred_mib: u64,
-        /// Convergence flag.
-        pub converged: bool,
-    }
-}
-
-impl From<&MigrationReport> for WireMigrationReport {
-    fn from(r: &MigrationReport) -> Self {
-        WireMigrationReport {
-            total_ms: r.total_ms,
-            downtime_ms: r.downtime_ms,
-            iterations: r.iterations,
-            transferred_mib: r.transferred_mib,
-            converged: r.converged,
-        }
-    }
-}
-
-impl From<WireMigrationReport> for MigrationReport {
-    fn from(w: WireMigrationReport) -> Self {
-        MigrationReport {
-            total_ms: w.total_ms,
-            downtime_ms: w.downtime_ms,
-            iterations: w.iterations,
-            transferred_mib: w.transferred_mib,
-            converged: w.converged,
-        }
-    }
-}
-
-xdr_struct! {
     /// Wire form of a lifecycle event.
     pub struct WireEvent {
         /// Domain name.
@@ -926,63 +750,6 @@ impl WireEvent {
             kind: DomainEventKind::from_u32(self.kind)?,
             trace_id: self.trace_id,
         })
-    }
-}
-
-xdr_struct! {
-    /// Wire form of a domain-job stats snapshot.
-    pub struct WireJobStats {
-        /// Job kind discriminant.
-        pub kind: u32,
-        /// Job state discriminant.
-        pub state: u32,
-        /// Virtual-clock ms since the job started.
-        pub elapsed_ms: u64,
-        /// Total data the job expects to move, MiB.
-        pub data_total_mib: u64,
-        /// Data moved so far, MiB.
-        pub data_processed_mib: u64,
-        /// Data still to move, MiB.
-        pub data_remaining_mib: u64,
-        /// Pre-copy iterations completed.
-        pub memory_iterations: u32,
-        /// Failure reason for failed jobs.
-        pub error: String,
-        /// Trace id of the request that started the job, 0 when
-        /// untraced.
-        pub trace_id: u64,
-    }
-}
-
-impl From<&JobStats> for WireJobStats {
-    fn from(s: &JobStats) -> Self {
-        WireJobStats {
-            kind: s.kind.as_u32(),
-            state: s.state.as_u32(),
-            elapsed_ms: s.elapsed_ms,
-            data_total_mib: s.data_total_mib,
-            data_processed_mib: s.data_processed_mib,
-            data_remaining_mib: s.data_remaining_mib,
-            memory_iterations: s.memory_iterations,
-            error: s.error.clone(),
-            trace_id: s.trace_id,
-        }
-    }
-}
-
-impl From<WireJobStats> for JobStats {
-    fn from(w: WireJobStats) -> Self {
-        JobStats {
-            kind: JobKind::from_u32(w.kind),
-            state: JobState::from_u32(w.state),
-            elapsed_ms: w.elapsed_ms,
-            data_total_mib: w.data_total_mib,
-            data_processed_mib: w.data_processed_mib,
-            data_remaining_mib: w.data_remaining_mib,
-            memory_iterations: w.memory_iterations,
-            error: w.error,
-            trace_id: w.trace_id,
-        }
     }
 }
 
@@ -1077,6 +844,7 @@ impl XdrDecode for WireDomainStatsList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobKind, JobState};
     use virt_rpc::xdr::{XdrDecode, XdrEncode};
 
     fn sample_record() -> DomainRecord {
@@ -1116,11 +884,11 @@ mod tests {
 
     #[test]
     fn domain_list_round_trip() {
-        let list = WireDomainList(vec![
+        let list = vec![
             WireDomain::from(&sample_record()),
             WireDomain::from(&sample_record()),
-        ]);
-        let decoded = WireDomainList::from_xdr(&list.to_xdr()).unwrap();
+        ];
+        let decoded = Vec::<WireDomain>::from_xdr(&list.to_xdr()).unwrap();
         assert_eq!(decoded, list);
     }
 
@@ -1135,8 +903,7 @@ mod tests {
             active_domains: 10,
             inactive_domains: 3,
         };
-        let wire = WireNodeInfo::from(&info);
-        let back: NodeInfo = WireNodeInfo::from_xdr(&wire.to_xdr()).unwrap().into();
+        let back = NodeInfo::from_xdr(&info.to_xdr()).unwrap();
         assert_eq!(back, info);
     }
 
@@ -1208,8 +975,7 @@ mod tests {
             error: String::new(),
             trace_id: 0xabad_cafe,
         };
-        let wire = WireJobStats::from(&stats);
-        let back: JobStats = WireJobStats::from_xdr(&wire.to_xdr()).unwrap().into();
+        let back = JobStats::from_xdr(&stats.to_xdr()).unwrap();
         assert_eq!(back, stats);
     }
 
@@ -1321,15 +1087,15 @@ mod tests {
         };
         assert!(unknown.into_status().is_none());
 
-        let list = WireGuardStatusList(vec![WireGuardStatus::from(&GuardStatus {
+        let list = vec![WireGuardStatus::from(&GuardStatus {
             domain: "a".into(),
             policy: GuardPolicy::AutoResume,
             restarts: 0,
             gave_up: false,
             next_retry: None,
             last_event: "armed".into(),
-        })]);
-        let decoded = WireGuardStatusList::from_xdr(&list.to_xdr()).unwrap();
+        })];
+        let decoded = Vec::<WireGuardStatus>::from_xdr(&list.to_xdr()).unwrap();
         assert_eq!(decoded, list);
     }
 

@@ -7,6 +7,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use rand::Rng;
+use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode, XdrError};
 
 use crate::error::{ErrorCode, VirtError};
 
@@ -54,6 +55,19 @@ impl Uuid {
     /// `true` for the all-zero UUID.
     pub fn is_nil(&self) -> bool {
         self.0 == [0; 16]
+    }
+}
+
+/// On the wire a UUID is its 16 bytes, as a fixed opaque.
+impl XdrEncode for Uuid {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+}
+
+impl XdrDecode for Uuid {
+    fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
+        <[u8; 16]>::decode(cursor).map(Uuid)
     }
 }
 

@@ -7,12 +7,26 @@
 //! bytes the current code produces. Any later change that moves a byte
 //! of the frame, the keystream or the MAC fails here — the wire and the
 //! TLS cost model are part of the contract, not an implementation detail.
+//!
+//! The last test pins the reply records that are their own wire form, and
+//! the list replies: its literals were produced on the commit before that
+//! change by the field-for-field `Wire*` structs and `Wire*List` newtypes
+//! the records and the one `Vec` codec replaced.
 
-use virt_core::driver::DomainStatsRecord;
-use virt_core::protocol::{proc, WireDomainStatsList, WireDomainStatsRecord};
+use virt_core::driver::{
+    DomainRecord, DomainState, DomainStatsRecord, MigrationReport, NodeInfo, PoolRecord,
+    VolumeRecord,
+};
+use virt_core::guard::{GuardPolicy, GuardStatus};
+use virt_core::job::{JobKind, JobState, JobStats};
+use virt_core::protocol::{
+    proc, WireDomain, WireDomainStatsList, WireDomainStatsRecord, WireGuardStatus,
+};
 use virt_core::typedparam::{ParamValue, TypedParam, TypedParamList};
+use virt_core::Uuid;
 use virt_rpc::message::{encode_frame, Header, Packet, REMOTE_PROGRAM};
 use virt_rpc::transport::{memory_pair, MemoryTransport, TlsSimTransport, Transport};
+use virt_rpc::xdr::{XdrDecode, XdrEncode};
 
 /// A `CONNECT_GET_ALL_DOMAIN_STATS` reply (serial 7) carrying the three
 /// records of [`records`], length prefix included.
@@ -217,4 +231,163 @@ fn tls_sim_rejects_a_golden_record_with_one_bit_flipped() {
     let err = tls.recv_frame_into(&mut body).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(body.is_empty(), "no unverified byte is handed up");
+}
+
+/// `value` encodes to exactly `golden`, and `golden` decodes back to it.
+fn pin<T: XdrEncode + XdrDecode + PartialEq + std::fmt::Debug>(value: T, golden: &str) {
+    assert_eq!(hex(&value.to_xdr()), golden);
+    assert_eq!(T::from_xdr(&unhex(golden)).unwrap(), value);
+}
+
+fn domain(name: &str, id: Option<u32>, state: DomainState) -> DomainRecord {
+    DomainRecord {
+        name: name.to_string(),
+        uuid: Uuid::from_bytes([name.len() as u8; 16]),
+        id,
+        state,
+        memory_mib: 2048,
+        max_memory_mib: 4096,
+        vcpus: 8,
+        persistent: true,
+        has_managed_save: false,
+        autostart: id.is_some(),
+        cpu_time_ns: 123_456_789,
+    }
+}
+
+#[test]
+fn reply_records_and_lists_encode_as_the_wire_structs_they_replaced() {
+    pin(
+        NodeInfo {
+            hostname: "node-7".into(),
+            hypervisor: "qemu".into(),
+            cpus: 16,
+            memory_mib: 65536,
+            free_memory_mib: 4096,
+            active_domains: 10,
+            inactive_domains: 3,
+        },
+        concat!(
+            "000000066e6f64652d3700000000000471656d75000000100000000000010000",
+            "00000000000010000000000a00000003",
+        ),
+    );
+    pin(
+        PoolRecord {
+            name: "imgs".into(),
+            uuid: Uuid::from_bytes([0x11; 16]),
+            backend: "dir".into(),
+            capacity_mib: 1000,
+            allocation_mib: 300,
+            active: true,
+            volume_count: 2,
+        },
+        concat!(
+            "00000004696d6773111111111111111111111111111111110000000364697200",
+            "00000000000003e8000000000000012c0000000100000002",
+        ),
+    );
+    pin(
+        VolumeRecord {
+            name: "a.img".into(),
+            pool: "imgs".into(),
+            capacity_mib: 200,
+            allocation_mib: 100,
+            format: "raw".into(),
+            path: "/var/lib/virt/imgs/a.img".into(),
+        },
+        concat!(
+            "00000005612e696d6700000000000004696d677300000000000000c800000000",
+            "000000640000000372617700000000182f7661722f6c69622f766972742f696d",
+            "67732f612e696d67",
+        ),
+    );
+    pin(
+        MigrationReport {
+            total_ms: 5321,
+            downtime_ms: 87,
+            iterations: 4,
+            transferred_mib: 2300,
+            converged: true,
+        },
+        "00000000000014c900000000000000570000000400000000000008fc00000001",
+    );
+    pin(
+        JobStats {
+            kind: JobKind::Migration,
+            state: JobState::Failed,
+            elapsed_ms: 1234,
+            data_total_mib: 4096,
+            data_processed_mib: 1024,
+            data_remaining_mib: 3072,
+            memory_iterations: 2,
+            error: "link down".into(),
+            trace_id: 0xabad_cafe,
+        },
+        concat!(
+            "000000010000000300000000000004d200000000000010000000000000000400",
+            "0000000000000c0000000002000000096c696e6b20646f776e00000000000000",
+            "abadcafe",
+        ),
+    );
+
+    let domains: Vec<WireDomain> = [
+        domain("web", Some(4), DomainState::Running),
+        domain("db-1", None, DomainState::Shutoff),
+    ]
+    .iter()
+    .map(WireDomain::from)
+    .collect();
+    pin(
+        domains,
+        concat!(
+            "0000000200000003776562000303030303030303030303030303030300000000",
+            "0000000400000001000000000000080000000000000010000000000800000001",
+            "000000000000000100000000075bcd150000000464622d310404040404040404",
+            "0404040404040404ffffffffffffffff00000000000000000000080000000000",
+            "000010000000000800000001000000000000000000000000075bcd15",
+        ),
+    );
+    let guards: Vec<WireGuardStatus> = [
+        GuardStatus {
+            domain: "web".into(),
+            policy: GuardPolicy::KeepRunning { max_restarts: 6 },
+            restarts: 2,
+            gave_up: false,
+            next_retry: Some(std::time::Duration::from_millis(150)),
+            last_event: "crashed".into(),
+        },
+        GuardStatus {
+            domain: "db-1".into(),
+            policy: GuardPolicy::AutoResume,
+            restarts: 0,
+            gave_up: true,
+            next_retry: None,
+            last_event: "armed".into(),
+        },
+    ]
+    .iter()
+    .map(WireGuardStatus::from)
+    .collect();
+    pin(
+        guards,
+        concat!(
+            "0000000200000003776562000000000100000000000000060000000200000000",
+            "0000000100000000000000960000000763726173686564000000000464622d31",
+            "0000000200000000000000000000000000000001000000000000000000000000",
+            "0000000561726d6564000000",
+        ),
+    );
+    // Scalar lists go through the same codec.
+    pin(vec![1u32, 2, 3], "00000003000000010000000200000003");
+    pin(
+        vec!["a".to_string(), "bcdef".to_string()],
+        "000000020000000161000000000000056263646566000000",
+    );
+
+    // An unknown job kind or state still falls back, never errors.
+    let mut unknown = unhex("0000000900000063");
+    unknown.extend_from_slice(&[0; 48]);
+    let stats = JobStats::from_xdr(&unknown).unwrap();
+    assert_eq!((stats.kind, stats.state), (JobKind::None, JobState::None));
 }

@@ -81,8 +81,7 @@ impl AdminDispatcher {
             }
             proc::THREADPOOL_INFO => {
                 let args: adminproto::ServerArgs = decode(payload)?;
-                let stats = self.server(&args.server)?.pool_stats();
-                adminproto::WirePoolStats::from(stats).to_xdr()
+                self.server(&args.server)?.pool_stats().to_xdr()
             }
             proc::THREADPOOL_SET => {
                 let args: adminproto::ServerParamsArgs = decode(payload)?;
@@ -122,20 +121,19 @@ impl AdminDispatcher {
             }
             proc::CLIENT_LIST => {
                 let args: adminproto::ServerArgs = decode(payload)?;
-                let clients = self.server(&args.server)?.clients();
-                adminproto::WireClientList(clients.iter().map(snapshot_to_wire).collect()).to_xdr()
+                self.server(&args.server)?.clients().to_xdr()
             }
             proc::CLIENT_INFO => {
                 let args: adminproto::ClientArgs = decode(payload)?;
                 let server = self.server(&args.server)?;
-                let snapshot = server
+                server
                     .clients()
                     .into_iter()
                     .find(|c| c.id == args.client)
                     .ok_or_else(|| {
                         VirtError::new(ErrorCode::InvalidArg, format!("no client {}", args.client))
-                    })?;
-                snapshot_to_wire(&snapshot).to_xdr()
+                    })?
+                    .to_xdr()
             }
             proc::CLIENT_DISCONNECT => {
                 let args: adminproto::ClientArgs = decode(payload)?;
@@ -224,13 +222,11 @@ impl AdminDispatcher {
                 let args: adminproto::MetricsFetchArgs = decode(payload)?;
                 let mut snaps = self.registry.snapshot(&args.prefix);
                 snaps.extend(virt_core::client_metrics().snapshot(&args.prefix));
-                adminproto::WireMetricList(
-                    snaps
-                        .into_iter()
-                        .map(adminproto::WireMetric::from)
-                        .collect(),
-                )
-                .to_xdr()
+                let wire: Vec<_> = snaps
+                    .into_iter()
+                    .map(adminproto::WireMetric::from)
+                    .collect();
+                wire.to_xdr()
             }
             proc::TRACE_CONFIG => {
                 let args: adminproto::TraceConfigArgs = decode(payload)?;
@@ -264,13 +260,11 @@ impl AdminDispatcher {
                 if args.clear {
                     recorder.clear();
                 }
-                adminproto::WireTraceEventList(
-                    events
-                        .iter()
-                        .map(adminproto::WireTraceEvent::from)
-                        .collect(),
-                )
-                .to_xdr()
+                let wire: Vec<_> = events
+                    .iter()
+                    .map(adminproto::WireTraceEvent::from)
+                    .collect();
+                wire.to_xdr()
             }
             other => {
                 return Err(VirtError::new(
@@ -280,18 +274,6 @@ impl AdminDispatcher {
             }
         };
         Ok(reply)
-    }
-}
-
-fn snapshot_to_wire(snapshot: &ClientSnapshot) -> adminproto::WireClient {
-    adminproto::WireClient {
-        id: snapshot.id,
-        transport: snapshot.transport.clone(),
-        peer: snapshot.peer.clone(),
-        connected_secs: snapshot.connected_secs,
-        session_secs: snapshot.session_secs,
-        username: snapshot.username.clone(),
-        readonly: snapshot.readonly,
     }
 }
 
@@ -363,13 +345,12 @@ impl AdminClient {
     ///
     /// Unknown server; RPC failures.
     pub fn threadpool_info(&self, server: &str) -> VirtResult<PoolStats> {
-        let wire: adminproto::WirePoolStats = self.call(
+        self.call(
             proc::THREADPOOL_INFO,
             &adminproto::ServerArgs {
                 server: server.to_string(),
             },
-        )?;
-        Ok(wire.into())
+        )
     }
 
     /// Adjusts worker-pool limits via typed parameters.
@@ -397,25 +378,12 @@ impl AdminClient {
     ///
     /// Unknown server.
     pub fn client_list(&self, server: &str) -> VirtResult<Vec<ClientSnapshot>> {
-        let wire: adminproto::WireClientList = self.call(
+        self.call(
             proc::CLIENT_LIST,
             &adminproto::ServerArgs {
                 server: server.to_string(),
             },
-        )?;
-        Ok(wire
-            .0
-            .into_iter()
-            .map(|c| ClientSnapshot {
-                id: c.id,
-                transport: c.transport,
-                peer: c.peer,
-                connected_secs: c.connected_secs,
-                session_secs: c.session_secs,
-                username: c.username,
-                readonly: c.readonly,
-            })
-            .collect())
+        )
     }
 
     /// Identity details of one client.
@@ -424,22 +392,13 @@ impl AdminClient {
     ///
     /// Unknown server or client.
     pub fn client_info(&self, server: &str, client: u64) -> VirtResult<ClientSnapshot> {
-        let wire: adminproto::WireClient = self.call(
+        self.call(
             proc::CLIENT_INFO,
             &adminproto::ClientArgs {
                 server: server.to_string(),
                 client,
             },
-        )?;
-        Ok(ClientSnapshot {
-            id: wire.id,
-            transport: wire.transport,
-            peer: wire.peer,
-            connected_secs: wire.connected_secs,
-            session_secs: wire.session_secs,
-            username: wire.username,
-            readonly: wire.readonly,
-        })
+        )
     }
 
     /// Forcefully closes a client's connection.
@@ -547,13 +506,12 @@ impl AdminClient {
     ///
     /// RPC failures.
     pub fn metrics(&self, prefix: &str) -> VirtResult<Vec<adminproto::WireMetric>> {
-        let wire: adminproto::WireMetricList = self.call(
+        self.call(
             proc::METRICS_FETCH,
             &adminproto::MetricsFetchArgs {
                 prefix: prefix.to_string(),
             },
-        )?;
-        Ok(wire.0)
+        )
     }
 
     /// Reads or updates the daemon's flight-recorder configuration:
@@ -583,9 +541,7 @@ impl AdminClient {
     ///
     /// RPC failures.
     pub fn trace_dump(&self, clear: bool) -> VirtResult<Vec<adminproto::WireTraceEvent>> {
-        let wire: adminproto::WireTraceEventList =
-            self.call(proc::TRACE_DUMP, &adminproto::TraceDumpArgs { clear })?;
-        Ok(wire.0)
+        self.call(proc::TRACE_DUMP, &adminproto::TraceDumpArgs { clear })
     }
 
     /// Closes the admin connection.

@@ -4,11 +4,20 @@
 //! hypervisor: servers, worker pools, connected clients, and logging.
 //! Settable quantities travel as typed-parameter lists so the protocol
 //! can grow fields without breaking compatibility.
+//!
+//! A reply record is defined once: `PoolStats` and `ClientSnapshot` are
+//! the API structs and, by one `xdr_fields!` line each, their own wire
+//! form. The `Wire*` structs that remain differ from what they carry —
+//! an enum flattened into scalar fields ([`WireMetric`]), discriminants
+//! that a newer daemon may extend ([`WireTraceEvent`]) — or back a method
+//! that returns a tuple ([`WireClientLimits`], [`WireLogInfo`]). List
+//! replies are a `Vec` of the record type, encoded by the one list codec
+//! in `virt_rpc::xdr`.
 
 use virt_core::typedparam::TypedParamList;
-use virt_rpc::xdr::{XdrDecode, XdrEncode};
-use virt_rpc::xdr_struct;
-use virt_rpc::PoolStats;
+use virt_rpc::{xdr_fields, xdr_struct};
+
+use crate::server::ClientSnapshot;
 
 /// The admin program, one row per procedure: number, NAME, doc line
 /// (what it does; arguments → reply). Only the number/name half of
@@ -22,11 +31,11 @@ macro_rules! admin_procedures {
             calls {
                 (1, SRV_LIST, "List server names; `()` → server-name list.");
                 (2, THREADPOOL_INFO,
-                    "Worker-pool statistics of a server; `ServerArgs` → `WirePoolStats`.");
+                    "Worker-pool statistics of a server; `ServerArgs` → `PoolStats`.");
                 (3, THREADPOOL_SET, "Adjust worker-pool limits; `ServerParamsArgs` → `()`.");
                 (4, CLIENT_LIST,
-                    "List connected clients of a server; `ServerArgs` → `WireClientList`.");
-                (5, CLIENT_INFO, "Identity details of one client; `ClientArgs` → `WireClient`.");
+                    "List connected clients of a server; `ServerArgs` → `ClientSnapshot` list.");
+                (5, CLIENT_INFO, "Identity details of one client; `ClientArgs` → `ClientSnapshot`.");
                 (6, CLIENT_DISCONNECT, "Forcefully disconnect a client; `ClientArgs` → `()`.");
                 (7, CLIENT_LIMITS_INFO,
                     "Client-limit statistics of a server; `ServerArgs` → `WireClientLimits`.");
@@ -38,11 +47,11 @@ macro_rules! admin_procedures {
                 (12, LOG_SET_OUTPUTS, "Replace the logging output set; output string → `()`.");
                 (13, METRICS_LIST, "List registered metric names; `()` → metric-name list.");
                 (14, METRICS_FETCH,
-                    "Fetch a metrics snapshot, optionally by name prefix; `MetricsFetchArgs` → `WireMetricList`.");
+                    "Fetch a metrics snapshot, optionally by name prefix; `MetricsFetchArgs` → `WireMetric` list.");
                 (15, TRACE_CONFIG,
                     "Read or change flight-recorder settings; `TraceConfigArgs` → `WireTraceConfig`.");
                 (16, TRACE_DUMP,
-                    "Drain the flight recorder's buffered events; `TraceDumpArgs` → `WireTraceEventList`.");
+                    "Drain the flight recorder's buffered events; `TraceDumpArgs` → `WireTraceEvent` list.");
             }
             events {}
         }
@@ -55,6 +64,19 @@ pub mod proc {
 
     admin_procedures!(procedure_numbers);
 }
+
+// Reply records that are their own wire form: the fields in wire order.
+// `PoolStats` (`THREADPOOL_INFO`) is one too; its line is in
+// `virt_rpc::pool`, the crate that owns the type.
+xdr_fields!(ClientSnapshot {
+    id,
+    transport,
+    peer,
+    connected_secs,
+    session_secs,
+    username,
+    readonly,
+});
 
 /// Typed-parameter field: minimum ordinary workers.
 pub const PARAM_WORKERS_MIN: &str = "minWorkers";
@@ -90,98 +112,6 @@ xdr_struct! {
         pub server: String,
         /// Parameters to apply.
         pub params: TypedParamList,
-    }
-}
-
-xdr_struct! {
-    /// Worker-pool statistics on the wire.
-    pub struct WirePoolStats {
-        /// Configured minimum.
-        pub min_workers: u32,
-        /// Configured maximum.
-        pub max_workers: u32,
-        /// Alive ordinary workers.
-        pub current_workers: u32,
-        /// Idle ordinary workers.
-        pub free_workers: u32,
-        /// Priority workers.
-        pub priority_workers: u32,
-        /// Queued jobs.
-        pub job_queue_depth: u32,
-    }
-}
-
-impl From<PoolStats> for WirePoolStats {
-    fn from(s: PoolStats) -> Self {
-        WirePoolStats {
-            min_workers: s.min_workers,
-            max_workers: s.max_workers,
-            current_workers: s.current_workers,
-            free_workers: s.free_workers,
-            priority_workers: s.priority_workers,
-            job_queue_depth: s.job_queue_depth,
-        }
-    }
-}
-
-impl From<WirePoolStats> for PoolStats {
-    fn from(w: WirePoolStats) -> Self {
-        PoolStats {
-            min_workers: w.min_workers,
-            max_workers: w.max_workers,
-            current_workers: w.current_workers,
-            free_workers: w.free_workers,
-            priority_workers: w.priority_workers,
-            job_queue_depth: w.job_queue_depth,
-        }
-    }
-}
-
-xdr_struct! {
-    /// One client on the wire.
-    pub struct WireClient {
-        /// Client id.
-        pub id: u64,
-        /// Transport name.
-        pub transport: String,
-        /// Peer description.
-        pub peer: String,
-        /// Connect time (seconds since epoch), for display.
-        pub connected_secs: u64,
-        /// Session age in seconds from a monotonic clock, immune to
-        /// wall-clock jumps.
-        pub session_secs: u64,
-        /// Authenticated username, empty when unauthenticated.
-        pub username: String,
-        /// Whether the session is read-only.
-        pub readonly: bool,
-    }
-}
-
-/// Wire list of clients.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireClientList(pub Vec<WireClient>);
-
-impl XdrEncode for WireClientList {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.0.len() as u32).encode(out);
-        for client in &self.0 {
-            client.encode(out);
-        }
-    }
-}
-
-impl XdrDecode for WireClientList {
-    fn decode(cursor: &mut virt_rpc::xdr::Cursor<'_>) -> Result<Self, virt_rpc::xdr::XdrError> {
-        let len = u32::decode(cursor)?;
-        if len > 1_000_000 {
-            return Err(virt_rpc::xdr::XdrError::LengthTooLarge(len));
-        }
-        let mut items = Vec::with_capacity((len as usize).min(4096));
-        for _ in 0..len {
-            items.push(WireClient::decode(cursor)?);
-        }
-        Ok(WireClientList(items))
     }
 }
 
@@ -234,33 +164,6 @@ xdr_struct! {
         pub hist_sum_ns: u64,
         /// Histogram per-bucket counts; empty otherwise.
         pub hist_buckets: Vec<u64>,
-    }
-}
-
-/// Wire list of metric snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireMetricList(pub Vec<WireMetric>);
-
-impl XdrEncode for WireMetricList {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.0.len() as u32).encode(out);
-        for metric in &self.0 {
-            metric.encode(out);
-        }
-    }
-}
-
-impl XdrDecode for WireMetricList {
-    fn decode(cursor: &mut virt_rpc::xdr::Cursor<'_>) -> Result<Self, virt_rpc::xdr::XdrError> {
-        let len = u32::decode(cursor)?;
-        if len > 1_000_000 {
-            return Err(virt_rpc::xdr::XdrError::LengthTooLarge(len));
-        }
-        let mut items = Vec::with_capacity((len as usize).min(4096));
-        for _ in 0..len {
-            items.push(WireMetric::decode(cursor)?);
-        }
-        Ok(WireMetricList(items))
     }
 }
 
@@ -363,33 +266,6 @@ xdr_struct! {
     }
 }
 
-/// Wire list of trace events.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireTraceEventList(pub Vec<WireTraceEvent>);
-
-impl XdrEncode for WireTraceEventList {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.0.len() as u32).encode(out);
-        for event in &self.0 {
-            event.encode(out);
-        }
-    }
-}
-
-impl XdrDecode for WireTraceEventList {
-    fn decode(cursor: &mut virt_rpc::xdr::Cursor<'_>) -> Result<Self, virt_rpc::xdr::XdrError> {
-        let len = u32::decode(cursor)?;
-        if len > 1_000_000 {
-            return Err(virt_rpc::xdr::XdrError::LengthTooLarge(len));
-        }
-        let mut items = Vec::with_capacity((len as usize).min(4096));
-        for _ in 0..len {
-            items.push(WireTraceEvent::decode(cursor)?);
-        }
-        Ok(WireTraceEventList(items))
-    }
-}
-
 impl From<&virt_core::metrics::recorder::TraceEvent> for WireTraceEvent {
     fn from(e: &virt_core::metrics::recorder::TraceEvent) -> Self {
         WireTraceEvent {
@@ -440,6 +316,8 @@ xdr_struct! {
 mod tests {
     use super::*;
     use virt_core::typedparam::TypedParam;
+    use virt_rpc::xdr::{XdrDecode, XdrEncode};
+    use virt_rpc::PoolStats;
 
     #[test]
     fn pool_stats_round_trip() {
@@ -451,14 +329,13 @@ mod tests {
             priority_workers: 5,
             job_queue_depth: 12,
         };
-        let wire = WirePoolStats::from(stats);
-        let back: PoolStats = WirePoolStats::from_xdr(&wire.to_xdr()).unwrap().into();
+        let back = PoolStats::from_xdr(&stats.to_xdr()).unwrap();
         assert_eq!(back, stats);
     }
 
     #[test]
     fn client_list_round_trip() {
-        let list = WireClientList(vec![WireClient {
+        let list = vec![ClientSnapshot {
             id: 3,
             transport: "tcp".into(),
             peer: "10.0.0.1:4444".into(),
@@ -466,14 +343,14 @@ mod tests {
             session_secs: 42,
             username: "admin".into(),
             readonly: true,
-        }]);
-        let decoded = WireClientList::from_xdr(&list.to_xdr()).unwrap();
+        }];
+        let decoded = Vec::<ClientSnapshot>::from_xdr(&list.to_xdr()).unwrap();
         assert_eq!(decoded, list);
     }
 
     #[test]
     fn metric_list_round_trip() {
-        let list = WireMetricList(vec![
+        let list = vec![
             WireMetric {
                 name: "rpc.calls".into(),
                 help: "Total RPC calls dispatched".into(),
@@ -492,8 +369,8 @@ mod tests {
                 hist_sum_ns: 9_000,
                 hist_buckets: vec![0, 1, 2, 0],
             },
-        ]);
-        let decoded = WireMetricList::from_xdr(&list.to_xdr()).unwrap();
+        ];
+        let decoded = Vec::<WireMetric>::from_xdr(&list.to_xdr()).unwrap();
         assert_eq!(decoded, list);
     }
 
@@ -542,7 +419,7 @@ mod tests {
         };
         assert_eq!(WireTraceConfig::from_xdr(&config.to_xdr()).unwrap(), config);
 
-        let list = WireTraceEventList(vec![WireTraceEvent {
+        let list = vec![WireTraceEvent {
             trace_id: 0xaa,
             span_id: 0xbb,
             parent_id: 0,
@@ -551,16 +428,16 @@ mod tests {
             t_ns: 123,
             dur_ns: 456,
             detail: 7,
-        }]);
-        let decoded = WireTraceEventList::from_xdr(&list.to_xdr()).unwrap();
+        }];
+        let decoded = Vec::<WireTraceEvent>::from_xdr(&list.to_xdr()).unwrap();
         assert_eq!(decoded, list);
-        let event = decoded.0[0].clone().into_event().unwrap();
+        let event = decoded[0].clone().into_event().unwrap();
         assert_eq!(event.stage, virt_core::metrics::span::Stage::Dispatch);
         assert_eq!(event.dur_ns, 456);
         // Unknown stage discriminants are dropped, not mis-decoded.
         let unknown = WireTraceEvent {
             stage: 99,
-            ..list.0[0].clone()
+            ..list[0].clone()
         };
         assert!(unknown.into_event().is_none());
     }

@@ -291,8 +291,8 @@ impl RemoteDispatcher {
             proc::GET_CAPABILITIES => c.capabilities()?.to_xml_string().to_xdr(),
             proc::LIST_DOMAINS => {
                 let records = c.list_domains()?;
-                protocol::WireDomainList(records.iter().map(protocol::WireDomain::from).collect())
-                    .to_xdr()
+                let wire: Vec<_> = records.iter().map(protocol::WireDomain::from).collect();
+                wire.to_xdr()
             }
             proc::DOMAIN_LOOKUP_ID => {
                 let args: protocol::NameU32Args = decode(payload)?;
@@ -308,8 +308,7 @@ impl RemoteDispatcher {
             }
             proc::MIGRATE_PERFORM => {
                 let args: protocol::MigratePerformArgs = decode(payload)?;
-                let report = c.migrate_perform(&args.name, &args.to_options())?;
-                protocol::WireMigrationReport::from(&report).to_xdr()
+                c.migrate_perform(&args.name, &args.to_options())?.to_xdr()
             }
             proc::GUARD_SET => {
                 let args: protocol::GuardSetArgs = decode(payload)?;
@@ -324,13 +323,11 @@ impl RemoteDispatcher {
             }
             proc::GUARD_LIST => {
                 let statuses = c.guard_list()?;
-                protocol::WireGuardStatusList(
-                    statuses
-                        .iter()
-                        .map(protocol::WireGuardStatus::from)
-                        .collect(),
-                )
-                .to_xdr()
+                let wire: Vec<_> = statuses
+                    .iter()
+                    .map(protocol::WireGuardStatus::from)
+                    .collect();
+                wire.to_xdr()
             }
             proc::GUARD_STATUS => {
                 let args: protocol::NameArgs = decode(payload)?;

@@ -704,11 +704,17 @@ impl Server {
         // High-priority procedures are guaranteed to finish without
         // waiting on a hypervisor, so — like keepalive above — they are
         // answered inline on the event (or reader) thread instead of
-        // paying two thread handoffs through the pool. The priority
-        // workers still exist for pooled paths (and as spare capacity
-        // while an inline call is on this thread's stack); everything
-        // that can block rides the ordinary pool, keeping the thread
-        // free to notice disconnects on its other connections.
+        // paying two thread handoffs through the pool; everything that
+        // can block rides the ordinary pool, keeping this thread free to
+        // notice disconnects on its other connections.
+        //
+        // That leaves the pool's priority workers with nothing to do: the
+        // `submit` below is the daemon's only one and passes `false`, so
+        // they sit parked — 5 on the main server, 1 on the admin server,
+        // whose dispatcher classes every procedure high-priority and so
+        // never reaches its pool at all. They are kept only because the
+        // benchmark package still names `submit(false, ..)` and
+        // `PoolLimits::new()` (ROADMAP item 2).
         if self.dispatcher.is_high_priority(header.procedure) {
             let _trace = span::server_enter(
                 header.trace_id,
@@ -894,6 +900,9 @@ mod tests {
         let reply: String = client.call(REMOTE_PROGRAM, 1, &"ping".to_string()).unwrap();
         assert_eq!(reply, "ping");
         assert_eq!(server.client_count(), 1);
+        // The reply leaves from inside the job; the worker counts the job
+        // only once it has returned.
+        server.pool.quiesce();
         assert_eq!(server.jobs_completed(), 1);
         client.close();
         server.shutdown();
@@ -1216,6 +1225,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        server.pool.quiesce();
         assert_eq!(server.jobs_completed(), 400);
         server.shutdown();
     }

@@ -466,11 +466,6 @@ impl FleetManager {
         &self.logger
     }
 
-    /// Member host names, in membership order.
-    pub fn host_names(&self) -> Vec<String> {
-        self.hosts.iter().map(|h| h.name.clone()).collect()
-    }
-
     /// Swaps the placement policy at runtime.
     pub fn set_policy(&self, policy: Box<dyn PlacementPolicy>) {
         *self.policy.lock() = policy;
@@ -1002,11 +997,6 @@ impl FleetManager {
                 }
             }
         }
-    }
-
-    /// Deferred reconciliations waiting for a host to come back.
-    pub fn pending_reconciliations(&self) -> usize {
-        self.pending.lock().len()
     }
 
     // ---- guard failover ---------------------------------------------------

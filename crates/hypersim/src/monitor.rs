@@ -131,11 +131,6 @@ impl Monitor {
         }
     }
 
-    /// The domain this monitor is attached to.
-    pub fn domain_name(&self) -> &str {
-        &self.domain
-    }
-
     /// Parses and executes one command line, returning the response line.
     pub fn execute_line(&self, line: &str) -> SimResult<String> {
         self.execute(&MonitorCommand::parse(line)?)

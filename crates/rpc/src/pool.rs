@@ -118,6 +118,18 @@ pub struct PoolStats {
     pub job_queue_depth: u32,
 }
 
+// The admin program's `THREADPOOL_INFO` reply, fields in wire order. Stated
+// here and not beside the admin table because the impl must live in the
+// crate that owns the type.
+crate::xdr_fields!(PoolStats {
+    min_workers,
+    max_workers,
+    current_workers,
+    free_workers,
+    priority_workers,
+    job_queue_depth,
+});
+
 struct PoolState {
     limits: PoolLimits,
     queue: VecDeque<QueuedJob>,
@@ -280,17 +292,6 @@ impl WorkerPool {
     /// Total jobs completed since start.
     pub fn completed(&self) -> u64 {
         self.inner.metrics.completed.get()
-    }
-
-    /// Snapshot of the job wait-time histogram (time queued before a
-    /// worker picked the job up).
-    pub fn wait_histogram(&self) -> virt_metrics::HistogramSnapshot {
-        self.inner.metrics.wait_us.snapshot()
-    }
-
-    /// Snapshot of the job run-time histogram.
-    pub fn run_histogram(&self) -> virt_metrics::HistogramSnapshot {
-        self.inner.metrics.run_us.snapshot()
     }
 
     /// Publishes the pool's metric instances into `registry` under

@@ -20,6 +20,8 @@
 //! by the first framed receive — a socket the daemon's event loops drive
 //! through [`Transport::try_read`] never has one.
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -236,6 +238,69 @@ pub trait Transport: Send + Sync {
     /// Registers (or clears) the readiness callback of a
     /// [`Readiness::Notify`] transport. No-op on other transports.
     fn set_ready_notifier(&self, _notifier: Option<ReadyNotifier>) {}
+}
+
+/// A boxed transport is a transport: what a [`Listener`] hands out can go
+/// straight into a generic wrapper such as [`TlsSimTransport`]. Every
+/// method forwards, the defaulted ones included — falling back to a
+/// default here would silently trade the inner transport's buffered
+/// receive, single-write send or readiness contract for the slow path.
+impl Transport for Box<dyn Transport> {
+    fn send_frame(&self, body: &[u8]) -> io::Result<()> {
+        (**self).send_frame(body)
+    }
+
+    fn recv_frame(&self) -> io::Result<Vec<u8>> {
+        (**self).recv_frame()
+    }
+
+    fn send_framed(&self, frame: &[u8]) -> io::Result<()> {
+        (**self).send_framed(frame)
+    }
+
+    fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
+        (**self).recv_frame_into(buf)
+    }
+
+    fn recv_frame_until(&self, buf: &mut Vec<u8>, deadline: Option<Instant>) -> io::Result<usize> {
+        (**self).recv_frame_until(buf, deadline)
+    }
+
+    fn kind(&self) -> TransportKind {
+        (**self).kind()
+    }
+
+    fn peer(&self) -> String {
+        (**self).peer()
+    }
+
+    fn shutdown(&self) -> io::Result<()> {
+        (**self).shutdown()
+    }
+
+    fn readiness(&self) -> Readiness {
+        (**self).readiness()
+    }
+
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        (**self).set_nonblocking(on)
+    }
+
+    fn try_read(&self, buf: &mut [u8]) -> io::Result<usize> {
+        (**self).try_read(buf)
+    }
+
+    fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
+        (**self).try_write(buf)
+    }
+
+    fn try_recv_frame(&self) -> io::Result<Option<Vec<u8>>> {
+        (**self).try_recv_frame()
+    }
+
+    fn set_ready_notifier(&self, notifier: Option<ReadyNotifier>) {
+        (**self).set_ready_notifier(notifier);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1207,6 +1272,28 @@ impl Listener for TcpSocketListener {
     }
 }
 
+/// TLS-sim listener: a TCP listener whose every accepted connection has
+/// already been through the server side of the TLS-sim handshake.
+pub struct TlsSimListener(pub TcpSocketListener);
+
+impl Listener for TlsSimListener {
+    fn accept(&self) -> io::Result<Box<dyn Transport>> {
+        let inner = self.0.accept()?;
+        // The nonce only seeds the toy keystream; the standard library's
+        // per-process hash seed is randomness enough.
+        let nonce = RandomState::new().build_hasher().finish();
+        Ok(Box::new(TlsSimTransport::server(inner, nonce)?))
+    }
+
+    fn local_desc(&self) -> String {
+        format!("tls:{}", self.0.local_desc())
+    }
+
+    fn close(&self) {
+        self.0.close();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1374,6 +1461,38 @@ mod tests {
             client.stats().bytes_protected.load(Ordering::Relaxed),
             2048 + 64
         );
+    }
+
+    #[test]
+    fn tls_sim_listener_hands_out_handshaken_connections() {
+        let tcp = TcpSocketListener::bind("127.0.0.1:0").unwrap();
+        let addr = tcp.local_addr().to_string();
+        let listener = TlsSimListener(tcp);
+        assert_eq!(listener.local_desc(), format!("tls:tcp:{addr}"));
+        let accepted = std::thread::spawn(move || listener.accept().unwrap());
+        let client = TlsSimTransport::client(TcpTransport::connect(&addr).unwrap(), 7).unwrap();
+        let server = accepted.join().unwrap();
+
+        client.send_frame(&frame(300)).unwrap();
+        assert_eq!(server.recv_frame().unwrap(), frame(300));
+        assert_eq!(server.kind(), TransportKind::Tls);
+    }
+
+    #[test]
+    fn boxed_transport_forwards_the_whole_surface() {
+        let (a, b) = memory_pair();
+        let boxed: Box<dyn Transport> = Box::new(a);
+        // Not the trait's `Blocking` default: the inner contract shows.
+        assert_eq!(Transport::readiness(&boxed), Readiness::Notify);
+        assert!(Transport::try_recv_frame(&boxed).unwrap().is_none());
+        b.send_frame(&frame(9)).unwrap();
+        assert_eq!(Transport::try_recv_frame(&boxed).unwrap(), Some(frame(9)));
+        let mut framed = 9u32.to_be_bytes().to_vec();
+        framed.extend_from_slice(&frame(9));
+        Transport::send_framed(&boxed, &framed).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(b.recv_frame_until(&mut buf, None).unwrap(), 9);
+        assert_eq!(Transport::peer(&boxed), "memory:a");
     }
 
     #[test]

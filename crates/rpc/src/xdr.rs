@@ -17,8 +17,9 @@
 use std::error::Error;
 use std::fmt;
 
-/// Maximum length accepted for variable-size items (strings, opaques,
-/// arrays). Prevents a hostile peer from forcing enormous allocations.
+/// Maximum byte length accepted for strings and opaques. Prevents a
+/// hostile peer from forcing enormous allocations; arrays have their own
+/// cap, [`MAX_LIST_LEN`].
 pub const MAX_ITEM_LEN: u32 = 16 * 1024 * 1024;
 
 /// An XDR decoding failure.
@@ -331,42 +332,82 @@ impl<T: XdrDecode> XdrDecode for Option<T> {
     }
 }
 
-/// Variable-length arrays of encodable values.
-///
-/// Note: `Vec<u8>` is opaque data (above), not an array of `u8` items; an
-/// array of integers would be `Vec<u32>` etc.
-macro_rules! impl_xdr_vec {
-    ($($t:ty),*) => {
-        $(
-            impl XdrEncode for Vec<$t> {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    (self.len() as u32).encode(out);
-                    for item in self {
-                        item.encode(out);
-                    }
-                }
-            }
+/// Most elements a decoded array may declare.
+pub const MAX_LIST_LEN: u32 = 1_000_000;
 
-            impl XdrDecode for Vec<$t> {
-                fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
-                    let len = u32::decode(cursor)?;
-                    if len > MAX_ITEM_LEN {
-                        return Err(XdrError::LengthTooLarge(len));
-                    }
-                    let mut items = Vec::with_capacity((len as usize).min(4096));
-                    for _ in 0..len {
-                        items.push(<$t>::decode(cursor)?);
-                    }
-                    Ok(items)
-                }
+/// Variable-length arrays: a `u32` element count, then the elements. The
+/// one list codec of both programs — every list reply is a `Vec` of its
+/// record type.
+///
+/// Note: `Vec<u8>` is opaque data (above), not an array of `u8` items —
+/// `u8` has no XDR form of its own, which is what keeps the two impls
+/// apart.
+impl<T: XdrEncode> XdrEncode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).encode(out);
+        for item in self {
+            item.encode(out);
+        }
+    }
+}
+
+impl<T: XdrDecode> XdrDecode for Vec<T> {
+    fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
+        let len = u32::decode(cursor)?;
+        if len > MAX_LIST_LEN {
+            return Err(XdrError::LengthTooLarge(len));
+        }
+        // A declared length alone reserves no more than 4096 elements.
+        let mut items = Vec::with_capacity((len as usize).min(4096));
+        for _ in 0..len {
+            items.push(T::decode(cursor)?);
+        }
+        Ok(items)
+    }
+}
+
+/// XDR impls for a struct defined elsewhere: its fields in wire order.
+///
+/// For an API record that is its own wire form — the struct stays where
+/// its API lives and the protocol file states the layout in one line:
+///
+/// ```
+/// use virt_rpc::xdr::{XdrDecode, XdrEncode};
+/// use virt_rpc::xdr_fields;
+///
+/// #[derive(Debug, PartialEq)]
+/// pub struct Record {
+///     pub id: u32,
+///     pub name: String,
+/// }
+///
+/// xdr_fields!(Record { name, id });
+///
+/// let rec = Record { id: 9, name: "x".into() };
+/// assert_eq!(rec.to_xdr(), [0, 0, 0, 1, b'x', 0, 0, 0, 0, 0, 0, 9]);
+/// assert_eq!(Record::from_xdr(&rec.to_xdr()).unwrap(), rec);
+/// ```
+#[macro_export]
+macro_rules! xdr_fields {
+    ($name:ty { $($field:ident),* $(,)? }) => {
+        impl $crate::xdr::XdrEncode for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::xdr::XdrEncode::encode(&self.$field, out);)*
             }
-        )*
+        }
+
+        impl $crate::xdr::XdrDecode for $name {
+            fn decode(cursor: &mut $crate::xdr::Cursor<'_>) -> Result<Self, $crate::xdr::XdrError> {
+                Ok(Self {
+                    $($field: $crate::xdr::XdrDecode::decode(cursor)?,)*
+                })
+            }
+        }
     };
 }
 
-impl_xdr_vec!(u32, u64, i32, i64, String);
-
-/// Derives tuple-style struct encoding: fields in declaration order.
+/// Defines a wire struct and derives its tuple-style encoding: fields in
+/// declaration order.
 ///
 /// Used by the protocol message definitions in `virt-core` and `virtd`:
 ///
@@ -395,19 +436,7 @@ macro_rules! xdr_struct {
             $($(#[$fmeta])* pub $field: $ftype,)*
         }
 
-        impl $crate::xdr::XdrEncode for $name {
-            fn encode(&self, out: &mut Vec<u8>) {
-                $(self.$field.encode(out);)*
-            }
-        }
-
-        impl $crate::xdr::XdrDecode for $name {
-            fn decode(cursor: &mut $crate::xdr::Cursor<'_>) -> Result<Self, $crate::xdr::XdrError> {
-                Ok($name {
-                    $($field: <$ftype as $crate::xdr::XdrDecode>::decode(cursor)?,)*
-                })
-            }
-        }
+        $crate::xdr_fields!($name { $($field),* });
     };
 }
 
@@ -519,6 +548,43 @@ mod tests {
         assert!(matches!(err, XdrError::LengthTooLarge(_)));
         let err = Vec::<u32>::from_xdr(&buf).unwrap_err();
         assert!(matches!(err, XdrError::LengthTooLarge(_)));
+    }
+
+    #[test]
+    fn list_length_is_capped_whatever_the_element() {
+        let over = (MAX_LIST_LEN + 1).to_xdr();
+        assert_eq!(
+            Vec::<u64>::from_xdr(&over).unwrap_err(),
+            XdrError::LengthTooLarge(MAX_LIST_LEN + 1)
+        );
+        assert_eq!(
+            Vec::<Sample>::from_xdr(&over).unwrap_err(),
+            XdrError::LengthTooLarge(MAX_LIST_LEN + 1)
+        );
+        // At the cap the declared length is believed only as far as the
+        // bytes behind it go.
+        let err = Vec::<Sample>::from_xdr(&MAX_LIST_LEN.to_xdr()).unwrap_err();
+        assert!(matches!(err, XdrError::UnexpectedEnd { .. }));
+    }
+
+    #[test]
+    fn lists_of_structs_and_of_opaques_round_trip() {
+        let sample = Sample {
+            name: "a".to_string(),
+            id: 1,
+            tags: vec![],
+            uuid: [3; 16],
+            maybe: None,
+        };
+        round_trip(vec![sample.clone(), sample]);
+        round_trip(Vec::<Sample>::new());
+        // A list of opaques is a list; a lone `Vec<u8>` stays opaque data.
+        round_trip(vec![vec![1u8, 2, 3], vec![]]);
+        assert_eq!(
+            vec![vec![9u8]].to_xdr(),
+            [0, 0, 0, 1, 0, 0, 0, 1, 9, 0, 0, 0]
+        );
+        assert_eq!(vec![9u8].to_xdr(), [0, 0, 0, 1, 9, 0, 0, 0]);
     }
 
     #[test]

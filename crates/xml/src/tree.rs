@@ -105,11 +105,6 @@ impl Element {
         &self.name
     }
 
-    /// Renames the element.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Looks up an attribute value by name.
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attrs

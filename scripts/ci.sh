@@ -55,6 +55,30 @@ for f in crates/core/src/protocol.rs crates/daemon/src/adminproto.rs; do
     fi
 done
 
+# A reply record is defined once (the API struct plus one xdr_fields!
+# line) and every list reply is a Vec through the one codec in xdr.rs.
+# The two shapes the old copies took: a `Wire*List` newtype (the
+# bulk-stats list, with its exact-size encoder, is the one exception) and
+# the copied length-prefixed decode loop (typedparam.rs sizes its own by
+# the bytes behind the count).
+echo "== hygiene: no Wire*List newtypes, no second list decode loop =="
+if grep -rnE 'struct Wire\w*List' crates --include='*.rs' | grep -v 'struct WireDomainStatsList'; then
+    echo "error: new Wire*List newtype — a list reply is a Vec<T>; xdr.rs has the codec" >&2
+    exit 1
+fi
+if grep -rnF 'with_capacity((len as usize).min(4096))' crates --include='*.rs' \
+    | grep -v -e '^crates/rpc/src/xdr.rs:' -e '^crates/core/src/typedparam.rs:'; then
+    echo "error: a second length-prefixed list decode loop — use Vec<T>'s XdrDecode" >&2
+    exit 1
+fi
+
+# Both programs byte for byte: every frame of a scripted session of each
+# against golden transcripts captured before the tables and records were
+# folded, plus the per-record codec literals.
+echo "== wire: remote and admin programs pinned to golden bytes =="
+cargo test -q --offline --test wire_procedures --test admin_wire
+cargo test -q --offline -p virt-core --test wire_golden
+
 # Perf smoke: the framing hot path must stay allocation-free once warm.
 # Release mode — the counting-allocator bound is calibrated for it, and
 # debug-mode Vec growth heuristics differ.

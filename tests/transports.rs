@@ -5,9 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use virt_core::xmlfmt::DomainConfig;
 use virt_core::{Connect, DomainState};
-use virt_rpc::transport::{
-    Listener, TcpSocketListener, TlsSimTransport, Transport, UnixSocketListener,
-};
+use virt_rpc::transport::{TcpSocketListener, TlsSimListener, UnixSocketListener};
 use virtd::Virtd;
 
 fn unique(name: &str) -> String {
@@ -69,52 +67,6 @@ fn tcp_transport_end_to_end() {
     daemon.shutdown();
 }
 
-/// A listener adapter that wraps every accepted TCP connection in the
-/// server side of the TLS-sim handshake.
-struct TlsListener(TcpSocketListener);
-
-impl Listener for TlsListener {
-    fn accept(&self) -> std::io::Result<Box<dyn Transport>> {
-        let inner = self.0.accept()?;
-        let tls = TlsSimTransport::server(ArcTransport(inner.into()), rand::random())?;
-        Ok(Box::new(tls))
-    }
-
-    fn local_desc(&self) -> String {
-        format!("tls:{}", self.0.local_desc())
-    }
-
-    fn close(&self) {
-        self.0.close();
-    }
-}
-
-/// Adapter: `Box<dyn Transport>` itself does not implement `Transport`
-/// for the generic TLS wrapper, so wrap it.
-struct ArcTransport(std::sync::Arc<dyn Transport>);
-
-impl Transport for ArcTransport {
-    fn send_frame(&self, body: &[u8]) -> std::io::Result<()> {
-        self.0.send_frame(body)
-    }
-
-    fn recv_frame(&self) -> std::io::Result<Vec<u8>> {
-        self.0.recv_frame()
-    }
-
-    fn kind(&self) -> virt_rpc::TransportKind {
-        self.0.kind()
-    }
-
-    fn peer(&self) -> String {
-        self.0.peer()
-    }
-
-    fn shutdown(&self) -> std::io::Result<()> {
-        self.0.shutdown()
-    }
-}
-
 #[test]
 fn tls_sim_transport_end_to_end() {
     let daemon = Virtd::builder(unique("tls"))
@@ -123,7 +75,7 @@ fn tls_sim_transport_end_to_end() {
         .unwrap();
     let listener = TcpSocketListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().to_string();
-    daemon.serve(Box::new(TlsListener(listener)));
+    daemon.serve(Box::new(TlsSimListener(listener)));
 
     let (host, port) = addr.rsplit_once(':').unwrap();
     // `+tls` in the URI drives the client-side handshake.

@@ -5,7 +5,7 @@
 //! for a new guest. This module is the typed form plus its XML encoding
 //! (capabilities travel over the RPC boundary as XML text, as in libvirt).
 
-use virt_xml::Element;
+use virt_xml::{Document, Element};
 
 use crate::error::{ErrorCode, VirtError, VirtResult};
 
@@ -56,7 +56,8 @@ impl Capabilities {
     ///
     /// [`ErrorCode::XmlError`] on schema violations.
     pub fn from_xml_str(xml: &str) -> VirtResult<Capabilities> {
-        let el = Element::parse(xml)?;
+        let doc = Document::parse(xml)?;
+        let el = doc.root();
         if el.name() != "capabilities" {
             return Err(VirtError::new(
                 ErrorCode::XmlError,

@@ -28,7 +28,7 @@ use crate::metrics::span::{self, Stage};
 use crate::metrics::{Histogram, Registry};
 use crate::statestore::{DomainStatus, ObjectKind, StateStore, StoreOp};
 use crate::uuid::Uuid;
-use crate::xmlfmt::{DomainConfig, NetworkConfig, PoolConfig, VolumeConfig};
+use crate::xmlfmt::{DiskConfig, DomainConfig, NetworkConfig, PoolConfig, VolumeConfig};
 
 /// Largest slice of migration traffic charged to the virtual clock in one
 /// go. Smaller slices mean finer progress granularity and faster abort
@@ -877,29 +877,22 @@ impl HypervisorConnection for EmbeddedConnection {
 
     fn attach_device(&self, name: &str, device_xml: &str) -> VirtResult<DomainRecord> {
         self.ensure_alive()?;
-        let el = virt_xml::Element::parse(device_xml)?;
+        let doc = virt_xml::Document::parse(device_xml)?;
+        let el = doc.root();
         if el.name() != "disk" {
             return Err(VirtError::new(
                 ErrorCode::XmlError,
                 format!("only <disk> devices can be attached, got <{}>", el.name()),
             ));
         }
-        // Reuse the domain schema's disk parser via a wrapper document.
-        let wrapper = format!(
-            "<domain><name>x</name><memory>1</memory><vcpu>1</vcpu><devices>{device_xml}</devices></domain>"
-        );
-        let config = DomainConfig::from_xml_str(&wrapper)?;
-        let disk = config
-            .disks
-            .first()
-            .ok_or_else(|| VirtError::new(ErrorCode::XmlError, "no <disk> parsed"))?;
+        let disk = DiskConfig::decode(el)?;
         let record = self.host.attach_disk(
             name,
             hypersim::SimDisk {
-                target: disk.target.clone(),
-                source: disk.source.clone(),
+                target: disk.target,
+                source: disk.source,
                 capacity: hypersim::MiB(disk.capacity_mib),
-                bus: disk.bus.clone(),
+                bus: disk.bus,
             },
         )?;
         self.sync_domain_state(name)?;
@@ -1486,7 +1479,7 @@ mod tests {
     fn dump_xml_round_trips_through_define() {
         let conn = connection(QemuLike);
         let mut config = DomainConfig::new("vm", 1024, 2);
-        config.disks.push(crate::xmlfmt::DiskConfig {
+        config.disks.push(DiskConfig {
             target: "vda".into(),
             source: "/img/a".into(),
             capacity_mib: 100,
@@ -1565,6 +1558,40 @@ mod tests {
         conn.define_domain_xml(&domain_xml("vm", 128)).unwrap();
         let err = conn.attach_device("vm", "<tpm model='x'/>").unwrap_err();
         assert_eq!(err.code(), ErrorCode::XmlError);
+    }
+
+    #[test]
+    fn attach_errors_keep_their_texts() {
+        let conn = connection(QemuLike);
+        conn.define_domain_xml(&domain_xml("vm", 128)).unwrap();
+        for (device, message) in [
+            (
+                "<tpm model='x'/>",
+                "only <disk> devices can be attached, got <tpm>",
+            ),
+            ("<disk/>", "<disk> is missing <target>"),
+            (
+                "<disk><target bus='ide'/></disk>",
+                "<target> is missing dev=",
+            ),
+            (
+                "<disk><target dev='vdb'/><capacity>big</capacity></disk>",
+                "<capacity> value 'big' is not a number",
+            ),
+            (
+                "<disk>",
+                "unexpected end of input at byte 6 (element <disk> is never closed)",
+            ),
+        ] {
+            let err = conn.attach_device("vm", device).unwrap_err();
+            assert_eq!((err.code(), err.message()), (ErrorCode::XmlError, message));
+        }
+        // The device is a document of its own: a declaration may precede it.
+        conn.attach_device(
+            "vm",
+            "<?xml version='1.0'?><disk><target dev='vdc'/></disk>",
+        )
+        .unwrap();
     }
 
     #[test]

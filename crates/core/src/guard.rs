@@ -46,7 +46,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use virt_metrics::span::{self, Stage};
 use virt_metrics::{Counter, Histogram, Registry};
 use virt_rpc::retry::BackoffSchedule;
-use virt_xml::Element;
+use virt_xml::{Document, Element};
 
 use crate::driver::{DomainState, HypervisorConnection};
 use crate::error::{ErrorCode, VirtError, VirtResult};
@@ -165,8 +165,9 @@ impl GuardRecord {
     pub fn from_xml_str(xml: &str) -> VirtResult<GuardRecord> {
         let bad =
             |what: &str| VirtError::new(ErrorCode::XmlError, format!("guard: invalid {what}"));
-        let el = Element::parse(xml)
+        let doc = Document::parse(xml)
             .map_err(|e| VirtError::new(ErrorCode::XmlError, format!("guard: {e}")))?;
+        let el = doc.root();
         if el.name() != "guard" {
             return Err(bad("root element"));
         }

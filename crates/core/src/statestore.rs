@@ -96,7 +96,7 @@ use crate::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::uuid::Uuid;
 use hypersim::DomainState;
 use virt_rpc::fnv1a;
-use virt_xml::Element;
+use virt_xml::{Document, Element};
 
 /// Magic prefix of the header line; bump the version on format changes.
 const HEADER_MAGIC: &str = "#virtstate v1";
@@ -1229,8 +1229,9 @@ impl DomainStatus {
     pub fn from_xml_str(xml: &str) -> VirtResult<DomainStatus> {
         let bad =
             |what: &str| VirtError::new(ErrorCode::XmlError, format!("domstatus: invalid {what}"));
-        let el = Element::parse(xml)
+        let doc = Document::parse(xml)
             .map_err(|e| VirtError::new(ErrorCode::XmlError, format!("domstatus: {e}")))?;
+        let el = doc.root();
         if el.name() != "domstatus" {
             return Err(bad("root element"));
         }

@@ -11,14 +11,18 @@ use std::str::FromStr;
 
 use hypersim::network::ForwardMode;
 use hypersim::{DomainSpec, MiB, NetworkSpec, PoolBackend, PoolSpec, SimDisk, SimNic, VolumeSpec};
-use virt_xml::Element;
+use virt_xml::{Document, ElemRef, Element};
 
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::uuid::Uuid;
 
-fn required_child_text(el: &Element, name: &str) -> VirtResult<String> {
+// Decoding reads the borrowed view (`virt_xml::Document`): a description
+// is parsed once, in place, and only what a config keeps is copied out of
+// the request. `Element` is for building documents (`to_xml`).
+
+fn required_child_text<'d>(el: ElemRef<'d>, name: &str) -> VirtResult<&'d str> {
     el.child_text(name)
-        .map(|t| t.trim().to_string())
+        .map(str::trim)
         .filter(|t| !t.is_empty())
         .ok_or_else(|| {
             VirtError::new(
@@ -28,7 +32,7 @@ fn required_child_text(el: &Element, name: &str) -> VirtResult<String> {
         })
 }
 
-fn parse_u64_text(el: &Element, name: &str) -> VirtResult<u64> {
+fn parse_u64_text(el: ElemRef<'_>, name: &str) -> VirtResult<u64> {
     let text = required_child_text(el, name)?;
     text.parse::<u64>().map_err(|_| {
         VirtError::new(
@@ -38,7 +42,14 @@ fn parse_u64_text(el: &Element, name: &str) -> VirtResult<u64> {
     })
 }
 
-fn expect_root(el: &Element, name: &str) -> VirtResult<()> {
+fn optional_uuid(el: ElemRef<'_>) -> VirtResult<Option<Uuid>> {
+    match el.child_text("uuid").map(str::trim) {
+        Some(text) if !text.is_empty() => Ok(Some(text.parse()?)),
+        _ => Ok(None),
+    }
+}
+
+fn expect_root(el: ElemRef<'_>, name: &str) -> VirtResult<()> {
     if el.name() != name {
         return Err(VirtError::new(
             ErrorCode::XmlError,
@@ -79,7 +90,8 @@ impl DiskConfig {
         disk
     }
 
-    fn from_xml(el: &Element) -> VirtResult<DiskConfig> {
+    /// Decodes a `<disk>` element, inside a domain or alone (hot-plug).
+    pub(crate) fn decode(el: ElemRef<'_>) -> VirtResult<DiskConfig> {
         let target_el = el
             .child("target")
             .ok_or_else(|| VirtError::new(ErrorCode::XmlError, "<disk> is missing <target>"))?;
@@ -133,7 +145,7 @@ impl InterfaceConfig {
         iface
     }
 
-    fn from_xml(el: &Element) -> VirtResult<InterfaceConfig> {
+    fn decode(el: ElemRef<'_>) -> VirtResult<InterfaceConfig> {
         let mac = el
             .child("mac")
             .and_then(|m| m.attr("address"))
@@ -253,13 +265,14 @@ impl DomainConfig {
     ///
     /// [`ErrorCode::XmlError`] on schema violations.
     pub fn from_xml(el: &Element) -> VirtResult<DomainConfig> {
+        DomainConfig::decode(Document::from(el).root())
+    }
+
+    fn decode(el: ElemRef<'_>) -> VirtResult<DomainConfig> {
         expect_root(el, "domain")?;
         let domain_type = el.attr("type").unwrap_or("qemu").to_string();
-        let name = required_child_text(el, "name")?;
-        let uuid = match el.child_text("uuid") {
-            Some(text) if !text.trim().is_empty() => Some(text.trim().parse::<Uuid>()?),
-            _ => None,
-        };
+        let name = required_child_text(el, "name")?.to_string();
+        let uuid = optional_uuid(el)?;
         let max_memory_mib = parse_u64_text(el, "memory")?;
         let memory_mib = match el.child("currentMemory") {
             Some(_) => parse_u64_text(el, "currentMemory")?,
@@ -275,8 +288,8 @@ impl DomainConfig {
         if let Some(devices) = el.child("devices") {
             for child in devices.children() {
                 match child.name() {
-                    "disk" => disks.push(DiskConfig::from_xml(child)?),
-                    "interface" => interfaces.push(InterfaceConfig::from_xml(child)?),
+                    "disk" => disks.push(DiskConfig::decode(child)?),
+                    "interface" => interfaces.push(InterfaceConfig::decode(child)?),
                     _ => {} // Unknown devices are preserved-by-ignoring.
                 }
             }
@@ -300,7 +313,7 @@ impl DomainConfig {
     ///
     /// [`ErrorCode::XmlError`] on parse or schema failures.
     pub fn from_xml_str(xml: &str) -> VirtResult<DomainConfig> {
-        DomainConfig::from_xml(&Element::parse(xml)?)
+        DomainConfig::decode(Document::parse(xml)?.root())
     }
 
     /// Converts to the simulated hypervisor's spec.
@@ -420,13 +433,11 @@ impl NetworkConfig {
     ///
     /// [`ErrorCode::XmlError`] on schema violations.
     pub fn from_xml_str(xml: &str) -> VirtResult<NetworkConfig> {
-        let el = Element::parse(xml)?;
-        expect_root(&el, "network")?;
-        let name = required_child_text(&el, "name")?;
-        let uuid = match el.child_text("uuid") {
-            Some(text) if !text.trim().is_empty() => Some(text.trim().parse::<Uuid>()?),
-            _ => None,
-        };
+        let doc = Document::parse(xml)?;
+        let el = doc.root();
+        expect_root(el, "network")?;
+        let name = required_child_text(el, "name")?.to_string();
+        let uuid = optional_uuid(el)?;
         let bridge = el
             .child("bridge")
             .and_then(|b| b.attr("name"))
@@ -511,20 +522,21 @@ impl PoolConfig {
     ///
     /// [`ErrorCode::XmlError`] on schema violations.
     pub fn from_xml_str(xml: &str) -> VirtResult<PoolConfig> {
-        let el = Element::parse(xml)?;
-        expect_root(&el, "pool")?;
+        let doc = Document::parse(xml)?;
+        let el = doc.root();
+        expect_root(el, "pool")?;
         let backend = el
             .attr("type")
             .unwrap_or("dir")
             .parse::<PoolBackend>()
             .map_err(VirtError::from)?;
-        let name = required_child_text(&el, "name")?;
-        let capacity_mib = parse_u64_text(&el, "capacity")?;
+        let name = required_child_text(el, "name")?.to_string();
+        let capacity_mib = parse_u64_text(el, "capacity")?;
         let target_path = el
             .find("target/path")
             .map(|p| p.text())
             .filter(|t| !t.is_empty())
-            .unwrap_or_else(|| format!("/var/lib/virt/{name}"));
+            .map_or_else(|| format!("/var/lib/virt/{name}"), String::from);
         Ok(PoolConfig {
             name,
             backend,
@@ -587,10 +599,11 @@ impl VolumeConfig {
     ///
     /// [`ErrorCode::XmlError`] on schema violations.
     pub fn from_xml_str(xml: &str) -> VirtResult<VolumeConfig> {
-        let el = Element::parse(xml)?;
-        expect_root(&el, "volume")?;
-        let name = required_child_text(&el, "name")?;
-        let capacity_mib = parse_u64_text(&el, "capacity")?;
+        let doc = Document::parse(xml)?;
+        let el = doc.root();
+        expect_root(el, "volume")?;
+        let name = required_child_text(el, "name")?.to_string();
+        let capacity_mib = parse_u64_text(el, "capacity")?;
         let format = el
             .find("target/format")
             .and_then(|f| f.attr("type"))

@@ -7,63 +7,15 @@
 //! demands: per record, one name and one parameter `Vec` on decode, and
 //! nothing on encode beyond the one output buffer.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use virt_core::driver::{DomainRecord, DomainState, DomainStatsRecord};
 use virt_core::job::JobStats;
 use virt_core::protocol::{DomainStatsReply, WireDomainStatsList};
 use virt_core::Uuid;
 use virt_rpc::xdr::{XdrDecode, XdrEncode};
 
-thread_local! {
-    /// Allocations made by this thread (per thread, so the harness's own
-    /// threads never show up in a measurement).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAllocator;
-
-impl CountingAllocator {
-    fn count() {
-        // `try_with`: the allocator also runs while a thread is being
-        // torn down.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards to `System` with the arguments it was
-// given; the counter is a plain thread-local integer with no destructor
-// and does not allocate.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn count_allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let value = work();
-    (value, ALLOCATIONS.with(Cell::get) - before)
-}
+#[path = "support/counting.rs"]
+mod counting;
+use counting::count_allocations;
 
 const RECORDS: usize = 1000;
 /// One-off allocations tolerated on top of the per-record budget (the

@@ -3,17 +3,29 @@
 
 use std::borrow::Cow;
 
+use std::net::Ipv4Addr;
+
+use hypersim::network::ForwardMode;
+use hypersim::{DomainState, PoolBackend};
 use proptest::prelude::*;
 
 use virt_core::protocol::WireDomain;
 use virt_core::typedparam::{stats_field, ParamValue, TypedParam, TypedParamList};
 use virt_core::uri::ConnectUri;
-use virt_core::xmlfmt::{DiskConfig, DomainConfig, InterfaceConfig};
-use virt_core::Uuid;
+use virt_core::xmlfmt::{
+    DiskConfig, DomainConfig, InterfaceConfig, NetworkConfig, PoolConfig, VolumeConfig,
+};
+use virt_core::{Capabilities, DomainStatus, GuardPolicy, GuardRecord, Uuid};
 use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode, XdrError, MAX_ITEM_LEN};
 
 fn name_strategy() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9_.-]{0,20}"
+}
+
+/// Text that needs every kind of escaping the writer knows, and that the
+/// decode may therefore not be able to borrow from the document.
+fn awkward_text() -> impl Strategy<Value = String> {
+    "[a-zA-Z0-9/&<>'\"\u{e9}\u{df}\u{1f980} ._-]{1,20}"
 }
 
 fn domain_config_strategy() -> impl Strategy<Value = DomainConfig> {
@@ -29,8 +41,8 @@ fn domain_config_strategy() -> impl Strategy<Value = DomainConfig> {
             Just("esx".to_string())
         ],
         0u64..10_000,
-        proptest::collection::vec((name_strategy(), name_strategy(), 0u64..100_000), 0..4),
-        proptest::collection::vec(name_strategy(), 0..3),
+        proptest::collection::vec((name_strategy(), awkward_text(), 0u64..100_000), 0..4),
+        proptest::collection::vec(awkward_text(), 0..3),
         proptest::bool::ANY,
     )
         .prop_map(
@@ -69,6 +81,98 @@ proptest! {
         let xml = config.to_xml_string();
         let parsed = DomainConfig::from_xml_str(&xml).expect("own xml parses");
         prop_assert_eq!(parsed, config);
+    }
+
+    /// The decode reads an owned tree exactly as it reads the text.
+    #[test]
+    fn domain_config_decodes_alike_from_text_and_from_a_tree(config in domain_config_strategy()) {
+        let tree = config.to_xml();
+        prop_assert_eq!(DomainConfig::from_xml(&tree).expect("own tree decodes"), config.clone());
+        // Pretty-printed: whitespace text between the elements.
+        let pretty = tree.to_pretty_string();
+        prop_assert_eq!(DomainConfig::from_xml_str(&pretty).expect("pretty form decodes"), config);
+    }
+
+    /// The other resource descriptions survive the XML round trip exactly.
+    #[test]
+    fn network_pool_and_volume_configs_round_trip(
+        name in name_strategy(),
+        with_uuid: bool,
+        bridge in awkward_text(),
+        forward in prop_oneof![
+            Just(ForwardMode::Nat), Just(ForwardMode::Route),
+            Just(ForwardMode::Isolated), Just(ForwardMode::Bridge)
+        ],
+        subnet: [u8; 4],
+        backend in prop_oneof![
+            Just(PoolBackend::Dir), Just(PoolBackend::Logical),
+            Just(PoolBackend::Iscsi), Just(PoolBackend::NetFs)
+        ],
+        capacity in 0u64..u64::MAX,
+        path in awkward_text(),
+        format in awkward_text(),
+    ) {
+        let mut network = NetworkConfig::new(name.clone(), Ipv4Addr::from(subnet));
+        network.uuid = with_uuid.then(Uuid::generate);
+        network.bridge = bridge;
+        network.forward = forward;
+        let parsed = NetworkConfig::from_xml_str(&network.to_xml_string()).expect("own xml parses");
+        prop_assert_eq!(parsed, network);
+
+        let mut pool = PoolConfig::new(name.clone(), backend, capacity);
+        pool.target_path = path;
+        let parsed = PoolConfig::from_xml_str(&pool.to_xml_string()).expect("own xml parses");
+        prop_assert_eq!(parsed, pool);
+
+        let mut volume = VolumeConfig::new(name, capacity);
+        volume.format = format;
+        let parsed = VolumeConfig::from_xml_str(&volume.to_xml_string()).expect("own xml parses");
+        prop_assert_eq!(parsed, volume);
+    }
+
+    /// The state directory's records survive the XML round trip exactly.
+    #[test]
+    fn status_and_guard_records_round_trip(
+        name in awkward_text(),
+        uuid: [u8; 16],
+        state in prop_oneof![
+            Just(DomainState::Shutoff), Just(DomainState::Running), Just(DomainState::Paused),
+            Just(DomainState::Saved), Just(DomainState::Crashed)
+        ],
+        autostart: bool,
+        has_managed_save: bool,
+        policy in prop_oneof![
+            any::<u32>().prop_map(|max_restarts| GuardPolicy::KeepRunning { max_restarts }),
+            Just(GuardPolicy::AutoResume),
+            any::<u64>().prop_map(|timeout_ms| GuardPolicy::GracefulStop { timeout_ms }),
+        ],
+    ) {
+        let status = DomainStatus {
+            name: name.clone(),
+            uuid: Uuid::from_bytes(uuid),
+            state,
+            autostart,
+            has_managed_save,
+        };
+        let parsed = DomainStatus::from_xml_str(&status.to_xml_string()).expect("own xml parses");
+        prop_assert_eq!(parsed, status);
+
+        let record = GuardRecord { domain: name, policy };
+        let parsed = GuardRecord::from_xml_str(&record.to_xml_string()).expect("own xml parses");
+        prop_assert_eq!(parsed, record);
+    }
+
+    /// Capabilities documents survive the round trip.
+    #[test]
+    fn capabilities_round_trip(
+        hypervisor in awkward_text(),
+        virt_kind in awkward_text(),
+        max_vcpus: u32,
+        features in proptest::collection::vec(name_strategy(), 0..5),
+    ) {
+        let caps = Capabilities { hypervisor, virt_kind, max_vcpus, features };
+        let parsed = Capabilities::from_xml_str(&caps.to_xml_string()).expect("own xml parses");
+        prop_assert_eq!(parsed, caps);
     }
 
     /// Config → hypersim spec → config is lossless for all fields the
@@ -268,5 +372,159 @@ proptest! {
         };
         let decoded = WireDomain::from_xdr(&wire.to_xdr()).expect("decode");
         prop_assert_eq!(decoded, wire);
+    }
+}
+
+/// What a schema violation says is part of the wire contract (the text
+/// travels in the error reply); these are the messages of the decode that
+/// read an owned tree, captured before it was replaced.
+#[test]
+fn schema_errors_keep_their_messages() {
+    use virt_core::ErrorCode::{InvalidArg, XmlError};
+    let domain = |body: &str| DomainConfig::from_xml_str(body).unwrap_err();
+    let cases = [
+        (
+            domain("<domain><memory>1</memory><vcpu>1</vcpu></domain>"),
+            XmlError,
+            "<domain> is missing required <name> element",
+        ),
+        (
+            domain("<domain><name>  </name><memory>1</memory><vcpu>1</vcpu></domain>"),
+            XmlError,
+            "<domain> is missing required <name> element",
+        ),
+        (
+            domain("<domain><name>x<!-- c --></name><memory>1</memory><vcpu>1</vcpu></domain>"),
+            XmlError,
+            "<domain> is missing required <name> element",
+        ),
+        (
+            domain("<domain><name>x</name><memory> lots </memory><vcpu>1</vcpu></domain>"),
+            XmlError,
+            "<memory> value 'lots' is not a number",
+        ),
+        (
+            domain("<domain><name>x</name><memory>1</memory><vcpu>-1</vcpu></domain>"),
+            XmlError,
+            "<vcpu> value '-1' is not a number",
+        ),
+        (
+            domain("<domain><name>x</name><memory>1</memory></domain>"),
+            XmlError,
+            "<domain> is missing required <vcpu> element",
+        ),
+        (
+            domain("<domain><name>x</name><uuid>nope</uuid><memory>1</memory><vcpu>1</vcpu></domain>"),
+            InvalidArg,
+            "malformed uuid 'nope'",
+        ),
+        (
+            domain("<network><name>x</name></network>"),
+            XmlError,
+            "expected <domain> document, found <network>",
+        ),
+        (
+            domain(
+                "<domain><name>d</name><memory>1</memory><vcpu>1</vcpu>\
+                 <devices><disk><source file='/x'/></disk></devices></domain>",
+            ),
+            XmlError,
+            "<disk> is missing <target>",
+        ),
+        (
+            domain(
+                "<domain><name>d</name><memory>1</memory><vcpu>1</vcpu>\
+                 <devices><disk><target bus='ide'/></disk></devices></domain>",
+            ),
+            XmlError,
+            "<target> is missing dev=",
+        ),
+        (
+            domain(
+                "<domain><name>d</name><memory>1</memory><vcpu>1</vcpu>\
+                 <devices><disk><target dev='a'/><capacity>big</capacity></disk></devices></domain>",
+            ),
+            XmlError,
+            "<capacity> value 'big' is not a number",
+        ),
+        (
+            domain(
+                "<domain><name>d</name><memory>1</memory><vcpu>1</vcpu>\
+                 <devices><interface type='network'/></devices></domain>",
+            ),
+            XmlError,
+            "<interface> is missing <mac address=>",
+        ),
+        (
+            domain("<domain><name>x</name>"),
+            XmlError,
+            "unexpected end of input at byte 22 (element <domain> is never closed)",
+        ),
+        (
+            NetworkConfig::from_xml_str("<pool/>").unwrap_err(),
+            XmlError,
+            "expected <network> document, found <pool>",
+        ),
+        (
+            NetworkConfig::from_xml_str("<network><name>n</name></network>").unwrap_err(),
+            XmlError,
+            "<network> is missing <ip address=>",
+        ),
+        (
+            NetworkConfig::from_xml_str("<network><name>n</name><ip address='x'/></network>")
+                .unwrap_err(),
+            XmlError,
+            "bad ip address: invalid IPv4 address syntax",
+        ),
+        (
+            PoolConfig::from_xml_str("<pool><name>p</name></pool>").unwrap_err(),
+            XmlError,
+            "<pool> is missing required <capacity> element",
+        ),
+        (
+            VolumeConfig::from_xml_str("<volume><capacity>1</capacity></volume>").unwrap_err(),
+            XmlError,
+            "<volume> is missing required <name> element",
+        ),
+        (
+            DomainStatus::from_xml_str("<wat/>").unwrap_err(),
+            XmlError,
+            "domstatus: invalid root element",
+        ),
+        (
+            DomainStatus::from_xml_str("<domstatus/>").unwrap_err(),
+            XmlError,
+            "domstatus: invalid name",
+        ),
+        (
+            DomainStatus::from_xml_str("<domstatus").unwrap_err(),
+            XmlError,
+            "domstatus: unexpected end of input at byte 10 (in start tag)",
+        ),
+        (
+            GuardRecord::from_xml_str("<guard policy='auto-resume' param='0'><domain/></guard>")
+                .unwrap_err(),
+            XmlError,
+            "guard: invalid domain",
+        ),
+        (
+            GuardRecord::from_xml_str("<guard policy='nap' param='0'><domain>d</domain></guard>")
+                .unwrap_err(),
+            XmlError,
+            "guard: invalid policy",
+        ),
+        (
+            Capabilities::from_xml_str("<caps/>").unwrap_err(),
+            XmlError,
+            "expected <capabilities>, found <caps>",
+        ),
+        (
+            Capabilities::from_xml_str("<capabilities/>").unwrap_err(),
+            XmlError,
+            "missing <guest>",
+        ),
+    ];
+    for (err, code, message) in cases {
+        assert_eq!((err.code(), err.message()), (code, message));
     }
 }

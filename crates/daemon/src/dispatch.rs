@@ -167,14 +167,6 @@ impl RemoteDispatcher {
         );
     }
 
-    fn session_conn(&self, client_id: u64) -> VirtResult<Arc<EmbeddedConnection>> {
-        self.sessions
-            .lock()
-            .get(&client_id)
-            .map(|s| Arc::clone(&s.conn))
-            .ok_or_else(|| VirtError::new(ErrorCode::ConnectInvalid, "no connection opened"))
-    }
-
     fn handle(
         &self,
         client: &Arc<ClientHandle>,
@@ -259,23 +251,23 @@ impl RemoteDispatcher {
             return Ok(().to_xdr());
         }
 
+        // One look at the session per call: its connection and its mode.
+        let (conn, readonly) = self
+            .sessions
+            .lock()
+            .get(&client.id)
+            .map(|s| (Arc::clone(&s.conn), s.readonly))
+            .ok_or_else(|| VirtError::new(ErrorCode::ConnectInvalid, "no connection opened"))?;
         // Read-only sessions may only call read-only-safe procedures.
-        {
-            let sessions = self.sessions.lock();
-            if let Some(session) = sessions.get(&client.id) {
-                if session.readonly && !protocol::is_readonly_safe(header.procedure) {
-                    return Err(VirtError::new(
-                        ErrorCode::AccessDenied,
-                        format!(
-                            "procedure {} forbidden on a read-only connection",
-                            describe(header.procedure)
-                        ),
-                    ));
-                }
-            }
+        if readonly && !protocol::is_readonly_safe(header.procedure) {
+            return Err(VirtError::new(
+                ErrorCode::AccessDenied,
+                format!(
+                    "procedure {} forbidden on a read-only connection",
+                    describe(header.procedure)
+                ),
+            ));
         }
-
-        let conn = self.session_conn(client.id)?;
         let c: &dyn HypervisorConnection = conn.as_ref();
 
         if let Some(reply) = call_regular(c, header.procedure, payload)? {

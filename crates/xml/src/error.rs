@@ -23,6 +23,11 @@ pub enum ParseXmlErrorKind {
     TrailingContent,
     /// The document contains no root element.
     MissingRoot,
+    /// Elements nest deeper than [`MAX_DEPTH`](crate::MAX_DEPTH).
+    TooDeep,
+    /// One element carries more than
+    /// [`MAX_ATTRIBUTES`](crate::MAX_ATTRIBUTES) attributes.
+    TooManyAttributes,
 }
 
 impl fmt::Display for ParseXmlErrorKind {
@@ -36,6 +41,8 @@ impl fmt::Display for ParseXmlErrorKind {
             ParseXmlErrorKind::InvalidEntity => "invalid entity reference",
             ParseXmlErrorKind::TrailingContent => "content after document element",
             ParseXmlErrorKind::MissingRoot => "document has no root element",
+            ParseXmlErrorKind::TooDeep => "element nesting too deep",
+            ParseXmlErrorKind::TooManyAttributes => "too many attributes",
         };
         f.write_str(msg)
     }

@@ -1,327 +1,69 @@
-//! Recursive-descent parser for the supported XML subset.
+//! `Element::parse`: the owned tree, built from the tokenizer's events.
 
-use crate::error::{ParseXmlError, ParseXmlErrorKind};
-use crate::escape::resolve_entity;
+use std::borrow::Cow;
+
+use crate::error::ParseXmlError;
+use crate::tokenizer::{tokenize, Sink};
 use crate::tree::{Element, Node};
 
 /// Parses a complete document, returning its root element.
 pub(crate) fn parse_document(input: &str) -> Result<Element, ParseXmlError> {
-    let mut cur = Cursor::new(input);
-    cur.skip_misc(true)?;
-    if cur.eof() {
-        return Err(cur.err(ParseXmlErrorKind::MissingRoot, "no root element"));
-    }
-    let root = cur.parse_element()?;
-    cur.skip_misc(false)?;
-    if !cur.eof() {
-        return Err(cur.err(
-            ParseXmlErrorKind::TrailingContent,
-            "only whitespace and comments may follow the root element",
-        ));
-    }
-    Ok(root)
+    let mut tree = TreeSink {
+        open: Vec::new(),
+        root: None,
+    };
+    tokenize(input, &mut tree)?;
+    Ok(tree.root.expect("the tokenizer accepts only a closed root"))
 }
 
-struct Cursor<'a> {
-    input: &'a str,
-    pos: usize,
+/// Builds the tree bottom-up: an element joins its parent when it closes.
+struct TreeSink {
+    open: Vec<Element>,
+    root: Option<Element>,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(input: &'a str) -> Self {
-        Cursor { input, pos: 0 }
-    }
-
-    fn eof(&self) -> bool {
-        self.pos >= self.input.len()
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let ch = self.peek()?;
-        self.pos += ch.len_utf8();
-        Some(ch)
-    }
-
-    fn eat(&mut self, expected: char) -> bool {
-        if self.peek() == Some(expected) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn err(&self, kind: ParseXmlErrorKind, context: impl Into<String>) -> ParseXmlError {
-        ParseXmlError::new(kind, self.pos, context)
-    }
-
-    fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_ascii_whitespace()) {
-            self.bump();
-        }
-    }
-
-    /// Skips whitespace, comments, and (when `allow_decl`) one XML
-    /// declaration — the "misc" that may surround the root element.
-    fn skip_misc(&mut self, allow_decl: bool) -> Result<(), ParseXmlError> {
-        let mut decl_allowed = allow_decl;
-        loop {
-            self.skip_whitespace();
-            if self.rest().starts_with("<?") {
-                if !decl_allowed {
-                    return Err(self.err(
-                        ParseXmlErrorKind::UnexpectedChar,
-                        "processing instruction not allowed here",
-                    ));
-                }
-                self.skip_declaration()?;
-                decl_allowed = false;
-            } else if self.rest().starts_with("<!--") {
-                self.parse_comment()?;
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    fn skip_declaration(&mut self) -> Result<(), ParseXmlError> {
-        debug_assert!(self.rest().starts_with("<?"));
-        match self.rest().find("?>") {
-            Some(end) => {
-                self.pos += end + 2;
-                Ok(())
-            }
-            None => Err(self.err(ParseXmlErrorKind::UnexpectedEof, "unterminated '<?...?>'")),
-        }
-    }
-
-    fn parse_comment(&mut self) -> Result<String, ParseXmlError> {
-        debug_assert!(self.rest().starts_with("<!--"));
-        self.pos += 4;
-        match self.rest().find("-->") {
-            Some(end) => {
-                let body = self.rest()[..end].to_string();
-                self.pos += end + 3;
-                Ok(body)
-            }
-            None => Err(self.err(ParseXmlErrorKind::UnexpectedEof, "unterminated comment")),
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<String, ParseXmlError> {
-        let start = self.pos;
-        match self.peek() {
-            Some(c) if is_name_start(c) => {
-                self.bump();
-            }
-            _ => {
-                return Err(self.err(
-                    ParseXmlErrorKind::InvalidName,
-                    "a name must start with a letter, '_' or ':'",
-                ))
-            }
-        }
-        while matches!(self.peek(), Some(c) if is_name_char(c)) {
-            self.bump();
-        }
-        Ok(self.input[start..self.pos].to_string())
-    }
-
-    fn parse_element(&mut self) -> Result<Element, ParseXmlError> {
-        if !self.eat('<') {
-            return Err(self.err(ParseXmlErrorKind::UnexpectedChar, "expected '<'"));
-        }
-        let name = self.parse_name()?;
-        let mut element = Element::new(&name);
-
-        loop {
-            self.skip_whitespace();
-            match self.peek() {
-                Some('/') => {
-                    self.bump();
-                    if !self.eat('>') {
-                        return Err(
-                            self.err(ParseXmlErrorKind::UnexpectedChar, "expected '>' after '/'")
-                        );
-                    }
-                    return Ok(element);
-                }
-                Some('>') => {
-                    self.bump();
-                    break;
-                }
-                Some(c) if is_name_start(c) => {
-                    let attr_name = self.parse_name()?;
-                    self.skip_whitespace();
-                    if !self.eat('=') {
-                        return Err(self.err(
-                            ParseXmlErrorKind::UnexpectedChar,
-                            format!("expected '=' after attribute '{attr_name}'"),
-                        ));
-                    }
-                    self.skip_whitespace();
-                    let value = self.parse_attr_value()?;
-                    if element.attr(&attr_name).is_some() {
-                        return Err(self.err(
-                            ParseXmlErrorKind::DuplicateAttribute,
-                            format!("attribute '{attr_name}' appears twice"),
-                        ));
-                    }
-                    element.set_attr(attr_name, value);
-                }
-                Some(_) => {
-                    return Err(self.err(ParseXmlErrorKind::UnexpectedChar, "in start tag"));
-                }
-                None => {
-                    return Err(self.err(ParseXmlErrorKind::UnexpectedEof, "in start tag"));
-                }
-            }
-        }
-
-        // Content until the matching close tag.
-        loop {
-            if self.rest().starts_with("</") {
-                self.pos += 2;
-                let close = self.parse_name()?;
-                if close != name {
-                    return Err(self.err(
-                        ParseXmlErrorKind::MismatchedTag,
-                        format!("expected </{name}>, found </{close}>"),
-                    ));
-                }
-                self.skip_whitespace();
-                if !self.eat('>') {
-                    return Err(self.err(
-                        ParseXmlErrorKind::UnexpectedChar,
-                        "expected '>' in close tag",
-                    ));
-                }
-                return Ok(element);
-            } else if self.rest().starts_with("<!--") {
-                let comment = self.parse_comment()?;
-                element.push_node(Node::Comment(comment));
-            } else if self.rest().starts_with("<![CDATA[") {
-                let text = self.parse_cdata()?;
-                push_text(&mut element, text);
-            } else if self.rest().starts_with('<') {
-                let child = self.parse_element()?;
-                element.push_child(child);
-            } else if self.eof() {
-                return Err(self.err(
-                    ParseXmlErrorKind::UnexpectedEof,
-                    format!("element <{name}> is never closed"),
-                ));
-            } else {
-                let text = self.parse_text()?;
-                push_text(&mut element, text);
-            }
-        }
-    }
-
-    fn parse_attr_value(&mut self) -> Result<String, ParseXmlError> {
-        let quote = match self.peek() {
-            Some(q @ ('"' | '\'')) => {
-                self.bump();
-                q
-            }
-            _ => {
-                return Err(self.err(
-                    ParseXmlErrorKind::UnexpectedChar,
-                    "attribute value must be quoted",
-                ))
-            }
-        };
-        let mut value = String::new();
-        loop {
-            match self.peek() {
-                Some(c) if c == quote => {
-                    self.bump();
-                    return Ok(value);
-                }
-                Some('&') => {
-                    self.bump();
-                    let (ch, consumed) = resolve_entity(self.rest(), self.pos)?;
-                    value.push(ch);
-                    self.pos += consumed;
-                }
-                Some('<') => {
-                    return Err(self.err(
-                        ParseXmlErrorKind::UnexpectedChar,
-                        "'<' is not allowed in attribute values",
-                    ))
-                }
-                Some(_) => {
-                    value.push(self.bump().expect("peeked"));
-                }
-                None => {
-                    return Err(self.err(ParseXmlErrorKind::UnexpectedEof, "in attribute value"));
-                }
-            }
-        }
-    }
-
-    fn parse_text(&mut self) -> Result<String, ParseXmlError> {
-        let mut text = String::new();
-        loop {
-            match self.peek() {
-                Some('<') | None => return Ok(text),
-                Some('&') => {
-                    self.bump();
-                    let (ch, consumed) = resolve_entity(self.rest(), self.pos)?;
-                    text.push(ch);
-                    self.pos += consumed;
-                }
-                Some(_) => {
-                    text.push(self.bump().expect("peeked"));
-                }
-            }
-        }
-    }
-
-    fn parse_cdata(&mut self) -> Result<String, ParseXmlError> {
-        debug_assert!(self.rest().starts_with("<![CDATA["));
-        self.pos += "<![CDATA[".len();
-        match self.rest().find("]]>") {
-            Some(end) => {
-                let body = self.rest()[..end].to_string();
-                self.pos += end + 3;
-                Ok(body)
-            }
-            None => Err(self.err(
-                ParseXmlErrorKind::UnexpectedEof,
-                "unterminated CDATA section",
-            )),
-        }
+impl TreeSink {
+    fn innermost(&mut self) -> &mut Element {
+        self.open
+            .last_mut()
+            .expect("events arrive inside an element")
     }
 }
 
-/// Appends text, merging with a preceding text node so that adjacent runs
-/// (e.g. text + CDATA) form one node, matching what a re-parse would yield.
-fn push_text(element: &mut Element, text: String) {
-    if text.is_empty() {
-        return;
+impl<'a> Sink<'a> for TreeSink {
+    fn start_element(&mut self, name: &'a str) {
+        self.open.push(Element::new(name));
     }
-    if let Some(Node::Text(prev)) = element.nodes_mut().last_mut() {
-        prev.push_str(&text);
-        return;
+
+    fn attribute(&mut self, name: &'a str, value: Cow<'a, str>) {
+        // The tokenizer has already refused duplicates.
+        self.innermost().push_attr(name, value);
     }
-    element.push_node(Node::Text(text));
-}
 
-fn is_name_start(c: char) -> bool {
-    c.is_alphabetic() || c == '_' || c == ':'
-}
+    /// Merges with a preceding text node so that adjacent runs (e.g. text +
+    /// CDATA) form one node, matching what a re-parse would yield.
+    fn text(&mut self, text: Cow<'a, str>) {
+        let element = self.innermost();
+        if let Some(Node::Text(prev)) = element.nodes_mut().last_mut() {
+            prev.push_str(&text);
+            return;
+        }
+        element.push_node(Node::Text(text.into_owned()));
+    }
 
-fn is_name_char(c: char) -> bool {
-    is_name_start(c) || c.is_ascii_digit() || c == '-' || c == '.'
+    fn comment(&mut self, body: &'a str) {
+        self.innermost().push_node(Node::Comment(body.to_string()));
+    }
+
+    fn end_element(&mut self) {
+        let element = self.open.pop().expect("a close follows an open");
+        match self.open.last_mut() {
+            Some(parent) => {
+                parent.push_child(element);
+            }
+            None => self.root = Some(element),
+        }
+    }
 }
 
 #[cfg(test)]

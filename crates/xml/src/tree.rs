@@ -95,7 +95,13 @@ impl Element {
     /// # Errors
     ///
     /// Returns a [`ParseXmlError`] when the input is not well-formed with
-    /// respect to the supported subset (see the crate documentation).
+    /// respect to the supported subset (see the crate documentation), nests
+    /// deeper than [`MAX_DEPTH`](crate::MAX_DEPTH) or puts more than
+    /// [`MAX_ATTRIBUTES`](crate::MAX_ATTRIBUTES) on one element.
+    ///
+    /// Code that only reads a document — decodes it into its own types and
+    /// drops it — wants [`Document::parse`](crate::Document::parse), which
+    /// accepts exactly the same inputs and copies nothing.
     pub fn parse(input: &str) -> Result<Element, ParseXmlError> {
         parser::parse_document(input)
     }
@@ -123,6 +129,11 @@ impl Element {
             self.attrs.push((name, value));
         }
         self
+    }
+
+    /// Appends an attribute the caller knows is not present yet.
+    pub(crate) fn push_attr(&mut self, name: &str, value: impl Into<String>) {
+        self.attrs.push((name.to_string(), value.into()));
     }
 
     /// Removes an attribute, returning its previous value.

@@ -72,12 +72,27 @@ if grep -rnF 'with_capacity((len as usize).min(4096))' crates --include='*.rs' \
     exit 1
 fi
 
+# A decoder reads the borrowed view (virt_xml::Document); an owned
+# Element tree built only to be read and dropped is the cost the define
+# path shed. (error.rs parses one in a unit test of the error conversion;
+# the CLI parses one to pretty-print it.)
+echo "== hygiene: no decoder builds an Element tree to throw away =="
+if grep -rn 'Element::parse' crates/core/src crates/daemon/src crates/fleet/src crates/rpc/src \
+    | grep -v '^crates/core/src/error.rs:'; then
+    echo "error: Element::parse in a product decoder — read the document through virt_xml::Document" >&2
+    exit 1
+fi
+
 # Both programs byte for byte: every frame of a scripted session of each
 # against golden transcripts captured before the tables and records were
 # folded, plus the per-record codec literals.
 echo "== wire: remote and admin programs pinned to golden bytes =="
 cargo test -q --offline --test wire_procedures --test admin_wire
 cargo test -q --offline -p virt-core --test wire_golden
+# The other side of the trust boundary: a document nested 100 000 deep, or
+# an element with 50 000 attributes, sent to each procedure that takes XML
+# gets an error reply from a daemon that goes on serving.
+cargo test -q --offline --test hostile_xml
 
 # Perf smoke: the framing hot path must stay allocation-free once warm.
 # Release mode — the counting-allocator bound is calibrated for it, and
@@ -107,6 +122,12 @@ cargo test -q --release --offline -p virtd --test eventloop_burst
 # per-parameter field-name Strings.
 echo "== perf smoke (bulk-stats codec allocation budget, release) =="
 cargo test -q --release --offline -p virt-core --test bulk_stats_allocs
+
+# Define: decoding the workload's 4-disk domain description allocates what
+# the DomainConfig keeps plus a constant for the borrowed view — no tree
+# built to be thrown away — and Element::parse no more than it used to.
+echo "== perf guard (define decode allocation budget, release) =="
+cargo test -q --release --offline -p virt-core --test define_allocs
 
 # Tracing must be free when off: the disabled span path performs no
 # allocations and a disabled span costs < 50 ns. Release mode for the

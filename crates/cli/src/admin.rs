@@ -14,7 +14,49 @@ use std::io::Write;
 use virt_core::log::LogLevel;
 use virt_core::{ErrorCode, TypedParam, VirtError, VirtResult};
 use virt_rpc::transport::UnixTransport;
+use virtd::adminproto::{
+    proc, PARAM_CLIENTS_MAX, PARAM_WORKERS_MAX, PARAM_WORKERS_MIN, PARAM_WORKERS_PRIORITY,
+};
 use virtd::AdminClient;
+
+#[derive(Clone, Copy, PartialEq)]
+enum Group {
+    Monitoring,
+    Management,
+}
+use Group::{Management, Monitoring};
+
+/// Every command, in `help` order within its group: its name (two words
+/// for the `trace` family), the arguments `help` prints after it, whether
+/// it only looks or changes the daemon, and the admin procedures it puts
+/// on the command line. `help` and the unknown-command check are derived
+/// from this list, and a test holds its last column to the admin table:
+/// every procedure is reachable from some command. The handlers are the
+/// arms of [`execute`].
+#[rustfmt::skip] // one row per command
+const COMMANDS: &[(&str, &str, Group, &[u32])] = &[
+    ("srv-list", "", Monitoring, &[proc::SRV_LIST]),
+    ("srv-threadpool-info", "<server>", Monitoring, &[proc::THREADPOOL_INFO]),
+    ("srv-clients-info", "<server>", Monitoring, &[proc::CLIENT_LIMITS_INFO]),
+    ("client-list", "<server>", Monitoring, &[proc::CLIENT_LIST]),
+    ("client-info", "<server> <id>", Monitoring, &[proc::CLIENT_INFO]),
+    ("dmn-log-info", "", Monitoring, &[proc::LOG_INFO]),
+    // `METRICS_LIST` has no command of its own — the fetch returns the
+    // names with the values — so it is accounted for here.
+    ("metrics", "[--prometheus] [--buckets] [prefix]", Monitoring,
+        &[proc::METRICS_FETCH, proc::METRICS_LIST]),
+    ("trace status", "", Monitoring, &[proc::TRACE_CONFIG]),
+    ("trace dump", "[--chrome] [--clear]", Monitoring, &[proc::TRACE_DUMP]),
+    ("trace tail", "[--count N]", Monitoring, &[proc::TRACE_DUMP]),
+    ("srv-threadpool-set", "<server> [--min-workers N] [--max-workers N] [--prio-workers N]",
+        Management, &[proc::THREADPOOL_SET]),
+    ("srv-clients-set", "<server> --max-clients N", Management, &[proc::CLIENT_LIMITS_SET]),
+    ("client-disconnect", "<server> <id>", Management, &[proc::CLIENT_DISCONNECT]),
+    ("dmn-log-define", "[--level 1-4] [--filters \"L:mod ...\"] [--outputs \"L:kind ...\"]",
+        Management, &[proc::LOG_SET_LEVEL, proc::LOG_SET_FILTERS, proc::LOG_SET_OUTPUTS]),
+    ("trace on", "[--threshold-ms N]", Management, &[proc::TRACE_CONFIG]),
+    ("trace off", "", Management, &[proc::TRACE_CONFIG]),
+];
 
 /// Executes one admin command line; returns the process exit code.
 pub fn run_admin(args: &[String], out: &mut dyn Write) -> i32 {
@@ -41,11 +83,15 @@ fn arg<'a>(args: &[&'a str], index: usize, what: &str) -> VirtResult<&'a str> {
         .ok_or_else(|| invalid(&format!("missing argument: {what}")))
 }
 
-fn flag_value<'a>(args: &[&'a str], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| *a == flag)
-        .and_then(|i| args.get(i + 1))
-        .copied()
+/// The word after `flag`, `None` when the flag is not given.
+fn flag_value<'a>(args: &[&'a str], flag: &str) -> VirtResult<Option<&'a str>> {
+    let Some(at) = args.iter().position(|a| *a == flag) else {
+        return Ok(None);
+    };
+    match args.get(at + 1) {
+        Some(value) => Ok(Some(value)),
+        None => Err(invalid(&format!("{flag} requires a value"))),
+    }
 }
 
 fn dispatch(args: &[String], out: &mut dyn Write) -> VirtResult<()> {
@@ -66,21 +112,36 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> VirtResult<()> {
         }
         i += 1;
     }
-    let (&command, command_args) = rest
-        .split_first()
-        .ok_or_else(|| invalid("no command given; try 'help'"))?;
-
-    if command == "help" {
+    let Some(&first) = rest.first() else {
+        return Err(invalid("no command given; try 'help'"));
+    };
+    if first == "help" {
         print_help(out);
         return Ok(());
     }
+    // The `trace` family is named by two words.
+    let words = if first == "trace" { 2 } else { 1 };
+    let name = rest
+        .get(..words)
+        .ok_or_else(|| invalid("missing argument: trace subcommand (on|off|status|dump|tail)"))?
+        .join(" ");
+    let &(command, ..) = COMMANDS.iter().find(|c| c.0 == name).ok_or_else(|| {
+        invalid(&if words == 2 {
+            format!(
+                "unknown trace subcommand '{}'; try on|off|status|dump|tail",
+                rest[1]
+            )
+        } else {
+            format!("unknown command '{first}'; try 'help'")
+        })
+    })?;
 
     let socket =
         socket.ok_or_else(|| invalid("no admin socket: pass -s PATH or set VIRT_ADMIN_SOCKET"))?;
     let transport = UnixTransport::connect(&socket)
         .map_err(|e| VirtError::new(ErrorCode::NoConnect, format!("'{socket}': {e}")))?;
     let admin = AdminClient::new(transport);
-    let result = execute(&admin, command, command_args, out);
+    let result = execute(&admin, command, &rest[words..], out);
     admin.close();
     result
 }
@@ -102,34 +163,26 @@ fn execute(
         "srv-threadpool-info" => {
             let server = arg(args, 0, "server name")?;
             let stats = admin.threadpool_info(server)?;
-            w(out, &format!("{:<16}: {}", "minWorkers", stats.min_workers));
-            w(out, &format!("{:<16}: {}", "maxWorkers", stats.max_workers));
-            w(
-                out,
-                &format!("{:<16}: {}", "nWorkers", stats.current_workers),
-            );
-            w(
-                out,
-                &format!("{:<16}: {}", "freeWorkers", stats.free_workers),
-            );
-            w(
-                out,
-                &format!("{:<16}: {}", "prioWorkers", stats.priority_workers),
-            );
-            w(
-                out,
-                &format!("{:<16}: {}", "jobQueueDepth", stats.job_queue_depth),
-            );
+            for (field, value) in [
+                (PARAM_WORKERS_MIN, stats.min_workers),
+                (PARAM_WORKERS_MAX, stats.max_workers),
+                ("nWorkers", stats.current_workers),
+                ("freeWorkers", stats.free_workers),
+                (PARAM_WORKERS_PRIORITY, stats.priority_workers),
+                ("jobQueueDepth", stats.job_queue_depth),
+            ] {
+                w(out, &format!("{field:<16}: {value}"));
+            }
         }
         "srv-threadpool-set" => {
             let server = arg(args, 0, "server name")?;
             let mut params = Vec::new();
             for (flag, field) in [
-                ("--min-workers", "minWorkers"),
-                ("--max-workers", "maxWorkers"),
-                ("--prio-workers", "prioWorkers"),
+                ("--min-workers", PARAM_WORKERS_MIN),
+                ("--max-workers", PARAM_WORKERS_MAX),
+                ("--prio-workers", PARAM_WORKERS_PRIORITY),
             ] {
-                if let Some(value) = flag_value(args, flag) {
+                if let Some(value) = flag_value(args, flag)? {
                     let parsed: u32 = value
                         .parse()
                         .map_err(|_| invalid(&format!("{flag} must be a number")))?;
@@ -147,13 +200,13 @@ fn execute(
         "srv-clients-info" => {
             let server = arg(args, 0, "server name")?;
             let (max, current, refused) = admin.client_limits(server)?;
-            w(out, &format!("{:<20}: {}", "nclients_max", max));
+            w(out, &format!("{:<20}: {}", PARAM_CLIENTS_MAX, max));
             w(out, &format!("{:<20}: {}", "nclients_current", current));
             w(out, &format!("{:<20}: {}", "nclients_refused", refused));
         }
         "srv-clients-set" => {
             let server = arg(args, 0, "server name")?;
-            let max = flag_value(args, "--max-clients")
+            let max = flag_value(args, "--max-clients")?
                 .ok_or_else(|| invalid("pass --max-clients N"))?
                 .parse::<u32>()
                 .map_err(|_| invalid("--max-clients must be a number"))?;
@@ -233,76 +286,65 @@ fn execute(
                 print_metrics(out, &snapshots, buckets);
             }
         }
-        "trace" => {
-            let sub = arg(args, 0, "trace subcommand (on|off|status|dump|tail)")?;
-            match sub {
-                "on" => {
-                    let threshold = match flag_value(args, "--threshold-ms") {
-                        Some(value) => Some(
-                            value
-                                .parse::<u64>()
-                                .map_err(|_| invalid("--threshold-ms must be a number"))?,
-                        ),
-                        None => None,
-                    };
-                    let config = admin.trace_config(Some(true), threshold)?;
-                    w(
-                        out,
-                        &format!("Tracing enabled ({})", describe_config(&config)),
-                    );
-                }
-                "off" => {
-                    let config = admin.trace_config(Some(false), None)?;
-                    w(
-                        out,
-                        &format!("Tracing disabled ({} events recorded)", config.recorded),
-                    );
-                }
-                "status" => {
-                    let config = admin.trace_config(None, None)?;
-                    w(
-                        out,
-                        &format!(
-                            "Tracing {} ({})",
-                            if config.enabled { "on" } else { "off" },
-                            describe_config(&config)
-                        ),
-                    );
-                }
-                "dump" => {
-                    let chrome = args.contains(&"--chrome");
-                    let clear = args.contains(&"--clear");
-                    let events = decode_events(admin.trace_dump(clear)?);
-                    if chrome {
-                        let _ = writeln!(
-                            out,
-                            "{}",
-                            virt_core::metrics::recorder::chrome_trace_json(&events)
-                        );
-                    } else if events.is_empty() {
-                        w(out, "No trace events recorded");
-                    } else {
-                        let _ = write!(out, "{}", render_trace_trees(&events));
-                    }
-                }
-                "tail" => {
-                    let count = match flag_value(args, "--count") {
-                        Some(value) => value
-                            .parse::<usize>()
-                            .map_err(|_| invalid("--count must be a number"))?,
-                        None => 20,
-                    };
-                    let events = decode_events(admin.trace_dump(false)?);
-                    let start = events.len().saturating_sub(count);
-                    for event in &events[start..] {
-                        w(out, &format_event_line(event));
-                    }
-                }
-                other => {
-                    return Err(invalid(&format!(
-                        "unknown trace subcommand '{other}'; try on|off|status|dump|tail"
-                    )))
-                }
+        "trace on" => {
+            let threshold = flag_value(args, "--threshold-ms")?
+                .map(|value| {
+                    value
+                        .parse::<u64>()
+                        .map_err(|_| invalid("--threshold-ms must be a number"))
+                })
+                .transpose()?;
+            let config = admin.trace_config(Some(true), threshold)?;
+            w(
+                out,
+                &format!("Tracing enabled ({})", describe_config(&config)),
+            );
+        }
+        "trace off" => {
+            let config = admin.trace_config(Some(false), None)?;
+            w(
+                out,
+                &format!("Tracing disabled ({} events recorded)", config.recorded),
+            );
+        }
+        "trace status" => {
+            let config = admin.trace_config(None, None)?;
+            w(
+                out,
+                &format!(
+                    "Tracing {} ({})",
+                    if config.enabled { "on" } else { "off" },
+                    describe_config(&config)
+                ),
+            );
+        }
+        "trace dump" => {
+            let chrome = args.contains(&"--chrome");
+            let clear = args.contains(&"--clear");
+            let events = decode_events(admin.trace_dump(clear)?);
+            if chrome {
+                let _ = writeln!(
+                    out,
+                    "{}",
+                    virt_core::metrics::recorder::chrome_trace_json(&events)
+                );
+            } else if events.is_empty() {
+                w(out, "No trace events recorded");
+            } else {
+                let _ = write!(out, "{}", render_trace_trees(&events));
+            }
+        }
+        "trace tail" => {
+            let count = match flag_value(args, "--count")? {
+                Some(value) => value
+                    .parse::<usize>()
+                    .map_err(|_| invalid("--count must be a number"))?,
+                None => 20,
+            };
+            let events = decode_events(admin.trace_dump(false)?);
+            let start = events.len().saturating_sub(count);
+            for event in &events[start..] {
+                w(out, &format_event_line(event));
             }
         }
         "dmn-log-info" => {
@@ -312,28 +354,29 @@ fn execute(
             w(out, &format!("Logging outputs: {outputs}"));
         }
         "dmn-log-define" => {
-            let mut did_something = false;
-            if let Some(level) = flag_value(args, "--level") {
-                let number: u32 = level.parse().map_err(|_| invalid("--level must be 1-4"))?;
-                admin.log_set_level(LogLevel::from_number(number)?)?;
-                did_something = true;
-            }
-            if let Some(filters) = flag_value(args, "--filters") {
-                admin.log_set_filters(filters)?;
-                did_something = true;
-            }
-            if let Some(outputs) = flag_value(args, "--outputs") {
-                admin.log_set_outputs(outputs)?;
-                did_something = true;
-            }
-            if !did_something {
+            // All three read before anything is sent: a flag without its
+            // value must not leave the earlier ones applied.
+            let level = flag_value(args, "--level")?;
+            let filters = flag_value(args, "--filters")?;
+            let outputs = flag_value(args, "--outputs")?;
+            if level.or(filters).or(outputs).is_none() {
                 return Err(invalid(
                     "nothing to define; pass --level/--filters/--outputs",
                 ));
             }
+            if let Some(level) = level {
+                let number: u32 = level.parse().map_err(|_| invalid("--level must be 1-4"))?;
+                admin.log_set_level(LogLevel::from_number(number)?)?;
+            }
+            if let Some(filters) = filters {
+                admin.log_set_filters(filters)?;
+            }
+            if let Some(outputs) = outputs {
+                admin.log_set_outputs(outputs)?;
+            }
             w(out, "Logging settings updated");
         }
-        other => return Err(invalid(&format!("unknown command '{other}'; try 'help'"))),
+        other => unreachable!("'{other}' is in COMMANDS but has no handler"),
     }
     Ok(())
 }
@@ -545,30 +588,12 @@ fn print_help(out: &mut dyn Write) {
     w(out, "");
     w(out, "usage: vadm [-s SOCKET] <command> [args...]");
     w(out, "");
-    w(out, "Monitoring:");
-    w(out, "  srv-list");
-    w(out, "  srv-threadpool-info <server>");
-    w(out, "  srv-clients-info <server>");
-    w(out, "  client-list <server>");
-    w(out, "  client-info <server> <id>");
-    w(out, "  dmn-log-info");
-    w(out, "  metrics [--prometheus] [--buckets] [prefix]");
-    w(out, "  trace status");
-    w(out, "  trace dump [--chrome] [--clear]");
-    w(out, "  trace tail [--count N]");
-    w(out, "Management:");
-    w(
-        out,
-        "  srv-threadpool-set <server> [--min-workers N] [--max-workers N] [--prio-workers N]",
-    );
-    w(out, "  srv-clients-set <server> --max-clients N");
-    w(out, "  client-disconnect <server> <id>");
-    w(
-        out,
-        "  dmn-log-define [--level 1-4] [--filters \"L:mod ...\"] [--outputs \"L:kind ...\"]",
-    );
-    w(out, "  trace on [--threshold-ms N]");
-    w(out, "  trace off");
+    for (title, group) in [("Monitoring:", Monitoring), ("Management:", Management)] {
+        w(out, title);
+        for (name, args, ..) in COMMANDS.iter().filter(|c| c.2 == group) {
+            w(out, format!("  {name} {args}").trim_end());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -613,10 +638,96 @@ mod tests {
 
     #[test]
     fn help_needs_no_socket() {
+        // Byte for byte what the hand-written help printed.
         let mut out = Vec::new();
-        let code = run_admin(&["help".to_string()], &mut out);
-        assert_eq!(code, 0);
-        assert!(String::from_utf8_lossy(&out).contains("srv-threadpool-set"));
+        assert_eq!(run_admin(&["help".to_string()], &mut out), 0);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "vadm — daemon administration client
+
+usage: vadm [-s SOCKET] <command> [args...]
+
+Monitoring:
+  srv-list
+  srv-threadpool-info <server>
+  srv-clients-info <server>
+  client-list <server>
+  client-info <server> <id>
+  dmn-log-info
+  metrics [--prometheus] [--buckets] [prefix]
+  trace status
+  trace dump [--chrome] [--clear]
+  trace tail [--count N]
+Management:
+  srv-threadpool-set <server> [--min-workers N] [--max-workers N] [--prio-workers N]
+  srv-clients-set <server> --max-clients N
+  client-disconnect <server> <id>
+  dmn-log-define [--level 1-4] [--filters \"L:mod ...\"] [--outputs \"L:kind ...\"]
+  trace on [--threshold-ms N]
+  trace off
+"
+        );
+    }
+
+    #[test]
+    fn every_admin_procedure_is_reachable_from_some_command() {
+        for (number, name) in proc::ALL {
+            assert!(
+                COMMANDS.iter().any(|c| c.3.contains(number)),
+                "{name} ({number}) is in the admin table but in no COMMANDS row"
+            );
+        }
+    }
+
+    #[test]
+    fn every_command_in_the_table_has_a_handler() {
+        // Bare names: most stop at a missing argument, none may fall out
+        // of `execute` (which panics) or be refused as unknown. `trace on`
+        // is one of them; `trace off` is the last row.
+        let _guard = crate::recorder_test_guard();
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        for (name, (_, output)) in names.iter().zip(run_against_daemon(&names)) {
+            assert!(
+                !output.contains("error: invalid argument: unknown"),
+                "{name}: {output}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_an_error_and_nothing_is_sent() {
+        let _guard = crate::recorder_test_guard();
+        let results = run_against_daemon(&[
+            "srv-threadpool-set virtd --max-workers 30 --min-workers",
+            "srv-threadpool-info virtd",
+            "dmn-log-define --level 3 --filters",
+            "dmn-log-info",
+            "trace on --threshold-ms",
+            "trace status",
+        ]);
+        for (at, flag) in [
+            (0, "--min-workers"),
+            (2, "--filters"),
+            (4, "--threshold-ms"),
+        ] {
+            assert_eq!(results[at].0, 1, "{}", results[at].1);
+            assert_eq!(
+                results[at].1,
+                format!("error: invalid argument: {flag} requires a value\n")
+            );
+        }
+        // The flags before the broken one were not applied either.
+        assert!(
+            results[1].1.contains("maxWorkers      : 20"),
+            "{}",
+            results[1].1
+        );
+        assert!(
+            results[3].1.contains("Logging level:   error"),
+            "{}",
+            results[3].1
+        );
+        assert!(results[5].1.contains("Tracing off"), "{}", results[5].1);
     }
 
     #[test]

@@ -1292,7 +1292,7 @@ mod migrate_cli_tests {
         domain.managed_save().unwrap();
         conn.close();
         recorder.set_enabled(false);
-        recorder.clear();
+        recorder.drain_and_clear();
 
         let (code, output) = run_line(&format!("-c {uri} domjobinfo worker"));
         assert_eq!(code, 0, "{output}");

@@ -285,45 +285,17 @@ impl RemoteConnection {
     }
 }
 
-/// Table callback, invoked inside the `impl` below: the client stub of
-/// every regular row — build the argument struct, call, convert the
-/// reply. `custom` rows expand to nothing; their stubs are hand-written
-/// next to the invocation.
+/// Table callback, invoked inside the `impl` below: strips the remote
+/// program's class columns and hands each row to the shared stub expander.
+/// `custom` rows expand to nothing; their stubs are hand-written next to
+/// the invocation.
 macro_rules! remote_stubs {
-    (@sig str) => { &str };
-    (@sig $ty:ident) => { $ty };
-    (@own $arg:ident str) => { $arg.to_string() };
-    (@own $arg:ident $ty:ident) => { $arg };
-    (@args ()) => { () };
-    (@args $args:ident $($arg:ident: $ty:ident),*) => {{
-        $( let $arg = remote_stubs!(@own $arg $ty); )*
-        protocol::$args { $($arg),* }
-    }};
-    (@row $name:ident, custom) => {};
-    (@row $name:ident, $method:ident($($arg:ident: $ty:ident),*), $args:tt, unit) => {
-        remote_stubs!(@row $name, $method($($arg: $ty),*), $args, plain(()));
-    };
-    (@row $name:ident, $method:ident($($arg:ident: $ty:ident),*), $args:tt, plain($ret:ty)) => {
-        fn $method(&self $(, $arg: remote_stubs!(@sig $ty))*) -> VirtResult<$ret> {
-            self.call(proc::$name, &remote_stubs!(@args $args $($arg: $ty),*))
-        }
-    };
-    (
-        @row $name:ident, $method:ident($($arg:ident: $ty:ident),*), $args:tt,
-        wire($wire:ident, $ret:ty)
-    ) => {
-        fn $method(&self $(, $arg: remote_stubs!(@sig $ty))*) -> VirtResult<$ret> {
-            let reply: protocol::$wire =
-                self.call(proc::$name, &remote_stubs!(@args $args $($arg: $ty),*))?;
-            Ok(reply.into())
-        }
-    };
     (
         calls { $( ($num:literal, $name:ident, $doc:literal,
             $priority:ident, $retry:ident, $access:ident, $($shape:tt)+); )* }
         events { $($events:tt)* }
     ) => {
-        $( remote_stubs!(@row $name, $($shape)+); )*
+        $( crate::procedure_stub!(fn in protocol, $doc, $name, $($shape)+); )*
     };
 }
 

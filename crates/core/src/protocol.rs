@@ -25,6 +25,7 @@ use crate::driver::{
     DomainRecord, DomainState, DomainStatsRecord, MigrationOptions, MigrationReport, NetworkRecord,
     NodeInfo, PoolRecord, VolumeRecord,
 };
+use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::event::{DomainEvent, DomainEventKind};
 use crate::guard::{GuardPolicy, GuardStatus};
 use crate::job::JobStats;
@@ -247,6 +248,114 @@ macro_rules! procedure_numbers {
             }
         }
     };
+}
+
+/// One regular row as a client stub: build the argument struct, call,
+/// convert the reply. Every program's stub callback strips its own columns
+/// and hands the rest here — `[pub] fn in <module>`, the doc line, NAME and
+/// the row's shape — so the shape rules exist once: this is the one place
+/// a `str` argument becomes `&str` in a signature and `String` on the wire.
+/// `<module>` holds the program's argument structs and its `proc`
+/// constants; the stub goes through `self.call(number, &args)`. A `custom`
+/// row expands to nothing — its stub is written by hand next to the
+/// invocation.
+#[macro_export]
+macro_rules! procedure_stub {
+    (@sig str) => { &str };
+    (@sig $ty:ident) => { $ty };
+    (@own $arg:ident str) => { $arg.to_string() };
+    (@own $arg:ident $ty:ident) => { $arg };
+    (@args $module:ident ()) => { () };
+    (@args $module:ident $args:ident $($arg:ident: $ty:ident),*) => {{
+        $( let $arg = $crate::procedure_stub!(@own $arg $ty); )*
+        $module::$args { $($arg),* }
+    }};
+    ($vis:vis fn in $module:ident, $doc:literal, $name:ident, custom) => {};
+    (
+        $vis:vis fn in $module:ident, $doc:literal, $name:ident,
+        $method:ident $params:tt, $args:tt, unit
+    ) => {
+        $crate::procedure_stub!($vis fn in $module, $doc, $name, $method $params, $args, plain(()));
+    };
+    (
+        $vis:vis fn in $module:ident, $doc:literal, $name:ident,
+        $method:ident($($arg:ident: $ty:ident),*), $args:tt, plain($ret:ty)
+    ) => {
+        #[doc = $doc]
+        $vis fn $method(
+            &self $(, $arg: $crate::procedure_stub!(@sig $ty))*
+        ) -> $crate::error::VirtResult<$ret> {
+            self.call(
+                $module::proc::$name,
+                &$crate::procedure_stub!(@args $module $args $($arg: $ty),*),
+            )
+        }
+    };
+    (
+        $vis:vis fn in $module:ident, $doc:literal, $name:ident,
+        $method:ident($($arg:ident: $ty:ident),*), $args:tt, wire($wire:ident, $ret:ty)
+    ) => {
+        #[doc = $doc]
+        $vis fn $method(
+            &self $(, $arg: $crate::procedure_stub!(@sig $ty))*
+        ) -> $crate::error::VirtResult<$ret> {
+            let reply: $module::$wire = self.call(
+                $module::proc::$name,
+                &$crate::procedure_stub!(@args $module $args $($arg: $ty),*),
+            )?;
+            Ok(reply.into())
+        }
+    };
+}
+
+/// One row as a dispatch arm — decode the argument struct, call the
+/// handler method on `$c`, encode the reply — the mirror of
+/// [`procedure_stub!`] and, like it, the only copy of the shape rules.
+/// Expands to the value of a `match` arm inside a function returning
+/// `VirtResult<Option<Vec<u8>>>`, in a module with `XdrEncode` in scope; a
+/// `custom` row returns `None` so the caller falls through to its
+/// hand-written arms.
+#[macro_export]
+macro_rules! procedure_arm {
+    (@pass $value:expr, str) => { &$value };
+    (@pass $value:expr, $ty:ident) => { $value };
+    (@call $module:ident $c:ident $payload:ident $method:ident() ()) => { $c.$method()? };
+    (
+        @call $module:ident $c:ident $payload:ident
+        $method:ident($($arg:ident: $ty:ident),+) $args:ident
+    ) => {{
+        let args: $module::$args = $crate::protocol::decode_args($payload)?;
+        $c.$method($($crate::procedure_arm!(@pass args.$arg, $ty)),+)?
+    }};
+    ($module:ident, $c:ident, $payload:ident, custom) => { return Ok(None) };
+    ($module:ident, $c:ident, $payload:ident, $method:ident $params:tt, $args:tt, unit) => {
+        $crate::procedure_arm!($module, $c, $payload, $method $params, $args, plain(()))
+    };
+    (
+        $module:ident, $c:ident, $payload:ident,
+        $method:ident $params:tt, $args:tt, plain($ret:ty)
+    ) => {
+        $crate::procedure_arm!(@call $module $c $payload $method $params $args).to_xdr()
+    };
+    (
+        $module:ident, $c:ident, $payload:ident,
+        $method:ident $params:tt, $args:tt, wire($wire:ident, $ret:ty)
+    ) => {{
+        let reply = $crate::procedure_arm!(@call $module $c $payload $method $params $args);
+        $module::$wire::from(&reply).to_xdr()
+    }};
+}
+
+/// Decodes a call's argument payload — the generated arms and the
+/// hand-written ones of both programs report a malformed one alike.
+///
+/// # Errors
+///
+/// [`ErrorCode::RpcFailure`] `bad arguments: …` when the payload is not
+/// an XDR `T`.
+pub fn decode_args<T: XdrDecode>(payload: &[u8]) -> VirtResult<T> {
+    T::from_xdr(payload)
+        .map_err(|e| VirtError::new(ErrorCode::RpcFailure, format!("bad arguments: {e}")))
 }
 
 /// Procedure numbers of the remote (hypervisor) program.
@@ -1314,5 +1423,172 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), all.len());
+    }
+
+    /// The two row expanders held to each other on a toy program: a
+    /// counter store whose stubs and arms are both generated, joined by a
+    /// loopback `call`. One row of each reply shape, a `str` and a scalar
+    /// argument, and a `custom` row that must expand to no stub and to an
+    /// arm that falls through.
+    mod expanders {
+        use std::collections::HashMap;
+        use std::sync::Mutex;
+
+        use virt_rpc::xdr::{XdrDecode, XdrEncode};
+
+        use crate::error::{ErrorCode, VirtResult};
+
+        macro_rules! toy_procedures {
+            ($callback:ident) => {
+                $callback! {
+                    calls {
+                        (1, RESET, "Forget every counter.", reset(), (), unit);
+                        (2, ADD, "Add to a counter; its new value.",
+                            add(key: str, count: u32), KeyCountArgs, plain(u32));
+                        (3, TOTAL, "Sum over the counters whose key starts with `key`.",
+                            total(key: str), KeyArgs, wire(WireTotal, u64));
+                        (4, BY_HAND, "A row the expanders leave alone.", custom);
+                    }
+                    events {}
+                }
+            };
+        }
+
+        mod toy {
+            use virt_rpc::xdr_struct;
+
+            pub mod proc {
+                toy_procedures!(procedure_numbers);
+            }
+
+            xdr_struct! {
+                /// A key.
+                pub struct KeyArgs {
+                    /// The key.
+                    pub key: String,
+                }
+            }
+            xdr_struct! {
+                /// A key and a count.
+                pub struct KeyCountArgs {
+                    /// The key.
+                    pub key: String,
+                    /// The count.
+                    pub count: u32,
+                }
+            }
+            xdr_struct! {
+                /// A total whose wire form is wider than a bare `u64`.
+                pub struct WireTotal {
+                    /// The total.
+                    pub total: u64,
+                    /// Always 7: what a bare `u64` would not carry.
+                    pub tag: u32,
+                }
+            }
+            impl From<&u64> for WireTotal {
+                fn from(&total: &u64) -> Self {
+                    WireTotal { total, tag: 7 }
+                }
+            }
+            impl From<WireTotal> for u64 {
+                fn from(wire: WireTotal) -> Self {
+                    assert_eq!(wire.tag, 7);
+                    wire.total
+                }
+            }
+        }
+
+        #[derive(Default)]
+        struct Store(Mutex<HashMap<String, u32>>);
+
+        impl Store {
+            fn reset(&self) -> VirtResult<()> {
+                self.0.lock().unwrap().clear();
+                Ok(())
+            }
+            fn add(&self, key: &str, count: u32) -> VirtResult<u32> {
+                let mut counters = self.0.lock().unwrap();
+                let value = counters.entry(key.to_string()).or_insert(0);
+                *value += count;
+                Ok(*value)
+            }
+            fn total(&self, key: &str) -> VirtResult<u64> {
+                let counters = self.0.lock().unwrap();
+                Ok(counters
+                    .iter()
+                    .filter(|(k, _)| k.starts_with(key))
+                    .map(|(_, v)| u64::from(*v))
+                    .sum())
+            }
+        }
+
+        macro_rules! toy_dispatch {
+            (
+                calls { $( ($num:literal, $name:ident, $doc:literal, $($shape:tt)+); )* }
+                events {}
+            ) => {
+                fn call_regular(
+                    c: &Store,
+                    procedure: u32,
+                    payload: &[u8],
+                ) -> VirtResult<Option<Vec<u8>>> {
+                    Ok(Some(match procedure {
+                        $( $num => crate::procedure_arm!(toy, c, payload, $($shape)+), )*
+                        _ => return Ok(None),
+                    }))
+                }
+            };
+        }
+        toy_procedures!(toy_dispatch);
+
+        macro_rules! toy_stubs {
+            (
+                calls { $( ($num:literal, $name:ident, $doc:literal, $($shape:tt)+); )* }
+                events {}
+            ) => {
+                $( crate::procedure_stub!(pub fn in toy, $doc, $name, $($shape)+); )*
+            };
+        }
+
+        struct Client<'a>(&'a Store);
+
+        impl Client<'_> {
+            fn call<R: XdrDecode>(&self, procedure: u32, args: &impl XdrEncode) -> VirtResult<R> {
+                let reply = call_regular(self.0, procedure, &args.to_xdr())?
+                    .expect("a regular row has an arm");
+                Ok(R::from_xdr(&reply).expect("the arm encodes what the stub decodes"))
+            }
+
+            toy_procedures!(toy_stubs);
+
+            // Compiles only because the `custom` row generated no stub.
+            fn by_hand(&self) -> u32 {
+                toy::proc::BY_HAND
+            }
+        }
+
+        #[test]
+        fn generated_stubs_and_arms_round_trip_against_each_other() {
+            let store = Store::default();
+            let client = Client(&store);
+            assert_eq!(client.add("vm.a", 2).unwrap(), 2);
+            assert_eq!(client.add("vm.a", 3).unwrap(), 5);
+            assert_eq!(client.add("vm.b", 1).unwrap(), 1);
+            assert_eq!(client.total("vm.").unwrap(), 6);
+            assert_eq!(client.total("vm.b").unwrap(), 1);
+            client.reset().unwrap();
+            assert_eq!(client.total("").unwrap(), 0);
+
+            // A custom row and a number outside the table fall through.
+            assert_eq!(toy::proc::name(client.by_hand()), Some("BY_HAND"));
+            assert_eq!(call_regular(&store, client.by_hand(), &[]).unwrap(), None);
+            assert_eq!(toy::proc::ALL.len(), 4);
+            assert_eq!(call_regular(&store, 99, &[]).unwrap(), None);
+            // A malformed argument struct is the shared error, not a panic.
+            let err = call_regular(&store, toy::proc::ADD, &[0, 0]).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::RpcFailure);
+            assert!(err.message().starts_with("bad arguments: "), "{err}");
+        }
     }
 }

@@ -12,6 +12,13 @@
 //! - `dmn-log-info`/`dmn-log-define` — reconfigure logging atomically,
 //! - `metrics` — fetch the daemon-wide metric registry (counters,
 //!   gauges, latency histograms), optionally in Prometheus text format.
+//!
+//! Both ends are generated from the `admin_procedures!` table in
+//! `adminproto.rs` by the row expanders the remote program uses
+//! (`virt_core::procedure_arm!`, `procedure_stub!`): a regular row's
+//! handler is the `AdminDispatcher` method the row names, its
+//! `AdminClient` stub is the row. Written by hand here are the arms and
+//! stubs of the table's `custom` rows.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,13 +27,15 @@ use parking_lot::Mutex;
 
 use virt_core::error::{ErrorCode, VirtError, VirtResult};
 use virt_core::log::{LogLevel, LogSettings, Logger};
+use virt_core::metrics::recorder::{FlightRecorder, RECORDER_CAPACITY};
+use virt_core::protocol::decode_args;
 use virt_core::typedparam::{TypedParamList, TypedParams};
 use virt_rpc::message::{Header, Packet, ADMIN_PROGRAM};
 use virt_rpc::transport::Transport;
 use virt_rpc::xdr::XdrEncode;
 use virt_rpc::{CallClient, PoolLimits, PoolStats};
 
-use crate::adminproto::{self, proc};
+use crate::adminproto::{self, admin_procedures, proc, WireMetric, WireTraceEvent};
 use crate::server::{ClientHandle, ClientSnapshot, ProgramDispatcher, Server};
 
 /// Dispatcher for [`ADMIN_PROGRAM`].
@@ -37,15 +46,13 @@ pub struct AdminDispatcher {
     registry: Arc<virt_core::metrics::Registry>,
 }
 
+/// Construction, and the handler of every regular row of the table: the
+/// method the row names, with the arguments it names.
 impl AdminDispatcher {
-    /// Creates the dispatcher; servers are attached afterwards with
-    /// [`AdminDispatcher::attach_server`] (the admin server manages
-    /// itself too, so it cannot exist before its own dispatcher).
-    pub fn new(logger: Arc<Logger>) -> Arc<Self> {
-        Self::with_registry(logger, Arc::new(virt_core::metrics::Registry::new()))
-    }
-
-    /// Creates the dispatcher serving metrics from `registry`.
+    /// Creates the dispatcher serving metrics from `registry`; servers
+    /// are attached afterwards with [`AdminDispatcher::attach_server`]
+    /// (the admin server manages itself too, so it cannot exist before
+    /// its own dispatcher).
     pub fn with_registry(
         logger: Arc<Logger>,
         registry: Arc<virt_core::metrics::Registry>,
@@ -72,19 +79,97 @@ impl AdminDispatcher {
             .ok_or_else(|| VirtError::new(ErrorCode::InvalidArg, format!("no server '{name}'")))
     }
 
+    fn list_servers(&self) -> VirtResult<Vec<String>> {
+        let mut names: Vec<String> = self.servers.lock().keys().cloned().collect();
+        names.sort_unstable();
+        Ok(names)
+    }
+
+    fn threadpool_info(&self, server: &str) -> VirtResult<PoolStats> {
+        Ok(self.server(server)?.pool_stats())
+    }
+
+    fn client_list(&self, server: &str) -> VirtResult<Vec<ClientSnapshot>> {
+        Ok(self.server(server)?.clients())
+    }
+
+    fn client_info(&self, server: &str, client: u64) -> VirtResult<ClientSnapshot> {
+        self.client_list(server)?
+            .into_iter()
+            .find(|c| c.id == client)
+            .ok_or_else(|| VirtError::new(ErrorCode::InvalidArg, format!("no client {client}")))
+    }
+
+    fn client_disconnect(&self, server: &str, client: u64) -> VirtResult<()> {
+        if !self.server(server)?.disconnect_client(client) {
+            return Err(VirtError::new(
+                ErrorCode::InvalidArg,
+                format!("no client {client}"),
+            ));
+        }
+        self.logger.info(
+            "daemon.admin",
+            &format!("client {client} forcibly disconnected from '{server}'"),
+        );
+        Ok(())
+    }
+
+    fn client_limits(&self, server: &str) -> VirtResult<(u32, u32, u64)> {
+        let server = self.server(server)?;
+        Ok((
+            server.max_clients(),
+            server.client_count() as u32,
+            server.refused_count(),
+        ))
+    }
+
+    fn log_set_filters(&self, spec: &str) -> VirtResult<()> {
+        let mut settings = (*self.logger.settings()).clone();
+        settings.filters = LogSettings::parse_filters(spec)?;
+        self.logger.redefine(settings)
+    }
+
+    fn log_set_outputs(&self, spec: &str) -> VirtResult<()> {
+        let mut settings = (*self.logger.settings()).clone();
+        settings.outputs = LogSettings::parse_outputs(spec)?;
+        self.logger.redefine(settings)
+    }
+
+    fn metrics_list(&self) -> VirtResult<Vec<String>> {
+        // Daemon metrics plus this process's client-side RPC
+        // resilience counters (rpc.reconnect.*, rpc.retry.*).
+        let mut names = self.registry.names();
+        names.extend(virt_core::client_metrics().names());
+        names.sort_unstable();
+        names.dedup();
+        Ok(names)
+    }
+
+    fn metrics(&self, prefix: &str) -> VirtResult<Vec<WireMetric>> {
+        let mut snaps = self.registry.snapshot(prefix);
+        snaps.extend(virt_core::client_metrics().snapshot(prefix));
+        Ok(snaps.into_iter().map(WireMetric::from).collect())
+    }
+
+    fn trace_dump(&self, clear: bool) -> VirtResult<Vec<WireTraceEvent>> {
+        let recorder = FlightRecorder::global();
+        let events = if clear {
+            recorder.drain_and_clear()
+        } else {
+            recorder.drain()
+        };
+        Ok(events.iter().map(WireTraceEvent::from).collect())
+    }
+
     fn handle(&self, header: Header, payload: &[u8]) -> VirtResult<Vec<u8>> {
+        if let Some(reply) = call_regular(self, header.procedure, payload)? {
+            return Ok(reply);
+        }
+
+        // The table's `custom` rows.
         let reply = match header.procedure {
-            proc::SRV_LIST => {
-                let mut names: Vec<String> = self.servers.lock().keys().cloned().collect();
-                names.sort_unstable();
-                names.to_xdr()
-            }
-            proc::THREADPOOL_INFO => {
-                let args: adminproto::ServerArgs = decode(payload)?;
-                self.server(&args.server)?.pool_stats().to_xdr()
-            }
             proc::THREADPOOL_SET => {
-                let args: adminproto::ServerParamsArgs = decode(payload)?;
+                let args: adminproto::ServerParamsArgs = decode_args(payload)?;
                 let server = self.server(&args.server)?;
                 let params = &args.params.0;
                 params.validate_fields(&[
@@ -119,52 +204,8 @@ impl AdminDispatcher {
                 );
                 ().to_xdr()
             }
-            proc::CLIENT_LIST => {
-                let args: adminproto::ServerArgs = decode(payload)?;
-                self.server(&args.server)?.clients().to_xdr()
-            }
-            proc::CLIENT_INFO => {
-                let args: adminproto::ClientArgs = decode(payload)?;
-                let server = self.server(&args.server)?;
-                server
-                    .clients()
-                    .into_iter()
-                    .find(|c| c.id == args.client)
-                    .ok_or_else(|| {
-                        VirtError::new(ErrorCode::InvalidArg, format!("no client {}", args.client))
-                    })?
-                    .to_xdr()
-            }
-            proc::CLIENT_DISCONNECT => {
-                let args: adminproto::ClientArgs = decode(payload)?;
-                let server = self.server(&args.server)?;
-                if !server.disconnect_client(args.client) {
-                    return Err(VirtError::new(
-                        ErrorCode::InvalidArg,
-                        format!("no client {}", args.client),
-                    ));
-                }
-                self.logger.info(
-                    "daemon.admin",
-                    &format!(
-                        "client {} forcibly disconnected from '{}'",
-                        args.client, args.server
-                    ),
-                );
-                ().to_xdr()
-            }
-            proc::CLIENT_LIMITS_INFO => {
-                let args: adminproto::ServerArgs = decode(payload)?;
-                let server = self.server(&args.server)?;
-                adminproto::WireClientLimits {
-                    max_clients: server.max_clients(),
-                    current_clients: server.client_count() as u32,
-                    refused: server.refused_count(),
-                }
-                .to_xdr()
-            }
             proc::CLIENT_LIMITS_SET => {
-                let args: adminproto::ServerParamsArgs = decode(payload)?;
+                let args: adminproto::ServerParamsArgs = decode_args(payload)?;
                 let server = self.server(&args.server)?;
                 let params = &args.params.0;
                 params.validate_fields(&[adminproto::PARAM_CLIENTS_MAX])?;
@@ -189,48 +230,13 @@ impl AdminDispatcher {
                 .to_xdr()
             }
             proc::LOG_SET_LEVEL => {
-                let level: u32 = decode(payload)?;
+                let level: u32 = decode_args(payload)?;
                 self.logger.set_level(LogLevel::from_number(level)?);
                 ().to_xdr()
             }
-            proc::LOG_SET_FILTERS => {
-                let filters: String = decode(payload)?;
-                let parsed = LogSettings::parse_filters(&filters)?;
-                let mut settings = (*self.logger.settings()).clone();
-                settings.filters = parsed;
-                self.logger.redefine(settings)?;
-                ().to_xdr()
-            }
-            proc::LOG_SET_OUTPUTS => {
-                let outputs: String = decode(payload)?;
-                let parsed = LogSettings::parse_outputs(&outputs)?;
-                let mut settings = (*self.logger.settings()).clone();
-                settings.outputs = parsed;
-                self.logger.redefine(settings)?;
-                ().to_xdr()
-            }
-            proc::METRICS_LIST => {
-                // Daemon metrics plus this process's client-side RPC
-                // resilience counters (rpc.reconnect.*, rpc.retry.*).
-                let mut names = self.registry.names();
-                names.extend(virt_core::client_metrics().names());
-                names.sort_unstable();
-                names.dedup();
-                names.to_xdr()
-            }
-            proc::METRICS_FETCH => {
-                let args: adminproto::MetricsFetchArgs = decode(payload)?;
-                let mut snaps = self.registry.snapshot(&args.prefix);
-                snaps.extend(virt_core::client_metrics().snapshot(&args.prefix));
-                let wire: Vec<_> = snaps
-                    .into_iter()
-                    .map(adminproto::WireMetric::from)
-                    .collect();
-                wire.to_xdr()
-            }
             proc::TRACE_CONFIG => {
-                let args: adminproto::TraceConfigArgs = decode(payload)?;
-                let recorder = virt_core::metrics::recorder::FlightRecorder::global();
+                let args: adminproto::TraceConfigArgs = decode_args(payload)?;
+                let recorder = FlightRecorder::global();
                 if let Some(enabled) = args.enabled {
                     recorder.set_enabled(enabled);
                     self.logger.info(
@@ -249,22 +255,9 @@ impl AdminDispatcher {
                     enabled: recorder.is_enabled(),
                     slow_threshold_ms: recorder.slow_threshold().as_millis() as u64,
                     recorded: recorder.recorded(),
-                    capacity: virt_core::metrics::recorder::RECORDER_CAPACITY as u64,
+                    capacity: RECORDER_CAPACITY as u64,
                 }
                 .to_xdr()
-            }
-            proc::TRACE_DUMP => {
-                let args: adminproto::TraceDumpArgs = decode(payload)?;
-                let recorder = virt_core::metrics::recorder::FlightRecorder::global();
-                let events = recorder.drain();
-                if args.clear {
-                    recorder.clear();
-                }
-                let wire: Vec<_> = events
-                    .iter()
-                    .map(adminproto::WireTraceEvent::from)
-                    .collect();
-                wire.to_xdr()
             }
             other => {
                 return Err(VirtError::new(
@@ -277,10 +270,29 @@ impl AdminDispatcher {
     }
 }
 
-fn decode<T: virt_rpc::xdr::XdrDecode>(payload: &[u8]) -> VirtResult<T> {
-    T::from_xdr(payload)
-        .map_err(|e| VirtError::new(ErrorCode::RpcFailure, format!("bad arguments: {e}")))
+/// Table callback: `call_regular`, the decode → handler → encode arm of
+/// every regular row in one `match`, each expanded by the expander the
+/// remote program's dispatcher uses. `custom` rows and numbers outside
+/// the table yield `None` and fall to the hand-written arms.
+macro_rules! admin_dispatch {
+    (
+        calls { $( ($num:literal, $name:ident, $doc:literal, $($shape:tt)+); )* }
+        events { $($events:tt)* }
+    ) => {
+        fn call_regular(
+            c: &AdminDispatcher,
+            procedure: u32,
+            payload: &[u8],
+        ) -> VirtResult<Option<Vec<u8>>> {
+            Ok(Some(match procedure {
+                $( $num => virt_core::procedure_arm!(adminproto, c, payload, $($shape)+), )*
+                _ => return Ok(None),
+            }))
+        }
+    };
 }
+
+admin_procedures!(admin_dispatch);
 
 impl ProgramDispatcher for AdminDispatcher {
     fn program(&self) -> u32 {
@@ -312,6 +324,20 @@ pub struct AdminClient {
     client: CallClient,
 }
 
+/// Table callback, invoked inside the `impl` below: the public stub of
+/// every regular row — documented by the row's doc line; it fails as the
+/// daemon's handler does (unknown server or client, malformed
+/// specification) or with the RPC failure. `custom` rows expand to
+/// nothing; their stubs are hand-written next to the invocation.
+macro_rules! admin_stubs {
+    (
+        calls { $( ($num:literal, $name:ident, $doc:literal, $($shape:tt)+); )* }
+        events { $($events:tt)* }
+    ) => {
+        $( virt_core::procedure_stub!(pub fn in adminproto, $doc, $name, $($shape)+); )*
+    };
+}
+
 impl AdminClient {
     /// Wraps an established transport to a daemon's admin server.
     pub fn new(transport: impl Transport + 'static) -> Self {
@@ -330,28 +356,7 @@ impl AdminClient {
             .map_err(VirtError::from)
     }
 
-    /// Names of the daemon's servers.
-    ///
-    /// # Errors
-    ///
-    /// RPC failures.
-    pub fn list_servers(&self) -> VirtResult<Vec<String>> {
-        self.call(proc::SRV_LIST, &())
-    }
-
-    /// Worker-pool statistics of a server.
-    ///
-    /// # Errors
-    ///
-    /// Unknown server; RPC failures.
-    pub fn threadpool_info(&self, server: &str) -> VirtResult<PoolStats> {
-        self.call(
-            proc::THREADPOOL_INFO,
-            &adminproto::ServerArgs {
-                server: server.to_string(),
-            },
-        )
-    }
+    admin_procedures!(admin_stubs);
 
     /// Adjusts worker-pool limits via typed parameters.
     ///
@@ -370,65 +375,6 @@ impl AdminClient {
                 params: TypedParamList(params),
             },
         )
-    }
-
-    /// Clients connected to a server.
-    ///
-    /// # Errors
-    ///
-    /// Unknown server.
-    pub fn client_list(&self, server: &str) -> VirtResult<Vec<ClientSnapshot>> {
-        self.call(
-            proc::CLIENT_LIST,
-            &adminproto::ServerArgs {
-                server: server.to_string(),
-            },
-        )
-    }
-
-    /// Identity details of one client.
-    ///
-    /// # Errors
-    ///
-    /// Unknown server or client.
-    pub fn client_info(&self, server: &str, client: u64) -> VirtResult<ClientSnapshot> {
-        self.call(
-            proc::CLIENT_INFO,
-            &adminproto::ClientArgs {
-                server: server.to_string(),
-                client,
-            },
-        )
-    }
-
-    /// Forcefully closes a client's connection.
-    ///
-    /// # Errors
-    ///
-    /// Unknown server or client.
-    pub fn client_disconnect(&self, server: &str, client: u64) -> VirtResult<()> {
-        self.call(
-            proc::CLIENT_DISCONNECT,
-            &adminproto::ClientArgs {
-                server: server.to_string(),
-                client,
-            },
-        )
-    }
-
-    /// Client-limit statistics: `(max, current, refused)`.
-    ///
-    /// # Errors
-    ///
-    /// Unknown server.
-    pub fn client_limits(&self, server: &str) -> VirtResult<(u32, u32, u64)> {
-        let wire: adminproto::WireClientLimits = self.call(
-            proc::CLIENT_LIMITS_INFO,
-            &adminproto::ServerArgs {
-                server: server.to_string(),
-            },
-        )?;
-        Ok((wire.max_clients, wire.current_clients, wire.refused))
     }
 
     /// Sets the client limit.
@@ -472,48 +418,6 @@ impl AdminClient {
         self.call(proc::LOG_SET_LEVEL, &level.as_number())
     }
 
-    /// Replaces the filter set (space-separated `level:module` entries).
-    ///
-    /// # Errors
-    ///
-    /// Malformed filters — nothing is applied partially.
-    pub fn log_set_filters(&self, filters: &str) -> VirtResult<()> {
-        self.call(proc::LOG_SET_FILTERS, &filters.to_string())
-    }
-
-    /// Replaces the output set (space-separated `level:kind[:data]`).
-    ///
-    /// # Errors
-    ///
-    /// Malformed outputs — nothing is applied partially.
-    pub fn log_set_outputs(&self, outputs: &str) -> VirtResult<()> {
-        self.call(proc::LOG_SET_OUTPUTS, &outputs.to_string())
-    }
-
-    /// Names of all registered metrics.
-    ///
-    /// # Errors
-    ///
-    /// RPC failures.
-    pub fn metrics_list(&self) -> VirtResult<Vec<String>> {
-        self.call(proc::METRICS_LIST, &())
-    }
-
-    /// Snapshot of the daemon's metrics; `prefix` filters by metric
-    /// name, empty fetches everything.
-    ///
-    /// # Errors
-    ///
-    /// RPC failures.
-    pub fn metrics(&self, prefix: &str) -> VirtResult<Vec<adminproto::WireMetric>> {
-        self.call(
-            proc::METRICS_FETCH,
-            &adminproto::MetricsFetchArgs {
-                prefix: prefix.to_string(),
-            },
-        )
-    }
-
     /// Reads or updates the daemon's flight-recorder configuration:
     /// `None` fields leave the current value in place, so passing both
     /// as `None` is a pure read. Returns the resulting configuration.
@@ -533,15 +437,6 @@ impl AdminClient {
                 slow_threshold_ms,
             },
         )
-    }
-
-    /// Drains the daemon's flight recorder, optionally clearing it.
-    ///
-    /// # Errors
-    ///
-    /// RPC failures.
-    pub fn trace_dump(&self, clear: bool) -> VirtResult<Vec<adminproto::WireTraceEvent>> {
-        self.call(proc::TRACE_DUMP, &adminproto::TraceDumpArgs { clear })
     }
 
     /// Closes the admin connection.

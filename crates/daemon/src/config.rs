@@ -18,9 +18,9 @@ pub struct VirtdConfig {
     pub max_clients: u32,
     /// Worker pool limits of the main server.
     pub pool_limits: PoolLimits,
-    /// Worker pool limits of the admin server (smaller by default).
-    pub admin_pool_limits: PoolLimits,
-    /// Initial logging settings.
+    /// Initial logging settings. Only the default is in use, and the
+    /// field stays: it is the persistent half of "persistent file vs
+    /// runtime state" — what `dmn-log-define` changes until the restart.
     pub log: LogSettings,
     /// When set, clients must AUTH with one of these `(user, password)`
     /// pairs before OPEN succeeds. `None` disables authentication.
@@ -30,11 +30,6 @@ pub struct VirtdConfig {
     /// `/run/libvirt` split), and startup runs a recovery pass against
     /// it. `None` keeps all state in memory.
     pub statedir: Option<std::path::PathBuf>,
-    /// Event-loop threads of the main server. Each multiplexes its
-    /// share of the connections over one epoll instance; requests still
-    /// execute on the worker pool, so a handful is enough even at
-    /// thousands of clients.
-    pub event_threads: usize,
     /// Restart-backoff ladder used by the guard engine for `keep-running`
     /// policies. `None` keeps the engine's built-in default.
     pub guard_backoff: Option<BackoffSchedule>,
@@ -49,15 +44,9 @@ impl VirtdConfig {
         VirtdConfig {
             max_clients: 120,
             pool_limits: PoolLimits::new(),
-            admin_pool_limits: PoolLimits {
-                min_workers: 1,
-                max_workers: 5,
-                priority_workers: 1,
-            },
             log: LogSettings::new(),
             credentials: None,
             statedir: None,
-            event_threads: 2,
             guard_backoff: None,
             statestore: StoreOptions::default(),
         }
@@ -84,12 +73,6 @@ impl VirtdConfig {
     /// Overrides the main pool limits.
     pub fn pool_limits(mut self, limits: PoolLimits) -> Self {
         self.pool_limits = limits;
-        self
-    }
-
-    /// Overrides the event-loop thread count of the main server.
-    pub fn event_threads(mut self, threads: usize) -> Self {
-        self.event_threads = threads.max(1);
         self
     }
 
@@ -123,7 +106,6 @@ mod tests {
         assert_eq!(config.pool_limits.min_workers, 5);
         assert_eq!(config.pool_limits.max_workers, 20);
         assert_eq!(config.pool_limits.priority_workers, 5);
-        assert!(config.admin_pool_limits.max_workers < config.pool_limits.max_workers);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use virt_core::metrics::Registry;
 use virt_core::statestore::StateStore;
 use virt_core::testbed;
 use virt_rpc::transport::{memory_listener, Listener, MemoryConnector};
+use virt_rpc::PoolLimits;
 
 use crate::admin::AdminDispatcher;
 use crate::config::VirtdConfig;
@@ -318,16 +319,18 @@ impl VirtdBuilder {
                 .counter("recovery.duration_us", "Wall-clock startup recovery time")
                 .add(started.elapsed().as_micros() as u64);
         }
-        let event_options = EventLoopOptions {
-            event_threads: self.config.event_threads,
-            ..EventLoopOptions::default()
-        };
+        // Each event thread multiplexes its share of the connections over
+        // one epoll instance; requests still execute on the worker pool,
+        // so two are enough even at thousands of clients.
         let main_server = Server::with_event_options(
             "virtd",
             self.config.pool_limits,
             self.config.max_clients,
             remote_dispatcher,
-            event_options.clone(),
+            EventLoopOptions {
+                event_threads: 2,
+                ..EventLoopOptions::default()
+            },
         )
         .map_err(|e| VirtError::new(ErrorCode::InvalidArg, e))?;
         main_server.set_logger(Arc::clone(&logger));
@@ -335,15 +338,21 @@ impl VirtdBuilder {
 
         let admin_dispatcher =
             AdminDispatcher::with_registry(Arc::clone(&logger), Arc::clone(&registry));
-        // The admin plane is low-traffic: one event thread is plenty.
+        // The admin plane is low-traffic: one event thread is plenty. Its
+        // pool never runs a job — every admin procedure is answered inline
+        // — so the limits are what `srv-threadpool-info admin` reports.
         let admin_server = Server::with_event_options(
             "admin",
-            self.config.admin_pool_limits,
+            PoolLimits {
+                min_workers: 1,
+                max_workers: 5,
+                priority_workers: 1,
+            },
             self.config.max_clients,
             admin_dispatcher.clone(),
             EventLoopOptions {
                 event_threads: 1,
-                ..event_options
+                ..EventLoopOptions::default()
             },
         )
         .map_err(|e| VirtError::new(ErrorCode::InvalidArg, e))?;

@@ -27,7 +27,7 @@ use virt_core::metrics::recorder::FlightRecorder;
 use virt_core::metrics::span;
 use virt_core::metrics::trace::{self, RequestId};
 use virt_core::metrics::{Counter, Histogram, Registry};
-use virt_core::protocol::{self, proc};
+use virt_core::protocol::{self, decode_args, proc};
 use virt_core::uri::ConnectUri;
 use virt_rpc::message::{Header, Packet, REMOTE_PROGRAM};
 use virt_rpc::xdr::XdrEncode;
@@ -175,7 +175,7 @@ impl RemoteDispatcher {
     ) -> VirtResult<Vec<u8>> {
         // AUTH may precede OPEN on daemons requiring credentials.
         if header.procedure == proc::AUTH {
-            let args: protocol::AuthArgs = decode(payload)?;
+            let args: protocol::AuthArgs = decode_args(payload)?;
             let Some(credentials) = &self.credentials else {
                 // No authentication configured: accept and record the name.
                 client.identity.lock().username = Some(args.username);
@@ -218,7 +218,7 @@ impl RemoteDispatcher {
                     "authentication required before open",
                 ));
             }
-            let args: protocol::OpenArgs = decode(payload)?;
+            let args: protocol::OpenArgs = decode_args(payload)?;
             let uri: ConnectUri = args.uri.parse()?;
             let conn = self
                 .drivers
@@ -287,11 +287,11 @@ impl RemoteDispatcher {
                 wire.to_xdr()
             }
             proc::DOMAIN_LOOKUP_ID => {
-                let args: protocol::NameU32Args = decode(payload)?;
+                let args: protocol::NameU32Args = decode_args(payload)?;
                 protocol::WireDomain::from(&c.lookup_domain_by_id(args.value)?).to_xdr()
             }
             proc::DOMAIN_LOOKUP_UUID => {
-                let uuid: [u8; 16] = decode(payload)?;
+                let uuid: [u8; 16] = decode_args(payload)?;
                 let record = c.lookup_domain_by_uuid(virt_core::Uuid::from_bytes(uuid))?;
                 protocol::WireDomain::from(&record).to_xdr()
             }
@@ -299,11 +299,11 @@ impl RemoteDispatcher {
                 protocol::DomainStatsReply(&c.get_all_domain_stats()?).to_xdr()
             }
             proc::MIGRATE_PERFORM => {
-                let args: protocol::MigratePerformArgs = decode(payload)?;
+                let args: protocol::MigratePerformArgs = decode_args(payload)?;
                 c.migrate_perform(&args.name, &args.to_options())?.to_xdr()
             }
             proc::GUARD_SET => {
-                let args: protocol::GuardSetArgs = decode(payload)?;
+                let args: protocol::GuardSetArgs = decode_args(payload)?;
                 let policy = args.to_policy().ok_or_else(|| {
                     VirtError::new(
                         ErrorCode::InvalidArg,
@@ -322,7 +322,7 @@ impl RemoteDispatcher {
                 wire.to_xdr()
             }
             proc::GUARD_STATUS => {
-                let args: protocol::NameArgs = decode(payload)?;
+                let args: protocol::NameArgs = decode_args(payload)?;
                 protocol::WireGuardStatus::from(&c.guard_status(&args.name)?).to_xdr()
             }
             proc::EVENT_REGISTER => {
@@ -380,11 +380,6 @@ impl RemoteDispatcher {
     }
 }
 
-fn decode<T: virt_rpc::xdr::XdrDecode>(payload: &[u8]) -> VirtResult<T> {
-    T::from_xdr(payload)
-        .map_err(|e| VirtError::new(ErrorCode::RpcFailure, format!("bad arguments: {e}")))
-}
-
 /// `DOMAIN_START (17)` for a number the table names, `17` otherwise.
 fn describe(procedure: u32) -> String {
     match proc::name(procedure) {
@@ -394,26 +389,11 @@ fn describe(procedure: u32) -> String {
 }
 
 /// Table callback: `call_regular`, the decode → driver call → encode arm
-/// of every regular row in one `match`. `custom` rows and numbers
-/// outside the table yield `None` and fall to the hand-written arms.
+/// of every regular row in one `match`, each expanded by the shared arm
+/// expander once the remote program's class columns are stripped. `custom`
+/// rows and numbers outside the table yield `None` and fall to the
+/// hand-written arms.
 macro_rules! regular_dispatch {
-    (@pass $value:expr, str) => { &$value };
-    (@pass $value:expr, $ty:ident) => { $value };
-    (@call $c:ident $payload:ident $method:ident() ()) => { $c.$method()? };
-    (@call $c:ident $payload:ident $method:ident($($arg:ident: $ty:ident),+) $args:ident) => {{
-        let args: protocol::$args = decode($payload)?;
-        $c.$method($(regular_dispatch!(@pass args.$arg, $ty)),+)?
-    }};
-    (@arm $c:ident $payload:ident custom) => { return Ok(None) };
-    (@arm $c:ident $payload:ident $method:ident $params:tt, $args:tt, unit) => {
-        regular_dispatch!(@arm $c $payload $method $params, $args, plain(()))
-    };
-    (@arm $c:ident $payload:ident $method:ident $params:tt, $args:tt, plain($ret:ty)) => {
-        regular_dispatch!(@call $c $payload $method $params $args).to_xdr()
-    };
-    (@arm $c:ident $payload:ident $method:ident $params:tt, $args:tt, wire($wire:ident, $ret:ty)) => {
-        protocol::$wire::from(&regular_dispatch!(@call $c $payload $method $params $args)).to_xdr()
-    };
     (
         calls { $( ($num:literal, $name:ident, $doc:literal,
             $priority:ident, $retry:ident, $access:ident, $($shape:tt)+); )* }
@@ -425,7 +405,7 @@ macro_rules! regular_dispatch {
             payload: &[u8],
         ) -> VirtResult<Option<Vec<u8>>> {
             Ok(Some(match procedure {
-                $( $num => regular_dispatch!(@arm c payload $($shape)+), )*
+                $( $num => virt_core::procedure_arm!(protocol, c, payload, $($shape)+), )*
                 _ => return Ok(None),
             }))
         }

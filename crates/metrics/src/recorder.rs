@@ -189,6 +189,19 @@ impl FlightRecorder {
     /// writers are active: slots caught mid-write are skipped, everything
     /// else comes out whole (the seqlock re-check rejects torn reads).
     pub fn drain(&self) -> Vec<TraceEvent> {
+        self.read_ring(false)
+    }
+
+    /// [`FlightRecorder::drain`] that also forgets exactly the events it
+    /// returns, so that every event comes out of one such call and no
+    /// other: what writers record meanwhile — and a slot skipped because
+    /// its writer was mid-flight — stays for the next one. The ticket
+    /// counter keeps running.
+    pub fn drain_and_clear(&self) -> Vec<TraceEvent> {
+        self.read_ring(true)
+    }
+
+    fn read_ring(&self, forget: bool) -> Vec<TraceEvent> {
         let end = self.next.load(Ordering::Acquire);
         let start = end.saturating_sub(RECORDER_CAPACITY as u64);
         let mut out = Vec::with_capacity((end - start) as usize);
@@ -220,21 +233,25 @@ impl FlightRecorder {
                     detail: slot.detail.load(Ordering::Relaxed),
                 };
                 fence(Ordering::Acquire);
-                if slot.seq.load(Ordering::Relaxed) == seq {
+                // The re-check. Forgetting makes it a compare-and-swap to
+                // 0 (never written): it succeeds only on the very event
+                // just copied, so a writer's marker is never overwritten,
+                // and of two concurrent callers one gets the event. The
+                // zero publishes nothing; a reader that sees it skips.
+                let unchanged = if forget {
+                    slot.seq
+                        .compare_exchange(seq, 0, Ordering::Release, Ordering::Relaxed)
+                        .is_ok()
+                } else {
+                    slot.seq.load(Ordering::Relaxed) == seq
+                };
+                if unchanged {
                     out.push(event);
                     break;
                 }
             }
         }
         out
-    }
-
-    /// Invalidates every slot. The ticket counter keeps running, so
-    /// concurrent writers are unaffected.
-    pub fn clear(&self) {
-        for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Release);
-        }
     }
 
     /// The recorded events belonging to one trace, oldest first.
@@ -459,7 +476,7 @@ mod tests {
         let recorder = FlightRecorder::new();
         recorder.set_enabled(true);
         recorder.record(&event(1, 1, EventPhase::Begin));
-        recorder.clear();
+        assert_eq!(recorder.drain_and_clear().len(), 1);
         assert!(recorder.drain().is_empty());
         assert_eq!(recorder.recorded(), 1);
         recorder.record(&event(1, 2, EventPhase::Begin));

@@ -25,7 +25,7 @@ use crate::event::{
 use crate::guard::{GuardEngine, GuardPolicy, GuardRecord, GuardStatus};
 use crate::job::{JobKind, JobManager, JobProgress, JobStats, JobTicket};
 use crate::metrics::span::{self, Stage};
-use crate::metrics::{Histogram, Registry};
+use crate::metrics::Registry;
 use crate::statestore::{DomainStatus, ObjectKind, StateStore, StoreOp};
 use crate::uuid::Uuid;
 use crate::xmlfmt::{DiskConfig, DomainConfig, NetworkConfig, PoolConfig, VolumeConfig};
@@ -35,59 +35,24 @@ use crate::xmlfmt::{DiskConfig, DomainConfig, NetworkConfig, PoolConfig, VolumeC
 /// response, at the cost of more clock charges.
 const MIGRATION_SLICE_MIB: u64 = 256;
 
-/// Wall-clock latency histograms for the domain lifecycle operations, one
-/// per operation. Created with the connection (recording is a few relaxed
-/// atomics) and optionally published into a daemon-wide [`Registry`] with
-/// [`EmbeddedConnection::publish_metrics`].
-#[derive(Debug)]
-struct LifecycleMetrics {
-    define: Arc<Histogram>,
-    create: Arc<Histogram>,
-    undefine: Arc<Histogram>,
-    start: Arc<Histogram>,
-    shutdown: Arc<Histogram>,
-    reboot: Arc<Histogram>,
-    destroy: Arc<Histogram>,
-    suspend: Arc<Histogram>,
-    resume: Arc<Histogram>,
-    save: Arc<Histogram>,
-    restore: Arc<Histogram>,
-    migrate: Arc<Histogram>,
-}
-
-impl LifecycleMetrics {
-    fn new() -> Self {
-        LifecycleMetrics {
-            define: Arc::new(Histogram::new()),
-            create: Arc::new(Histogram::new()),
-            undefine: Arc::new(Histogram::new()),
-            start: Arc::new(Histogram::new()),
-            shutdown: Arc::new(Histogram::new()),
-            reboot: Arc::new(Histogram::new()),
-            destroy: Arc::new(Histogram::new()),
-            suspend: Arc::new(Histogram::new()),
-            resume: Arc::new(Histogram::new()),
-            save: Arc::new(Histogram::new()),
-            restore: Arc::new(Histogram::new()),
-            migrate: Arc::new(Histogram::new()),
-        }
-    }
-
-    fn all(&self) -> [(&'static str, &Arc<Histogram>); 12] {
-        [
-            ("define", &self.define),
-            ("create", &self.create),
-            ("undefine", &self.undefine),
-            ("start", &self.start),
-            ("shutdown", &self.shutdown),
-            ("reboot", &self.reboot),
-            ("destroy", &self.destroy),
-            ("suspend", &self.suspend),
-            ("resume", &self.resume),
-            ("save", &self.save),
-            ("restore", &self.restore),
-            ("migrate", &self.migrate),
-        ]
+virt_metrics::metric_set! {
+    /// Wall-clock latency histograms for the domain lifecycle operations,
+    /// one per operation. Created with the connection (recording is a few
+    /// relaxed atomics) and optionally published into a daemon-wide
+    /// [`Registry`] with [`EmbeddedConnection::publish_metrics`].
+    struct LifecycleMetrics {
+        define: Histogram = "define_us", "Wall-clock latency of this domain lifecycle operation";
+        create: Histogram = "create_us", "Wall-clock latency of this domain lifecycle operation";
+        undefine: Histogram = "undefine_us", "Wall-clock latency of this domain lifecycle operation";
+        start: Histogram = "start_us", "Wall-clock latency of this domain lifecycle operation";
+        shutdown: Histogram = "shutdown_us", "Wall-clock latency of this domain lifecycle operation";
+        reboot: Histogram = "reboot_us", "Wall-clock latency of this domain lifecycle operation";
+        destroy: Histogram = "destroy_us", "Wall-clock latency of this domain lifecycle operation";
+        suspend: Histogram = "suspend_us", "Wall-clock latency of this domain lifecycle operation";
+        resume: Histogram = "resume_us", "Wall-clock latency of this domain lifecycle operation";
+        save: Histogram = "save_us", "Wall-clock latency of this domain lifecycle operation";
+        restore: Histogram = "restore_us", "Wall-clock latency of this domain lifecycle operation";
+        migrate: Histogram = "migrate_us", "Wall-clock latency of this domain lifecycle operation";
     }
 }
 
@@ -240,13 +205,7 @@ impl EmbeddedConnection {
     /// connection's own histogram instances, so operations recorded before
     /// or after publication all appear in snapshots.
     pub fn publish_metrics(&self, registry: &Registry, name: &str) {
-        for (op, hist) in self.ops.all() {
-            let _ = registry.register_histogram(
-                &format!("driver.{name}.{op}_us"),
-                "Wall-clock latency of this domain lifecycle operation",
-                Arc::clone(hist),
-            );
-        }
+        self.ops.attach(registry, &format!("driver.{name}."));
         self.guard.publish_metrics(registry);
     }
 

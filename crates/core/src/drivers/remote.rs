@@ -109,10 +109,8 @@ impl HypervisorDriver for RemoteDriver {
         let events_subscribed = Arc::new(AtomicBool::new(false));
         let setup_subscribed = Arc::clone(&events_subscribed);
         let first_setup = AtomicBool::new(true);
-        let callbacks_replayed = client_metrics().counter(
-            "rpc.reconnect.callbacks_replayed",
-            "Event subscriptions re-registered after a reconnect",
-        );
+        let metrics = ReconnectMetrics::new().attach(client_metrics(), "rpc.");
+        let callbacks_replayed = Arc::clone(&metrics.callbacks_replayed);
         let setup: SessionSetup = Box::new(move |client| {
             if let Some(auth) = &auth_args {
                 client.call::<()>(REMOTE_PROGRAM, proc::AUTH, auth)?;
@@ -135,7 +133,6 @@ impl HypervisorDriver for RemoteDriver {
             keepalive: keepalive_config,
             call_deadline: options.call_deadline,
         };
-        let metrics = ReconnectMetrics::from_registry(client_metrics());
         let client = ReconnectingClient::with_transport(transport, factory, setup, config, metrics)
             .map_err(VirtError::from)?;
 

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use virt_metrics::span::{self, Stage};
-use virt_metrics::{Counter, Histogram, Registry};
+use virt_metrics::Registry;
 use virt_rpc::retry::BackoffSchedule;
 use virt_xml::{Document, Element};
 
@@ -264,46 +264,17 @@ struct GuardState {
     epoch: u64,
 }
 
-#[derive(Debug)]
-struct GuardMetrics {
-    revived: Arc<Counter>,
-    gave_up: Arc<Counter>,
-    resumed: Arc<Counter>,
-    stopped: Arc<Counter>,
-    backoff_ms: Arc<Histogram>,
-}
-
-impl GuardMetrics {
-    fn detached() -> GuardMetrics {
-        GuardMetrics {
-            revived: Arc::new(Counter::new()),
-            gave_up: Arc::new(Counter::new()),
-            resumed: Arc::new(Counter::new()),
-            stopped: Arc::new(Counter::new()),
-            backoff_ms: Arc::new(Histogram::new()),
-        }
-    }
-
-    fn published(registry: &Registry) -> GuardMetrics {
-        GuardMetrics {
-            revived: registry.counter(
-                "guard.revived",
-                "Guarded domains restarted or resumed back to running by the guard engine",
-            ),
-            gave_up: registry.counter(
-                "guard.gave_up",
-                "Guards that exhausted their restart budget",
-            ),
-            resumed: registry.counter("guard.resumed", "Paused guarded domains auto-resumed"),
-            stopped: registry.counter(
-                "guard.stopped",
-                "Graceful-stop guards completed (shutdown or destroy escalation)",
-            ),
-            backoff_ms: registry.histogram(
-                "guard.backoff_ms",
-                "Backoff delay applied before each guarded restart",
-            ),
-        }
+virt_metrics::metric_set! {
+    /// The engine's interventions, `guard.*`: detached until
+    /// [`GuardEngine::publish_metrics`] swaps in the registry's handles.
+    struct GuardMetrics {
+        revived: Counter = "revived",
+            "Guarded domains restarted or resumed back to running by the guard engine";
+        gave_up: Counter = "gave_up", "Guards that exhausted their restart budget";
+        resumed: Counter = "resumed", "Paused guarded domains auto-resumed";
+        stopped: Counter = "stopped",
+            "Graceful-stop guards completed (shutdown or destroy escalation)";
+        backoff_ms: Histogram = "backoff_ms", "Backoff delay applied before each guarded restart";
     }
 }
 
@@ -372,7 +343,7 @@ impl GuardEngine {
                 seq: AtomicU64::new(0),
                 epoch: AtomicU64::new(0),
                 backoff: Mutex::new(default_guard_backoff()),
-                metrics: RwLock::new(GuardMetrics::detached()),
+                metrics: RwLock::new(GuardMetrics::new()),
             }),
         }
     }
@@ -394,10 +365,12 @@ impl GuardEngine {
         *self.inner.backoff.lock()
     }
 
-    /// Publishes the engine's metrics into `registry` (get-or-create, so
-    /// several engines in one daemon aggregate into one `guard.*` set).
+    /// Publishes the engine's metrics into `registry` as `guard.*` and
+    /// records through the registry's handles from then on, so several
+    /// engines in one daemon aggregate into one set.
     pub fn publish_metrics(&self, registry: &Registry) {
-        *self.inner.metrics.write() = GuardMetrics::published(registry);
+        let attached = self.inner.metrics.read().attach(registry, "guard.");
+        *self.inner.metrics.write() = attached;
     }
 
     /// Number of domains currently guarded.

@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use virt_metrics::{Counter, Gauge, Histogram, Registry};
 use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode, XdrError};
 
 use crate::error::{ErrorCode, VirtError, VirtResult};
@@ -206,60 +205,15 @@ impl JobStats {
     }
 }
 
-/// Shared `jobs.*` metrics: one global set covering every [`JobManager`]
-/// in the process, published into each daemon's registry.
-#[derive(Debug)]
-pub struct JobMetrics {
-    /// Jobs currently running.
-    pub active: Arc<Gauge>,
-    /// Jobs that finished successfully.
-    pub completed: Arc<Counter>,
-    /// Jobs cancelled by abort.
-    pub aborted: Arc<Counter>,
-    /// Jobs that failed.
-    pub failed: Arc<Counter>,
-    /// Wall-clock duration of finished jobs.
-    pub duration_us: Arc<Histogram>,
-}
-
-impl JobMetrics {
-    fn new() -> Self {
-        JobMetrics {
-            active: Arc::new(Gauge::new()),
-            completed: Arc::new(Counter::new()),
-            aborted: Arc::new(Counter::new()),
-            failed: Arc::new(Counter::new()),
-            duration_us: Arc::new(Histogram::new()),
-        }
-    }
-
-    /// Publishes the metrics into `registry` under `jobs.*`.
-    pub fn publish(&self, registry: &Registry) {
-        let _ = registry.register_gauge(
-            "jobs.active",
-            "Domain jobs currently running",
-            Arc::clone(&self.active),
-        );
-        let _ = registry.register_counter(
-            "jobs.completed",
-            "Domain jobs that completed successfully",
-            Arc::clone(&self.completed),
-        );
-        let _ = registry.register_counter(
-            "jobs.aborted",
-            "Domain jobs cancelled by abort",
-            Arc::clone(&self.aborted),
-        );
-        let _ = registry.register_counter(
-            "jobs.failed",
-            "Domain jobs that failed",
-            Arc::clone(&self.failed),
-        );
-        let _ = registry.register_histogram(
-            "jobs.duration_us",
-            "Wall-clock duration of finished domain jobs",
-            Arc::clone(&self.duration_us),
-        );
+virt_metrics::metric_set! {
+    /// Shared `jobs.*` metrics: one global set covering every
+    /// [`JobManager`] in the process, attached to each daemon's registry.
+    pub struct JobMetrics {
+        active: Gauge = "active", "Domain jobs currently running";
+        completed: Counter = "completed", "Domain jobs that completed successfully";
+        aborted: Counter = "aborted", "Domain jobs cancelled by abort";
+        failed: Counter = "failed", "Domain jobs that failed";
+        duration_us: Histogram = "duration_us", "Wall-clock duration of finished domain jobs";
     }
 }
 
@@ -795,8 +749,8 @@ mod tests {
         assert_eq!(metrics.aborted.get(), base_aborted + 1);
         assert_eq!(metrics.failed.get(), base_failed + 1);
 
-        let registry = Registry::new();
-        metrics.publish(&registry);
+        let registry = virt_metrics::Registry::new();
+        metrics.attach(&registry, "jobs.");
         let names = registry.names();
         for name in [
             "jobs.active",

@@ -92,7 +92,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::log::Logger;
-use crate::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::metrics::{Counter, Registry};
 use crate::uuid::Uuid;
 use hypersim::DomainState;
 use virt_rpc::fnv1a;
@@ -315,29 +315,24 @@ struct PersistQueue {
     last_error: Option<VirtError>,
 }
 
-/// Pipeline + integrity metrics. Allocated with the store and optionally
-/// published into a daemon [`Registry`].
-struct StoreMetrics {
-    group_commits: Arc<Counter>,
-    coalesced: Arc<Counter>,
-    deduped: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    sync_us: Arc<Histogram>,
-    write_error: Arc<Counter>,
-    quarantined: Arc<Counter>,
-}
-
-impl StoreMetrics {
-    fn new() -> Self {
-        StoreMetrics {
-            group_commits: Arc::new(Counter::new()),
-            coalesced: Arc::new(Counter::new()),
-            deduped: Arc::new(Counter::new()),
-            queue_depth: Arc::new(Gauge::new()),
-            sync_us: Arc::new(Histogram::new()),
-            write_error: Arc::new(Counter::new()),
-            quarantined: Arc::new(Counter::new()),
-        }
+virt_metrics::metric_set! {
+    /// Pipeline + integrity metrics. Allocated with the store and
+    /// optionally published into a daemon [`Registry`].
+    struct StoreMetrics {
+        group_commits: Counter = "group_commits",
+            "Batched flush cycles committed by the persister thread";
+        coalesced: Counter = "coalesced",
+            "Queued records absorbed by a newer write to the same object";
+        deduped: Counter = "deduped",
+            "Queued records skipped because the committed frame was already identical";
+        queue_depth: Gauge = "queue_depth",
+            "Dirty objects currently waiting for a flush cycle";
+        sync_us: Histogram = "sync_us",
+            "Wall-clock latency of one batched flush cycle (writes + fsyncs + dirsyncs)";
+        write_error: Counter = "write_error",
+            "Failed state writes: I/O errors, injected faults, and directory-fsync failures";
+        quarantined: Counter = "quarantined",
+            "Corrupt state files moved aside by validated reads";
     }
 }
 
@@ -472,42 +467,7 @@ impl StateStore {
     /// The registry shares the store's own instances, so activity before
     /// and after publication all appears in snapshots.
     pub fn publish_metrics(&self, registry: &Registry) {
-        let m = &self.shared.metrics;
-        let _ = registry.register_counter(
-            "statestore.group_commits",
-            "Batched flush cycles committed by the persister thread",
-            Arc::clone(&m.group_commits),
-        );
-        let _ = registry.register_counter(
-            "statestore.coalesced",
-            "Queued records absorbed by a newer write to the same object",
-            Arc::clone(&m.coalesced),
-        );
-        let _ = registry.register_counter(
-            "statestore.deduped",
-            "Queued records skipped because the committed frame was already identical",
-            Arc::clone(&m.deduped),
-        );
-        let _ = registry.register_gauge(
-            "statestore.queue_depth",
-            "Dirty objects currently waiting for a flush cycle",
-            Arc::clone(&m.queue_depth),
-        );
-        let _ = registry.register_histogram(
-            "statestore.sync_us",
-            "Wall-clock latency of one batched flush cycle (writes + fsyncs + dirsyncs)",
-            Arc::clone(&m.sync_us),
-        );
-        let _ = registry.register_counter(
-            "statestore.write_error",
-            "Failed state writes: I/O errors, injected faults, and directory-fsync failures",
-            Arc::clone(&m.write_error),
-        );
-        let _ = registry.register_counter(
-            "statestore.quarantined",
-            "Corrupt state files moved aside by validated reads",
-            Arc::clone(&m.quarantined),
-        );
+        self.shared.metrics.attach(registry, "statestore.");
     }
 
     /// Arms a deterministic fault: the `nth` write counted from now

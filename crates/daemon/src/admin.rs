@@ -146,8 +146,12 @@ impl AdminDispatcher {
     }
 
     fn metrics(&self, prefix: &str) -> VirtResult<Vec<WireMetric>> {
+        // One list, by name, as `metrics_list` gives it: a name in both
+        // registries is the daemon's (the stable sort keeps it first).
         let mut snaps = self.registry.snapshot(prefix);
         snaps.extend(virt_core::client_metrics().snapshot(prefix));
+        snaps.sort_by(|a, b| a.name.cmp(&b.name));
+        snaps.dedup_by(|later, first| later.name == first.name);
         Ok(snaps.into_iter().map(WireMetric::from).collect())
     }
 

@@ -87,7 +87,7 @@ macro_rules! admin_procedures {
                 (13, METRICS_LIST, "Names of all registered metrics, sorted.",
                     metrics_list(), (), plain(Vec<String>));
                 (14, METRICS_FETCH,
-                    "Snapshot of the metrics whose name starts with `prefix`; empty fetches all.",
+                    "Snapshot of the metrics whose name starts with `prefix` (all if empty), by name.",
                     metrics(prefix: str), MetricsFetchArgs, plain(Vec<WireMetric>));
                 // `Option` arguments: absent fields leave the setting as it is.
                 (15, TRACE_CONFIG, "Read or change the flight recorder's settings.", custom);
@@ -488,11 +488,8 @@ mod tests {
 
     #[test]
     fn wire_metric_from_snapshot() {
-        use virt_core::metrics::{Counter, Registry};
+        use virt_core::metrics::Registry;
         let registry = Registry::new();
-        registry
-            .register_counter("x.hits", "hits", std::sync::Arc::new(Counter::new()))
-            .unwrap();
         registry.counter("x.hits", "hits").add(5);
         let snaps = registry.snapshot("");
         let wire: Vec<WireMetric> = snaps.into_iter().map(WireMetric::from).collect();

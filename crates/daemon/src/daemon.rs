@@ -22,6 +22,23 @@ use crate::dispatch::RemoteDispatcher;
 use crate::eventloop::EventLoopOptions;
 use crate::server::{ServeHandle, Server};
 
+virt_metrics::metric_set! {
+    /// What the startup recovery pass of a statedir daemon brought back.
+    struct RecoveryMetrics {
+        recovered: Counter = "recovered",
+            "Persistent objects (domains, networks, pools) reloaded at startup";
+        crashed: Counter = "crashed",
+            "Recovered domains marked shut-off/crashed because their guest died with the previous daemon";
+        autostarted: Counter = "autostarted", "Autostart domains started during recovery";
+        quarantined: Counter = "quarantined",
+            "Corrupt state files moved to quarantine during recovery";
+        guards: Counter = "guards", "Guard policies re-armed during recovery";
+        revived: Counter = "revived",
+            "Guarded domains revived during recovery because they died with the previous daemon";
+        duration_us: Counter = "duration_us", "Wall-clock startup recovery time";
+    }
+}
+
 /// A running management daemon.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -238,7 +255,7 @@ impl VirtdBuilder {
             self.config.credentials.clone(),
         );
         remote_dispatcher.publish_metrics(&registry);
-        virt_core::job::job_metrics().publish(&registry);
+        virt_core::job::job_metrics().attach(&registry, "jobs.");
         if let Some(store) = &store {
             store.publish_metrics(&registry);
         }
@@ -264,39 +281,18 @@ impl VirtdBuilder {
         // previous daemon), honor autostart, quarantine anything corrupt.
         if store.is_some() {
             let started = std::time::Instant::now();
-            let recovered = registry.counter(
-                "recovery.recovered",
-                "Persistent objects (domains, networks, pools) reloaded at startup",
-            );
-            let crashed = registry.counter(
-                "recovery.crashed",
-                "Recovered domains marked shut-off/crashed because their guest died with the previous daemon",
-            );
-            let autostarted = registry.counter(
-                "recovery.autostarted",
-                "Autostart domains started during recovery",
-            );
-            let quarantined = registry.counter(
-                "recovery.quarantined",
-                "Corrupt state files moved to quarantine during recovery",
-            );
-            let guards =
-                registry.counter("recovery.guards", "Guard policies re-armed during recovery");
-            let revived = registry.counter(
-                "recovery.revived",
-                "Guarded domains revived during recovery because they died with the previous daemon",
-            );
+            let recovery = RecoveryMetrics::new().attach(&registry, "recovery.");
             let mut schemes: Vec<&String> = drivers.keys().collect();
             schemes.sort();
             for scheme in schemes {
                 let conn = &drivers[scheme.as_str()];
                 let report = conn.recover_from_store()?;
-                recovered.add(report.recovered());
-                crashed.add(report.crashed);
-                autostarted.add(report.autostarted);
-                quarantined.add(report.quarantined);
-                guards.add(report.guards);
-                revived.add(report.revived);
+                recovery.recovered.add(report.recovered());
+                recovery.crashed.add(report.crashed);
+                recovery.autostarted.add(report.autostarted);
+                recovery.quarantined.add(report.quarantined);
+                recovery.guards.add(report.guards);
+                recovery.revived.add(report.revived);
                 if report.recovered() + report.quarantined + report.guards > 0 {
                     logger.info(
                         "daemon",
@@ -315,8 +311,8 @@ impl VirtdBuilder {
                     );
                 }
             }
-            registry
-                .counter("recovery.duration_us", "Wall-clock startup recovery time")
+            recovery
+                .duration_us
                 .add(started.elapsed().as_micros() as u64);
         }
         // Each event thread multiplexes its share of the connections over

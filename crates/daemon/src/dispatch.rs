@@ -40,20 +40,26 @@ struct ClientSession {
     readonly: bool,
 }
 
-/// Per-procedure instrumentation: one latency histogram plus an error
-/// counter per known procedure number.
-#[derive(Debug)]
+/// One procedure's instrumentation: a latency histogram and an error
+/// counter. Not a metric set — its help text names the procedure, read
+/// off [`proc::ALL`] when the family is published.
+#[derive(Debug, Default)]
 struct ProcMetrics {
     latency_us: Arc<Histogram>,
     errors: Arc<Counter>,
 }
 
-impl ProcMetrics {
-    fn new() -> Self {
-        ProcMetrics {
-            latency_us: Arc::new(Histogram::new()),
-            errors: Arc::new(Counter::new()),
-        }
+virt_metrics::metric_set! {
+    /// Dispatch-layer totals, and the catch-all for procedure numbers not
+    /// in [`proc::ALL`].
+    struct DispatchTotals {
+        calls: Counter = "calls", "Total RPC calls dispatched";
+        errors: Counter = "errors", "Total RPC calls that returned an error";
+        auth_failures: Counter = "auth_failures", "Failed AUTH attempts";
+        unknown_latency_us: Histogram = "proc.unknown.latency_us",
+            "Dispatch latency of calls to unknown procedure numbers";
+        unknown_errors: Counter = "proc.unknown.errors",
+            "Error replies for unknown procedure numbers";
     }
 }
 
@@ -63,32 +69,16 @@ impl ProcMetrics {
 #[derive(Debug)]
 struct DispatchMetrics {
     per_proc: HashMap<u32, ProcMetrics>,
-    /// Catch-all for procedure numbers not in [`proc::ALL`].
-    unknown: ProcMetrics,
-    /// Total calls dispatched.
-    calls: Arc<Counter>,
-    /// Total calls that returned an error.
-    errors: Arc<Counter>,
-    /// Failed AUTH attempts.
-    auth_failures: Arc<Counter>,
+    totals: DispatchTotals,
 }
 
 impl DispatchMetrics {
-    fn new() -> Self {
-        DispatchMetrics {
-            per_proc: proc::ALL
-                .iter()
-                .map(|(num, _)| (*num, ProcMetrics::new()))
-                .collect(),
-            unknown: ProcMetrics::new(),
-            calls: Arc::new(Counter::new()),
-            errors: Arc::new(Counter::new()),
-            auth_failures: Arc::new(Counter::new()),
+    /// The latency histogram and error counter `procedure` records into.
+    fn for_proc(&self, procedure: u32) -> (&Histogram, &Counter) {
+        match self.per_proc.get(&procedure) {
+            Some(pm) => (&pm.latency_us, &pm.errors),
+            None => (&self.totals.unknown_latency_us, &self.totals.unknown_errors),
         }
-    }
-
-    fn for_proc(&self, procedure: u32) -> &ProcMetrics {
-        self.per_proc.get(&procedure).unwrap_or(&self.unknown)
     }
 }
 
@@ -118,7 +108,13 @@ impl RemoteDispatcher {
             logger,
             credentials,
             authenticated: Mutex::new(std::collections::HashSet::new()),
-            metrics: DispatchMetrics::new(),
+            metrics: DispatchMetrics {
+                per_proc: proc::ALL
+                    .iter()
+                    .map(|(num, _)| (*num, ProcMetrics::default()))
+                    .collect(),
+                totals: DispatchTotals::new(),
+            },
         })
     }
 
@@ -128,43 +124,19 @@ impl RemoteDispatcher {
     /// `rpc.errors` and `rpc.auth_failures` totals.
     pub fn publish_metrics(&self, registry: &Registry) {
         for (num, name) in proc::ALL {
-            let pm = self.metrics.for_proc(*num);
-            let _ = registry.register_histogram(
+            let pm = &self.metrics.per_proc[num];
+            registry.adopt(
                 &format!("rpc.proc.{num}.latency_us"),
                 &format!("Dispatch latency of {name} (procedure {num})"),
-                Arc::clone(&pm.latency_us),
+                &pm.latency_us,
             );
-            let _ = registry.register_counter(
+            registry.adopt(
                 &format!("rpc.proc.{num}.errors"),
                 &format!("Error replies from {name} (procedure {num})"),
-                Arc::clone(&pm.errors),
+                &pm.errors,
             );
         }
-        let _ = registry.register_histogram(
-            "rpc.proc.unknown.latency_us",
-            "Dispatch latency of calls to unknown procedure numbers",
-            Arc::clone(&self.metrics.unknown.latency_us),
-        );
-        let _ = registry.register_counter(
-            "rpc.proc.unknown.errors",
-            "Error replies for unknown procedure numbers",
-            Arc::clone(&self.metrics.unknown.errors),
-        );
-        let _ = registry.register_counter(
-            "rpc.calls",
-            "Total RPC calls dispatched",
-            Arc::clone(&self.metrics.calls),
-        );
-        let _ = registry.register_counter(
-            "rpc.errors",
-            "Total RPC calls that returned an error",
-            Arc::clone(&self.metrics.errors),
-        );
-        let _ = registry.register_counter(
-            "rpc.auth_failures",
-            "Failed AUTH attempts",
-            Arc::clone(&self.metrics.auth_failures),
-        );
+        self.metrics.totals.attach(registry, "rpc.");
     }
 
     fn handle(
@@ -428,9 +400,9 @@ impl ProgramDispatcher for RemoteDispatcher {
         // thread-local trace span so every log record emitted while this
         // call runs can be correlated back to the RPC.
         let _span = trace::enter(RequestId::new(client.id, header.serial));
-        let proc_metrics = self.metrics.for_proc(header.procedure);
-        self.metrics.calls.inc();
-        let timer = proc_metrics.latency_us.start_timer();
+        let (latency_us, proc_errors) = self.metrics.for_proc(header.procedure);
+        self.metrics.totals.calls.inc();
+        let timer = latency_us.start_timer();
         let started = std::time::Instant::now();
         let result = self.handle(client, header, payload);
         drop(timer);
@@ -448,10 +420,10 @@ impl ProgramDispatcher for RemoteDispatcher {
                 payload: reply_payload,
             },
             Err(err) => {
-                self.metrics.errors.inc();
-                proc_metrics.errors.inc();
+                self.metrics.totals.errors.inc();
+                proc_errors.inc();
                 if err.code() == ErrorCode::AuthFailed {
-                    self.metrics.auth_failures.inc();
+                    self.metrics.totals.auth_failures.inc();
                 }
                 self.logger.warning(
                     "daemon.rpc",

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use virt_metrics::{Counter, Gauge, Registry};
+use virt_metrics::Counter;
 use virt_rpc::framebuf::FrameBuf;
 use virt_rpc::poll::{PollEvent, Poller, WAKE_TOKEN};
 use virt_rpc::transport::{Readiness, Transport};
@@ -100,92 +100,24 @@ impl Default for EventLoopOptions {
     }
 }
 
-/// `server.{name}.event_loop.*` instrumentation, shared across all loop
-/// threads of one server.
-#[derive(Debug)]
-pub(crate) struct EventLoopMetrics {
-    /// Connections currently owned by the loops (fd-backed and channel).
-    pub registered_fds: Arc<Gauge>,
-    /// Times a loop thread woke from `epoll_wait`.
-    pub wakeups: Arc<Counter>,
-    /// Readiness events delivered across all wakeups.
-    pub ready_events: Arc<Counter>,
-    /// `try_read` calls the loops made on sockets.
-    pub read_calls: Arc<Counter>,
-    /// `try_write` calls made on sockets (direct, gathered and flushed).
-    pub write_calls: Arc<Counter>,
-    /// Complete frames handed to the server.
-    pub frames_in: Arc<Counter>,
-    /// Bytes currently queued for write across all connections.
-    pub write_queue_bytes: Arc<Gauge>,
-    /// Times a connection's reads were paused by the write soft cap.
-    pub reads_paused: Arc<Counter>,
-    /// Connections dropped for exceeding the write hard cap.
-    pub backpressure_closes: Arc<Counter>,
-}
-
-impl EventLoopMetrics {
-    pub(crate) fn new() -> Arc<EventLoopMetrics> {
-        Arc::new(EventLoopMetrics {
-            registered_fds: Arc::new(Gauge::new()),
-            wakeups: Arc::new(Counter::new()),
-            ready_events: Arc::new(Counter::new()),
-            read_calls: Arc::new(Counter::new()),
-            write_calls: Arc::new(Counter::new()),
-            frames_in: Arc::new(Counter::new()),
-            write_queue_bytes: Arc::new(Gauge::new()),
-            reads_paused: Arc::new(Counter::new()),
-            backpressure_closes: Arc::new(Counter::new()),
-        })
-    }
-
-    pub(crate) fn publish(&self, registry: &Registry, server_name: &str) {
-        let n = server_name;
-        let _ = registry.register_gauge(
-            &format!("server.{n}.event_loop.registered_fds"),
-            "Connections owned by the event loops (sockets and in-process channels)",
-            Arc::clone(&self.registered_fds),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.event_loop.wakeups"),
-            "Event-loop thread wakeups from epoll_wait",
-            Arc::clone(&self.wakeups),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.event_loop.ready_events"),
-            "Readiness events delivered to the event loops",
-            Arc::clone(&self.ready_events),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.event_loop.read_calls"),
-            "Socket reads issued by the event loops",
-            Arc::clone(&self.read_calls),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.event_loop.write_calls"),
-            "Socket writes issued for event-loop connections",
-            Arc::clone(&self.write_calls),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.event_loop.frames_in"),
-            "Complete request frames the event loops handed to the server",
-            Arc::clone(&self.frames_in),
-        );
-        let _ = registry.register_gauge(
-            &format!("server.{n}.event_loop.write_queue_bytes"),
-            "Reply bytes queued for write across all connections",
-            Arc::clone(&self.write_queue_bytes),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.event_loop.reads_paused"),
-            "Times a connection's reads were paused by write backpressure",
-            Arc::clone(&self.reads_paused),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.event_loop.backpressure_closes"),
-            "Connections dropped for exceeding the write-queue hard cap",
-            Arc::clone(&self.backpressure_closes),
-        );
+virt_metrics::metric_set! {
+    /// `server.{name}.event_loop.*` instrumentation, shared across all
+    /// loop threads of one server.
+    pub(crate) struct EventLoopMetrics {
+        registered_fds: Gauge = "registered_fds",
+            "Connections owned by the event loops (sockets and in-process channels)";
+        wakeups: Counter = "wakeups", "Event-loop thread wakeups from epoll_wait";
+        ready_events: Counter = "ready_events", "Readiness events delivered to the event loops";
+        read_calls: Counter = "read_calls", "Socket reads issued by the event loops";
+        write_calls: Counter = "write_calls", "Socket writes issued for event-loop connections";
+        frames_in: Counter = "frames_in",
+            "Complete request frames the event loops handed to the server";
+        write_queue_bytes: Gauge = "write_queue_bytes",
+            "Reply bytes queued for write across all connections";
+        reads_paused: Counter = "reads_paused",
+            "Times a connection's reads were paused by write backpressure";
+        backpressure_closes: Counter = "backpressure_closes",
+            "Connections dropped for exceeding the write-queue hard cap";
     }
 }
 

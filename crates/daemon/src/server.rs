@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 
 use virt_core::log::Logger;
 use virt_metrics::span::{self, Stage};
-use virt_metrics::{Counter, Gauge, Registry};
+use virt_metrics::Registry;
 use virt_rpc::keepalive;
 use virt_rpc::message::{Header, MessageStatus, Packet, RpcError, KEEPALIVE_PROGRAM};
 use virt_rpc::transport::{Listener, MeteredTransport, Readiness, Transport, TransportKind};
@@ -161,35 +161,20 @@ struct ServerState {
     services: Vec<Arc<dyn Listener>>,
 }
 
-/// Per-server admission and transport counters. All atomics, shared with
-/// the metrics registry via [`Server::publish_metrics`] so the admin
-/// interface observes live values.
-#[derive(Debug)]
-struct ServerMetrics {
-    /// Connections admitted into the client table.
-    clients_accepted: Arc<Counter>,
-    /// Connections refused because the table was full.
-    clients_refused: Arc<Counter>,
-    /// Clients connected right now.
-    clients_connected: Arc<Gauge>,
-    /// Keepalive pings answered inline.
-    keepalive_pings: Arc<Counter>,
-    /// Frame payload bytes received from all clients.
-    bytes_in: Arc<Counter>,
-    /// Frame payload bytes sent to all clients.
-    bytes_out: Arc<Counter>,
-}
-
-impl ServerMetrics {
-    fn new() -> Self {
-        ServerMetrics {
-            clients_accepted: Arc::new(Counter::new()),
-            clients_refused: Arc::new(Counter::new()),
-            clients_connected: Arc::new(Gauge::new()),
-            keepalive_pings: Arc::new(Counter::new()),
-            bytes_in: Arc::new(Counter::new()),
-            bytes_out: Arc::new(Counter::new()),
-        }
+virt_metrics::metric_set! {
+    /// Per-server admission and transport counters. All atomics, shared
+    /// with the metrics registry via [`Server::publish_metrics`] so the
+    /// admin interface observes live values.
+    struct ServerMetrics {
+        clients_accepted: Counter = "clients_accepted",
+            "Connections admitted into the client table";
+        clients_refused: Counter = "clients_refused",
+            "Connections refused because the client limit was reached";
+        clients_connected: Gauge = "clients_connected", "Clients connected right now";
+        keepalive_pings: Counter = "keepalive_pings",
+            "Keepalive pings answered inline, never queued behind the pool";
+        bytes_in: Counter = "bytes_in", "Frame payload bytes received from clients";
+        bytes_out: Counter = "bytes_out", "Frame payload bytes sent to clients";
     }
 }
 
@@ -337,7 +322,7 @@ impl Server {
     ) -> Result<Arc<Server>, String> {
         let name = name.into();
         let pool = WorkerPool::start(pool_limits)?;
-        let eventloop_metrics = EventLoopMetrics::new();
+        let eventloop_metrics = Arc::new(EventLoopMetrics::new());
         Ok(Arc::new_cyclic(|weak: &Weak<Server>| {
             // Where epoll is unavailable (or the threads cannot spawn)
             // the server still works — every connection just gets a
@@ -402,38 +387,9 @@ impl Server {
     /// server's own atomics, so snapshots are always live.
     pub fn publish_metrics(&self, registry: &Registry) {
         let n = &self.name;
-        let m = &self.metrics;
-        let _ = registry.register_counter(
-            &format!("server.{n}.clients_accepted"),
-            "Connections admitted into the client table",
-            Arc::clone(&m.clients_accepted),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.clients_refused"),
-            "Connections refused because the client limit was reached",
-            Arc::clone(&m.clients_refused),
-        );
-        let _ = registry.register_gauge(
-            &format!("server.{n}.clients_connected"),
-            "Clients connected right now",
-            Arc::clone(&m.clients_connected),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.keepalive_pings"),
-            "Keepalive pings answered inline by the reader thread",
-            Arc::clone(&m.keepalive_pings),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.bytes_in"),
-            "Frame payload bytes received from clients",
-            Arc::clone(&m.bytes_in),
-        );
-        let _ = registry.register_counter(
-            &format!("server.{n}.bytes_out"),
-            "Frame payload bytes sent to clients",
-            Arc::clone(&m.bytes_out),
-        );
-        self.eventloop_metrics.publish(registry, n);
+        self.metrics.attach(registry, &format!("server.{n}."));
+        self.eventloop_metrics
+            .attach(registry, &format!("server.{n}.event_loop."));
         self.pool.publish_metrics(registry, n);
     }
 

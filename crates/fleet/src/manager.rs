@@ -39,7 +39,7 @@ use virt_core::driver::{MigrationOptions, MigrationReport};
 use virt_core::guard::GuardPolicy;
 use virt_core::log::{LogLevel, LogOutput, LogSettings, Logger, OutputKind};
 use virt_core::metrics::span::{self, Stage};
-use virt_core::metrics::{Counter, Gauge, Histogram, Registry};
+use virt_core::metrics::Registry;
 use virt_core::xmlfmt::DomainConfig;
 use virt_core::{Connect, DomainState, ErrorCode, VirtError, VirtResult};
 use virt_rpc::fanout::run_bounded;
@@ -64,9 +64,7 @@ struct FleetHost {
     /// Keep-running-guarded domains last seen on this host, captured
     /// while it was reachable — the failover working set once it dies.
     guarded: Mutex<Vec<GuardedDomain>>,
-    domains_gauge: Arc<Gauge>,
-    active_gauge: Arc<Gauge>,
-    free_mib_gauge: Arc<Gauge>,
+    gauges: HostGauges,
 }
 
 impl FleetHost {
@@ -108,11 +106,12 @@ impl FleetHost {
 
     fn publish_gauges(&self) {
         let inventory = self.inventory.lock();
-        self.domains_gauge.set(inventory.domains.len() as u64);
-        self.active_gauge.set(inventory.active() as u64);
+        self.gauges.domains.set(inventory.domains.len() as u64);
+        self.gauges.active.set(inventory.active() as u64);
         if let Some(node) = &inventory.node {
             let reserved = self.reserved_mib.load(Ordering::Acquire);
-            self.free_mib_gauge
+            self.gauges
+                .free_mib
                 .set(node.free_memory_mib.saturating_sub(reserved));
         }
     }
@@ -134,71 +133,41 @@ impl FleetHost {
     }
 }
 
-/// Everything `fleet.*` the manager publishes.
-struct FleetMetrics {
-    placement_latency: Arc<Histogram>,
-    placements: Arc<Counter>,
-    rejected: Arc<Counter>,
-    migrations_started: Arc<Counter>,
-    migrations_completed: Arc<Counter>,
-    migrations_failed: Arc<Counter>,
-    migrations_reconciled: Arc<Counter>,
-    migration_latency: Arc<Histogram>,
-    refresh_latency: Arc<Histogram>,
-    host_down: Arc<Counter>,
-    host_up: Arc<Counter>,
-    hosts_up: Arc<Gauge>,
-    guard_failovers: Arc<Counter>,
-    guard_failover_failed: Arc<Counter>,
-    guard_reconciled: Arc<Counter>,
+virt_metrics::metric_set! {
+    /// Everything `fleet.*` the manager publishes, but the per-host gauges.
+    struct FleetMetrics {
+        placement_latency: Histogram = "placement.latency_us",
+            "Placement decision latency (scoring incl. dirty-host refreshes)";
+        placements: Counter = "placement.total", "Placement decisions made";
+        rejected: Counter = "placement.rejected",
+            "Placements rejected at admission (no host fits)";
+        migrations_started: Counter = "migration.started", "Fleet migrations started";
+        migrations_completed: Counter = "migration.completed", "Fleet migrations completed";
+        migrations_failed: Counter = "migration.failed", "Fleet migrations failed";
+        migrations_reconciled: Counter = "migration.reconciled",
+            "Failed migrations reconciled back to a single owner";
+        migration_latency: Histogram = "migration.latency_us",
+            "Wall-clock latency of fleet migrations";
+        refresh_latency: Histogram = "refresh.latency_us",
+            "Per-host inventory refresh latency (node_info + bulk domstats)";
+        host_down: Counter = "host_down", "Host health up->down transitions";
+        host_up: Counter = "host_up", "Host health down->up transitions";
+        hosts_up: Gauge = "hosts.up", "Member hosts currently reachable";
+        guard_failovers: Counter = "guard.failover",
+            "Guarded domains re-placed onto a survivor after their host died";
+        guard_failover_failed: Counter = "guard.failover_failed",
+            "Guard failover attempts that could not re-place the domain";
+        guard_reconciled: Counter = "guard.reconciled",
+            "Stale home copies of failed-over guarded domains removed after the host returned";
+    }
 }
 
-impl FleetMetrics {
-    fn new(registry: &Registry) -> Self {
-        FleetMetrics {
-            placement_latency: registry.histogram(
-                "fleet.placement.latency_us",
-                "Placement decision latency (scoring incl. dirty-host refreshes)",
-            ),
-            placements: registry.counter("fleet.placement.total", "Placement decisions made"),
-            rejected: registry.counter(
-                "fleet.placement.rejected",
-                "Placements rejected at admission (no host fits)",
-            ),
-            migrations_started: registry
-                .counter("fleet.migration.started", "Fleet migrations started"),
-            migrations_completed: registry
-                .counter("fleet.migration.completed", "Fleet migrations completed"),
-            migrations_failed: registry
-                .counter("fleet.migration.failed", "Fleet migrations failed"),
-            migrations_reconciled: registry.counter(
-                "fleet.migration.reconciled",
-                "Failed migrations reconciled back to a single owner",
-            ),
-            migration_latency: registry.histogram(
-                "fleet.migration.latency_us",
-                "Wall-clock latency of fleet migrations",
-            ),
-            refresh_latency: registry.histogram(
-                "fleet.refresh.latency_us",
-                "Per-host inventory refresh latency (node_info + bulk domstats)",
-            ),
-            host_down: registry.counter("fleet.host_down", "Host health up->down transitions"),
-            host_up: registry.counter("fleet.host_up", "Host health down->up transitions"),
-            hosts_up: registry.gauge("fleet.hosts.up", "Member hosts currently reachable"),
-            guard_failovers: registry.counter(
-                "fleet.guard.failover",
-                "Guarded domains re-placed onto a survivor after their host died",
-            ),
-            guard_failover_failed: registry.counter(
-                "fleet.guard.failover_failed",
-                "Guard failover attempts that could not re-place the domain",
-            ),
-            guard_reconciled: registry.counter(
-                "fleet.guard.reconciled",
-                "Stale home copies of failed-over guarded domains removed after the host returned",
-            ),
-        }
+virt_metrics::metric_set! {
+    /// One member's inventory gauges, `fleet.host.<name>.*`.
+    struct HostGauges {
+        domains: Gauge = "domains", "Defined domains on this fleet host";
+        active: Gauge = "active", "Running domains on this fleet host";
+        free_mib: Gauge = "free_mib", "Free memory on this fleet host, net of reservations";
     }
 }
 
@@ -375,7 +344,7 @@ impl FleetBuilder {
             });
             Arc::new(logger)
         });
-        let metrics = FleetMetrics::new(&registry);
+        let metrics = FleetMetrics::new().attach(&registry, "fleet.");
         let mut hosts: Vec<Arc<FleetHost>> = Vec::with_capacity(self.hosts.len());
         for (name, uri) in self.hosts {
             if hosts.iter().any(|h| h.name == name) {
@@ -385,18 +354,7 @@ impl FleetBuilder {
                 ));
             }
             hosts.push(Arc::new(FleetHost {
-                domains_gauge: registry.gauge(
-                    &format!("fleet.host.{name}.domains"),
-                    "Defined domains on this fleet host",
-                ),
-                active_gauge: registry.gauge(
-                    &format!("fleet.host.{name}.active"),
-                    "Running domains on this fleet host",
-                ),
-                free_mib_gauge: registry.gauge(
-                    &format!("fleet.host.{name}.free_mib"),
-                    "Free memory on this fleet host, net of reservations",
-                ),
+                gauges: HostGauges::new().attach(&registry, &format!("fleet.host.{name}.")),
                 name,
                 uri,
                 conn: Mutex::new(None),

@@ -14,6 +14,8 @@
 //!   snapshots take a lock; the **record path never does**. Instrumented
 //!   code resolves its handles once (an `Arc` per metric) and afterwards
 //!   only touches atomics.
+//! - [`metric_set!`] — a set of metrics declared once, one row per
+//!   metric (field, kind, name, help), attached to a registry in one call.
 //! - [`trace`] — a request-id (client id + RPC serial) carried through
 //!   dispatch so log records written while serving an RPC can be correlated
 //!   with the per-procedure latency histograms.
@@ -29,6 +31,8 @@ pub mod prometheus;
 pub mod recorder;
 pub mod span;
 pub mod trace;
+
+mod metric_set;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -315,12 +319,45 @@ pub struct MetricSnapshot {
     pub value: MetricValue,
 }
 
-#[derive(Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
+/// A kind of metric a [`Registry`] holds: [`Counter`], [`Gauge`] or
+/// [`Histogram`].
+pub trait Kind: sealed::Held {}
+
+mod sealed {
+    use super::{Arc, Counter, Gauge, Histogram};
+
+    pub enum Metric {
+        Counter(Arc<Counter>),
+        Gauge(Arc<Gauge>),
+        Histogram(Arc<Histogram>),
+    }
+
+    /// How a kind goes into, and comes back out of, a registry entry.
+    pub trait Held: Sized {
+        fn wrap(handle: Arc<Self>) -> Metric;
+        fn held(metric: &Metric) -> Option<&Arc<Self>>;
+    }
+
+    macro_rules! held {
+        ($($kind:ident),*) => {$(
+            impl Held for $kind {
+                fn wrap(handle: Arc<Self>) -> Metric {
+                    Metric::$kind(handle)
+                }
+                fn held(metric: &Metric) -> Option<&Arc<Self>> {
+                    match metric {
+                        Metric::$kind(handle) => Some(handle),
+                        _ => None,
+                    }
+                }
+            }
+            impl super::Kind for $kind {}
+        )*};
+    }
+    held!(Counter, Gauge, Histogram);
 }
+
+use sealed::Metric;
 
 struct Registered {
     help: String,
@@ -347,104 +384,44 @@ impl Registry {
         self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Publishes `handle` under `name` and returns the handle the
+    /// registry holds for that name: `handle` itself when the name is
+    /// new, the one registered earlier otherwise (its help text stays).
+    ///
+    /// # Panics
+    ///
+    /// When `name` is registered as a different kind of metric.
+    pub fn adopt<K: Kind>(&self, name: &str, help: &str, handle: &Arc<K>) -> Arc<K> {
+        let mut metrics = self.lock();
+        if let Some(existing) = metrics.get(name) {
+            return match K::held(&existing.metric) {
+                Some(held) => Arc::clone(held),
+                None => panic!("metric '{name}' already registered with a different type"),
+            };
+        }
+        metrics.insert(
+            name.to_string(),
+            Registered {
+                help: help.to_string(),
+                metric: K::wrap(Arc::clone(handle)),
+            },
+        );
+        Arc::clone(handle)
+    }
+
     /// Returns the counter named `name`, creating it if needed.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let counter = Arc::new(Counter::new());
-        match self.register_counter(name, help, Arc::clone(&counter)) {
-            Ok(()) => counter,
-            Err(existing) => existing,
-        }
+        self.adopt(name, help, &Arc::default())
     }
 
     /// Returns the gauge named `name`, creating it if needed.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let gauge = Arc::new(Gauge::new());
-        match self.register_gauge(name, help, Arc::clone(&gauge)) {
-            Ok(()) => gauge,
-            Err(existing) => existing,
-        }
+        self.adopt(name, help, &Arc::default())
     }
 
     /// Returns the histogram named `name`, creating it if needed.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let histogram = Arc::new(Histogram::new());
-        match self.register_histogram(name, help, Arc::clone(&histogram)) {
-            Ok(()) => histogram,
-            Err(existing) => existing,
-        }
-    }
-
-    /// Publishes an existing counter under `name`. Returns `Err` with the
-    /// already-registered counter when the name is taken by one.
-    pub fn register_counter(
-        &self,
-        name: &str,
-        help: &str,
-        counter: Arc<Counter>,
-    ) -> Result<(), Arc<Counter>> {
-        let mut metrics = self.lock();
-        if let Some(existing) = metrics.get(name) {
-            if let Metric::Counter(c) = &existing.metric {
-                return Err(Arc::clone(c));
-            }
-            panic!("metric '{name}' already registered with a different type");
-        }
-        metrics.insert(
-            name.to_string(),
-            Registered {
-                help: help.to_string(),
-                metric: Metric::Counter(counter),
-            },
-        );
-        Ok(())
-    }
-
-    /// Publishes an existing gauge under `name`.
-    pub fn register_gauge(
-        &self,
-        name: &str,
-        help: &str,
-        gauge: Arc<Gauge>,
-    ) -> Result<(), Arc<Gauge>> {
-        let mut metrics = self.lock();
-        if let Some(existing) = metrics.get(name) {
-            if let Metric::Gauge(g) = &existing.metric {
-                return Err(Arc::clone(g));
-            }
-            panic!("metric '{name}' already registered with a different type");
-        }
-        metrics.insert(
-            name.to_string(),
-            Registered {
-                help: help.to_string(),
-                metric: Metric::Gauge(gauge),
-            },
-        );
-        Ok(())
-    }
-
-    /// Publishes an existing histogram under `name`.
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        histogram: Arc<Histogram>,
-    ) -> Result<(), Arc<Histogram>> {
-        let mut metrics = self.lock();
-        if let Some(existing) = metrics.get(name) {
-            if let Metric::Histogram(h) = &existing.metric {
-                return Err(Arc::clone(h));
-            }
-            panic!("metric '{name}' already registered with a different type");
-        }
-        metrics.insert(
-            name.to_string(),
-            Registered {
-                help: help.to_string(),
-                metric: Metric::Histogram(histogram),
-            },
-        );
-        Ok(())
+        self.adopt(name, help, &Arc::default())
     }
 
     /// Names of all registered metrics, sorted.
@@ -698,13 +675,80 @@ mod tests {
         let registry = Registry::new();
         let mine = Arc::new(Counter::new());
         mine.add(3);
-        registry
-            .register_counter("pool.completed", "jobs", Arc::clone(&mine))
-            .unwrap();
+        let held = registry.adopt("pool.completed", "jobs", &mine);
+        assert!(Arc::ptr_eq(&held, &mine));
         mine.inc();
         match &registry.snapshot("pool.")[0].value {
             MetricValue::Counter(v) => assert_eq!(*v, 4),
             other => panic!("wrong type: {other:?}"),
         }
+    }
+
+    crate::metric_set! {
+        struct CacheMetrics {
+            hits: Counter = "hits", "Lookups answered from the cache";
+            entries: Gauge = "entries", "Entries held right now";
+            fill_us: Histogram = "fill_us", "Time taken to fill one miss";
+        }
+    }
+
+    #[test]
+    fn sets_attached_under_one_prefix_share_the_first_ones_handles() {
+        let registry = Registry::new();
+        let first = CacheMetrics::new();
+        let second = CacheMetrics::new();
+        let a = first.attach(&registry, "cache.");
+        let b = second.attach(&registry, "cache.");
+        assert!(
+            Arc::ptr_eq(&a.hits, &first.hits),
+            "the first set's own handles"
+        );
+        assert!(Arc::ptr_eq(&b.hits, &first.hits));
+        assert!(Arc::ptr_eq(&b.entries, &first.entries));
+        assert!(Arc::ptr_eq(&b.fill_us, &first.fill_us));
+        assert!(!Arc::ptr_eq(&b.hits, &second.hits));
+        b.hits.inc();
+        a.hits.inc();
+        assert_eq!(registry.counter("cache.hits", "").get(), 2);
+        // A second prefix is a second set of names.
+        let other = second.attach(&registry, "other.");
+        assert!(Arc::ptr_eq(&other.hits, &second.hits));
+        assert_eq!(registry.names().len(), 6);
+    }
+
+    #[test]
+    fn counts_recorded_before_attach_are_visible_through_the_registry() {
+        let registry = Registry::new();
+        let set = CacheMetrics::new();
+        set.hits.add(5);
+        set.entries.set(3);
+        set.fill_us.record_ns(2_000);
+        set.attach(&registry, "cache.");
+        let values: Vec<(String, MetricValue)> = registry
+            .snapshot("cache.")
+            .into_iter()
+            .map(|m| (m.name, m.value))
+            .collect();
+        assert_eq!(
+            values[0],
+            ("cache.entries".to_string(), MetricValue::Gauge(3))
+        );
+        assert!(matches!(&values[1].1, MetricValue::Histogram(h) if h.count == 1));
+        assert_eq!(
+            values[2],
+            ("cache.hits".to_string(), MetricValue::Counter(5))
+        );
+        assert_eq!(
+            registry.snapshot("cache.hits")[0].help,
+            "Lookups answered from the cache"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "metric 'cache.hits' already registered with a different type")]
+    fn a_kind_clash_panics() {
+        let registry = Registry::new();
+        registry.gauge("cache.hits", "a gauge of the same name");
+        CacheMetrics::new().attach(&registry, "cache.");
     }
 }

@@ -20,7 +20,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use virt_metrics::{Counter, Gauge, Registry};
 
 /// Retired buffers kept for reuse. The freelist is bounded both in entry
 /// count and per-buffer capacity so a single giant frame (e.g. a bulk
@@ -37,9 +36,17 @@ pub struct BufferPool {
     max_pooled: usize,
     /// Buffers whose capacity grew beyond this are dropped on return.
     max_buf_capacity: usize,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    resident_bytes: Arc<Gauge>,
+    metrics: BufPoolMetrics,
+}
+
+virt_metrics::metric_set! {
+    /// A pool's checkout counters; the global pool's live in
+    /// [`crate::process_metrics`] under `rpc.buf_pool.*`.
+    struct BufPoolMetrics {
+        hits: Counter = "hits", "Buffer checkouts served from the freelist";
+        misses: Counter = "misses", "Buffer checkouts that had to allocate";
+        resident_bytes: Gauge = "resident_bytes", "Capacity currently parked in the freelist";
+    }
 }
 
 /// Freelist entry cap: enough for every reader/writer thread of a busy
@@ -71,36 +78,21 @@ impl BufferPool {
             }),
             max_pooled,
             max_buf_capacity,
-            hits: Arc::new(Counter::new()),
-            misses: Arc::new(Counter::new()),
-            resident_bytes: Arc::new(Gauge::new()),
+            metrics: BufPoolMetrics::new(),
         }
     }
 
-    /// A pool whose metrics live in `registry` under the canonical
-    /// `rpc.buf_pool.*` names.
-    pub fn with_registry(registry: &Registry) -> Self {
-        let mut pool = Self::new();
-        pool.hits = registry.counter(
-            "rpc.buf_pool.hits",
-            "Buffer checkouts served from the freelist",
-        );
-        pool.misses = registry.counter(
-            "rpc.buf_pool.misses",
-            "Buffer checkouts that had to allocate",
-        );
-        pool.resident_bytes = registry.gauge(
-            "rpc.buf_pool.resident_bytes",
-            "Capacity currently parked in the freelist",
-        );
-        pool
-    }
-
     /// The process-wide pool shared by every client and server in this
-    /// process, registered in [`crate::process_metrics`].
+    /// process, its metrics in [`crate::process_metrics`].
     pub fn global() -> &'static Arc<BufferPool> {
         static GLOBAL: OnceLock<Arc<BufferPool>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(BufferPool::with_registry(crate::process_metrics())))
+        GLOBAL.get_or_init(|| {
+            let mut pool = BufferPool::new();
+            pool.metrics = pool
+                .metrics
+                .attach(crate::process_metrics(), "rpc.buf_pool.");
+            Arc::new(pool)
+        })
     }
 
     /// Checks out an empty buffer, reusing a retired one when available.
@@ -110,18 +102,18 @@ impl BufferPool {
             let buf = free.bufs.pop();
             if let Some(b) = &buf {
                 free.resident -= b.capacity() as u64;
-                self.resident_bytes.set(free.resident);
+                self.metrics.resident_bytes.set(free.resident);
             }
             buf
         };
         let buf = match reused {
             Some(mut b) => {
-                self.hits.inc();
+                self.metrics.hits.inc();
                 b.clear();
                 b
             }
             None => {
-                self.misses.inc();
+                self.metrics.misses.inc();
                 Vec::new()
             }
         };
@@ -141,15 +133,15 @@ impl BufferPool {
         }
         free.resident += buf.capacity() as u64;
         free.bufs.push(buf);
-        self.resident_bytes.set(free.resident);
+        self.metrics.resident_bytes.set(free.resident);
     }
 
     /// (hits, misses, resident bytes) — for tests and diagnostics.
     pub fn stats(&self) -> (u64, u64, u64) {
         (
-            self.hits.get(),
-            self.misses.get(),
-            self.resident_bytes.get(),
+            self.metrics.hits.get(),
+            self.metrics.misses.get(),
+            self.metrics.resident_bytes.get(),
         )
     }
 }

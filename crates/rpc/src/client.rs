@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use virt_metrics::span::{self, Stage};
-use virt_metrics::Counter;
 
 use crate::baton::{Baton, Enter, Routed};
 use crate::bufpool::{BufferPool, MAX_PARKED_RECORD_CAPACITY};
@@ -103,38 +102,24 @@ struct Receive {
     buf: Vec<u8>,
 }
 
-/// Process-wide counters of the stub (`rpc.late_replies`,
-/// `rpc.client.*`), resolved once.
-struct StubMetrics {
-    late_replies: Arc<Counter>,
-    replies_direct: Arc<Counter>,
-    replies_routed: Arc<Counter>,
-    baton_handoffs: Arc<Counter>,
+virt_metrics::metric_set! {
+    /// Process-wide counters of the stub (`rpc.late_replies`,
+    /// `rpc.client.*`), resolved once.
+    struct StubMetrics {
+        late_replies: Counter = "late_replies",
+            "Replies whose serial matched no waiting call (read after their call gave up)";
+        replies_direct: Counter = "client.replies_direct",
+            "Replies read by their own caller and decoded in the receive buffer";
+        replies_routed: Counter = "client.replies_routed",
+            "Replies read by another thread and filed for their caller";
+        baton_handoffs: Counter = "client.baton_handoffs",
+            "Times a thread done reading woke another to take the socket over";
+    }
 }
 
 fn stub_metrics() -> &'static StubMetrics {
     static METRICS: OnceLock<StubMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = crate::process_metrics();
-        StubMetrics {
-            late_replies: registry.counter(
-                "rpc.late_replies",
-                "Replies whose serial matched no waiting call (read after their call gave up)",
-            ),
-            replies_direct: registry.counter(
-                "rpc.client.replies_direct",
-                "Replies read by their own caller and decoded in the receive buffer",
-            ),
-            replies_routed: registry.counter(
-                "rpc.client.replies_routed",
-                "Replies read by another thread and filed for their caller",
-            ),
-            baton_handoffs: registry.counter(
-                "rpc.client.baton_handoffs",
-                "Times a thread done reading woke another to take the socket over",
-            ),
-        }
-    })
+    METRICS.get_or_init(|| StubMetrics::new().attach(crate::process_metrics(), "rpc."))
 }
 
 struct ClientInner {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
-use virt_metrics::{Counter, Gauge, Histogram, Registry};
+use virt_metrics::Registry;
 
 /// A unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -28,30 +28,16 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// how long it sat waiting for a free thread.
 type QueuedJob = (Job, Instant);
 
-/// Pool instrumentation: all atomics, so the submit and worker paths
-/// never take an extra lock to record. The instances live on the pool
-/// itself and can additionally be published into a [`Registry`] with
-/// [`WorkerPool::publish_metrics`].
-#[derive(Debug)]
-struct PoolMetrics {
-    /// Time jobs spent queued before a worker picked them up.
-    wait_us: Arc<Histogram>,
-    /// Time jobs spent executing.
-    run_us: Arc<Histogram>,
-    /// Jobs currently sitting in either queue.
-    queue_depth: Arc<Gauge>,
-    /// Total jobs completed since start.
-    completed: Arc<Counter>,
-}
-
-impl PoolMetrics {
-    fn new() -> Self {
-        PoolMetrics {
-            wait_us: Arc::new(Histogram::new()),
-            run_us: Arc::new(Histogram::new()),
-            queue_depth: Arc::new(Gauge::new()),
-            completed: Arc::new(Counter::new()),
-        }
+virt_metrics::metric_set! {
+    /// Pool instrumentation: all atomics, so the submit and worker paths
+    /// never take an extra lock to record. The instances live on the pool
+    /// itself and can additionally be published into a [`Registry`] with
+    /// [`WorkerPool::publish_metrics`].
+    struct PoolMetrics {
+        wait_us: Histogram = "wait_us", "Time jobs spent queued before a worker picked them up";
+        run_us: Histogram = "run_us", "Time jobs spent executing on a worker";
+        queue_depth: Gauge = "queue_depth", "Jobs currently waiting in the pool queues";
+        completed: Counter = "completed", "Total jobs completed since the pool started";
     }
 }
 
@@ -300,27 +286,9 @@ impl WorkerPool {
     /// atomics, so snapshots observe live values without extra work on
     /// the submit/execute paths.
     pub fn publish_metrics(&self, registry: &Registry, name: &str) {
-        let m = &self.inner.metrics;
-        let _ = registry.register_histogram(
-            &format!("pool.{name}.wait_us"),
-            "Time jobs spent queued before a worker picked them up",
-            Arc::clone(&m.wait_us),
-        );
-        let _ = registry.register_histogram(
-            &format!("pool.{name}.run_us"),
-            "Time jobs spent executing on a worker",
-            Arc::clone(&m.run_us),
-        );
-        let _ = registry.register_gauge(
-            &format!("pool.{name}.queue_depth"),
-            "Jobs currently waiting in the pool queues",
-            Arc::clone(&m.queue_depth),
-        );
-        let _ = registry.register_counter(
-            &format!("pool.{name}.completed"),
-            "Total jobs completed since the pool started",
-            Arc::clone(&m.completed),
-        );
+        self.inner
+            .metrics
+            .attach(registry, &format!("pool.{name}."));
     }
 
     /// Blocks until both queues are empty and all workers are idle.

@@ -31,7 +31,6 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use virt_metrics::{Counter, Registry};
 
 use crate::client::{CallClient, CallError};
 use crate::keepalive::{self, KeepaliveAction, KeepaliveConfig, KeepaliveState};
@@ -80,75 +79,27 @@ impl Default for ReconnectConfig {
     }
 }
 
-/// Client-side resilience counters. Shared `Arc<Counter>`s so the same
-/// atomics can live in a metrics registry and aggregate across
-/// connections.
-#[derive(Clone)]
-pub struct ReconnectMetrics {
-    /// Re-dial attempts (not counting the initial connect).
-    pub reconnect_attempts: Arc<Counter>,
-    /// Re-dials that produced a working session.
-    pub reconnect_successes: Arc<Counter>,
-    /// Re-dials that failed (dial or handshake).
-    pub reconnect_failures: Arc<Counter>,
-    /// Idempotent calls re-issued after a connection failure.
-    pub retries: Arc<Counter>,
-    /// Circuit-breaker state transitions.
-    pub breaker_transitions: Arc<Counter>,
-    /// Calls rejected fast because the breaker was open.
-    pub breaker_fast_fails: Arc<Counter>,
-    /// Farewell (`bye`) messages received: clean peer shutdowns.
-    pub peer_byes: Arc<Counter>,
-}
-
-impl ReconnectMetrics {
-    /// Standalone counters, not registered anywhere (tests, embedders).
-    pub fn detached() -> Self {
-        ReconnectMetrics {
-            reconnect_attempts: Arc::new(Counter::new()),
-            reconnect_successes: Arc::new(Counter::new()),
-            reconnect_failures: Arc::new(Counter::new()),
-            retries: Arc::new(Counter::new()),
-            breaker_transitions: Arc::new(Counter::new()),
-            breaker_fast_fails: Arc::new(Counter::new()),
-            peer_byes: Arc::new(Counter::new()),
-        }
-    }
-
-    /// Counters obtained from (or created in) `registry` under the
-    /// canonical `rpc.reconnect.*` / `rpc.retry.*` names. Repeated calls
-    /// share the same atomics, so connection counts aggregate.
-    pub fn from_registry(registry: &Registry) -> Self {
-        ReconnectMetrics {
-            reconnect_attempts: registry.counter(
-                "rpc.reconnect.attempts",
-                "Re-dial attempts after a dead connection",
-            ),
-            reconnect_successes: registry.counter(
-                "rpc.reconnect.successes",
-                "Re-dials that restored a working session",
-            ),
-            reconnect_failures: registry.counter(
-                "rpc.reconnect.failures",
-                "Re-dials that failed to restore a session",
-            ),
-            retries: registry.counter(
-                "rpc.retry.calls",
-                "Idempotent calls re-issued after a connection failure",
-            ),
-            breaker_transitions: registry.counter(
-                "rpc.reconnect.breaker_transitions",
-                "Reconnect circuit-breaker state transitions",
-            ),
-            breaker_fast_fails: registry.counter(
-                "rpc.reconnect.breaker_fast_fails",
-                "Calls rejected fast while the reconnect breaker was open",
-            ),
-            peer_byes: registry.counter(
-                "rpc.reconnect.peer_byes",
-                "Farewell messages received from cleanly shutting-down peers",
-            ),
-        }
+virt_metrics::metric_set! {
+    /// Client-side resilience counters. Shared `Arc<Counter>`s so the same
+    /// atomics can live in a metrics registry and aggregate across
+    /// connections: `ReconnectMetrics::new().attach(registry, "rpc.")`.
+    pub struct ReconnectMetrics {
+        reconnect_attempts: Counter = "reconnect.attempts",
+            "Re-dial attempts after a dead connection";
+        reconnect_successes: Counter = "reconnect.successes",
+            "Re-dials that restored a working session";
+        reconnect_failures: Counter = "reconnect.failures",
+            "Re-dials that failed to restore a session";
+        retries: Counter = "retry.calls",
+            "Idempotent calls re-issued after a connection failure";
+        breaker_transitions: Counter = "reconnect.breaker_transitions",
+            "Reconnect circuit-breaker state transitions";
+        breaker_fast_fails: Counter = "reconnect.breaker_fast_fails",
+            "Calls rejected fast while the reconnect breaker was open";
+        peer_byes: Counter = "reconnect.peer_byes",
+            "Farewell messages received from cleanly shutting-down peers";
+        callbacks_replayed: Counter = "reconnect.callbacks_replayed",
+            "Event subscriptions re-registered after a reconnect";
     }
 }
 
@@ -543,6 +494,7 @@ mod tests {
     use crate::message::{Header, MessageType, RpcError, REMOTE_PROGRAM};
     use crate::transport::{memory_listener, Listener, MemoryConnector};
     use std::time::Duration;
+    use virt_metrics::Counter;
 
     /// An echo service behind a memory listener: every accept spawns a
     /// server loop; procedure 99 replies with an error; stop() kills the
@@ -657,7 +609,7 @@ mod tests {
             service.factory(),
             Box::new(|_| Ok(())),
             config,
-            ReconnectMetrics::detached(),
+            ReconnectMetrics::new(),
         )
         .expect("initial connect")
     }
@@ -897,7 +849,7 @@ mod tests {
                 }),
                 ..ReconnectConfig::default()
             },
-            ReconnectMetrics::detached(),
+            ReconnectMetrics::new(),
         )
         .unwrap();
         let wait_for = |what: &str, pred: &dyn Fn() -> bool| {
@@ -953,7 +905,7 @@ mod tests {
                 retry: fast_retry(),
                 ..ReconnectConfig::default()
             },
-            ReconnectMetrics::detached(),
+            ReconnectMetrics::new(),
         )
         .unwrap();
         assert_eq!(setups.get(), 1);

@@ -71,6 +71,23 @@ if sed '/^#\[cfg(test)\]/,$d' crates/cli/src/admin.rs \
     exit 1
 fi
 
+# A metric is a row of a metric_set! table, and Registry::adopt is the one
+# way into a registry: no second registration API, and no handle made by
+# hand outside the metrics crate — it comes from a set or from Registry.
+# (Test modules, after a file's #[cfg(test)], may build loose handles.)
+echo "== hygiene: every metric from a metric_set! row or the registry =="
+if grep -rnE 'register_(counter|gauge|histogram)\b' --include='*.rs' crates src tests examples virt_bench; then
+    echo "error: register_counter/_gauge/_histogram — declare a metric_set! row, or call Registry::adopt" >&2
+    exit 1
+fi
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/metrics/src/*'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'Arc::new\(((virt_metrics|virt_core::metrics)::)?(Counter|Gauge|Histogram)::new\(\)\)'; then
+        echo "error: hand-made metric handle in $f — add a metric_set! row or use Registry::counter/gauge/histogram" >&2
+        exit 1
+    fi
+done
+
 # A reply record is defined once (the API struct plus one xdr_fields!
 # line) and every list reply is a Vec through the one codec in xdr.rs.
 # The two shapes the old copies took: a `Wire*List` newtype (the
@@ -102,8 +119,11 @@ fi
 # Both programs byte for byte: every frame of a scripted session of each
 # against golden transcripts captured before the tables and records were
 # folded, plus the per-record codec literals.
-echo "== wire: remote and admin programs pinned to golden bytes =="
-cargo test -q --offline --test wire_procedures --test admin_wire
+# The metric catalogue likewise: name, kind and help of every metric of a
+# daemon, the process registry and a fleet, against a golden list, and
+# every family of it documented in docs/observability.md.
+echo "== wire: remote and admin programs pinned to golden bytes; metric catalogue pinned =="
+cargo test -q --offline --test wire_procedures --test admin_wire --test metric_catalogue
 cargo test -q --offline -p virt-core --test wire_golden
 # The other side of the trust boundary: a document nested 100 000 deep, or
 # an element with 50 000 attributes, sent to each procedure that takes XML

@@ -579,6 +579,45 @@ fn metrics_round_trip_over_unix_transport() {
 }
 
 #[test]
+fn metrics_fetch_is_one_sorted_list_like_metrics_list() {
+    let (daemon, admin, endpoint) = daemon_with_admin();
+    // A remote connection puts the client-side RPC metrics into the
+    // process registry the daemon merges into both listings.
+    let conn = Connect::builder(format!("qemu+memory://{endpoint}/system"))
+        .open()
+        .unwrap();
+    conn.hostname().unwrap();
+
+    let names = admin.metrics_list().unwrap();
+    for prefix in ["", "rpc."] {
+        let fetched: Vec<String> = admin
+            .metrics(prefix)
+            .unwrap()
+            .into_iter()
+            .map(|m| m.name)
+            .collect();
+        let listed: Vec<&String> = names.iter().filter(|n| n.starts_with(prefix)).collect();
+        assert!(
+            fetched.iter().any(|n| n.starts_with("rpc.buf_pool.")),
+            "the process registry is merged in"
+        );
+        assert!(
+            fetched.windows(2).all(|w| w[0] < w[1]),
+            "metrics({prefix:?}) is not one name-sorted list: {fetched:?}"
+        );
+        assert_eq!(
+            fetched.iter().collect::<Vec<_>>(),
+            listed,
+            "metrics({prefix:?})"
+        );
+    }
+
+    conn.close();
+    admin.close();
+    daemon.shutdown();
+}
+
+#[test]
 fn rpc_log_records_carry_the_request_id() {
     let endpoint = unique("trace");
     let daemon = Virtd::builder(&endpoint)

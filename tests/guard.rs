@@ -28,7 +28,7 @@ use virt_core::metrics::MetricValue;
 use virt_core::xmlfmt::DomainConfig;
 use virt_core::{BackoffSchedule, Connect, DomainState};
 use virt_fleet::FleetManager;
-use virtd::{Virtd, VirtdConfig};
+use virtd::{AdminClient, Virtd, VirtdConfig};
 
 fn unique(name: &str) -> String {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,6 +138,50 @@ fn crash_storm_of_50_guarded_domains_converges_without_a_herd() {
     );
 
     conn.close();
+    daemon.shutdown();
+}
+
+/// A daemon runs one guard engine per driver, and all of them publish
+/// into one `guard.*` set: a revival on qemu plus one on xen reads as two
+/// through the admin interface.
+#[test]
+fn revivals_on_two_drivers_count_in_one_guard_set() {
+    let name = unique("guard-aggregate");
+    let daemon = Virtd::builder(&name).with_quiet_hosts().build().unwrap();
+    daemon.register_memory_endpoint(&name).unwrap();
+    let admin = AdminClient::new(daemon.admin_memory_connector().connect().unwrap());
+    let revived = || {
+        admin
+            .metrics("guard.")
+            .unwrap()
+            .into_iter()
+            .find(|m| m.name == "guard.revived")
+            .expect("guard.revived is published")
+            .value
+    };
+
+    for (scheme, expected) in [("qemu", 1), ("xen", 2)] {
+        let conn = Connect::builder(format!("{scheme}+memory://{name}/system"))
+            .open()
+            .unwrap();
+        let domain = conn
+            .define_domain(&DomainConfig::new(format!("{scheme}-guest"), 64, 1))
+            .unwrap();
+        domain.start().unwrap();
+        domain
+            .guard_set(&GuardPolicy::KeepRunning { max_restarts: 5 })
+            .unwrap();
+        domain.crash().unwrap();
+        wait_for(
+            || revived() >= expected,
+            &format!("the {scheme} guest revived"),
+        );
+        assert_eq!(domain.state().unwrap(), DomainState::Running);
+        conn.close();
+    }
+    assert_eq!(revived(), 2);
+
+    admin.close();
     daemon.shutdown();
 }
 

@@ -100,7 +100,7 @@ fn injected_mid_stream_kill_is_survived_by_idempotent_calls() {
             retry: patient_retry(),
             ..ReconnectConfig::default()
         },
-        ReconnectMetrics::detached(),
+        ReconnectMetrics::new(),
     )
     .unwrap();
 
@@ -120,6 +120,53 @@ fn injected_mid_stream_kill_is_survived_by_idempotent_calls() {
     assert_eq!(reply, "again");
     assert!(client.generation() >= 2, "client re-dialed");
     client.close();
+}
+
+/// Every connection of a process counts into the one `rpc.reconnect.*`
+/// set of `client_metrics()`: two clients attached there hold the
+/// registry's `attempts` counter, and both re-dials land in it.
+#[test]
+fn two_connections_share_the_process_reconnect_counters() {
+    let connector = start_echo_service();
+    let registry = virt_core::client_metrics();
+    let connect = || {
+        let initial = Arc::new(connector.connect().unwrap()) as Arc<dyn Transport>;
+        let (faulty, control) = FaultyTransport::new(initial);
+        let dialer = connector.clone();
+        let metrics = ReconnectMetrics::new().attach(registry, "rpc.");
+        let client = ReconnectingClient::with_transport(
+            Arc::new(faulty),
+            Box::new(move || dialer.connect().map(|t| Arc::new(t) as Arc<dyn Transport>)),
+            Box::new(|_| Ok(())),
+            ReconnectConfig {
+                retry: patient_retry(),
+                ..ReconnectConfig::default()
+            },
+            metrics.clone(),
+        )
+        .unwrap();
+        (client, control, metrics)
+    };
+    let first = connect();
+    let second = connect();
+    let attempts = registry.counter("rpc.reconnect.attempts", "");
+    assert!(Arc::ptr_eq(&first.2.reconnect_attempts, &attempts));
+    assert!(Arc::ptr_eq(&second.2.reconnect_attempts, &attempts));
+
+    let before = attempts.get();
+    for (client, control, _) in [&first, &second] {
+        control.set(FaultMode::DropAfterBytes(control.sent_bytes()));
+        let reply: String = client
+            .call(REMOTE_PROGRAM, 1, true, &"again".to_string(), None)
+            .expect("idempotent call retried onto a fresh connection");
+        assert_eq!(reply, "again");
+        assert!(client.generation() >= 2, "client re-dialed");
+    }
+    // Process-global: other tests may re-dial too, so at least both.
+    assert!(attempts.get() >= before + 2);
+
+    first.0.close();
+    second.0.close();
 }
 
 // ---------------------------------------------------------------------

@@ -7,14 +7,23 @@
 //! sockets, [`Readiness::Notify`] for in-process channels) is handed to
 //! one of N loop threads, which multiplex all of them over a single
 //! [`Poller`]. A burst — whatever one client has sent by the time the
-//! loop gets to it — costs one read and one write:
+//! loop gets to it — costs one read and one write, and wakes workers for
+//! its pooled calls only once it is handed up:
 //!
 //! - **Reads** are nonblocking and buffered: one `try_read` of up to
 //!   [`READ_CHUNK`](virt_rpc::framebuf::READ_CHUNK) bytes lands in the
 //!   connection's [`FrameBuf`] (the same splitter the socket transports
 //!   use), and every complete frame in it is handed to the server *in
-//!   place* (keepalive and high-priority procedures run inline on the
-//!   loop thread; everything else goes to the worker pool). A short read
+//!   place*. Keepalive and high-priority procedures run inline on the
+//!   loop thread; everything else is queued for the worker pool through
+//!   one [`PoolBatch`] per turn, which wakes an idle worker for each of
+//!   them when the turn's frames are all handed up — just before its
+//!   gathered write, which then also carries the reply of a worker that
+//!   got the CPU at once — so the loop is not preempted mid-burst by a
+//!   worker woken per call. A pooled call thus starts at most the rest of
+//!   its own turn later (≤ `MAX_FRAMES_PER_EVENT` inline frames, which
+//!   never block), and a hung call strands nothing queued behind it while
+//!   a worker is idle. A short read
 //!   means the socket is drained — level-triggered epoll reports
 //!   whatever arrives next, so nothing probes for `EAGAIN`. A partial
 //!   frame stays buffered across any number of readiness events. At
@@ -62,7 +71,7 @@ use virt_metrics::Counter;
 use virt_rpc::framebuf::FrameBuf;
 use virt_rpc::poll::{PollEvent, Poller, WAKE_TOKEN};
 use virt_rpc::transport::{Readiness, Transport};
-use virt_rpc::{BufferPool, PooledBuf};
+use virt_rpc::{BufferPool, PoolBatch, PooledBuf};
 
 use crate::server::ClientHandle;
 
@@ -125,8 +134,16 @@ virt_metrics::metric_set! {
 /// a weak reference, so the core never keeps its server alive).
 pub(crate) trait ConnEvents: Send + Sync + 'static {
     /// A complete frame body arrived. Runs on the loop thread; returns
-    /// whether to keep the connection (protocol garbage drops it).
-    fn on_frame(&self, client: &Arc<ClientHandle>, body: &[u8]) -> bool;
+    /// whether to keep the connection (protocol garbage drops it). A call
+    /// bound for the worker pool goes into `batch`, opened on the first
+    /// one; the loop drops it — waking workers for its calls — when the
+    /// connection's turn ends.
+    fn on_frame(
+        &self,
+        client: &Arc<ClientHandle>,
+        body: &[u8],
+        batch: &mut Option<PoolBatch>,
+    ) -> bool;
 
     /// The connection is gone; the transport is already shut down.
     fn on_closed(&self, client: &Arc<ClientHandle>);
@@ -706,8 +723,9 @@ impl EventCore {
     }
 
     /// One turn of an fd connection: hands up what is buffered, reads
-    /// the socket for more, and sends gathered replies off. Returns
-    /// whether the connection survives.
+    /// the socket for more, wakes workers for the turn's pooled calls and
+    /// sends gathered replies off. Returns whether the connection
+    /// survives.
     fn handle_readable(shared: &Arc<LoopShared>, conn: &Arc<Conn>, hangup: bool) -> bool {
         if conn.sink.reads_paused() {
             // Backpressure: nothing more is read or handed up until the
@@ -719,7 +737,11 @@ impl EventCore {
             .take()
             .unwrap_or_else(|| FrameBuf::new(BufferPool::global().get()));
         let mut corked = false;
-        let mut keep = Self::read_burst(shared, conn, &mut buf, &mut corked);
+        let mut batch = None;
+        let mut keep = Self::read_burst(shared, conn, &mut buf, &mut corked, &mut batch);
+        // The burst's wakes, just before its one write: a worker that
+        // gets the CPU at once has its reply gathered into that write.
+        drop(batch);
         if corked {
             keep &= conn.sink.uncork();
         }
@@ -743,6 +765,7 @@ impl EventCore {
         conn: &Arc<Conn>,
         buf: &mut FrameBuf<PooledBuf>,
         corked: &mut bool,
+        batch: &mut Option<PoolBatch>,
     ) -> bool {
         let metrics = &shared.metrics;
         let mut frames = 0;
@@ -760,7 +783,7 @@ impl EventCore {
                     *corked = true;
                 }
                 metrics.frames_in.inc();
-                if !shared.events.on_frame(&conn.client, body) {
+                if !shared.events.on_frame(&conn.client, body, batch) {
                     return false;
                 }
                 frames += 1;
@@ -817,12 +840,15 @@ impl EventCore {
         }
     }
 
+    /// One turn of a channel connection; its pooled calls get their wake
+    /// when `batch` drops, on return.
     fn drain_one_channel(shared: &Arc<LoopShared>, conn: &Arc<Conn>) -> bool {
+        let mut batch = None;
         for _ in 0..MAX_FRAMES_PER_EVENT {
             match conn.client.transport.try_recv_frame() {
                 Ok(Some(body)) => {
                     shared.metrics.frames_in.inc();
-                    if !shared.events.on_frame(&conn.client, &body) {
+                    if !shared.events.on_frame(&conn.client, &body, &mut batch) {
                         return false;
                     }
                 }

@@ -24,7 +24,7 @@ use virt_metrics::Registry;
 use virt_rpc::keepalive;
 use virt_rpc::message::{Header, MessageStatus, Packet, RpcError, KEEPALIVE_PROGRAM};
 use virt_rpc::transport::{Listener, MeteredTransport, Readiness, Transport, TransportKind};
-use virt_rpc::{PoolLimits, PoolStats, WorkerPool};
+use virt_rpc::{PoolBatch, PoolLimits, PoolStats, WorkerPool};
 
 use crate::eventloop::{ConnEvents, ConnSink, EventCore, EventLoopMetrics, EventLoopOptions};
 
@@ -250,14 +250,19 @@ struct ServerEvents {
 }
 
 impl ConnEvents for ServerEvents {
-    fn on_frame(&self, client: &Arc<ClientHandle>, body: &[u8]) -> bool {
+    fn on_frame(
+        &self,
+        client: &Arc<ClientHandle>,
+        body: &[u8],
+        batch: &mut Option<PoolBatch>,
+    ) -> bool {
         let Some(server) = self.server.upgrade() else {
             return false;
         };
         // Frame-level byte accounting: event-core transports are not
         // metered, so partial reads can never double-count.
         server.metrics.bytes_in.add(body.len() as u64);
-        server.process_frame(client, body)
+        server.process_frame(client, body, batch)
     }
 
     fn on_closed(&self, client: &Arc<ClientHandle>) {
@@ -619,10 +624,17 @@ impl Server {
     }
 
     /// Handles one complete frame body from `client` — keepalive and
-    /// high-priority procedures inline, everything else through the
-    /// pool. Returns whether to keep the connection (protocol garbage
-    /// drops it). Shared by the event loops and legacy reader threads.
-    fn process_frame(&self, client: &Arc<ClientHandle>, body: &[u8]) -> bool {
+    /// high-priority procedures inline, everything else queued in
+    /// `batch` (opened here on the turn's first pooled call), whose drop
+    /// at the end of the caller's turn wakes workers. Returns whether to
+    /// keep the connection (protocol garbage drops it). Shared by the
+    /// event loops and legacy reader threads.
+    fn process_frame(
+        &self,
+        client: &Arc<ClientHandle>,
+        body: &[u8],
+        batch: &mut Option<PoolBatch>,
+    ) -> bool {
         // The header is decoded in place; the payload stays a slice of
         // the caller's buffer for everything answered on this thread.
         let Ok((header, payload)) = Packet::split_body(body) else {
@@ -660,17 +672,18 @@ impl Server {
         // High-priority procedures are guaranteed to finish without
         // waiting on a hypervisor, so — like keepalive above — they are
         // answered inline on the event (or reader) thread instead of
-        // paying two thread handoffs through the pool; everything that
+        // crossing to a worker and back (a queue, a wake at the end of
+        // the burst, and the worker's own reply write); everything that
         // can block rides the ordinary pool, keeping this thread free to
         // notice disconnects on its other connections.
         //
         // That leaves the pool's priority workers with nothing to do: the
-        // `submit` below is the daemon's only one and passes `false`, so
-        // they sit parked — 5 on the main server, 1 on the admin server,
-        // whose dispatcher classes every procedure high-priority and so
-        // never reaches its pool at all. They are kept only because the
-        // benchmark package still names `submit(false, ..)` and
-        // `PoolLimits::new()` (ROADMAP item 2).
+        // batch below is the daemon's only way into the pool and takes
+        // ordinary jobs only, so they sit parked — 5 on the main server,
+        // 1 on the admin server, whose dispatcher classes every procedure
+        // high-priority and so never reaches its pool at all. They are
+        // kept only because the benchmark package still names
+        // `submit(false, ..)` and `PoolLimits::new()` (ROADMAP item 2).
         if self.dispatcher.is_high_priority(header.procedure) {
             let _trace = span::server_enter(
                 header.trace_id,
@@ -690,7 +703,8 @@ impl Server {
         let dispatcher = Arc::clone(&self.dispatcher);
         let job_client = Arc::clone(client);
         let received = Instant::now();
-        self.pool.submit(false, move || {
+        let batch = batch.get_or_insert_with(|| self.pool.batch());
+        batch.push(move || {
             // Re-enter the wire trace on the worker: the dispatch span
             // becomes a child of the client's stub span, and the time
             // this closure sat in the pool queue is attributed as a
@@ -734,7 +748,9 @@ impl Server {
             if client.transport.recv_frame_into(&mut frame).is_err() {
                 break;
             }
-            if !self.process_frame(&client, &frame) {
+            // A reader thread's turn is one frame: the batch drops, and
+            // its call gets a worker, before the next blocking read.
+            if !self.process_frame(&client, &frame, &mut None) {
                 break;
             }
         }

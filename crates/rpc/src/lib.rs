@@ -55,6 +55,7 @@ pub mod client;
 pub mod fanout;
 pub mod fault;
 pub mod framebuf;
+mod handoff;
 pub mod keepalive;
 pub mod message;
 pub mod poll;
@@ -71,7 +72,7 @@ pub use fault::{FaultControl, FaultMode, FaultyTransport};
 pub use framebuf::FrameBuf;
 pub use message::{Header, MessageStatus, MessageType, Packet, RpcError};
 pub use poll::{PollEvent, Poller};
-pub use pool::{PoolLimits, PoolStats, WorkerPool};
+pub use pool::{PoolBatch, PoolLimits, PoolStats, WorkerPool};
 pub use reconnect::{ReconnectConfig, ReconnectMetrics, ReconnectingClient};
 pub use retry::{BackoffSchedule, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use transport::{memory_pair, MeteredTransport, Readiness, Transport, TransportKind};

@@ -12,7 +12,15 @@
 //!   workers exit at their next idle check (libvirt's
 //!   `virThreadPoolWorkerQuitHelper` approach — no thread is ever
 //!   cancelled mid-job);
-//! - ordinary workers may execute high-priority jobs, but not vice versa.
+//! - ordinary workers may execute high-priority jobs, but not vice versa;
+//! - a burst's wakes go out when the burst ends, where libvirt signals a
+//!   worker as each job is queued: a producer queues a turn's ordinary
+//!   jobs through a [`PoolBatch`], and dropping it wakes one idle worker
+//!   per job no woken worker is coming for, after unlocking — so the
+//!   producer is not preempted mid-turn, and a queued job never waits
+//!   behind a running (possibly hung) job while a worker sits idle. Only
+//!   idle workers nobody has woken are woken (the rule, and its
+//!   exhaustive check, are in `handoff.rs`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,6 +28,8 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 use virt_metrics::Registry;
+
+use crate::handoff::Handoff;
 
 /// A unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -38,6 +48,9 @@ virt_metrics::metric_set! {
         run_us: Histogram = "run_us", "Time jobs spent executing on a worker";
         queue_depth: Gauge = "queue_depth", "Jobs currently waiting in the pool queues";
         completed: Counter = "completed", "Total jobs completed since the pool started";
+        wakeups: Counter = "wakeups", "Idle workers woken to take queued jobs";
+        empty_wakeups: Counter = "empty_wakeups",
+            "Woken workers that found the queue already drained";
     }
 }
 
@@ -96,7 +109,8 @@ pub struct PoolStats {
     pub max_workers: u32,
     /// Ordinary workers currently alive.
     pub current_workers: u32,
-    /// Ordinary workers waiting for work.
+    /// Ordinary workers waiting for work that nobody has woken yet — a
+    /// worker already woken for a queued job is not free.
     pub free_workers: u32,
     /// Priority workers (fixed).
     pub priority_workers: u32,
@@ -118,10 +132,10 @@ crate::xdr_fields!(PoolStats {
 
 struct PoolState {
     limits: PoolLimits,
-    queue: VecDeque<QueuedJob>,
+    /// The ordinary queue and the ordinary workers parked on `work_cv`.
+    handoff: Handoff<QueuedJob>,
     priority_queue: VecDeque<QueuedJob>,
     current_workers: u32,
-    free_workers: u32,
     priority_workers_alive: u32,
     free_priority_workers: u32,
     quitting: bool,
@@ -183,10 +197,9 @@ impl WorkerPool {
             inner: Arc::new(PoolInner {
                 state: Mutex::new(PoolState {
                     limits,
-                    queue: VecDeque::new(),
+                    handoff: Handoff::new(),
                     priority_queue: VecDeque::new(),
                     current_workers: 0,
-                    free_workers: 0,
                     priority_workers_alive: 0,
                     free_priority_workers: 0,
                     quitting: false,
@@ -200,10 +213,10 @@ impl WorkerPool {
         {
             let mut state = pool.inner.state.lock();
             for _ in 0..limits.min_workers {
-                pool.spawn_ordinary(&mut state);
+                pool.inner.spawn_ordinary(&mut state);
             }
             for _ in 0..limits.priority_workers {
-                pool.spawn_priority(&mut state);
+                pool.inner.spawn_priority(&mut state);
             }
         }
         Ok(pool)
@@ -211,28 +224,35 @@ impl WorkerPool {
 
     /// Submits a job. `high_priority` jobs may run on priority workers.
     ///
-    /// Spawns a new ordinary worker when none is free and the maximum has
-    /// not been reached.
+    /// An ordinary job is a one-job [`PoolBatch`]: a worker is woken for
+    /// it before `submit` returns.
     pub fn submit(&self, high_priority: bool, job: impl FnOnce() + Send + 'static) {
+        if !high_priority {
+            self.batch().push(job);
+            return;
+        }
         let enqueued = Instant::now();
         let mut state = self.inner.state.lock();
         if state.quitting {
             return;
         }
         self.inner.metrics.queue_depth.inc();
-        if high_priority {
-            state.priority_queue.push_back((Box::new(job), enqueued));
-            self.inner.prio_cv.notify_one();
-            // Ordinary workers also service the priority queue.
-            self.inner.work_cv.notify_one();
-        } else {
-            state.queue.push_back((Box::new(job), enqueued));
-            self.inner.work_cv.notify_one();
-        }
-        // Grow on demand: pending ordinary work with no free worker.
-        let pending = state.queue.len() as u32;
-        if pending > state.free_workers && state.current_workers < state.limits.max_workers {
-            self.spawn_ordinary(&mut state);
+        state.priority_queue.push_back((Box::new(job), enqueued));
+        self.inner.grow(&mut state);
+        drop(state);
+        self.inner.prio_cv.notify_one();
+        // Ordinary workers also service the priority queue. This wake is
+        // not counted in `wakeups`: the worker it reaches arrives like a
+        // spurious wakeup and may take the place of one the ordinary
+        // queue woke, which then arrives uncounted.
+        self.inner.work_cv.notify_one();
+    }
+
+    /// Opens a batch of ordinary jobs: they are queued as they are pushed,
+    /// and idle workers are woken for them when the batch is dropped.
+    pub fn batch(&self) -> PoolBatch {
+        PoolBatch {
+            inner: Arc::clone(&self.inner),
         }
     }
 
@@ -250,10 +270,10 @@ impl WorkerPool {
         let mut state = self.inner.state.lock();
         state.limits = limits;
         while state.current_workers < limits.min_workers {
-            self.spawn_ordinary(&mut state);
+            self.inner.spawn_ordinary(&mut state);
         }
         while state.priority_workers_alive < limits.priority_workers {
-            self.spawn_priority(&mut state);
+            self.inner.spawn_priority(&mut state);
         }
         drop(state);
         // Wake idle workers so they can notice a lowered ceiling and exit.
@@ -264,15 +284,7 @@ impl WorkerPool {
 
     /// Current statistics.
     pub fn stats(&self) -> PoolStats {
-        let state = self.inner.state.lock();
-        PoolStats {
-            min_workers: state.limits.min_workers,
-            max_workers: state.limits.max_workers,
-            current_workers: state.current_workers,
-            free_workers: state.free_workers,
-            priority_workers: state.priority_workers_alive,
-            job_queue_depth: (state.queue.len() + state.priority_queue.len()) as u32,
-        }
+        stats_of(&self.inner.state.lock())
     }
 
     /// Total jobs completed since start.
@@ -281,10 +293,10 @@ impl WorkerPool {
     }
 
     /// Publishes the pool's metric instances into `registry` under
-    /// `pool.{name}.`: wait/run-time histograms, queue-depth gauge and
-    /// the completed-job counter. The registry shares the pool's own
-    /// atomics, so snapshots observe live values without extra work on
-    /// the submit/execute paths.
+    /// `pool.{name}.`: wait/run-time histograms, queue-depth gauge, the
+    /// completed-job counter and the two wake-up counters. The registry
+    /// shares the pool's own atomics, so snapshots observe live values
+    /// without extra work on the submit/execute paths.
     pub fn publish_metrics(&self, registry: &Registry, name: &str) {
         self.inner
             .metrics
@@ -298,9 +310,9 @@ impl WorkerPool {
     /// racing new work in afterwards.
     pub fn quiesce(&self) {
         let mut state = self.inner.state.lock();
-        while !(state.queue.is_empty()
+        while !(state.handoff.queued() == 0
             && state.priority_queue.is_empty()
-            && state.free_workers == state.current_workers
+            && state.handoff.idle() == state.current_workers
             && state.free_priority_workers == state.priority_workers_alive)
         {
             self.inner.idle_cv.wait(&mut state);
@@ -312,7 +324,7 @@ impl WorkerPool {
     pub fn shutdown(&self) {
         let mut state = self.inner.state.lock();
         state.quitting = true;
-        state.queue.clear();
+        state.handoff.clear();
         state.priority_queue.clear();
         // Dropped jobs are no longer queued; running jobs were already
         // deducted when a worker picked them up.
@@ -323,25 +335,92 @@ impl WorkerPool {
             self.inner.idle_cv.wait(&mut state);
         }
     }
+}
 
-    fn spawn_ordinary(&self, state: &mut PoolState) {
+/// Ordinary jobs queued during one turn of a producer — for the daemon,
+/// one connection's turn on its event loop — and the wakes they owe.
+///
+/// [`PoolBatch::push`] queues a job (growing the pool if no worker is
+/// idle for it) but wakes nobody; dropping the batch wakes one idle
+/// worker per queued job that no woken worker is coming for, after
+/// unlocking. The producer thus finishes its turn instead of being
+/// preempted by the worker it woke for the first call, and when the turn
+/// ends every queued job has a worker on its way or no worker is idle.
+#[must_use = "dropping the batch is what wakes workers for its jobs"]
+pub struct PoolBatch {
+    inner: Arc<PoolInner>,
+}
+
+impl PoolBatch {
+    /// Queues an ordinary job; a worker is woken for it when the batch is
+    /// dropped, unless one is already on its way. A no-op once the pool
+    /// is shutting down.
+    pub fn push(&mut self, job: impl FnOnce() + Send + 'static) {
+        let enqueued = Instant::now();
+        let mut state = self.inner.state.lock();
+        if state.quitting {
+            return;
+        }
+        self.inner.metrics.queue_depth.inc();
+        state.handoff.push((Box::new(job), enqueued));
+        self.inner.grow(&mut state);
+    }
+}
+
+impl Drop for PoolBatch {
+    fn drop(&mut self) {
+        let wakes = self.inner.state.lock().handoff.wakes();
+        self.inner.wake(wakes);
+    }
+}
+
+impl PoolInner {
+    /// Notifies `n` parked ordinary workers, after the caller unlocked —
+    /// a thread woken under the lock would only block on it.
+    fn wake(&self, n: u32) {
+        for _ in 0..n {
+            self.metrics.wakeups.inc();
+            self.work_cv.notify_one();
+        }
+    }
+
+    /// Grow on demand: more ordinary jobs queued than workers idle.
+    fn grow(self: &Arc<Self>, state: &mut PoolState) {
+        if state.handoff.queued() > state.handoff.idle() as usize
+            && state.current_workers < state.limits.max_workers
+        {
+            self.spawn_ordinary(state);
+        }
+    }
+
+    fn spawn_ordinary(self: &Arc<Self>, state: &mut PoolState) {
         state.current_workers += 1;
-        let inner = Arc::clone(&self.inner);
+        let inner = Arc::clone(self);
         std::thread::Builder::new()
             .name("virt-worker".to_string())
             .spawn(move || ordinary_worker(inner))
             .expect("spawning a worker thread");
-        let _ = state;
     }
 
-    fn spawn_priority(&self, state: &mut PoolState) {
+    fn spawn_priority(self: &Arc<Self>, state: &mut PoolState) {
         state.priority_workers_alive += 1;
-        let inner = Arc::clone(&self.inner);
+        let inner = Arc::clone(self);
         std::thread::Builder::new()
             .name("virt-prio-worker".to_string())
             .spawn(move || priority_worker(inner))
             .expect("spawning a priority worker thread");
-        let _ = state;
+    }
+}
+
+/// The admin interface's view of the pool, read under its lock.
+fn stats_of(state: &PoolState) -> PoolStats {
+    PoolStats {
+        min_workers: state.limits.min_workers,
+        max_workers: state.limits.max_workers,
+        current_workers: state.current_workers,
+        free_workers: state.handoff.free(),
+        priority_workers: state.priority_workers_alive,
+        job_queue_depth: (state.handoff.queued() + state.priority_queue.len()) as u32,
     }
 }
 
@@ -369,31 +448,38 @@ fn should_quit_priority(state: &PoolState) -> bool {
 
 fn ordinary_worker(inner: Arc<PoolInner>) {
     let mut state = inner.state.lock();
+    let mut woken = false;
     loop {
         if should_quit_ordinary(&state) {
             break;
         }
         // Ordinary workers may take priority jobs too (libvirt allows
         // ordinary workers to run high-priority tasks, not the reverse).
-        let job = state
-            .queue
-            .pop_front()
+        let taken = state
+            .handoff
+            .take()
             .or_else(|| state.priority_queue.pop_front());
-        match job {
-            Some((job, enqueued)) => {
-                drop(state);
-                run_job(&inner.metrics, job, enqueued);
-                state = inner.state.lock();
+        let Some((job, enqueued)) = taken else {
+            if woken {
+                inner.metrics.empty_wakeups.inc();
             }
-            None => {
-                state.free_workers += 1;
-                inner.idle_cv.notify_all();
-                inner.work_cv.wait(&mut state);
-                state.free_workers -= 1;
-            }
-        }
+            state.handoff.park();
+            inner.idle_cv.notify_all();
+            inner.work_cv.wait(&mut state);
+            woken = state.handoff.unpark();
+            continue;
+        };
+        woken = false;
+        drop(state);
+        run_job(&inner.metrics, job, enqueued);
+        state = inner.state.lock();
     }
+    // Leaving with work queued (the pool shrank): a wake this worker
+    // took without taking a job goes to another idle one.
+    let wakes = state.handoff.wakes();
     state.current_workers -= 1;
+    drop(state);
+    inner.wake(wakes);
     inner.idle_cv.notify_all();
 }
 
@@ -664,6 +750,72 @@ mod tests {
         hang_tx.send(()).unwrap();
         pool.quiesce();
         assert_eq!(pool.stats().job_queue_depth, 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_woken_worker_is_not_free_until_it_takes_its_job() {
+        let pool = WorkerPool::start(limits(1, 1, 0)).unwrap();
+        wait_until(|| pool.stats().free_workers == 1, "the worker parked");
+        let ran = Arc::new(AtomicU32::new(0));
+        let r = ran.clone();
+        let mut batch = pool.batch();
+        batch.push(move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        });
+        // The batch's wake, with the lock held across it: the worker is
+        // notified but cannot get back under the lock to take the job.
+        let mut state = pool.inner.state.lock();
+        assert_eq!(state.handoff.wakes(), 1);
+        pool.inner.wake(1);
+        let held = stats_of(&state);
+        drop(state);
+        assert_eq!(
+            held.free_workers, 0,
+            "a woken worker is on its way, not free"
+        );
+        assert_eq!(held.job_queue_depth, 1);
+        // Its work is covered: dropping the batch wakes nobody else.
+        drop(batch);
+        pool.quiesce();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(pool.stats().free_workers, 1);
+        assert_eq!(pool.inner.metrics.wakeups.get(), 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_batch_wakes_a_worker_for_each_job_when_it_drops() {
+        let pool = WorkerPool::start(limits(3, 3, 0)).unwrap();
+        wait_until(|| pool.stats().free_workers == 3, "workers parked");
+        // Three jobs that hold their workers until released: all three
+        // run at once, each on a worker the batch's drop woke.
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        let mut batch = pool.batch();
+        for _ in 0..3 {
+            let started = started_tx.clone();
+            let release = release_rx.clone();
+            batch.push(move || {
+                started.send(()).unwrap();
+                let _ = release.lock().recv();
+            });
+        }
+        assert_eq!(pool.inner.metrics.wakeups.get(), 0, "pushing wakes nobody");
+        drop(batch);
+        for i in 0..3 {
+            started_rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("only {i} of 3 jobs started"));
+        }
+        for _ in 0..3 {
+            release_tx.send(()).unwrap();
+        }
+        pool.quiesce();
+        assert_eq!(pool.completed(), 3);
+        assert_eq!(pool.inner.metrics.wakeups.get(), 3);
+        assert_eq!(pool.inner.metrics.empty_wakeups.get(), 0);
         pool.shutdown();
     }
 

@@ -149,9 +149,12 @@ cargo test -q --release --offline -p virt-rpc --test client_hotpath --test clien
 # Structural, not timed: by the daemon's own read_calls/write_calls
 # counters a 16-call burst costs <= 2 reads and <= 2 writes, a lone call
 # <= 1 read and exactly 1 write — plus the burst paths' regression tests
-# (budget re-queue, resume from the buffer).
-echo "== perf guard (event loop: one read and one write per burst, release) =="
-cargo test -q --release --offline -p virtd --test eventloop_burst
+# (budget re-queue, resume from the buffer). And the burst's wakes: with
+# an idle pool a pooled call starts only after the inline frames behind
+# it were handed up, and a hung pooled call strands none of the calls
+# queued behind it (fails by deadline with one wake per turn).
+echo "== perf guard (event loop: one read and one write per burst, wakes at its end, release) =="
+cargo test -q --release --offline -p virtd --test eventloop_burst --test pooled_burst
 
 # Bulk stats: encode + decode of a 1000-record reply stays within two
 # allocations per record (the name and the parameter Vec) — no

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use hypersim::monitor::Monitor;
-use hypersim::{MigrationParams, SimHost};
+use hypersim::{MigrationParams, SimErrorKind, SimHost};
 
 use crate::capabilities::Capabilities;
 use crate::driver::{
@@ -362,6 +362,8 @@ impl EmbeddedConnection {
     ///
     /// Rules, in order:
     /// - Corrupt definition or status files are quarantined, never fatal.
+    ///   So is a definition whose UUID an earlier one (by name order)
+    ///   already holds.
     /// - Every persistent definition missing from the host is re-adopted
     ///   with its recorded UUID, autostart and managed-save flags.
     /// - A domain whose status said it was active comes back shut off
@@ -409,10 +411,7 @@ impl EmbeddedConnection {
             }
             let status = statuses.get(&name);
             let state = match status.map(|s| s.state) {
-                Some(s) if s.is_active() => {
-                    report.crashed += 1;
-                    hypersim::DomainState::Crashed
-                }
+                Some(s) if s.is_active() => hypersim::DomainState::Crashed,
                 Some(hypersim::DomainState::Saved) => hypersim::DomainState::Saved,
                 _ => hypersim::DomainState::Shutoff,
             };
@@ -422,14 +421,30 @@ impl EmbeddedConnection {
                 .unwrap_or_else(Uuid::generate);
             let autostart = status.map(|s| s.autostart).unwrap_or(false);
             let has_managed_save = status.map(|s| s.has_managed_save).unwrap_or(false);
-            self.host.adopt_domain(
+            match self.host.adopt_domain(
                 config.to_spec(),
                 uuid.into_bytes(),
                 autostart,
                 state,
                 has_managed_save,
-            )?;
+            ) {
+                Ok(_) => {}
+                // The name is free (checked above), so the UUID is taken by
+                // a definition adopted earlier in `load_all`'s order: a
+                // directory from a daemon that reissued a UUID, or a
+                // hand-copied `<uuid>`. The first keeps it; this one is
+                // quarantined and its status record swept below.
+                Err(err) if err.kind() == SimErrorKind::DuplicateDomain => {
+                    store.warn(&format!("recovery: definition '{name}' quarantined: {err}"));
+                    store.quarantine(ObjectKind::Domain, driver, &name);
+                    continue;
+                }
+                Err(err) => return Err(err.into()),
+            }
             report.domains += 1;
+            if state == hypersim::DomainState::Crashed {
+                report.crashed += 1;
+            }
             // Rewrite both files so run/ reflects the reconciled state.
             // Write-behind: N adopted domains coalesce into a handful of
             // batched fsync cycles (F7 measured the old per-domain
@@ -1031,7 +1046,7 @@ impl HypervisorConnection for EmbeddedConnection {
         self.ensure_alive()?;
         let lock_started = std::time::Instant::now();
         let (info, spec) = self.host.domain_snapshot(name)?;
-        span::record_span(Stage::LockAcquire, lock_started.elapsed(), 0);
+        span::record_span_since(Stage::LockAcquire, lock_started, 0);
         let record = DomainRecord::from(info);
         let params =
             MigrationParams::new(spec.memory(), spec.dirty_rate(), options.bandwidth_mib_s)
@@ -1855,6 +1870,30 @@ mod tests {
             conn.lookup_domain_by_name("bad").unwrap_err().code(),
             ErrorCode::NoDomain
         );
+    }
+
+    #[test]
+    fn recovery_quarantines_a_second_holder_of_one_uuid() {
+        let store = temp_store("uuid-clash");
+        let uuid = Uuid::generate();
+        for name in ["alpha", "beta"] {
+            let mut config = DomainConfig::new(name, 128, 1);
+            config.uuid = Some(uuid);
+            store
+                .put(ObjectKind::Domain, "qemu", name, &config.to_xml_string())
+                .unwrap();
+        }
+        let conn = stored_connection(&store, QemuLike);
+        let report = conn.recover_from_store().unwrap();
+        assert_eq!(report.domains, 1);
+        assert_eq!(report.quarantined, 1);
+        // `load_all` is name-ordered: the first holder keeps the UUID.
+        assert_eq!(conn.lookup_domain_by_uuid(uuid).unwrap().name, "alpha");
+        assert_eq!(
+            conn.lookup_domain_by_name("beta").unwrap_err().code(),
+            ErrorCode::NoDomain
+        );
+        assert!(!store.root().join("etc/domains/qemu/beta.xml").exists());
     }
 
     #[test]

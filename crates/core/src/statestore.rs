@@ -479,6 +479,13 @@ impl StateStore {
         *self.shared.fault.lock() = Some(ArmedFault { kind, at_write });
     }
 
+    /// Logs a warning through the store's logger (stderr until
+    /// [`StateStore::set_logger`]) — for a caller explaining a
+    /// [`StateStore::quarantine`].
+    pub fn warn(&self, message: &str) {
+        self.shared.log_warning(message);
+    }
+
     /// Files moved to quarantine since the store opened.
     pub fn quarantined_total(&self) -> u64 {
         self.shared.metrics.quarantined.get()

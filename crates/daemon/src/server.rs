@@ -714,7 +714,7 @@ impl Server {
                 header.parent_span,
                 u64::from(header.procedure),
             );
-            span::record_span(Stage::QueueWait, received.elapsed(), 0);
+            span::record_span_since(Stage::QueueWait, received, 0);
             let reply = dispatcher.dispatch(&job_client, header, &payload);
             debug_assert_eq!(reply.header.serial, header.serial);
             debug_assert!(matches!(

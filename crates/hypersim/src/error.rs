@@ -13,7 +13,7 @@ use std::fmt;
 pub enum SimErrorKind {
     /// No domain with the requested name or id exists.
     NoSuchDomain,
-    /// A domain with the requested name already exists.
+    /// A domain with the requested name (or UUID) already exists.
     DuplicateDomain,
     /// The operation is not valid in the domain's current state.
     InvalidState,

@@ -6,7 +6,7 @@
 //! virtual clock, and applies the fault plan. A `SimHost` is a cheap
 //! cloneable handle; clones share the same host.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,6 +60,102 @@ struct HostCtl {
     rng: StdRng,
 }
 
+type DomainSlot = Arc<Mutex<SimDomain>>;
+
+/// The domain index, keyed twice: by name in order (listing walks it) and
+/// by UUID (a UUID lookup is one probe, as in libvirt's domain list). Both
+/// keys change only through [`DomainTable::insert`] and
+/// [`DomainTable::remove`], so they cannot disagree.
+#[derive(Default)]
+struct DomainTable {
+    by_name: BTreeMap<String, DomainSlot>,
+    by_uuid: HashMap<[u8; 16], DomainSlot>,
+}
+
+impl DomainTable {
+    fn get(&self, name: &str) -> Option<&DomainSlot> {
+        self.by_name.get(name)
+    }
+
+    fn get_by_uuid(&self, uuid: &[u8; 16]) -> Option<&DomainSlot> {
+        self.by_uuid.get(uuid)
+    }
+
+    /// Name-ordered.
+    fn values(&self) -> std::collections::btree_map::Values<'_, String, DomainSlot> {
+        self.by_name.values()
+    }
+
+    fn len(&self) -> usize {
+        self.by_name.len()
+    }
+
+    /// Callers have checked that neither key is taken.
+    fn insert(&mut self, domain: SimDomain) {
+        let uuid = domain.uuid;
+        let name = domain.spec.name().to_string();
+        let slot = Arc::new(Mutex::new(domain));
+        debug_assert!(!self.by_uuid.contains_key(&uuid) && !self.by_name.contains_key(&name));
+        self.by_uuid.insert(uuid, Arc::clone(&slot));
+        self.by_name.insert(name, slot);
+    }
+
+    /// Locks the removed domain for its UUID, so the caller must not hold
+    /// that domain's mutex.
+    fn remove(&mut self, name: &str) -> Option<DomainSlot> {
+        let slot = self.by_name.remove(name)?;
+        let uuid = slot.lock().uuid;
+        self.by_uuid.remove(&uuid);
+        Some(slot)
+    }
+
+    /// The next UUID from `rng` that no domain holds: a daemon that
+    /// re-adopted its domains with their recorded UUIDs replays the same
+    /// stream, so a fresh draw may already be taken.
+    fn fresh_uuid(&self, rng: &mut StdRng) -> [u8; 16] {
+        loop {
+            let uuid = gen_uuid(rng);
+            if !self.by_uuid.contains_key(&uuid) {
+                return uuid;
+            }
+        }
+    }
+
+    /// The `DuplicateDomain` error for a spec whose name or UUID is taken.
+    fn check_free(&self, name: &str, uuid: Option<&[u8; 16]>) -> SimResult<()> {
+        if self.by_name.contains_key(name) {
+            return Err(SimError::new(
+                SimErrorKind::DuplicateDomain,
+                name.to_string(),
+            ));
+        }
+        match uuid.and_then(|uuid| Some((uuid, self.by_uuid.get(uuid)?))) {
+            Some((uuid, holder)) => Err(SimError::new(
+                SimErrorKind::DuplicateDomain,
+                format!(
+                    "uuid {} of '{name}' already held by '{}'",
+                    uuid_string(uuid),
+                    holder.lock().spec.name()
+                ),
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The 8-4-4-4-12 text form of a UUID.
+fn uuid_string(uuid: &[u8; 16]) -> String {
+    let hex: String = uuid.iter().map(|b| format!("{b:02x}")).collect();
+    format!(
+        "{}-{}-{}-{}-{}",
+        &hex[..8],
+        &hex[8..12],
+        &hex[12..16],
+        &hex[16..20],
+        &hex[20..]
+    )
+}
+
 struct HostShared {
     name: String,
     /// Process-unique instance number: distinguishes hosts that happen
@@ -75,18 +171,18 @@ struct HostShared {
     wall_scale: f64,
     /// Host liveness, checked lock-free on every operation charge.
     up: AtomicBool,
-    /// Read-mostly index of per-domain locks. Queries and single-domain
-    /// mutations take the read lock only long enough to clone one
-    /// domain's `Arc`, then work under that domain's own mutex, so a
-    /// slow operation on one domain (a migration charging memory
-    /// slices, a wall-scaled boot) never blocks lookups of another.
-    /// Only operations that insert or remove index entries (define,
-    /// undefine, create-rollback, transient stop, import, adopt,
-    /// forget, restart) take the write lock.
+    /// Read-mostly index of per-domain locks, by name and by UUID.
+    /// Queries and single-domain mutations take the read lock only long
+    /// enough to clone one domain's `Arc` (one probe of either key), then
+    /// work under that domain's own mutex, so a slow operation on one
+    /// domain (a migration charging memory slices, a wall-scaled boot)
+    /// never blocks lookups of another. Only operations that insert or
+    /// remove index entries (define, undefine, create-rollback, transient
+    /// stop, import, adopt, forget, restart) take the write lock.
     ///
     /// Lock order: index (read or write) → one domain mutex → `ctl`.
     /// `pools`/`networks` are never held together with any of these.
-    domains: RwLock<BTreeMap<String, Arc<Mutex<SimDomain>>>>,
+    domains: RwLock<DomainTable>,
     pools: Mutex<BTreeMap<String, SimPool>>,
     networks: Mutex<BTreeMap<String, SimNetwork>>,
     ctl: Mutex<HostCtl>,
@@ -235,7 +331,7 @@ impl SimHostBuilder {
                 faults: self.faults,
                 wall_scale: self.wall_scale,
                 up: AtomicBool::new(true),
-                domains: RwLock::new(BTreeMap::new()),
+                domains: RwLock::new(DomainTable::default()),
                 pools: Mutex::new(pools),
                 networks: Mutex::new(networks),
                 ctl: Mutex::new(HostCtl {
@@ -377,16 +473,11 @@ impl SimHost {
         spec.validate()?;
         self.charge(OpKind::Define, MiB::ZERO)?;
         let mut domains = self.shared.domains.write();
-        if domains.contains_key(spec.name()) {
-            return Err(SimError::new(
-                SimErrorKind::DuplicateDomain,
-                spec.name().to_string(),
-            ));
-        }
-        let uuid = gen_uuid(&mut self.shared.ctl.lock().rng);
+        domains.check_free(spec.name(), None)?;
+        let uuid = domains.fresh_uuid(&mut self.shared.ctl.lock().rng);
         let domain = SimDomain::new(spec, uuid);
         let info = domain.info_at(self.shared.clock.now());
-        domains.insert(info.name.clone(), Arc::new(Mutex::new(domain)));
+        domains.insert(domain);
         Ok(info)
     }
 
@@ -896,17 +987,19 @@ impl SimHost {
             .ok_or_else(|| SimError::new(SimErrorKind::NoSuchDomain, format!("id {id}")))
     }
 
-    /// Looks a domain up by UUID.
+    /// Looks a domain up by UUID: one probe of the index, then only that
+    /// domain's mutex. Charges one [`OpKind::QueryDomain`].
     pub fn domain_by_uuid(&self, uuid: [u8; 16]) -> SimResult<DomainInfo> {
         self.charge(OpKind::QueryDomain, MiB::ZERO)?;
-        let domains = self.shared.domains.read();
-        domains
-            .values()
-            .find_map(|d| {
-                let d = d.lock();
-                (d.uuid == uuid).then(|| d.info_at(self.shared.clock.now()))
-            })
-            .ok_or_else(|| SimError::new(SimErrorKind::NoSuchDomain, "by uuid".to_string()))
+        let arc = self
+            .shared
+            .domains
+            .read()
+            .get_by_uuid(&uuid)
+            .cloned()
+            .ok_or_else(|| SimError::new(SimErrorKind::NoSuchDomain, uuid_string(&uuid)))?;
+        let info = arc.lock().info_at(self.shared.clock.now());
+        Ok(info)
     }
 
     /// All domains, name-ordered.
@@ -1184,10 +1277,10 @@ impl SimHost {
         {
             let mut domains = self.shared.domains.write();
             // Stop everything and drop transients.
-            let names: Vec<String> = domains.keys().cloned().collect();
-            for name in names {
-                let arc = domains.get(&name).expect("iterating own keys").clone();
+            let slots: Vec<DomainSlot> = domains.values().cloned().collect();
+            for arc in slots {
                 let mut domain = arc.lock();
+                let name = domain.spec.name().to_string();
                 let was_running = domain.state == DomainState::Running;
                 if domain.state.is_active() {
                     let (mem, vcpus) = (domain.spec.memory(), domain.spec.vcpu_count());
@@ -1238,26 +1331,13 @@ impl SimHost {
             ));
         }
         let mut domains = self.shared.domains.write();
-        if domains.contains_key(spec.name()) {
-            return Err(SimError::new(
-                SimErrorKind::DuplicateDomain,
-                spec.name().to_string(),
-            ));
-        }
-        if let Some(uuid) = uuid {
-            if domains.values().any(|d| d.lock().uuid == uuid) {
-                return Err(SimError::new(
-                    SimErrorKind::DuplicateDomain,
-                    format!("uuid of '{}' already present", spec.name()),
-                ));
-            }
-        }
+        domains.check_free(spec.name(), uuid.as_ref())?;
         let (uuid, next_id) = {
             let mut ctl = self.shared.ctl.lock();
             ctl.ledger.reserve(spec.memory(), spec.vcpu_count())?;
             let uuid = match uuid {
                 Some(uuid) => uuid,
-                None => gen_uuid(&mut ctl.rng),
+                None => domains.fresh_uuid(&mut ctl.rng),
             };
             let id = ctl.next_domain_id;
             ctl.next_domain_id += 1;
@@ -1267,7 +1347,7 @@ impl SimHost {
         domain.set_state(DomainState::Running, self.shared.clock.now());
         domain.id = Some(next_id);
         let info = domain.info_at(self.shared.clock.now());
-        domains.insert(info.name.clone(), Arc::new(Mutex::new(domain)));
+        domains.insert(domain);
         Ok(info)
     }
 
@@ -1301,18 +1381,7 @@ impl SimHost {
             ));
         }
         let mut domains = self.shared.domains.write();
-        if domains.contains_key(spec.name()) {
-            return Err(SimError::new(
-                SimErrorKind::DuplicateDomain,
-                spec.name().to_string(),
-            ));
-        }
-        if domains.values().any(|d| d.lock().uuid == uuid) {
-            return Err(SimError::new(
-                SimErrorKind::DuplicateDomain,
-                format!("uuid of '{}' already present", spec.name()),
-            ));
-        }
+        domains.check_free(spec.name(), Some(&uuid))?;
         let mut domain = SimDomain::new(spec, uuid);
         if state.is_active() {
             let mut ctl = self.shared.ctl.lock();
@@ -1325,7 +1394,7 @@ impl SimHost {
         domain.autostart = autostart;
         domain.has_managed_save = has_managed_save;
         let info = domain.info_at(self.shared.clock.now());
-        domains.insert(info.name.clone(), Arc::new(Mutex::new(domain)));
+        domains.insert(domain);
         Ok(info)
     }
 
@@ -1446,6 +1515,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), SimErrorKind::InsufficientResources);
         assert!(host.list_domains().unwrap().is_empty());
+        assert!(
+            host.shared.domains.read().by_uuid.is_empty(),
+            "the rollback drops the UUID key too"
+        );
     }
 
     #[test]
@@ -1576,6 +1649,112 @@ mod tests {
         let by_uuid = host.domain_by_uuid(defined.uuid).unwrap();
         assert_eq!(by_uuid.name, "vm");
         assert!(host.domain_by_id(99).is_err());
+    }
+
+    #[test]
+    fn uuid_lookup_charges_one_query_and_names_a_missing_uuid() {
+        let host = quiet_host();
+        for name in ["a", "b"] {
+            host.define_domain(DomainSpec::new(name)).unwrap();
+        }
+        let c = host.define_domain(DomainSpec::new("c")).unwrap();
+        let queries = || host.fault_plan().occurrences(OpKind::QueryDomain);
+        let before = queries();
+        assert_eq!(host.domain_by_uuid(c.uuid).unwrap().name, "c");
+        assert_eq!(queries(), before + 1);
+        let mut missing = [0u8; 16];
+        missing[0] = 0xab;
+        missing[15] = 0x01;
+        let err = host.domain_by_uuid(missing).unwrap_err();
+        assert_eq!(queries(), before + 2, "a miss costs the same one query");
+        assert_eq!(err.kind(), SimErrorKind::NoSuchDomain);
+        assert_eq!(err.detail(), "ab000000-0000-0000-0000-000000000001");
+    }
+
+    /// The index's promise: a slow operation holding one domain's mutex
+    /// never blocks a lookup of another — by UUID as well as by name.
+    #[test]
+    fn uuid_lookup_does_not_wait_on_another_domains_lock() {
+        let host = quiet_host();
+        host.define_domain(DomainSpec::new("a")).unwrap();
+        host.define_domain(DomainSpec::new("b")).unwrap();
+        let c = host.define_domain(DomainSpec::new("c")).unwrap();
+        let a = host.domain_arc("a").unwrap();
+        let held = a.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let prober = host.clone();
+        let lookup = std::thread::spawn(move || {
+            let _ = tx.send(prober.domain_by_uuid(c.uuid).map(|info| info.name));
+        });
+        let found = rx.recv_timeout(Duration::from_secs(5));
+        drop(held);
+        lookup.join().unwrap();
+        let found = found.expect("looking 'c' up by UUID waited on 'a''s mutex");
+        assert_eq!(found.unwrap(), "c");
+    }
+
+    /// Two hosts with one seed replay one UUID stream — a daemon restarted
+    /// under the same name does. A UUID adopted from the first must not be
+    /// handed out again by the second.
+    #[test]
+    fn fresh_uuids_skip_adopted_ones() {
+        let first = quiet_host();
+        let alpha = first.define_domain(DomainSpec::new("alpha")).unwrap();
+        let spare = quiet_host().define_domain(DomainSpec::new("x")).unwrap();
+        assert_eq!(spare.uuid, alpha.uuid, "same seed, same stream");
+
+        let second = quiet_host();
+        second
+            .adopt_domain(
+                DomainSpec::new("alpha"),
+                alpha.uuid,
+                false,
+                DomainState::Shutoff,
+                false,
+            )
+            .unwrap();
+        let beta = second.define_domain(DomainSpec::new("beta")).unwrap();
+        assert_ne!(beta.uuid, alpha.uuid);
+        assert_eq!(second.domain_by_uuid(beta.uuid).unwrap().name, "beta");
+
+        let third = quiet_host();
+        third
+            .adopt_domain(
+                DomainSpec::new("alpha"),
+                alpha.uuid,
+                false,
+                DomainState::Shutoff,
+                false,
+            )
+            .unwrap();
+        let imported = third
+            .import_running_domain(DomainSpec::new("gamma"), None)
+            .unwrap();
+        assert_ne!(imported.uuid, alpha.uuid);
+    }
+
+    #[test]
+    fn uuid_collision_names_both_domains() {
+        let host = quiet_host();
+        let alpha = host.define_domain(DomainSpec::new("alpha")).unwrap();
+        let err = host
+            .adopt_domain(
+                DomainSpec::new("beta"),
+                alpha.uuid,
+                false,
+                DomainState::Shutoff,
+                false,
+            )
+            .unwrap_err();
+        assert_eq!(err.kind(), SimErrorKind::DuplicateDomain);
+        assert!(
+            err.detail().contains("'beta'") && err.detail().contains("'alpha'"),
+            "{err}"
+        );
+        let err = host
+            .import_running_domain(DomainSpec::new("gamma"), Some(alpha.uuid))
+            .unwrap_err();
+        assert_eq!(err.kind(), SimErrorKind::DuplicateDomain);
     }
 
     #[test]

@@ -2,14 +2,20 @@
 //! - the domain lifecycle state machine never reaches an undefined state
 //!   and resource accounting stays consistent under random operation
 //!   sequences;
+//! - the domain index's two keys (name and UUID) agree under random
+//!   walks over every operation that adds or removes a domain;
 //! - the pre-copy migration model converges iff physics allows it and
 //!   never reports negative or absurd quantities.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use hypersim::latency::OpKind;
 use hypersim::migration::simulate_precopy;
-use hypersim::{DomainSpec, LatencyModel, MiB, MigrationParams, SimHost};
+use hypersim::{
+    DomainSpec, DomainState, LatencyModel, MiB, MigrationParams, SimErrorKind, SimHost,
+};
 
 /// The operations a random lifecycle walk may attempt.
 fn op_strategy() -> impl Strategy<Value = OpKind> {
@@ -39,7 +45,126 @@ fn apply(host: &SimHost, name: &str, op: OpKind) -> Result<(), hypersim::SimErro
     }
 }
 
+/// The operations that change the domain table, plus the transitions that
+/// decide which of them apply (a transient stop needs a running domain).
+#[derive(Debug, Clone)]
+enum TableOp {
+    Define(usize),
+    Undefine(usize),
+    Start(usize),
+    /// Undefine while running: the domain turns transient.
+    Demote(usize),
+    Create(usize),
+    Destroy(usize),
+    Crash(usize),
+    HostRestart,
+    /// Import a running domain, with one of the fixed UUIDs or a fresh one.
+    Import(usize, Option<usize>),
+    /// Adopt with one of the fixed UUIDs, inactive or running.
+    Adopt(usize, usize, bool),
+    Forget(usize),
+}
+
+const WALK_NAMES: usize = 5;
+const WALK_UUIDS: usize = 3;
+
+fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+    let name = 0..WALK_NAMES;
+    prop_oneof![
+        name.clone().prop_map(TableOp::Define),
+        name.clone().prop_map(TableOp::Undefine),
+        name.clone().prop_map(TableOp::Start),
+        name.clone().prop_map(TableOp::Demote),
+        name.clone().prop_map(TableOp::Create),
+        name.clone().prop_map(TableOp::Destroy),
+        name.clone().prop_map(TableOp::Crash),
+        Just(TableOp::HostRestart),
+        (name.clone(), proptest::option::of(0..WALK_UUIDS))
+            .prop_map(|(n, u)| TableOp::Import(n, u)),
+        (name.clone(), 0..WALK_UUIDS, any::<bool>()).prop_map(|(n, u, a)| TableOp::Adopt(n, u, a)),
+        name.prop_map(TableOp::Forget),
+    ]
+}
+
+fn walk_name(i: usize) -> String {
+    format!("d{i}")
+}
+
+/// A fixed UUID the walk can import or adopt twice, colliding on purpose.
+fn walk_uuid(i: usize) -> [u8; 16] {
+    let mut uuid = [0x5a; 16];
+    uuid[0] = i as u8;
+    uuid
+}
+
+fn apply_table_op(host: &SimHost, op: &TableOp) {
+    // 512 MiB guests on a 2 GiB host: starts, creates, imports and running
+    // adoptions sometimes fail for room, exercising their error paths.
+    let spec = |i: usize| DomainSpec::new(walk_name(i)).memory_mib(512);
+    let _ = match *op {
+        TableOp::Define(i) => host.define_domain(spec(i)).map(drop),
+        TableOp::Undefine(i) => host.undefine_domain(&walk_name(i)),
+        TableOp::Start(i) => host.start_domain(&walk_name(i)).map(drop),
+        TableOp::Demote(i) => host.demote_domain_to_transient(&walk_name(i)),
+        TableOp::Create(i) => host.create_domain(spec(i)).map(drop),
+        TableOp::Destroy(i) => host.destroy_domain(&walk_name(i)).map(drop),
+        TableOp::Crash(i) => host.crash_domain(&walk_name(i)).map(drop),
+        TableOp::HostRestart => {
+            host.crash();
+            host.restart()
+        }
+        TableOp::Import(i, u) => host
+            .import_running_domain(spec(i), u.map(walk_uuid))
+            .map(drop),
+        TableOp::Adopt(i, u, active) => {
+            let state = if active {
+                DomainState::Running
+            } else {
+                DomainState::Shutoff
+            };
+            host.adopt_domain(spec(i), walk_uuid(u), false, state, false)
+                .map(drop)
+        }
+        TableOp::Forget(i) => host.forget_migrated_domain(&walk_name(i)),
+    };
+}
+
 proptest! {
+    /// After every step of a random walk over the table-changing
+    /// operations: each listed domain resolves by its UUID to itself, each
+    /// UUID seen before and no longer listed resolves to `NoSuchDomain`,
+    /// and no two listed domains share a UUID.
+    #[test]
+    fn uuid_index_agrees_with_the_name_index(
+        ops in proptest::collection::vec(table_op_strategy(), 1..80)
+    ) {
+        let host = SimHost::builder("walk").memory_mib(2048).latency(LatencyModel::zero()).build();
+        let mut seen = BTreeSet::new();
+        for (step, op) in ops.iter().enumerate() {
+            apply_table_op(&host, op);
+            let listed = host.list_domains().unwrap();
+            let live: BTreeSet<[u8; 16]> = listed.iter().map(|d| d.uuid).collect();
+            prop_assert_eq!(live.len(), listed.len(), "step {} ({:?}): a UUID listed twice", step, op);
+            for domain in &listed {
+                let found = host.domain_by_uuid(domain.uuid);
+                prop_assert_eq!(
+                    found.map(|d| d.name),
+                    Ok(domain.name.clone()),
+                    "step {} ({:?})", step, op
+                );
+            }
+            seen.extend(live.iter().copied());
+            for gone in seen.difference(&live) {
+                let found = host.domain_by_uuid(*gone);
+                prop_assert_eq!(
+                    found.map(|d| d.name).map_err(|e| e.kind()),
+                    Err(SimErrorKind::NoSuchDomain),
+                    "step {} ({:?}): a removed UUID still resolves", step, op
+                );
+            }
+        }
+    }
+
     /// After any sequence of lifecycle operations (some succeeding, some
     /// rejected), the host's memory ledger equals the sum of the memory of
     /// active domains — no leaks, no double-frees.

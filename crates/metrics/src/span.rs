@@ -396,10 +396,20 @@ pub fn server_enter(trace_id: u64, parent_span: u64, detail: u64) -> StageSpan {
     )
 }
 
-/// Records an already-measured interval (e.g. queue wait computed from a
-/// captured `Instant`) as a complete child span of the current context:
+/// Records an already-measured interval (e.g. a migration slice's
+/// simulated duration) as a complete child span of the current context:
 /// a begin event back-dated by `dur` plus the matching end event.
 pub fn record_span(kind: Stage, dur: Duration, detail: u64) {
+    record_measured(kind, || dur, detail);
+}
+
+/// [`record_span`] for the interval from `since` to now, reading the clock
+/// only when the span will be kept (recorder on, inside a trace).
+pub fn record_span_since(kind: Stage, since: Instant, detail: u64) {
+    record_measured(kind, || since.elapsed(), detail);
+}
+
+fn record_measured(kind: Stage, dur: impl FnOnce() -> Duration, detail: u64) {
     let recorder = FlightRecorder::global();
     if !recorder.is_enabled() {
         return;
@@ -407,7 +417,7 @@ pub fn record_span(kind: Stage, dur: Duration, detail: u64) {
     let Some(parent) = current() else {
         return;
     };
-    let dur_ns = dur.as_nanos() as u64;
+    let dur_ns = dur().as_nanos() as u64;
     let start_ns = now_ns().saturating_sub(dur_ns);
     let span_id = fresh_id();
     recorder.record(&TraceEvent {

@@ -224,10 +224,19 @@ cargo test -q --offline --test guard
 echo "== chaos (domain jobs) =="
 cargo test -q --offline --test jobs
 
-echo "== chaos (crash recovery: kill -9 a statedir daemon, respawn, torn files) =="
+# The `statedir` filter also takes the in-process UUID tests: three lives
+# of one daemon never reissue a recovered domain's UUID, and a UUID
+# conflict in the directory is quarantined, not a boot failure.
+echo "== chaos (crash recovery: kill -9 a statedir daemon, respawn, torn files, UUIDs across lives) =="
 cargo test -q --offline --test resilience -- statedir torn_state_file sigkill_mid_batch
 
 echo "== fault injection (state store: failed + torn writes) =="
 cargo test -q --offline -p virt-core --lib statestore
+
+# The simulated host's two index keys (name, UUID) agree after every step
+# of a random walk over define, undefine, demote, create/destroy, crash,
+# host restart, import, adopt and forget — at 2048 walks, not the default 64.
+echo "== property walk (hypersim domain table: name and UUID keys agree, release) =="
+PROPTEST_CASES=2048 cargo test -q --release --offline -p hypersim --test properties uuid_index
 
 echo "CI OK"

@@ -11,11 +11,11 @@ use std::time::{Duration, Instant};
 
 use virt_core::event::DomainEventKind;
 use virt_core::xmlfmt::DomainConfig;
-use virt_core::{BreakerConfig, Connect, RetryPolicy};
+use virt_core::{BreakerConfig, Connect, ObjectKind, RetryPolicy, StateStore, Uuid};
 use virt_rpc::message::{MessageType, Packet, REMOTE_PROGRAM};
 use virt_rpc::transport::{memory_listener, Listener, MemoryConnector, Transport};
 use virt_rpc::{FaultMode, FaultyTransport, ReconnectConfig, ReconnectMetrics, ReconnectingClient};
-use virtd::{AdminClient, Virtd};
+use virtd::{AdminClient, Virtd, VirtdConfig};
 
 fn unique(name: &str) -> String {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -584,6 +584,123 @@ fn torn_state_file_is_quarantined_not_fatal() {
     let _ = child2.wait();
     let _ = std::fs::remove_file(&socket);
     let _ = std::fs::remove_file(&admin_socket);
+    let _ = std::fs::remove_dir_all(&statedir);
+}
+
+// ---------------------------------------------------------------------
+// Persistence layer, in process: UUID identity across daemon lives.
+// ---------------------------------------------------------------------
+
+fn daemon_counter(daemon: &Virtd, name: &str) -> u64 {
+    let snapshot = daemon.metrics().snapshot(name);
+    match snapshot.iter().find(|m| m.name == name).map(|m| &m.value) {
+        Some(virt_core::metrics::MetricValue::Counter(v)) => *v,
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+/// One life of a statedir daemon named `name`, served on a fresh memory
+/// endpoint: builds it, runs `body` against its qemu driver, shuts it down.
+fn statedir_life<T>(
+    name: &str,
+    statedir: &std::path::Path,
+    body: impl FnOnce(&Virtd, &Connect) -> T,
+) -> T {
+    let daemon = Virtd::builder(name)
+        .config(VirtdConfig::new().statedir(statedir))
+        .with_quiet_hosts()
+        .build()
+        .expect("the daemon boots on the state directory");
+    let endpoint = unique("uuid-life");
+    daemon.register_memory_endpoint(&endpoint).unwrap();
+    let conn = Connect::builder(format!("qemu+memory://{endpoint}/system"))
+        .open()
+        .unwrap();
+    let out = body(&daemon, &conn);
+    conn.close();
+    daemon.shutdown();
+    out
+}
+
+/// A daemon restarted under its own name replays its hosts' UUID stream,
+/// and recovery re-adopts every domain with its recorded UUID. A define
+/// in the new life must skip the UUIDs adopted domains hold: otherwise
+/// `beta` gets `alpha`'s UUID, a UUID lookup of `beta` finds `alpha`, and
+/// the third life refuses to boot on the duplicate.
+#[test]
+fn statedir_restart_never_reissues_a_recovered_domains_uuid() {
+    let name = unique("uuid-lives");
+    let statedir = std::env::temp_dir().join(format!("virtd-state-{name}"));
+
+    let alpha = statedir_life(&name, &statedir, |_, conn| {
+        conn.define_domain(&DomainConfig::new("alpha", 64, 1))
+            .unwrap()
+            .uuid()
+    });
+
+    let beta = statedir_life(&name, &statedir, |_, conn| {
+        assert_eq!(conn.domain_lookup_by_name("alpha").unwrap().uuid(), alpha);
+        let beta = conn
+            .define_domain(&DomainConfig::new("beta", 64, 1))
+            .unwrap()
+            .uuid();
+        assert_ne!(beta, alpha, "life 2 reissued alpha's UUID to beta");
+        assert_eq!(conn.domain_lookup_by_uuid(beta).unwrap().name(), "beta");
+        beta
+    });
+
+    statedir_life(&name, &statedir, |daemon, conn| {
+        for (domain, uuid) in [("alpha", alpha), ("beta", beta)] {
+            assert_eq!(conn.domain_lookup_by_name(domain).unwrap().uuid(), uuid);
+            assert_eq!(conn.domain_lookup_by_uuid(uuid).unwrap().name(), domain);
+        }
+        assert_eq!(daemon_counter(daemon, "recovery.recovered"), 2);
+        assert_eq!(daemon_counter(daemon, "recovery.quarantined"), 0);
+    });
+    let _ = std::fs::remove_dir_all(&statedir);
+}
+
+/// Two definitions carrying one `<uuid>` — a directory written by a daemon
+/// that reissued a UUID, or a hand-copied definition. Like a corrupt file,
+/// the conflict is quarantined and the daemon boots: the first definition
+/// by name keeps the UUID.
+#[test]
+fn statedir_uuid_conflict_is_quarantined_not_fatal() {
+    let name = unique("uuid-clash");
+    let statedir = std::env::temp_dir().join(format!("virtd-state-{name}"));
+    let uuid = Uuid::generate();
+    {
+        let store = StateStore::open(&statedir).unwrap();
+        for domain in ["alpha", "beta"] {
+            let mut config = DomainConfig::new(domain, 64, 1);
+            config.uuid = Some(uuid);
+            store
+                .put(ObjectKind::Domain, "qemu", domain, &config.to_xml_string())
+                .unwrap();
+        }
+    }
+
+    statedir_life(&name, &statedir, |daemon, conn| {
+        let names: Vec<String> = daemon
+            .host("qemu")
+            .unwrap()
+            .list_domains()
+            .unwrap()
+            .into_iter()
+            .map(|d| d.name)
+            .collect();
+        assert_eq!(names, ["alpha"]);
+        assert_eq!(conn.domain_lookup_by_uuid(uuid).unwrap().name(), "alpha");
+        assert_eq!(daemon_counter(daemon, "recovery.recovered"), 1);
+        assert_eq!(daemon_counter(daemon, "recovery.quarantined"), 1);
+    });
+    let quarantined: Vec<_> = std::fs::read_dir(statedir.join("quarantine"))
+        .unwrap()
+        .flatten()
+        .map(|entry| entry.file_name())
+        .collect();
+    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+    assert!(!statedir.join("etc/domains/qemu/beta.xml").exists());
     let _ = std::fs::remove_dir_all(&statedir);
 }
 

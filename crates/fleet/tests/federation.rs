@@ -2,12 +2,15 @@
 //! refresh via bulk stats, event-driven cache patching, capacity-aware
 //! placement with admission rejection, cross-host live migration with
 //! cache movement, evacuation, health transitions across a member
-//! restart, and a small concurrent migration storm with the
-//! single-residency invariant checked live.
+//! restart, and a 20-guest concurrent migration storm off a slow-transfer
+//! source with the single-residency invariant checked live.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use hypersim::latency::OpCost;
+use hypersim::personality::QemuLike;
+use hypersim::{LatencyModel, OpKind, SimHost};
 use virt_core::driver::MigrationOptions;
 use virt_core::metrics::MetricValue;
 use virt_core::xmlfmt::DomainConfig;
@@ -328,9 +331,24 @@ fn health_transitions_are_counted_logged_and_respected() {
     db2.shutdown();
 }
 
+/// A member whose migration transfer takes real time: 0.1 ms per MiB,
+/// spent 1:1 as wall time, so a 64 MiB guest occupies a source worker
+/// for ~6 ms and a storm's migrations overlap.
+fn slow_member(tag: &str) -> (Virtd, String) {
+    let endpoint = unique(tag);
+    let qemu = SimHost::builder(format!("{endpoint}-qemu"))
+        .personality(QemuLike)
+        .latency(LatencyModel::zero().set(OpKind::MigratePage, OpCost::scaled(0, 100_000)))
+        .wall_time_scale(1.0)
+        .build();
+    let daemon = Virtd::builder(&endpoint).host(qemu).build().unwrap();
+    daemon.register_memory_endpoint(&endpoint).unwrap();
+    (daemon, format!("qemu+memory://{endpoint}/system"))
+}
+
 #[test]
 fn concurrent_migration_storm_keeps_single_residency() {
-    let (da, _, ua) = member("fed-storm");
+    let (da, ua) = slow_member("fed-storm");
     let (db, _, ub) = member("fed-storm");
     let fleet = std::sync::Arc::new(
         FleetManager::builder()
@@ -342,7 +360,7 @@ fn concurrent_migration_storm_keeps_single_residency() {
     fleet.refresh();
 
     let conn = Connect::builder(&ua).open().unwrap();
-    const STORM: usize = 8;
+    const STORM: usize = 20;
     for i in 0..STORM {
         let guest = conn
             .define_domain(&DomainConfig::new(format!("storm-{i}"), 64, 1))

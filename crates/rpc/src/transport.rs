@@ -677,7 +677,7 @@ macro_rules! socket_transport {
             // writers) serialize while a read never blocks a write.
             // Earlier versions dup'd reader/writer halves instead,
             // which cost 3 fds per connection — the difference between
-            // ~6k and ~20k fds at the C10K rung of expt_f9.
+            // ~6k and ~20k fds at the C10K rung of F9 (EXPERIMENTS.md).
             //
             read: Mutex<ReadSide>,
             write_lock: Mutex<()>,

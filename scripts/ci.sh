@@ -33,7 +33,7 @@ echo "== clippy =="
 # API-compatibility stand-ins, not ours to polish.
 cargo clippy --offline --all-targets \
     -p virt-metrics -p virt-xml -p hypersim -p virt-rpc -p virt-core \
-    -p virtd -p virt-fleet -p virsh -p virt-bench -p virt-suite \
+    -p virtd -p virt-fleet -p virsh -p virt-suite \
     -- -D warnings
 
 echo "== hygiene: no dead_code allows in the product crates =="
@@ -184,17 +184,17 @@ cargo test -q --release --offline -p virt-metrics --test recorder_drain_and_clea
 echo "== perf smoke (event loop: 1000 idle connections, release) =="
 cargo test -q --release --offline -p virtd --test eventloop_smoke -- --ignored
 
-# Fleet smoke: a small hosts×domains placement rung plus a 20-way
-# cross-host migration storm, asserting placement p99 under budget and
-# zero failed migrations. Release mode — the storm timing assumes real
-# codegen.
-echo "== perf smoke (fleet placement + migration storm, release) =="
-cargo run -q --release --offline -p virt-bench --bin expt_f10_fleet -- --smoke
-
-# Guard smoke: one crash-storm revive rung plus a crash-looper pack,
-# asserting bounded revive latency and a flat healthy-tenant p99.
-echo "== perf smoke (guard revive storm + crash-loop containment, release) =="
-cargo run -q --release --offline -p virt-bench --bin expt_f11_guard -- --smoke
+# Experiment shapes held on counts and virtual time, in release: the
+# pre-copy sweeps pinned row by row; an abort costs at most two slices at
+# 1024 and 8192 MiB; 20 overlapping migrations off a slow source, 0 failed
+# and single residency; 8 crash-loopers all give up at the cap with 0
+# revivals while tenants are served; spread placement over sequential
+# creates within one domain of balance.
+echo "== experiment shapes (migration sweeps, abort cost, storm, crash-loopers, spread; release) =="
+cargo test -q --release --offline -p virt-suite -p virt-fleet \
+    --test migration_remote --test jobs --test guard --test federation -- \
+    precopy_total_grows_with_memory abort_mid_migration crash_looper_hits_the_backoff_cap \
+    concurrent_migration_storm spread_placement_balances
 
 # Durability end to end, over the one write path there is: a statedir
 # daemon serves lifecycle cycles, is SIGKILLed and restarted; exit code 0

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use virt_core::driver::MigrationOptions;
 use virt_core::metrics::MetricValue;
 use virt_core::xmlfmt::DomainConfig;
-use virt_core::Connect;
+use virt_core::{Connect, JobState};
 use virt_fleet::{FleetManager, PlacementRequest};
 
 fn binary(name: &str) -> std::path::PathBuf {
@@ -247,7 +247,19 @@ fn mid_migration_source_kill_reconciles_to_single_owner() {
             fleet.migrate("src", "wanderer", "dst", &MigrationOptions::default())
         }
     });
-    std::thread::sleep(Duration::from_millis(60));
+    // Kill only once the transfer has moved data, so the kill lands
+    // mid-Perform rather than before Begin.
+    let probe = Connect::builder(source.uri()).open().unwrap();
+    wait_for(
+        || {
+            probe
+                .domain_lookup_by_name("wanderer")
+                .and_then(|d| d.job_stats())
+                .is_ok_and(|stats| stats.state == JobState::Running && stats.data_processed_mib > 0)
+        },
+        "the migration to move data",
+    );
+    probe.close();
     source.kill();
     let outcome = migrate.join().unwrap();
     assert!(

@@ -6,9 +6,10 @@
 //!    at once converges to 100% running with bounded latency, and the
 //!    per-domain jitter seeds spread the restart delays (no thundering
 //!    herd of synchronized restarts).
-//! 2. **Crash-loop containment** — a domain that crashes on *every*
-//!    start climbs the backoff ladder to the cap and gives up, without
-//!    making the daemon's worker pool unavailable for other tenants.
+//! 2. **Crash-loop containment** — each of a pack of domains that crash
+//!    on *every* start climbs the backoff ladder to the cap and gives up,
+//!    without making the daemon's worker pool unavailable for other
+//!    tenants.
 //! 3. **Crash-safe guards** — guard policies survive a daemon rebuild
 //!    through the state directory, and recovery immediately revives
 //!    guarded domains that died with the previous daemon.
@@ -216,18 +217,25 @@ fn crash_looper_hits_the_backoff_cap_without_starving_other_tenants() {
     let qemu_conn = Connect::builder(format!("qemu+memory://{name}/system"))
         .open()
         .unwrap();
-    let looper = qemu_conn
-        .define_domain(&DomainConfig::new("looper", 128, 1))
-        .unwrap();
-    looper
-        .guard_set(&GuardPolicy::KeepRunning { max_restarts: 3 })
-        .unwrap();
-    // The start "succeeds" but the guest is immediately crashed — every
-    // revival attempt repeats that, so the restart counter only climbs.
-    looper.start().unwrap();
-    assert_eq!(looper.state().unwrap(), DomainState::Crashed);
+    const LOOPERS: usize = 8;
+    let loopers: Vec<_> = (0..LOOPERS)
+        .map(|i| {
+            let looper = qemu_conn
+                .define_domain(&DomainConfig::new(format!("looper-{i}"), 128, 1))
+                .unwrap();
+            looper
+                .guard_set(&GuardPolicy::KeepRunning { max_restarts: 3 })
+                .unwrap();
+            // The start "succeeds" but the guest is immediately crashed —
+            // every revival attempt repeats that, so the restart counter
+            // only climbs.
+            looper.start().unwrap();
+            assert_eq!(looper.state().unwrap(), DomainState::Crashed);
+            looper
+        })
+        .collect();
 
-    // While the looper climbs its ladder, other tenants must be served
+    // While the loopers climb their ladders, other tenants must be served
     // promptly: the backoff waits live on the guard engine's own timer
     // thread, not on daemon worker-pool slots.
     let xen_conn = Connect::builder(format!("xen+memory://{name}/system"))
@@ -248,14 +256,20 @@ fn crash_looper_hits_the_backoff_cap_without_starving_other_tenants() {
     );
 
     wait_for(
-        || looper.guard_status().map(|s| s.gave_up).unwrap_or(false),
-        "crash-looper guard to give up at the cap",
+        || {
+            loopers
+                .iter()
+                .all(|looper| looper.guard_status().map(|s| s.gave_up).unwrap_or(false))
+        },
+        "every crash-looper guard to give up at the cap",
     );
-    let status = looper.guard_status().unwrap();
-    assert!(status.restarts > 3, "{status:?}");
-    assert!(status.next_retry.is_none(), "{status:?}");
-    assert_eq!(daemon_counter(&daemon, "guard.gave_up"), 1);
-    assert!(daemon_counter(&daemon, "guard.revived") == 0);
+    for looper in &loopers {
+        let status = looper.guard_status().unwrap();
+        assert!(status.restarts > 3, "{status:?}");
+        assert!(status.next_retry.is_none(), "{status:?}");
+    }
+    assert_eq!(daemon_counter(&daemon, "guard.gave_up"), LOOPERS as u64);
+    assert_eq!(daemon_counter(&daemon, "guard.revived"), 0);
 
     qemu_conn.close();
     xen_conn.close();

@@ -151,60 +151,71 @@ fn migration_job_reports_monotonic_progress() {
 // Abort: cancelling mid-migration leaves the guest running on the
 // source and nothing on the destination; a second modify job is
 // rejected as busy while the migration holds the domain's job slot.
+// The abort costs at most the slice in flight plus one that may finish
+// between the last progress read and the request — flat in guest size
+// (F6a in EXPERIMENTS.md).
 // ---------------------------------------------------------------------
 
 #[test]
 fn abort_mid_migration_leaves_source_running_and_destination_clean() {
-    let (src_d, dst_d, src_uri, dst_uri) = slow_pair("abort", None);
-    let src = Connect::builder(&src_uri).open().unwrap();
-    let dst = Connect::builder(&dst_uri).open().unwrap();
+    for memory_mib in [1024, 8192] {
+        let (src_d, dst_d, src_uri, dst_uri) = slow_pair("abort", None);
+        let src = Connect::builder(&src_uri).open().unwrap();
+        let dst = Connect::builder(&dst_uri).open().unwrap();
 
-    let domain = src
-        .define_domain(&DomainConfig::new("fugitive", 4096, 1))
-        .unwrap();
-    domain.start().unwrap();
+        let domain = src
+            .define_domain(&DomainConfig::new("fugitive", memory_mib, 1))
+            .unwrap();
+        domain.start().unwrap();
 
-    let handle = domain
-        .migrate_start(&dst, &MigrationOptions::default())
-        .unwrap();
-    wait_for(
-        || {
-            let stats = handle.stats().unwrap();
-            stats.state == JobState::Running && stats.data_processed_mib > 0
-        },
-        "migration to show progress",
-    );
+        let handle = domain
+            .migrate_start(&dst, &MigrationOptions::default())
+            .unwrap();
+        wait_for(
+            || {
+                let stats = handle.stats().unwrap();
+                stats.state == JobState::Running && stats.data_processed_mib > 0
+            },
+            "migration to show progress",
+        );
 
-    // One modify job per domain: a save against the migrating domain is
-    // turned away as busy without touching the guest.
-    let busy = domain.managed_save().unwrap_err();
-    assert_eq!(busy.code(), ErrorCode::OperationInvalid);
-    assert!(
-        busy.message().contains("already has an active"),
-        "unexpected busy error: {busy}"
-    );
+        // One modify job per domain: a save against the migrating domain
+        // is turned away as busy without touching the guest.
+        let busy = domain.managed_save().unwrap_err();
+        assert_eq!(busy.code(), ErrorCode::OperationInvalid);
+        assert!(
+            busy.message().contains("already has an active"),
+            "unexpected busy error: {busy}"
+        );
 
-    handle.abort().unwrap();
-    let err = handle.wait().unwrap_err();
-    assert_eq!(err.code(), ErrorCode::OperationAborted);
-    assert!(
-        err.message().contains("aborted by request"),
-        "unexpected abort error: {err}"
-    );
+        let before_abort = handle.stats().unwrap().data_processed_mib;
+        handle.abort().unwrap();
+        let err = handle.wait().unwrap_err();
+        assert_eq!(err.code(), ErrorCode::OperationAborted);
+        assert!(
+            err.message().contains("aborted by request"),
+            "unexpected abort error: {err}"
+        );
 
-    // Exactly one side owns the guest: the source, still running.
-    assert_eq!(domain.state().unwrap(), DomainState::Running);
-    assert_eq!(src.list_domain_names().unwrap(), vec!["fugitive"]);
-    assert!(dst.list_domain_names().unwrap().is_empty());
+        // Exactly one side owns the guest: the source, still running.
+        assert_eq!(domain.state().unwrap(), DomainState::Running);
+        assert_eq!(src.list_domain_names().unwrap(), vec!["fugitive"]);
+        assert!(dst.list_domain_names().unwrap().is_empty());
 
-    let stats = domain.job_stats().unwrap();
-    assert_eq!(stats.kind, JobKind::Migration);
-    assert_eq!(stats.state, JobState::Aborted);
+        let stats = domain.job_stats().unwrap();
+        assert_eq!(stats.kind, JobKind::Migration);
+        assert_eq!(stats.state, JobState::Aborted);
+        let after_abort = stats.data_processed_mib - before_abort;
+        assert!(
+            after_abort <= 512,
+            "{memory_mib} MiB guest moved {after_abort} MiB after the abort request"
+        );
 
-    src.close();
-    dst.close();
-    src_d.shutdown();
-    dst_d.shutdown();
+        src.close();
+        dst.close();
+        src_d.shutdown();
+        dst_d.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -224,6 +224,65 @@ fn bandwidth_shapes_total_time() {
     dst_d.shutdown();
 }
 
+/// F4 (EXPERIMENTS.md) on the virtual clock: the pre-copy shape over the
+/// full five-phase path at the default 1024 MiB/s link and 300 ms
+/// downtime budget. Each row pins the report this tree produces: total
+/// ms, downtime ms, pre-copy iterations, converged.
+#[test]
+fn precopy_total_grows_with_memory_and_stops_converging_past_the_link() {
+    let options = MigrationOptions::default();
+    let migrate = |memory_mib: u64, dirty_mib_s: u64| {
+        let (src_d, dst_d, src, dst) = two_daemons();
+        let mut config = DomainConfig::new("sweep", memory_mib, 2);
+        config.dirty_rate_mib_s = dirty_mib_s;
+        let domain = src.define_domain(&config).unwrap();
+        domain.start().unwrap();
+        let report = domain.migrate_to(&dst, &options).unwrap();
+        src.close();
+        dst.close();
+        src_d.shutdown();
+        dst_d.shutdown();
+        (
+            report.total_ms,
+            report.downtime_ms,
+            report.iterations,
+            report.converged,
+        )
+    };
+
+    // Memory sweep at 100 MiB/s dirty: total rises with memory, and
+    // every row converges within the budget.
+    let mut last_total = 0;
+    for (memory_mib, pinned) in [
+        (256, (250, 250, 0, true)),
+        (2048, (2195, 195, 1, true)),
+        (8192, (8857, 76, 2, true)),
+    ] {
+        let row = migrate(memory_mib, 100);
+        assert_eq!(row, pinned, "{memory_mib} MiB guest");
+        let (total, downtime, _, converged) = row;
+        assert!(total > last_total && converged && downtime <= options.max_downtime_ms);
+        last_total = total;
+    }
+
+    // Dirty sweep on a 4096 MiB guest: iterations rise with the dirty
+    // rate; past the link's 1024 MiB/s pre-copy hits the iteration cap
+    // without converging and the forced stop-and-copy blows the budget.
+    let mut last_iterations = 0;
+    for (dirty_mib_s, pinned) in [
+        (0, (4000, 0, 1, true)),
+        (600, (9269, 276, 5, true)),
+        (1500, (124_000, 4000, 30, false)),
+    ] {
+        let row = migrate(4096, dirty_mib_s);
+        assert_eq!(row, pinned, "dirty {dirty_mib_s} MiB/s");
+        let (_, downtime, iterations, converged) = row;
+        assert!(iterations > last_iterations);
+        assert_eq!(converged, downtime <= options.max_downtime_ms);
+        last_iterations = iterations;
+    }
+}
+
 #[test]
 fn migration_preserves_domain_uuid() {
     let (src_d, dst_d, src, dst) = two_daemons();

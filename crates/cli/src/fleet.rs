@@ -46,7 +46,7 @@ fn parse_hosts(spec: &str) -> VirtResult<Vec<(String, String)>> {
 /// Entry point for the `fleet` command family. `args` excludes the
 /// leading `fleet` token; `call_deadline` is the global
 /// `--call-deadline-ms` if given.
-pub fn run_fleet(
+pub(crate) fn run_fleet(
     args: &[&str],
     call_deadline: Option<Duration>,
     out: &mut dyn Write,

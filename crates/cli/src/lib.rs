@@ -12,8 +12,8 @@
 //! or the `VIRT_DEFAULT_URI` environment variable. Connection resilience
 //! is tunable with `--call-deadline-ms`, `--retries` and `--no-reconnect`.
 
-pub mod admin;
-pub mod fleet;
+mod admin;
+mod fleet;
 pub use admin::run_admin;
 
 use std::io::Write;
@@ -915,7 +915,8 @@ fn print_help(out: &mut dyn Write) {
 
 /// Convenience wrapper used by tests: runs a command line given as one
 /// whitespace-separated string and returns `(exit_code, output)`.
-pub fn run_line(line: &str) -> (i32, String) {
+#[cfg(test)]
+fn run_line(line: &str) -> (i32, String) {
     let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
     let mut out = Vec::new();
     let code = run(&args, &mut out);

@@ -93,7 +93,7 @@ impl Capabilities {
     }
 
     /// Derives capabilities from a hypersim personality.
-    pub fn from_personality(p: &dyn hypersim::personality::Personality) -> Capabilities {
+    pub(crate) fn from_personality(p: &dyn hypersim::personality::Personality) -> Capabilities {
         let caps = p.capabilities();
         let mut features = Vec::new();
         if caps.migration {

@@ -8,7 +8,6 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use virt_rpc::keepalive::KeepaliveConfig;
 use virt_rpc::retry::{BreakerConfig, RetryPolicy};
 
 use crate::capabilities::Capabilities;
@@ -70,11 +69,10 @@ impl std::fmt::Debug for Connect {
 /// # use std::error::Error;
 /// # fn main() -> Result<(), Box<dyn Error>> {
 /// use std::time::Duration;
-/// use virt_core::{Connect, KeepaliveConfig, RetryPolicy};
+/// use virt_core::{Connect, RetryPolicy};
 ///
 /// let conn = Connect::builder("test:///default")
 ///     .call_deadline(Duration::from_secs(30))
-///     .keepalive(KeepaliveConfig::default())
 ///     .retry(RetryPolicy::default())
 ///     .reconnect(true)
 ///     .open()?;
@@ -104,13 +102,6 @@ impl<'a> ConnectBuilder<'a> {
     /// call entry and spanning transparent retries.
     pub fn call_deadline(mut self, deadline: Duration) -> Self {
         self.options.call_deadline = Some(deadline);
-        self
-    }
-
-    /// Enables keepalive probing. Overrides any `?keepalive=` URI
-    /// parameter.
-    pub fn keepalive(mut self, config: KeepaliveConfig) -> Self {
-        self.options.keepalive = Some(config);
         self
     }
 
@@ -449,7 +440,6 @@ mod tests {
         // must still resolve and open them.
         let conn = Connect::builder("test:///default")
             .call_deadline(Duration::from_secs(10))
-            .keepalive(KeepaliveConfig::default())
             .retry(RetryPolicy::default())
             .reconnect(false)
             .breaker(BreakerConfig::default())

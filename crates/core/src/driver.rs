@@ -10,7 +10,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use virt_rpc::keepalive::KeepaliveConfig;
 use virt_rpc::retry::{BreakerConfig, RetryPolicy};
 
 use crate::capabilities::Capabilities;
@@ -29,8 +28,6 @@ use crate::uuid::Uuid;
 pub struct OpenOptions {
     /// Default deadline applied to every RPC call on the connection.
     pub call_deadline: Option<Duration>,
-    /// Keepalive probing (overrides any `?keepalive=` URI parameter).
-    pub keepalive: Option<KeepaliveConfig>,
     /// Retry policy for idempotent calls after connection failures.
     pub retry: Option<RetryPolicy>,
     /// Whether a dead connection is transparently re-dialed.
@@ -948,7 +945,7 @@ impl DriverRegistry {
     }
 
     /// Sets the fallback driver for unclaimed schemes.
-    pub fn set_fallback(&mut self, driver: Arc<dyn HypervisorDriver>) {
+    pub(crate) fn set_fallback(&mut self, driver: Arc<dyn HypervisorDriver>) {
         self.fallback = Some(driver);
     }
 
@@ -967,7 +964,7 @@ impl DriverRegistry {
     /// # Errors
     ///
     /// As [`DriverRegistry::open`].
-    pub fn open_with_options(
+    pub(crate) fn open_with_options(
         &self,
         uri: &ConnectUri,
         options: &OpenOptions,

@@ -22,11 +22,11 @@ use crate::uri::ConnectUri;
 
 /// The `esx` scheme driver.
 #[derive(Debug, Default)]
-pub struct EsxDriver;
+pub(crate) struct EsxDriver;
 
 impl EsxDriver {
     /// Creates the driver.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EsxDriver
     }
 }

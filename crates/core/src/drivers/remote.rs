@@ -41,11 +41,11 @@ use crate::uri::{ConnectUri, UriTransport};
 use crate::uuid::Uuid;
 
 /// Default Unix socket path of a system daemon.
-pub const DEFAULT_SOCKET_PATH: &str = "/var/run/virt/virtd.sock";
+const DEFAULT_SOCKET_PATH: &str = "/var/run/virt/virtd.sock";
 /// Default TCP port (libvirt's registered port).
-pub const DEFAULT_TCP_PORT: u16 = 16509;
+const DEFAULT_TCP_PORT: u16 = 16509;
 /// Default TLS port.
-pub const DEFAULT_TLS_PORT: u16 = 16514;
+const DEFAULT_TLS_PORT: u16 = 16514;
 
 /// The remote driver (registry fallback).
 #[derive(Debug, Default)]
@@ -78,12 +78,7 @@ impl HypervisorDriver for RemoteDriver {
         uri: &ConnectUri,
         options: &OpenOptions,
     ) -> VirtResult<Arc<dyn HypervisorConnection>> {
-        // Builder options win over the `?keepalive=` URI parameter, which
-        // stays supported for bare-URI callers.
-        let keepalive_config = match options.keepalive {
-            Some(config) => Some(config),
-            None => parse_keepalive_param(uri)?,
-        };
+        let keepalive_config = parse_keepalive_param(uri)?;
 
         // Dial the first transport directly so URI problems keep their
         // precise error codes; the factory only re-dials the same URI.
@@ -242,7 +237,7 @@ fn connect_transport(uri: &ConnectUri) -> VirtResult<Arc<dyn Transport>> {
 
 /// A connection whose every method is one RPC to the daemon, routed
 /// through a [`ReconnectingClient`] that survives daemon restarts.
-pub struct RemoteConnection {
+struct RemoteConnection {
     client: ReconnectingClient,
     uri: String,
     events: EventBus,

@@ -16,11 +16,11 @@ use crate::uri::ConnectUri;
 
 /// The `test` scheme driver.
 #[derive(Debug, Default)]
-pub struct TestDriver;
+pub(crate) struct TestDriver;
 
 impl TestDriver {
     /// Creates the driver.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TestDriver
     }
 }

@@ -166,7 +166,7 @@ impl VirtError {
 
     /// Creates an error that keeps its underlying cause on the standard
     /// [`Error::source`] chain.
-    pub fn with_source(
+    fn with_source(
         code: ErrorCode,
         message: impl Into<String>,
         source: impl Error + Send + Sync + 'static,
@@ -194,7 +194,7 @@ impl VirtError {
     }
 
     /// Reconstructs from the wire error record.
-    pub fn from_rpc(err: &RpcError) -> VirtError {
+    fn from_rpc(err: &RpcError) -> VirtError {
         VirtError::new(ErrorCode::from_u32(err.code), err.message.clone())
     }
 }

@@ -121,7 +121,7 @@ pub struct DomainEvent {
 }
 
 /// Callback invoked for each event.
-pub type EventCallback = Arc<dyn Fn(&DomainEvent) + Send + Sync + 'static>;
+pub(crate) type EventCallback = Arc<dyn Fn(&DomainEvent) + Send + Sync + 'static>;
 
 /// A registration handle returned by [`EventBus::register`].
 pub type CallbackId = u32;
@@ -219,7 +219,11 @@ impl EventBus {
     /// Registers a callback that only receives events matching `filter`.
     /// Non-matching events are skipped during dispatch without invoking
     /// (or even cloning) the callback.
-    pub fn register_filtered(&self, filter: EventFilter, callback: EventCallback) -> CallbackId {
+    pub(crate) fn register_filtered(
+        &self,
+        filter: EventFilter,
+        callback: EventCallback,
+    ) -> CallbackId {
         let mut inner = self.inner.lock();
         let id = inner.next_id;
         inner.next_id += 1;

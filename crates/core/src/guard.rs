@@ -97,7 +97,7 @@ impl GuardPolicy {
     }
 
     /// Decodes the wire pair; `None` for unknown kinds.
-    pub fn from_wire(kind: u32, param: u64) -> Option<GuardPolicy> {
+    pub(crate) fn from_wire(kind: u32, param: u64) -> Option<GuardPolicy> {
         Some(match kind {
             1 => GuardPolicy::KeepRunning {
                 max_restarts: param.min(u64::from(u32::MAX)) as u32,
@@ -289,7 +289,6 @@ struct EngineInner {
     running: AtomicBool,
     seq: AtomicU64,
     epoch: AtomicU64,
-    backoff: Mutex<BackoffSchedule>,
     metrics: RwLock<GuardMetrics>,
 }
 
@@ -317,16 +316,14 @@ impl Default for GuardEngine {
     }
 }
 
-/// Default backoff ladder for guarded restarts: 50 ms doubling to a 2 s
-/// cap — fast enough that a storm converges quickly, slow enough that a
-/// crash loop backs off visibly.
-fn default_guard_backoff() -> BackoffSchedule {
-    BackoffSchedule {
-        initial: Duration::from_millis(50),
-        max: Duration::from_secs(2),
-        multiplier: 2,
-    }
-}
+/// The backoff ladder for guarded restarts: 50 ms doubling to a 2 s cap —
+/// fast enough that a storm converges quickly, slow enough that a crash
+/// loop backs off visibly.
+const RESTART_BACKOFF: BackoffSchedule = BackoffSchedule {
+    initial: Duration::from_millis(50),
+    max: Duration::from_secs(2),
+    multiplier: 2,
+};
 
 impl GuardEngine {
     /// Creates an idle engine: no policies, no worker thread.
@@ -342,7 +339,6 @@ impl GuardEngine {
                 running: AtomicBool::new(false),
                 seq: AtomicU64::new(0),
                 epoch: AtomicU64::new(0),
-                backoff: Mutex::new(default_guard_backoff()),
                 metrics: RwLock::new(GuardMetrics::new()),
             }),
         }
@@ -353,16 +349,6 @@ impl GuardEngine {
     /// the connection is dropped.
     pub fn attach(&self, conn: Weak<dyn HypervisorConnection>) {
         *self.inner.conn.lock() = Some(conn);
-    }
-
-    /// Replaces the restart backoff ladder.
-    pub fn set_backoff(&self, schedule: BackoffSchedule) {
-        *self.inner.backoff.lock() = schedule;
-    }
-
-    /// The restart backoff ladder currently in effect.
-    pub fn backoff(&self) -> BackoffSchedule {
-        *self.inner.backoff.lock()
     }
 
     /// Publishes the engine's metrics into `registry` as `guard.*` and
@@ -423,7 +409,7 @@ impl GuardEngine {
 
     /// Removes `domain`'s policy; `true` when one was present. Queued
     /// actions for the removed guard are discarded when they come due.
-    pub fn remove_policy(&self, domain: &str) -> bool {
+    pub(crate) fn remove_policy(&self, domain: &str) -> bool {
         let removed = self.inner.states.lock().remove(domain).is_some();
         if removed {
             self.inner.guarded.fetch_sub(1, Ordering::Relaxed);
@@ -490,14 +476,14 @@ impl GuardEngine {
 
     /// Counts one revival performed outside the worker (the recovery
     /// pass starts recorded-crashed domains synchronously).
-    pub fn note_revived(&self) {
+    pub(crate) fn note_revived(&self) {
         self.inner.metrics.read().revived.inc();
     }
 
     /// Schedules an immediate revival of a recorded-crashed guarded
     /// domain (the recovery path: no backoff, the crash predates this
     /// daemon life).
-    pub fn revive_now(&self, domain: &str) {
+    pub(crate) fn revive_now(&self, domain: &str) {
         self.act_now(domain, "recovered-crashed", Action::Start);
     }
 
@@ -505,7 +491,7 @@ impl GuardEngine {
     /// `keep-running` domain (the arm-time reconcile path: the crash
     /// predates the guard, so waiting for the next Crashed event would
     /// wait forever).
-    pub fn restart_now(&self, domain: &str) {
+    pub(crate) fn restart_now(&self, domain: &str) {
         self.act_now(domain, "armed-crashed", Action::Start);
     }
 
@@ -513,7 +499,7 @@ impl GuardEngine {
     /// domain (the arm-time reconcile counterpart of [`restart_now`]).
     ///
     /// [`restart_now`]: GuardEngine::restart_now
-    pub fn resume_now(&self, domain: &str) {
+    pub(crate) fn resume_now(&self, domain: &str) {
         self.act_now(domain, "armed-paused", Action::Resume);
     }
 
@@ -576,11 +562,8 @@ impl GuardEngine {
                         st.next_due = None;
                         self.inner.metrics.read().gave_up.inc();
                     } else {
-                        let delay = self
-                            .inner
-                            .backoff
-                            .lock()
-                            .delay(st.restarts, BackoffSchedule::seed_for(domain));
+                        let delay =
+                            RESTART_BACKOFF.delay(st.restarts, BackoffSchedule::seed_for(domain));
                         self.inner.metrics.read().backoff_ms.record(delay);
                         let due = Instant::now() + delay;
                         st.next_due = Some(due);
@@ -810,10 +793,7 @@ fn escalate_failed_start(inner: &Arc<EngineInner>, domain: &str) {
             st.next_due = None;
             inner.metrics.read().gave_up.inc();
         } else {
-            let delay = inner
-                .backoff
-                .lock()
-                .delay(st.restarts, BackoffSchedule::seed_for(domain));
+            let delay = RESTART_BACKOFF.delay(st.restarts, BackoffSchedule::seed_for(domain));
             inner.metrics.read().backoff_ms.record(delay);
             let due = Instant::now() + delay;
             st.next_due = Some(due);

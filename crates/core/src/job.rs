@@ -277,7 +277,7 @@ impl JobManager {
     /// that were in flight before the restart and can fail them
     /// ([`JobManager::fail_running`]), like libvirt's job recovery on
     /// daemon startup.
-    pub fn for_host(host: &str) -> Arc<JobManager> {
+    pub(crate) fn for_host(host: &str) -> Arc<JobManager> {
         static MANAGERS: OnceLock<Mutex<HashMap<String, Arc<JobManager>>>> = OnceLock::new();
         let managers = MANAGERS.get_or_init(|| Mutex::new(HashMap::new()));
         Arc::clone(
@@ -499,7 +499,7 @@ impl JobTicket {
     }
 
     /// Finishes the job as aborted (the worker honored the request).
-    pub fn abort_finish(mut self) {
+    pub(crate) fn abort_finish(mut self) {
         self.finished = true;
         self.manager
             .finish(&self.domain, self.epoch, JobState::Aborted, None);

@@ -68,25 +68,23 @@ pub mod uuid;
 pub mod xmlfmt;
 
 pub use capabilities::Capabilities;
-pub use conn::{Connect, ConnectBuilder};
+pub use conn::Connect;
 pub use domain::Domain;
 pub use driver::{
     DomainRecord, DomainState, DomainStatsRecord, DriverRegistry, HypervisorConnection,
-    HypervisorDriver, MigrationOptions, MigrationReport, NetworkRecord, NodeInfo, OpenOptions,
-    PoolRecord, VolumeRecord,
+    HypervisorDriver, MigrationOptions, MigrationReport, NodeInfo, PoolRecord, VolumeRecord,
 };
 pub use error::{ErrorCode, VirtError, VirtResult};
-pub use event::{CallbackId, DomainEvent, DomainEventKind, EventBus, EventFilter};
-pub use guard::{GuardEngine, GuardPolicy, GuardRecord, GuardStatus};
-pub use job::{JobHandle, JobKind, JobState, JobStats};
+pub use event::{CallbackId, DomainEvent, DomainEventKind, EventBus};
+pub use guard::{GuardPolicy, GuardRecord, GuardStatus};
+pub use job::{JobKind, JobState, JobStats};
 pub use network::Network;
-pub use statestore::{DomainStatus, ObjectKind, StateStore, StoreFault, StoreOp, StoreOptions};
-pub use storage::{StoragePool, Volume};
+pub use statestore::{DomainStatus, ObjectKind, StateStore};
+pub use storage::Volume;
 pub use typedparam::{ParamValue, TypedParam, TypedParams};
 pub use uuid::Uuid;
 // Resilience configuration types, re-exported so builder users never
 // need a direct virt-rpc dependency.
-pub use virt_rpc::keepalive::KeepaliveConfig;
 pub use virt_rpc::retry::{BackoffSchedule, BreakerConfig, BreakerState, RetryPolicy};
 
 /// The process-wide registry for client-side RPC metrics

@@ -236,7 +236,7 @@ impl LogSettings {
 
     /// The level effective for `module`: the first matching filter's
     /// level, falling back to the global level.
-    pub fn effective_level(&self, module: &str) -> LogLevel {
+    fn effective_level(&self, module: &str) -> LogLevel {
         self.filters
             .iter()
             .find(|f| module.contains(f.module_match.as_str()))
@@ -445,7 +445,7 @@ impl Default for Logger {
 
 /// Capacity of the capturing sinks; oldest records are dropped first, so
 /// a long-running daemon's in-memory log stays bounded.
-pub const CAPTURE_CAP: usize = 10_000;
+const CAPTURE_CAP: usize = 10_000;
 
 fn push_capped(sink: &mut Vec<LogRecord>, record: LogRecord) {
     if sink.len() >= CAPTURE_CAP {

@@ -75,13 +75,17 @@ impl Network {
     pub fn undefine(&self) -> VirtResult<()> {
         self.conn.undefine_network(&self.name)
     }
+}
 
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl Network {
     /// `(mac, ip, domain)` lease triplets.
     ///
     /// # Errors
     ///
     /// As [`Network::info`].
-    pub fn dhcp_leases(&self) -> VirtResult<Vec<(String, String, String)>> {
+    fn dhcp_leases(&self) -> VirtResult<Vec<(String, String, String)>> {
         Ok(self.info()?.leases)
     }
 }

@@ -611,7 +611,7 @@ impl MigratePerformArgs {
     }
 
     /// Builds wire arguments from driver options.
-    pub fn from_options(name: &str, options: &MigrationOptions) -> Self {
+    pub(crate) fn from_options(name: &str, options: &MigrationOptions) -> Self {
         MigratePerformArgs {
             name: name.to_string(),
             bandwidth_mib_s: options.bandwidth_mib_s,
@@ -699,7 +699,7 @@ xdr_struct! {
 
 impl GuardSetArgs {
     /// Builds the wire arguments for one policy.
-    pub fn from_policy(name: &str, policy: &GuardPolicy) -> GuardSetArgs {
+    pub(crate) fn from_policy(name: &str, policy: &GuardPolicy) -> GuardSetArgs {
         GuardSetArgs {
             name: name.to_string(),
             kind: policy.kind(),
@@ -752,7 +752,7 @@ impl From<&GuardStatus> for WireGuardStatus {
 
 impl WireGuardStatus {
     /// Decodes into the API status type; `None` for unknown policy kinds.
-    pub fn into_status(self) -> Option<GuardStatus> {
+    pub(crate) fn into_status(self) -> Option<GuardStatus> {
         Some(GuardStatus {
             policy: GuardPolicy::from_wire(self.kind, self.param)?,
             domain: self.domain,

@@ -110,7 +110,7 @@ mod sys {
         /// Flushes all dirty data and metadata of the filesystem
         /// containing `fd` — one device flush covering every staged
         /// frame of a batch, where per-file fsync pays one per file.
-        pub fn syncfs(fd: c_int) -> c_int;
+        pub(crate) fn syncfs(fd: c_int) -> c_int;
     }
 }
 
@@ -176,22 +176,10 @@ struct ArmedFault {
     at_write: u64,
 }
 
-/// The persistence pipeline's one tunable: the coalesce window.
-#[derive(Debug, Clone)]
-pub struct StoreOptions {
-    /// How long a batch containing only write-behind records may wait
-    /// for more work to coalesce before it is flushed. A barrier waiter
-    /// (durable `put`/`remove`, `flush`) always flushes immediately.
-    pub coalesce_window: Duration,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions {
-            coalesce_window: Duration::from_millis(2),
-        }
-    }
-}
+/// How long a batch holding only write-behind records may wait for more
+/// work to coalesce before it is flushed. A barrier waiter (durable
+/// `put`/`remove`, `flush`) always flushes immediately.
+const COALESCE_WINDOW: Duration = Duration::from_millis(2);
 
 /// One object's identity inside the store.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -339,7 +327,6 @@ virt_metrics::metric_set! {
 /// State shared between the store handle and the persister thread.
 struct Shared {
     root: PathBuf,
-    options: StoreOptions,
     queue: Mutex<PersistQueue>,
     /// Wakes the persister (work arrived, urgency changed, shutdown).
     work_cv: Condvar,
@@ -383,27 +370,13 @@ fn io_err(context: &str, err: std::io::Error) -> VirtError {
 }
 
 impl StateStore {
-    /// Opens (creating if needed) a store rooted at `root`, with the
-    /// default coalesce window.
+    /// Opens (creating if needed) a store rooted at `root`.
     ///
     /// # Errors
     ///
     /// [`ErrorCode::OperationFailed`] when the directories cannot be
     /// created.
     pub fn open(root: impl Into<PathBuf>) -> VirtResult<Arc<StateStore>> {
-        Self::open_with_options(root, StoreOptions::default())
-    }
-
-    /// Opens a store with an explicit coalesce window.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorCode::OperationFailed`] when the directories cannot be
-    /// created.
-    pub fn open_with_options(
-        root: impl Into<PathBuf>,
-        options: StoreOptions,
-    ) -> VirtResult<Arc<StateStore>> {
         let root = root.into();
         for kind in [
             ObjectKind::Domain,
@@ -419,7 +392,6 @@ impl StateStore {
         fs::create_dir_all(root.join("quarantine")).map_err(|e| io_err("create layout", e))?;
         let shared = Arc::new(Shared {
             root,
-            options,
             queue: Mutex::new(PersistQueue {
                 order: Vec::new(),
                 slots: HashMap::new(),
@@ -482,12 +454,12 @@ impl StateStore {
     /// Logs a warning through the store's logger (stderr until
     /// [`StateStore::set_logger`]) — for a caller explaining a
     /// [`StateStore::quarantine`].
-    pub fn warn(&self, message: &str) {
+    pub(crate) fn warn(&self, message: &str) {
         self.shared.log_warning(message);
     }
 
     /// Files moved to quarantine since the store opened.
-    pub fn quarantined_total(&self) -> u64 {
+    pub(crate) fn quarantined_total(&self) -> u64 {
         self.shared.metrics.quarantined.get()
     }
 
@@ -505,11 +477,6 @@ impl StateStore {
     /// Queued records absorbed by newer writes to the same object.
     pub fn coalesced_total(&self) -> u64 {
         self.shared.metrics.coalesced.get()
-    }
-
-    /// Queued records skipped because the committed frame was identical.
-    pub fn deduped_total(&self) -> u64 {
-        self.shared.metrics.deduped.get()
     }
 
     /// Queues one record with a barrier waiter for the caller to block on.
@@ -588,7 +555,7 @@ impl StateStore {
     }
 
     /// Queues a removal write-behind (see [`StateStore::put_behind`]).
-    pub fn remove_behind(&self, kind: ObjectKind, driver: &str, name: &str) {
+    pub(crate) fn remove_behind(&self, kind: ObjectKind, driver: &str, name: &str) {
         let key = ObjKey::new(kind, driver, name);
         enqueue(&self.shared, key, QueuedOp::Remove, None);
     }
@@ -848,7 +815,7 @@ fn persister_loop(shared: &Shared) {
         if !q.urgent && !q.shutdown {
             // Volatile-only batch: give the window a chance to absorb
             // the rest of a storm before paying the fsync cycle.
-            let deadline = q.oldest.unwrap_or_else(Instant::now) + shared.options.coalesce_window;
+            let deadline = q.oldest.unwrap_or_else(Instant::now) + COALESCE_WINDOW;
             let now = Instant::now();
             if now < deadline {
                 shared.work_cv.wait_for(&mut q, deadline - now);
@@ -1227,6 +1194,15 @@ impl DomainStatus {
             autostart: flag("autostart")?,
             has_managed_save: flag("managed_save")?,
         })
+    }
+}
+
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl StateStore {
+    /// Queued records skipped because the committed frame was identical.
+    fn deduped_total(&self) -> u64 {
+        self.shared.metrics.deduped.get()
     }
 }
 

@@ -154,11 +154,6 @@ impl Volume {
         &self.name
     }
 
-    /// The owning pool's name.
-    pub fn pool_name(&self) -> &str {
-        &self.pool
-    }
-
     /// A fresh snapshot of the volume's state.
     ///
     /// # Errors
@@ -194,6 +189,15 @@ impl Volume {
     pub fn resize(&self, capacity_mib: u64) -> VirtResult<()> {
         self.conn
             .resize_volume(&self.pool, &self.name, capacity_mib)
+    }
+}
+
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl Volume {
+    /// The owning pool's name.
+    fn pool_name(&self) -> &str {
+        &self.pool
     }
 }
 

@@ -46,7 +46,7 @@ pub fn register_host(name: impl Into<String>, host: SimHost) {
 /// # Errors
 ///
 /// [`ErrorCode::NoConnect`] when nothing is registered under `name`.
-pub fn lookup_host(name: &str) -> VirtResult<SimHost> {
+pub(crate) fn lookup_host(name: &str) -> VirtResult<SimHost> {
     testbed()
         .lock()
         .hosts

@@ -54,7 +54,7 @@ impl ParamValue {
     }
 
     /// The type's name, for error messages.
-    pub fn type_name(&self) -> &'static str {
+    fn type_name(&self) -> &'static str {
         match self {
             ParamValue::Int(_) => "int",
             ParamValue::UInt(_) => "uint",
@@ -89,7 +89,7 @@ pub mod stats_field {
     /// Lifecycle state, [`crate::driver::DomainState::as_u32`] (uint).
     pub const STATE: &str = "state.state";
     /// vCPU time consumed, nanoseconds (ullong).
-    pub const CPU_TIME: &str = "cpu.time";
+    pub(crate) const CPU_TIME: &str = "cpu.time";
     /// Current memory, MiB (ullong).
     pub const BALLOON_CURRENT: &str = "balloon.current";
     /// Memory ceiling, MiB (ullong).
@@ -100,9 +100,9 @@ pub mod stats_field {
     /// fields are present only for a domain with job history.
     pub const JOB_KIND: &str = "job.kind";
     /// State of that job (string).
-    pub const JOB_STATE: &str = "job.state";
+    pub(crate) const JOB_STATE: &str = "job.state";
     /// Completion estimate of that job, percent (uint).
-    pub const JOB_PROGRESS: &str = "job.progress";
+    pub(crate) const JOB_PROGRESS: &str = "job.progress";
 
     /// Every name above — what the decoder recognises.
     pub const ALL: [&str; 8] = [

@@ -130,7 +130,7 @@ impl ConnectUri {
     }
 
     /// `true` when the URI names no host — a local connection.
-    pub fn is_local(&self) -> bool {
+    pub(crate) fn is_local(&self) -> bool {
         self.host.is_none()
     }
 

@@ -48,7 +48,7 @@ impl Uuid {
     }
 
     /// Consumes into raw bytes.
-    pub fn into_bytes(self) -> [u8; 16] {
+    pub(crate) fn into_bytes(self) -> [u8; 16] {
         self.0
     }
 

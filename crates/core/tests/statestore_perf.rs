@@ -13,9 +13,8 @@
 //! into scripts/ci.sh).
 
 use std::io::Write;
-use std::time::Duration;
 
-use virt_core::statestore::{ObjectKind, StateStore, StoreOptions};
+use virt_core::statestore::{ObjectKind, StateStore};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let nanos = std::time::SystemTime::now()
@@ -36,15 +35,9 @@ fn status_write_burst_collapses_into_at_most_two_fsync_cycles() {
     }
     const BURST: usize = 200;
     let dir = temp_dir("burst");
-    let store = StateStore::open_with_options(
-        &dir,
-        StoreOptions {
-            // Generous window: the whole burst lands well inside it, so
-            // any extra cycles would come from the pipeline itself.
-            coalesce_window: Duration::from_millis(200),
-        },
-    )
-    .expect("store opens");
+    // The whole burst is queued well inside the 2 ms coalesce window, so
+    // any extra cycles would come from the pipeline itself.
+    let store = StateStore::open(&dir).expect("store opens");
 
     for i in 0..BURST {
         store.put_behind(

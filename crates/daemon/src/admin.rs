@@ -39,7 +39,7 @@ use crate::adminproto::{self, admin_procedures, proc, WireMetric, WireTraceEvent
 use crate::server::{ClientHandle, ClientSnapshot, ProgramDispatcher, Server};
 
 /// Dispatcher for [`ADMIN_PROGRAM`].
-pub struct AdminDispatcher {
+pub(crate) struct AdminDispatcher {
     servers: Mutex<HashMap<String, Arc<Server>>>,
     logger: Arc<Logger>,
     /// Daemon-wide metric registry served by the metrics procedures.
@@ -53,7 +53,7 @@ impl AdminDispatcher {
     /// are attached afterwards with [`AdminDispatcher::attach_server`]
     /// (the admin server manages itself too, so it cannot exist before
     /// its own dispatcher).
-    pub fn with_registry(
+    pub(crate) fn with_registry(
         logger: Arc<Logger>,
         registry: Arc<virt_core::metrics::Registry>,
     ) -> Arc<Self> {
@@ -65,7 +65,7 @@ impl AdminDispatcher {
     }
 
     /// Registers a server under its name.
-    pub fn attach_server(&self, server: Arc<Server>) {
+    pub(crate) fn attach_server(&self, server: Arc<Server>) {
         self.servers
             .lock()
             .insert(server.name().to_string(), server);

@@ -206,7 +206,7 @@ xdr_struct! {
 /// Discriminant of [`WireMetric::kind`]: counter.
 pub const METRIC_KIND_COUNTER: u32 = 0;
 /// Discriminant of [`WireMetric::kind`]: gauge.
-pub const METRIC_KIND_GAUGE: u32 = 1;
+const METRIC_KIND_GAUGE: u32 = 1;
 /// Discriminant of [`WireMetric::kind`]: histogram.
 pub const METRIC_KIND_HISTOGRAM: u32 = 2;
 

@@ -5,11 +5,7 @@
 //! afterwards — that distinction (persistent file vs runtime state) is
 //! exactly why the admin interface exists.
 
-use virt_rpc::retry::BackoffSchedule;
 use virt_rpc::PoolLimits;
-
-use virt_core::log::LogSettings;
-use virt_core::StoreOptions;
 
 /// Startup configuration of a daemon.
 #[derive(Debug, Clone)]
@@ -18,10 +14,6 @@ pub struct VirtdConfig {
     pub max_clients: u32,
     /// Worker pool limits of the main server.
     pub pool_limits: PoolLimits,
-    /// Initial logging settings. Only the default is in use, and the
-    /// field stays: it is the persistent half of "persistent file vs
-    /// runtime state" — what `dmn-log-define` changes until the restart.
-    pub log: LogSettings,
     /// When set, clients must AUTH with one of these `(user, password)`
     /// pairs before OPEN succeeds. `None` disables authentication.
     pub credentials: Option<Vec<(String, String)>>,
@@ -30,12 +22,6 @@ pub struct VirtdConfig {
     /// `/run/libvirt` split), and startup runs a recovery pass against
     /// it. `None` keeps all state in memory.
     pub statedir: Option<std::path::PathBuf>,
-    /// Restart-backoff ladder used by the guard engine for `keep-running`
-    /// policies. `None` keeps the engine's built-in default.
-    pub guard_backoff: Option<BackoffSchedule>,
-    /// The coalesce window of the statestore's group-commit pipeline.
-    /// Only meaningful when `statedir` is set.
-    pub statestore: StoreOptions,
 }
 
 impl VirtdConfig {
@@ -44,11 +30,8 @@ impl VirtdConfig {
         VirtdConfig {
             max_clients: 120,
             pool_limits: PoolLimits::new(),
-            log: LogSettings::new(),
             credentials: None,
             statedir: None,
-            guard_backoff: None,
-            statestore: StoreOptions::default(),
         }
     }
 
@@ -73,18 +56,6 @@ impl VirtdConfig {
     /// Overrides the main pool limits.
     pub fn pool_limits(mut self, limits: PoolLimits) -> Self {
         self.pool_limits = limits;
-        self
-    }
-
-    /// Overrides the guard engine's restart-backoff ladder.
-    pub fn guard_backoff(mut self, schedule: BackoffSchedule) -> Self {
-        self.guard_backoff = Some(schedule);
-        self
-    }
-
-    /// Overrides the statestore's coalesce window.
-    pub fn statestore(mut self, options: StoreOptions) -> Self {
-        self.statestore = options;
         self
     }
 }

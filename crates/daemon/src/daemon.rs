@@ -19,7 +19,6 @@ use virt_rpc::PoolLimits;
 use crate::admin::AdminDispatcher;
 use crate::config::VirtdConfig;
 use crate::dispatch::RemoteDispatcher;
-use crate::eventloop::EventLoopOptions;
 use crate::server::{ServeHandle, Server};
 
 virt_metrics::metric_set! {
@@ -207,17 +206,13 @@ impl VirtdBuilder {
             ));
         }
         let logger = Arc::new(Logger::new());
-        logger
-            .redefine(self.config.log.clone())
-            .expect("startup log settings are validated defaults");
 
         // Crash-safe persistence: with a statedir every driver mirrors
         // its definitions and live status to disk, and boot runs a
         // recovery pass over whatever the previous daemon left behind.
         let store = match &self.config.statedir {
             Some(dir) => {
-                let store =
-                    StateStore::open_with_options(dir.clone(), self.config.statestore.clone())?;
+                let store = StateStore::open(dir.clone())?;
                 store.set_logger(Arc::clone(&logger));
                 Some(store)
             }
@@ -240,12 +235,6 @@ impl VirtdBuilder {
                 (scheme.clone(), conn)
             })
             .collect();
-
-        if let Some(schedule) = self.config.guard_backoff {
-            for conn in drivers.values() {
-                conn.guard_engine().set_backoff(schedule);
-            }
-        }
 
         let registry = Arc::new(Registry::new());
 
@@ -318,15 +307,12 @@ impl VirtdBuilder {
         // Each event thread multiplexes its share of the connections over
         // one epoll instance; requests still execute on the worker pool,
         // so two are enough even at thousands of clients.
-        let main_server = Server::with_event_options(
+        let main_server = Server::new(
             "virtd",
             self.config.pool_limits,
             self.config.max_clients,
             remote_dispatcher,
-            EventLoopOptions {
-                event_threads: 2,
-                ..EventLoopOptions::default()
-            },
+            2,
         )
         .map_err(|e| VirtError::new(ErrorCode::InvalidArg, e))?;
         main_server.set_logger(Arc::clone(&logger));
@@ -337,7 +323,7 @@ impl VirtdBuilder {
         // The admin plane is low-traffic: one event thread is plenty. Its
         // pool never runs a job — every admin procedure is answered inline
         // — so the limits are what `srv-threadpool-info admin` reports.
-        let admin_server = Server::with_event_options(
+        let admin_server = Server::new(
             "admin",
             PoolLimits {
                 min_workers: 1,
@@ -346,10 +332,7 @@ impl VirtdBuilder {
             },
             self.config.max_clients,
             admin_dispatcher.clone(),
-            EventLoopOptions {
-                event_threads: 1,
-                ..EventLoopOptions::default()
-            },
+            1,
         )
         .map_err(|e| VirtError::new(ErrorCode::InvalidArg, e))?;
         admin_server.set_logger(Arc::clone(&logger));
@@ -398,11 +381,6 @@ impl Virtd {
     /// The main (`virtd`) server.
     pub fn main_server(&self) -> &Arc<Server> {
         &self.main_server
-    }
-
-    /// The admin server.
-    pub fn admin_server(&self) -> &Arc<Server> {
-        &self.admin_server
     }
 
     /// The host managed by a driver scheme, if attached.

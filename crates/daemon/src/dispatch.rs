@@ -83,7 +83,7 @@ impl DispatchMetrics {
 }
 
 /// Dispatcher for [`REMOTE_PROGRAM`].
-pub struct RemoteDispatcher {
+pub(crate) struct RemoteDispatcher {
     /// scheme → local driver connection (`qemu`, `xen`, `lxc`, ...).
     drivers: HashMap<String, Arc<EmbeddedConnection>>,
     sessions: Mutex<HashMap<u64, ClientSession>>,
@@ -97,7 +97,7 @@ pub struct RemoteDispatcher {
 
 impl RemoteDispatcher {
     /// Creates a dispatcher over the daemon's local drivers.
-    pub fn new(
+    pub(crate) fn new(
         drivers: HashMap<String, Arc<EmbeddedConnection>>,
         logger: Arc<Logger>,
         credentials: Option<Vec<(String, String)>>,
@@ -122,7 +122,7 @@ impl RemoteDispatcher {
     /// latency histograms and error counters as `rpc.proc.{num}.*` (the
     /// help text carries the symbolic name), plus `rpc.calls`,
     /// `rpc.errors` and `rpc.auth_failures` totals.
-    pub fn publish_metrics(&self, registry: &Registry) {
+    pub(crate) fn publish_metrics(&self, registry: &Registry) {
         for (num, name) in proc::ALL {
             let pm = &self.metrics.per_proc[num];
             registry.adopt(

@@ -83,31 +83,14 @@ use crate::server::ClientHandle;
 /// the splitter's [`virt_rpc::framebuf::READ_CHUNK`].)
 const MAX_FRAMES_PER_EVENT: usize = 32;
 
-/// Tuning for the event loops of one server.
-#[derive(Debug, Clone)]
-pub struct EventLoopOptions {
-    /// Number of loop threads. Connections are assigned round-robin.
-    pub event_threads: usize,
-    /// Queued-write bytes above which the loop stops reading from the
-    /// connection until the queue drains (per connection).
-    pub write_soft_cap: usize,
-    /// Queued-write bytes below which a paused connection resumes reads.
-    pub write_resume_mark: usize,
-    /// Queued-write bytes above which the connection is disconnected —
-    /// a client that never reads replies cannot hold daemon memory.
-    pub write_hard_cap: usize,
-}
-
-impl Default for EventLoopOptions {
-    fn default() -> Self {
-        EventLoopOptions {
-            event_threads: 2,
-            write_soft_cap: 256 * 1024,
-            write_resume_mark: 64 * 1024,
-            write_hard_cap: 4 * 1024 * 1024,
-        }
-    }
-}
+/// Queued-write bytes above which the loop stops reading from a
+/// connection until its queue drains.
+const WRITE_SOFT_CAP: usize = 256 * 1024;
+/// Queued-write bytes below which a paused connection resumes reads.
+const WRITE_RESUME_MARK: usize = 64 * 1024;
+/// Queued-write bytes above which the connection is disconnected — a
+/// client that never reads replies cannot hold daemon memory.
+const WRITE_HARD_CAP: usize = 4 * 1024 * 1024;
 
 virt_metrics::metric_set! {
     /// `server.{name}.event_loop.*` instrumentation, shared across all
@@ -188,9 +171,6 @@ enum SinkRoute {
         token: u64,
         poller: Arc<Poller>,
         state: Mutex<SinkState>,
-        soft_cap: usize,
-        resume_mark: usize,
-        hard_cap: usize,
     },
 }
 
@@ -224,13 +204,7 @@ impl ConnSink {
     }
 
     fn send_queued(&self, wire: &[u8]) -> io::Result<()> {
-        let SinkRoute::Queued {
-            state,
-            soft_cap,
-            hard_cap,
-            ..
-        } = &self.route
-        else {
+        let SinkRoute::Queued { state, .. } = &self.route else {
             unreachable!()
         };
         let mut st = state.lock();
@@ -282,7 +256,7 @@ impl ConnSink {
             .write_queue_bytes
             .add((wire.len() - off) as u64);
         self.bytes_out.add(wire.len().saturating_sub(4) as u64);
-        if st.queued() > *hard_cap {
+        if st.queued() > WRITE_HARD_CAP {
             // The client is not reading replies; cut it loose instead of
             // letting its backlog grow without bound.
             self.metrics.backpressure_closes.inc();
@@ -298,7 +272,7 @@ impl ConnSink {
             st.want_write = true;
             update = true;
         }
-        if st.queued() > *soft_cap && !self.reads_paused() {
+        if st.queued() > WRITE_SOFT_CAP && !self.reads_paused() {
             self.paused_reads.store(true, Ordering::Relaxed);
             self.metrics.reads_paused.inc();
             update = true;
@@ -344,9 +318,9 @@ impl ConnSink {
     /// epoll interest: `EPOLLOUT` exactly while bytes are owed, reads
     /// resumed once the backlog is under the resume mark.
     fn write_out(&self, st: &mut SinkState) -> bool {
-        let SinkRoute::Queued { resume_mark, .. } = &self.route else {
+        if !matches!(self.route, SinkRoute::Queued { .. }) {
             return true;
-        };
+        }
         if st.closed {
             return false;
         }
@@ -377,7 +351,7 @@ impl ConnSink {
         let owed = st.queued();
         let mut update = st.want_write != (owed > 0);
         st.want_write = owed > 0;
-        if self.reads_paused() && owed <= *resume_mark {
+        if self.reads_paused() && owed <= WRITE_RESUME_MARK {
             self.paused_reads.store(false, Ordering::Relaxed);
             update = true;
         }
@@ -479,7 +453,6 @@ pub(crate) struct EventCore {
     loops: Vec<Arc<LoopShared>>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     next_loop: AtomicUsize,
-    options: EventLoopOptions,
     metrics: Arc<EventLoopMetrics>,
 }
 
@@ -488,11 +461,11 @@ impl EventCore {
     /// server then serves every connection on legacy reader threads.
     pub(crate) fn start(
         server_name: &str,
-        options: EventLoopOptions,
+        event_threads: usize,
         events: Arc<dyn ConnEvents>,
         metrics: Arc<EventLoopMetrics>,
     ) -> io::Result<EventCore> {
-        let threads_wanted = options.event_threads.max(1);
+        let threads_wanted = event_threads.max(1);
         let mut loops = Vec::with_capacity(threads_wanted);
         let mut handles = Vec::with_capacity(threads_wanted);
         for i in 0..threads_wanted {
@@ -517,7 +490,6 @@ impl EventCore {
             loops,
             threads: Mutex::new(handles),
             next_loop: AtomicUsize::new(0),
-            options,
             metrics,
         })
     }
@@ -556,9 +528,6 @@ impl EventCore {
                             want_write: false,
                             closed: false,
                         }),
-                        soft_cap: self.options.write_soft_cap,
-                        resume_mark: self.options.write_resume_mark,
-                        hard_cap: self.options.write_hard_cap,
                     },
                     paused_reads: AtomicBool::new(false),
                     metrics: Arc::clone(&self.metrics),

@@ -11,10 +11,10 @@
 //!   TLS-sim) attached to a server.
 //! - **client tracking**: per-server client tables with identity,
 //!   connect timestamps, and a configurable client limit.
-//! - **dispatch** ([`dispatch`]): the procedure table mapping wire calls
+//! - **dispatch** (`dispatch`): the procedure table mapping wire calls
 //!   onto the same driver API local callers use — the daemon literally
 //!   re-enters `virt-core` through its embedded drivers.
-//! - **admin interface** ([`admin`]): runtime management of the daemon
+//! - **admin interface** (`admin`): runtime management of the daemon
 //!   itself — worker-pool limits, client limits, client listing and
 //!   forced disconnect, and logging settings — without a restart.
 //! - **observability**: every layer publishes lock-free counters,
@@ -49,17 +49,15 @@
 //! # }
 //! ```
 
-pub mod admin;
+mod admin;
 pub mod adminproto;
-pub mod config;
-pub mod daemon;
-pub mod dispatch;
-pub mod eventloop;
+mod config;
+mod daemon;
+mod dispatch;
+mod eventloop;
 pub mod server;
 
 pub use admin::AdminClient;
 pub use config::VirtdConfig;
-pub use daemon::Virtd;
-pub use eventloop::EventLoopOptions;
-pub use server::{ClientIdentity, ClientSnapshot, ServeHandle, Server};
-pub use virt_core::StoreOptions;
+pub use daemon::{Virtd, VirtdBuilder};
+pub use server::{ClientSnapshot, Server};

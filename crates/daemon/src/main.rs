@@ -7,15 +7,12 @@
 //! ```text
 //! virtd [--name NAME] [--unix PATH] [--tcp ADDR] [--admin-unix PATH]
 //!       [--max-clients N] [--quiet-hosts] [--slow-migration] [--statedir DIR]
-//!       [--statestore-flush-ms MS]
 //! ```
 //!
 //! Defaults: name `virtd`, remote socket `/tmp/virtd.sock`, admin socket
 //! `/tmp/virtd-admin.sock`, realistic host latency models, no state
 //! directory (all state in memory). With `--statedir`, definitions are
-//! persisted crash-safe under `DIR` and recovered at the next start;
-//! `--statestore-flush-ms` tunes how long the persister lets volatile
-//! write-behind records coalesce before flushing.
+//! persisted crash-safe under `DIR` and recovered at the next start.
 
 use virt_rpc::transport::{TcpSocketListener, UnixSocketListener};
 use virtd::{Virtd, VirtdConfig};
@@ -29,7 +26,6 @@ struct Options {
     quiet_hosts: bool,
     slow_migration: bool,
     statedir: Option<String>,
-    statestore_flush_ms: Option<u64>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -42,7 +38,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         quiet_hosts: false,
         slow_migration: false,
         statedir: None,
-        statestore_flush_ms: None,
     };
     let mut i = 0;
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
@@ -81,20 +76,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 options.statedir = Some(value(args, i, "--statedir")?);
                 i += 1;
             }
-            "--statestore-flush-ms" => {
-                options.statestore_flush_ms = Some(
-                    value(args, i, "--statestore-flush-ms")?
-                        .parse()
-                        .map_err(|_| "--statestore-flush-ms must be a number".to_string())?,
-                );
-                i += 1;
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: virtd [--name NAME] [--unix PATH|--no-unix] [--tcp ADDR] \
                             [--admin-unix PATH] [--max-clients N] [--quiet-hosts] \
-                            [--slow-migration] [--statedir DIR] \
-                            [--statestore-flush-ms MS]"
+                            [--slow-migration] [--statedir DIR]"
                         .to_string(),
                 )
             }
@@ -119,11 +105,6 @@ fn main() {
     if let Some(dir) = &options.statedir {
         config = config.statedir(dir);
     }
-    let mut store_options = virtd::StoreOptions::default();
-    if let Some(ms) = options.statestore_flush_ms {
-        store_options.coalesce_window = std::time::Duration::from_millis(ms);
-    }
-    config = config.statestore(store_options);
     let mut builder = Virtd::builder(&options.name).config(config);
     builder = if options.quiet_hosts {
         builder.with_quiet_hosts()

@@ -26,7 +26,7 @@ use virt_rpc::message::{Header, MessageStatus, Packet, RpcError, KEEPALIVE_PROGR
 use virt_rpc::transport::{Listener, MeteredTransport, Readiness, Transport, TransportKind};
 use virt_rpc::{PoolBatch, PoolLimits, PoolStats, WorkerPool};
 
-use crate::eventloop::{ConnEvents, ConnSink, EventCore, EventLoopMetrics, EventLoopOptions};
+use crate::eventloop::{ConnEvents, ConnSink, EventCore, EventLoopMetrics};
 
 /// Whether an `accept()` failure is transient pressure worth retrying
 /// (with backoff) rather than a dead listener. EMFILE/ENFILE have no
@@ -115,7 +115,7 @@ impl ClientHandle {
     }
 
     /// The transport flavor.
-    pub fn transport_kind(&self) -> TransportKind {
+    fn transport_kind(&self) -> TransportKind {
         self.transport.kind()
     }
 
@@ -291,8 +291,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Creates a server with the given pool limits and dispatcher,
-    /// using default event-loop tuning.
+    /// Creates a server with the given pool limits and dispatcher, its
+    /// connections spread round-robin over `event_threads` event loops.
     ///
     /// # Errors
     ///
@@ -302,28 +302,7 @@ impl Server {
         pool_limits: PoolLimits,
         max_clients: u32,
         dispatcher: Arc<dyn ProgramDispatcher>,
-    ) -> Result<Arc<Server>, String> {
-        Server::with_event_options(
-            name,
-            pool_limits,
-            max_clients,
-            dispatcher,
-            EventLoopOptions::default(),
-        )
-    }
-
-    /// Creates a server with explicit event-loop tuning (thread count
-    /// and write-queue caps).
-    ///
-    /// # Errors
-    ///
-    /// Invalid pool limits.
-    pub fn with_event_options(
-        name: impl Into<String>,
-        pool_limits: PoolLimits,
-        max_clients: u32,
-        dispatcher: Arc<dyn ProgramDispatcher>,
-        event_options: EventLoopOptions,
+        event_threads: usize,
     ) -> Result<Arc<Server>, String> {
         let name = name.into();
         let pool = WorkerPool::start(pool_limits)?;
@@ -334,7 +313,7 @@ impl Server {
             // legacy reader thread.
             let event_core = EventCore::start(
                 &name,
-                event_options,
+                event_threads,
                 Arc::new(ServerEvents {
                     server: weak.clone(),
                 }),
@@ -408,13 +387,14 @@ impl Server {
     /// # Errors
     ///
     /// Invalid limits; the old limits stay in force.
-    pub fn set_pool_limits(&self, limits: PoolLimits) -> Result<(), String> {
+    pub(crate) fn set_pool_limits(&self, limits: PoolLimits) -> Result<(), String> {
         self.pool.set_limits(limits)
     }
 
     /// Jobs completed since start (a thin read of the pool's
     /// registry-backed counter).
-    pub fn jobs_completed(&self) -> u64 {
+    #[cfg(test)]
+    fn jobs_completed(&self) -> u64 {
         self.pool.completed()
     }
 
@@ -437,7 +417,7 @@ impl Server {
 
     /// Count of connections refused due to the client limit (a thin read
     /// of the registry-backed counter).
-    pub fn refused_count(&self) -> u64 {
+    pub(crate) fn refused_count(&self) -> u64 {
         self.metrics.clients_refused.get()
     }
 
@@ -471,7 +451,7 @@ impl Server {
 
     /// Forcefully closes a client's connection (admin
     /// `client-disconnect`). Returns whether the client existed.
-    pub fn disconnect_client(&self, id: u64) -> bool {
+    pub(crate) fn disconnect_client(&self, id: u64) -> bool {
         let client = self.state.lock().clients.get(&id).cloned();
         match client {
             Some(client) => {
@@ -866,8 +846,14 @@ mod tests {
 
     #[test]
     fn round_trip_through_the_pool() {
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let client = connect(&server);
         let reply: String = client.call(REMOTE_PROGRAM, 1, &"ping".to_string()).unwrap();
         assert_eq!(reply, "ping");
@@ -882,8 +868,14 @@ mod tests {
 
     #[test]
     fn client_limit_refuses_excess_connections() {
-        let server =
-            Server::new("t", small_limits(), 2, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            2,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let c1 = connect(&server);
         let c2 = connect(&server);
         // Both are live.
@@ -932,8 +924,14 @@ mod tests {
     #[test]
     fn accept_loop_survives_transient_fd_exhaustion() {
         const EMFILE: i32 = 24;
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         // Script: fd exhaustion first, then a real client — the accept
         // loop must back off and keep accepting, not exit.
@@ -957,8 +955,14 @@ mod tests {
 
     #[test]
     fn raising_the_limit_admits_new_clients() {
-        let server =
-            Server::new("t", small_limits(), 1, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            1,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let _c1 = connect(&server);
         wait_until(|| server.client_count() == 1, "first client admitted");
         server.set_max_clients(2);
@@ -970,8 +974,14 @@ mod tests {
 
     #[test]
     fn forced_disconnect_removes_the_client() {
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let client = connect(&server);
         let _: String = client.call(REMOTE_PROGRAM, 1, &"x".to_string()).unwrap();
         let id = server.clients()[0].id;
@@ -994,8 +1004,14 @@ mod tests {
 
     #[test]
     fn client_snapshots_expose_identity() {
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let client = connect(&server);
         let _: String = client.call(REMOTE_PROGRAM, 1, &"x".to_string()).unwrap();
         let snapshots = server.clients();
@@ -1019,6 +1035,7 @@ mod tests {
             },
             10,
             dispatcher,
+            2,
         )
         .unwrap();
         let client = connect(&server);
@@ -1046,8 +1063,14 @@ mod tests {
 
     #[test]
     fn pool_limits_adjustable_at_runtime() {
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         server
             .set_pool_limits(PoolLimits {
                 min_workers: 3,
@@ -1074,8 +1097,14 @@ mod tests {
 
     #[test]
     fn keepalive_pings_answered_inline() {
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let (client_side, server_side) = memory_pair();
         server.admit(Arc::new(server_side));
         // Raw ping (no CallClient, to observe the pong frame directly).
@@ -1089,8 +1118,14 @@ mod tests {
 
     #[test]
     fn shutdown_says_goodbye_to_connected_clients() {
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let (client_side, server_side) = memory_pair();
         server.admit(Arc::new(server_side));
         wait_until(|| server.client_count() == 1, "admitted");
@@ -1104,8 +1139,14 @@ mod tests {
 
     #[test]
     fn client_byes_are_consumed_without_a_reply() {
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let (client_side, server_side) = memory_pair();
         server.admit(Arc::new(server_side));
         wait_until(|| server.client_count() == 1, "admitted");
@@ -1124,8 +1165,14 @@ mod tests {
 
     #[test]
     fn wrong_program_gets_an_error_reply() {
-        let server =
-            Server::new("t", small_limits(), 10, Arc::new(EchoDispatcher::default())).unwrap();
+        let server = Server::new(
+            "t",
+            small_limits(),
+            10,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
         let (client_side, server_side) = memory_pair();
         server.admit(Arc::new(server_side));
         let call = Packet::new(Header::call(0xbad, 1, 5), &());
@@ -1141,7 +1188,7 @@ mod tests {
     #[test]
     fn garbage_frames_drop_the_client() {
         let dispatcher = Arc::new(EchoDispatcher::default());
-        let server = Server::new("t", small_limits(), 10, dispatcher.clone()).unwrap();
+        let server = Server::new("t", small_limits(), 10, dispatcher.clone(), 2).unwrap();
         let (client_side, server_side) = memory_pair();
         server.admit(Arc::new(server_side));
         wait_until(|| server.client_count() == 1, "admitted");
@@ -1154,7 +1201,7 @@ mod tests {
     #[test]
     fn disconnect_callback_fires_per_client() {
         let dispatcher = Arc::new(EchoDispatcher::default());
-        let server = Server::new("t", small_limits(), 10, dispatcher.clone()).unwrap();
+        let server = Server::new("t", small_limits(), 10, dispatcher.clone(), 2).unwrap();
         let c1 = connect(&server);
         let c2 = connect(&server);
         let _: String = c1.call(REMOTE_PROGRAM, 1, &"x".to_string()).unwrap();
@@ -1179,6 +1226,7 @@ mod tests {
             },
             64,
             Arc::new(EchoDispatcher::default()),
+            2,
         )
         .unwrap();
         let threads: Vec<_> = (0..8)

@@ -35,7 +35,7 @@ use virt_rpc::message::{encode_frame, Header, MessageStatus, REMOTE_PROGRAM};
 use virt_rpc::transport::UnixSocketListener;
 use virt_rpc::{Packet, PoolLimits};
 use virtd::server::{ClientHandle, ProgramDispatcher};
-use virtd::{EventLoopOptions, Server, Virtd};
+use virtd::{Server, Virtd};
 
 fn socket_path(tag: &str) -> String {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -139,20 +139,25 @@ fn buffered_frames_past_the_budget_are_answered_without_another_fd_event() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Replies with the request's own payload, inline on the loop thread.
-struct InlineEcho;
+/// Bytes of every [`InlineBulk`] reply: three unread ones are more than
+/// the 256 KiB at which the event loop pauses a connection's reads.
+const REPLY_BYTES: usize = 96 * 1024;
 
-impl ProgramDispatcher for InlineEcho {
+/// Answers every call with [`REPLY_BYTES`] of payload, inline on the loop
+/// thread.
+struct InlineBulk;
+
+impl ProgramDispatcher for InlineBulk {
     fn program(&self) -> u32 {
         REMOTE_PROGRAM
     }
     fn is_high_priority(&self, _procedure: u32) -> bool {
         true
     }
-    fn dispatch(&self, _client: &Arc<ClientHandle>, header: Header, payload: &[u8]) -> Packet {
+    fn dispatch(&self, _client: &Arc<ClientHandle>, header: Header, _payload: &[u8]) -> Packet {
         Packet {
             header: header.reply_ok(),
-            payload: payload.to_vec(),
+            payload: vec![0x5a; REPLY_BYTES],
         }
     }
     fn on_disconnect(&self, _client_id: u64) {}
@@ -160,10 +165,10 @@ impl ProgramDispatcher for InlineEcho {
 
 #[test]
 fn paused_connection_resumes_from_its_buffer_when_the_flush_lifts_the_pause() {
-    // Tiny caps, so one burst of four 1000-byte echoes trips the pause
-    // half way through; one loop thread, so the order of events is the
-    // order of this test.
-    let server = Server::with_event_options(
+    // 96 KiB replies against the loop's 256 KiB soft cap, so one burst of
+    // four calls trips the pause part way through; one loop thread, so
+    // the order of events is the order of this test.
+    let server = Server::new(
         "burst",
         PoolLimits {
             min_workers: 1,
@@ -171,13 +176,8 @@ fn paused_connection_resumes_from_its_buffer_when_the_flush_lifts_the_pause() {
             priority_workers: 1,
         },
         4,
-        Arc::new(InlineEcho),
-        EventLoopOptions {
-            event_threads: 1,
-            write_soft_cap: 2048,
-            write_resume_mark: 1024,
-            write_hard_cap: 1024 * 1024,
-        },
+        Arc::new(InlineBulk),
+        1,
     )
     .unwrap();
     let registry = Registry::new();
@@ -189,12 +189,11 @@ fn paused_connection_resumes_from_its_buffer_when_the_flush_lifts_the_pause() {
     let paused = "server.burst.event_loop.reads_paused";
 
     let mut sock = connect(&path);
-    let payload = vec![0x5au8; 1000 - 40];
     let mut request = Vec::new();
     let mut sent = 0u32;
     let mut next_request = |request: &mut Vec<u8>| {
         sent += 1;
-        encode_frame(&Header::call(REMOTE_PROGRAM, 1, sent), &payload, request);
+        encode_frame(&Header::call(REMOTE_PROGRAM, 1, sent), &(), request);
         sent
     };
 
@@ -239,10 +238,13 @@ fn paused_connection_resumes_from_its_buffer_when_the_flush_lifts_the_pause() {
         let reply = read_packet(&mut sock).unwrap_or_else(|e| panic!("reply {serial}: {e}"));
         assert_eq!(reply.header.serial, serial);
         assert_eq!(reply.header.status, MessageStatus::Ok);
-        assert_eq!(reply.payload.len(), 1000 - 40 + 4);
+        assert_eq!(reply.payload.len(), REPLY_BYTES);
     }
     assert_eq!(metric(&registry, frames_in), u64::from(sent));
-    assert_eq!(metric(&registry, queued), 0);
+    // The gauge drops just after the write that handed us the last bytes.
+    wait_until("the write queue to drain", || {
+        metric(&registry, queued) == 0
+    });
     assert_eq!(
         metric(&registry, "server.burst.event_loop.backpressure_closes"),
         0

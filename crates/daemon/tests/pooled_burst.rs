@@ -26,7 +26,7 @@ use virt_rpc::message::{encode_frame, Header, MessageStatus, REMOTE_PROGRAM};
 use virt_rpc::transport::UnixSocketListener;
 use virt_rpc::{Packet, PoolLimits};
 use virtd::server::{ClientHandle, ProgramDispatcher};
-use virtd::{EventLoopOptions, Server};
+use virtd::Server;
 
 /// Answered inline on the loop thread.
 const INLINE: u32 = 7;
@@ -87,7 +87,7 @@ fn socket_path(tag: &str) -> String {
 /// A server with two ordinary workers and one loop thread, so the order
 /// of events on the loop is the order of the test's frames.
 fn start(tag: &str, dispatcher: Arc<Recorder>) -> (Arc<Server>, String, UnixStream) {
-    let server = Server::with_event_options(
+    let server = Server::new(
         tag,
         PoolLimits {
             min_workers: 2,
@@ -96,10 +96,7 @@ fn start(tag: &str, dispatcher: Arc<Recorder>) -> (Arc<Server>, String, UnixStre
         },
         4,
         dispatcher,
-        EventLoopOptions {
-            event_threads: 1,
-            ..EventLoopOptions::default()
-        },
+        1,
     )
     .unwrap();
     let path = socket_path(tag);

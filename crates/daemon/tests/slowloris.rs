@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use virt_core::{Connect, KeepaliveConfig};
+use virt_core::Connect;
 use virt_metrics::MetricValue;
 use virt_rpc::framebuf::READ_CHUNK;
 use virt_rpc::keepalive::{is_pong, ping_packet};
@@ -282,18 +282,10 @@ fn never_reading_client_is_paused_not_unbounded() {
 fn hundred_idle_connections_survive_keepalive_cycles() {
     let (daemon, addr) = start_tcp_daemon("idle100");
     let (host, port) = addr.rsplit_once(':').unwrap();
-    let uri = format!("qemu+tcp://{host}:{port}/system");
+    let uri = format!("qemu+tcp://{host}:{port}/system?keepalive=100:3");
 
     let conns: Vec<_> = (0..100)
-        .map(|_| {
-            Connect::builder(&uri)
-                .keepalive(KeepaliveConfig {
-                    interval: Duration::from_millis(100),
-                    count: 3,
-                })
-                .open()
-                .unwrap()
-        })
+        .map(|_| Connect::builder(&uri).open().unwrap())
         .collect();
     wait_until("100 registered connections", Duration::from_secs(5), || {
         metric(&daemon, "server.virtd.event_loop.registered_fds") == 100

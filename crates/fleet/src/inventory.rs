@@ -40,7 +40,7 @@ pub struct DomainSummary {
 
 impl DomainSummary {
     /// Extracts the summary from one bulk-stats record.
-    pub fn from_stats(record: &DomainStatsRecord) -> Self {
+    pub(crate) fn from_stats(record: &DomainStatsRecord) -> Self {
         let mut summary = DomainSummary {
             name: record.name.clone(),
             state: DomainState::Shutoff,
@@ -69,7 +69,7 @@ impl DomainSummary {
 
 /// The cached view of one member host.
 #[derive(Debug, Clone)]
-pub struct HostInventory {
+pub(crate) struct HostInventory {
     /// Node capacity facts from the last full refresh; `None` until the
     /// host has been reached at least once.
     pub node: Option<NodeInfo>,
@@ -96,7 +96,7 @@ impl Default for HostInventory {
 
 impl HostInventory {
     /// Installs a full refresh.
-    pub fn install(&mut self, node: NodeInfo, domains: Vec<DomainSummary>) {
+    pub(crate) fn install(&mut self, node: NodeInfo, domains: Vec<DomainSummary>) {
         self.node = Some(node);
         self.domains = domains;
         self.refreshed_at = Some(Instant::now());
@@ -104,7 +104,7 @@ impl HostInventory {
     }
 
     /// Running domains.
-    pub fn active(&self) -> usize {
+    pub(crate) fn active(&self) -> usize {
         self.domains.iter().filter(|d| d.state.is_active()).count()
     }
 
@@ -112,7 +112,7 @@ impl HostInventory {
     /// patch was complete; `false` marks the inventory dirty because the
     /// event names state the cache has never seen (a definition's size,
     /// a migrated-in guest's shape).
-    pub fn apply_event(&mut self, domain: &str, kind: DomainEventKind) -> bool {
+    pub(crate) fn apply_event(&mut self, domain: &str, kind: DomainEventKind) -> bool {
         let known = self.domains.iter_mut().find(|d| d.name == domain);
         let patched = match (kind, known) {
             // Removals are complete no matter what we knew.

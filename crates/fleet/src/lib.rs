@@ -60,12 +60,9 @@
 //! # }
 //! ```
 
-pub mod inventory;
+mod inventory;
 pub mod manager;
 pub mod placement;
 
-pub use inventory::{DomainSummary, HostInventory};
-pub use manager::{EvacuationReport, FleetBuilder, FleetManager, HostStatus, Reconciliation};
-pub use placement::{
-    policy_by_name, HostCapacity, MemoryWeighted, Pack, PlacementPolicy, PlacementRequest, Spread,
-};
+pub use manager::FleetManager;
+pub use placement::{policy_by_name, Pack, PlacementRequest};

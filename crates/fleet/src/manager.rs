@@ -48,6 +48,17 @@ use virt_rpc::retry::BackoffSchedule;
 use crate::inventory::{DomainSummary, HostInventory};
 use crate::placement::{choose, HostCapacity, PlacementPolicy, PlacementRequest, Spread};
 
+/// Concurrent per-host calls a fan-out keeps in flight.
+const FANOUT: usize = 8;
+
+/// The retry ladder of deferred reconciliations: 100 ms doubling to a 5 s
+/// cap, spread by per-domain jitter.
+const RECONCILE_BACKOFF: BackoffSchedule = BackoffSchedule {
+    initial: Duration::from_millis(100),
+    max: Duration::from_secs(5),
+    multiplier: 2,
+};
+
 /// One member host: its connection, health flag and inventory cache.
 struct FleetHost {
     name: String,
@@ -253,11 +264,7 @@ pub struct EvacuationReport {
 pub struct FleetBuilder {
     hosts: Vec<(String, String)>,
     policy: Box<dyn PlacementPolicy>,
-    registry: Option<Arc<Registry>>,
-    logger: Option<Arc<Logger>>,
-    fanout: usize,
     call_deadline: Option<Duration>,
-    reconcile_backoff: BackoffSchedule,
 }
 
 impl FleetBuilder {
@@ -273,37 +280,10 @@ impl FleetBuilder {
         self
     }
 
-    /// Publishes `fleet.*` metrics into an existing registry instead of
-    /// a private one.
-    pub fn registry(mut self, registry: Arc<Registry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Routes fleet log lines into an existing logger.
-    pub fn logger(mut self, logger: Arc<Logger>) -> Self {
-        self.logger = Some(logger);
-        self
-    }
-
-    /// Caps concurrent per-host calls during fan-outs (default 8).
-    pub fn fanout(mut self, parallelism: usize) -> Self {
-        self.fanout = parallelism.max(1);
-        self
-    }
-
     /// Per-host call deadline applied to every member connection
     /// (default 30 s; `None` disables).
     pub fn call_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.call_deadline = deadline;
-        self
-    }
-
-    /// Overrides the backoff ladder for deferred migration
-    /// reconciliations (default 100 ms doubling to a 5 s cap, with
-    /// per-domain jitter).
-    pub fn reconcile_backoff(mut self, schedule: BackoffSchedule) -> Self {
-        self.reconcile_backoff = schedule;
         self
     }
 
@@ -321,28 +301,24 @@ impl FleetBuilder {
                 "a fleet needs at least one host",
             ));
         }
-        let registry = self.registry.unwrap_or_else(|| Arc::new(Registry::new()));
-        let logger = self.logger.unwrap_or_else(|| {
-            // The default logger keeps health transitions observable:
-            // warnings on stderr for operators, everything in the
-            // journal sink so tests and tooling can assert on the
-            // structured lines.
-            let logger = Logger::new();
-            let _ = logger.redefine(LogSettings {
-                level: LogLevel::Info,
-                filters: Vec::new(),
-                outputs: vec![
-                    LogOutput {
-                        level: LogLevel::Warning,
-                        kind: OutputKind::Stderr,
-                    },
-                    LogOutput {
-                        level: LogLevel::Debug,
-                        kind: OutputKind::Journald,
-                    },
-                ],
-            });
-            Arc::new(logger)
+        let registry = Arc::new(Registry::new());
+        // The logger keeps health transitions observable: warnings on
+        // stderr for operators, everything in the journal sink so tests
+        // and tooling can assert on the structured lines.
+        let logger = Arc::new(Logger::new());
+        let _ = logger.redefine(LogSettings {
+            level: LogLevel::Info,
+            filters: Vec::new(),
+            outputs: vec![
+                LogOutput {
+                    level: LogLevel::Warning,
+                    kind: OutputKind::Stderr,
+                },
+                LogOutput {
+                    level: LogLevel::Debug,
+                    kind: OutputKind::Journald,
+                },
+            ],
         });
         let metrics = FleetMetrics::new().attach(&registry, "fleet.");
         let mut hosts: Vec<Arc<FleetHost>> = Vec::with_capacity(self.hosts.len());
@@ -370,11 +346,9 @@ impl FleetBuilder {
             policy: Mutex::new(self.policy),
             registry,
             logger,
-            fanout: self.fanout,
             call_deadline: self.call_deadline,
             metrics,
             pending: Mutex::new(Vec::new()),
-            reconcile_backoff: self.reconcile_backoff,
             failed_over: Mutex::new(HashMap::new()),
         })
     }
@@ -386,31 +360,21 @@ pub struct FleetManager {
     policy: Mutex<Box<dyn PlacementPolicy>>,
     registry: Arc<Registry>,
     logger: Arc<Logger>,
-    fanout: usize,
     call_deadline: Option<Duration>,
     metrics: FleetMetrics,
     pending: Mutex<Vec<PendingReconcile>>,
-    reconcile_backoff: BackoffSchedule,
     /// Guarded domains currently living away from home, by domain name.
     failed_over: Mutex<HashMap<String, FailoverRecord>>,
 }
 
 impl FleetManager {
-    /// Starts a builder with the default spread policy, a private
-    /// metrics registry, 8-way fan-out and a 30 s per-host deadline.
+    /// Starts a builder with the default spread policy and a 30 s
+    /// per-host deadline.
     pub fn builder() -> FleetBuilder {
         FleetBuilder {
             hosts: Vec::new(),
             policy: Box::new(Spread),
-            registry: None,
-            logger: None,
-            fanout: 8,
             call_deadline: Some(Duration::from_secs(30)),
-            reconcile_backoff: BackoffSchedule {
-                initial: Duration::from_millis(100),
-                max: Duration::from_secs(5),
-                multiplier: 2,
-            },
         }
     }
 
@@ -544,7 +508,7 @@ impl FleetManager {
                 move || (host.name.clone(), self.refresh_host(&host))
             })
             .collect();
-        let results = run_bounded(self.fanout, tasks);
+        let results = run_bounded(FANOUT, tasks);
         self.retry_pending();
         self.guard_failover_pass();
         self.guard_reconcile_pass();
@@ -568,7 +532,7 @@ impl FleetManager {
             .into_iter()
             .map(|host| move || drop(self.refresh_host(&host)))
             .collect();
-        run_bounded(self.fanout, tasks);
+        run_bounded(FANOUT, tasks);
     }
 
     /// Status rows for every member host, cache-backed (refresh first
@@ -656,10 +620,7 @@ impl FleetManager {
                 }
             })
             .collect();
-        run_bounded(self.fanout, tasks)
-            .into_iter()
-            .flatten()
-            .collect()
+        run_bounded(FANOUT, tasks).into_iter().flatten().collect()
     }
 
     // ---- placement --------------------------------------------------------
@@ -824,9 +785,7 @@ impl FleetManager {
     /// many deferred cases so a returning host is not hit by all of
     /// them at once.
     fn defer_reconcile(&self, domain: &str, source: &str, dest: &str, attempts: u32) {
-        let delay = self
-            .reconcile_backoff
-            .delay(attempts, BackoffSchedule::seed_for(domain));
+        let delay = RECONCILE_BACKOFF.delay(attempts, BackoffSchedule::seed_for(domain));
         let entry = PendingReconcile {
             domain: domain.to_string(),
             source: source.to_string(),
@@ -1167,7 +1126,7 @@ impl FleetManager {
                 }
             })
             .collect();
-        for (domain, dest, result) in run_bounded(self.fanout, tasks) {
+        for (domain, dest, result) in run_bounded(FANOUT, tasks) {
             match result {
                 Ok(_) => report.migrated.push((domain, dest)),
                 Err(err) => report.failed.push((domain, err.to_string())),

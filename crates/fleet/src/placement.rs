@@ -86,7 +86,7 @@ pub trait PlacementPolicy: Send + Sync {
 /// failure blast radius evenly. Free memory breaks ties between equally
 /// loaded hosts.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Spread;
+pub(crate) struct Spread;
 
 impl PlacementPolicy for Spread {
     fn name(&self) -> &'static str {
@@ -125,7 +125,7 @@ impl PlacementPolicy for Pack {
 /// Prefer the host with the most absolute free memory after placement —
 /// keeps per-host ballooning headroom as large as possible.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct MemoryWeighted;
+pub(crate) struct MemoryWeighted;
 
 impl PlacementPolicy for MemoryWeighted {
     fn name(&self) -> &'static str {
@@ -153,7 +153,7 @@ pub fn policy_by_name(name: &str) -> Option<Box<dyn PlacementPolicy>> {
 /// Runs one placement pass: scores every candidate and returns the
 /// winning host name, ties broken by name. `None` means admission
 /// rejection — no host fits.
-pub fn choose(
+pub(crate) fn choose(
     policy: &dyn PlacementPolicy,
     request: &PlacementRequest,
     candidates: &[HostCapacity],

@@ -49,7 +49,7 @@ impl fmt::Display for DomainState {
 ///
 /// This is *the* invariant of the control plane: only these transitions
 /// exist, everything else is [`SimErrorKind::InvalidState`].
-pub fn transition(state: DomainState, op: OpKind) -> SimResult<DomainState> {
+pub(crate) fn transition(state: DomainState, op: OpKind) -> SimResult<DomainState> {
     use DomainState::*;
     use OpKind::*;
     let next = match (state, op) {
@@ -262,7 +262,7 @@ impl DomainSpec {
 
 /// A point-in-time snapshot of a domain (state + memory size).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotRecord {
+pub(crate) struct SnapshotRecord {
     /// Snapshot name, unique per domain.
     pub name: String,
     /// Lifecycle state at snapshot time.
@@ -293,7 +293,7 @@ pub(crate) struct SimDomain {
 }
 
 impl SimDomain {
-    pub fn new(spec: DomainSpec, uuid: [u8; 16]) -> Self {
+    pub(crate) fn new(spec: DomainSpec, uuid: [u8; 16]) -> Self {
         SimDomain {
             spec,
             uuid,
@@ -309,7 +309,7 @@ impl SimDomain {
 
     /// Transitions to `new` at simulated time `now`, accounting vCPU time
     /// consumed during any running period that just ended.
-    pub fn set_state(&mut self, new: DomainState, now: SimTime) {
+    pub(crate) fn set_state(&mut self, new: DomainState, now: SimTime) {
         if self.state == DomainState::Running && new != DomainState::Running {
             if let Some(since) = self.running_since.take() {
                 let elapsed = now.saturating_duration_since(since).as_nanos() as u64;
@@ -323,7 +323,7 @@ impl SimDomain {
     }
 
     /// vCPU time consumed up to `now`, including the live running period.
-    pub fn cpu_time_ns_at(&self, now: SimTime) -> u64 {
+    fn cpu_time_ns_at(&self, now: SimTime) -> u64 {
         let live = self
             .running_since
             .map(|since| {
@@ -334,7 +334,7 @@ impl SimDomain {
         self.cpu_time_ns + live
     }
 
-    pub fn info_at(&self, now: SimTime) -> DomainInfo {
+    pub(crate) fn info_at(&self, now: SimTime) -> DomainInfo {
         DomainInfo {
             name: self.spec.name().to_string(),
             uuid: self.uuid,
@@ -353,7 +353,7 @@ impl SimDomain {
 
     /// The bulk-stats subset of [`SimDomain::info_at`], borrowed instead
     /// of cloned.
-    pub fn stats_view_at(&self, now: SimTime) -> DomainStatsView<'_> {
+    pub(crate) fn stats_view_at(&self, now: SimTime) -> DomainStatsView<'_> {
         DomainStatsView {
             name: self.spec.name(),
             state: self.state,

@@ -205,12 +205,14 @@ impl std::fmt::Debug for SimHost {
     }
 }
 
+/// vCPUs a host may allocate per physical CPU.
+const CPU_OVERCOMMIT: u32 = 8;
+
 /// Builder for [`SimHost`].
 pub struct SimHostBuilder {
     name: String,
     cpus: u32,
     memory: MiB,
-    cpu_overcommit: u32,
     personality: Arc<dyn Personality>,
     latency: Option<LatencyModel>,
     clock: Option<SimClock>,
@@ -225,7 +227,6 @@ impl SimHostBuilder {
             name: name.into(),
             cpus: 8,
             memory: MiB(16 * 1024),
-            cpu_overcommit: 8,
             personality: Arc::new(QemuLike),
             latency: None,
             clock: None,
@@ -244,12 +245,6 @@ impl SimHostBuilder {
     /// Physical memory in MiB (default 16384).
     pub fn memory_mib(mut self, mib: u64) -> Self {
         self.memory = MiB(mib);
-        self
-    }
-
-    /// Allowed vCPU overcommit ratio (default 8×).
-    pub fn cpu_overcommit(mut self, ratio: u32) -> Self {
-        self.cpu_overcommit = ratio;
         self
     }
 
@@ -335,7 +330,7 @@ impl SimHostBuilder {
                 pools: Mutex::new(pools),
                 networks: Mutex::new(networks),
                 ctl: Mutex::new(HostCtl {
-                    ledger: CapacityLedger::new(self.memory, self.cpus, self.cpu_overcommit),
+                    ledger: CapacityLedger::new(self.memory, self.cpus, CPU_OVERCOMMIT),
                     next_domain_id: 1,
                     rng,
                 }),
@@ -1304,13 +1299,6 @@ impl SimHost {
         Ok(())
     }
 
-    /// Extracts a domain's spec for migration; the domain must exist.
-    pub fn export_domain_spec(&self, name: &str) -> SimResult<DomainSpec> {
-        let arc = self.domain_arc(name)?;
-        let spec = arc.lock().spec.clone();
-        Ok(spec)
-    }
-
     /// Accepts an incoming migrated domain, already running (used by the
     /// migration Finish phase). `uuid` preserves the domain's identity
     /// across the migration; `None` assigns a fresh one.
@@ -1421,6 +1409,17 @@ impl SimHost {
     pub fn charge_migration_transfer(&self, mib: MiB) -> SimResult<()> {
         self.charge(OpKind::MigratePage, mib)?;
         Ok(())
+    }
+}
+
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl SimHost {
+    /// Extracts a domain's spec for migration; the domain must exist.
+    fn export_domain_spec(&self, name: &str) -> SimResult<DomainSpec> {
+        let arc = self.domain_arc(name)?;
+        let spec = arc.lock().spec.clone();
+        Ok(spec)
     }
 }
 

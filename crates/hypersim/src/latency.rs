@@ -111,7 +111,7 @@ impl OpCost {
     }
 
     /// Total cost for an operation touching `memory`.
-    pub fn cost_for(self, memory: MiB) -> Duration {
+    fn cost_for(self, memory: MiB) -> Duration {
         Duration::from_micros(self.base_us) + Duration::from_nanos(self.per_mib_ns * memory.0)
     }
 }
@@ -165,7 +165,7 @@ impl LatencyModel {
     }
 
     /// The deterministic (jitter-free) cost of `op` on `memory`.
-    pub fn deterministic_cost(&self, op: OpKind, memory: MiB) -> Duration {
+    pub(crate) fn deterministic_cost(&self, op: OpKind, memory: MiB) -> Duration {
         self.costs
             .get(&op)
             .copied()

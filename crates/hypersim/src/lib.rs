@@ -60,13 +60,13 @@ pub mod storage;
 
 mod error;
 
-pub use clock::{SimClock, SimTime};
-pub use domain::{DomainInfo, DomainSpec, DomainState, DomainStatsView, SimDisk, SimNic};
+pub use clock::SimClock;
+pub use domain::{DomainInfo, DomainSpec, DomainState, SimDisk, SimNic};
 pub use error::{SimError, SimErrorKind};
 pub use fault::{FaultAction, FaultPlan};
-pub use host::{HostInfo, SimHost, SimHostBuilder};
+pub use host::{SimHost, SimHostBuilder};
 pub use latency::{LatencyModel, OpKind};
-pub use migration::{MigrationOutcome, MigrationParams};
-pub use network::{NetworkSpec, SimNetwork};
+pub use migration::MigrationParams;
+pub use network::NetworkSpec;
 pub use resources::MiB;
 pub use storage::{PoolBackend, PoolSpec, VolumeSpec};

@@ -78,20 +78,6 @@ impl MonitorCommand {
         }
         Ok(parsed)
     }
-
-    /// The canonical textual form.
-    pub fn to_wire(&self) -> String {
-        match self {
-            MonitorCommand::QueryStatus => "query-status".to_string(),
-            MonitorCommand::Stop => "stop".to_string(),
-            MonitorCommand::Cont => "cont".to_string(),
-            MonitorCommand::SystemPowerdown => "system_powerdown".to_string(),
-            MonitorCommand::SystemReset => "system_reset".to_string(),
-            MonitorCommand::Quit => "quit".to_string(),
-            MonitorCommand::Balloon(mib) => format!("balloon {mib}"),
-            MonitorCommand::QueryVersion => "query-version".to_string(),
-        }
-    }
 }
 
 /// A monitor connection to one domain on one host.
@@ -179,6 +165,24 @@ impl Monitor {
                 Ok("ok".to_string())
             }
             MonitorCommand::QueryVersion => Ok("hypersim-monitor 1.0".to_string()),
+        }
+    }
+}
+
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl MonitorCommand {
+    /// The canonical textual form.
+    fn to_wire(&self) -> String {
+        match self {
+            MonitorCommand::QueryStatus => "query-status".to_string(),
+            MonitorCommand::Stop => "stop".to_string(),
+            MonitorCommand::Cont => "cont".to_string(),
+            MonitorCommand::SystemPowerdown => "system_powerdown".to_string(),
+            MonitorCommand::SystemReset => "system_reset".to_string(),
+            MonitorCommand::Quit => "quit".to_string(),
+            MonitorCommand::Balloon(mib) => format!("balloon {mib}"),
+            MonitorCommand::QueryVersion => "query-version".to_string(),
         }
     }
 }

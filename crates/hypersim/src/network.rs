@@ -95,12 +95,12 @@ impl NetworkSpec {
     }
 
     /// Bridge device name.
-    pub fn bridge_name(&self) -> &str {
+    fn bridge_name(&self) -> &str {
         &self.bridge
     }
 
     /// Forward mode.
-    pub fn forward_mode(&self) -> ForwardMode {
+    fn forward_mode(&self) -> ForwardMode {
         self.forward
     }
 
@@ -210,7 +210,7 @@ impl SimNetwork {
     }
 
     /// Drops every lease (network destroy).
-    pub fn clear_leases(&mut self) {
+    pub(crate) fn clear_leases(&mut self) {
         self.leases.clear();
         self.next_host = 2;
     }

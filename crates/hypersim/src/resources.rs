@@ -29,11 +29,6 @@ impl MiB {
         self.0 * 1024 * 1024
     }
 
-    /// The quantity in kibibytes (the unit libvirt's domain XML uses).
-    pub fn as_kib(self) -> u64 {
-        self.0 * 1024
-    }
-
     /// Constructs from kibibytes, rounding up to a whole MiB.
     pub fn from_kib_ceil(kib: u64) -> MiB {
         MiB(kib.div_ceil(1024))
@@ -94,7 +89,7 @@ impl Sum for MiB {
 /// a configurable overcommit ratio for vCPUs (CPU time is shareable in a
 /// way RAM is not).
 #[derive(Debug, Clone)]
-pub struct CapacityLedger {
+pub(crate) struct CapacityLedger {
     total_memory: MiB,
     used_memory: MiB,
     total_cpus: u32,
@@ -107,7 +102,7 @@ impl CapacityLedger {
     ///
     /// `cpu_overcommit` is the allowed ratio of allocated vCPUs to physical
     /// CPUs (libvirt-managed clouds commonly run 4–16×).
-    pub fn new(total_memory: MiB, total_cpus: u32, cpu_overcommit: u32) -> Self {
+    pub(crate) fn new(total_memory: MiB, total_cpus: u32, cpu_overcommit: u32) -> Self {
         CapacityLedger {
             total_memory,
             used_memory: MiB::ZERO,
@@ -118,32 +113,36 @@ impl CapacityLedger {
     }
 
     /// Physical memory of the host.
-    pub fn total_memory(&self) -> MiB {
+    pub(crate) fn total_memory(&self) -> MiB {
         self.total_memory
     }
 
     /// Memory currently reserved by active domains.
+    #[cfg(test)]
+    #[cfg(test)]
     pub fn used_memory(&self) -> MiB {
         self.used_memory
     }
 
     /// Memory still available for new domains.
-    pub fn free_memory(&self) -> MiB {
+    pub(crate) fn free_memory(&self) -> MiB {
         self.total_memory.saturating_sub(self.used_memory)
     }
 
     /// Physical CPU count.
-    pub fn total_cpus(&self) -> u32 {
+    pub(crate) fn total_cpus(&self) -> u32 {
         self.total_cpus
     }
 
     /// vCPUs currently allocated to active domains.
+    #[cfg(test)]
+    #[cfg(test)]
     pub fn used_vcpus(&self) -> u32 {
         self.used_vcpus
     }
 
     /// Maximum allocatable vCPUs under the overcommit policy.
-    pub fn vcpu_limit(&self) -> u32 {
+    fn vcpu_limit(&self) -> u32 {
         self.total_cpus * self.cpu_overcommit
     }
 
@@ -153,7 +152,7 @@ impl CapacityLedger {
     ///
     /// Returns [`SimErrorKind::InsufficientResources`] without reserving
     /// anything when either memory or the vCPU limit would be exceeded.
-    pub fn reserve(&mut self, memory: MiB, vcpus: u32) -> SimResult<()> {
+    pub(crate) fn reserve(&mut self, memory: MiB, vcpus: u32) -> SimResult<()> {
         if self.used_memory + memory > self.total_memory {
             return Err(SimError::new(
                 SimErrorKind::InsufficientResources,
@@ -180,7 +179,7 @@ impl CapacityLedger {
     }
 
     /// Releases resources of a stopping domain.
-    pub fn release(&mut self, memory: MiB, vcpus: u32) {
+    pub(crate) fn release(&mut self, memory: MiB, vcpus: u32) {
         self.used_memory = self.used_memory.saturating_sub(memory);
         self.used_vcpus = self.used_vcpus.saturating_sub(vcpus);
     }
@@ -191,7 +190,7 @@ impl CapacityLedger {
     ///
     /// Returns [`SimErrorKind::InsufficientResources`] when growing past
     /// capacity; the original reservation is left untouched.
-    pub fn resize(
+    pub(crate) fn resize(
         &mut self,
         old_memory: MiB,
         new_memory: MiB,
@@ -207,6 +206,15 @@ impl CapacityLedger {
                 Err(err)
             }
         }
+    }
+}
+
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl MiB {
+    /// The quantity in kibibytes (the unit libvirt's domain XML uses).
+    fn as_kib(self) -> u64 {
+        self.0 * 1024
     }
 }
 

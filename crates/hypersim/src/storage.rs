@@ -27,7 +27,7 @@ pub enum PoolBackend {
 impl PoolBackend {
     /// Whether volumes can be created/deleted through the pool (iSCSI
     /// targets expose a fixed set of LUNs).
-    pub fn supports_volume_creation(self) -> bool {
+    fn supports_volume_creation(self) -> bool {
         !matches!(self, PoolBackend::Iscsi)
     }
 }
@@ -145,7 +145,7 @@ impl VolumeSpec {
     }
 
     /// Image format.
-    pub fn format_name(&self) -> &str {
+    fn format_name(&self) -> &str {
         &self.format
     }
 }
@@ -342,10 +342,14 @@ impl SimPool {
         let spec = VolumeSpec::new(new_name, src.capacity).format(src.format.clone());
         self.create_volume(&spec)
     }
+}
 
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl SimPool {
     /// Pre-populates a fixed volume — used for iSCSI pools whose LUNs
     /// exist outside the management layer's control (testbed setup).
-    pub fn add_fixed_volume(&mut self, volume: SimVolume) {
+    fn add_fixed_volume(&mut self, volume: SimVolume) {
         self.volumes.insert(volume.name.clone(), volume);
     }
 }

@@ -124,7 +124,7 @@ impl Gauge {
 /// Number of histogram buckets: bucket 0 holds sub-µs samples, bucket `i`
 /// (1 ≤ i < 27) holds samples in `[2^(i-1), 2^i)` µs, and the final bucket
 /// collects everything from 2^26 µs (~67 s) up.
-pub const BUCKET_COUNT: usize = 28;
+const BUCKET_COUNT: usize = 28;
 
 /// Upper bound (exclusive, in µs) of bucket `index`, or `None` for the
 /// overflow bucket.
@@ -162,7 +162,7 @@ impl Histogram {
 
     /// Bucket index for a sample of `ns` nanoseconds.
     #[inline]
-    pub fn bucket_index(ns: u64) -> usize {
+    fn bucket_index(ns: u64) -> usize {
         let us = ns / 1_000;
         if us == 0 {
             0
@@ -173,7 +173,7 @@ impl Histogram {
     }
 
     #[inline]
-    pub fn record_ns(&self, ns: u64) {
+    pub(crate) fn record_ns(&self, ns: u64) {
         self.buckets[Self::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -260,7 +260,7 @@ impl HistogramSnapshot {
     /// enough to tell a 100 µs p99 from a 10 ms one, which is what the
     /// human-readable output needs. `None` when empty or `q` is out of
     /// range.
-    pub fn quantile_us(&self, q: f64) -> Option<f64> {
+    fn quantile_us(&self, q: f64) -> Option<f64> {
         if self.count == 0 || !(0.0..=1.0).contains(&q) || q == 0.0 {
             return None;
         }

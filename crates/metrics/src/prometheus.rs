@@ -11,7 +11,7 @@ use std::fmt::Write;
 
 /// Maps an arbitrary registry name onto the Prometheus metric-name charset
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn sanitize_name(name: &str) -> String {
+fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
         let valid =
@@ -36,7 +36,7 @@ fn escape_help(help: &str) -> String {
 
 /// Escapes a label value per the text-format spec: `\`, `\n` and `"`
 /// would otherwise terminate or corrupt the quoted value.
-pub fn escape_label_value(value: &str) -> String {
+fn escape_label_value(value: &str) -> String {
     value
         .replace('\\', "\\\\")
         .replace('\n', "\\n")

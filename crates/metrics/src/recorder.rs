@@ -255,7 +255,7 @@ impl FlightRecorder {
     }
 
     /// The recorded events belonging to one trace, oldest first.
-    pub fn events_for_trace(&self, trace_id: u64) -> Vec<TraceEvent> {
+    pub(crate) fn events_for_trace(&self, trace_id: u64) -> Vec<TraceEvent> {
         let mut events = self.drain();
         events.retain(|e| e.trace_id == trace_id);
         events

@@ -193,7 +193,7 @@ pub struct StageSpan {
 
 impl StageSpan {
     /// A guard that records nothing.
-    pub const fn inert() -> Self {
+    const fn inert() -> Self {
         StageSpan { active: None }
     }
 

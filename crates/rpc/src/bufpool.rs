@@ -70,7 +70,7 @@ impl BufferPool {
     }
 
     /// A pool with explicit bounds and detached metrics.
-    pub fn with_limits(max_pooled: usize, max_buf_capacity: usize) -> Self {
+    fn with_limits(max_pooled: usize, max_buf_capacity: usize) -> Self {
         BufferPool {
             free: Mutex::new(FreeList {
                 bufs: Vec::with_capacity(max_pooled.min(64)),
@@ -170,12 +170,7 @@ pub struct PooledBuf {
     pool: Arc<BufferPool>,
 }
 
-impl PooledBuf {
-    /// Detaches the buffer from the pool, keeping its contents.
-    pub fn into_vec(mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
-}
+impl PooledBuf {}
 
 impl Deref for PooledBuf {
     type Target = Vec<u8>;
@@ -216,6 +211,15 @@ impl std::fmt::Debug for PooledBuf {
             .field("len", &self.buf.len())
             .field("capacity", &self.buf.capacity())
             .finish()
+    }
+}
+
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl PooledBuf {
+    /// Detaches the buffer from the pool, keeping its contents.
+    fn into_vec(mut self) -> Vec<u8> {
+        std::mem::take(&mut self.buf)
     }
 }
 

@@ -172,7 +172,7 @@ impl CallClient {
     }
 
     /// Wraps an already shared transport.
-    pub fn from_arc(transport: Arc<dyn Transport>) -> Self {
+    pub(crate) fn from_arc(transport: Arc<dyn Transport>) -> Self {
         CallClient {
             inner: Arc::new(ClientInner {
                 transport,
@@ -201,7 +201,7 @@ impl CallClient {
     }
 
     /// The configured default reply timeout.
-    pub fn call_timeout(&self) -> Option<Duration> {
+    fn call_timeout(&self) -> Option<Duration> {
         *self.inner.call_timeout.lock()
     }
 
@@ -223,7 +223,7 @@ impl CallClient {
     /// as of now: when no thread is reading the socket this looks at it
     /// first, without blocking, and handles what it finds — a farewell,
     /// a late reply, the peer's hang-up.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         {
             let mut receive = self.inner.receive.lock();
             if !receive.baton.try_take() {
@@ -290,7 +290,7 @@ impl CallClient {
     /// As [`CallClient::call`]; [`CallError::TimedOut`] when the
     /// deadline passes first (including a deadline already in the past,
     /// which fails without sending).
-    pub fn call_with_deadline<R: XdrDecode>(
+    pub(crate) fn call_with_deadline<R: XdrDecode>(
         &self,
         program: u32,
         procedure: u32,

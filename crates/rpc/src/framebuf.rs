@@ -97,7 +97,7 @@ impl<B: BorrowMut<Vec<u8>>> FrameBuf<B> {
     ///
     /// `InvalidData` for a declared length of zero or above
     /// [`MAX_PACKET_LEN`] — the peer is not speaking the protocol.
-    pub fn head_len(&self) -> io::Result<Option<usize>> {
+    fn head_len(&self) -> io::Result<Option<usize>> {
         let buffered = self.buffered();
         if buffered.len() < PREFIX {
             return Ok(None);
@@ -178,7 +178,7 @@ impl<B: BorrowMut<Vec<u8>>> FrameBuf<B> {
 
     /// Moves buffered bytes into `out` (the byte-level view of the same
     /// stream); returns how many.
-    pub fn take_bytes(&mut self, out: &mut [u8]) -> usize {
+    pub(crate) fn take_bytes(&mut self, out: &mut [u8]) -> usize {
         let n = out.len().min(self.end - self.start);
         out[..n].copy_from_slice(&self.bytes()[self.start..self.start + n]);
         self.start += n;
@@ -200,7 +200,7 @@ impl<B: BorrowMut<Vec<u8>>> FrameBuf<B> {
     ///
     /// As [`FrameBuf::head_len`]; `UnexpectedEof` when the stream ends;
     /// other I/O errors as raised.
-    pub fn read_frame_into(
+    pub(crate) fn read_frame_into(
         &mut self,
         stream: &mut impl Read,
         out: &mut Vec<u8>,

@@ -132,13 +132,13 @@ impl KeepaliveState {
     }
 
     /// Records that a ping went out at `now`.
-    pub fn on_ping_sent(&mut self, now: Instant) {
+    pub(crate) fn on_ping_sent(&mut self, now: Instant) {
         self.unanswered += 1;
         self.next_ping = now + self.config.interval;
     }
 
     /// Records a received pong: the peer is alive.
-    pub fn on_pong(&mut self) {
+    pub(crate) fn on_pong(&mut self) {
         self.unanswered = 0;
     }
 

@@ -68,13 +68,13 @@ pub mod xdr;
 pub use bufpool::{BufferPool, PooledBuf};
 pub use client::CallClient;
 pub use fanout::run_bounded;
-pub use fault::{FaultControl, FaultMode, FaultyTransport};
+pub use fault::{FaultMode, FaultyTransport};
 pub use framebuf::FrameBuf;
 pub use message::{Header, MessageStatus, MessageType, Packet, RpcError};
 pub use poll::{PollEvent, Poller};
 pub use pool::{PoolBatch, PoolLimits, PoolStats, WorkerPool};
 pub use reconnect::{ReconnectConfig, ReconnectMetrics, ReconnectingClient};
-pub use retry::{BackoffSchedule, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
+pub use retry::{BackoffSchedule, BreakerConfig, BreakerState, RetryPolicy};
 pub use transport::{memory_pair, MeteredTransport, Readiness, Transport, TransportKind};
 
 /// The process-wide registry for client-side RPC metrics

@@ -17,7 +17,7 @@ pub const ADMIN_PROGRAM: u32 = 0x0690_0690;
 /// Program number of the keepalive protocol.
 pub const KEEPALIVE_PROGRAM: u32 = 0x6b65_6570;
 /// Protocol version spoken by this implementation.
-pub const PROTOCOL_VERSION: u32 = 1;
+const PROTOCOL_VERSION: u32 = 1;
 
 /// Maximum accepted packet body length (64 MiB, as in libvirt's
 /// `VIR_NET_MESSAGE_MAX`-style cap).

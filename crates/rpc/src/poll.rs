@@ -41,23 +41,23 @@ mod sys {
 
     use std::os::raw::{c_int, c_uint, c_void};
 
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
+    pub(crate) const EPOLL_CTL_ADD: c_int = 1;
+    pub(crate) const EPOLL_CTL_DEL: c_int = 2;
+    pub(crate) const EPOLL_CTL_MOD: c_int = 3;
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EPOLLIN: u32 = 0x001;
+    pub(crate) const EPOLLOUT: u32 = 0x004;
+    pub(crate) const EPOLLERR: u32 = 0x008;
+    pub(crate) const EPOLLHUP: u32 = 0x010;
+    pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EFD_CLOEXEC: c_int = 0o2000000;
-    pub const EFD_NONBLOCK: c_int = 0o4000;
+    pub(crate) const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub(crate) const EFD_CLOEXEC: c_int = 0o2000000;
+    pub(crate) const EFD_NONBLOCK: c_int = 0o4000;
 
-    pub const RLIMIT_NOFILE: c_int = 7;
+    pub(crate) const RLIMIT_NOFILE: c_int = 7;
 
-    pub const MSG_DONTWAIT: c_int = 0x40;
+    pub(crate) const MSG_DONTWAIT: c_int = 0x40;
 
     /// Mirrors `struct epoll_event`. The kernel packs it only on x86
     /// (32- and 64-bit); every other architecture uses natural alignment
@@ -66,7 +66,7 @@ mod sys {
     #[repr(C)]
     #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(crate) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
@@ -83,27 +83,28 @@ mod sys {
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct Rlimit {
+    pub(crate) struct Rlimit {
         pub rlim_cur: u64,
         pub rlim_max: u64,
     }
 
     extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
+        pub(crate) fn epoll_create1(flags: c_int) -> c_int;
+        pub(crate) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent)
+            -> c_int;
+        pub(crate) fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        pub fn close(fd: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
-        pub fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
+        pub(crate) fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+        pub(crate) fn close(fd: c_int) -> c_int;
+        pub(crate) fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        pub(crate) fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+        pub(crate) fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub(crate) fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
+        pub(crate) fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
     }
 }
 
@@ -150,7 +151,7 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
 /// # Errors
 ///
 /// As `recv(2)` with `MSG_DONTWAIT`.
-pub fn recv_nowait(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
+pub(crate) fn recv_nowait(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
     #[cfg(target_os = "linux")]
     {
         // SAFETY: `buf` is a live, exclusively borrowed buffer and the

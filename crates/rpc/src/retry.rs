@@ -222,7 +222,7 @@ impl CircuitBreaker {
 
     /// Records a successful attempt. Returns `true` when the state
     /// changed (half-open/open back to closed).
-    pub fn on_success(&mut self) -> bool {
+    pub(crate) fn on_success(&mut self) -> bool {
         self.consecutive_failures = 0;
         self.open_until = None;
         if self.state != BreakerState::Closed {
@@ -235,7 +235,7 @@ impl CircuitBreaker {
 
     /// Records a failed attempt at `now`. Returns `true` when the
     /// breaker opened.
-    pub fn on_failure(&mut self, now: Instant) -> bool {
+    pub(crate) fn on_failure(&mut self, now: Instant) -> bool {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let trip = self.state == BreakerState::HalfOpen
             || self.consecutive_failures >= self.config.failure_threshold;

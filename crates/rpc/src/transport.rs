@@ -61,7 +61,7 @@ pub enum Readiness {
 /// Callback invoked (from the sending thread) when a [`Readiness::Notify`]
 /// transport has frames ready to consume. Must be cheap and must not
 /// block: it typically flags the connection ready and wakes a poller.
-pub type ReadyNotifier = Arc<dyn Fn() + Send + Sync>;
+type ReadyNotifier = Arc<dyn Fn() + Send + Sync>;
 
 fn unsupported(what: &str) -> io::Error {
     io::Error::new(
@@ -856,15 +856,6 @@ impl TcpTransport {
 // Simulated TLS
 // ---------------------------------------------------------------------------
 
-/// Statistics of a TLS-sim session, for transport-overhead experiments.
-#[derive(Debug, Default)]
-pub struct TlsStats {
-    /// Bytes of plaintext protected.
-    pub bytes_protected: AtomicU64,
-    /// Frames exchanged after the handshake.
-    pub frames: AtomicU64,
-}
-
 /// A TLS-like layer over another transport.
 ///
 /// Real TLS is out of scope (no crypto dependency in the allowed set), but
@@ -893,7 +884,6 @@ pub struct TlsStats {
 pub struct TlsSimTransport<T: Transport> {
     inner: T,
     key: u64,
-    stats: Arc<TlsStats>,
     /// Held across seal + write so concurrent senders cannot put frames
     /// on the wire out of keystream order.
     send: Mutex<SendState>,
@@ -980,18 +970,12 @@ impl<T: Transport> TlsSimTransport<T> {
         TlsSimTransport {
             inner,
             key: xorshift64(key | 1),
-            stats: Arc::new(TlsStats::default()),
             send: Mutex::new(SendState {
                 seq: 0,
                 record: Vec::new(),
             }),
             recv_seq: AtomicU64::new(0),
         }
-    }
-
-    /// Shared statistics handle.
-    pub fn stats(&self) -> Arc<TlsStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Decrypts the record in `buf` in place, verifies the MAC and
@@ -1015,15 +999,7 @@ impl<T: Transport> TlsSimTransport<T> {
             ));
         }
         buf.truncate(body_len);
-        self.count(body_len);
         Ok(body_len)
-    }
-
-    fn count(&self, body_len: usize) {
-        self.stats
-            .bytes_protected
-            .fetch_add(body_len as u64, Ordering::Relaxed);
-        self.stats.frames.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1041,7 +1017,6 @@ impl<T: Transport> Transport for TlsSimTransport<T> {
         record.extend_from_slice(&fnv1a(body).to_be_bytes());
         keystream_apply(self.key, *seq, &mut record[4..]);
         *seq += 1;
-        self.count(body.len());
         let sent = self.inner.send_framed(record);
         if record.capacity() > MAX_PARKED_RECORD_CAPACITY {
             *record = Vec::new();
@@ -1456,11 +1431,6 @@ mod tests {
         server.send_frame(&frame(64)).unwrap();
         assert_eq!(client.recv_frame().unwrap(), frame(64));
         assert_eq!(client.kind(), TransportKind::Tls);
-        assert_eq!(client.stats().frames.load(Ordering::Relaxed), 2);
-        assert_eq!(
-            client.stats().bytes_protected.load(Ordering::Relaxed),
-            2048 + 64
-        );
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl<T: XdrDecode> XdrDecode for Option<T> {
 }
 
 /// Most elements a decoded array may declare.
-pub const MAX_LIST_LEN: u32 = 1_000_000;
+const MAX_LIST_LEN: u32 = 1_000_000;
 
 /// Variable-length arrays: a `u32` element count, then the elements. The
 /// one list codec of both programs — every list reply is a `Vec` of its

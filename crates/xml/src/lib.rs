@@ -49,8 +49,8 @@ mod tree;
 mod view;
 mod writer;
 
-pub use error::{ParseXmlError, ParseXmlErrorKind};
-pub use tokenizer::{MAX_ATTRIBUTES, MAX_DEPTH};
+pub use error::ParseXmlError;
+pub use tokenizer::MAX_DEPTH;
 pub use tree::{Element, Node};
 pub use view::{Document, ElemRef};
 pub use writer::WriteOptions;

@@ -25,7 +25,7 @@ pub const MAX_DEPTH: usize = 256;
 
 /// Most attributes accepted on one element. The duplicate check compares
 /// each attribute with the ones before it on the same start tag.
-pub const MAX_ATTRIBUTES: usize = 1024;
+pub(crate) const MAX_ATTRIBUTES: usize = 1024;
 
 /// Receives the contents of the root element, in document order. Comments
 /// and the declaration around the root are not reported.

@@ -20,7 +20,7 @@ pub enum Node {
 
 impl Node {
     /// Returns the contained element, if this node is one.
-    pub fn as_element(&self) -> Option<&Element> {
+    fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(el) => Some(el),
             _ => None,
@@ -28,7 +28,7 @@ impl Node {
     }
 
     /// Returns the contained text, if this node is character data.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             Node::Text(t) => Some(t),
             _ => None,
@@ -148,7 +148,7 @@ impl Element {
     }
 
     /// Number of attributes.
-    pub fn attr_count(&self) -> usize {
+    pub(crate) fn attr_count(&self) -> usize {
         self.attrs.len()
     }
 
@@ -166,7 +166,7 @@ impl Element {
     }
 
     /// Appends a text node.
-    pub fn push_text(&mut self, text: impl Into<String>) -> &mut Self {
+    pub(crate) fn push_text(&mut self, text: impl Into<String>) -> &mut Self {
         self.push_node(Node::Text(text.into()))
     }
 
@@ -176,7 +176,7 @@ impl Element {
     }
 
     /// Mutable access to the child nodes.
-    pub fn nodes_mut(&mut self) -> &mut Vec<Node> {
+    pub(crate) fn nodes_mut(&mut self) -> &mut Vec<Node> {
         &mut self.children
     }
 

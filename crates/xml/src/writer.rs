@@ -31,12 +31,6 @@ impl WriteOptions {
         }
     }
 
-    /// Uses the given string as one level of indentation.
-    pub fn with_indent(mut self, indent: impl Into<String>) -> Self {
-        self.indent = Some(indent.into());
-        self
-    }
-
     /// Emits `<?xml version="1.0" encoding="UTF-8"?>` before the root.
     pub fn with_declaration(mut self) -> Self {
         self.declaration = true;
@@ -124,6 +118,16 @@ fn write_rec(el: &Element, options: &WriteOptions, depth: usize, out: &mut Strin
     out.push_str("</");
     out.push_str(el.name());
     out.push('>');
+}
+
+/// Test-only: the unit tests below build their fixtures with it.
+#[cfg(test)]
+impl WriteOptions {
+    /// Uses the given string as one level of indentation.
+    fn with_indent(mut self, indent: impl Into<String>) -> Self {
+        self.indent = Some(indent.into());
+        self
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::sync::mpsc;
 
 use virt_core::log::LogLevel;
 use virt_core::xmlfmt::DomainConfig;
-use virt_core::{Connect, KeepaliveConfig, TypedParam};
+use virt_core::{Connect, TypedParam};
 use virtd::{AdminClient, Virtd};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -21,15 +21,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     daemon.register_memory_endpoint("monitored-node")?;
 
     // --- the monitoring application -------------------------------------
-    // A long-lived watcher wants liveness probing: keepalive pings detect
-    // a silently dead daemon, and auto-reconnect (the default) re-dials
-    // and re-registers the event callback on the next call.
-    let watcher = Connect::builder("qemu+memory://monitored-node/system")
-        .keepalive(KeepaliveConfig {
-            interval: std::time::Duration::from_secs(5),
-            count: 3,
-        })
-        .open()?;
+    // A long-lived watcher wants liveness probing: keepalive pings every
+    // 5 s (`keepalive=interval_ms:count`) detect a silently dead daemon,
+    // and auto-reconnect (the default) re-dials and re-registers the
+    // event callback on the next call.
+    let watcher =
+        Connect::builder("qemu+memory://monitored-node/system?keepalive=5000:3").open()?;
     let (tx, rx) = mpsc::channel();
     watcher.register_event_callback(move |event| {
         let _ = tx.send(format!("{:?} {}", event.kind, event.domain));

@@ -36,6 +36,16 @@ cargo clippy --offline --all-targets \
     -p virtd -p virt-fleet -p virsh -p virt-suite \
     -- -D warnings
 
+# The public surface is what something outside its crate uses: a `pub`
+# item in a private module is demoted or re-exported (`unreachable_pub`),
+# and tests/pub_surface.rs holds every `pub` item to an outside name.
+echo "== surface: no unreachable pub in the library crates; every pub item named outside its crate =="
+cargo clippy --offline --lib \
+    -p virt-metrics -p virt-xml -p hypersim -p virt-rpc -p virt-core \
+    -p virtd -p virt-fleet -p virsh \
+    -- -D warnings -D unreachable_pub
+cargo test -q --offline --test pub_surface
+
 echo "== hygiene: no dead_code allows in the product crates =="
 if grep -rn 'allow(dead_code)' crates/rpc crates/core crates/daemon crates/cli crates/fleet; then
     echo "error: new #[allow(dead_code)] in a product crate — delete the dead code instead" >&2

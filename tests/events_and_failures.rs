@@ -304,11 +304,7 @@ fn active_keepalive_keeps_healthy_connections_and_kills_dead_ones() {
         .build()
         .unwrap();
     daemon.register_memory_endpoint(&endpoint).unwrap();
-    let conn = Connect::builder(format!("qemu+memory://{endpoint}/system"))
-        .keepalive(virt_rpc::keepalive::KeepaliveConfig {
-            interval: Duration::from_millis(30),
-            count: 3,
-        })
+    let conn = Connect::builder(format!("qemu+memory://{endpoint}/system?keepalive=30:3"))
         .open()
         .unwrap();
     std::thread::sleep(Duration::from_millis(300)); // > 3 × 30 ms

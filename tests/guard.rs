@@ -200,18 +200,7 @@ fn crash_looper_hits_the_backoff_cap_without_starving_other_tenants() {
         .personality(XenLike)
         .latency(LatencyModel::zero())
         .build();
-    // A short ladder keeps the test fast while still exercising capped
-    // exponential growth.
-    let daemon = Virtd::builder(&name)
-        .host(qemu)
-        .host(xen)
-        .config(VirtdConfig::new().guard_backoff(BackoffSchedule {
-            initial: Duration::from_millis(5),
-            max: Duration::from_millis(40),
-            multiplier: 2,
-        }))
-        .build()
-        .unwrap();
+    let daemon = Virtd::builder(&name).host(qemu).host(xen).build().unwrap();
     daemon.register_memory_endpoint(&name).unwrap();
 
     let qemu_conn = Connect::builder(format!("qemu+memory://{name}/system"))

@@ -708,9 +708,9 @@ fn statedir_uuid_conflict_is_quarantined_not_fatal() {
 // Group-commit pipeline: SIGKILL in the middle of a write-behind batch.
 // ---------------------------------------------------------------------
 
-/// SIGKILL lands while the statestore's coalescing queue still holds
-/// unflushed write-behind status records (a huge `--statestore-flush-ms`
-/// window guarantees it) and possibly a durable batch mid-cycle. The
+/// SIGKILL lands right behind a burst of write-behind status records
+/// (each waits up to the 2 ms coalesce window) and possibly a durable
+/// batch mid-cycle. The
 /// crash contract says recovery must see only whole frames — each
 /// object's old frame or its new frame, never a torn hybrid — so the
 /// respawn re-adopts 100% of the durably-defined domains and
@@ -723,16 +723,7 @@ fn sigkill_mid_batch_recovers_whole_frames_and_all_definitions() {
     let statedir = std::env::temp_dir().join(format!("virtd-state-{id}"));
     let statedir_arg = statedir.to_string_lossy().to_string();
 
-    let mut child = spawn_virtd_with(
-        &socket,
-        &admin_socket,
-        &[
-            "--statedir",
-            &statedir_arg,
-            "--statestore-flush-ms",
-            "30000",
-        ],
-    );
+    let mut child = spawn_virtd_with(&socket, &admin_socket, &["--statedir", &statedir_arg]);
     let conn = Connect::builder(format!("qemu+unix:///system?socket={socket}"))
         .retry(patient_retry())
         .open()
@@ -745,8 +736,8 @@ fn sigkill_mid_batch_recovers_whole_frames_and_all_definitions() {
             .unwrap();
     }
     // A burst of lifecycle flips: their status records ride the
-    // write-behind path and are still queued (30 s window) when the
-    // SIGKILL lands — the daemon dies with a dirty coalescing queue.
+    // write-behind path, so the SIGKILL can land with the coalescing
+    // queue still dirty.
     for i in 0..10 {
         conn.domain_lookup_by_name(&format!("batch{i:02}"))
             .unwrap()
@@ -782,16 +773,7 @@ fn sigkill_mid_batch_recovers_whole_frames_and_all_definitions() {
     let stray = statedir.join("etc/domains/qemu/.batch00.tmp31");
     std::fs::write(&stray, b"#virtstate v1 fnv=").unwrap();
 
-    let mut child2 = spawn_virtd_with(
-        &socket,
-        &admin_socket,
-        &[
-            "--statedir",
-            &statedir_arg,
-            "--statestore-flush-ms",
-            "30000",
-        ],
-    );
+    let mut child2 = spawn_virtd_with(&socket, &admin_socket, &["--statedir", &statedir_arg]);
 
     // 100% of the durably-committed definitions are re-adopted…
     for i in 0..30 {
@@ -802,18 +784,17 @@ fn sigkill_mid_batch_recovers_whole_frames_and_all_definitions() {
     assert_eq!(recovery_metric(&admin_socket, "recovery.recovered"), 30);
     // …and nothing was quarantined: the batch left no torn frames.
     assert_eq!(recovery_metric(&admin_socket, "recovery.quarantined"), 0);
-    // Recovery swept the dead daemon's staged temp files. (The new life
-    // stages none of its own meanwhile: nothing here mutates, and its
-    // write-behind window is 30 s.)
-    for sub in ["etc/domains/qemu", "run/domains/qemu"] {
-        for entry in std::fs::read_dir(statedir.join(sub)).into_iter().flatten() {
-            let name = entry.unwrap().file_name();
-            assert!(
-                !name.to_string_lossy().contains(".tmp"),
-                "{sub}/{name:?} survived recovery"
-            );
-        }
-    }
+    // Recovery swept the dead daemon's staged temp files. The new life
+    // stages its own while a write-behind flush is in flight, so look
+    // until none is left.
+    let staged = || {
+        ["etc/domains/qemu", "run/domains/qemu"]
+            .iter()
+            .flat_map(|sub| std::fs::read_dir(statedir.join(sub)).into_iter().flatten())
+            .flatten()
+            .any(|entry| entry.file_name().to_string_lossy().contains(".tmp"))
+    };
+    wait_until(|| !staged(), "staged temp files to be swept");
 
     conn.close();
     let _ = child2.kill();

@@ -366,7 +366,7 @@ fn execute(
             }
             if let Some(level) = level {
                 let number: u32 = level.parse().map_err(|_| invalid("--level must be 1-4"))?;
-                admin.log_set_level(LogLevel::from_number(number)?)?;
+                admin.log_set_level(LogLevel::try_from(number)?)?;
             }
             if let Some(filters) = filters {
                 admin.log_set_filters(filters)?;
@@ -481,17 +481,13 @@ fn decode_events(
 }
 
 fn format_event_line(event: &virt_core::metrics::recorder::TraceEvent) -> String {
-    use virt_core::metrics::recorder::EventPhase;
     format!(
         "{:>12.3}ms trace={:016x} span={:016x} parent={:016x} {:<5} {:<15} dur={:.1}us detail={}",
         event.t_ns as f64 / 1e6,
         event.trace_id,
         event.span_id,
         event.parent_id,
-        match event.phase {
-            EventPhase::Begin => "begin",
-            EventPhase::End => "end",
-        },
+        event.phase.name(),
         event.stage.name(),
         event.dur_ns as f64 / 1e3,
         event.detail,

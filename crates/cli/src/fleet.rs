@@ -44,41 +44,17 @@ fn parse_hosts(spec: &str) -> VirtResult<Vec<(String, String)>> {
 }
 
 /// Entry point for the `fleet` command family. `args` excludes the
-/// leading `fleet` token; `call_deadline` is the global
-/// `--call-deadline-ms` if given.
+/// leading `fleet` token and starts with a verb from `COMMANDS`;
+/// `hosts_spec`, `policy_name` and `call_deadline` are the global
+/// `--hosts`, `--policy` and `--call-deadline-ms` if given.
 pub(crate) fn run_fleet(
     args: &[&str],
+    hosts_spec: Option<String>,
+    policy_name: Option<String>,
     call_deadline: Option<Duration>,
     out: &mut dyn Write,
 ) -> VirtResult<()> {
-    let mut hosts_spec = std::env::var("VSH_FLEET_HOSTS").ok();
-    let mut policy_name: Option<String> = None;
-    let mut rest: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i] {
-            "--hosts" => {
-                i += 1;
-                hosts_spec = Some(
-                    args.get(i)
-                        .copied()
-                        .ok_or_else(|| invalid("--hosts requires name=uri,..."))?
-                        .to_string(),
-                );
-            }
-            "--policy" => {
-                i += 1;
-                policy_name = Some(
-                    args.get(i)
-                        .copied()
-                        .ok_or_else(|| invalid("--policy requires spread|pack|memweight"))?
-                        .to_string(),
-                );
-            }
-            other => rest.push(other),
-        }
-        i += 1;
-    }
+    let hosts_spec = hosts_spec.or_else(|| std::env::var("VSH_FLEET_HOSTS").ok());
     let spec = hosts_spec.ok_or_else(|| {
         invalid("fleet needs members: pass --hosts name=uri,... or set VSH_FLEET_HOSTS")
     })?;
@@ -97,9 +73,7 @@ pub(crate) fn run_fleet(
     }
     let fleet = builder.build()?;
 
-    let (&verb, verb_args) = rest
-        .split_first()
-        .ok_or_else(|| invalid("no fleet verb given; try 'vsh help'"))?;
+    let (&verb, verb_args) = args.split_first().expect("checked against COMMANDS");
     match verb {
         "hosts" => {
             fleet.refresh();
@@ -198,11 +172,7 @@ pub(crate) fn run_fleet(
                 ),
             );
         }
-        other => {
-            return Err(invalid(&format!(
-                "unknown fleet verb '{other}'; try hosts, list, create, migrate, evacuate"
-            )))
-        }
+        other => unreachable!("'fleet {other}' is in COMMANDS but has no handler"),
     }
     Ok(())
 }

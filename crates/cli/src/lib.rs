@@ -25,6 +25,114 @@ use virt_core::driver::MigrationOptions;
 use virt_core::guard::{GuardPolicy, GuardStatus, DEFAULT_MAX_RESTARTS, DEFAULT_STOP_TIMEOUT_MS};
 use virt_core::{Connect, RetryPolicy, VirtError, VirtResult};
 
+#[derive(Clone, Copy, PartialEq)]
+enum Group {
+    Connection,
+    Domains,
+    Guards,
+    Jobs,
+    Storage,
+    Networks,
+    Fleet,
+}
+use Group::{Connection, Domains, Fleet, Guards, Jobs, Networks, Storage};
+
+/// Every command, in `help` order within its group: its name (two words
+/// for the `guard` and `fleet` families) and the arguments `help` prints
+/// after it. `help` and the unknown-command check, made before anything
+/// is dialed, are derived from this list. The handlers are the arms of
+/// [`execute`] and of `fleet::run_fleet`.
+#[rustfmt::skip] // one row per command
+const COMMANDS: &[(&str, &str, Group)] = &[
+    ("uri", "", Connection),
+    ("hostname", "", Connection),
+    ("nodeinfo", "", Connection),
+    ("capabilities", "", Connection),
+    ("version", "", Connection),
+    ("list", "[--all]", Domains),
+    ("define", "<xml>", Domains),
+    ("create", "<xml>", Domains),
+    ("start", "<name>", Domains),
+    ("shutdown", "<name>", Domains),
+    ("reboot", "<name>", Domains),
+    ("destroy", "<name>", Domains),
+    ("crash", "<name>", Domains),
+    ("suspend", "<name>", Domains),
+    ("resume", "<name>", Domains),
+    ("managedsave", "<name>", Domains),
+    ("restore", "<name>", Domains),
+    ("undefine", "<name>", Domains),
+    ("dominfo", "<name>", Domains),
+    ("domstate", "<name>", Domains),
+    ("dumpxml", "<name>", Domains),
+    ("setmem", "<name> <MiB>", Domains),
+    ("setvcpus", "<name> <n>", Domains),
+    ("autostart", "<name> [--disable]", Domains),
+    ("snapshot-create", "<name> <snap>", Domains),
+    ("snapshot-list", "<name>", Domains),
+    ("snapshot-revert", "<name> <snap>", Domains),
+    ("snapshot-delete", "<name> <snap>", Domains),
+    ("migrate", "<name> <dest-uri>", Domains),
+    ("guard set", "<name> keep-running [--max-restarts <n>] | auto-resume | graceful-stop [--timeout-ms <ms>]", Guards),
+    ("guard remove", "<name>", Guards),
+    ("guard list", "", Guards),
+    ("guard status", "<name>", Guards),
+    ("domjobinfo", "<name>", Jobs),
+    ("domjobabort", "<name>", Jobs),
+    ("domstats", "", Jobs),
+    ("pool-list", "", Storage),
+    ("pool-info", "<name>", Storage),
+    ("pool-define", "<xml>", Storage),
+    ("pool-start", "<name>", Storage),
+    ("pool-stop", "<name>", Storage),
+    ("pool-undefine", "<name>", Storage),
+    ("vol-list", "<pool>", Storage),
+    ("vol-create", "<pool> <xml>", Storage),
+    ("vol-info", "<pool> <name>", Storage),
+    ("vol-delete", "<pool> <name>", Storage),
+    ("vol-resize", "<pool> <name> <MiB>", Storage),
+    ("vol-clone", "<pool> <src> <new>", Storage),
+    ("net-list", "", Networks),
+    ("net-info", "<name>", Networks),
+    ("net-define", "<xml>", Networks),
+    ("net-start", "<name>", Networks),
+    ("net-stop", "<name>", Networks),
+    ("net-undefine", "<name>", Networks),
+    ("fleet hosts", "", Fleet),
+    ("fleet list", "", Fleet),
+    ("fleet create", "<name> <MiB> <vcpus>", Fleet),
+    ("fleet migrate", "<domain|host/domain> <dest-host>", Fleet),
+    ("fleet evacuate", "<host>", Fleet),
+];
+
+/// Checks a command line's first words against [`COMMANDS`].
+fn check_command(words: &[&str]) -> VirtResult<()> {
+    let first = words[0];
+    let verbs: Vec<&str> = COMMANDS
+        .iter()
+        .filter_map(|c| c.0.strip_prefix(first)?.strip_prefix(' '))
+        .collect();
+    if verbs.is_empty() {
+        if COMMANDS.iter().any(|c| c.0 == first) {
+            return Ok(());
+        }
+        return Err(invalid(&format!("unknown command '{first}'; try 'help'")));
+    }
+    let verb = words.get(1).ok_or_else(|| {
+        invalid(&format!(
+            "missing argument: {first} verb ({})",
+            verbs.join(" | ")
+        ))
+    })?;
+    if !verbs.contains(verb) {
+        return Err(invalid(&format!(
+            "unknown {first} verb '{verb}'; try {}",
+            verbs.join(", ")
+        )));
+    }
+    Ok(())
+}
+
 /// Executes one command line.
 ///
 /// `args` excludes the program name. Output (including error messages)
@@ -45,6 +153,8 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> VirtResult<()> {
     let mut call_deadline: Option<Duration> = None;
     let mut retries: Option<u32> = None;
     let mut reconnect = true;
+    let mut fleet_hosts: Option<String> = None;
+    let mut fleet_policy: Option<String> = None;
     let mut rest: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -73,6 +183,20 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> VirtResult<()> {
                 retries = Some(count);
             }
             "--no-reconnect" => reconnect = false,
+            "--hosts" => {
+                i += 1;
+                let spec = args
+                    .get(i)
+                    .ok_or_else(|| invalid("--hosts requires name=uri,..."))?;
+                fleet_hosts = Some(spec.clone());
+            }
+            "--policy" => {
+                i += 1;
+                let name = args
+                    .get(i)
+                    .ok_or_else(|| invalid("--policy requires spread|pack|memweight"))?;
+                fleet_policy = Some(name.clone());
+            }
             other => rest.push(other),
         }
         i += 1;
@@ -85,6 +209,7 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> VirtResult<()> {
         print_help(out);
         return Ok(());
     }
+    check_command(&rest)?;
     if command == "version" {
         w(out, &format!("vsh {}", env!("CARGO_PKG_VERSION")));
         return Ok(());
@@ -92,7 +217,7 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> VirtResult<()> {
     if command == "fleet" {
         // Fleet verbs manage N hosts at once; the member URIs come from
         // --hosts / VSH_FLEET_HOSTS, not the single-connection -c flag.
-        return fleet::run_fleet(command_args, call_deadline, out);
+        return fleet::run_fleet(command_args, fleet_hosts, fleet_policy, call_deadline, out);
     }
 
     let mut builder = Connect::builder(&uri).reconnect(reconnect);
@@ -168,7 +293,9 @@ pub fn run_shell(
                 "error: fleet commands are not available in the shell; run 'vsh fleet ...'",
             ),
             _ => {
-                if let Err(err) = execute(&conn, command, command_args, out) {
+                let result =
+                    check_command(&parts).and_then(|()| execute(&conn, command, command_args, out));
+                if let Err(err) = result {
                     w(out, &format!("error: {err}"));
                 }
             }
@@ -495,69 +622,62 @@ fn execute(conn: &Connect, command: &str, args: &[&str], out: &mut dyn Write) ->
                 ),
             );
         }
-        "guard" => {
-            let verb = arg(args, 0, "guard verb (set | remove | list | status)")?;
-            match verb {
-                "set" => {
-                    let name = arg(args, 1, "domain name")?;
-                    let policy = parse_guard_policy(&args[2..])?;
-                    conn.domain_lookup_by_name(name)?.guard_set(&policy)?;
-                    w(
-                        out,
-                        &format!("Guard '{}' set on domain '{name}'", policy_cell(&policy)),
-                    );
-                }
-                "remove" => {
-                    let name = arg(args, 1, "domain name")?;
-                    conn.domain_lookup_by_name(name)?.guard_remove()?;
-                    w(out, &format!("Guard removed from domain '{name}'"));
-                }
-                "list" => {
-                    let rows: Vec<Vec<String>> = conn
-                        .guard_list()?
-                        .iter()
-                        .map(|status| {
-                            vec![
-                                status.domain.clone(),
-                                policy_cell(&status.policy),
-                                status.restarts.to_string(),
-                                guard_state_cell(status).to_string(),
-                                next_retry_cell(status),
-                            ]
-                        })
-                        .collect();
-                    render_table(
-                        out,
-                        &["Domain", "Policy", "Restarts", "State", "Next retry"],
-                        &rows,
-                    );
-                }
-                "status" => {
-                    let name = arg(args, 1, "domain name")?;
-                    let status = conn.domain_lookup_by_name(name)?.guard_status()?;
-                    w(out, &format!("{:<16} {}", "Domain:", status.domain));
-                    w(
-                        out,
-                        &format!("{:<16} {}", "Policy:", policy_cell(&status.policy)),
-                    );
-                    w(out, &format!("{:<16} {}", "Restarts:", status.restarts));
-                    w(
-                        out,
-                        &format!("{:<16} {}", "State:", guard_state_cell(&status)),
-                    );
-                    w(
-                        out,
-                        &format!("{:<16} {}", "Next retry:", next_retry_cell(&status)),
-                    );
-                    w(out, &format!("{:<16} {}", "Last event:", status.last_event));
-                }
-                other => {
-                    return Err(invalid(&format!(
-                        "unknown guard verb '{other}'; use set, remove, list or status"
-                    )));
-                }
+        "guard" => match args[0] {
+            "set" => {
+                let name = arg(args, 1, "domain name")?;
+                let policy = parse_guard_policy(&args[2..])?;
+                conn.domain_lookup_by_name(name)?.guard_set(&policy)?;
+                w(
+                    out,
+                    &format!("Guard '{}' set on domain '{name}'", policy_cell(&policy)),
+                );
             }
-        }
+            "remove" => {
+                let name = arg(args, 1, "domain name")?;
+                conn.domain_lookup_by_name(name)?.guard_remove()?;
+                w(out, &format!("Guard removed from domain '{name}'"));
+            }
+            "list" => {
+                let rows: Vec<Vec<String>> = conn
+                    .guard_list()?
+                    .iter()
+                    .map(|status| {
+                        vec![
+                            status.domain.clone(),
+                            policy_cell(&status.policy),
+                            status.restarts.to_string(),
+                            guard_state_cell(status).to_string(),
+                            next_retry_cell(status),
+                        ]
+                    })
+                    .collect();
+                render_table(
+                    out,
+                    &["Domain", "Policy", "Restarts", "State", "Next retry"],
+                    &rows,
+                );
+            }
+            "status" => {
+                let name = arg(args, 1, "domain name")?;
+                let status = conn.domain_lookup_by_name(name)?.guard_status()?;
+                w(out, &format!("{:<16} {}", "Domain:", status.domain));
+                w(
+                    out,
+                    &format!("{:<16} {}", "Policy:", policy_cell(&status.policy)),
+                );
+                w(out, &format!("{:<16} {}", "Restarts:", status.restarts));
+                w(
+                    out,
+                    &format!("{:<16} {}", "State:", guard_state_cell(&status)),
+                );
+                w(
+                    out,
+                    &format!("{:<16} {}", "Next retry:", next_retry_cell(&status)),
+                );
+                w(out, &format!("{:<16} {}", "Last event:", status.last_event));
+            }
+            other => unreachable!("'guard {other}' is in COMMANDS but has no handler"),
+        },
         "snapshot-create" => {
             let name = arg(args, 0, "domain name")?;
             let snap = arg(args, 1, "snapshot name")?;
@@ -821,9 +941,7 @@ fn execute(conn: &Connect, command: &str, args: &[&str], out: &mut dyn Write) ->
             }
             w(out, &format!("Network '{name}': {command} succeeded"));
         }
-        other => {
-            return Err(invalid(&format!("unknown command '{other}'; try 'help'")));
-        }
+        other => unreachable!("'{other}' is in COMMANDS but has no handler"),
     }
     Ok(())
 }
@@ -846,71 +964,28 @@ fn print_help(out: &mut dyn Write) {
         out,
         "  --no-reconnect            fail instead of re-dialing a dead connection",
     );
-    w(out, "Connection:");
-    w(out, "  uri | hostname | nodeinfo | capabilities | version");
-    w(out, "Domains:");
     w(
         out,
-        "  list [--all]                 define <xml>        create <xml>",
+        "  --hosts name=uri,...      fleet members (default: VSH_FLEET_HOSTS)",
     );
     w(
         out,
-        "  start|shutdown|reboot|destroy|crash|suspend|resume <name>",
+        "  --policy <name>           fleet placement: spread, pack or memweight",
     );
-    w(out, "  managedsave|restore|undefine <name>");
-    w(out, "  dominfo|domstate|dumpxml <name>");
-    w(out, "  setmem <name> <MiB>          setvcpus <name> <n>");
-    w(out, "  autostart <name> [--disable]");
-    w(out, "Guards (HA supervisor):");
-    w(out, "  guard set <name> keep-running [--max-restarts <n>]");
-    w(
-        out,
-        "  guard set <name> auto-resume | graceful-stop [--timeout-ms <ms>]",
-    );
-    w(out, "  guard remove|status <name>   guard list");
-    w(out, "  snapshot-create <name> <snap>  snapshot-list <name>");
-    w(
-        out,
-        "  snapshot-revert <name> <snap>  snapshot-delete <name> <snap>",
-    );
-    w(out, "  migrate <name> <dest-uri>");
-    w(out, "Jobs & stats:");
-    w(out, "  domjobinfo <name>            domjobabort <name>");
-    w(out, "  domstats");
-    w(out, "Storage:");
-    w(
-        out,
-        "  pool-list | pool-info|pool-start|pool-stop|pool-undefine <name> | pool-define <xml>",
-    );
-    w(
-        out,
-        "  vol-list <pool> | vol-create <pool> <xml> | vol-info|vol-delete <pool> <name>",
-    );
-    w(
-        out,
-        "  vol-resize <pool> <name> <MiB> | vol-clone <pool> <src> <new>",
-    );
-    w(out, "Networks:");
-    w(
-        out,
-        "  net-list | net-info|net-start|net-stop|net-undefine <name> | net-define <xml>",
-    );
-    w(
-        out,
-        "Fleet (multi-host; members from --hosts or VSH_FLEET_HOSTS):",
-    );
-    w(
-        out,
-        "  fleet --hosts name=uri,... [--policy spread|pack|memweight] <verb>",
-    );
-    w(
-        out,
-        "  fleet hosts | fleet list | fleet create <name> <MiB> <vcpus>",
-    );
-    w(
-        out,
-        "  fleet migrate <domain|host/domain> <dest-host> | fleet evacuate <host>",
-    );
+    for (title, group) in [
+        ("Connection:", Connection),
+        ("Domains:", Domains),
+        ("Guards (HA supervisor):", Guards),
+        ("Jobs & stats:", Jobs),
+        ("Storage:", Storage),
+        ("Networks:", Networks),
+        ("Fleet (multi-host):", Fleet),
+    ] {
+        w(out, title);
+        for (name, args, _) in COMMANDS.iter().filter(|c| c.2 == group) {
+            w(out, format!("  {name} {args}").trim_end());
+        }
+    }
 }
 
 /// Convenience wrapper used by tests: runs a command line given as one
@@ -966,6 +1041,27 @@ mod tests {
         let (code, output) = run_line("frobnicate");
         assert_eq!(code, 1);
         assert!(output.contains("unknown command"));
+    }
+
+    #[test]
+    fn an_unknown_command_is_refused_before_dialing() {
+        let (code, output) = run_line("-c qemu+unix:///system?socket=/nonexistent bogus");
+        assert_eq!(code, 1, "{output}");
+        assert!(output.contains("unknown command 'bogus'"), "{output}");
+    }
+
+    #[test]
+    fn every_listed_command_reaches_its_handler() {
+        // Bare names: most stop at a missing argument, none may fall out
+        // of `execute` or `run_fleet` (which panic) or be refused as
+        // unknown. The fleet rows get one member so they reach their verb.
+        for (name, ..) in COMMANDS {
+            let (_, output) = run_line(&format!("--hosts a=test:///default {name}"));
+            assert!(
+                !output.contains("error: invalid argument: unknown"),
+                "{name}: {output}"
+            );
+        }
     }
 
     #[test]

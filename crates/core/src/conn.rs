@@ -135,7 +135,7 @@ impl<'a> ConnectBuilder<'a> {
         let parsed: ConnectUri = self.uri.parse()?;
         let registry = self.registry.unwrap_or_else(|| default_registry());
         Ok(Connect {
-            inner: registry.open_with_options(&parsed, &self.options)?,
+            inner: registry.open(&parsed, &self.options)?,
         })
     }
 }

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use virt_metrics::wire_enum;
 use virt_rpc::retry::{BreakerConfig, RetryPolicy};
 
 use crate::capabilities::Capabilities;
@@ -36,19 +37,21 @@ pub struct OpenOptions {
     pub breaker: Option<BreakerConfig>,
 }
 
-/// Public lifecycle state of a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DomainState {
-    /// Defined but not running.
-    Shutoff,
-    /// Executing.
-    Running,
-    /// vCPUs paused.
-    Paused,
-    /// Memory saved to storage.
-    Saved,
-    /// The guest crashed.
-    Crashed,
+wire_enum! {
+    /// Public lifecycle state of a domain.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum DomainState {
+        /// Defined but not running.
+        Shutoff = 0 => "shut off",
+        /// Executing.
+        Running = 1 => "running",
+        /// vCPUs paused.
+        Paused = 2 => "paused",
+        /// Memory saved to storage.
+        Saved = 3 => "saved",
+        /// The guest crashed.
+        Crashed = 4 => "crashed",
+    }
 }
 
 impl DomainState {
@@ -56,27 +59,12 @@ impl DomainState {
     pub fn is_active(self) -> bool {
         matches!(self, DomainState::Running | DomainState::Paused)
     }
+}
 
-    /// Wire representation.
-    pub fn as_u32(self) -> u32 {
-        match self {
-            DomainState::Shutoff => 0,
-            DomainState::Running => 1,
-            DomainState::Paused => 2,
-            DomainState::Saved => 3,
-            DomainState::Crashed => 4,
-        }
-    }
-
-    /// Decodes a wire value, defaulting unknown values to `Shutoff`.
-    pub fn from_u32(v: u32) -> DomainState {
-        match v {
-            1 => DomainState::Running,
-            2 => DomainState::Paused,
-            3 => DomainState::Saved,
-            4 => DomainState::Crashed,
-            _ => DomainState::Shutoff,
-        }
+/// A number this build does not know decodes as `Shutoff`.
+impl From<u32> for DomainState {
+    fn from(number: u32) -> Self {
+        Self::from_u32(number).unwrap_or(DomainState::Shutoff)
     }
 }
 
@@ -89,19 +77,6 @@ impl From<hypersim::DomainState> for DomainState {
             hypersim::DomainState::Saved => DomainState::Saved,
             hypersim::DomainState::Crashed => DomainState::Crashed,
         }
-    }
-}
-
-impl std::fmt::Display for DomainState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            DomainState::Shutoff => "shut off",
-            DomainState::Running => "running",
-            DomainState::Paused => "paused",
-            DomainState::Saved => "saved",
-            DomainState::Crashed => "crashed",
-        };
-        f.write_str(s)
     }
 }
 
@@ -888,28 +863,17 @@ pub trait HypervisorDriver: Send + Sync + std::fmt::Debug {
     /// Whether this driver claims the URI.
     fn probe(&self, uri: &ConnectUri) -> bool;
 
-    /// Opens a connection.
+    /// Opens a connection. Local drivers, with no transport to
+    /// configure, ignore the options.
     ///
     /// # Errors
     ///
     /// [`ErrorCode::NoConnect`] and driver-specific failures.
-    fn open(&self, uri: &ConnectUri) -> VirtResult<Arc<dyn HypervisorConnection>>;
-
-    /// Opens a connection with explicit options. The default
-    /// implementation ignores the options, which is correct for local
-    /// drivers with no transport to configure.
-    ///
-    /// # Errors
-    ///
-    /// As [`HypervisorDriver::open`].
-    fn open_with_options(
+    fn open(
         &self,
         uri: &ConnectUri,
         options: &OpenOptions,
-    ) -> VirtResult<Arc<dyn HypervisorConnection>> {
-        let _ = options;
-        self.open(uri)
-    }
+    ) -> VirtResult<Arc<dyn HypervisorConnection>>;
 }
 
 /// An ordered set of drivers with libvirt's resolution rule: the first
@@ -955,27 +919,18 @@ impl DriverRegistry {
     ///
     /// [`ErrorCode::NoConnect`] when no driver claims the URI and no
     /// fallback is set; otherwise the winning driver's errors.
-    pub fn open(&self, uri: &ConnectUri) -> VirtResult<Arc<dyn HypervisorConnection>> {
-        self.open_with_options(uri, &OpenOptions::default())
-    }
-
-    /// Resolves a URI and opens a connection with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// As [`DriverRegistry::open`].
-    pub(crate) fn open_with_options(
+    pub fn open(
         &self,
         uri: &ConnectUri,
         options: &OpenOptions,
     ) -> VirtResult<Arc<dyn HypervisorConnection>> {
         for driver in &self.drivers {
             if driver.probe(uri) {
-                return driver.open_with_options(uri, options);
+                return driver.open(uri, options);
             }
         }
         match &self.fallback {
-            Some(fallback) => fallback.open_with_options(uri, options),
+            Some(fallback) => fallback.open(uri, options),
             None => Err(VirtError::new(
                 ErrorCode::NoConnect,
                 format!("no driver for uri '{uri}'"),
@@ -1003,9 +958,11 @@ mod tests {
             DomainState::Saved,
             DomainState::Crashed,
         ] {
-            assert_eq!(DomainState::from_u32(state.as_u32()), state);
+            assert_eq!(DomainState::from_u32(state.as_u32()), Some(state));
+            assert_eq!(DomainState::from(state.as_u32()), state);
         }
-        assert_eq!(DomainState::from_u32(77), DomainState::Shutoff);
+        assert_eq!(DomainState::from_u32(77), None);
+        assert_eq!(DomainState::from(77), DomainState::Shutoff);
     }
 
     #[test]
@@ -1057,7 +1014,11 @@ mod tests {
             uri.driver() == self.scheme && uri.transport().is_none() && uri.is_local()
         }
 
-        fn open(&self, _uri: &ConnectUri) -> VirtResult<Arc<dyn HypervisorConnection>> {
+        fn open(
+            &self,
+            _uri: &ConnectUri,
+            _options: &OpenOptions,
+        ) -> VirtResult<Arc<dyn HypervisorConnection>> {
             Err(VirtError::new(
                 ErrorCode::NoConnect,
                 format!("dummy {}", self.scheme),
@@ -1072,17 +1033,17 @@ mod tests {
         registry.set_fallback(Arc::new(DummyDriver { scheme: "remote" }));
 
         let uri: ConnectUri = "test:///default".parse().unwrap();
-        let err = registry.open(&uri).unwrap_err();
+        let err = registry.open(&uri, &OpenOptions::default()).unwrap_err();
         assert!(err.message().contains("dummy test"));
 
         // Unclaimed scheme falls through to the fallback.
         let uri: ConnectUri = "qemu:///system".parse().unwrap();
-        let err = registry.open(&uri).unwrap_err();
+        let err = registry.open(&uri, &OpenOptions::default()).unwrap_err();
         assert!(err.message().contains("dummy remote"));
 
         // A transport suffix defeats the local-only probe, also fallback.
         let uri: ConnectUri = "test+tcp://h/default".parse().unwrap();
-        let err = registry.open(&uri).unwrap_err();
+        let err = registry.open(&uri, &OpenOptions::default()).unwrap_err();
         assert!(err.message().contains("dummy remote"));
     }
 
@@ -1090,7 +1051,7 @@ mod tests {
     fn registry_without_fallback_reports_no_connect() {
         let registry = DriverRegistry::new();
         let uri: ConnectUri = "qemu:///system".parse().unwrap();
-        let err = registry.open(&uri).unwrap_err();
+        let err = registry.open(&uri, &OpenOptions::default()).unwrap_err();
         assert_eq!(err.code(), ErrorCode::NoConnect);
     }
 }

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use crate::driver::{HypervisorConnection, HypervisorDriver};
+use crate::driver::{HypervisorConnection, HypervisorDriver, OpenOptions};
 use crate::drivers::embedded::EmbeddedConnection;
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::testbed;
@@ -43,7 +43,11 @@ impl HypervisorDriver for EsxDriver {
         uri.driver() == "esx" && uri.transport().is_none()
     }
 
-    fn open(&self, uri: &ConnectUri) -> VirtResult<Arc<dyn HypervisorConnection>> {
+    fn open(
+        &self,
+        uri: &ConnectUri,
+        _options: &OpenOptions,
+    ) -> VirtResult<Arc<dyn HypervisorConnection>> {
         let host_name = uri.host().ok_or_else(|| {
             VirtError::new(
                 ErrorCode::InvalidUri,
@@ -96,7 +100,9 @@ mod tests {
     fn open_resolves_the_registered_endpoint() {
         register_esx("esx-open-test");
         let uri: ConnectUri = "esx://esx-open-test/".parse().unwrap();
-        let conn = EsxDriver::new().open(&uri).unwrap();
+        let conn = EsxDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap();
         assert_eq!(conn.hostname().unwrap(), "esx-open-test");
         assert_eq!(conn.capabilities().unwrap().hypervisor, "esx");
         testbed::unregister_host("esx-open-test");
@@ -105,7 +111,9 @@ mod tests {
     #[test]
     fn open_requires_host_component() {
         let uri: ConnectUri = "esx:///".parse().unwrap();
-        let err = EsxDriver::new().open(&uri).unwrap_err();
+        let err = EsxDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap_err();
         assert_eq!(err.code(), ErrorCode::InvalidUri);
     }
 
@@ -113,7 +121,10 @@ mod tests {
     fn open_rejects_unknown_and_wrong_personality_hosts() {
         let uri: ConnectUri = "esx://no-such-esx/".parse().unwrap();
         assert_eq!(
-            EsxDriver::new().open(&uri).unwrap_err().code(),
+            EsxDriver::new()
+                .open(&uri, &OpenOptions::default())
+                .unwrap_err()
+                .code(),
             ErrorCode::NoConnect
         );
 
@@ -123,7 +134,9 @@ mod tests {
             .build();
         testbed::register_host("not-esx", qemu_host);
         let uri: ConnectUri = "esx://not-esx/".parse().unwrap();
-        let err = EsxDriver::new().open(&uri).unwrap_err();
+        let err = EsxDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap_err();
         assert!(err.message().contains("speaks qemu"));
         testbed::unregister_host("not-esx");
     }
@@ -135,14 +148,18 @@ mod tests {
         register_esx("esx-persist-test");
         let uri: ConnectUri = "esx://esx-persist-test/".parse().unwrap();
 
-        let conn1 = EsxDriver::new().open(&uri).unwrap();
+        let conn1 = EsxDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap();
         conn1
             .define_domain_xml(&DomainConfig::new("vm", 512, 1).to_xml_string())
             .unwrap();
         conn1.start_domain("vm").unwrap();
         conn1.close();
 
-        let conn2 = EsxDriver::new().open(&uri).unwrap();
+        let conn2 = EsxDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap();
         let domain = conn2.lookup_domain_by_name("vm").unwrap();
         assert_eq!(domain.state, DomainState::Running);
         testbed::unregister_host("esx-persist-test");

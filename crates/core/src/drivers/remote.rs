@@ -22,7 +22,7 @@ use virt_rpc::reconnect::{
     ReconnectConfig, ReconnectMetrics, ReconnectingClient, SessionSetup, TransportFactory,
 };
 use virt_rpc::retry::RetryPolicy;
-use virt_rpc::transport::{TcpTransport, TlsSimTransport, Transport, UnixTransport};
+use virt_rpc::transport::{TcpTransport, TlsSimTransport, Transport, TransportKind, UnixTransport};
 use virt_rpc::xdr::XdrEncode;
 
 use crate::capabilities::Capabilities;
@@ -37,7 +37,7 @@ use crate::guard::{GuardPolicy, GuardStatus};
 use crate::job::JobStats;
 use crate::protocol::{self, proc};
 use crate::testbed;
-use crate::uri::{ConnectUri, UriTransport};
+use crate::uri::ConnectUri;
 use crate::uuid::Uuid;
 
 /// Default Unix socket path of a system daemon.
@@ -69,11 +69,7 @@ impl HypervisorDriver for RemoteDriver {
         false
     }
 
-    fn open(&self, uri: &ConnectUri) -> VirtResult<Arc<dyn HypervisorConnection>> {
-        self.open_with_options(uri, &OpenOptions::default())
-    }
-
-    fn open_with_options(
+    fn open(
         &self,
         uri: &ConnectUri,
         options: &OpenOptions,
@@ -193,7 +189,7 @@ fn parse_keepalive_param(uri: &ConnectUri) -> VirtResult<Option<keepalive::Keepa
 fn connect_transport(uri: &ConnectUri) -> VirtResult<Arc<dyn Transport>> {
     let failed = |e: std::io::Error| VirtError::new(ErrorCode::NoConnect, e.to_string());
     match uri.transport() {
-        Some(UriTransport::Memory) => {
+        Some(TransportKind::Memory) => {
             let host = uri.host().ok_or_else(|| {
                 VirtError::new(
                     ErrorCode::InvalidUri,
@@ -203,15 +199,15 @@ fn connect_transport(uri: &ConnectUri) -> VirtResult<Arc<dyn Transport>> {
             let connector = testbed::lookup_daemon(host)?;
             Ok(Arc::new(connector.connect().map_err(failed)?))
         }
-        Some(UriTransport::Unix) | None if uri.is_local() => {
+        Some(TransportKind::Unix) | None if uri.is_local() => {
             let path = uri.param("socket").unwrap_or(DEFAULT_SOCKET_PATH);
             Ok(Arc::new(UnixTransport::connect(path).map_err(failed)?))
         }
-        Some(UriTransport::Unix) => Err(VirtError::new(
+        Some(TransportKind::Unix) => Err(VirtError::new(
             ErrorCode::InvalidUri,
             "+unix transport is local-only",
         )),
-        Some(UriTransport::Tcp) => {
+        Some(TransportKind::Tcp) => {
             let host = uri
                 .host()
                 .ok_or_else(|| VirtError::new(ErrorCode::InvalidUri, "+tcp requires a host"))?;
@@ -220,7 +216,7 @@ fn connect_transport(uri: &ConnectUri) -> VirtResult<Arc<dyn Transport>> {
                 TcpTransport::connect(&format!("{host}:{port}")).map_err(failed)?,
             ))
         }
-        Some(UriTransport::Tls) | None => {
+        Some(TransportKind::Tls) | None => {
             // libvirt's rule: a remote URI without explicit transport uses TLS.
             let host = uri.host().ok_or_else(|| {
                 VirtError::new(ErrorCode::InvalidUri, "remote uri requires a host")
@@ -434,14 +430,18 @@ mod tests {
     #[test]
     fn memory_transport_requires_registered_daemon() {
         let uri: ConnectUri = "qemu+memory://no-such-daemon/system".parse().unwrap();
-        let err = RemoteDriver::new().open(&uri).unwrap_err();
+        let err = RemoteDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap_err();
         assert_eq!(err.code(), ErrorCode::NoConnect);
     }
 
     #[test]
     fn memory_transport_requires_host() {
         let uri: ConnectUri = "qemu+memory:///system".parse().unwrap();
-        let err = RemoteDriver::new().open(&uri).unwrap_err();
+        let err = RemoteDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap_err();
         assert_eq!(err.code(), ErrorCode::InvalidUri);
     }
 
@@ -449,14 +449,18 @@ mod tests {
     fn tcp_transport_requires_reachable_daemon() {
         // Port 1 on localhost is essentially never listening.
         let uri: ConnectUri = "qemu+tcp://127.0.0.1:1/system".parse().unwrap();
-        let err = RemoteDriver::new().open(&uri).unwrap_err();
+        let err = RemoteDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap_err();
         assert_eq!(err.code(), ErrorCode::NoConnect);
     }
 
     #[test]
     fn unix_transport_is_local_only() {
         let uri: ConnectUri = "qemu+unix://somehost/system".parse().unwrap();
-        let err = RemoteDriver::new().open(&uri).unwrap_err();
+        let err = RemoteDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap_err();
         assert_eq!(err.code(), ErrorCode::InvalidUri);
     }
 
@@ -465,7 +469,9 @@ mod tests {
         let uri: ConnectUri = "qemu+unix:///system?socket=/no/such/socket"
             .parse()
             .unwrap();
-        let err = RemoteDriver::new().open(&uri).unwrap_err();
+        let err = RemoteDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap_err();
         assert_eq!(err.code(), ErrorCode::NoConnect);
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use hypersim::personality::QemuLike;
 use hypersim::{DomainSpec, LatencyModel, SimHost};
 
-use crate::driver::{HypervisorConnection, HypervisorDriver};
+use crate::driver::{HypervisorConnection, HypervisorDriver, OpenOptions};
 use crate::drivers::embedded::EmbeddedConnection;
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::uri::ConnectUri;
@@ -34,7 +34,11 @@ impl HypervisorDriver for TestDriver {
         uri.driver() == "test" && uri.transport().is_none() && uri.is_local()
     }
 
-    fn open(&self, uri: &ConnectUri) -> VirtResult<Arc<dyn HypervisorConnection>> {
+    fn open(
+        &self,
+        uri: &ConnectUri,
+        _options: &OpenOptions,
+    ) -> VirtResult<Arc<dyn HypervisorConnection>> {
         if uri.path() != "/default" {
             return Err(VirtError::new(
                 ErrorCode::NoConnect,
@@ -65,7 +69,9 @@ mod tests {
 
     fn open() -> Arc<dyn HypervisorConnection> {
         let uri: ConnectUri = "test:///default".parse().unwrap();
-        TestDriver::new().open(&uri).unwrap()
+        TestDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap()
     }
 
     #[test]
@@ -106,7 +112,9 @@ mod tests {
     #[test]
     fn non_default_paths_rejected() {
         let uri: ConnectUri = "test:///other".parse().unwrap();
-        let err = TestDriver::new().open(&uri).unwrap_err();
+        let err = TestDriver::new()
+            .open(&uri, &OpenOptions::default())
+            .unwrap_err();
         assert_eq!(err.code(), ErrorCode::NoConnect);
     }
 }

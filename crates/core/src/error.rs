@@ -9,129 +9,71 @@ use std::fmt;
 use std::sync::Arc;
 
 use hypersim::{SimError, SimErrorKind};
+use virt_metrics::wire_enum;
 use virt_rpc::client::CallError;
 use virt_rpc::message::RpcError;
 use virt_xml::ParseXmlError;
 
-/// Stable error codes, after libvirt's `VIR_ERR_*` set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum ErrorCode {
-    /// Internal inconsistency.
-    Internal = 1,
-    /// Invalid argument to an API call.
-    InvalidArg = 2,
-    /// The connection could not be established.
-    NoConnect = 3,
-    /// Invalid connection object / connection closed.
-    ConnectInvalid = 4,
-    /// Operation is not supported by this driver.
-    NoSupport = 5,
-    /// RPC failure talking to the daemon.
-    RpcFailure = 6,
-    /// Authentication failed.
-    AuthFailed = 7,
-    /// Operation valid but failed on the hypervisor.
-    OperationFailed = 8,
-    /// Operation invalid in the object's current state.
-    OperationInvalid = 9,
-    /// XML description malformed or mismatched.
-    XmlError = 10,
-    /// No domain with matching name/id/uuid.
-    NoDomain = 11,
-    /// Domain with this name already exists.
-    DomainExists = 12,
-    /// No storage pool with matching name.
-    NoStoragePool = 13,
-    /// No storage volume with matching name.
-    NoStorageVol = 14,
-    /// Storage pool/volume already exists.
-    StorageExists = 15,
-    /// No network with matching name.
-    NoNetwork = 16,
-    /// Network already exists.
-    NetworkExists = 17,
-    /// Host resources exhausted.
-    InsufficientResources = 18,
-    /// The operation timed out.
-    OperationTimeout = 19,
-    /// Migration-specific failure.
-    MigrateFailed = 20,
-    /// The URI is malformed or uses an unknown scheme.
-    InvalidUri = 21,
-    /// Access denied by daemon policy (client limits etc.).
-    AccessDenied = 22,
-    /// The operation was aborted before completing (job cancellation).
-    OperationAborted = 23,
-}
-
-impl ErrorCode {
-    /// Wire representation.
-    pub fn as_u32(self) -> u32 {
-        self as u32
-    }
-
-    /// Decodes a wire code, falling back to [`ErrorCode::Internal`] for
-    /// unknown values (forward compatibility).
-    pub fn from_u32(code: u32) -> ErrorCode {
-        use ErrorCode::*;
-        match code {
-            1 => Internal,
-            2 => InvalidArg,
-            3 => NoConnect,
-            4 => ConnectInvalid,
-            5 => NoSupport,
-            6 => RpcFailure,
-            7 => AuthFailed,
-            8 => OperationFailed,
-            9 => OperationInvalid,
-            10 => XmlError,
-            11 => NoDomain,
-            12 => DomainExists,
-            13 => NoStoragePool,
-            14 => NoStorageVol,
-            15 => StorageExists,
-            16 => NoNetwork,
-            17 => NetworkExists,
-            18 => InsufficientResources,
-            19 => OperationTimeout,
-            20 => MigrateFailed,
-            21 => InvalidUri,
-            22 => AccessDenied,
-            23 => OperationAborted,
-            _ => Internal,
-        }
+wire_enum! {
+    /// Stable error codes, after libvirt's `VIR_ERR_*` set. The name is the
+    /// message prefix users see.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    #[non_exhaustive]
+    pub enum ErrorCode {
+        /// Internal inconsistency.
+        Internal = 1 => "internal error",
+        /// Invalid argument to an API call.
+        InvalidArg = 2 => "invalid argument",
+        /// The connection could not be established.
+        NoConnect = 3 => "failed to connect",
+        /// Invalid connection object / connection closed.
+        ConnectInvalid = 4 => "connection invalid",
+        /// Operation is not supported by this driver.
+        NoSupport = 5 => "operation not supported",
+        /// RPC failure talking to the daemon.
+        RpcFailure = 6 => "rpc failure",
+        /// Authentication failed.
+        AuthFailed = 7 => "authentication failed",
+        /// Operation valid but failed on the hypervisor.
+        OperationFailed = 8 => "operation failed",
+        /// Operation invalid in the object's current state.
+        OperationInvalid = 9 => "operation invalid in current state",
+        /// XML description malformed or mismatched.
+        XmlError = 10 => "xml error",
+        /// No domain with matching name/id/uuid.
+        NoDomain = 11 => "domain not found",
+        /// Domain with this name already exists.
+        DomainExists = 12 => "domain already exists",
+        /// No storage pool with matching name.
+        NoStoragePool = 13 => "storage pool not found",
+        /// No storage volume with matching name.
+        NoStorageVol = 14 => "storage volume not found",
+        /// Storage pool/volume already exists.
+        StorageExists = 15 => "storage object already exists",
+        /// No network with matching name.
+        NoNetwork = 16 => "network not found",
+        /// Network already exists.
+        NetworkExists = 17 => "network already exists",
+        /// Host resources exhausted.
+        InsufficientResources = 18 => "insufficient resources",
+        /// The operation timed out.
+        OperationTimeout = 19 => "operation timed out",
+        /// Migration-specific failure.
+        MigrateFailed = 20 => "migration failed",
+        /// The URI is malformed or uses an unknown scheme.
+        InvalidUri = 21 => "invalid connection uri",
+        /// Access denied by daemon policy (client limits etc.).
+        AccessDenied = 22 => "access denied",
+        /// The operation was aborted before completing (job cancellation).
+        OperationAborted = 23 => "operation aborted",
     }
 }
 
-impl fmt::Display for ErrorCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ErrorCode::Internal => "internal error",
-            ErrorCode::InvalidArg => "invalid argument",
-            ErrorCode::NoConnect => "failed to connect",
-            ErrorCode::ConnectInvalid => "connection invalid",
-            ErrorCode::NoSupport => "operation not supported",
-            ErrorCode::RpcFailure => "rpc failure",
-            ErrorCode::AuthFailed => "authentication failed",
-            ErrorCode::OperationFailed => "operation failed",
-            ErrorCode::OperationInvalid => "operation invalid in current state",
-            ErrorCode::XmlError => "xml error",
-            ErrorCode::NoDomain => "domain not found",
-            ErrorCode::DomainExists => "domain already exists",
-            ErrorCode::NoStoragePool => "storage pool not found",
-            ErrorCode::NoStorageVol => "storage volume not found",
-            ErrorCode::StorageExists => "storage object already exists",
-            ErrorCode::NoNetwork => "network not found",
-            ErrorCode::NetworkExists => "network already exists",
-            ErrorCode::InsufficientResources => "insufficient resources",
-            ErrorCode::OperationTimeout => "operation timed out",
-            ErrorCode::MigrateFailed => "migration failed",
-            ErrorCode::InvalidUri => "invalid connection uri",
-            ErrorCode::AccessDenied => "access denied",
-            ErrorCode::OperationAborted => "operation aborted",
-        };
-        f.write_str(s)
+/// A code this build does not know decodes as `Internal` (forward
+/// compatibility).
+impl From<u32> for ErrorCode {
+    fn from(code: u32) -> Self {
+        Self::from_u32(code).unwrap_or(ErrorCode::Internal)
     }
 }
 
@@ -195,7 +137,7 @@ impl VirtError {
 
     /// Reconstructs from the wire error record.
     fn from_rpc(err: &RpcError) -> VirtError {
-        VirtError::new(ErrorCode::from_u32(err.code), err.message.clone())
+        VirtError::new(ErrorCode::from(err.code), err.message.clone())
     }
 }
 
@@ -279,39 +221,15 @@ mod tests {
 
     #[test]
     fn all_codes_round_trip_the_wire() {
-        use ErrorCode::*;
-        for code in [
-            Internal,
-            InvalidArg,
-            NoConnect,
-            ConnectInvalid,
-            NoSupport,
-            RpcFailure,
-            AuthFailed,
-            OperationFailed,
-            OperationInvalid,
-            XmlError,
-            NoDomain,
-            DomainExists,
-            NoStoragePool,
-            NoStorageVol,
-            StorageExists,
-            NoNetwork,
-            NetworkExists,
-            InsufficientResources,
-            OperationTimeout,
-            MigrateFailed,
-            InvalidUri,
-            AccessDenied,
-            OperationAborted,
-        ] {
-            assert_eq!(ErrorCode::from_u32(code.as_u32()), code);
+        assert_eq!(ErrorCode::ALL.len(), 23);
+        for &code in ErrorCode::ALL {
+            assert_eq!(ErrorCode::from(code.as_u32()), code);
         }
     }
 
     #[test]
     fn unknown_wire_code_becomes_internal() {
-        assert_eq!(ErrorCode::from_u32(9999), ErrorCode::Internal);
+        assert_eq!(ErrorCode::from(9999), ErrorCode::Internal);
     }
 
     #[test]

@@ -9,67 +9,49 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use virt_metrics::wire_enum;
 
 use crate::uuid::Uuid;
 
-/// What happened to a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum DomainEventKind {
-    /// Configuration persisted.
-    Defined,
-    /// Configuration removed.
-    Undefined,
-    /// Execution started.
-    Started,
-    /// vCPUs paused.
-    Suspended,
-    /// vCPUs resumed.
-    Resumed,
-    /// Execution stopped (shutdown or destroy).
-    Stopped,
-    /// Memory saved to storage.
-    Saved,
-    /// Restored from a save image.
-    Restored,
-    /// The guest crashed.
-    Crashed,
-    /// Arrived via migration.
-    MigratedIn,
-    /// Left via migration.
-    MigratedOut,
-    /// A background job started on the domain.
-    JobStarted,
-    /// A background job completed successfully.
-    JobCompleted,
-    /// A background job failed.
-    JobFailed,
-    /// A background job was aborted by request.
-    JobAborted,
+wire_enum! {
+    /// What happened to a domain.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    #[non_exhaustive]
+    pub enum DomainEventKind {
+        /// Configuration persisted.
+        Defined = 0 => "defined",
+        /// Configuration removed.
+        Undefined = 1 => "undefined",
+        /// Execution started.
+        Started = 2 => "started",
+        /// vCPUs paused.
+        Suspended = 3 => "suspended",
+        /// vCPUs resumed.
+        Resumed = 4 => "resumed",
+        /// Execution stopped (shutdown or destroy).
+        Stopped = 5 => "stopped",
+        /// Memory saved to storage.
+        Saved = 6 => "saved",
+        /// Restored from a save image.
+        Restored = 7 => "restored",
+        /// The guest crashed.
+        Crashed = 8 => "crashed",
+        /// Arrived via migration.
+        MigratedIn = 9 => "migrated_in",
+        /// Left via migration.
+        MigratedOut = 10 => "migrated_out",
+        /// A background job started on the domain.
+        JobStarted = 11 => "job_started",
+        /// A background job completed successfully.
+        JobCompleted = 12 => "job_completed",
+        /// A background job failed.
+        JobFailed = 13 => "job_failed",
+        /// A background job was aborted by request.
+        JobAborted = 14 => "job_aborted",
+    }
 }
 
 impl DomainEventKind {
-    /// Wire representation.
-    pub fn as_u32(self) -> u32 {
-        match self {
-            DomainEventKind::Defined => 0,
-            DomainEventKind::Undefined => 1,
-            DomainEventKind::Started => 2,
-            DomainEventKind::Suspended => 3,
-            DomainEventKind::Resumed => 4,
-            DomainEventKind::Stopped => 5,
-            DomainEventKind::Saved => 6,
-            DomainEventKind::Restored => 7,
-            DomainEventKind::Crashed => 8,
-            DomainEventKind::MigratedIn => 9,
-            DomainEventKind::MigratedOut => 10,
-            DomainEventKind::JobStarted => 11,
-            DomainEventKind::JobCompleted => 12,
-            DomainEventKind::JobFailed => 13,
-            DomainEventKind::JobAborted => 14,
-        }
-    }
-
     /// `true` for the job-lifecycle kinds pushed on the job event channel.
     pub fn is_job_event(self) -> bool {
         matches!(
@@ -79,29 +61,6 @@ impl DomainEventKind {
                 | DomainEventKind::JobFailed
                 | DomainEventKind::JobAborted
         )
-    }
-
-    /// Decodes a wire value.
-    pub fn from_u32(v: u32) -> Option<DomainEventKind> {
-        use DomainEventKind::*;
-        Some(match v {
-            0 => Defined,
-            1 => Undefined,
-            2 => Started,
-            3 => Suspended,
-            4 => Resumed,
-            5 => Stopped,
-            6 => Saved,
-            7 => Restored,
-            8 => Crashed,
-            9 => MigratedIn,
-            10 => MigratedOut,
-            11 => JobStarted,
-            12 => JobCompleted,
-            13 => JobFailed,
-            14 => JobAborted,
-            _ => return None,
-        })
     }
 }
 

@@ -360,7 +360,8 @@ impl GuardEngine {
     }
 
     /// Number of domains currently guarded.
-    pub fn guarded_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn guarded_count(&self) -> usize {
         self.inner.guarded.load(Ordering::Relaxed)
     }
 

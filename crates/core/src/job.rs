@@ -21,133 +21,66 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use virt_rpc::xdr::{Cursor, XdrDecode, XdrEncode, XdrError};
+use virt_metrics::wire_enum;
+use virt_rpc::xdr_as_u32;
 
 use crate::error::{ErrorCode, VirtError, VirtResult};
 
-/// What kind of operation a job is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum JobKind {
-    /// No job (the idle placeholder in [`JobStats`]).
-    #[default]
-    None,
-    /// Live migration of the domain to another host.
-    Migration,
-    /// Saving domain memory to storage (also managed-save).
-    Save,
-    /// Restoring domain memory from a save image.
-    Restore,
-}
-
-impl JobKind {
-    /// Wire representation.
-    pub fn as_u32(self) -> u32 {
-        match self {
-            JobKind::None => 0,
-            JobKind::Migration => 1,
-            JobKind::Save => 2,
-            JobKind::Restore => 3,
-        }
-    }
-
-    /// Decodes a wire value, falling back to [`JobKind::None`].
-    pub fn from_u32(v: u32) -> JobKind {
-        match v {
-            1 => JobKind::Migration,
-            2 => JobKind::Save,
-            3 => JobKind::Restore,
-            _ => JobKind::None,
-        }
+wire_enum! {
+    /// What kind of operation a job is running.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    #[non_exhaustive]
+    pub enum JobKind {
+        /// No job (the idle placeholder in [`JobStats`]).
+        #[default]
+        None = 0 => "none",
+        /// Live migration of the domain to another host.
+        Migration = 1 => "migration",
+        /// Saving domain memory to storage (also managed-save).
+        Save = 2 => "save",
+        /// Restoring domain memory from a save image.
+        Restore = 3 => "restore",
     }
 }
 
-impl std::fmt::Display for JobKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            JobKind::None => "none",
-            JobKind::Migration => "migration",
-            JobKind::Save => "save",
-            JobKind::Restore => "restore",
-        })
+wire_enum! {
+    /// Lifecycle state of a job.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    #[non_exhaustive]
+    pub enum JobState {
+        /// No job has run on this domain.
+        #[default]
+        None = 0 => "none",
+        /// The job is executing.
+        Running = 1 => "running",
+        /// The job finished successfully.
+        Completed = 2 => "completed",
+        /// The job failed; [`JobStats::error`] carries the reason.
+        Failed = 3 => "failed",
+        /// The job was cancelled by an abort request.
+        Aborted = 4 => "aborted",
     }
-}
-
-/// Lifecycle state of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum JobState {
-    /// No job has run on this domain.
-    #[default]
-    None,
-    /// The job is executing.
-    Running,
-    /// The job finished successfully.
-    Completed,
-    /// The job failed; [`JobStats::error`] carries the reason.
-    Failed,
-    /// The job was cancelled by an abort request.
-    Aborted,
 }
 
 impl JobState {
-    /// Wire representation.
-    pub fn as_u32(self) -> u32 {
-        match self {
-            JobState::None => 0,
-            JobState::Running => 1,
-            JobState::Completed => 2,
-            JobState::Failed => 3,
-            JobState::Aborted => 4,
-        }
-    }
-
-    /// Decodes a wire value, falling back to [`JobState::None`].
-    pub fn from_u32(v: u32) -> JobState {
-        match v {
-            1 => JobState::Running,
-            2 => JobState::Completed,
-            3 => JobState::Failed,
-            4 => JobState::Aborted,
-            _ => JobState::None,
-        }
-    }
-
     /// `true` while the job is still executing.
     pub fn is_active(self) -> bool {
         self == JobState::Running
     }
 }
 
-impl std::fmt::Display for JobState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            JobState::None => "none",
-            JobState::Running => "running",
-            JobState::Completed => "completed",
-            JobState::Failed => "failed",
-            JobState::Aborted => "aborted",
-        })
+// A number this build does not know decodes as `None`, never as an error:
+// a newer daemon's job kinds must not break `domjobinfo`.
+impl From<u32> for JobKind {
+    fn from(number: u32) -> Self {
+        Self::from_u32(number).unwrap_or_default()
     }
 }
 
-/// On the wire both enums are the `u32` of `as_u32`. A number this build
-/// does not know decodes through `from_u32`'s fallback, never as an error:
-/// a newer daemon's job kinds must not break `domjobinfo`.
-macro_rules! xdr_as_u32 {
-    ($($name:ty),*) => {$(
-        impl XdrEncode for $name {
-            fn encode(&self, out: &mut Vec<u8>) {
-                self.as_u32().encode(out);
-            }
-        }
-
-        impl XdrDecode for $name {
-            fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
-                u32::decode(cursor).map(Self::from_u32)
-            }
-        }
-    )*};
+impl From<u32> for JobState {
+    fn from(number: u32) -> Self {
+        Self::from_u32(number).unwrap_or_default()
+    }
 }
 
 xdr_as_u32!(JobKind, JobState);
@@ -597,7 +530,8 @@ mod tests {
             JobKind::Save,
             JobKind::Restore,
         ] {
-            assert_eq!(JobKind::from_u32(kind.as_u32()), kind);
+            assert_eq!(JobKind::from_u32(kind.as_u32()), Some(kind));
+            assert_eq!(JobKind::from(kind.as_u32()), kind);
         }
         for state in [
             JobState::None,
@@ -606,10 +540,13 @@ mod tests {
             JobState::Failed,
             JobState::Aborted,
         ] {
-            assert_eq!(JobState::from_u32(state.as_u32()), state);
+            assert_eq!(JobState::from_u32(state.as_u32()), Some(state));
+            assert_eq!(JobState::from(state.as_u32()), state);
         }
-        assert_eq!(JobKind::from_u32(99), JobKind::None);
-        assert_eq!(JobState::from_u32(99), JobState::None);
+        assert_eq!(JobKind::from_u32(99), None);
+        assert_eq!(JobState::from_u32(99), None);
+        assert_eq!(JobKind::from(99), JobKind::None);
+        assert_eq!(JobState::from(99), JobState::None);
     }
 
     #[test]

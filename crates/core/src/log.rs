@@ -24,56 +24,37 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
+use virt_metrics::wire_enum;
 
 use crate::error::{ErrorCode, VirtError, VirtResult};
 
-/// Message priority, lowest (most verbose) first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LogLevel {
-    /// Everything.
-    Debug = 1,
-    /// Informational and worse.
-    Info = 2,
-    /// Warnings and errors.
-    Warning = 3,
-    /// Errors only.
-    Error = 4,
+wire_enum! {
+    /// Message priority, lowest (most verbose) first. The number is the
+    /// one used in filter/output strings.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum LogLevel {
+        /// Everything.
+        Debug = 1 => "debug",
+        /// Informational and worse.
+        Info = 2 => "info",
+        /// Warnings and errors.
+        Warning = 3 => "warning",
+        /// Errors only.
+        Error = 4 => "error",
+    }
 }
 
-impl LogLevel {
-    /// Parses the numeric form used in filter/output strings.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorCode::InvalidArg`] outside 1–4.
-    pub fn from_number(n: u32) -> VirtResult<LogLevel> {
-        match n {
-            1 => Ok(LogLevel::Debug),
-            2 => Ok(LogLevel::Info),
-            3 => Ok(LogLevel::Warning),
-            4 => Ok(LogLevel::Error),
-            other => Err(VirtError::new(
+/// A number outside 1–4 is [`ErrorCode::InvalidArg`].
+impl TryFrom<u32> for LogLevel {
+    type Error = VirtError;
+
+    fn try_from(number: u32) -> VirtResult<Self> {
+        Self::from_u32(number).ok_or_else(|| {
+            VirtError::new(
                 ErrorCode::InvalidArg,
-                format!("logging level {other} out of range 1-4"),
-            )),
-        }
-    }
-
-    /// The numeric form.
-    pub fn as_number(self) -> u32 {
-        self as u32
-    }
-}
-
-impl fmt::Display for LogLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            LogLevel::Debug => "debug",
-            LogLevel::Info => "info",
-            LogLevel::Warning => "warning",
-            LogLevel::Error => "error",
-        };
-        f.write_str(s)
+                format!("logging level {number} out of range 1-4"),
+            )
+        })
     }
 }
 
@@ -95,7 +76,7 @@ impl FromStr for LogFilter {
         let number = level_str
             .parse::<u32>()
             .map_err(|_| bad("level is not a number"))?;
-        let level = LogLevel::from_number(number)?;
+        let level = LogLevel::try_from(number)?;
         if module.is_empty() {
             return Err(bad("empty module match"));
         }
@@ -108,7 +89,7 @@ impl FromStr for LogFilter {
 
 impl fmt::Display for LogFilter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.level.as_number(), self.module_match)
+        write!(f, "{}:{}", self.level.as_u32(), self.module_match)
     }
 }
 
@@ -144,7 +125,7 @@ impl FromStr for LogOutput {
         let number = level_str
             .parse::<u32>()
             .map_err(|_| bad("level is not a number"))?;
-        let level = LogLevel::from_number(number)?;
+        let level = LogLevel::try_from(number)?;
         let kind_str = parts.next().ok_or_else(|| bad("missing output kind"))?;
         let data = parts.next();
         let kind = match (kind_str, data) {
@@ -166,10 +147,10 @@ impl FromStr for LogOutput {
 impl fmt::Display for LogOutput {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
-            OutputKind::Stderr => write!(f, "{}:stderr", self.level.as_number()),
-            OutputKind::Journald => write!(f, "{}:journald", self.level.as_number()),
-            OutputKind::Buffer => write!(f, "{}:buffer", self.level.as_number()),
-            OutputKind::File(path) => write!(f, "{}:file:{}", self.level.as_number(), path),
+            OutputKind::Stderr => write!(f, "{}:stderr", self.level.as_u32()),
+            OutputKind::Journald => write!(f, "{}:journald", self.level.as_u32()),
+            OutputKind::Buffer => write!(f, "{}:buffer", self.level.as_u32()),
+            OutputKind::File(path) => write!(f, "{}:file:{}", self.level.as_u32(), path),
         }
     }
 }
@@ -476,10 +457,10 @@ mod tests {
     #[test]
     fn level_numbers_round_trip() {
         for n in 1..=4 {
-            assert_eq!(LogLevel::from_number(n).unwrap().as_number(), n);
+            assert_eq!(LogLevel::try_from(n).unwrap().as_u32(), n);
         }
-        assert!(LogLevel::from_number(0).is_err());
-        assert!(LogLevel::from_number(5).is_err());
+        assert!(LogLevel::try_from(0).is_err());
+        assert!(LogLevel::try_from(5).is_err());
     }
 
     #[test]
@@ -799,17 +780,16 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let observed = Arc::new(AtomicU64::new(0));
         let make = |n: u32| {
-            let level = LogLevel::from_number((n % 4) + 1).unwrap();
+            let level = LogLevel::try_from((n % 4) + 1).unwrap();
             LogSettings {
                 level,
                 filters: LogSettings::parse_filters(&format!(
                     "{}:mod{}",
-                    level.as_number(),
-                    level.as_number()
+                    level.as_u32(),
+                    level.as_u32()
                 ))
                 .unwrap(),
-                outputs: LogSettings::parse_outputs(&format!("{}:buffer", level.as_number()))
-                    .unwrap(),
+                outputs: LogSettings::parse_outputs(&format!("{}:buffer", level.as_u32())).unwrap(),
             }
         };
         // Move off the constructor defaults before the reader starts, so
@@ -824,7 +804,7 @@ mod tests {
                     let settings = logger.settings();
                     // Internal consistency markers: each generation uses
                     // its own level number in every field.
-                    let n = settings.level.as_number();
+                    let n = settings.level.as_u32();
                     assert_eq!(settings.filters.len(), 1, "whole generations only");
                     assert_eq!(settings.filters[0].to_string(), format!("{n}:mod{n}"));
                     assert_eq!(settings.outputs[0].to_string(), format!("{n}:buffer"));

@@ -171,7 +171,7 @@ impl Connect {
 mod tests {
     use super::*;
     use crate::conn::Connect;
-    use crate::driver::{DomainState, DriverRegistry, HypervisorDriver};
+    use crate::driver::{DomainState, DriverRegistry, HypervisorDriver, OpenOptions};
     use crate::drivers::embedded::EmbeddedConnection;
     use crate::error::ErrorCode;
     use crate::uri::ConnectUri;
@@ -375,6 +375,7 @@ mod tests {
         fn open(
             &self,
             _uri: &ConnectUri,
+            _options: &OpenOptions,
         ) -> VirtResult<Arc<dyn crate::driver::HypervisorConnection>> {
             Ok(self.0.clone())
         }

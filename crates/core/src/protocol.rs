@@ -673,7 +673,7 @@ impl From<WireDomain> for DomainRecord {
             name: w.name,
             uuid: Uuid::from_bytes(w.uuid),
             id: (w.id >= 0).then_some(w.id as u32),
-            state: DomainState::from_u32(w.state),
+            state: DomainState::from(w.state),
             memory_mib: w.memory_mib,
             max_memory_mib: w.max_memory_mib,
             vcpus: w.vcpus,

@@ -465,7 +465,8 @@ impl StateStore {
 
     /// Writes that failed (real I/O errors, injected faults, and
     /// directory-fsync failures).
-    pub fn write_error_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn write_error_total(&self) -> u64 {
         self.shared.metrics.write_error.get()
     }
 

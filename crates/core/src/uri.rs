@@ -15,46 +15,17 @@
 use std::fmt;
 use std::str::FromStr;
 
+use virt_rpc::TransportKind;
+
 use crate::error::{ErrorCode, VirtError, VirtResult};
 
-/// Transport requested in a connection URI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UriTransport {
-    /// Local Unix domain socket.
-    Unix,
-    /// Plain TCP.
-    Tcp,
-    /// TLS over TCP.
-    Tls,
-    /// In-process memory transport (testbeds and benchmarks).
-    Memory,
-}
-
-impl UriTransport {
-    fn parse(s: &str) -> VirtResult<UriTransport> {
-        match s {
-            "unix" => Ok(UriTransport::Unix),
-            "tcp" => Ok(UriTransport::Tcp),
-            "tls" => Ok(UriTransport::Tls),
-            "memory" => Ok(UriTransport::Memory),
-            other => Err(VirtError::new(
-                ErrorCode::InvalidUri,
-                format!("unknown transport '{other}'"),
-            )),
-        }
-    }
-}
-
-impl fmt::Display for UriTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            UriTransport::Unix => "unix",
-            UriTransport::Tcp => "tcp",
-            UriTransport::Tls => "tls",
-            UriTransport::Memory => "memory",
-        };
-        f.write_str(s)
-    }
+/// Reads a `+transport` scheme suffix by the transports' names.
+fn parse_transport(name: &str) -> VirtResult<TransportKind> {
+    TransportKind::ALL
+        .iter()
+        .copied()
+        .find(|kind| kind.name() == name)
+        .ok_or_else(|| VirtError::new(ErrorCode::InvalidUri, format!("unknown transport '{name}'")))
 }
 
 /// A parsed connection URI.
@@ -77,7 +48,7 @@ impl fmt::Display for UriTransport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectUri {
     driver: String,
-    transport: Option<UriTransport>,
+    transport: Option<TransportKind>,
     username: Option<String>,
     host: Option<String>,
     port: Option<u16>,
@@ -92,7 +63,7 @@ impl ConnectUri {
     }
 
     /// The explicit transport, if any.
-    pub fn transport(&self) -> Option<UriTransport> {
+    pub fn transport(&self) -> Option<TransportKind> {
         self.transport
     }
 
@@ -162,7 +133,7 @@ impl FromStr for ConnectUri {
                 if driver.is_empty() {
                     return Err(bad("empty driver"));
                 }
-                (driver.to_string(), Some(UriTransport::parse(transport)?))
+                (driver.to_string(), Some(parse_transport(transport)?))
             }
             None => (scheme.to_string(), None),
         };
@@ -285,7 +256,7 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(uri.driver(), "xen");
-        assert_eq!(uri.transport(), Some(UriTransport::Tls));
+        assert_eq!(uri.transport(), Some(TransportKind::Tls));
         assert_eq!(uri.username(), Some("root"));
         assert_eq!(uri.host(), Some("xenhost"));
         assert_eq!(uri.port(), Some(5000));
@@ -358,10 +329,10 @@ mod tests {
     #[test]
     fn all_transports_parse() {
         for (text, expected) in [
-            ("qemu+unix:///s", UriTransport::Unix),
-            ("qemu+tcp://h/s", UriTransport::Tcp),
-            ("qemu+tls://h/s", UriTransport::Tls),
-            ("qemu+memory://h/s", UriTransport::Memory),
+            ("qemu+unix:///s", TransportKind::Unix),
+            ("qemu+tcp://h/s", TransportKind::Tcp),
+            ("qemu+tls://h/s", TransportKind::Tls),
+            ("qemu+memory://h/s", TransportKind::Memory),
         ] {
             let uri: ConnectUri = text.parse().unwrap();
             assert_eq!(uri.transport(), Some(expected));

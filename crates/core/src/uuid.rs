@@ -53,7 +53,8 @@ impl Uuid {
     }
 
     /// `true` for the all-zero UUID.
-    pub fn is_nil(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_nil(&self) -> bool {
         self.0 == [0; 16]
     }
 }

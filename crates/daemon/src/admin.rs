@@ -227,7 +227,7 @@ impl AdminDispatcher {
             proc::LOG_INFO => {
                 let settings = self.logger.settings();
                 adminproto::WireLogInfo {
-                    level: settings.level.as_number(),
+                    level: settings.level.as_u32(),
                     filters: settings.filters_string(),
                     outputs: settings.outputs_string(),
                 }
@@ -235,7 +235,7 @@ impl AdminDispatcher {
             }
             proc::LOG_SET_LEVEL => {
                 let level: u32 = decode_args(payload)?;
-                self.logger.set_level(LogLevel::from_number(level)?);
+                self.logger.set_level(LogLevel::try_from(level)?);
                 ().to_xdr()
             }
             proc::TRACE_CONFIG => {
@@ -406,11 +406,7 @@ impl AdminClient {
     /// RPC failures.
     pub fn log_info(&self) -> VirtResult<(LogLevel, String, String)> {
         let wire: adminproto::WireLogInfo = self.call(proc::LOG_INFO, &())?;
-        Ok((
-            LogLevel::from_number(wire.level)?,
-            wire.filters,
-            wire.outputs,
-        ))
+        Ok((LogLevel::try_from(wire.level)?, wire.filters, wire.outputs))
     }
 
     /// Sets the global logging level.
@@ -419,7 +415,7 @@ impl AdminClient {
     ///
     /// Invalid level.
     pub fn log_set_level(&self, level: LogLevel) -> VirtResult<()> {
-        self.call(proc::LOG_SET_LEVEL, &level.as_number())
+        self.call(proc::LOG_SET_LEVEL, &level.as_u32())
     }
 
     /// Reads or updates the daemon's flight-recorder configuration:

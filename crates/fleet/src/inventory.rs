@@ -52,7 +52,7 @@ impl DomainSummary {
         for param in &record.params {
             match (&*param.field, &param.value) {
                 (stats_field::STATE, ParamValue::UInt(v)) => {
-                    summary.state = DomainState::from_u32(*v);
+                    summary.state = DomainState::from(*v);
                 }
                 (stats_field::BALLOON_CURRENT, ParamValue::ULLong(v)) => summary.memory_mib = *v,
                 (stats_field::BALLOON_MAXIMUM, ParamValue::ULLong(v)) => {

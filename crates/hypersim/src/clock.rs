@@ -107,7 +107,8 @@ impl SimClock {
     }
 
     /// `true` when both handles observe the same timeline.
-    pub fn same_timeline(&self, other: &SimClock) -> bool {
+    #[cfg(test)]
+    pub(crate) fn same_timeline(&self, other: &SimClock) -> bool {
         Arc::ptr_eq(&self.nanos, &other.nanos)
     }
 }

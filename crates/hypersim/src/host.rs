@@ -22,7 +22,7 @@ use crate::domain::{
 use crate::error::{SimError, SimErrorKind, SimResult};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::latency::{LatencyModel, OpKind};
-use crate::network::{Lease, NetworkSpec, SimNetwork};
+use crate::network::{NetworkSpec, SimNetwork};
 use crate::personality::{Personality, QemuLike, VirtKind};
 use crate::resources::{CapacityLedger, MiB};
 use crate::storage::{PoolSpec, SimPool, SimVolume, VolumeSpec};
@@ -1222,13 +1222,24 @@ impl SimHost {
     }
 
     /// Acquires a DHCP-style lease on a network for a guest NIC.
-    pub fn acquire_lease(&self, network: &str, mac: &str, domain: &str) -> SimResult<Lease> {
+    #[cfg(test)]
+    pub(crate) fn acquire_lease(
+        &self,
+        network: &str,
+        mac: &str,
+        domain: &str,
+    ) -> SimResult<crate::network::Lease> {
         self.charge(OpKind::Network, MiB::ZERO)?;
         self.with_network_mut(network, |net| net.acquire_lease(mac, domain))
     }
 
     /// Releases the lease held by `mac` on `network`.
-    pub fn release_lease(&self, network: &str, mac: &str) -> SimResult<Option<Lease>> {
+    #[cfg(test)]
+    pub(crate) fn release_lease(
+        &self,
+        network: &str,
+        mac: &str,
+    ) -> SimResult<Option<crate::network::Lease>> {
         self.charge(OpKind::Network, MiB::ZERO)?;
         self.with_network_mut(network, |net| Ok(net.release_lease(mac)))
     }

@@ -61,8 +61,9 @@ pub enum OpKind {
     RemoteApiCall,
 }
 
-/// All operation kinds, for exhaustive table construction and tests.
-pub const ALL_OPS: &[OpKind] = &[
+/// All operation kinds, for exhaustive tests.
+#[cfg(test)]
+const ALL_OPS: &[OpKind] = &[
     OpKind::Define,
     OpKind::Undefine,
     OpKind::Start,

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use crate::error::{SimError, SimErrorKind, SimResult};
+use crate::error::{SimError, SimErrorKind};
 
 /// How a virtual network reaches the outside world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -163,7 +163,8 @@ impl SimNetwork {
     }
 
     /// Number of active leases.
-    pub fn lease_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn lease_count(&self) -> usize {
         self.leases.len()
     }
 
@@ -176,7 +177,12 @@ impl SimNetwork {
     ///
     /// [`SimErrorKind::NoFreeAddress`] when the /24 host range (2–254) is
     /// exhausted; [`SimErrorKind::InvalidState`] when the network is down.
-    pub fn acquire_lease(&mut self, mac: &str, domain: &str) -> SimResult<Lease> {
+    #[cfg(test)]
+    pub(crate) fn acquire_lease(
+        &mut self,
+        mac: &str,
+        domain: &str,
+    ) -> crate::error::SimResult<Lease> {
         if !self.active {
             return Err(SimError::new(
                 SimErrorKind::InvalidState,
@@ -205,7 +211,8 @@ impl SimNetwork {
     }
 
     /// Releases the lease held by `mac`, if any.
-    pub fn release_lease(&mut self, mac: &str) -> Option<Lease> {
+    #[cfg(test)]
+    pub(crate) fn release_lease(&mut self, mac: &str) -> Option<Lease> {
         self.leases.remove(mac)
     }
 

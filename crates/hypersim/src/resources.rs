@@ -30,7 +30,8 @@ impl MiB {
     }
 
     /// Constructs from kibibytes, rounding up to a whole MiB.
-    pub fn from_kib_ceil(kib: u64) -> MiB {
+    #[cfg(test)]
+    pub(crate) fn from_kib_ceil(kib: u64) -> MiB {
         MiB(kib.div_ceil(1024))
     }
 
@@ -119,8 +120,7 @@ impl CapacityLedger {
 
     /// Memory currently reserved by active domains.
     #[cfg(test)]
-    #[cfg(test)]
-    pub fn used_memory(&self) -> MiB {
+    pub(crate) fn used_memory(&self) -> MiB {
         self.used_memory
     }
 
@@ -136,8 +136,7 @@ impl CapacityLedger {
 
     /// vCPUs currently allocated to active domains.
     #[cfg(test)]
-    #[cfg(test)]
-    pub fn used_vcpus(&self) -> u32 {
+    pub(crate) fn used_vcpus(&self) -> u32 {
         self.used_vcpus
     }
 

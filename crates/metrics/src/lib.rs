@@ -16,6 +16,9 @@
 //!   only touches atomics.
 //! - [`metric_set!`] — a set of metrics declared once, one row per
 //!   metric (field, kind, name, help), attached to a registry in one call.
+//! - [`wire_enum!`] — a C-like wire enum declared once, one row per
+//!   variant (doc, variant, wire number, name), with its number and name
+//!   conversions generated from the rows.
 //! - [`trace`] — a request-id (client id + RPC serial) carried through
 //!   dispatch so log records written while serving an RPC can be correlated
 //!   with the per-procedure latency histograms.
@@ -33,6 +36,7 @@ pub mod span;
 pub mod trace;
 
 mod metric_set;
+mod wire_enum;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

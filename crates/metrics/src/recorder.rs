@@ -21,31 +21,14 @@ use crate::span::Stage;
 /// a mask. At 64 bytes a slot this is a fixed 256 KiB of process memory.
 pub const RECORDER_CAPACITY: usize = 4096;
 
-/// Whether an event opens a span or closes it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum EventPhase {
-    /// The span started; `dur_ns` is zero.
-    Begin,
-    /// The span finished; `t_ns` is the span's start, `dur_ns` its length.
-    End,
-}
-
-impl EventPhase {
-    /// Wire discriminant.
-    pub fn as_u32(self) -> u32 {
-        match self {
-            EventPhase::Begin => 0,
-            EventPhase::End => 1,
-        }
-    }
-
-    /// Decodes a wire discriminant.
-    pub fn from_u32(v: u32) -> Option<Self> {
-        match v {
-            0 => Some(EventPhase::Begin),
-            1 => Some(EventPhase::End),
-            _ => None,
-        }
+crate::wire_enum! {
+    /// Whether an event opens a span or closes it.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum EventPhase {
+        /// The span started; `dur_ns` is zero.
+        Begin = 0 => "begin",
+        /// The span finished; `t_ns` is the span's start, `dur_ns` its length.
+        End = 1 => "end",
     }
 }
 

@@ -38,90 +38,33 @@ impl fmt::Display for SpanContext {
     }
 }
 
-/// The typed stages a request passes through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// A public-API operation on the client (e.g. one whole migration).
-    Api,
-    /// The client call stub: send through reply receipt.
-    ClientSend,
-    /// The socket write putting the frame on the wire.
-    Socket,
-    /// Time spent queued for a daemon worker thread.
-    QueueWait,
-    /// Daemon-side dispatch: decode, handle, encode.
-    Dispatch,
-    /// Waiting to acquire the domain/host lock.
-    LockAcquire,
-    /// The driver doing hypervisor work.
-    DriverWork,
-    /// Persisting state (statestore put + fsync).
-    StateStore,
-    /// Writing the reply frame back to the client.
-    ReplyWrite,
-    /// A long-running domain job (migration, save, restore).
-    Job,
-    /// One pre-copy slice of a migration.
-    MigrationSlice,
-}
-
-impl Stage {
-    /// Wire discriminant.
-    pub fn as_u32(self) -> u32 {
-        match self {
-            Stage::Api => 0,
-            Stage::ClientSend => 1,
-            Stage::Socket => 2,
-            Stage::QueueWait => 3,
-            Stage::Dispatch => 4,
-            Stage::LockAcquire => 5,
-            Stage::DriverWork => 6,
-            Stage::StateStore => 7,
-            Stage::ReplyWrite => 8,
-            Stage::Job => 9,
-            Stage::MigrationSlice => 10,
-        }
-    }
-
-    /// Decodes a wire discriminant.
-    pub fn from_u32(v: u32) -> Option<Self> {
-        Some(match v {
-            0 => Stage::Api,
-            1 => Stage::ClientSend,
-            2 => Stage::Socket,
-            3 => Stage::QueueWait,
-            4 => Stage::Dispatch,
-            5 => Stage::LockAcquire,
-            6 => Stage::DriverWork,
-            7 => Stage::StateStore,
-            8 => Stage::ReplyWrite,
-            9 => Stage::Job,
-            10 => Stage::MigrationSlice,
-            _ => return None,
-        })
-    }
-
-    /// Stable snake_case name, used in dumps, logs and the Chrome export.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Api => "api",
-            Stage::ClientSend => "client_send",
-            Stage::Socket => "socket",
-            Stage::QueueWait => "queue_wait",
-            Stage::Dispatch => "dispatch",
-            Stage::LockAcquire => "lock_acquire",
-            Stage::DriverWork => "driver_work",
-            Stage::StateStore => "statestore_sync",
-            Stage::ReplyWrite => "reply_write",
-            Stage::Job => "job",
-            Stage::MigrationSlice => "migration_slice",
-        }
-    }
-}
-
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+crate::wire_enum! {
+    /// The typed stages a request passes through. The name is the stable
+    /// snake_case one used in dumps, logs and the Chrome export.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum Stage {
+        /// A public-API operation on the client (e.g. one whole migration).
+        Api = 0 => "api",
+        /// The client call stub: send through reply receipt.
+        ClientSend = 1 => "client_send",
+        /// The socket write putting the frame on the wire.
+        Socket = 2 => "socket",
+        /// Time spent queued for a daemon worker thread.
+        QueueWait = 3 => "queue_wait",
+        /// Daemon-side dispatch: decode, handle, encode.
+        Dispatch = 4 => "dispatch",
+        /// Waiting to acquire the domain/host lock.
+        LockAcquire = 5 => "lock_acquire",
+        /// The driver doing hypervisor work.
+        DriverWork = 6 => "driver_work",
+        /// Persisting state (statestore put + fsync).
+        StateStore = 7 => "statestore_sync",
+        /// Writing the reply frame back to the client.
+        ReplyWrite = 8 => "reply_write",
+        /// A long-running domain job (migration, save, restore).
+        Job = 9 => "job",
+        /// One pre-copy slice of a migration.
+        MigrationSlice = 10 => "migration_slice",
     }
 }
 

@@ -69,12 +69,14 @@ impl FaultControl {
     }
 
     /// Frames sent through the wrapper so far.
-    pub fn sends(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sends(&self) -> u64 {
         self.inner.sends.load(Ordering::Relaxed)
     }
 
     /// Frames received through the wrapper so far.
-    pub fn recvs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn recvs(&self) -> u64 {
         self.inner.recvs.load(Ordering::Relaxed)
     }
 }

@@ -143,7 +143,8 @@ impl KeepaliveState {
     }
 
     /// Number of pings currently unanswered.
-    pub fn unanswered(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn unanswered(&self) -> u32 {
         self.unanswered
     }
 }

@@ -23,45 +23,35 @@ const PROTOCOL_VERSION: u32 = 1;
 /// `VIR_NET_MESSAGE_MAX`-style cap).
 pub const MAX_PACKET_LEN: u32 = 64 * 1024 * 1024;
 
-/// Kind of message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageType {
-    /// A client request.
-    Call = 0,
-    /// A server response to a call.
-    Reply = 1,
-    /// An unsolicited server-to-client notification.
-    Event = 2,
-}
-
-impl MessageType {
-    fn from_u32(v: u32) -> Result<Self, XdrError> {
-        match v {
-            0 => Ok(MessageType::Call),
-            1 => Ok(MessageType::Reply),
-            2 => Ok(MessageType::Event),
-            other => Err(XdrError::InvalidDiscriminant(other)),
-        }
+virt_metrics::wire_enum! {
+    /// Kind of message.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum MessageType {
+        /// A client request.
+        Call = 0 => "call",
+        /// A server response to a call.
+        Reply = 1 => "reply",
+        /// An unsolicited server-to-client notification.
+        Event = 2 => "event",
     }
 }
 
-/// Status carried by replies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageStatus {
-    /// The payload is the procedure's result.
-    Ok = 0,
-    /// The payload is an encoded [`RpcError`].
-    Error = 1,
+virt_metrics::wire_enum! {
+    /// Status carried by replies.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum MessageStatus {
+        /// The payload is the procedure's result.
+        Ok = 0 => "ok",
+        /// The payload is an encoded [`RpcError`].
+        Error = 1 => "error",
+    }
 }
 
-impl MessageStatus {
-    fn from_u32(v: u32) -> Result<Self, XdrError> {
-        match v {
-            0 => Ok(MessageStatus::Ok),
-            1 => Ok(MessageStatus::Error),
-            other => Err(XdrError::InvalidDiscriminant(other)),
-        }
-    }
+/// Reads a header enum: a number this build does not know is
+/// [`XdrError::InvalidDiscriminant`].
+fn discriminant<T>(cursor: &mut Cursor<'_>, from_u32: fn(u32) -> Option<T>) -> Result<T, XdrError> {
+    let number = u32::decode(cursor)?;
+    from_u32(number).ok_or(XdrError::InvalidDiscriminant(number))
 }
 
 /// The fixed header preceding every payload.
@@ -142,9 +132,9 @@ impl XdrEncode for Header {
         self.program.encode(out);
         self.version.encode(out);
         self.procedure.encode(out);
-        (self.mtype as u32).encode(out);
+        self.mtype.as_u32().encode(out);
         self.serial.encode(out);
-        (self.status as u32).encode(out);
+        self.status.as_u32().encode(out);
         self.trace_id.encode(out);
         self.parent_span.encode(out);
     }
@@ -156,9 +146,9 @@ impl XdrDecode for Header {
             program: u32::decode(cursor)?,
             version: u32::decode(cursor)?,
             procedure: u32::decode(cursor)?,
-            mtype: MessageType::from_u32(u32::decode(cursor)?)?,
+            mtype: discriminant(cursor, MessageType::from_u32)?,
             serial: u32::decode(cursor)?,
-            status: MessageStatus::from_u32(u32::decode(cursor)?)?,
+            status: discriminant(cursor, MessageStatus::from_u32)?,
             trace_id: u64::decode(cursor)?,
             parent_span: u64::decode(cursor)?,
         })

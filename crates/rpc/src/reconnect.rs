@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use crate::client::{CallClient, CallError};
 use crate::keepalive::{self, KeepaliveAction, KeepaliveConfig, KeepaliveState};
 use crate::message::Packet;
-use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
+use crate::retry::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use crate::transport::Transport;
 use crate::xdr::{XdrDecode, XdrEncode};
 
@@ -321,13 +321,15 @@ impl ReconnectingClient {
 
     /// Whether the peer announced a clean shutdown (`bye`) at any point
     /// up to now (a farewell still sitting in the socket counts).
-    pub fn peer_said_bye(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn peer_said_bye(&self) -> bool {
         self.is_alive();
         self.inner.peer_bye.load(Ordering::Acquire)
     }
 
     /// The breaker's current state.
-    pub fn breaker_state(&self) -> BreakerState {
+    #[cfg(test)]
+    pub(crate) fn breaker_state(&self) -> crate::retry::BreakerState {
         self.inner.breaker.lock().state()
     }
 
@@ -492,6 +494,7 @@ fn keepalive_probe(
 mod tests {
     use super::*;
     use crate::message::{Header, MessageType, RpcError, REMOTE_PROGRAM};
+    use crate::retry::BreakerState;
     use crate::transport::{memory_listener, Listener, MemoryConnector};
     use std::time::Duration;
     use virt_metrics::Counter;

@@ -70,28 +70,19 @@ fn unsupported(what: &str) -> io::Error {
     )
 }
 
-/// The flavor of a transport, reported for accounting and client info.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TransportKind {
-    /// In-process channel pair.
-    Memory,
-    /// Unix domain socket.
-    Unix,
-    /// Plain TCP.
-    Tcp,
-    /// TLS (simulated cipher) over another transport.
-    Tls,
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            TransportKind::Memory => "memory",
-            TransportKind::Unix => "unix",
-            TransportKind::Tcp => "tcp",
-            TransportKind::Tls => "tls",
-        };
-        f.write_str(s)
+virt_metrics::wire_enum! {
+    /// The flavor of a transport, reported for accounting and client info.
+    /// The name is also the `+transport` suffix of a connection URI.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum TransportKind {
+        /// In-process channel pair (testbeds and benchmarks).
+        Memory = 0 => "memory",
+        /// Unix domain socket.
+        Unix = 1 => "unix",
+        /// Plain TCP.
+        Tcp = 2 => "tcp",
+        /// TLS (simulated cipher) over another transport.
+        Tls = 3 => "tls",
     }
 }
 

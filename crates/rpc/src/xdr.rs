@@ -406,6 +406,54 @@ macro_rules! xdr_fields {
     };
 }
 
+/// XDR impls for wire enums (see `virt_metrics::wire_enum!`): the `u32`
+/// of `as_u32` on the wire, decoded through the type's `From<u32>` — its
+/// rule for a number this build does not know, which falls back to a
+/// variant rather than failing the whole record.
+///
+/// ```
+/// use virt_rpc::xdr::{XdrDecode, XdrEncode};
+///
+/// virt_metrics::wire_enum! {
+///     /// A demo enum.
+///     #[derive(Debug, Clone, Copy, PartialEq, Default)]
+///     pub enum Mode {
+///         /// Unknown numbers land here.
+///         #[default]
+///         Off = 0 => "off",
+///         /// On.
+///         On = 1 => "on",
+///     }
+/// }
+///
+/// impl From<u32> for Mode {
+///     fn from(number: u32) -> Self {
+///         Mode::from_u32(number).unwrap_or_default()
+///     }
+/// }
+///
+/// virt_rpc::xdr_as_u32!(Mode);
+///
+/// assert_eq!(Mode::On.to_xdr(), [0, 0, 0, 1]);
+/// assert_eq!(Mode::from_xdr(&[0, 0, 0, 9]).unwrap(), Mode::Off);
+/// ```
+#[macro_export]
+macro_rules! xdr_as_u32 {
+    ($($name:ty),* $(,)?) => {$(
+        impl $crate::xdr::XdrEncode for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::xdr::XdrEncode::encode(&self.as_u32(), out);
+            }
+        }
+
+        impl $crate::xdr::XdrDecode for $name {
+            fn decode(cursor: &mut $crate::xdr::Cursor<'_>) -> Result<Self, $crate::xdr::XdrError> {
+                <u32 as $crate::xdr::XdrDecode>::decode(cursor).map(<$name>::from)
+            }
+        }
+    )*};
+}
+
 /// Defines a wire struct and derives its tuple-style encoding: fields in
 /// declaration order.
 ///

@@ -137,7 +137,8 @@ impl Element {
     }
 
     /// Removes an attribute, returning its previous value.
-    pub fn remove_attr(&mut self, name: &str) -> Option<String> {
+    #[cfg(test)]
+    pub(crate) fn remove_attr(&mut self, name: &str) -> Option<String> {
         let idx = self.attrs.iter().position(|(k, _)| k == name)?;
         Some(self.attrs.remove(idx).1)
     }

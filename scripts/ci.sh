@@ -115,6 +115,17 @@ if grep -rnF 'with_capacity((len as usize).min(4096))' crates --include='*.rs' \
     exit 1
 fi
 
+# A wire enum states its numbers and names once, in its wire_enum! rows
+# (crates/metrics/src/wire_enum.rs generates the conversions); a type's
+# rule for a number it does not know is a From/TryFrom wrapper beside the
+# table. A hand-written conversion is a second table that can drift.
+echo "== hygiene: no hand-written wire enum conversions beside the wire_enum! tables =="
+if grep -rnE 'fn as_u32\(self\)|fn from_u32\(|fn from_number\(' crates/*/src --include='*.rs' \
+    | grep -v '^crates/metrics/src/wire_enum.rs:'; then
+    echo "error: hand-written as_u32/from_u32/from_number — declare the enum with virt_metrics::wire_enum!" >&2
+    exit 1
+fi
+
 # A decoder reads the borrowed view (virt_xml::Document); an owned
 # Element tree built only to be read and dropped is the cost the define
 # path shed. (error.rs parses one in a unit test of the error conversion;
@@ -131,9 +142,11 @@ fi
 # folded, plus the per-record codec literals.
 # The metric catalogue likewise: name, kind and help of every metric of a
 # daemon, the process registry and a fleet, against a golden list, and
-# every family of it documented in docs/observability.md.
-echo "== wire: remote and admin programs pinned to golden bytes; metric catalogue pinned =="
-cargo test -q --offline --test wire_procedures --test admin_wire --test metric_catalogue
+# every family of it documented in docs/observability.md. And every wire
+# enum's numbers and names, against the list the hand-written conversions
+# produced.
+echo "== wire: remote and admin programs pinned to golden bytes; metric catalogue and wire enums pinned =="
+cargo test -q --offline --test wire_procedures --test admin_wire --test metric_catalogue --test wire_enums
 cargo test -q --offline -p virt-core --test wire_golden
 # The other side of the trust boundary: a document nested 100 000 deep, or
 # an element with 50 000 attributes, sent to each procedure that takes XML

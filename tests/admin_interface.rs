@@ -719,7 +719,10 @@ fn readonly_session_cannot_escalate_via_second_open() {
         .unwrap_err();
     match err {
         virt_rpc::client::CallError::Remote(e) => {
-            assert_eq!(ErrorCode::from_u32(e.code), ErrorCode::OperationInvalid);
+            assert_eq!(
+                ErrorCode::from_u32(e.code),
+                Some(ErrorCode::OperationInvalid)
+            );
         }
         other => panic!("expected remote error, got {other:?}"),
     }

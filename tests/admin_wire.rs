@@ -98,11 +98,7 @@ fn transcript(label: &str, tap: &Tap) -> Vec<String> {
         .iter()
         .map(|(dir, body)| {
             let (header, payload) = Packet::split_body(body).unwrap();
-            let kind = match header.mtype {
-                MessageType::Call => "call",
-                MessageType::Reply => "reply",
-                MessageType::Event => "event",
-            };
+            let kind = header.mtype.name();
             let name = proc::name(header.procedure)
                 .map(str::to_string)
                 .unwrap_or_else(|| header.procedure.to_string());

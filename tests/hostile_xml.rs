@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use virt_core::driver::{HypervisorConnection, HypervisorDriver};
+use virt_core::driver::{HypervisorConnection, HypervisorDriver, OpenOptions};
 use virt_core::drivers::remote::RemoteDriver;
 use virt_core::xmlfmt::DomainConfig;
 use virt_core::{ErrorCode, VirtResult};
@@ -41,7 +41,9 @@ impl Daemon {
 
     fn connect(&self) -> Arc<dyn HypervisorConnection> {
         let uri = format!("qemu+unix:///system?socket={}", self.socket);
-        RemoteDriver::new().open(&uri.parse().unwrap()).unwrap()
+        RemoteDriver::new()
+            .open(&uri.parse().unwrap(), &OpenOptions::default())
+            .unwrap()
     }
 }
 

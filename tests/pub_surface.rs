@@ -31,16 +31,11 @@ const NAMED_NOWHERE_ELSE: &[(&str, &str, &str)] = &[
     ("core", "LogFilter", "reached through a public signature"),
     ("core", "LogRecord", "reached through a public signature"),
     ("core", "NetworkRecord", "reached through a public signature"),
-    ("core", "OpenOptions", "reached through a public signature"),
     ("core", "RecoveryReport", "reached through a public signature"),
     ("core", "StoragePool", "reached through a public signature"),
-    ("core", "StoreFault", "reached through a public signature"),
+    ("core", "StoreFault", "the persister runs its fault hook in every build; goes behind a DiskOps seam (ROADMAP 4(a))"),
     ("core", "StoreOp", "reached through a public signature"),
-    ("core", "UriTransport", "reached through a public signature"),
-    ("core", "guarded_count", "only the unit tests of its own crate call it"),
-    ("core", "inject_fault", "only the unit tests of its own crate call it"),
-    ("core", "is_nil", "only the unit tests of its own crate call it"),
-    ("core", "write_error_total", "only the unit tests of its own crate call it"),
+    ("core", "inject_fault", "the persister runs its fault hook in every build; goes behind a DiskOps seam (ROADMAP 4(a))"),
     ("daemon", "ClientIdentity", "reached through a public signature"),
     ("daemon", "ServeHandle", "reached through a public signature"),
     ("daemon", "VirtdBuilder", "reached through a public signature"),
@@ -51,7 +46,6 @@ const NAMED_NOWHERE_ELSE: &[(&str, &str, &str)] = &[
     ("fleet", "HostStatus", "reached through a public signature"),
     ("fleet", "PlacementPolicy", "reached through a public signature"),
     ("fleet", "Reconciliation", "reached through a public signature"),
-    ("hypersim", "ALL_OPS", "only the unit tests of its own crate call it"),
     ("hypersim", "DomainStatsView", "reached through a public signature"),
     ("hypersim", "HostInfo", "reached through a public signature"),
     ("hypersim", "Lease", "reached through a public signature"),
@@ -63,13 +57,6 @@ const NAMED_NOWHERE_ELSE: &[(&str, &str, &str)] = &[
     ("hypersim", "SimTime", "reached through a public signature"),
     ("hypersim", "SimVolume", "reached through a public signature"),
     ("hypersim", "VirtKind", "reached through a public signature"),
-    ("hypersim", "acquire_lease", "only the unit tests of its own crate call it"),
-    ("hypersim", "from_kib_ceil", "only the unit tests of its own crate call it"),
-    ("hypersim", "lease_count", "only the unit tests of its own crate call it"),
-    ("hypersim", "release_lease", "only the unit tests of its own crate call it"),
-    ("hypersim", "same_timeline", "only the unit tests of its own crate call it"),
-    ("hypersim", "used_memory", "only the unit tests of its own crate call it"),
-    ("hypersim", "used_vcpus", "only the unit tests of its own crate call it"),
     ("metrics", "ContextGuard", "reached through a public signature"),
     ("metrics", "Held", "sealed plumbing behind the public metrics::Kind trait"),
     ("metrics", "HistogramTimer", "reached through a public signature"),
@@ -81,13 +68,7 @@ const NAMED_NOWHERE_ELSE: &[(&str, &str, &str)] = &[
     ("rpc", "CircuitBreaker", "reached through a public signature"),
     ("rpc", "FaultControl", "reached through a public signature"),
     ("rpc", "MemoryListener", "reached through a public signature"),
-    ("rpc", "breaker_state", "only the unit tests of its own crate call it"),
-    ("rpc", "peer_said_bye", "only the unit tests of its own crate call it"),
-    ("rpc", "recvs", "only the unit tests of its own crate call it"),
-    ("rpc", "sends", "only the unit tests of its own crate call it"),
-    ("rpc", "unanswered", "only the unit tests of its own crate call it"),
     ("xml", "ParseXmlErrorKind", "reached through a public signature"),
-    ("xml", "remove_attr", "only the unit tests of its own crate call it"),
 ];
 
 fn root() -> &'static Path {

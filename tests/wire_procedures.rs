@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hypersim::{PoolBackend, SimClock};
-use virt_core::driver::{HypervisorConnection, HypervisorDriver, MigrationOptions};
+use virt_core::driver::{HypervisorConnection, HypervisorDriver, MigrationOptions, OpenOptions};
 use virt_core::drivers::remote::RemoteDriver;
 use virt_core::guard::GuardPolicy;
 use virt_core::protocol::{self, proc};
@@ -83,7 +83,9 @@ fn daemon_behind_proxy(name: &str, clock: &SimClock) -> (Virtd, Tap) {
 }
 
 fn open(uri: &str) -> Arc<dyn HypervisorConnection> {
-    RemoteDriver::new().open(&uri.parse().unwrap()).unwrap()
+    RemoteDriver::new()
+        .open(&uri.parse().unwrap(), &OpenOptions::default())
+        .unwrap()
 }
 
 fn domain_xml(name: &str) -> String {
@@ -116,11 +118,7 @@ fn transcript(label: &str, tap: &Tap, expected_events: usize) -> Vec<String> {
         .iter()
         .map(|(dir, body)| {
             let (header, _) = Packet::split_body(body).unwrap();
-            let (rank, kind) = match header.mtype {
-                MessageType::Call => (0, "call"),
-                MessageType::Reply => (1, "reply"),
-                MessageType::Event => (2, "event"),
-            };
+            let (rank, kind) = (header.mtype.as_u32(), header.mtype.name());
             // Calls and replies by name; one-way frames (pushed events,
             // the keepalive program's BYE) as program:number.
             let callable = proc::ALL.iter().find(|(num, _)| *num == header.procedure);

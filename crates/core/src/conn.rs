@@ -244,6 +244,21 @@ impl Connect {
         self.inner.get_all_domain_stats()
     }
 
+    /// [`Connect::get_all_domain_stats`] without the records: `visit` is
+    /// handed each domain's name and stats in turn and keeps what it
+    /// wants. It runs under the driver's locks, so it must not call back
+    /// into this connection.
+    ///
+    /// # Errors
+    ///
+    /// Connection failures.
+    pub fn for_each_domain_stats(
+        &self,
+        visit: &mut dyn FnMut(&str, &[crate::typedparam::TypedParam]),
+    ) -> VirtResult<()> {
+        self.inner.for_each_domain_stats(visit)
+    }
+
     /// Looks up a domain by name.
     ///
     /// # Errors

@@ -7,6 +7,7 @@
 //! Driver selection is by URI scheme, with the remote driver as the
 //! fallback for any scheme no client-side driver claims.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,8 +18,8 @@ use crate::capabilities::Capabilities;
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::event::{CallbackId, EventCallback};
 use crate::guard::{GuardPolicy, GuardStatus};
-use crate::job::JobStats;
-use crate::typedparam::{stats_field, TypedParam};
+use crate::job::{JobKind, JobStats};
+use crate::typedparam::{stats_field, ParamValue, TypedParam};
 use crate::uri::ConnectUri;
 use crate::uuid::Uuid;
 
@@ -227,8 +228,65 @@ impl DomainStatsRecord {
     /// Builds the canonical parameter set from a domain record and its
     /// job stats. Shared by every driver that answers bulk stats.
     pub fn compose(domain: &DomainRecord, job: &JobStats) -> Self {
-        Self::from_parts(
-            &domain.name,
+        DomainStatsRecord {
+            name: domain.name.clone(),
+            params: StatsParams::of(domain, job).into_vec(),
+        }
+    }
+}
+
+/// One domain's bulk-stats parameters built in place — the stack form of
+/// [`DomainStatsRecord::compose`]'s list, for a visitor that only reads
+/// it: the five facts, then the three `job.*` fields for a domain with
+/// job history. Only those two `job.*` strings allocate.
+pub(crate) struct StatsParams {
+    params: [TypedParam; 8],
+    len: usize,
+}
+
+impl StatsParams {
+    /// The parameters of a domain with these facts and this job.
+    pub(crate) fn new(
+        state: DomainState,
+        cpu_time_ns: u64,
+        memory_mib: u64,
+        max_memory_mib: u64,
+        vcpus: u32,
+        job: &JobStats,
+    ) -> Self {
+        // What a domain without job history leaves in the `job.*` slots;
+        // never read.
+        const UNUSED: TypedParam = TypedParam {
+            field: Cow::Borrowed(""),
+            value: ParamValue::UInt(0),
+        };
+        let has_job = job.kind != JobKind::None;
+        let [kind, job_state, progress] = if has_job {
+            [
+                TypedParam::string(stats_field::JOB_KIND, job.kind.to_string()),
+                TypedParam::string(stats_field::JOB_STATE, job.state.to_string()),
+                TypedParam::uint(stats_field::JOB_PROGRESS, job.progress_percent()),
+            ]
+        } else {
+            [UNUSED; 3]
+        };
+        StatsParams {
+            params: [
+                TypedParam::uint(stats_field::STATE, state.as_u32()),
+                TypedParam::ullong(stats_field::CPU_TIME, cpu_time_ns),
+                TypedParam::ullong(stats_field::BALLOON_CURRENT, memory_mib),
+                TypedParam::ullong(stats_field::BALLOON_MAXIMUM, max_memory_mib),
+                TypedParam::uint(stats_field::VCPU_CURRENT, vcpus),
+                kind,
+                job_state,
+                progress,
+            ],
+            len: if has_job { 8 } else { 5 },
+        }
+    }
+
+    fn of(domain: &DomainRecord, job: &JobStats) -> Self {
+        Self::new(
             domain.state,
             domain.cpu_time_ns,
             domain.memory_mib,
@@ -238,46 +296,26 @@ impl DomainStatsRecord {
         )
     }
 
-    /// [`DomainStatsRecord::compose`] from the facts themselves, for a
-    /// driver that reads them without building a [`DomainRecord`].
-    pub(crate) fn from_parts(
-        name: &str,
-        state: DomainState,
-        cpu_time_ns: u64,
-        memory_mib: u64,
-        max_memory_mib: u64,
-        vcpus: u32,
-        job: &JobStats,
-    ) -> Self {
-        let has_job = job.kind != crate::job::JobKind::None;
-        let mut params = Vec::with_capacity(if has_job { 8 } else { 5 });
-        params.extend([
-            TypedParam::uint(stats_field::STATE, state.as_u32()),
-            TypedParam::ullong(stats_field::CPU_TIME, cpu_time_ns),
-            TypedParam::ullong(stats_field::BALLOON_CURRENT, memory_mib),
-            TypedParam::ullong(stats_field::BALLOON_MAXIMUM, max_memory_mib),
-            TypedParam::uint(stats_field::VCPU_CURRENT, vcpus),
-        ]);
-        if has_job {
-            params.extend([
-                TypedParam::string(stats_field::JOB_KIND, job.kind.to_string()),
-                TypedParam::string(stats_field::JOB_STATE, job.state.to_string()),
-                TypedParam::uint(stats_field::JOB_PROGRESS, job.progress_percent()),
-            ]);
-        }
-        DomainStatsRecord {
-            name: name.to_string(),
-            params,
-        }
+    /// The parameters as a list of exactly their length.
+    fn into_vec(self) -> Vec<TypedParam> {
+        self.params.into_iter().take(self.len).collect()
+    }
+}
+
+impl std::ops::Deref for StatsParams {
+    type Target = [TypedParam];
+
+    fn deref(&self) -> &[TypedParam] {
+        &self.params[..self.len]
     }
 }
 
 /// Bulk stats composed from the per-domain entry points: one
 /// [`HypervisorConnection::list_domains`], then each domain's job stats
 /// (a failed job query costs that domain its `job.*` fields, never its
-/// record). This is [`HypervisorConnection::get_all_domain_stats`]'s
-/// default, and the reference an overriding driver must match record
-/// for record and charge for charge.
+/// record). This is what [`HypervisorConnection::for_each_domain_stats`]
+/// does by default, collected, and the reference a driver's own visitor
+/// must match record for record and charge for charge.
 ///
 /// # Errors
 ///
@@ -694,18 +732,48 @@ pub trait HypervisorConnection: Send + Sync + std::fmt::Debug {
         ))
     }
 
-    /// Stats of every domain in one call. The default composes records
+    /// Stats of every domain in one call (`virConnectGetAllDomainStats`),
+    /// handed to `visit` one domain at a time — name, then typed
+    /// parameters — in name order, with nothing kept. This is the bulk
+    /// entry point a driver implements. The default composes each row
     /// from [`HypervisorConnection::list_domains`] and per-domain job
-    /// stats, for drivers without a domain table of their own. The
-    /// embedded driver overrides it with one pass over its host's table
-    /// (same records, same simulated cost), the remote driver with a
-    /// single round-trip.
+    /// stats, for drivers without a domain table of their own; the
+    /// embedded driver visits its host's table in one pass (same rows,
+    /// same simulated cost), the remote driver reads the daemon's single
+    /// reply row by row.
+    ///
+    /// `visit` runs under the driver's locks — the host table's read lock
+    /// and the domain's mutex, or the connection's receive side while the
+    /// reply is read — so it must not call back into this connection.
     ///
     /// # Errors
     ///
     /// Driver-specific failures.
+    fn for_each_domain_stats(&self, visit: &mut dyn FnMut(&str, &[TypedParam])) -> VirtResult<()> {
+        for domain in self.list_domains()? {
+            let job = self.domain_job_stats(&domain.name).unwrap_or_default();
+            visit(&domain.name, &StatsParams::of(&domain, &job));
+        }
+        Ok(())
+    }
+
+    /// Stats of every domain in one call, collected from
+    /// [`HypervisorConnection::for_each_domain_stats`]: one name and one
+    /// parameter list per domain. Drivers implement the visitor, never
+    /// this.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the visit fails with.
     fn get_all_domain_stats(&self) -> VirtResult<Vec<DomainStatsRecord>> {
-        compose_all_domain_stats(self)
+        let mut records = Vec::new();
+        self.for_each_domain_stats(&mut |name, params| {
+            records.push(DomainStatsRecord {
+                name: name.to_string(),
+                params: params.to_vec(),
+            });
+        })?;
+        Ok(records)
     }
 
     // ---- storage ---------------------------------------------------------

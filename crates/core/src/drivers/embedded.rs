@@ -15,8 +15,8 @@ use hypersim::{MigrationParams, SimErrorKind, SimHost};
 
 use crate::capabilities::Capabilities;
 use crate::driver::{
-    DomainRecord, DomainState, DomainStatsRecord, HypervisorConnection, MigrationOptions,
-    MigrationReport, NetworkRecord, NodeInfo, PoolRecord, VolumeRecord,
+    DomainRecord, DomainState, HypervisorConnection, MigrationOptions, MigrationReport,
+    NetworkRecord, NodeInfo, PoolRecord, StatsParams, VolumeRecord,
 };
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::event::{
@@ -27,6 +27,7 @@ use crate::job::{JobKind, JobManager, JobProgress, JobStats, JobTicket};
 use crate::metrics::span::{self, Stage};
 use crate::metrics::Registry;
 use crate::statestore::{DomainStatus, ObjectKind, StateStore, StoreOp};
+use crate::typedparam::TypedParam;
 use crate::uuid::Uuid;
 use crate::xmlfmt::{DiskConfig, DomainConfig, NetworkConfig, PoolConfig, VolumeConfig};
 
@@ -1179,34 +1180,34 @@ impl HypervisorConnection for EmbeddedConnection {
     }
 
     /// One pass over the host's domain table instead of the default's
-    /// list-then-query-each: the same records in the same order, and the
-    /// same simulated cost — one `ListDomains`, then one `QueryDomain`
-    /// for every domain without job history, which is what
-    /// [`HypervisorConnection::domain_job_stats`] spends validating the
-    /// name (a failed query never cost the default a record either).
-    fn get_all_domain_stats(&self) -> VirtResult<Vec<DomainStatsRecord>> {
+    /// list-then-query-each: the same rows in the same order, built on
+    /// the stack, and the same simulated cost — one `ListDomains`, then
+    /// one `QueryDomain` for every domain without job history, which is
+    /// what [`HypervisorConnection::domain_job_stats`] spends validating
+    /// the name (a failed query never cost the default a row either),
+    /// charged in one step after the pass.
+    fn for_each_domain_stats(&self, visit: &mut dyn FnMut(&str, &[TypedParam])) -> VirtResult<()> {
         self.ensure_alive()?;
         let jobs = self.jobs.snapshot();
         let idle = JobStats::default();
-        let mut records = Vec::new();
         let mut without_history = 0;
         self.host.visit_domains(|domain| {
             let job = jobs.get(domain.name).unwrap_or(&idle);
             if job.kind == JobKind::None {
                 without_history += 1;
             }
-            records.push(DomainStatsRecord::from_parts(
-                domain.name,
+            let params = StatsParams::new(
                 domain.state.into(),
                 domain.cpu_time_ns,
                 domain.memory.0,
                 domain.max_memory.0,
                 domain.vcpus,
                 job,
-            ));
+            );
+            visit(domain.name, &params);
         })?;
         self.host.charge_domain_queries(without_history);
-        Ok(records)
+        Ok(())
     }
 
     // ---- storage -----------------------------------------------------------

@@ -28,8 +28,8 @@ use virt_rpc::xdr::XdrEncode;
 use crate::capabilities::Capabilities;
 use crate::client_metrics;
 use crate::driver::{
-    DomainRecord, DomainStatsRecord, HypervisorConnection, HypervisorDriver, MigrationOptions,
-    MigrationReport, NetworkRecord, NodeInfo, OpenOptions, PoolRecord, VolumeRecord,
+    DomainRecord, HypervisorConnection, HypervisorDriver, MigrationOptions, MigrationReport,
+    NetworkRecord, NodeInfo, OpenOptions, PoolRecord, VolumeRecord,
 };
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::event::{CallbackId, EventBus, EventCallback};
@@ -37,6 +37,7 @@ use crate::guard::{GuardPolicy, GuardStatus};
 use crate::job::JobStats;
 use crate::protocol::{self, proc};
 use crate::testbed;
+use crate::typedparam::TypedParam;
 use crate::uri::ConnectUri;
 use crate::uuid::Uuid;
 
@@ -255,12 +256,7 @@ impl RemoteConnection {
         procedure: u32,
         args: &impl XdrEncode,
     ) -> VirtResult<R> {
-        if !self.open.load(Ordering::Acquire) {
-            return Err(VirtError::new(
-                ErrorCode::ConnectInvalid,
-                "connection is closed",
-            ));
-        }
+        self.ensure_open()?;
         self.client
             .call::<R>(
                 REMOTE_PROGRAM,
@@ -270,6 +266,38 @@ impl RemoteConnection {
                 None,
             )
             .map_err(VirtError::from)
+    }
+
+    /// [`RemoteConnection::call`] with the reply handed to `read` where
+    /// it lies (see [`ReconnectingClient::call_reading`]).
+    fn call_reading(
+        &self,
+        procedure: u32,
+        args: &impl XdrEncode,
+        read: &mut dyn FnMut(&[u8]) -> Result<(), virt_rpc::xdr::XdrError>,
+    ) -> VirtResult<()> {
+        self.ensure_open()?;
+        self.client
+            .call_reading(
+                REMOTE_PROGRAM,
+                procedure,
+                protocol::is_idempotent(procedure),
+                args,
+                None,
+                read,
+            )
+            .map_err(VirtError::from)
+    }
+
+    fn ensure_open(&self) -> VirtResult<()> {
+        if self.open.load(Ordering::Acquire) {
+            Ok(())
+        } else {
+            Err(VirtError::new(
+                ErrorCode::ConnectInvalid,
+                "connection is closed",
+            ))
+        }
     }
 }
 
@@ -374,19 +402,13 @@ impl HypervisorConnection for RemoteConnection {
         )
     }
 
-    fn get_all_domain_stats(&self) -> VirtResult<Vec<DomainStatsRecord>> {
+    fn for_each_domain_stats(&self, visit: &mut dyn FnMut(&str, &[TypedParam])) -> VirtResult<()> {
         // The whole point of the bulk procedure: one round-trip for the
-        // entire host, never one call per domain.
-        let wire: protocol::WireDomainStatsList =
-            self.call(proc::CONNECT_GET_ALL_DOMAIN_STATS, &())?;
-        Ok(wire
-            .0
-            .into_iter()
-            .map(|record| DomainStatsRecord {
-                name: record.name,
-                params: record.params.0,
-            })
-            .collect())
+        // entire host, never one call per domain — read row by row where
+        // the reply lies.
+        self.call_reading(proc::CONNECT_GET_ALL_DOMAIN_STATS, &(), &mut |payload| {
+            protocol::read_stats_list(payload, visit)
+        })
     }
 
     fn register_event_callback(&self, callback: EventCallback) -> VirtResult<CallbackId> {

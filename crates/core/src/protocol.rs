@@ -30,7 +30,7 @@ use crate::event::{DomainEvent, DomainEventKind};
 use crate::guard::{GuardPolicy, GuardStatus};
 use crate::job::JobStats;
 use crate::typedparam::{
-    encode_params, params_encoded_len, xdr_str_len, TypedParam, TypedParamList,
+    decode_params_into, params_encoded_len, xdr_str_len, Placed, TypedParam, TypedParamList,
 };
 use crate::uuid::Uuid;
 
@@ -879,17 +879,53 @@ xdr_struct! {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireDomainStatsList(pub Vec<WireDomainStatsRecord>);
 
-/// The bulk-stats reply payload encoded straight from the driver's
-/// records — the bytes of the equivalent [`WireDomainStatsList`], without
-/// building one.
+/// The bulk-stats reply payload encoded from collected records — the
+/// bytes of the equivalent [`WireDomainStatsList`], without building one.
 #[derive(Debug, Clone, Copy)]
 pub struct DomainStatsReply<'a>(pub &'a [DomainStatsRecord]);
 
-/// The one encoder of a bulk-stats list: reserves the exact encoded
-/// size up front (a 1000-domain reply is ~156 kB; growing there by
-/// doubling would copy it twice over), then writes each record once.
+/// The one writer of a bulk-stats list: a placeholder count, each record
+/// as [`StatsListWriter::push`] is handed it, then
+/// [`StatsListWriter::finish`] patches the count in. The daemon writes a
+/// driver's visited rows straight into its reply with it; the encoders of
+/// collected lists reserve the exact size first and write through it too.
+pub struct StatsListWriter<'a> {
+    out: &'a mut Vec<u8>,
+    count_at: usize,
+    count: u32,
+}
+
+impl<'a> StatsListWriter<'a> {
+    /// Starts a list at the end of `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        let count_at = out.len();
+        0u32.encode(out);
+        StatsListWriter {
+            out,
+            count_at,
+            count: 0,
+        }
+    }
+
+    /// Appends one record.
+    pub fn push(&mut self, name: &str, params: &[TypedParam]) {
+        let mut record = Placed::grow(self.out, xdr_str_len(name) + params_encoded_len(params));
+        record.str(name);
+        record.params(params);
+        self.count += 1;
+    }
+
+    /// Writes the number of records pushed into the placeholder.
+    pub fn finish(self) {
+        self.out[self.count_at..self.count_at + 4].copy_from_slice(&self.count.to_be_bytes());
+    }
+}
+
+/// Encodes a collected list: reserves the exact encoded size up front (a
+/// 1000-domain reply is ~156 kB; growing there by doubling would copy it
+/// twice over), then writes each record once.
 fn encode_stats_list<'a>(
-    records: impl ExactSizeIterator<Item = (&'a str, &'a [TypedParam])> + Clone,
+    records: impl Iterator<Item = (&'a str, &'a [TypedParam])> + Clone,
     out: &mut Vec<u8>,
 ) {
     let len: usize = records
@@ -897,11 +933,11 @@ fn encode_stats_list<'a>(
         .map(|(name, params)| xdr_str_len(name) + params_encoded_len(params))
         .sum();
     out.reserve(4 + len);
-    (records.len() as u32).encode(out);
+    let mut list = StatsListWriter::new(out);
     for (name, params) in records {
-        name.encode(out);
-        encode_params(params, out);
+        list.push(name, params);
     }
+    list.finish();
 }
 
 impl XdrEncode for WireDomainStatsList {
@@ -926,6 +962,35 @@ impl XdrEncode for DomainStatsReply<'_> {
     }
 }
 
+/// Most records a bulk-stats list may declare.
+const MAX_STATS_RECORDS: u32 = 1_000_000;
+
+/// Reads a bulk-stats list one record at a time: each name borrowed from
+/// `payload`, each record's parameters decoded into one buffer reused for
+/// all of them, and both handed to `visit`. Accepts what
+/// [`WireDomainStatsList`]'s decoder accepts; a malformed record fails
+/// the read after the records before it were visited.
+pub(crate) fn read_stats_list(
+    payload: &[u8],
+    visit: &mut dyn FnMut(&str, &[TypedParam]),
+) -> Result<(), virt_rpc::xdr::XdrError> {
+    let mut cursor = virt_rpc::xdr::Cursor::new(payload);
+    let len = u32::decode(&mut cursor)?;
+    if len > MAX_STATS_RECORDS {
+        return Err(virt_rpc::xdr::XdrError::LengthTooLarge(len));
+    }
+    let mut params = Vec::new();
+    for _ in 0..len {
+        let name = cursor.read_str()?;
+        decode_params_into(&mut cursor, &mut params)?;
+        visit(name, &params);
+    }
+    if !cursor.is_exhausted() {
+        return Err(virt_rpc::xdr::XdrError::BadPadding);
+    }
+    Ok(())
+}
+
 /// Smallest encoding of one record: an empty name and an empty
 /// parameter list.
 const MIN_STATS_RECORD_ENCODED_LEN: usize = 8;
@@ -933,7 +998,7 @@ const MIN_STATS_RECORD_ENCODED_LEN: usize = 8;
 impl XdrDecode for WireDomainStatsList {
     fn decode(cursor: &mut virt_rpc::xdr::Cursor<'_>) -> Result<Self, virt_rpc::xdr::XdrError> {
         let len = u32::decode(cursor)?;
-        if len > 1_000_000 {
+        if len > MAX_STATS_RECORDS {
             return Err(virt_rpc::xdr::XdrError::LengthTooLarge(len));
         }
         // A declared length reserves no more records than the bytes
@@ -1104,8 +1169,27 @@ mod tests {
                 params: TypedParamList(vec![TypedParam::string("job.kind", "migration")]),
             },
         ]);
-        let decoded = WireDomainStatsList::from_xdr(&list.to_xdr()).unwrap();
+        let bytes = list.to_xdr();
+        let decoded = WireDomainStatsList::from_xdr(&bytes).unwrap();
         assert_eq!(decoded, list);
+
+        // The row-by-row writer and reader agree with the owned list.
+        let mut written = Vec::new();
+        let mut writer = StatsListWriter::new(&mut written);
+        for record in &list.0 {
+            writer.push(&record.name, &record.params.0);
+        }
+        writer.finish();
+        assert_eq!(written, bytes);
+        let mut read = Vec::new();
+        read_stats_list(&bytes, &mut |name, params| {
+            read.push(WireDomainStatsRecord {
+                name: name.to_string(),
+                params: TypedParamList(params.to_vec()),
+            });
+        })
+        .unwrap();
+        assert_eq!(read, list.0);
     }
 
     #[test]
@@ -1143,18 +1227,31 @@ mod tests {
 
     #[test]
     fn stats_list_declared_length_cannot_outrun_its_bytes() {
+        use virt_rpc::xdr::XdrError;
+        // The owned decoder and the row-by-row reader reject alike.
+        let read = |data: &[u8]| read_stats_list(data, &mut |_, _| {}).unwrap_err();
         // A million records declared, none present: rejected as short
         // (and reserves nothing on the way — see the decoder).
         let mut data = 1_000_000u32.to_xdr();
         assert!(matches!(
             WireDomainStatsList::from_xdr(&data).unwrap_err(),
-            virt_rpc::xdr::XdrError::UnexpectedEnd { .. }
+            XdrError::UnexpectedEnd { .. }
         ));
+        assert!(matches!(read(&data), XdrError::UnexpectedEnd { .. }));
         data = 1_000_001u32.to_xdr();
         assert!(matches!(
             WireDomainStatsList::from_xdr(&data).unwrap_err(),
-            virt_rpc::xdr::XdrError::LengthTooLarge(1_000_001)
+            XdrError::LengthTooLarge(1_000_001)
         ));
+        assert!(matches!(read(&data), XdrError::LengthTooLarge(1_000_001)));
+        // Bytes after the last record.
+        data = 0u32.to_xdr();
+        data.extend_from_slice(&[0; 4]);
+        assert!(matches!(
+            WireDomainStatsList::from_xdr(&data).unwrap_err(),
+            XdrError::BadPadding
+        ));
+        assert!(matches!(read(&data), XdrError::BadPadding));
     }
 
     #[test]

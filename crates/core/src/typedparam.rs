@@ -191,17 +191,7 @@ const MIN_PARAM_ENCODED_LEN: usize = 12;
 
 impl XdrEncode for TypedParam {
     fn encode(&self, out: &mut Vec<u8>) {
-        (&*self.field).encode(out);
-        self.value.discriminant().encode(out);
-        match &self.value {
-            ParamValue::Int(v) => v.encode(out),
-            ParamValue::UInt(v) => v.encode(out),
-            ParamValue::LLong(v) => v.encode(out),
-            ParamValue::ULLong(v) => v.encode(out),
-            ParamValue::Double(v) => v.encode(out),
-            ParamValue::Boolean(v) => v.encode(out),
-            ParamValue::Str(v) => v.encode(out),
-        }
+        Placed::grow(out, self.encoded_len()).param(self);
     }
 }
 
@@ -225,15 +215,70 @@ impl XdrDecode for TypedParam {
 /// Appends the XDR array encoding of `params` — the one encoder behind
 /// [`TypedParamList`] and the bulk-stats reply.
 pub(crate) fn encode_params(params: &[TypedParam], out: &mut Vec<u8>) {
-    (params.len() as u32).encode(out);
-    for param in params {
-        param.encode(out);
-    }
+    Placed::grow(out, params_encoded_len(params)).params(params);
 }
 
 /// Bytes [`encode_params`] appends for `params`.
 pub(crate) fn params_encoded_len(params: &[TypedParam]) -> usize {
     4 + params.iter().map(TypedParam::encoded_len).sum::<usize>()
+}
+
+/// Writes XDR into room already made at the end of a buffer:
+/// [`Placed::grow`] zero-extends the buffer by the exact encoded length
+/// and the writes fill it front to back. A bulk-stats reply is some
+/// 12 000 short strings and words, and this makes one capacity check per
+/// record instead of one per piece; the zeros are the strings' padding.
+/// The length must be exact: a short one panics, a long one leaves zeros
+/// behind.
+pub(crate) struct Placed<'a>(&'a mut [u8]);
+
+impl<'a> Placed<'a> {
+    /// Makes room for `len` bytes at the end of `out`.
+    pub(crate) fn grow(out: &'a mut Vec<u8>, len: usize) -> Self {
+        let start = out.len();
+        out.resize(start + len, 0);
+        Placed(&mut out[start..])
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        let (head, tail) = std::mem::take(&mut self.0).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        self.0 = tail;
+    }
+
+    fn u32(&mut self, value: u32) {
+        self.bytes(&value.to_be_bytes());
+    }
+
+    /// An XDR string: length, bytes, zero padding to 4.
+    pub(crate) fn str(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.bytes(s.as_bytes());
+        let padding = xdr_str_len(s) - 4 - s.len();
+        self.0 = &mut std::mem::take(&mut self.0)[padding..];
+    }
+
+    fn param(&mut self, param: &TypedParam) {
+        self.str(&param.field);
+        self.u32(param.value.discriminant());
+        match &param.value {
+            ParamValue::Int(v) => self.bytes(&v.to_be_bytes()),
+            ParamValue::UInt(v) => self.u32(*v),
+            ParamValue::LLong(v) => self.bytes(&v.to_be_bytes()),
+            ParamValue::ULLong(v) => self.bytes(&v.to_be_bytes()),
+            ParamValue::Double(v) => self.bytes(&v.to_be_bytes()),
+            ParamValue::Boolean(v) => self.u32(u32::from(*v)),
+            ParamValue::Str(v) => self.str(v),
+        }
+    }
+
+    /// An XDR array of parameters: count, then each one.
+    pub(crate) fn params(&mut self, params: &[TypedParam]) {
+        self.u32(params.len() as u32);
+        for param in params {
+            self.param(param);
+        }
+    }
 }
 
 /// A wire-encodable list of typed parameters (newtype over `Vec` because
@@ -249,19 +294,31 @@ impl XdrEncode for TypedParamList {
 
 impl XdrDecode for TypedParamList {
     fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
-        let len = u32::decode(cursor)?;
-        if len > 4096 {
-            return Err(XdrError::LengthTooLarge(len));
-        }
-        // Sized once from the declared length, but never for more
-        // parameters than the bytes that are actually there could hold.
-        let mut params =
-            Vec::with_capacity((len as usize).min(cursor.remaining() / MIN_PARAM_ENCODED_LEN));
-        for _ in 0..len {
-            params.push(TypedParam::decode(cursor)?);
-        }
+        let mut params = Vec::new();
+        decode_params_into(cursor, &mut params)?;
         Ok(TypedParamList(params))
     }
+}
+
+/// Decodes an XDR parameter array into `params`, replacing what was
+/// there — the one decoder behind [`TypedParamList`] and the bulk-stats
+/// reader, which reuses one buffer for every record.
+pub(crate) fn decode_params_into(
+    cursor: &mut Cursor<'_>,
+    params: &mut Vec<TypedParam>,
+) -> Result<(), XdrError> {
+    let len = u32::decode(cursor)?;
+    if len > 4096 {
+        return Err(XdrError::LengthTooLarge(len));
+    }
+    params.clear();
+    // Sized once from the declared length, but never for more parameters
+    // than the bytes that are actually there could hold.
+    params.reserve((len as usize).min(cursor.remaining() / MIN_PARAM_ENCODED_LEN));
+    for _ in 0..len {
+        params.push(TypedParam::decode(cursor)?);
+    }
+    Ok(())
 }
 
 /// Helpers over parameter lists.

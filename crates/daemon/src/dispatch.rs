@@ -14,6 +14,7 @@
 //! rows. `tests/wire_procedures.rs` fails if a row has no arm.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -93,6 +94,8 @@ pub(crate) struct RemoteDispatcher {
     /// Client ids that have passed AUTH (only tracked when required).
     authenticated: Mutex<std::collections::HashSet<u64>>,
     metrics: DispatchMetrics,
+    /// Length of the last bulk-stats reply: what the next one reserves.
+    bulk_reply_len: AtomicUsize,
 }
 
 impl RemoteDispatcher {
@@ -115,6 +118,7 @@ impl RemoteDispatcher {
                     .collect(),
                 totals: DispatchTotals::new(),
             },
+            bulk_reply_len: AtomicUsize::new(0),
         })
     }
 
@@ -268,7 +272,15 @@ impl RemoteDispatcher {
                 protocol::WireDomain::from(&record).to_xdr()
             }
             proc::CONNECT_GET_ALL_DOMAIN_STATS => {
-                protocol::DomainStatsReply(&c.get_all_domain_stats()?).to_xdr()
+                // The driver's rows go straight into the reply, reserved
+                // at the size of the last one: a host polled again is
+                // usually the size it was.
+                let mut reply = Vec::with_capacity(self.bulk_reply_len.load(Ordering::Relaxed));
+                let mut list = protocol::StatsListWriter::new(&mut reply);
+                c.for_each_domain_stats(&mut |name, params| list.push(name, params))?;
+                list.finish();
+                self.bulk_reply_len.store(reply.len(), Ordering::Relaxed);
+                reply
             }
             proc::MIGRATE_PERFORM => {
                 let args: protocol::MigratePerformArgs = decode_args(payload)?;

@@ -5,7 +5,7 @@
 //! The cache is **push-refreshed**:
 //!
 //! - a full refresh costs exactly two RPCs per host — `node_info` plus
-//!   the bulk `domstats` call (`Connect::get_all_domain_stats`), never
+//!   the bulk `domstats` call (`Connect::for_each_domain_stats`), never
 //!   one round trip per domain;
 //! - between refreshes, the host's lifecycle event stream keeps the
 //!   cache honest: cheap transitions (started/stopped/migrated-out/…)
@@ -16,8 +16,8 @@
 
 use std::time::Instant;
 
-use virt_core::driver::{DomainStatsRecord, NodeInfo};
-use virt_core::typedparam::{stats_field, ParamValue};
+use virt_core::driver::NodeInfo;
+use virt_core::typedparam::{stats_field, ParamValue, TypedParam};
 use virt_core::{DomainEventKind, DomainState};
 
 /// One domain's entry in the inventory: the subset of the bulk-stats
@@ -39,17 +39,17 @@ pub struct DomainSummary {
 }
 
 impl DomainSummary {
-    /// Extracts the summary from one bulk-stats record.
-    pub(crate) fn from_stats(record: &DomainStatsRecord) -> Self {
+    /// Extracts the summary from one domain's bulk-stats row.
+    pub(crate) fn from_stats(name: &str, params: &[TypedParam]) -> Self {
         let mut summary = DomainSummary {
-            name: record.name.clone(),
+            name: name.to_string(),
             state: DomainState::Shutoff,
             memory_mib: 0,
             max_memory_mib: 0,
             vcpus: 0,
             job: None,
         };
-        for param in &record.params {
+        for param in params {
             match (&*param.field, &param.value) {
                 (stats_field::STATE, ParamValue::UInt(v)) => {
                     summary.state = DomainState::from(*v);
@@ -166,7 +166,7 @@ impl HostInventory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virt_core::driver::DomainRecord;
+    use virt_core::driver::{DomainRecord, DomainStatsRecord};
     use virt_core::job::JobStats;
     use virt_core::uuid::Uuid;
 
@@ -189,7 +189,8 @@ mod tests {
 
     #[test]
     fn summary_parses_bulk_stats_params() {
-        let summary = DomainSummary::from_stats(&record("web", DomainState::Running, 512));
+        let web = record("web", DomainState::Running, 512);
+        let summary = DomainSummary::from_stats(&web.name, &web.params);
         assert_eq!(summary.name, "web");
         assert_eq!(summary.state, DomainState::Running);
         assert_eq!(summary.memory_mib, 512);
@@ -199,6 +200,7 @@ mod tests {
 
     #[test]
     fn events_patch_known_domains_in_place() {
+        let web = record("web", DomainState::Shutoff, 512);
         let mut inv = HostInventory::default();
         inv.install(
             NodeInfo {
@@ -210,11 +212,7 @@ mod tests {
                 active_domains: 0,
                 inactive_domains: 1,
             },
-            vec![DomainSummary::from_stats(&record(
-                "web",
-                DomainState::Shutoff,
-                512,
-            ))],
+            vec![DomainSummary::from_stats("web", &web.params)],
         );
         assert!(inv.apply_event("web", DomainEventKind::Started));
         assert_eq!(inv.domains[0].state, DomainState::Running);

@@ -448,8 +448,10 @@ impl FleetManager {
         let refresh = || -> VirtResult<()> {
             let conn = self.connection(host)?;
             let node = conn.node_info()?;
-            let stats = conn.get_all_domain_stats()?;
-            let domains: Vec<DomainSummary> = stats.iter().map(DomainSummary::from_stats).collect();
+            let mut domains = Vec::new();
+            conn.for_each_domain_stats(&mut |name, params| {
+                domains.push(DomainSummary::from_stats(name, params));
+            })?;
             // The fresh node snapshot already accounts for every domain
             // that existed when it was taken, so reservations covering
             // completed placements are dropped with it. (A placement

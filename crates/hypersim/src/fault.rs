@@ -99,6 +99,38 @@ impl FaultPlan {
         self.always.get(&op).copied()
     }
 
+    /// Records `n` invocations of `op` in one step and returns the extra
+    /// latency their [`FaultAction::Hang`]s add up to: what `n` calls to
+    /// [`FaultPlan::check`] would have hung for, with the same precedence
+    /// (an occurrence's first scheduled entry, else `always`). Their
+    /// other actions are counted but not reported — the one caller
+    /// ignores them, as it would ignore a failed single query.
+    pub(crate) fn check_hangs(&self, op: OpKind, n: u64) -> Duration {
+        let mut counters = self.counters.lock();
+        let count = counters.entry(op).or_insert(0);
+        let occurrences = *count + 1..=*count + n;
+        *count += n;
+        drop(counters);
+
+        let hang = |action: Option<&FaultAction>| match action {
+            Some(FaultAction::Hang(extra)) => *extra,
+            _ => Duration::ZERO,
+        };
+        let mut extra = Duration::ZERO;
+        let mut scheduled_hits = 0;
+        if let Some(entries) = self.scheduled.get(&op) {
+            for (i, (at, action)) in entries.iter().enumerate() {
+                let first_for_occurrence = !entries[..i].iter().any(|(earlier, _)| earlier == at);
+                if occurrences.contains(at) && first_for_occurrence {
+                    scheduled_hits += 1;
+                    extra += hang(Some(action));
+                }
+            }
+        }
+        let always = hang(self.always.get(&op));
+        extra + always.saturating_mul(u32::try_from(n - scheduled_hits).unwrap_or(u32::MAX))
+    }
+
     /// Number of times `op` has been invoked so far.
     pub fn occurrences(&self, op: OpKind) -> u64 {
         *self.counters.lock().get(&op).unwrap_or(&0)
@@ -163,6 +195,48 @@ mod tests {
         assert_eq!(plan.check(OpKind::Start), Some(FaultAction::Fail));
         assert_eq!(plan.check(OpKind::Start), Some(FaultAction::CrashAfter));
         assert_eq!(plan.check(OpKind::Start), None);
+    }
+
+    #[test]
+    fn check_hangs_adds_up_what_single_checks_return() {
+        let hang = |ms| FaultAction::Hang(Duration::from_millis(ms));
+        let plan = || {
+            FaultPlan::new()
+                .always(OpKind::QueryDomain, hang(1))
+                .inject(OpKind::QueryDomain, 2, hang(30))
+                .fail_on(OpKind::QueryDomain, 3)
+                .inject(OpKind::QueryDomain, 3, hang(500))
+                .inject(OpKind::QueryDomain, 9, hang(200))
+        };
+        for (before, n) in [
+            (0, 0),
+            (0, 1),
+            (0, 5),
+            (1, 2),
+            (2, 1),
+            (3, 10),
+            (8, 1),
+            (9, 4),
+        ] {
+            let single = plan();
+            let batched = plan();
+            for _ in 0..before {
+                single.check(OpKind::QueryDomain);
+                batched.check(OpKind::QueryDomain);
+            }
+            let expected: Duration = (0..n)
+                .filter_map(|_| match single.check(OpKind::QueryDomain) {
+                    Some(FaultAction::Hang(extra)) => Some(extra),
+                    _ => None,
+                })
+                .sum();
+            assert_eq!(
+                batched.check_hangs(OpKind::QueryDomain, n),
+                expected,
+                "{before}+{n}"
+            );
+            assert_eq!(batched.occurrences(OpKind::QueryDomain), before + n);
+        }
     }
 
     #[test]

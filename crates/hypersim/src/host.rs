@@ -412,6 +412,23 @@ impl SimHost {
     ///
     /// Returns the fault that fired, if any, after charging.
     fn charge(&self, op: OpKind, memory: MiB) -> SimResult<Option<FaultAction>> {
+        self.admit(op)?;
+        self.spend(self.shared.latency.sample(op, memory));
+        match self.shared.faults.check(op) {
+            Some(FaultAction::Fail) => Err(SimError::new(
+                SimErrorKind::InjectedFault,
+                format!("{op:?} forced to fail"),
+            )),
+            Some(FaultAction::Hang(extra)) => {
+                self.spend(extra);
+                Ok(Some(FaultAction::Hang(extra)))
+            }
+            other => Ok(other),
+        }
+    }
+
+    /// Refuses `op` on a host that is down or whose personality lacks it.
+    fn admit(&self, op: OpKind) -> SimResult<()> {
         if !self.shared.up.load(Ordering::Acquire) {
             return Err(SimError::new(
                 SimErrorKind::HostDown,
@@ -424,24 +441,14 @@ impl SimHost {
                 format!("{op:?} on {}", self.shared.personality.name()),
             ));
         }
-        let cost = self.shared.latency.sample(op, memory);
+        Ok(())
+    }
+
+    /// Advances the clock by `cost`, and sleeps its wall-scaled share.
+    fn spend(&self, cost: Duration) {
         self.shared.clock.advance(cost);
         if self.shared.wall_scale > 0.0 {
             std::thread::sleep(cost.mul_f64(self.shared.wall_scale));
-        }
-        match self.shared.faults.check(op) {
-            Some(FaultAction::Fail) => Err(SimError::new(
-                SimErrorKind::InjectedFault,
-                format!("{op:?} forced to fail"),
-            )),
-            Some(FaultAction::Hang(extra)) => {
-                self.shared.clock.advance(extra);
-                if self.shared.wall_scale > 0.0 {
-                    std::thread::sleep(extra.mul_f64(self.shared.wall_scale));
-                }
-                Ok(Some(FaultAction::Hang(extra)))
-            }
-            other => Ok(other),
         }
     }
 
@@ -1032,10 +1039,20 @@ impl SimHost {
     /// but whose modeled cost is still one hypervisor query per domain.
     /// Like a caller that ignores a failed query, this ignores injected
     /// failures: the occurrence is counted and the time is spent.
+    ///
+    /// One step for all `count`: one admission check, one pass over the
+    /// fault plan (every scheduled `Hang` in the range, plus `always`),
+    /// the latency samples drawn under one lock, one clock advance and
+    /// one wall-scaled sleep. The virtual time, the occurrence counts and
+    /// the jitter sequence are those of `count` single charges.
     pub fn charge_domain_queries(&self, count: usize) {
-        for _ in 0..count {
-            let _ = self.charge(OpKind::QueryDomain, MiB::ZERO);
+        let op = OpKind::QueryDomain;
+        if count == 0 || self.admit(op).is_err() {
+            return;
         }
+        let n = count as u64;
+        let latency = self.shared.latency.sample_n(op, MiB::ZERO, n);
+        self.spend(latency + self.shared.faults.check_hangs(op, n));
     }
 
     // ---- storage ---------------------------------------------------------

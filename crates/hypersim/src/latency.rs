@@ -176,16 +176,21 @@ impl LatencyModel {
 
     /// Samples the cost of `op` on `memory`, applying jitter if enabled.
     pub fn sample(&self, op: OpKind, memory: MiB) -> Duration {
-        let det = self.deterministic_cost(op, memory);
-        if self.jitter_pct == 0 || det.is_zero() {
-            return det;
+        self.sample_n(op, memory, 1)
+    }
+
+    /// The sum of `n` [`LatencyModel::sample`]s: the deterministic cost
+    /// times `n` without jitter, otherwise `n` draws in the order `n`
+    /// single samples would make them, under one lock of the generator.
+    pub(crate) fn sample_n(&self, op: OpKind, memory: MiB, n: u64) -> Duration {
+        let nanos = self.deterministic_cost(op, memory).as_nanos() as u64;
+        if self.jitter_pct == 0 || nanos == 0 {
+            return Duration::from_nanos(nanos.saturating_mul(n));
         }
-        let nanos = det.as_nanos() as u64;
         let amplitude = nanos * self.jitter_pct as u64 / 100;
-        let low = nanos - amplitude;
-        let high = nanos + amplitude;
-        let sampled = self.rng.lock().gen_range(low..=high);
-        Duration::from_nanos(sampled)
+        let band = nanos - amplitude..=nanos + amplitude;
+        let mut rng = self.rng.lock();
+        Duration::from_nanos((0..n).map(|_| rng.gen_range(band.clone())).sum())
     }
 }
 
@@ -266,6 +271,20 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn sample_n_draws_what_n_samples_draw() {
+        for jitter in [0, 20] {
+            let model = || LatencyModel::with_default(OpCost::scaled(90, 3)).with_jitter(jitter, 5);
+            let (single, batched) = (model(), model());
+            for n in [0, 1, 7, 1000] {
+                let expected: Duration = (0..n)
+                    .map(|_| single.sample(OpKind::QueryDomain, MiB(64)))
+                    .sum();
+                assert_eq!(batched.sample_n(OpKind::QueryDomain, MiB(64), n), expected);
+            }
+        }
     }
 
     #[test]

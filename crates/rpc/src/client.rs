@@ -300,16 +300,37 @@ impl CallClient {
         // The generic shell only encodes and decodes; everything between
         // is compiled once.
         let mut reply = None;
+        self.read_with_deadline(program, procedure, args, deadline, &mut |payload| {
+            reply = Some(R::from_xdr(payload)?);
+            Ok(())
+        })?;
+        Ok(reply.expect("a call that succeeded decoded its reply"))
+    }
+
+    /// As [`CallClient::call_with_deadline`], but the reply's payload is
+    /// handed to `read` where it lies instead of being decoded as one
+    /// value — for a reader that takes a large reply apart piece by
+    /// piece. `read` runs at most once, holding the connection's receive
+    /// side.
+    ///
+    /// # Errors
+    ///
+    /// As [`CallClient::call_with_deadline`]; [`CallError::Protocol`]
+    /// with whatever `read` rejected.
+    pub(crate) fn read_with_deadline(
+        &self,
+        program: u32,
+        procedure: u32,
+        args: &impl XdrEncode,
+        deadline: Option<Instant>,
+        read: &mut dyn FnMut(&[u8]) -> Result<(), XdrError>,
+    ) -> Result<(), CallError> {
         self.transact(
             Header::call(program, procedure, 0),
             deadline,
             &|header, frame| message::encode_frame(header, args, frame),
-            &mut |payload| {
-                reply = Some(R::from_xdr(payload)?);
-                Ok(())
-            },
-        )?;
-        Ok(reply.expect("a call that succeeded decoded its reply"))
+            read,
+        )
     }
 
     /// One call: register, send, then wait for the reply — reading the

@@ -37,7 +37,7 @@ use crate::keepalive::{self, KeepaliveAction, KeepaliveConfig, KeepaliveState};
 use crate::message::Packet;
 use crate::retry::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use crate::transport::Transport;
-use crate::xdr::{XdrDecode, XdrEncode};
+use crate::xdr::{XdrDecode, XdrEncode, XdrError};
 
 /// Dials a fresh transport to the same endpoint.
 pub type TransportFactory = Box<dyn Fn() -> io::Result<Arc<dyn Transport>> + Send + Sync>;
@@ -248,7 +248,8 @@ impl ReconnectingClient {
     /// - [`CallError::CircuitOpen`]: breaker rejecting re-dials,
     /// - [`CallError::Io`]/[`CallError::Disconnected`]: connection loss
     ///   that could not (or must not) be retried away,
-    /// - [`CallError::Protocol`]: a reply that does not decode as `R`.
+    /// - [`CallError::Protocol`]: a reply that does not decode as `R`
+    ///   (never retried: the daemon answered).
     pub fn call<R: XdrDecode>(
         &self,
         program: u32,
@@ -257,6 +258,41 @@ impl ReconnectingClient {
         args: &impl XdrEncode,
         deadline: Option<Instant>,
     ) -> Result<R, CallError> {
+        let mut reply = None;
+        self.call_reading(
+            program,
+            procedure,
+            idempotent,
+            args,
+            deadline,
+            &mut |payload| {
+                reply = Some(R::from_xdr(payload)?);
+                Ok(())
+            },
+        )?;
+        Ok(reply.expect("a call that succeeded decoded its reply"))
+    }
+
+    /// As [`ReconnectingClient::call`], but the reply's payload is handed
+    /// to `read` where it lies instead of being decoded as one value —
+    /// for a reader that takes a large reply apart piece by piece. `read`
+    /// runs once, for the attempt that got a reply, while that
+    /// connection's receive side is held; what it rejects is a
+    /// [`CallError::Protocol`], which is never retried, so rows a reader
+    /// already handed on are never handed on twice.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReconnectingClient::call`].
+    pub fn call_reading(
+        &self,
+        program: u32,
+        procedure: u32,
+        idempotent: bool,
+        args: &impl XdrEncode,
+        deadline: Option<Instant>,
+        read: &mut dyn FnMut(&[u8]) -> Result<(), XdrError>,
+    ) -> Result<(), CallError> {
         if self.inner.shut.load(Ordering::Acquire) {
             return Err(CallError::Disconnected);
         }
@@ -271,14 +307,17 @@ impl ReconnectingClient {
         };
         let mut attempt = 1u32;
         loop {
-            let outcome = self
-                .healthy_client(now)
-                .and_then(|client| client.call_with_deadline(program, procedure, args, deadline));
+            let outcome = self.healthy_client(now).and_then(|client| {
+                client.read_with_deadline(program, procedure, args, deadline, &mut *read)
+            });
             let err = match outcome {
-                Ok(reply) => return Ok(reply),
-                // The daemon answered: its verdict is final. A timeout is
-                // ambiguous (the call may still execute), so never retry.
-                Err(e @ (CallError::Remote(_) | CallError::TimedOut)) => return Err(e),
+                Ok(()) => return Ok(()),
+                // The daemon answered: its verdict, or a reply that does
+                // not read, is final. A timeout is ambiguous (the call may
+                // still execute), so never retry.
+                Err(e @ (CallError::Remote(_) | CallError::Protocol(_) | CallError::TimedOut)) => {
+                    return Err(e)
+                }
                 Err(CallError::CircuitOpen) => return Err(CallError::CircuitOpen),
                 Err(e) => e,
             };
@@ -776,6 +815,19 @@ mod tests {
             .call::<String>(REMOTE_PROGRAM, 99, true, &"x".to_string(), None)
             .unwrap_err();
         assert!(matches!(err, CallError::Remote(_)), "got {err:?}");
+        assert_eq!(client.inner.metrics.retries.get(), retries_before);
+
+        // Nor is a reply its reader rejects: the reader may have acted on
+        // part of it, and it is handed the reply exactly once.
+        let mut reads = 0;
+        let err = client
+            .call_reading(REMOTE_PROGRAM, 1, true, &"x".to_string(), None, &mut |_| {
+                reads += 1;
+                Err(XdrError::BadPadding)
+            })
+            .unwrap_err();
+        assert!(matches!(err, CallError::Protocol(_)), "got {err:?}");
+        assert_eq!(reads, 1);
         assert_eq!(client.inner.metrics.retries.get(), retries_before);
         client.close();
     }

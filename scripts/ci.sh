@@ -98,6 +98,17 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/metrics/src/*'); do
     fi
 done
 
+# Bulk stats have one path: a driver implements the visitor
+# (for_each_domain_stats) and get_all_domain_stats is the trait's provided
+# method that collects it — no driver collects a second way. (Connect's
+# public method of that name forwards to the trait's.)
+echo "== hygiene: get_all_domain_stats is collected in driver.rs only =="
+if grep -rn 'fn get_all_domain_stats' crates --include='*.rs' \
+    | grep -v -e '^crates/core/src/driver.rs:' -e '^crates/core/src/conn.rs:'; then
+    echo "error: a get_all_domain_stats body outside driver.rs — implement for_each_domain_stats instead" >&2
+    exit 1
+fi
+
 # A reply record is defined once (the API struct plus one xdr_fields!
 # line) and every list reply is a Vec through the one codec in xdr.rs.
 # The two shapes the old copies took: a `Wire*List` newtype (the
@@ -179,10 +190,12 @@ cargo test -q --release --offline -p virt-rpc --test client_hotpath --test clien
 echo "== perf guard (event loop: one read and one write per burst, wakes at its end, release) =="
 cargo test -q --release --offline -p virtd --test eventloop_burst --test pooled_burst
 
-# Bulk stats: encode + decode of a 1000-record reply stays within two
-# allocations per record (the name and the parameter Vec) — no
-# per-parameter field-name Strings.
-echo "== perf smoke (bulk-stats codec allocation budget, release) =="
+# Bulk stats: a daemon's reply, written row by row as the embedded
+# driver visits its host, allocates the same at 100 domains as at 1000
+# (no record per domain); collecting, and encode + decode of a
+# 1000-record reply, stay within two allocations per record (the name and
+# the parameter Vec) — no per-parameter field-name Strings.
+echo "== perf smoke (bulk-stats reply and codec allocation budgets, release) =="
 cargo test -q --release --offline -p virt-core --test bulk_stats_allocs
 
 # Define: decoding the workload's 4-disk domain description allocates what
@@ -261,5 +274,12 @@ cargo test -q --offline -p virt-core --lib statestore
 # host restart, import, adopt and forget — at 2048 walks, not the default 64.
 echo "== property walk (hypersim domain table: name and UUID keys agree, release) =="
 PROPTEST_CASES=2048 cargo test -q --release --offline -p hypersim --test properties uuid_index
+
+# The bulk-stats visitor against the list-then-query reference — reply
+# bytes, clock, fault-plan counts, the batched QueryDomain charge's jitter
+# draws and Hangs — and the remote driver against the embedded one, at
+# 1024 cases per property.
+echo "== property walk (bulk stats: visitor, batched charge and remote reader match the reference, release) =="
+PROPTEST_CASES=1024 cargo test -q --release --offline -p virt-core --test bulk_stats_equivalence
 
 echo "CI OK"

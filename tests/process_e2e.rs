@@ -178,7 +178,26 @@ fn daemon_process_survives_misbehaving_clients() {
         stream.write_all(&[0xff; 64]).unwrap();
         // Close abruptly.
     }
-    std::thread::sleep(Duration::from_millis(100));
+    // The daemon has dealt with the garbage once it has dropped that
+    // client: wait for its client count to fall back to zero.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (ok, output) = daemon.vadm("srv-clients-info virtd");
+        assert!(ok, "{output}");
+        let current = output
+            .lines()
+            .find_map(|line| line.strip_prefix("nclients_current"))
+            .and_then(|rest| rest.trim_start().strip_prefix(':'))
+            .map(str::trim);
+        if current == Some("0") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the garbage-writing client was never dropped: {output}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     let (ok, output) = daemon.vsh("hostname");
     assert!(ok, "daemon must still answer: {output}");

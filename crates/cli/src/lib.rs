@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use virt_core::driver::MigrationOptions;
 use virt_core::guard::{GuardPolicy, GuardStatus, DEFAULT_MAX_RESTARTS, DEFAULT_STOP_TIMEOUT_MS};
-use virt_core::{Connect, RetryPolicy, VirtError, VirtResult};
+use virt_core::{Connect, VirtError, VirtResult};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Group {
@@ -225,10 +225,7 @@ fn dispatch(args: &[String], out: &mut dyn Write) -> VirtResult<()> {
         builder = builder.call_deadline(deadline);
     }
     if let Some(retries) = retries {
-        builder = builder.retry(RetryPolicy {
-            max_attempts: retries.saturating_add(1),
-            ..RetryPolicy::default()
-        });
+        builder = builder.retries(retries);
     }
     let conn = builder.open()?;
     let result = execute(&conn, command, command_args, out);
@@ -958,7 +955,11 @@ fn print_help(out: &mut dyn Write) {
     );
     w(
         out,
-        "  --retries <n>             retry idempotent calls up to n times",
+        "  --retries <n>             retry idempotent calls up to n times (the circuit",
+    );
+    w(
+        out,
+        "                            breaker does not cut a call's retries short)",
     );
     w(
         out,

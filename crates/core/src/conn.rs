@@ -8,8 +8,6 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use virt_rpc::retry::{BreakerConfig, RetryPolicy};
-
 use crate::capabilities::Capabilities;
 use crate::domain::Domain;
 use crate::driver::{DriverRegistry, HypervisorConnection, NodeInfo, OpenOptions};
@@ -69,11 +67,14 @@ impl std::fmt::Debug for Connect {
 /// # use std::error::Error;
 /// # fn main() -> Result<(), Box<dyn Error>> {
 /// use std::time::Duration;
-/// use virt_core::{Connect, RetryPolicy};
+/// use virt_core::Connect;
 ///
+/// // Idempotent calls retried up to 3 times on the fixed ladder (100 ms
+/// // doubling to 5 s); the breaker judges calls, so it never cuts a
+/// // call's own retries short.
 /// let conn = Connect::builder("test:///default")
 ///     .call_deadline(Duration::from_secs(30))
-///     .retry(RetryPolicy::default())
+///     .retries(3)
 ///     .reconnect(true)
 ///     .open()?;
 /// assert!(conn.is_alive());
@@ -105,10 +106,12 @@ impl<'a> ConnectBuilder<'a> {
         self
     }
 
-    /// Retry policy for idempotent calls after connection failures. The
-    /// default never retries.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.options.retry = Some(policy);
+    /// How many times an idempotent call is retried after a connection
+    /// failure, pausing 100 ms doubling to 5 s (with per-client jitter)
+    /// between attempts, within the call deadline and a budget of 1000
+    /// retries per connection. The default never retries.
+    pub fn retries(mut self, retries: u32) -> Self {
+        self.options.retries = Some(retries);
         self
     }
 
@@ -116,12 +119,6 @@ impl<'a> ConnectBuilder<'a> {
     /// call (default: yes).
     pub fn reconnect(mut self, auto: bool) -> Self {
         self.options.reconnect = Some(auto);
-        self
-    }
-
-    /// Circuit-breaker tuning for the reconnect path.
-    pub fn breaker(mut self, config: BreakerConfig) -> Self {
-        self.options.breaker = Some(config);
         self
     }
 
@@ -455,9 +452,8 @@ mod tests {
         // must still resolve and open them.
         let conn = Connect::builder("test:///default")
             .call_deadline(Duration::from_secs(10))
-            .retry(RetryPolicy::default())
+            .retries(3)
             .reconnect(false)
-            .breaker(BreakerConfig::default())
             .open()
             .unwrap();
         assert_eq!(conn.hostname().unwrap(), "test-host");

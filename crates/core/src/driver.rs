@@ -12,7 +12,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use virt_metrics::wire_enum;
-use virt_rpc::retry::{BreakerConfig, RetryPolicy};
 
 use crate::capabilities::Capabilities;
 use crate::error::{ErrorCode, VirtError, VirtResult};
@@ -30,12 +29,11 @@ use crate::uuid::Uuid;
 pub struct OpenOptions {
     /// Default deadline applied to every RPC call on the connection.
     pub call_deadline: Option<Duration>,
-    /// Retry policy for idempotent calls after connection failures.
-    pub retry: Option<RetryPolicy>,
+    /// How many times an idempotent call is retried after a connection
+    /// failure.
+    pub retries: Option<u32>,
     /// Whether a dead connection is transparently re-dialed.
     pub reconnect: Option<bool>,
-    /// Circuit-breaker tuning for the reconnect path.
-    pub breaker: Option<BreakerConfig>,
 }
 
 wire_enum! {

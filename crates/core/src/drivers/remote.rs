@@ -21,7 +21,6 @@ use virt_rpc::message::{MessageType, Packet, REMOTE_PROGRAM};
 use virt_rpc::reconnect::{
     ReconnectConfig, ReconnectMetrics, ReconnectingClient, SessionSetup, TransportFactory,
 };
-use virt_rpc::retry::RetryPolicy;
 use virt_rpc::transport::{TcpTransport, TlsSimTransport, Transport, TransportKind, UnixTransport};
 use virt_rpc::xdr::XdrEncode;
 
@@ -120,8 +119,7 @@ impl HypervisorDriver for RemoteDriver {
 
         let config = ReconnectConfig {
             auto_reconnect: options.reconnect.unwrap_or(true),
-            retry: options.retry.unwrap_or_else(RetryPolicy::none),
-            breaker: options.breaker.unwrap_or_default(),
+            retries: options.retries.unwrap_or(0),
             keepalive: keepalive_config,
             call_deadline: options.call_deadline,
         };

@@ -83,9 +83,9 @@ pub use statestore::{DomainStatus, ObjectKind, StateStore};
 pub use storage::Volume;
 pub use typedparam::{ParamValue, TypedParam, TypedParams};
 pub use uuid::Uuid;
-// Resilience configuration types, re-exported so builder users never
-// need a direct virt-rpc dependency.
-pub use virt_rpc::retry::{BackoffSchedule, BreakerConfig, BreakerState, RetryPolicy};
+// The one backoff formula, re-exported so its users never need a direct
+// virt-rpc dependency.
+pub use virt_rpc::retry::BackoffSchedule;
 
 /// The process-wide registry for client-side RPC metrics
 /// (`rpc.reconnect.*`, `rpc.retry.*`, `rpc.late_replies`,

@@ -84,7 +84,7 @@ pub fn current_trace_id() -> u64 {
 
 /// Nanoseconds on the process-local trace clock (monotonic, zero at
 /// first use).
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

@@ -2,9 +2,10 @@
 //!
 //! [`FaultyTransport`] wraps any [`Transport`] and misbehaves on cue —
 //! the transport-level sibling of `hypersim`'s operation fault plans.
-//! Chaos tests flip the shared [`FaultControl`] mid-stream to simulate a
-//! connection dying at an exact, reproducible point (after N bytes,
-//! after N sends) rather than "sometime around when the daemon died".
+//! The client's unit tests flip the shared [`FaultControl`] mid-stream to
+//! simulate a connection dying at an exact, reproducible point (after N
+//! bytes, after N sends) rather than "sometime around when the daemon
+//! died".
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +18,7 @@ use crate::transport::{Transport, TransportKind};
 
 /// What a [`FaultyTransport`] does to traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
+pub(crate) enum FaultMode {
     /// Pass traffic through untouched.
     None,
     /// Hard-close the connection once `n` payload bytes have been sent.
@@ -42,7 +43,7 @@ struct ControlInner {
 
 /// Shared handle that retunes a [`FaultyTransport`] while it is in use.
 #[derive(Clone)]
-pub struct FaultControl {
+pub(crate) struct FaultControl {
     inner: Arc<ControlInner>,
 }
 
@@ -59,23 +60,21 @@ impl FaultControl {
     }
 
     /// Switches the fault mode; counters keep running across switches.
-    pub fn set(&self, mode: FaultMode) {
+    pub(crate) fn set(&self, mode: FaultMode) {
         *self.inner.mode.lock() = mode;
     }
 
     /// Payload bytes sent through (or swallowed by) the wrapper so far.
-    pub fn sent_bytes(&self) -> u64 {
+    pub(crate) fn sent_bytes(&self) -> u64 {
         self.inner.sent_bytes.load(Ordering::Relaxed)
     }
 
     /// Frames sent through the wrapper so far.
-    #[cfg(test)]
     pub(crate) fn sends(&self) -> u64 {
         self.inner.sends.load(Ordering::Relaxed)
     }
 
     /// Frames received through the wrapper so far.
-    #[cfg(test)]
     pub(crate) fn recvs(&self) -> u64 {
         self.inner.recvs.load(Ordering::Relaxed)
     }
@@ -90,14 +89,14 @@ fn reset_err(what: &str) -> io::Error {
 
 /// A [`Transport`] wrapper that injects faults per the shared
 /// [`FaultControl`].
-pub struct FaultyTransport {
+pub(crate) struct FaultyTransport {
     inner: Arc<dyn Transport>,
     control: FaultControl,
 }
 
 impl FaultyTransport {
     /// Wraps `inner`; the returned control steers the faults.
-    pub fn new(inner: Arc<dyn Transport>) -> (Self, FaultControl) {
+    pub(crate) fn new(inner: Arc<dyn Transport>) -> (Self, FaultControl) {
         let control = FaultControl::new();
         (
             FaultyTransport {

@@ -5,11 +5,11 @@
 //! counter exceeds `count` the connection is declared dead. Any pong (or
 //! any other traffic, in libvirt; here: any pong) resets the counter.
 //!
-//! The timing policy is implemented as a pure state machine
-//! ([`KeepaliveState`]) so it can be tested without threads or clocks; the
-//! daemon and remote driver drive it from their own timers.
+//! The probing side's timing is part of the client session's state
+//! machine (`session.rs`), which the reconnecting client's listener
+//! ticks; the daemon only answers.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::message::{Header, Packet, KEEPALIVE_PROGRAM};
 
@@ -55,7 +55,7 @@ pub fn is_bye(packet: &Packet) -> bool {
 }
 
 /// Configuration of the probing side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeepaliveConfig {
     /// Time between pings.
     pub interval: Duration,
@@ -73,85 +73,11 @@ impl Default for KeepaliveConfig {
     }
 }
 
-/// What the driver of the state machine should do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeepaliveAction {
-    /// Nothing to do until the returned deadline.
-    Wait(Instant),
-    /// Send a ping now.
-    SendPing,
-    /// The peer is dead; close the connection.
-    Dead,
-}
-
-/// The probing-side state machine.
-///
-/// # Examples
-///
-/// ```
-/// use std::time::{Duration, Instant};
-/// use virt_rpc::keepalive::{KeepaliveAction, KeepaliveConfig, KeepaliveState};
-///
-/// let cfg = KeepaliveConfig { interval: Duration::from_secs(1), count: 2 };
-/// let mut ka = KeepaliveState::new(cfg, Instant::now());
-/// // Immediately after start there is nothing to do.
-/// assert!(matches!(ka.poll(Instant::now()), KeepaliveAction::Wait(_)));
-/// ```
-#[derive(Debug)]
-pub struct KeepaliveState {
-    config: KeepaliveConfig,
-    next_ping: Instant,
-    unanswered: u32,
-}
-
-impl KeepaliveState {
-    /// Starts the timer at `now`.
-    pub fn new(config: KeepaliveConfig, now: Instant) -> Self {
-        KeepaliveState {
-            config,
-            next_ping: now + config.interval,
-            unanswered: 0,
-        }
-    }
-
-    /// Advances the machine to `now` and reports what to do.
-    ///
-    /// When it returns [`KeepaliveAction::SendPing`], the caller must send
-    /// a ping and call [`KeepaliveState::on_ping_sent`].
-    pub fn poll(&mut self, now: Instant) -> KeepaliveAction {
-        if self.unanswered > self.config.count {
-            return KeepaliveAction::Dead;
-        }
-        if now >= self.next_ping {
-            if self.unanswered == self.config.count {
-                return KeepaliveAction::Dead;
-            }
-            return KeepaliveAction::SendPing;
-        }
-        KeepaliveAction::Wait(self.next_ping)
-    }
-
-    /// Records that a ping went out at `now`.
-    pub(crate) fn on_ping_sent(&mut self, now: Instant) {
-        self.unanswered += 1;
-        self.next_ping = now + self.config.interval;
-    }
-
-    /// Records a received pong: the peer is alive.
-    pub(crate) fn on_pong(&mut self) {
-        self.unanswered = 0;
-    }
-
-    /// Number of pings currently unanswered.
-    #[cfg(test)]
-    pub(crate) fn unanswered(&self) -> u32 {
-        self.unanswered
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Session, Tick};
+    use std::time::Instant;
 
     fn cfg(interval_ms: u64, count: u32) -> KeepaliveConfig {
         KeepaliveConfig {
@@ -188,60 +114,66 @@ mod tests {
         assert!(respond(&other).is_none());
     }
 
+    /// A session probing every `interval_ms` on generation 1.
+    fn probing(interval_ms: u64, count: u32, now: Instant) -> Session {
+        Session::new(0, true, Some(cfg(interval_ms, count)), 7, now)
+    }
+
     #[test]
     fn waits_until_interval_elapses() {
         let t0 = Instant::now();
-        let mut ka = KeepaliveState::new(cfg(1000, 3), t0);
-        match ka.poll(t0) {
-            KeepaliveAction::Wait(deadline) => {
-                assert_eq!(deadline, t0 + Duration::from_millis(1000))
-            }
-            other => panic!("expected Wait, got {other:?}"),
-        }
+        let mut session = probing(1000, 3, t0);
+        assert_eq!(
+            session.tick(1, t0),
+            Tick::Wait(t0 + Duration::from_millis(1000))
+        );
     }
 
     #[test]
     fn sends_ping_after_interval() {
         let t0 = Instant::now();
-        let mut ka = KeepaliveState::new(cfg(100, 3), t0);
+        let mut session = probing(100, 3, t0);
         let t1 = t0 + Duration::from_millis(150);
-        assert_eq!(ka.poll(t1), KeepaliveAction::SendPing);
-        ka.on_ping_sent(t1);
-        assert_eq!(ka.unanswered(), 1);
+        assert_eq!(session.tick(1, t1), Tick::Ping);
         // Next ping scheduled one interval later.
-        assert!(matches!(ka.poll(t1), KeepaliveAction::Wait(_)));
+        assert_eq!(
+            session.tick(1, t1),
+            Tick::Wait(t1 + Duration::from_millis(100))
+        );
     }
 
     #[test]
     fn pong_resets_the_counter() {
         let t0 = Instant::now();
-        let mut ka = KeepaliveState::new(cfg(100, 2), t0);
+        let mut session = probing(100, 2, t0);
         let mut now = t0;
         for _ in 0..2 {
             now += Duration::from_millis(100);
-            assert_eq!(ka.poll(now), KeepaliveAction::SendPing);
-            ka.on_ping_sent(now);
+            assert_eq!(session.tick(1, now), Tick::Ping);
         }
-        assert_eq!(ka.unanswered(), 2);
-        ka.on_pong();
-        assert_eq!(ka.unanswered(), 0);
+        // A pong from another generation is no answer to these pings.
+        session.pong(0);
         now += Duration::from_millis(100);
-        assert_eq!(ka.poll(now), KeepaliveAction::SendPing);
+        let mut answered = session.clone();
+        assert_eq!(session.tick(1, now), Tick::GiveUp);
+        answered.pong(1);
+        assert_eq!(answered.tick(1, now), Tick::Ping);
     }
 
     #[test]
     fn silence_kills_the_connection_after_count_pings() {
         let t0 = Instant::now();
         let count = 3;
-        let mut ka = KeepaliveState::new(cfg(100, count), t0);
+        let mut session = probing(100, count, t0);
         let mut now = t0;
         for _ in 0..count {
             now += Duration::from_millis(100);
-            assert_eq!(ka.poll(now), KeepaliveAction::SendPing);
-            ka.on_ping_sent(now);
+            assert_eq!(session.tick(1, now), Tick::Ping);
         }
         now += Duration::from_millis(100);
-        assert_eq!(ka.poll(now), KeepaliveAction::Dead);
+        assert_eq!(session.tick(1, now), Tick::GiveUp);
+        // Given up: the generation has nothing left to probe.
+        assert_eq!(session.tick(1, now), Tick::Idle);
     }
 
     #[test]

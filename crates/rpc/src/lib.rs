@@ -18,12 +18,10 @@
 //!   which the caller reads its own reply off the socket (no reader
 //!   thread), and event delivery,
 //! - [`keepalive`] — the ping/pong liveness protocol,
-//! - [`retry`] — retry policies with capped, jittered backoff and a
-//!   circuit breaker,
+//! - [`retry`] — the one capped, seeded-jitter backoff formula,
 //! - [`reconnect`] — a self-healing client that re-dials, replays the
-//!   session handshake, and retries idempotent calls,
-//! - [`fault`] — deterministic transport-level fault injection for
-//!   chaos tests.
+//!   session handshake, and retries idempotent calls, as one pure state
+//!   machine (the session) decides.
 //!
 //! The daemon side (connection acceptance, dispatch tables, client
 //! tracking) lives in the `virtd` crate; stateless drivers and the remote
@@ -52,8 +50,10 @@
 mod baton;
 pub mod bufpool;
 pub mod client;
+mod clock;
 pub mod fanout;
-pub mod fault;
+#[cfg(test)]
+mod fault;
 pub mod framebuf;
 mod handoff;
 pub mod keepalive;
@@ -62,19 +62,19 @@ pub mod poll;
 pub mod pool;
 pub mod reconnect;
 pub mod retry;
+mod session;
 pub mod transport;
 pub mod xdr;
 
 pub use bufpool::{BufferPool, PooledBuf};
 pub use client::CallClient;
 pub use fanout::run_bounded;
-pub use fault::{FaultMode, FaultyTransport};
 pub use framebuf::FrameBuf;
 pub use message::{Header, MessageStatus, MessageType, Packet, RpcError};
 pub use poll::{PollEvent, Poller};
 pub use pool::{PoolBatch, PoolLimits, PoolStats, WorkerPool};
 pub use reconnect::{ReconnectConfig, ReconnectMetrics, ReconnectingClient};
-pub use retry::{BackoffSchedule, BreakerConfig, BreakerState, RetryPolicy};
+pub use retry::BackoffSchedule;
 pub use transport::{memory_pair, MeteredTransport, Readiness, Transport, TransportKind};
 
 /// The process-wide registry for client-side RPC metrics

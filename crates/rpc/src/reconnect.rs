@@ -7,15 +7,10 @@
 //! (authentication, `OPEN`, event re-registration), and re-installs the
 //! event handler — callers never observe the generation change.
 //!
-//! Three policies bound the behavior:
-//! - a [`RetryPolicy`] decides how often an *idempotent* call may be
-//!   re-issued after a connection-level failure (mutating calls are
-//!   never retried — they surface the failure immediately, because the
-//!   daemon may or may not have executed them);
-//! - a [`CircuitBreaker`] guards the re-dial path: persistent failure
-//!   opens it and calls fail fast with [`CallError::CircuitOpen`]
-//!   instead of queueing behind doomed dials;
-//! - an optional keepalive probe detects silent peers per generation.
+//! What to do when — retry an idempotent call, fail fast on the circuit
+//! breaker, ping, give a silent peer up — is the session state machine's
+//! decision (`session.rs`); this driver does what it says, and reads the
+//! time and sleeps through one clock.
 //!
 //! A generation costs no thread unless it must hear from the daemon
 //! unasked — keepalive is configured, or [`ReconnectingClient::listen`]
@@ -26,16 +21,17 @@
 //! Everything is observable through [`ReconnectMetrics`].
 
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::client::{CallClient, CallError};
-use crate::keepalive::{self, KeepaliveAction, KeepaliveConfig, KeepaliveState};
+use crate::clock::Clock;
+use crate::keepalive::{self, KeepaliveConfig};
 use crate::message::Packet;
-use crate::retry::{BreakerConfig, CircuitBreaker, RetryPolicy};
+use crate::session::{ends_call, Breaker, Call, Failure, Session, Step, Tick};
 use crate::transport::Transport;
 use crate::xdr::{XdrDecode, XdrEncode, XdrError};
 
@@ -47,16 +43,16 @@ pub type TransportFactory = Box<dyn Fn() -> io::Result<Arc<dyn Transport>> + Sen
 /// and again after every re-dial.
 pub type SessionSetup = Box<dyn Fn(&CallClient) -> Result<(), CallError> + Send + Sync>;
 
-/// Resilience knobs, assembled by the connection builder.
+/// Resilience settings, assembled by the connection builder. The retry
+/// ladder, the retry budget and the breaker are constants of the session.
 #[derive(Debug, Clone, Copy)]
 pub struct ReconnectConfig {
     /// Whether a dead connection is re-dialed on the next call. When
     /// `false` the wrapper behaves like a plain [`CallClient`].
     pub auto_reconnect: bool,
-    /// Retry policy for idempotent calls.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker tuning for the re-dial path.
-    pub breaker: BreakerConfig,
+    /// How many times an idempotent call may be re-issued after a
+    /// connection failure (0: never).
+    pub retries: u32,
     /// Keepalive probing per generation (`None` disables it).
     pub keepalive: Option<KeepaliveConfig>,
     /// Default per-call deadline, measured from call entry and spanning
@@ -71,8 +67,7 @@ impl Default for ReconnectConfig {
     fn default() -> Self {
         ReconnectConfig {
             auto_reconnect: true,
-            retry: RetryPolicy::none(),
-            breaker: BreakerConfig::default(),
+            retries: 0,
             keepalive: None,
             call_deadline: None,
         }
@@ -105,38 +100,27 @@ virt_metrics::metric_set! {
 
 type SharedHandler = Arc<dyn Fn(Packet) + Send + Sync + 'static>;
 
-/// How long a connection may sit unused before the next call looks at
-/// the socket first. With no thread reading between calls, a daemon that
-/// went away in the meantime is only found by looking: doing so before
-/// sending lets *any* call — mutating ones too — move to a fresh
-/// connection with nothing lost. In a tight loop of calls the look would
-/// buy nothing (a peer that dies there fails the call in progress) and
-/// cost a syscall per call; after this much quiet its cost is noise.
-const LOOK_BEFORE_CALL_AFTER: Duration = Duration::from_millis(1);
+/// What the lock guards: the session and what the driver keeps beside it.
+struct State {
+    session: Session,
+    /// The live generation, swapped in when its setup succeeds.
+    current: CallClient,
+    /// Every generation gets a listener (set by `listen`, implied by
+    /// keepalive).
+    listening: bool,
+}
 
 struct Shared {
     factory: TransportFactory,
     setup: SessionSetup,
-    config: ReconnectConfig,
+    call_deadline: Option<std::time::Duration>,
     metrics: ReconnectMetrics,
-    /// The live generation. Swapped under `redial_gate` on reconnect.
-    current: Mutex<CallClient>,
-    /// Serializes re-dials so one failure triggers one reconnect.
-    redial_gate: Mutex<()>,
-    breaker: Mutex<CircuitBreaker>,
-    /// Remaining connection-wide retry budget.
-    budget: AtomicU64,
+    clock: Clock,
+    state: Mutex<State>,
+    /// Signalled when a dial ends, for calls told to [`Step::Wait`].
+    dial_done: Condvar,
     /// The caller's event handler, re-installed every generation.
     event_handler: Mutex<Option<SharedHandler>>,
-    generation: AtomicU64,
-    shut: AtomicBool,
-    peer_bye: AtomicBool,
-    /// Every generation gets a listener (set by `listen`, implied by
-    /// keepalive).
-    listening: AtomicBool,
-    /// When the last call started, in nanoseconds since `born`.
-    last_call_ns: AtomicU64,
-    born: Instant,
 }
 
 /// A resilient client endpoint. Cloning shares the connection.
@@ -147,32 +131,25 @@ pub struct ReconnectingClient {
 
 impl std::fmt::Debug for ReconnectingClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.inner.state.lock();
         f.debug_struct("ReconnectingClient")
-            .field("generation", &self.inner.generation.load(Ordering::Relaxed))
-            .field("shut", &self.inner.shut.load(Ordering::Relaxed))
+            .field("generation", &state.session.generation())
+            .field("shut", &state.session.is_shut())
             .finish()
     }
 }
 
-impl ReconnectingClient {
-    /// Dials through `factory` and runs `setup` on the fresh session.
-    ///
-    /// # Errors
-    ///
-    /// [`CallError::Io`] when the dial fails; `setup`'s error otherwise.
-    pub fn connect(
-        factory: TransportFactory,
-        setup: SessionSetup,
-        config: ReconnectConfig,
-        metrics: ReconnectMetrics,
-    ) -> Result<Self, CallError> {
-        let transport = factory().map_err(CallError::Io)?;
-        Self::with_transport(transport, factory, setup, config, metrics)
-    }
+/// A jitter seed per client, so clients re-dialing one restarted daemon
+/// spread their retries.
+fn next_seed() -> u64 {
+    static CLIENTS: AtomicU64 = AtomicU64::new(0);
+    crate::fnv1a(&CLIENTS.fetch_add(1, Ordering::Relaxed).to_le_bytes()) | 1
+}
 
-    /// Like [`ReconnectingClient::connect`], but the first generation
-    /// uses an already established transport (whose dial errors the
-    /// caller wanted to classify itself).
+impl ReconnectingClient {
+    /// A client whose first generation is `transport`, already dialed (so
+    /// the caller classifies its dial errors), and which re-dials through
+    /// `factory`; `setup` runs on it and on every generation after.
     ///
     /// # Errors
     ///
@@ -184,28 +161,49 @@ impl ReconnectingClient {
         config: ReconnectConfig,
         metrics: ReconnectMetrics,
     ) -> Result<Self, CallError> {
+        let clock = Clock::System;
+        let session = Session::new(
+            config.retries,
+            config.auto_reconnect,
+            config.keepalive,
+            next_seed(),
+            clock.now(),
+        );
+        Self::start(transport, factory, setup, config, metrics, clock, session)
+    }
+
+    fn start(
+        transport: Arc<dyn Transport>,
+        factory: TransportFactory,
+        setup: SessionSetup,
+        config: ReconnectConfig,
+        metrics: ReconnectMetrics,
+        clock: Clock,
+        session: Session,
+    ) -> Result<Self, CallError> {
         let first = CallClient::from_arc(transport);
-        let inner = Arc::new(Shared {
-            factory,
-            setup,
-            breaker: Mutex::new(CircuitBreaker::new(config.breaker)),
-            budget: AtomicU64::new(u64::from(config.retry.retry_budget)),
-            config,
-            metrics,
-            current: Mutex::new(first.clone()),
-            redial_gate: Mutex::new(()),
-            event_handler: Mutex::new(None),
-            generation: AtomicU64::new(0),
-            shut: AtomicBool::new(false),
-            peer_bye: AtomicBool::new(false),
-            listening: AtomicBool::new(config.keepalive.is_some()),
-            last_call_ns: AtomicU64::new(0),
-            born: Instant::now(),
-        });
-        let client = ReconnectingClient { inner };
-        if let Err(e) = client.install_generation(first) {
+        let client = ReconnectingClient {
+            inner: Arc::new(Shared {
+                factory,
+                setup,
+                call_deadline: config.call_deadline,
+                metrics,
+                clock,
+                state: Mutex::new(State {
+                    session,
+                    current: first.clone(),
+                    listening: config.keepalive.is_some(),
+                }),
+                dial_done: Condvar::new(),
+                event_handler: Mutex::new(None),
+            }),
+        };
+        if let Err(e) = client.install_generation(&first, 1) {
             client.close();
             return Err(e);
+        }
+        if config.keepalive.is_some() {
+            first.listen(client.keepalive_probe(1));
         }
         Ok(client)
     }
@@ -223,22 +221,21 @@ impl ReconnectingClient {
     /// [`CallClient::listen`]), so events arrive without a call to carry
     /// them. Call it before subscribing to anything.
     pub fn listen(&self) {
-        // Not while a re-dial is wiring up the next generation: it would
-        // have read the flag before we set it and be missed below.
-        let _gate = self.inner.redial_gate.lock();
-        self.inner.listening.store(true, Ordering::Release);
-        let current = self.inner.current.lock().clone();
-        current.listen(keepalive_probe(None));
+        let (current, generation) = {
+            let mut state = self.inner.state.lock();
+            state.listening = true;
+            (state.current.clone(), state.session.generation())
+        };
+        current.listen(self.keepalive_probe(generation));
     }
 
     /// Issues a call and blocks for the decoded reply.
     ///
-    /// A dead connection is transparently re-dialed first (any call may
-    /// do this: nothing has been sent yet). After a *mid-call*
-    /// connection failure, only `idempotent` calls are re-issued —
-    /// bounded by the retry policy, the connection's retry budget, and
-    /// the deadline; mutating calls surface the failure immediately
-    /// because the daemon may have executed them.
+    /// A dead connection is re-dialed first (any call may do this:
+    /// nothing has been sent yet). After a *mid-call* connection failure
+    /// only `idempotent` calls are re-issued, within their retries, the
+    /// connection's retry budget and the deadline: the daemon may have
+    /// executed a mutating one.
     ///
     /// # Errors
     ///
@@ -293,49 +290,49 @@ impl ReconnectingClient {
         deadline: Option<Instant>,
         read: &mut dyn FnMut(&[u8]) -> Result<(), XdrError>,
     ) -> Result<(), CallError> {
-        if self.inner.shut.load(Ordering::Acquire) {
-            return Err(CallError::Disconnected);
-        }
-        let now = Instant::now();
-        let deadline =
-            deadline.or_else(|| self.inner.config.call_deadline.map(|limit| now + limit));
-        let policy = self.inner.config.retry;
-        let max_attempts = if idempotent {
-            policy.max_attempts.max(1)
-        } else {
-            1
+        let shared = &*self.inner;
+        let now = shared.clock.now();
+        let deadline = deadline.or_else(|| shared.call_deadline.map(|limit| now + limit));
+        let (mut call, mut step, mut client) = {
+            let mut state = shared.state.lock();
+            let (call, step) = state.session.begin(idempotent, deadline, now);
+            (call, step, state.current.clone())
         };
-        let mut attempt = 1u32;
+        let mut last = CallError::Disconnected;
         loop {
-            let outcome = self.healthy_client(now).and_then(|client| {
-                client.read_with_deadline(program, procedure, args, deadline, &mut *read)
-            });
-            let err = match outcome {
-                Ok(()) => return Ok(()),
-                // The daemon answered: its verdict, or a reply that does
-                // not read, is final. A timeout is ambiguous (the call may
-                // still execute), so never retry.
-                Err(e @ (CallError::Remote(_) | CallError::Protocol(_) | CallError::TimedOut)) => {
-                    return Err(e)
+            step = match step {
+                Step::Send { look } => {
+                    let dead = if look {
+                        client.is_closed()
+                    } else {
+                        client.is_known_closed()
+                    };
+                    if !dead {
+                        match client.read_with_deadline(program, procedure, args, deadline, read) {
+                            Ok(()) => return Ok(()),
+                            Err(e) if ends_call(&e) => return Err(e),
+                            Err(e) => last = e,
+                        }
+                    }
+                    self.feed(&mut call, &mut client, |state, call, now| {
+                        state.session.lost(call, !dead, now)
+                    })
                 }
-                Err(CallError::CircuitOpen) => return Err(CallError::CircuitOpen),
-                Err(e) => e,
+                Step::Wait => self.feed(&mut call, &mut client, resume),
+                Step::Dial => self.redial(&mut call, &mut client, &mut last),
+                Step::Setup(_) => unreachable!("only a dial starts a setup"),
+                Step::Retry(pause) => {
+                    shared.metrics.retries.inc();
+                    shared.clock.sleep(pause);
+                    self.feed(&mut call, &mut client, resume)
+                }
+                Step::Fail(Failure::Last) => return Err(last),
+                Step::Fail(Failure::Disconnected) => return Err(CallError::Disconnected),
+                Step::Fail(Failure::CircuitOpen) => {
+                    shared.metrics.breaker_fast_fails.inc();
+                    return Err(CallError::CircuitOpen);
+                }
             };
-            if attempt >= max_attempts || self.inner.shut.load(Ordering::Acquire) {
-                return Err(err);
-            }
-            if !self.take_budget() {
-                return Err(err);
-            }
-            let pause = policy.backoff(attempt);
-            if let Some(deadline) = deadline {
-                if Instant::now() + pause >= deadline {
-                    return Err(err);
-                }
-            }
-            self.inner.metrics.retries.inc();
-            std::thread::sleep(pause);
-            attempt += 1;
         }
     }
 
@@ -343,141 +340,139 @@ impl ReconnectingClient {
     /// not been shut down — as of now: a connection nobody is reading
     /// is looked at first (see [`CallClient::is_closed`]).
     pub fn is_alive(&self) -> bool {
-        let current = self.inner.current.lock().clone();
-        !self.inner.shut.load(Ordering::Acquire) && !current.is_closed()
+        let (shut, current) = {
+            let state = self.inner.state.lock();
+            (state.session.is_shut(), state.current.clone())
+        };
+        !shut && !current.is_closed()
     }
 
-    /// The current generation's peer description.
-    pub fn peer(&self) -> String {
-        self.inner.current.lock().peer()
-    }
-
-    /// How many times the connection has been (re-)established; 0 until
-    /// the first reconnect.
+    /// How many times the connection has been established: 1 until the
+    /// first reconnect.
     pub fn generation(&self) -> u64 {
-        self.inner.generation.load(Ordering::Relaxed)
-    }
-
-    /// Whether the peer announced a clean shutdown (`bye`) at any point
-    /// up to now (a farewell still sitting in the socket counts).
-    #[cfg(test)]
-    pub(crate) fn peer_said_bye(&self) -> bool {
-        self.is_alive();
-        self.inner.peer_bye.load(Ordering::Acquire)
-    }
-
-    /// The breaker's current state.
-    #[cfg(test)]
-    pub(crate) fn breaker_state(&self) -> crate::retry::BreakerState {
-        self.inner.breaker.lock().state()
+        self.inner.state.lock().session.generation()
     }
 
     /// Shuts the client down for good: no more calls, no more re-dials.
     pub fn close(&self) {
-        self.inner.shut.store(true, Ordering::Release);
-        self.inner.current.lock().close();
+        let current = {
+            let mut state = self.inner.state.lock();
+            state.session.close();
+            state.current.clone()
+        };
+        self.inner.dial_done.notify_all();
+        current.close();
     }
 
     /// Runs `f` against the current generation's [`CallClient`] without
     /// any resilience (close handshakes, onewy sends).
     pub fn with_current<T>(&self, f: impl FnOnce(&CallClient) -> T) -> T {
-        let client = self.inner.current.lock().clone();
+        let client = self.inner.state.lock().current.clone();
         f(&client)
     }
 
-    fn take_budget(&self) -> bool {
-        self.inner
-            .budget
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-            .is_ok()
+    /// Feeds one input to the session under the lock, at the clock's
+    /// now; a call told to wait sleeps on the lock until a dial ends and
+    /// is resumed. Counts the breaker's moves to closed or open, and
+    /// leaves the current generation in `client`.
+    fn feed(
+        &self,
+        call: &mut Call,
+        client: &mut CallClient,
+        input: impl FnOnce(&mut State, &mut Call, Instant) -> Step,
+    ) -> Step {
+        let shared = &*self.inner;
+        let mut state = shared.state.lock();
+        let before = state.session.breaker();
+        let mut step = input(&mut state, call, shared.clock.now());
+        while step == Step::Wait {
+            shared.dial_done.wait(&mut state);
+            step = state.session.resume(call, shared.clock.now());
+        }
+        let after = state.session.breaker();
+        if std::mem::discriminant(&before) != std::mem::discriminant(&after)
+            && after != Breaker::Probing
+        {
+            shared.metrics.breaker_transitions.inc();
+        }
+        *client = state.current.clone();
+        step
     }
 
-    /// Returns a connected client, re-dialing if the current generation
-    /// is dead. `now` is when the call started.
-    fn healthy_client(&self, now: Instant) -> Result<CallClient, CallError> {
-        let client = self.inner.current.lock().clone();
-        let now_ns = now.saturating_duration_since(self.inner.born).as_nanos() as u64;
-        let quiet_ns =
-            now_ns.saturating_sub(self.inner.last_call_ns.swap(now_ns, Ordering::Relaxed));
-        let dead = if quiet_ns > LOOK_BEFORE_CALL_AFTER.as_nanos() as u64 {
-            client.is_closed()
-        } else {
-            client.is_known_closed()
-        };
-        if !dead {
-            return Ok(client);
-        }
-        if self.inner.shut.load(Ordering::Acquire) || !self.inner.config.auto_reconnect {
-            return Err(CallError::Disconnected);
-        }
-        let _gate = self.inner.redial_gate.lock();
-        // Another caller may have reconnected while we waited.
-        let client = self.inner.current.lock().clone();
-        if !client.is_known_closed() {
-            return Ok(client);
-        }
-        if !self.inner.breaker.lock().check(Instant::now()) {
-            self.inner.metrics.breaker_fast_fails.inc();
-            return Err(CallError::CircuitOpen);
-        }
-        self.inner.metrics.reconnect_attempts.inc();
-        let result = (self.inner.factory)()
-            .map_err(CallError::Io)
-            .map(CallClient::from_arc)
-            .and_then(|fresh| {
-                self.install_generation(fresh.clone())?;
-                Ok(fresh)
-            });
-        match result {
-            Ok(fresh) => {
-                if self.inner.breaker.lock().on_success() {
-                    self.inner.metrics.breaker_transitions.inc();
-                }
-                self.inner.metrics.reconnect_successes.inc();
-                *self.inner.current.lock() = fresh.clone();
-                Ok(fresh)
-            }
+    /// One dial for `call` and, when it connects, the session setup on
+    /// the fresh generation, which becomes current if the setup succeeds.
+    fn redial(&self, call: &mut Call, client: &mut CallClient, last: &mut CallError) -> Step {
+        let shared = &*self.inner;
+        shared.metrics.reconnect_attempts.inc();
+        let dialed = (shared.factory)();
+        let ok = dialed.is_ok();
+        let step = self.feed(call, client, |state, call, now| {
+            state.session.dialed(call, ok, now)
+        });
+        let transport = match dialed {
+            Ok(transport) => transport,
             Err(e) => {
-                if self.inner.breaker.lock().on_failure(Instant::now()) {
-                    self.inner.metrics.breaker_transitions.inc();
+                shared.metrics.reconnect_failures.inc();
+                *last = CallError::Io(e);
+                shared.dial_done.notify_all();
+                return step;
+            }
+        };
+        let Step::Setup(generation) = step else {
+            unreachable!("a dial that connected is followed by its setup")
+        };
+        let fresh = CallClient::from_arc(transport);
+        let result = self.install_generation(&fresh, generation);
+        let outcome = result.as_ref().map(|_| ());
+        let mut installed = false;
+        let step = self.feed(call, client, |state, call, now| {
+            let step = state.session.set_up(call, outcome, now);
+            // Current, and listened to, from the moment the session counts
+            // it up: no call is handed the dead generation after that, and
+            // no `listen` misses it.
+            if let Step::Send { .. } = step {
+                state.current = fresh.clone();
+                if state.listening {
+                    fresh.listen(self.keepalive_probe(generation));
                 }
-                self.inner.metrics.reconnect_failures.inc();
-                Err(e)
+                installed = true;
+            }
+            step
+        });
+        shared.dial_done.notify_all();
+        match result {
+            Ok(()) => shared.metrics.reconnect_successes.inc(),
+            Err(e) => {
+                shared.metrics.reconnect_failures.inc();
+                *last = e;
             }
         }
+        if !installed {
+            fresh.close();
+        }
+        step
     }
 
     /// Wires a fresh generation: keepalive interception + user events,
-    /// the listener if this connection has one, and the session
-    /// handshake. Closes the client on handshake failure.
-    fn install_generation(&self, client: CallClient) -> Result<(), CallError> {
-        self.inner.generation.fetch_add(1, Ordering::Relaxed);
-        let keepalive_state = self
-            .inner
-            .config
-            .keepalive
-            .map(|config| Arc::new(Mutex::new(KeepaliveState::new(config, Instant::now()))));
-
+    /// and the session handshake.
+    fn install_generation(&self, client: &CallClient, generation: u64) -> Result<(), CallError> {
         // Weak: the handler must not keep the shared state (and thus the
         // generation chain) alive forever.
         let shared: Weak<Shared> = Arc::downgrade(&self.inner);
-        let pong_state = keepalive_state.clone();
         client.set_event_handler(move |client: &CallClient, packet: Packet| {
             if let Some(pong) = keepalive::respond(&packet) {
                 let _ = client.send_oneway(&pong);
                 return;
             }
-            if keepalive::is_pong(&packet) {
-                if let Some(state) = &pong_state {
-                    state.lock().on_pong();
-                }
-                return;
-            }
             let Some(shared) = shared.upgrade() else {
                 return;
             };
+            if keepalive::is_pong(&packet) {
+                shared.state.lock().session.pong(generation);
+                return;
+            }
             if keepalive::is_bye(&packet) {
-                shared.peer_bye.store(true, Ordering::Release);
+                shared.state.lock().session.bye(generation);
                 shared.metrics.peer_byes.inc();
                 return;
             }
@@ -486,41 +481,34 @@ impl ReconnectingClient {
                 handler(packet);
             }
         });
-
-        if self.inner.listening.load(Ordering::Acquire) {
-            client.listen(keepalive_probe(keepalive_state));
-        }
-
-        if let Err(e) = (self.inner.setup)(&client) {
-            client.close();
-            return Err(e);
-        }
-        Ok(())
+        (self.inner.setup)(client)
     }
-}
 
-/// What a generation's listener does between frames: drives the
-/// keepalive state machine, if there is one, and asks to be called again
-/// at its next action time — so probing costs no thread and no polling.
-/// A peer that stops answering gets the connection closed, which hands
-/// control to the reconnect path on the next call.
-fn keepalive_probe(
-    state: Option<Arc<Mutex<KeepaliveState>>>,
-) -> impl FnMut(&CallClient) -> Option<Instant> + Send + 'static {
-    move |client| {
-        let state = state.as_ref()?;
-        loop {
-            let action = state.lock().poll(Instant::now());
-            match action {
-                KeepaliveAction::Wait(deadline) => return Some(deadline),
-                KeepaliveAction::SendPing => {
+    /// What generation `generation`'s listener does between frames: asks
+    /// the session whether to ping, and to be called again at its next
+    /// tick — so probing costs no thread and no polling. A peer that
+    /// stops answering gets the connection closed, which hands control to
+    /// the reconnect path on the next call.
+    fn keepalive_probe(
+        &self,
+        generation: u64,
+    ) -> impl FnMut(&CallClient) -> Option<Instant> + Send + 'static {
+        let shared = Arc::downgrade(&self.inner);
+        move |client| loop {
+            let shared = shared.upgrade()?;
+            let now = shared.clock.now();
+            let tick = shared.state.lock().session.tick(generation, now);
+            match tick {
+                Tick::Idle => return None,
+                Tick::Wait(at) => return Some(at),
+                Tick::Ping => {
                     if client.send_oneway(&keepalive::ping_packet()).is_err() {
+                        shared.state.lock().session.closed(generation);
                         client.close();
                         return None;
                     }
-                    state.lock().on_ping_sent(Instant::now());
                 }
-                KeepaliveAction::Dead => {
+                Tick::GiveUp => {
                     client.close();
                     return None;
                 }
@@ -529,14 +517,30 @@ fn keepalive_probe(
     }
 }
 
+fn resume(state: &mut State, call: &mut Call, now: Instant) -> Step {
+    state.session.resume(call, now)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Manual;
     use crate::message::{Header, MessageType, RpcError, REMOTE_PROGRAM};
-    use crate::retry::BreakerState;
+    use crate::session::{Bounds, BREAKER_COOLDOWN, BREAKER_THRESHOLD, RETRY_BACKOFF};
     use crate::transport::{memory_listener, Listener, MemoryConnector};
+    use std::sync::atomic::{AtomicBool, AtomicU32};
     use std::time::Duration;
     use virt_metrics::Counter;
+
+    impl ReconnectingClient {
+        fn breaker_state(&self) -> Breaker {
+            self.inner.state.lock().session.breaker()
+        }
+
+        fn metrics(&self) -> &ReconnectMetrics {
+            &self.inner.metrics
+        }
+    }
 
     /// An echo service behind a memory listener: every accept spawns a
     /// server loop; procedure 99 replies with an error; stop() kills the
@@ -545,6 +549,8 @@ mod tests {
         connector: MemoryConnector,
         live: Arc<Mutex<Vec<Arc<dyn Transport>>>>,
         accepting: Arc<AtomicBool>,
+        /// Dials still to be refused before accepting again.
+        refusals: Arc<AtomicU32>,
     }
 
     impl EchoService {
@@ -590,6 +596,7 @@ mod tests {
                 connector,
                 live,
                 accepting,
+                refusals: Arc::new(AtomicU32::new(0)),
             }
         }
 
@@ -619,11 +626,20 @@ mod tests {
             self.accepting.store(!refuse, Ordering::Release);
         }
 
+        /// Refuses the next `dials` dials, then accepts again.
+        fn refuse_next(&self, dials: u32) {
+            self.refusals.store(dials, Ordering::Release);
+        }
+
         fn factory(&self) -> TransportFactory {
             let connector = self.connector.clone();
             let accepting = Arc::clone(&self.accepting);
+            let refusals = Arc::clone(&self.refusals);
             Box::new(move || {
-                if !accepting.load(Ordering::Acquire) {
+                let refused = refusals
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                    .is_ok();
+                if refused || !accepting.load(Ordering::Acquire) {
                     return Err(io::Error::new(
                         io::ErrorKind::ConnectionRefused,
                         "service refusing connections",
@@ -636,24 +652,64 @@ mod tests {
         }
     }
 
-    fn fast_retry() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 10,
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(20),
-            multiplier: 2,
-            retry_budget: 100,
-        }
-    }
-
     fn client_for(service: &EchoService, config: ReconnectConfig) -> ReconnectingClient {
-        ReconnectingClient::connect(
+        ReconnectingClient::with_transport(
+            (service.factory())().unwrap(),
             service.factory(),
             Box::new(|_| Ok(())),
             config,
             ReconnectMetrics::new(),
         )
         .expect("initial connect")
+    }
+
+    /// A client on a manual clock: its retry pauses and the breaker's
+    /// cool-down pass in virtual time. `bounds` replaces the product's
+    /// retry budget and breaker when given.
+    fn manual_client(
+        service: &EchoService,
+        config: ReconnectConfig,
+        bounds: Option<Bounds>,
+    ) -> (ReconnectingClient, Arc<Manual>) {
+        let clock = Manual::new();
+        let now = clock.now();
+        let session = match bounds {
+            Some(bounds) => Session::with_bounds(bounds, 1, now),
+            None => Session::new(
+                config.retries,
+                config.auto_reconnect,
+                config.keepalive,
+                1,
+                now,
+            ),
+        };
+        let client = ReconnectingClient::start(
+            (service.factory())().unwrap(),
+            service.factory(),
+            Box::new(|_| Ok(())),
+            config,
+            ReconnectMetrics::new(),
+            Clock::Manual(Arc::clone(&clock)),
+            session,
+        )
+        .expect("initial connect");
+        (client, clock)
+    }
+
+    fn retrying(retries: u32) -> ReconnectConfig {
+        ReconnectConfig {
+            retries,
+            ..ReconnectConfig::default()
+        }
+    }
+
+    /// Until the client has seen its connection close.
+    fn wait_dead(client: &ReconnectingClient) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while client.is_alive() {
+            assert!(Instant::now() < deadline, "the client never saw the close");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -671,77 +727,57 @@ mod tests {
     #[test]
     fn idempotent_call_survives_a_killed_connection() {
         let service = EchoService::start();
-        let client = client_for(
-            &service,
-            ReconnectConfig {
-                retry: fast_retry(),
-                ..ReconnectConfig::default()
-            },
-        );
+        let (client, _clock) = manual_client(&service, retrying(9), None);
         let _: String = client
             .call(REMOTE_PROGRAM, 1, true, &"warm".to_string(), None)
             .unwrap();
         service.kill_connections();
-        let metrics = client.inner.metrics.clone();
         let reply: String = client
             .call(REMOTE_PROGRAM, 1, true, &"again".to_string(), None)
             .expect("idempotent call retried onto a fresh connection");
         assert_eq!(reply, "again");
         assert!(client.generation() >= 2, "re-dialed");
-        assert!(metrics.reconnect_successes.get() >= 1);
+        assert!(client.metrics().reconnect_successes.get() >= 1);
         client.close();
     }
 
     #[test]
     fn mutating_call_fails_cleanly_after_mid_call_loss() {
         let service = EchoService::start();
-        let client = client_for(
-            &service,
-            ReconnectConfig {
-                retry: fast_retry(),
-                ..ReconnectConfig::default()
-            },
-        );
+        let (client, _clock) = manual_client(&service, retrying(9), None);
         let _: String = client
             .call(REMOTE_PROGRAM, 1, false, &"x".to_string(), None)
             .unwrap();
-        // Black-hole style: kill while nothing is in flight, then issue a
-        // mutating call. The *first* send fails mid-call -> no retry.
-        service.kill_connections();
-        // Wait for the client to notice the close.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while client.is_alive() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // The connection is known-dead, so a mutating call reconnects
+        // Kill while nothing is in flight and let the client see it:
+        // the connection is known-dead, so a mutating call reconnects
         // first (nothing sent yet) and then succeeds.
+        service.kill_connections();
+        wait_dead(&client);
         let reply: String = client
             .call(REMOTE_PROGRAM, 1, false, &"safe".to_string(), None)
             .expect("pre-send reconnect is safe for mutating calls");
         assert_eq!(reply, "safe");
+
+        // Killed unseen, the next mutating call is sent into the dead
+        // connection: the loss comes after the send, and it is not
+        // sent again.
+        let retries = client.metrics().retries.get();
+        service.kill_connections();
+        let err = client
+            .call::<String>(REMOTE_PROGRAM, 1, false, &"lost".to_string(), None)
+            .unwrap_err();
+        assert!(
+            matches!(err, CallError::Io(_) | CallError::Disconnected),
+            "got {err:?}"
+        );
+        assert_eq!(client.metrics().retries.get(), retries);
         client.close();
     }
 
     #[test]
     fn retries_exhaust_when_the_endpoint_stays_down() {
         let service = EchoService::start();
-        let client = client_for(
-            &service,
-            ReconnectConfig {
-                retry: RetryPolicy {
-                    max_attempts: 3,
-                    initial_backoff: Duration::from_millis(1),
-                    max_backoff: Duration::from_millis(2),
-                    multiplier: 1,
-                    retry_budget: 100,
-                },
-                breaker: BreakerConfig {
-                    failure_threshold: 100,
-                    cooldown: Duration::from_millis(50),
-                },
-                ..ReconnectConfig::default()
-            },
-        );
+        let (client, clock) = manual_client(&service, retrying(2), None);
         service.refuse_new(true);
         service.kill_connections();
         let err = client
@@ -751,71 +787,111 @@ mod tests {
             matches!(err, CallError::Io(_) | CallError::Disconnected),
             "got {err:?}"
         );
+        assert_eq!(client.metrics().retries.get(), 2);
+        assert!(clock.elapsed() >= RETRY_BACKOFF.base(1) + RETRY_BACKOFF.base(2));
         client.close();
     }
 
     #[test]
     fn breaker_opens_and_fails_fast_then_recovers() {
         let service = EchoService::start();
-        let client = client_for(
-            &service,
-            ReconnectConfig {
-                retry: RetryPolicy::none(),
-                breaker: BreakerConfig {
-                    failure_threshold: 2,
-                    cooldown: Duration::from_millis(100),
-                },
-                ..ReconnectConfig::default()
-            },
-        );
+        let (client, clock) = manual_client(&service, ReconnectConfig::default(), None);
         service.refuse_new(true);
         service.kill_connections();
         // Wait until the client has noticed the close, so each call below
         // deterministically triggers a re-dial attempt.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while client.is_alive() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Each call makes one re-dial attempt; two failures trip it.
-        for _ in 0..2 {
+        wait_dead(&client);
+        // Each call makes one re-dial attempt; BREAKER_THRESHOLD failures
+        // trip it.
+        for _ in 0..BREAKER_THRESHOLD {
             let _ = client.call::<String>(REMOTE_PROGRAM, 1, true, &"x".to_string(), None);
         }
-        assert_eq!(client.breaker_state(), BreakerState::Open);
-        let start = Instant::now();
+        assert!(matches!(client.breaker_state(), Breaker::Open { .. }));
+        let attempts = client.metrics().reconnect_attempts.get();
         let err = client
             .call::<String>(REMOTE_PROGRAM, 1, true, &"x".to_string(), None)
             .unwrap_err();
         assert!(matches!(err, CallError::CircuitOpen), "got {err:?}");
-        assert!(start.elapsed() < Duration::from_millis(50), "fails fast");
-        assert!(client.inner.metrics.breaker_fast_fails.get() >= 1);
+        assert_eq!(
+            client.metrics().reconnect_attempts.get(),
+            attempts,
+            "fails fast"
+        );
+        assert!(client.metrics().breaker_fast_fails.get() >= 1);
 
         // After the cool-down, a probe is allowed and service is back.
         service.refuse_new(false);
-        std::thread::sleep(Duration::from_millis(150));
+        clock.advance(BREAKER_COOLDOWN);
         let reply: String = client
             .call(REMOTE_PROGRAM, 1, true, &"back".to_string(), None)
             .expect("half-open probe reconnects");
         assert_eq!(reply, "back");
-        assert_eq!(client.breaker_state(), BreakerState::Closed);
+        assert_eq!(client.breaker_state(), Breaker::Closed { failures: 0 });
+        // Closed -> open -> closed; the move to half-open is not counted.
+        assert_eq!(client.metrics().breaker_transitions.get(), 2);
+        client.close();
+    }
+
+    /// The breaker judges calls, not attempts: a call with retries left
+    /// outlives more refused re-dials than the breaker's threshold.
+    #[test]
+    fn a_retrying_call_outlives_refused_dials() {
+        let service = EchoService::start();
+        let (client, clock) = manual_client(&service, retrying(9), None);
+        service.kill_connections();
+        wait_dead(&client);
+        service.refuse_next(BREAKER_THRESHOLD);
+        let reply: String = client
+            .call(REMOTE_PROGRAM, 1, true, &"fourth".to_string(), None)
+            .expect("the fourth dial connects");
+        assert_eq!(reply, "fourth");
+        let metrics = client.metrics();
+        assert_eq!(metrics.reconnect_attempts.get(), 4);
+        assert_eq!(metrics.reconnect_failures.get(), 3);
+        assert_eq!(metrics.retries.get(), 3);
+        assert_eq!(client.breaker_state(), Breaker::Closed { failures: 0 });
+        let ladder: Duration = (1..=3).map(|n| RETRY_BACKOFF.base(n)).sum();
+        assert!(clock.elapsed() >= ladder, "the ladder was waited out");
+        client.close();
+    }
+
+    /// Beside it, the no-retry case: each failed call is one dial, three
+    /// of them open the breaker, and the fourth fails fast.
+    #[test]
+    fn calls_without_retries_open_the_breaker() {
+        let service = EchoService::start();
+        let (client, _clock) = manual_client(&service, ReconnectConfig::default(), None);
+        service.kill_connections();
+        wait_dead(&client);
+        service.refuse_next(u32::MAX);
+        for failed in 1..=BREAKER_THRESHOLD {
+            let err = client
+                .call::<String>(REMOTE_PROGRAM, 1, true, &"x".to_string(), None)
+                .unwrap_err();
+            assert!(matches!(err, CallError::Io(_)), "got {err:?}");
+            assert_eq!(client.metrics().reconnect_attempts.get(), u64::from(failed));
+        }
+        let err = client
+            .call::<String>(REMOTE_PROGRAM, 1, true, &"x".to_string(), None)
+            .unwrap_err();
+        assert!(matches!(err, CallError::CircuitOpen), "got {err:?}");
+        assert_eq!(
+            client.metrics().reconnect_attempts.get(),
+            u64::from(BREAKER_THRESHOLD)
+        );
         client.close();
     }
 
     #[test]
     fn remote_errors_are_never_retried() {
         let service = EchoService::start();
-        let client = client_for(
-            &service,
-            ReconnectConfig {
-                retry: fast_retry(),
-                ..ReconnectConfig::default()
-            },
-        );
-        let retries_before = client.inner.metrics.retries.get();
+        let client = client_for(&service, retrying(9));
+        let retries_before = client.metrics().retries.get();
         let err = client
             .call::<String>(REMOTE_PROGRAM, 99, true, &"x".to_string(), None)
             .unwrap_err();
         assert!(matches!(err, CallError::Remote(_)), "got {err:?}");
-        assert_eq!(client.inner.metrics.retries.get(), retries_before);
+        assert_eq!(client.metrics().retries.get(), retries_before);
 
         // Nor is a reply its reader rejects: the reader may have acted on
         // part of it, and it is handed the reply exactly once.
@@ -828,36 +904,31 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CallError::Protocol(_)), "got {err:?}");
         assert_eq!(reads, 1);
-        assert_eq!(client.inner.metrics.retries.get(), retries_before);
+        assert_eq!(client.metrics().retries.get(), retries_before);
         client.close();
     }
 
     #[test]
     fn retry_budget_bounds_total_retries() {
         let service = EchoService::start();
-        let client = client_for(
+        let (client, _clock) = manual_client(
             &service,
-            ReconnectConfig {
-                retry: RetryPolicy {
-                    max_attempts: 10,
-                    initial_backoff: Duration::from_millis(1),
-                    max_backoff: Duration::from_millis(1),
-                    multiplier: 1,
-                    retry_budget: 3,
-                },
-                breaker: BreakerConfig {
-                    failure_threshold: 1000,
-                    cooldown: Duration::from_millis(10),
-                },
-                ..ReconnectConfig::default()
-            },
+            ReconnectConfig::default(),
+            Some(Bounds {
+                retries: 9,
+                budget: 3,
+                threshold: BREAKER_THRESHOLD,
+                cooldown: BREAKER_COOLDOWN,
+                reconnect: true,
+                keepalive: None,
+            }),
         );
         service.refuse_new(true);
         service.kill_connections();
         let _ = client.call::<String>(REMOTE_PROGRAM, 1, true, &"a".to_string(), None);
         let _ = client.call::<String>(REMOTE_PROGRAM, 1, true, &"b".to_string(), None);
         assert_eq!(
-            client.inner.metrics.retries.get(),
+            client.metrics().retries.get(),
             3,
             "budget caps retries across calls"
         );
@@ -888,7 +959,6 @@ mod tests {
     #[test]
     fn keepalive_keeps_an_answering_peer_and_drops_a_silent_one() {
         use crate::fault::{FaultMode, FaultyTransport};
-        use crate::keepalive::KeepaliveConfig;
 
         let service = EchoService::start();
         let (faulty, control) = FaultyTransport::new((service.factory())().unwrap());
@@ -932,16 +1002,24 @@ mod tests {
     fn bye_marks_a_clean_shutdown() {
         let service = EchoService::start();
         let client = client_for(&service, ReconnectConfig::default());
-        assert!(!client.peer_said_bye());
         let server_conn = service.first_conn();
         let bye = keepalive::bye_packet();
         server_conn.send_frame(&bye.to_frame()[4..]).unwrap();
+        // A farewell still sitting in the socket counts: the look finds it.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while !client.peer_said_bye() && Instant::now() < deadline {
+        while client.metrics().peer_byes.get() == 0 {
+            assert!(Instant::now() < deadline, "the bye was never read");
+            client.is_alive();
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(client.peer_said_bye());
-        assert_eq!(client.inner.metrics.peer_byes.get(), 1);
+        assert_eq!(client.metrics().peer_byes.get(), 1);
+        // The peer is going away: even a mutating call moves to a fresh
+        // connection before it sends anything.
+        let reply: String = client
+            .call(REMOTE_PROGRAM, 1, false, &"after bye".to_string(), None)
+            .unwrap();
+        assert_eq!(reply, "after bye");
+        assert_eq!(client.generation(), 2);
         client.close();
     }
 
@@ -950,17 +1028,18 @@ mod tests {
         let service = EchoService::start();
         let setups = Arc::new(Counter::new());
         let setups2 = Arc::clone(&setups);
-        let client = ReconnectingClient::connect(
+        let clock = Manual::new();
+        let client = ReconnectingClient::start(
+            (service.factory())().unwrap(),
             service.factory(),
             Box::new(move |_| {
                 setups2.inc();
                 Ok(())
             }),
-            ReconnectConfig {
-                retry: fast_retry(),
-                ..ReconnectConfig::default()
-            },
+            retrying(9),
             ReconnectMetrics::new(),
+            Clock::Manual(Arc::clone(&clock)),
+            Session::new(9, true, None, 1, clock.now()),
         )
         .unwrap();
         assert_eq!(setups.get(), 1);
@@ -995,10 +1074,7 @@ mod tests {
             },
         );
         service.kill_connections();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while client.is_alive() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_dead(&client);
         let err = client
             .call::<String>(REMOTE_PROGRAM, 1, true, &"x".to_string(), None)
             .unwrap_err();

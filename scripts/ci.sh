@@ -52,6 +52,18 @@ if grep -rn 'allow(dead_code)' crates/rpc crates/core crates/daemon crates/cli c
     exit 1
 fi
 
+# The client session decides and the reconnecting client acts: neither
+# reads the clock nor sleeps but through the one Clock (clock.rs), so the
+# unit tests walk the retry ladder and the breaker's cool-down in virtual
+# time, and a test waits out none of it.
+echo "== hygiene: the client session reads the time and sleeps only through its Clock =="
+for f in crates/rpc/src/reconnect.rs crates/rpc/src/session.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'Instant::now\(\)|thread::sleep'; then
+        echo "error: a clock read or sleep in the product part of $f — go through crate::clock::Clock" >&2
+        exit 1
+    fi
+done
+
 # Each procedure is described once, in the table macros of the two
 # protocol files; a classifier kept by hand beside them can silently miss
 # a row. (A row without a dispatch arm is tests/wire_procedures.rs's job.)

@@ -307,7 +307,32 @@ fn active_keepalive_keeps_healthy_connections_and_kills_dead_ones() {
     let conn = Connect::builder(format!("qemu+memory://{endpoint}/system?keepalive=30:3"))
         .open()
         .unwrap();
-    std::thread::sleep(Duration::from_millis(300)); // > 3 × 30 ms
+    // More than `count` pings have reached the daemon: a client that had
+    // not heard the pongs would have given the connection up before the
+    // last of them.
+    let pings = || {
+        let name = "server.virtd.keepalive_pings";
+        match daemon
+            .metrics()
+            .snapshot(name)
+            .iter()
+            .find(|m| m.name == name)
+        {
+            Some(m) => match m.value {
+                virt_core::metrics::MetricValue::Counter(v) => v,
+                ref other => panic!("{name}: {other:?}"),
+            },
+            None => panic!("{name} missing"),
+        }
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while pings() <= 3 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the client stopped pinging"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     assert!(
         conn.is_alive(),
         "daemon answered pings, connection must live"

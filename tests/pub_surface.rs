@@ -65,8 +65,6 @@ const NAMED_NOWHERE_ELSE: &[(&str, &str, &str)] = &[
     ("metrics", "RequestSpan", "reached through a public signature"),
     ("metrics", "SpanContext", "reached through a public signature"),
     ("metrics", "StageSpan", "reached through a public signature"),
-    ("rpc", "CircuitBreaker", "reached through a public signature"),
-    ("rpc", "FaultControl", "reached through a public signature"),
     ("rpc", "MemoryListener", "reached through a public signature"),
     ("xml", "ParseXmlErrorKind", "reached through a public signature"),
 ];

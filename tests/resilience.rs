@@ -1,4 +1,4 @@
-//! Connection resilience end-to-end: deterministic transport faults,
+//! Connection resilience end-to-end: connections killed under the client,
 //! daemon restarts (in-process and real-process), retry/idempotency
 //! semantics, event-callback replay after reconnect, and the circuit
 //! breaker under persistent failure — all observable through the metrics
@@ -6,15 +6,15 @@
 
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use virt_core::event::DomainEventKind;
 use virt_core::xmlfmt::DomainConfig;
-use virt_core::{BreakerConfig, Connect, ObjectKind, RetryPolicy, StateStore, Uuid};
+use virt_core::{Connect, ObjectKind, StateStore, Uuid};
 use virt_rpc::message::{MessageType, Packet, REMOTE_PROGRAM};
 use virt_rpc::transport::{memory_listener, Listener, MemoryConnector, Transport};
-use virt_rpc::{FaultMode, FaultyTransport, ReconnectConfig, ReconnectMetrics, ReconnectingClient};
+use virt_rpc::{ReconnectConfig, ReconnectMetrics, ReconnectingClient};
 use virtd::{AdminClient, Virtd, VirtdConfig};
 
 fn unique(name: &str) -> String {
@@ -26,17 +26,9 @@ fn unique(name: &str) -> String {
     )
 }
 
-/// A retry policy patient enough to ride out a daemon restart: ~60
-/// attempts with backoff capped at 100 ms spans several seconds.
-fn patient_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 60,
-        initial_backoff: Duration::from_millis(20),
-        max_backoff: Duration::from_millis(100),
-        multiplier: 2,
-        retry_budget: 1000,
-    }
-}
+/// Retries patient enough to ride out a daemon restart: on the fixed
+/// ladder (100 ms doubling to 5 s) ten retries span over 20 s.
+const PATIENT_RETRIES: u32 = 10;
 
 fn wait_until(pred: impl Fn() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -47,62 +39,84 @@ fn wait_until(pred: impl Fn() -> bool, what: &str) {
 }
 
 // ---------------------------------------------------------------------
-// RPC layer: deterministic mid-stream faults via FaultyTransport.
+// RPC layer: connections killed mid-stream under the client.
 // ---------------------------------------------------------------------
 
 /// An echo server behind a memory listener: replies to every call with
-/// its own payload and answers keepalive pings. Connections the client
-/// re-dials through the returned connector are clean (unwrapped).
-fn start_echo_service() -> MemoryConnector {
-    let (listener, connector) = memory_listener();
-    std::thread::spawn(move || {
-        while let Ok(conn) = listener.accept() {
-            let conn: Arc<dyn Transport> = Arc::from(conn);
-            std::thread::spawn(move || {
-                while let Ok(frame) = conn.recv_frame() {
-                    let packet = match Packet::from_body(&frame) {
-                        Ok(p) => p,
-                        Err(_) => break,
-                    };
-                    if let Some(pong) = virt_rpc::keepalive::respond(&packet) {
-                        let _ = conn.send_frame(&pong.to_frame()[4..]);
-                        continue;
+/// its own payload and answers keepalive pings.
+struct EchoService {
+    connector: MemoryConnector,
+    /// Every connection accepted so far, server side.
+    accepted: Arc<Mutex<Vec<Arc<dyn Transport>>>>,
+}
+
+impl EchoService {
+    fn start() -> EchoService {
+        let (listener, connector) = memory_listener();
+        let accepted: Arc<Mutex<Vec<Arc<dyn Transport>>>> = Arc::default();
+        let registry = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            while let Ok(conn) = listener.accept() {
+                let conn: Arc<dyn Transport> = Arc::from(conn);
+                registry.lock().unwrap().push(Arc::clone(&conn));
+                std::thread::spawn(move || {
+                    while let Ok(frame) = conn.recv_frame() {
+                        let packet = match Packet::from_body(&frame) {
+                            Ok(p) => p,
+                            Err(_) => break,
+                        };
+                        if let Some(pong) = virt_rpc::keepalive::respond(&packet) {
+                            let _ = conn.send_frame(&pong.to_frame()[4..]);
+                            continue;
+                        }
+                        if packet.header.mtype != MessageType::Call {
+                            continue;
+                        }
+                        let reply = Packet {
+                            header: packet.header.reply_ok(),
+                            payload: packet.payload.clone(),
+                        };
+                        let _ = conn.send_frame(&reply.to_frame()[4..]);
                     }
-                    if packet.header.mtype != MessageType::Call {
-                        continue;
-                    }
-                    let reply = Packet {
-                        header: packet.header.reply_ok(),
-                        payload: packet.payload.clone(),
-                    };
-                    let _ = conn.send_frame(&reply.to_frame()[4..]);
-                }
-            });
+                });
+            }
+        });
+        EchoService {
+            connector,
+            accepted,
         }
-    });
-    connector
+    }
+
+    /// A client of the service that retries idempotent calls.
+    fn client(&self, metrics: ReconnectMetrics) -> ReconnectingClient {
+        let dialer = self.connector.clone();
+        ReconnectingClient::with_transport(
+            Arc::new(self.connector.connect().unwrap()),
+            Box::new(move || dialer.connect().map(|t| Arc::new(t) as Arc<dyn Transport>)),
+            Box::new(|_| Ok(())),
+            ReconnectConfig {
+                retries: PATIENT_RETRIES,
+                ..ReconnectConfig::default()
+            },
+            metrics,
+        )
+        .unwrap()
+    }
+
+    /// Hangs up every connection from the server's side. The clients have
+    /// answered calls on them, so they were accepted; nobody reads them
+    /// between calls, so the clients have not seen the hang-up.
+    fn kill(&self) {
+        for conn in self.accepted.lock().unwrap().drain(..) {
+            let _ = conn.shutdown();
+        }
+    }
 }
 
 #[test]
 fn injected_mid_stream_kill_is_survived_by_idempotent_calls() {
-    let connector = start_echo_service();
-
-    // First generation rides a fault-injecting wrapper; re-dials get
-    // clean transports.
-    let initial = Arc::new(connector.connect().unwrap()) as Arc<dyn Transport>;
-    let (faulty, control) = FaultyTransport::new(initial);
-    let dialer = connector.clone();
-    let client = ReconnectingClient::with_transport(
-        Arc::new(faulty),
-        Box::new(move || dialer.connect().map(|t| Arc::new(t) as Arc<dyn Transport>)),
-        Box::new(|_| Ok(())),
-        ReconnectConfig {
-            retry: patient_retry(),
-            ..ReconnectConfig::default()
-        },
-        ReconnectMetrics::new(),
-    )
-    .unwrap();
+    let service = EchoService::start();
+    let client = service.client(ReconnectMetrics::new());
 
     let reply: String = client
         .call(REMOTE_PROGRAM, 1, true, &"warm".to_string(), None)
@@ -110,10 +124,9 @@ fn injected_mid_stream_kill_is_survived_by_idempotent_calls() {
     assert_eq!(reply, "warm");
     assert_eq!(client.generation(), 1);
 
-    // Kill the connection at an exact byte offset: the very next send
-    // trips the drop, reproducibly mid-stream rather than "sometime
-    // around when the peer died".
-    control.set(FaultMode::DropAfterBytes(control.sent_bytes()));
+    // Kill the connection under the client: the next call finds it dead,
+    // before or after sending, and is carried to a fresh connection.
+    service.kill();
     let reply: String = client
         .call(REMOTE_PROGRAM, 1, true, &"again".to_string(), None)
         .expect("idempotent call transparently retried onto a fresh connection");
@@ -127,25 +140,12 @@ fn injected_mid_stream_kill_is_survived_by_idempotent_calls() {
 /// registry's `attempts` counter, and both re-dials land in it.
 #[test]
 fn two_connections_share_the_process_reconnect_counters() {
-    let connector = start_echo_service();
     let registry = virt_core::client_metrics();
     let connect = || {
-        let initial = Arc::new(connector.connect().unwrap()) as Arc<dyn Transport>;
-        let (faulty, control) = FaultyTransport::new(initial);
-        let dialer = connector.clone();
+        let service = EchoService::start();
         let metrics = ReconnectMetrics::new().attach(registry, "rpc.");
-        let client = ReconnectingClient::with_transport(
-            Arc::new(faulty),
-            Box::new(move || dialer.connect().map(|t| Arc::new(t) as Arc<dyn Transport>)),
-            Box::new(|_| Ok(())),
-            ReconnectConfig {
-                retry: patient_retry(),
-                ..ReconnectConfig::default()
-            },
-            metrics.clone(),
-        )
-        .unwrap();
-        (client, control, metrics)
+        let client = service.client(metrics.clone());
+        (client, service, metrics)
     };
     let first = connect();
     let second = connect();
@@ -154,8 +154,11 @@ fn two_connections_share_the_process_reconnect_counters() {
     assert!(Arc::ptr_eq(&second.2.reconnect_attempts, &attempts));
 
     let before = attempts.get();
-    for (client, control, _) in [&first, &second] {
-        control.set(FaultMode::DropAfterBytes(control.sent_bytes()));
+    for (client, service, _) in [&first, &second] {
+        let _: String = client
+            .call(REMOTE_PROGRAM, 1, true, &"warm".to_string(), None)
+            .unwrap();
+        service.kill();
         let reply: String = client
             .call(REMOTE_PROGRAM, 1, true, &"again".to_string(), None)
             .expect("idempotent call retried onto a fresh connection");
@@ -183,15 +186,10 @@ fn idempotent_calls_survive_daemon_restart() {
     daemon.register_memory_endpoint(&endpoint).unwrap();
     let uri = format!("qemu+memory://{endpoint}/system");
 
-    // A patient retry policy needs a breaker that tolerates the outage it
-    // is riding out — otherwise the breaker opens mid-retry and the loop
-    // fails fast instead of waiting for the restart.
+    // The breaker judges calls, not attempts: a call riding out the outage
+    // on its retries is one call to it, however many re-dials fail.
     let conn = Connect::builder(&uri)
-        .retry(patient_retry())
-        .breaker(BreakerConfig {
-            failure_threshold: 1000,
-            cooldown: Duration::from_secs(1),
-        })
+        .retries(PATIENT_RETRIES)
         .open()
         .unwrap();
     let baseline = conn.hostname().unwrap();
@@ -209,11 +207,23 @@ fn idempotent_calls_survive_daemon_restart() {
         .unwrap_err();
     assert!(!err.message().is_empty());
 
-    // Restart the daemon shortly, on the same endpoint.
+    // Restart the daemon on the same endpoint once the client has failed
+    // a re-dial, so the calls below really ride the retry loop across the
+    // outage. (The counter is process-wide: another test's failed re-dial
+    // only starts the restart sooner.)
+    let redial_failures = || {
+        virt_core::client_metrics()
+            .counter("rpc.reconnect.failures", "")
+            .get()
+    };
+    let failures_before = redial_failures();
     let restarter = {
         let endpoint = endpoint.clone();
         std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(100));
+            wait_until(
+                || redial_failures() > failures_before,
+                "the client to fail a re-dial",
+            );
             let daemon = Virtd::builder(&endpoint).host(qemu_host).build().unwrap();
             daemon.register_memory_endpoint(&endpoint).unwrap();
             daemon
@@ -260,7 +270,7 @@ fn event_callbacks_fire_again_after_reconnect() {
     let uri = format!("qemu+memory://{endpoint}/system");
 
     let watcher = Connect::builder(&uri)
-        .retry(patient_retry())
+        .retries(PATIENT_RETRIES)
         .open()
         .unwrap();
     let (tx, rx) = mpsc::channel();
@@ -324,22 +334,18 @@ fn breaker_opens_under_persistent_failure_and_fails_fast() {
 
     // No retries: each failing call is exactly one dial attempt, so the
     // breaker's failure count advances deterministically.
-    let conn = Connect::builder(&uri)
-        .breaker(BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(60),
-        })
-        .open()
-        .unwrap();
+    let conn = Connect::builder(&uri).open().unwrap();
     conn.hostname().unwrap();
 
     // Daemon goes away for good.
     daemon.shutdown();
     wait_until(|| !conn.is_alive(), "client to notice the shutdown");
 
-    // Two dial failures trip the breaker...
-    assert!(conn.hostname().is_err());
-    assert!(conn.hostname().is_err());
+    // Three failed calls (the session's BREAKER_THRESHOLD) trip the
+    // breaker...
+    for _ in 0..3 {
+        assert!(conn.hostname().is_err());
+    }
 
     // ...after which calls fail fast without touching the network.
     let started = Instant::now();
@@ -417,7 +423,7 @@ fn killed_daemon_process_recovers_after_respawn() {
 
     let mut child = spawn_virtd(&socket, &admin_socket);
     let conn = Connect::builder(format!("qemu+unix:///system?socket={socket}"))
-        .retry(patient_retry())
+        .retries(PATIENT_RETRIES)
         .open()
         .unwrap();
     let baseline = conn.hostname().unwrap();
@@ -470,7 +476,7 @@ fn statedir_sigkill_respawn_recovers_definitions_autostart_and_crash_status() {
 
     let mut child = spawn_virtd_with(&socket, &admin_socket, &["--statedir", &statedir_arg]);
     let conn = Connect::builder(format!("qemu+unix:///system?socket={socket}"))
-        .retry(patient_retry())
+        .retries(PATIENT_RETRIES)
         .open()
         .unwrap();
 
@@ -544,7 +550,7 @@ fn torn_state_file_is_quarantined_not_fatal() {
 
     let mut child = spawn_virtd_with(&socket, &admin_socket, &["--statedir", &statedir_arg]);
     let conn = Connect::builder(format!("qemu+unix:///system?socket={socket}"))
-        .retry(patient_retry())
+        .retries(PATIENT_RETRIES)
         .open()
         .unwrap();
     for name in ["alpha", "beta", "gamma"] {
@@ -725,7 +731,7 @@ fn sigkill_mid_batch_recovers_whole_frames_and_all_definitions() {
 
     let mut child = spawn_virtd_with(&socket, &admin_socket, &["--statedir", &statedir_arg]);
     let conn = Connect::builder(format!("qemu+unix:///system?socket={socket}"))
-        .retry(patient_retry())
+        .retries(PATIENT_RETRIES)
         .open()
         .unwrap();
 

@@ -55,9 +55,13 @@
 //!   once, deregistering the fd and dropping whatever pooled buffers the
 //!   connection held back to the freelist.
 //!
-//! Transports with no readiness surface ([`Readiness::Blocking`], e.g.
-//! the simulated-TLS transport) keep the legacy dedicated reader thread
-//! — the server falls back per connection, not globally.
+//! Every admitted client has a sink. A socket the loop registered gets
+//! the queued route above; an in-process channel, and every connection a
+//! dedicated reader thread serves — a transport with no readiness surface
+//! ([`Readiness::Blocking`], e.g. the simulated-TLS transport), a socket
+//! whose registration failed, or any connection where epoll is missing —
+//! gets the direct route, the transport's own send. Payload bytes out are
+//! counted in [`ConnSink::send_wire`], whichever the route.
 
 use std::collections::HashMap;
 use std::io;
@@ -73,7 +77,7 @@ use virt_rpc::poll::{PollEvent, Poller, WAKE_TOKEN};
 use virt_rpc::transport::{Readiness, Transport};
 use virt_rpc::{BufferPool, PoolBatch, PooledBuf};
 
-use crate::server::ClientHandle;
+use crate::server::{ClientHandle, Server};
 
 /// Frames processed per connection per turn before yielding. Capping the
 /// batch keeps one flooding client from starving the rest of the loop
@@ -113,30 +117,7 @@ virt_metrics::metric_set! {
     }
 }
 
-/// The server-side callbacks a loop fires. Implemented by `Server` (via
-/// a weak reference, so the core never keeps its server alive).
-pub(crate) trait ConnEvents: Send + Sync + 'static {
-    /// A complete frame body arrived. Runs on the loop thread; returns
-    /// whether to keep the connection (protocol garbage drops it). A call
-    /// bound for the worker pool goes into `batch`, opened on the first
-    /// one; the loop drops it — waking workers for its calls — when the
-    /// connection's turn ends.
-    fn on_frame(
-        &self,
-        client: &Arc<ClientHandle>,
-        body: &[u8],
-        batch: &mut Option<PoolBatch>,
-    ) -> bool;
-
-    /// The connection is gone; the transport is already shut down.
-    fn on_closed(&self, client: &Arc<ClientHandle>);
-
-    /// A loop thread's poller failed fatally: the loop is going down and
-    /// every connection it owned is being torn down. For diagnostics —
-    /// the teardown itself already happened by way of `on_closed`.
-    fn on_loop_error(&self, _error: &io::Error) {}
-}
-
+#[derive(Default)]
 struct SinkState {
     /// Reply bytes accepted but not yet on the wire: whole frames back
     /// to back, of which `out[written..]` is still owed to the socket.
@@ -160,8 +141,8 @@ impl SinkState {
 }
 
 enum SinkRoute {
-    /// The transport's own send never blocks (in-process channels) —
-    /// frames go straight through.
+    /// The transport's own send: an in-process channel, whose send never
+    /// blocks, and every connection a reader thread serves.
     Direct,
     /// Nonblocking fd: direct-write fast path, with what the socket does
     /// not take (and what a corked burst gathers) kept in one buffer the
@@ -174,8 +155,9 @@ enum SinkRoute {
     },
 }
 
-/// The write side of one event-loop connection. Shared between the loop
-/// (flushing on `EPOLLOUT`) and worker threads (`ClientHandle::send`).
+/// The write side of one client connection. Shared between the owning
+/// loop (flushing on `EPOLLOUT`), if there is one, and every thread that
+/// replies (`ClientHandle::send`).
 pub(crate) struct ConnSink {
     transport: Arc<dyn Transport>,
     route: SinkRoute,
@@ -190,24 +172,49 @@ pub(crate) struct ConnSink {
 }
 
 impl ConnSink {
-    /// Sends one complete wire frame (length prefix included, as laid
-    /// out by `Packet::encode_frame_into`).
-    pub(crate) fn send_wire(&self, wire: &[u8]) -> io::Result<()> {
-        match &self.route {
-            SinkRoute::Direct => {
-                self.transport.send_framed(wire)?;
-                self.bytes_out.add(wire.len().saturating_sub(4) as u64);
-                Ok(())
-            }
-            SinkRoute::Queued { .. } => self.send_queued(wire),
+    /// The sink of a connection being admitted: queued behind the socket
+    /// a loop has `claim`ed, direct for everything else.
+    pub(crate) fn new(
+        transport: Arc<dyn Transport>,
+        claim: Option<&Claim>,
+        metrics: Arc<EventLoopMetrics>,
+        bytes_out: Arc<Counter>,
+    ) -> ConnSink {
+        let route = match claim {
+            Some(Claim {
+                shared,
+                kind: ConnKind::Fd(fd),
+                token,
+            }) => SinkRoute::Queued {
+                fd: *fd,
+                token: *token,
+                poller: Arc::clone(&shared.poller),
+                state: Mutex::default(),
+            },
+            _ => SinkRoute::Direct,
+        };
+        ConnSink {
+            transport,
+            route,
+            paused_reads: AtomicBool::new(false),
+            metrics,
+            bytes_out,
         }
     }
 
-    fn send_queued(&self, wire: &[u8]) -> io::Result<()> {
-        let SinkRoute::Queued { state, .. } = &self.route else {
-            unreachable!()
-        };
-        let mut st = state.lock();
+    /// Sends one complete wire frame (length prefix included, as laid
+    /// out by `Packet::encode_frame_into`). Its payload bytes are counted
+    /// here, for every connection, before the write: a client holding
+    /// its reply finds it counted.
+    pub(crate) fn send_wire(&self, wire: &[u8]) -> io::Result<()> {
+        self.bytes_out.add((wire.len() - 4) as u64);
+        match &self.route {
+            SinkRoute::Direct => self.transport.send_framed(wire),
+            SinkRoute::Queued { state, .. } => self.send_queued(&mut state.lock(), wire),
+        }
+    }
+
+    fn send_queued(&self, st: &mut SinkState, wire: &[u8]) -> io::Result<()> {
         if st.closed {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -222,20 +229,19 @@ impl ConnSink {
                 self.metrics.write_calls.inc();
                 match self.transport.try_write(&wire[off..]) {
                     Ok(0) => {
-                        self.close_locked(&mut st);
+                        self.close_locked(st);
                         return Err(io::ErrorKind::WriteZero.into());
                     }
                     Ok(n) => {
                         off += n;
                         if off == wire.len() {
-                            self.bytes_out.add(wire.len().saturating_sub(4) as u64);
                             return Ok(());
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => {
-                        self.close_locked(&mut st);
+                        self.close_locked(st);
                         return Err(e);
                     }
                 }
@@ -243,7 +249,7 @@ impl ConnSink {
         }
         // Keep the remainder (or, corked or with a backlog, the whole
         // frame — ordering must hold) behind what is already owed.
-        let SinkState { out, written, .. } = &mut *st;
+        let SinkState { out, written, .. } = st;
         let out = out.get_or_insert_with(|| BufferPool::global().get());
         if *written > out.len() - *written {
             // More written than owed: reclaim the front, so a steady
@@ -255,12 +261,11 @@ impl ConnSink {
         self.metrics
             .write_queue_bytes
             .add((wire.len() - off) as u64);
-        self.bytes_out.add(wire.len().saturating_sub(4) as u64);
         if st.queued() > WRITE_HARD_CAP {
             // The client is not reading replies; cut it loose instead of
             // letting its backlog grow without bound.
             self.metrics.backpressure_closes.inc();
-            self.close_locked(&mut st);
+            self.close_locked(st);
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "write queue overflow",
@@ -278,7 +283,7 @@ impl ConnSink {
             update = true;
         }
         if update {
-            self.update_interest_locked(&st);
+            self.update_interest_locked(st);
         }
         Ok(())
     }
@@ -318,9 +323,6 @@ impl ConnSink {
     /// epoll interest: `EPOLLOUT` exactly while bytes are owed, reads
     /// resumed once the backlog is under the resume mark.
     fn write_out(&self, st: &mut SinkState) -> bool {
-        if !matches!(self.route, SinkRoute::Queued { .. }) {
-            return true;
-        }
         if st.closed {
             return false;
         }
@@ -413,16 +415,15 @@ enum ConnKind {
     Channel,
 }
 
-/// One event-loop-owned connection: the read buffer plus the write
-/// sink, keyed by the client id (which doubles as the epoll token).
+/// One event-loop-owned connection: the client (whose sink is the write
+/// side) plus the read buffer, keyed by the client id (which doubles as
+/// the epoll token).
 struct Conn {
-    id: u64,
     client: Arc<ClientHandle>,
     kind: ConnKind,
     /// Fd conns: bytes read off the socket but not yet handed up.
     /// `None` between bursts that ended with nothing left over.
     reader: Mutex<Option<FrameBuf<PooledBuf>>>,
-    sink: Arc<ConnSink>,
     /// On the ready list: set by whoever queues the connection (the
     /// channel notifier, or the loop itself for frames left buffered),
     /// cleared by the drain — one queued wakeup at a time.
@@ -439,12 +440,60 @@ struct LoopShared {
     /// complete frames left in their read buffer.
     ready: Mutex<Vec<u64>>,
     shutdown: AtomicBool,
-    /// Set when the loop thread dies on a poller error: `register`
-    /// skips dead loops so new connections never land on a poller
-    /// nothing waits on.
+    /// Set when the loop thread dies on a poller error: `claim` skips
+    /// dead loops so new connections never land on a poller nothing
+    /// waits on.
     dead: AtomicBool,
-    events: Arc<dyn ConnEvents>,
+    /// Weak, so the core (owned by the server) never keeps it alive.
+    server: Weak<Server>,
     metrics: Arc<EventLoopMetrics>,
+}
+
+/// A loop's hold on a connection being admitted: the loop that will own
+/// it and, for a socket, the fd — already registered with that loop's
+/// poller under `token`, and skipped by the loop until
+/// [`Claim::publish`] puts the connection in its map.
+pub(crate) struct Claim {
+    shared: Arc<LoopShared>,
+    kind: ConnKind,
+    token: u64,
+}
+
+impl Claim {
+    /// Hands the admitted client to its loop, which reads its frames from
+    /// here on.
+    pub(crate) fn publish(self, client: Arc<ClientHandle>) {
+        let Claim {
+            shared,
+            kind,
+            token,
+        } = self;
+        let conn = Arc::new(Conn {
+            client,
+            kind,
+            reader: Mutex::new(None),
+            ready_pending: Arc::new(AtomicBool::new(false)),
+            closing: AtomicBool::new(false),
+        });
+        shared.conns.lock().insert(token, Arc::clone(&conn));
+        shared.metrics.registered_fds.inc();
+        if let ConnKind::Channel = conn.kind {
+            let flag = Arc::clone(&conn.ready_pending);
+            let weak: Weak<LoopShared> = Arc::downgrade(&shared);
+            // The notifier fires immediately if frames are already
+            // waiting, so publishing cannot miss a wakeup.
+            conn.client
+                .transport
+                .set_ready_notifier(Some(Arc::new(move || {
+                    if !flag.swap(true, Ordering::AcqRel) {
+                        if let Some(shared) = weak.upgrade() {
+                            shared.ready.lock().push(token);
+                            shared.poller.wake();
+                        }
+                    }
+                })));
+        }
+    }
 }
 
 /// The event cores of one server: N loop threads, each with its own
@@ -453,16 +502,15 @@ pub(crate) struct EventCore {
     loops: Vec<Arc<LoopShared>>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     next_loop: AtomicUsize,
-    metrics: Arc<EventLoopMetrics>,
 }
 
 impl EventCore {
     /// Starts the loop threads. Fails where epoll is unavailable — the
-    /// server then serves every connection on legacy reader threads.
+    /// server then serves every connection on a reader thread.
     pub(crate) fn start(
         server_name: &str,
         event_threads: usize,
-        events: Arc<dyn ConnEvents>,
+        server: Weak<Server>,
         metrics: Arc<EventLoopMetrics>,
     ) -> io::Result<EventCore> {
         let threads_wanted = event_threads.max(1);
@@ -475,7 +523,7 @@ impl EventCore {
                 ready: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
-                events: Arc::clone(&events),
+                server: server.clone(),
                 metrics: Arc::clone(&metrics),
             });
             let run_shared = Arc::clone(&shared);
@@ -490,116 +538,43 @@ impl EventCore {
             loops,
             threads: Mutex::new(handles),
             next_loop: AtomicUsize::new(0),
-            metrics,
         })
     }
 
-    /// Hands a freshly admitted client to one of the loops. On success
-    /// the client's sink is installed and all its frames flow through
-    /// the event core; on error the caller owns the fallback.
-    pub(crate) fn register(
-        &self,
-        client: &Arc<ClientHandle>,
-        bytes_out: Arc<Counter>,
-    ) -> io::Result<()> {
+    /// Picks a loop for a connection being admitted as `token` and, for
+    /// a socket, registers its fd there. `None` when no loop can own it —
+    /// a transport with no readiness surface, a stopped core, or a failed
+    /// registration — and the connection gets a reader thread instead.
+    pub(crate) fn claim(&self, transport: &Arc<dyn Transport>, token: u64) -> Option<Claim> {
         // Round-robin across loops that are still alive: a loop whose
         // poller failed is marked dead and skipped, so new connections
         // never land on a poller no thread waits on.
         let start = self.next_loop.fetch_add(1, Ordering::Relaxed);
         let shared = (0..self.loops.len())
             .map(|i| &self.loops[(start + i) % self.loops.len()])
-            .find(|l| !l.shutdown.load(Ordering::Acquire) && !l.dead.load(Ordering::Acquire))
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "event core stopped"))?;
-        let transport = Arc::clone(&client.transport);
-        let id = client.id;
-        match transport.readiness() {
+            .find(|l| !l.shutdown.load(Ordering::Acquire) && !l.dead.load(Ordering::Acquire))?;
+        let kind = match transport.readiness() {
             Readiness::Fd(fd) => {
-                transport.set_nonblocking(true)?;
-                let sink = Arc::new(ConnSink {
-                    transport: Arc::clone(&transport),
-                    route: SinkRoute::Queued {
-                        fd,
-                        token: id,
-                        poller: Arc::clone(&shared.poller),
-                        state: Mutex::new(SinkState {
-                            out: None,
-                            written: 0,
-                            corked: false,
-                            want_write: false,
-                            closed: false,
-                        }),
-                    },
-                    paused_reads: AtomicBool::new(false),
-                    metrics: Arc::clone(&self.metrics),
-                    bytes_out,
-                });
-                // Register the fd *before* installing the sink or
-                // publishing the conn: if epoll_ctl fails, the client
-                // keeps an unset sink and the fallback reader thread
-                // writes through the blocking transport directly —
-                // nothing ever routes into a queue no loop drains. The
-                // loop cannot act on this fd in between, because it
-                // skips tokens absent from its conn map and
+                transport.set_nonblocking(true).ok()?;
+                // The loop cannot act on this fd before `publish`: it
+                // skips tokens absent from its conn map, and
                 // level-triggered epoll re-reports the readiness on the
-                // next wait.
-                if let Err(e) = shared.poller.register(fd, id, true, false) {
+                // next wait. If epoll_ctl fails the socket goes back to
+                // blocking mode for its reader thread.
+                if shared.poller.register(fd, token, true, false).is_err() {
                     let _ = transport.set_nonblocking(false);
-                    return Err(e);
+                    return None;
                 }
-                client.install_sink(Arc::clone(&sink));
-                let conn = Arc::new(Conn {
-                    id,
-                    client: Arc::clone(client),
-                    kind: ConnKind::Fd(fd),
-                    reader: Mutex::new(None),
-                    sink,
-                    ready_pending: Arc::new(AtomicBool::new(false)),
-                    closing: AtomicBool::new(false),
-                });
-                shared.conns.lock().insert(id, conn);
-                self.metrics.registered_fds.inc();
+                ConnKind::Fd(fd)
             }
-            Readiness::Notify => {
-                let sink = Arc::new(ConnSink {
-                    transport: Arc::clone(&transport),
-                    route: SinkRoute::Direct,
-                    paused_reads: AtomicBool::new(false),
-                    metrics: Arc::clone(&self.metrics),
-                    bytes_out,
-                });
-                client.install_sink(Arc::clone(&sink));
-                let conn = Arc::new(Conn {
-                    id,
-                    client: Arc::clone(client),
-                    kind: ConnKind::Channel,
-                    reader: Mutex::new(None),
-                    sink,
-                    ready_pending: Arc::new(AtomicBool::new(false)),
-                    closing: AtomicBool::new(false),
-                });
-                shared.conns.lock().insert(id, Arc::clone(&conn));
-                self.metrics.registered_fds.inc();
-                let flag = Arc::clone(&conn.ready_pending);
-                let weak: Weak<LoopShared> = Arc::downgrade(shared);
-                // The notifier fires immediately if frames are already
-                // waiting, so registration cannot miss a wakeup.
-                transport.set_ready_notifier(Some(Arc::new(move || {
-                    if !flag.swap(true, Ordering::AcqRel) {
-                        if let Some(shared) = weak.upgrade() {
-                            shared.ready.lock().push(id);
-                            shared.poller.wake();
-                        }
-                    }
-                })));
-            }
-            Readiness::Blocking => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "transport has no readiness surface",
-                ));
-            }
-        }
-        Ok(())
+            Readiness::Notify => ConnKind::Channel,
+            Readiness::Blocking => return None,
+        };
+        Some(Claim {
+            shared: Arc::clone(shared),
+            kind,
+            token,
+        })
     }
 
     /// Blocks until every connection's write queue is empty or the
@@ -612,7 +587,7 @@ impl EventCore {
                 .loops
                 .iter()
                 .flat_map(|l| l.conns.lock().values().cloned().collect::<Vec<_>>())
-                .map(|c| c.sink.queued_bytes())
+                .map(|c| c.client.sink.queued_bytes())
                 .sum();
             if pending == 0 || Instant::now() >= deadline {
                 return;
@@ -622,7 +597,7 @@ impl EventCore {
     }
 
     /// Stops the loop threads and tears down every remaining connection
-    /// (firing `on_closed` for each).
+    /// (removing each from the server's client table).
     pub(crate) fn stop(&self) {
         for shared in &self.loops {
             shared.shutdown.store(true, Ordering::Release);
@@ -648,12 +623,17 @@ impl EventCore {
             }
             if let Err(e) = shared.poller.wait(&mut events, None) {
                 // A broken poller strands every connection this loop
-                // owns. Mark the loop dead first (register() skips dead
+                // owns. Mark the loop dead first (claim() skips dead
                 // loops), surface the error, then tear the connections
                 // down so clients see a close instead of a black hole.
                 shared.dead.store(true, Ordering::Release);
                 if !shared.shutdown.load(Ordering::Acquire) {
-                    shared.events.on_loop_error(&e);
+                    if let Some(server) = shared.server.upgrade() {
+                        server.log_error(&format!(
+                            "event loop poller failed: {e}; its connections were closed and \
+                             new connections go to the remaining loops"
+                        ));
+                    }
                 }
                 let conns: Vec<Arc<Conn>> = shared.conns.lock().values().cloned().collect();
                 for conn in &conns {
@@ -676,7 +656,7 @@ impl EventCore {
                 let mut keep = true;
                 let mut turn = ev.readable || ev.hangup;
                 if ev.writable {
-                    keep = conn.sink.flush();
+                    keep = conn.client.sink.flush();
                     // A flush may have resumed paused reads: start with
                     // what is buffered, which no fd event will announce.
                     turn |= conn.reader.lock().is_some();
@@ -696,7 +676,7 @@ impl EventCore {
     /// sends gathered replies off. Returns whether the connection
     /// survives.
     fn handle_readable(shared: &Arc<LoopShared>, conn: &Arc<Conn>, hangup: bool) -> bool {
-        if conn.sink.reads_paused() {
+        if conn.client.sink.reads_paused() {
             // Backpressure: nothing more is read or handed up until the
             // backlog drains. A peer that is gone will never drain it.
             return !hangup;
@@ -712,13 +692,13 @@ impl EventCore {
         // gets the CPU at once has its reply gathered into that write.
         drop(batch);
         if corked {
-            keep &= conn.sink.uncork();
+            keep &= conn.client.sink.uncork();
         }
         if keep && !buf.is_empty() {
             // Frames the budget (or a pause the gathered write has just
             // lifted) left behind get their turn off the ready list;
             // frames held back by a pause wait for the flush.
-            if buf.has_frame() && !conn.sink.reads_paused() {
+            if buf.has_frame() && !conn.client.sink.reads_paused() {
                 Self::queue_ready(shared, conn);
             }
             *slot = Some(buf);
@@ -736,6 +716,9 @@ impl EventCore {
         corked: &mut bool,
         batch: &mut Option<PoolBatch>,
     ) -> bool {
+        let Some(server) = shared.server.upgrade() else {
+            return false;
+        };
         let metrics = &shared.metrics;
         let mut frames = 0;
         let mut drained = false;
@@ -748,15 +731,15 @@ impl EventCore {
                 };
                 if !*corked && (more || frames > 0) {
                     // A burst: gather its replies into one write.
-                    conn.sink.cork();
+                    conn.client.sink.cork();
                     *corked = true;
                 }
                 metrics.frames_in.inc();
-                if !shared.events.on_frame(&conn.client, body, batch) {
+                if !server.process_frame(&conn.client, body, batch) {
                     return false;
                 }
                 frames += 1;
-                if frames >= MAX_FRAMES_PER_EVENT || conn.sink.reads_paused() {
+                if frames >= MAX_FRAMES_PER_EVENT || conn.client.sink.reads_paused() {
                     return true;
                 }
             }
@@ -782,7 +765,7 @@ impl EventCore {
     /// Puts `conn` on the ready list (once) and wakes the loop for it.
     fn queue_ready(shared: &Arc<LoopShared>, conn: &Arc<Conn>) {
         if !conn.ready_pending.swap(true, Ordering::AcqRel) {
-            shared.ready.lock().push(conn.id);
+            shared.ready.lock().push(conn.client.id);
             shared.poller.wake();
         }
     }
@@ -812,12 +795,15 @@ impl EventCore {
     /// One turn of a channel connection; its pooled calls get their wake
     /// when `batch` drops, on return.
     fn drain_one_channel(shared: &Arc<LoopShared>, conn: &Arc<Conn>) -> bool {
+        let Some(server) = shared.server.upgrade() else {
+            return false;
+        };
         let mut batch = None;
         for _ in 0..MAX_FRAMES_PER_EVENT {
             match conn.client.transport.try_recv_frame() {
                 Ok(Some(body)) => {
                     shared.metrics.frames_in.inc();
-                    if !shared.events.on_frame(&conn.client, &body, &mut batch) {
+                    if !server.process_frame(&conn.client, &body, &mut batch) {
                         return false;
                     }
                 }
@@ -835,14 +821,16 @@ impl EventCore {
         if conn.closing.swap(true, Ordering::AcqRel) {
             return;
         }
-        shared.conns.lock().remove(&conn.id);
+        shared.conns.lock().remove(&conn.client.id);
         if let ConnKind::Fd(fd) = conn.kind {
             shared.poller.deregister(fd);
         }
         conn.client.transport.set_ready_notifier(None);
-        conn.sink.close();
+        conn.client.sink.close();
         shared.metrics.registered_fds.dec();
-        shared.events.on_closed(&conn.client);
+        if let Some(server) = shared.server.upgrade() {
+            server.remove_client(conn.client.id);
+        }
         // Dropping the last Conn reference returns its read buffer (if a
         // partial frame held one) to the freelist.
     }

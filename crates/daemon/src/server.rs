@@ -2,17 +2,19 @@
 //!
 //! A [`Server`] owns a worker pool, a client table, and an event core.
 //! Services (listeners) are attached with [`Server::serve`], which
-//! returns a [`ServeHandle`] for graceful shutdown/join. Accepted
-//! clients whose transports expose a readiness surface are multiplexed
-//! onto a small fixed set of epoll loop threads (see
-//! [`crate::eventloop`]); transports without one fall back to a
-//! dedicated reader thread. Either way, complete frames are submitted
-//! to the pool — high-priority procedures run inline (on the event
-//! thread or reader thread), so control-plane queries stay responsive
-//! when ordinary workers are wedged on a hung hypervisor call.
+//! returns a [`ServeHandle`] for graceful shutdown/join. [`Server::admit`]
+//! turns every accepted transport into one [`ClientHandle`] with its
+//! write side, a `ConnSink`, in one critical section with the client
+//! limit. Clients whose transports expose a readiness surface are
+//! multiplexed onto a small fixed set of epoll loop threads (see
+//! [`crate::eventloop`]); the rest get a dedicated reader thread. Either
+//! way, every complete frame goes through `Server::process_frame` —
+//! high-priority procedures run inline (on the event thread or reader
+//! thread), so control-plane queries stay responsive when ordinary
+//! workers are wedged on a hung hypervisor call.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -23,10 +25,10 @@ use virt_metrics::span::{self, Stage};
 use virt_metrics::Registry;
 use virt_rpc::keepalive;
 use virt_rpc::message::{Header, MessageStatus, Packet, RpcError, KEEPALIVE_PROGRAM};
-use virt_rpc::transport::{Listener, MeteredTransport, Readiness, Transport, TransportKind};
+use virt_rpc::transport::{Listener, Transport, TransportKind};
 use virt_rpc::{PoolBatch, PoolLimits, PoolStats, WorkerPool};
 
-use crate::eventloop::{ConnEvents, ConnSink, EventCore, EventLoopMetrics};
+use crate::eventloop::{ConnSink, EventCore, EventLoopMetrics};
 
 /// Whether an `accept()` failure is transient pressure worth retrying
 /// (with backoff) rather than a dead listener. EMFILE/ENFILE have no
@@ -83,12 +85,11 @@ pub struct ClientHandle {
     pub connected_since: Instant,
     /// Session identity, filled in by the dispatcher (AUTH/OPEN).
     pub identity: Mutex<ClientIdentity>,
-    /// When the connection is owned by the event core, the write side
-    /// routes through its sink (direct-write fast path, replies of a
-    /// burst gathered into one write, bounded backlog). Legacy
-    /// reader-thread connections leave this unset and write straight to
-    /// the transport.
-    sink: OnceLock<Arc<ConnSink>>,
+    /// The write side, built at admission: queued behind the socket of
+    /// the loop that owns it (direct-write fast path, replies of a burst
+    /// gathered into one write, bounded backlog), or the transport's own
+    /// send for a channel and for a connection a reader thread serves.
+    pub(crate) sink: ConnSink,
 }
 
 impl ClientHandle {
@@ -103,15 +104,7 @@ impl ClientHandle {
         // hot path allocates nothing in steady state.
         let mut frame = virt_rpc::BufferPool::global().get();
         packet.encode_frame_into(&mut frame);
-        match self.sink.get() {
-            Some(sink) => sink.send_wire(&frame),
-            None => self.transport.send_framed(&frame),
-        }
-    }
-
-    /// Installs the event-core sink; called once at registration.
-    pub(crate) fn install_sink(&self, sink: Arc<ConnSink>) {
-        let _ = self.sink.set(sink);
+        self.sink.send_wire(&frame)
     }
 
     /// The transport flavor.
@@ -157,6 +150,8 @@ pub struct ClientSnapshot {
 struct ServerState {
     clients: HashMap<u64, Arc<ClientHandle>>,
     max_clients: u32,
+    /// The id the next admitted client gets.
+    next_client_id: u64,
     /// Listeners attached via [`Server::serve`], closed at shutdown.
     services: Vec<Arc<dyn Listener>>,
 }
@@ -233,52 +228,13 @@ pub struct Server {
     metrics: ServerMetrics,
     eventloop_metrics: Arc<EventLoopMetrics>,
     /// `None` where epoll is unavailable; every connection then runs on
-    /// a legacy reader thread.
+    /// a reader thread.
     event_core: Option<EventCore>,
-    next_client_id: AtomicU64,
     running: Arc<AtomicBool>,
     /// Installed by the daemon via [`Server::set_logger`]; server-level
     /// faults (accept failures, dead event loops) fall back to stderr
     /// when unset so they are never swallowed.
     logger: OnceLock<Arc<Logger>>,
-}
-
-/// Bridges the event core's callbacks back to the server without a
-/// reference cycle (the core is owned by the server).
-struct ServerEvents {
-    server: Weak<Server>,
-}
-
-impl ConnEvents for ServerEvents {
-    fn on_frame(
-        &self,
-        client: &Arc<ClientHandle>,
-        body: &[u8],
-        batch: &mut Option<PoolBatch>,
-    ) -> bool {
-        let Some(server) = self.server.upgrade() else {
-            return false;
-        };
-        // Frame-level byte accounting: event-core transports are not
-        // metered, so partial reads can never double-count.
-        server.metrics.bytes_in.add(body.len() as u64);
-        server.process_frame(client, body, batch)
-    }
-
-    fn on_closed(&self, client: &Arc<ClientHandle>) {
-        if let Some(server) = self.server.upgrade() {
-            server.remove_client(client.id);
-        }
-    }
-
-    fn on_loop_error(&self, error: &std::io::Error) {
-        if let Some(server) = self.server.upgrade() {
-            server.log_error(&format!(
-                "event loop poller failed: {error}; its connections were closed and \
-                 new connections go to the remaining loops"
-            ));
-        }
-    }
 }
 
 impl std::fmt::Debug for Server {
@@ -310,13 +266,11 @@ impl Server {
         Ok(Arc::new_cyclic(|weak: &Weak<Server>| {
             // Where epoll is unavailable (or the threads cannot spawn)
             // the server still works — every connection just gets a
-            // legacy reader thread.
+            // reader thread.
             let event_core = EventCore::start(
                 &name,
                 event_threads,
-                Arc::new(ServerEvents {
-                    server: weak.clone(),
-                }),
+                weak.clone(),
                 Arc::clone(&eventloop_metrics),
             )
             .ok();
@@ -327,12 +281,12 @@ impl Server {
                 state: Mutex::new(ServerState {
                     clients: HashMap::new(),
                     max_clients,
+                    next_client_id: 1,
                     services: Vec::new(),
                 }),
                 metrics: ServerMetrics::new(),
                 eventloop_metrics,
                 event_core,
-                next_client_id: AtomicU64::new(1),
                 running: Arc::new(AtomicBool::new(true)),
                 logger: OnceLock::new(),
             }
@@ -358,7 +312,7 @@ impl Server {
         }
     }
 
-    fn log_error(&self, message: &str) {
+    pub(crate) fn log_error(&self, message: &str) {
         match self.logger.get() {
             Some(logger) => logger.error(&format!("server.{}", self.name), message),
             None => eprintln!("virtd[server.{}] error: {message}", self.name),
@@ -536,62 +490,41 @@ impl Server {
     /// Admits a single transport directly (bypassing a listener) — used by
     /// tests and by in-process endpoints.
     pub fn admit(self: &Arc<Self>, transport: Arc<dyn Transport>) {
-        {
-            let state = self.state.lock();
-            if state.clients.len() as u32 >= state.max_clients {
-                drop(state);
-                self.metrics.clients_refused.inc();
-                let _ = transport.shutdown();
-                return;
-            }
+        // The limit check and the insert are one critical section, so
+        // admissions racing for the last slot cannot both take it.
+        let mut state = self.state.lock();
+        if state.clients.len() as u32 >= state.max_clients {
+            drop(state);
+            self.metrics.clients_refused.inc();
+            let _ = transport.shutdown();
+            return;
         }
-        let id = self.next_client_id.fetch_add(1, Ordering::Relaxed);
-        let event_capable =
-            self.event_core.is_some() && !matches!(transport.readiness(), Readiness::Blocking);
-        if event_capable {
-            // Event path: the transport stays unwrapped (the loop and
-            // sink account whole frames themselves) and the connection
-            // is owned by an event thread, not a dedicated reader.
-            let client = Arc::new(ClientHandle {
-                id,
-                transport,
-                connected_at: SystemTime::now(),
-                connected_since: Instant::now(),
-                identity: Mutex::new(ClientIdentity::default()),
-                sink: OnceLock::new(),
-            });
-            self.state.lock().clients.insert(id, Arc::clone(&client));
-            self.metrics.clients_accepted.inc();
-            self.metrics.clients_connected.inc();
-            let core = self.event_core.as_ref().expect("event core checked");
-            if core
-                .register(&client, Arc::clone(&self.metrics.bytes_out))
-                .is_err()
-            {
-                // Rare (fd pressure, loops stopping): fall back to a
-                // dedicated reader thread for this one connection.
-                self.spawn_reader(client);
-            }
-        } else {
-            // Legacy path: meter the transport so every frame this
-            // client exchanges lands in the server's byte counters.
-            let transport: Arc<dyn Transport> = Arc::new(MeteredTransport::new(
-                transport,
-                Arc::clone(&self.metrics.bytes_in),
+        let id = state.next_client_id;
+        state.next_client_id += 1;
+        let claim = self
+            .event_core
+            .as_ref()
+            .and_then(|core| core.claim(&transport, id));
+        let client = Arc::new(ClientHandle {
+            id,
+            sink: ConnSink::new(
+                Arc::clone(&transport),
+                claim.as_ref(),
+                Arc::clone(&self.eventloop_metrics),
                 Arc::clone(&self.metrics.bytes_out),
-            ));
-            let client = Arc::new(ClientHandle {
-                id,
-                transport,
-                connected_at: SystemTime::now(),
-                connected_since: Instant::now(),
-                identity: Mutex::new(ClientIdentity::default()),
-                sink: OnceLock::new(),
-            });
-            self.state.lock().clients.insert(id, Arc::clone(&client));
-            self.metrics.clients_accepted.inc();
-            self.metrics.clients_connected.inc();
-            self.spawn_reader(client);
+            ),
+            transport,
+            connected_at: SystemTime::now(),
+            connected_since: Instant::now(),
+            identity: Mutex::new(ClientIdentity::default()),
+        });
+        state.clients.insert(id, Arc::clone(&client));
+        self.metrics.clients_accepted.inc();
+        self.metrics.clients_connected.inc();
+        drop(state);
+        match claim {
+            Some(claim) => claim.publish(client),
+            None => self.spawn_reader(client),
         }
     }
 
@@ -608,13 +541,15 @@ impl Server {
     /// `batch` (opened here on the turn's first pooled call), whose drop
     /// at the end of the caller's turn wakes workers. Returns whether to
     /// keep the connection (protocol garbage drops it). Shared by the
-    /// event loops and legacy reader threads.
-    fn process_frame(
+    /// event loops and reader threads, and the one place received
+    /// payload bytes are counted.
+    pub(crate) fn process_frame(
         &self,
         client: &Arc<ClientHandle>,
         body: &[u8],
         batch: &mut Option<PoolBatch>,
     ) -> bool {
+        self.metrics.bytes_in.add(body.len() as u64);
         // The header is decoded in place; the payload stays a slice of
         // the caller's buffer for everything answered on this thread.
         let Ok((header, payload)) = Packet::split_body(body) else {
@@ -709,16 +644,16 @@ impl Server {
 
     /// Removes a client from the table, firing the dispatcher's
     /// disconnect callback exactly once (table presence is the guard).
-    fn remove_client(&self, id: u64) {
+    pub(crate) fn remove_client(&self, id: u64) {
         if self.state.lock().clients.remove(&id).is_some() {
             self.metrics.clients_connected.dec();
             self.dispatcher.on_disconnect(id);
         }
     }
 
-    /// Legacy per-connection reader: blocking framed reads on a
-    /// dedicated thread. Kept for transports with no readiness surface
-    /// (and as a fallback when event registration fails).
+    /// Per-connection reader: blocking framed reads on a dedicated
+    /// thread, for every client no event loop claimed — a transport with
+    /// no readiness surface, a failed registration, or no epoll at all.
     fn client_loop(self: Arc<Self>, client: Arc<ClientHandle>) {
         // One receive buffer per client connection, refilled in place —
         // after the first frames it has grown to the working size and
@@ -892,6 +827,49 @@ mod tests {
         ));
         assert_eq!(server.refused_count(), 1);
         assert_eq!(server.client_count(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn racing_admissions_respect_the_client_limit() {
+        const RACERS: usize = 8;
+        let server = Server::new(
+            "t",
+            small_limits(),
+            1,
+            Arc::new(EchoDispatcher::default()),
+            2,
+        )
+        .unwrap();
+        for round in 0..200 {
+            let refused = server.refused_count();
+            let barrier = std::sync::Barrier::new(RACERS);
+            // Each racer keeps its client end, so the one admitted stays
+            // connected until the counts are read.
+            let peers: Vec<_> = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..RACERS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let (client_side, server_side) = memory_pair();
+                            barrier.wait();
+                            server.admit(Arc::new(server_side));
+                            client_side
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert_eq!(server.client_count(), 1, "round {round}");
+            assert_eq!(
+                server.refused_count() - refused,
+                RACERS as u64 - 1,
+                "round {round}"
+            );
+            for peer in &peers {
+                let _ = peer.shutdown();
+            }
+            wait_until(|| server.client_count() == 0, "the admitted client left");
+        }
         server.shutdown();
     }
 

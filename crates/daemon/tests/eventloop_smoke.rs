@@ -12,11 +12,63 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use virt_metrics::MetricValue;
-use virt_rpc::poll::raise_nofile_limit;
 use virt_rpc::transport::TcpSocketListener;
 use virtd::{Virtd, VirtdConfig};
 
 const CONNS: usize = 1000;
+
+/// Raises the process file-descriptor limit toward `want`, returning the
+/// resulting soft limit. Failures are not fatal — the caller gets
+/// whatever limit there is.
+fn raise_nofile_limit(want: u64) -> u64 {
+    #[cfg(target_os = "linux")]
+    {
+        #[repr(C)]
+        struct Rlimit {
+            rlim_cur: u64,
+            rlim_max: u64,
+        }
+        extern "C" {
+            fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+            fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+        }
+        const RLIMIT_NOFILE: i32 = 7;
+        let mut lim = Rlimit {
+            rlim_cur: 0,
+            rlim_max: 0,
+        };
+        // SAFETY: both calls only read or write the one struct passed.
+        unsafe {
+            if getrlimit(RLIMIT_NOFILE, &mut lim) != 0 {
+                return 1024;
+            }
+            if lim.rlim_cur >= want {
+                return lim.rlim_cur;
+            }
+            let target = want.min(lim.rlim_max);
+            let new = Rlimit {
+                rlim_cur: target,
+                rlim_max: lim.rlim_max,
+            };
+            if setrlimit(RLIMIT_NOFILE, &new) == 0 {
+                target
+            } else {
+                lim.rlim_cur
+            }
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = want;
+        1024
+    }
+}
+
+#[test]
+fn nofile_limit_is_queryable_and_raisable() {
+    let limit = raise_nofile_limit(2048);
+    assert!(limit >= 1024, "got {limit}");
+}
 
 fn metric(daemon: &Virtd, name: &str) -> u64 {
     daemon

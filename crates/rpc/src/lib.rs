@@ -75,7 +75,7 @@ pub use poll::{PollEvent, Poller};
 pub use pool::{PoolBatch, PoolLimits, PoolStats, WorkerPool};
 pub use reconnect::{ReconnectConfig, ReconnectMetrics, ReconnectingClient};
 pub use retry::BackoffSchedule;
-pub use transport::{memory_pair, MeteredTransport, Readiness, Transport, TransportKind};
+pub use transport::{memory_pair, Readiness, Transport, TransportKind};
 
 /// The process-wide registry for client-side RPC metrics
 /// (`rpc.reconnect.*`, `rpc.retry.*`, `rpc.late_replies`,

@@ -36,8 +36,7 @@ pub struct PollEvent {
 #[cfg(target_os = "linux")]
 mod sys {
     //! Raw declarations for the handful of libc entry points the poller
-    //! uses. Kept to the minimum: epoll, eventfd, close, read, write and
-    //! the rlimit pair the C10K experiments need.
+    //! uses. Kept to the minimum: epoll, eventfd, close, read and write.
 
     use std::os::raw::{c_int, c_uint, c_void};
 
@@ -54,8 +53,6 @@ mod sys {
     pub(crate) const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub(crate) const EFD_CLOEXEC: c_int = 0o2000000;
     pub(crate) const EFD_NONBLOCK: c_int = 0o4000;
-
-    pub(crate) const RLIMIT_NOFILE: c_int = 7;
 
     pub(crate) const MSG_DONTWAIT: c_int = 0x40;
 
@@ -81,13 +78,6 @@ mod sys {
             }
     );
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub(crate) struct Rlimit {
-        pub rlim_cur: u64,
-        pub rlim_max: u64,
-    }
-
     extern "C" {
         pub(crate) fn epoll_create1(flags: c_int) -> c_int;
         pub(crate) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent)
@@ -103,43 +93,6 @@ mod sys {
         pub(crate) fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub(crate) fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
         pub(crate) fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub(crate) fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
-        pub(crate) fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
-    }
-}
-
-/// Raises the process file-descriptor limit toward `want`, returning the
-/// resulting soft limit. The C10K experiments call this before opening
-/// thousands of sockets; failures are not fatal — the caller sizes its
-/// ladder to whatever limit it actually got.
-pub fn raise_nofile_limit(want: u64) -> u64 {
-    #[cfg(target_os = "linux")]
-    unsafe {
-        let mut lim = sys::Rlimit {
-            rlim_cur: 0,
-            rlim_max: 0,
-        };
-        if sys::getrlimit(sys::RLIMIT_NOFILE, &mut lim) != 0 {
-            return 1024;
-        }
-        if lim.rlim_cur >= want {
-            return lim.rlim_cur;
-        }
-        let target = want.min(lim.rlim_max);
-        let new = sys::Rlimit {
-            rlim_cur: target,
-            rlim_max: lim.rlim_max,
-        };
-        if sys::setrlimit(sys::RLIMIT_NOFILE, &new) == 0 {
-            target
-        } else {
-            lim.rlim_cur
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = want;
-        1024
     }
 }
 
@@ -452,11 +405,5 @@ mod tests {
         poller.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
         let ev = out.iter().find(|e| e.token == 3).expect("socket event");
         assert!(ev.writable, "an idle socket is immediately writable");
-    }
-
-    #[test]
-    fn nofile_limit_is_queryable_and_raisable() {
-        let limit = raise_nofile_limit(2048);
-        assert!(limit >= 1024, "got {limit}");
     }
 }

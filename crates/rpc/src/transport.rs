@@ -295,117 +295,6 @@ impl Transport for Box<dyn Transport> {
 }
 
 // ---------------------------------------------------------------------------
-// Byte accounting
-// ---------------------------------------------------------------------------
-
-/// A transport wrapper counting frame payload bytes in each direction.
-///
-/// The daemon wraps every accepted client transport in one of these so the
-/// metrics registry can expose per-service `bytes_in` / `bytes_out`
-/// totals. Counting is two relaxed atomic adds per frame; the wrapped
-/// transport is otherwise untouched.
-pub struct MeteredTransport {
-    inner: Arc<dyn Transport>,
-    bytes_in: Arc<virt_metrics::Counter>,
-    bytes_out: Arc<virt_metrics::Counter>,
-}
-
-impl MeteredTransport {
-    /// Wraps `inner`, adding received payload bytes to `bytes_in` and sent
-    /// payload bytes to `bytes_out`. The counters are shared, so one pair
-    /// can aggregate across every client of a service.
-    pub fn new(
-        inner: Arc<dyn Transport>,
-        bytes_in: Arc<virt_metrics::Counter>,
-        bytes_out: Arc<virt_metrics::Counter>,
-    ) -> Self {
-        MeteredTransport {
-            inner,
-            bytes_in,
-            bytes_out,
-        }
-    }
-}
-
-impl std::fmt::Debug for MeteredTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MeteredTransport")
-            .field("peer", &self.inner.peer())
-            .finish()
-    }
-}
-
-impl Transport for MeteredTransport {
-    fn send_frame(&self, body: &[u8]) -> io::Result<()> {
-        self.inner.send_frame(body)?;
-        self.bytes_out.add(body.len() as u64);
-        Ok(())
-    }
-
-    fn recv_frame(&self) -> io::Result<Vec<u8>> {
-        let frame = self.inner.recv_frame()?;
-        self.bytes_in.add(frame.len() as u64);
-        Ok(frame)
-    }
-
-    fn send_framed(&self, frame: &[u8]) -> io::Result<()> {
-        self.inner.send_framed(frame)?;
-        self.bytes_out.add((frame.len() - 4) as u64);
-        Ok(())
-    }
-
-    fn recv_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        self.recv_frame_until(buf, None)
-    }
-
-    fn recv_frame_until(&self, buf: &mut Vec<u8>, deadline: Option<Instant>) -> io::Result<usize> {
-        let n = self.inner.recv_frame_until(buf, deadline)?;
-        self.bytes_in.add(n as u64);
-        Ok(n)
-    }
-
-    fn kind(&self) -> TransportKind {
-        self.inner.kind()
-    }
-
-    fn peer(&self) -> String {
-        self.inner.peer()
-    }
-
-    fn shutdown(&self) -> io::Result<()> {
-        self.inner.shutdown()
-    }
-
-    // The readiness surface is forwarded untouched and *uncounted*: an
-    // event loop that drives the transport through try_read/try_write
-    // accounts whole frames itself, where the byte counts are exact and
-    // cannot double-count a retried partial write.
-    fn readiness(&self) -> Readiness {
-        self.inner.readiness()
-    }
-
-    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-        self.inner.set_nonblocking(on)
-    }
-
-    fn try_read(&self, buf: &mut [u8]) -> io::Result<usize> {
-        self.inner.try_read(buf)
-    }
-
-    fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
-        self.inner.try_write(buf)
-    }
-
-    fn try_recv_frame(&self) -> io::Result<Option<Vec<u8>>> {
-        self.inner.try_recv_frame()
-    }
-
-    fn set_ready_notifier(&self, notifier: Option<ReadyNotifier>) {
-        self.inner.set_ready_notifier(notifier);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // In-memory transport
 // ---------------------------------------------------------------------------
 
@@ -1551,21 +1440,6 @@ mod tests {
         let listener = server.join().unwrap();
         listener.close();
         assert!(listener.accept().is_err());
-    }
-
-    #[test]
-    fn metered_transport_counts_payload_bytes() {
-        let (a, b) = memory_pair();
-        let bytes_in = Arc::new(virt_metrics::Counter::new());
-        let bytes_out = Arc::new(virt_metrics::Counter::new());
-        let metered =
-            MeteredTransport::new(Arc::new(a), Arc::clone(&bytes_in), Arc::clone(&bytes_out));
-        metered.send_frame(&frame(100)).unwrap();
-        b.send_frame(&frame(40)).unwrap();
-        assert_eq!(metered.recv_frame().unwrap(), frame(40));
-        assert_eq!(bytes_out.get(), 100);
-        assert_eq!(bytes_in.get(), 40);
-        assert_eq!(metered.kind(), TransportKind::Memory);
     }
 
     #[test]

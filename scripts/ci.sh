@@ -64,6 +64,24 @@ for f in crates/rpc/src/reconnect.rs crates/rpc/src/session.rs; do
     fi
 done
 
+# A daemon client is written to through its sink (eventloop.rs's
+# ConnSink), built with it at admission: no reply path writes to a
+# transport around it. Bytes are counted where every connection passes
+# (Server::process_frame in, ConnSink::send_wire out), so no wrapper
+# transport counts them a second way.
+echo "== hygiene: daemon writes go through the connection sink; no metering wrapper =="
+for f in crates/daemon/src/*.rs; do
+    [ "$f" = crates/daemon/src/eventloop.rs ] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nwE 'send_framed?'; then
+        echo "error: a transport write in the product part of $f — reply through ClientHandle::send" >&2
+        exit 1
+    fi
+done
+if grep -rn 'MeteredTransport' crates; then
+    echo "error: MeteredTransport under crates/ — the sink and process_frame count every connection" >&2
+    exit 1
+fi
+
 # Each procedure is described once, in the table macros of the two
 # protocol files; a classifier kept by hand beside them can silently miss
 # a row. (A row without a dispatch arm is tests/wire_procedures.rs's job.)

@@ -568,7 +568,7 @@ fn metrics_round_trip_over_unix_transport() {
     assert!(!pool_only.is_empty());
     assert!(pool_only.iter().all(|m| m.name.starts_with("pool.virtd.")));
 
-    // Transport byte counters moved on the metered main server.
+    // Transport byte counters moved on the main server.
     let bytes = admin.metrics("server.virtd.bytes_").unwrap();
     assert_eq!(bytes.len(), 2);
     assert!(bytes.iter().all(|m| m.value > 0), "{bytes:?}");

@@ -604,14 +604,17 @@ fn arming_a_guard_reconciles_preexisting_state() {
     );
 
     // A shutoff domain is deliberately left alone: define-guard-start
-    // stays a legal workflow.
+    // stays a legal workflow. Arming decides at once, so when guard_set
+    // returns nothing is scheduled and nothing was restarted.
     let later = conn
         .define_domain(&DomainConfig::new("later", 64, 1))
         .unwrap();
     later
         .guard_set(&GuardPolicy::KeepRunning { max_restarts: 5 })
         .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    let status = later.guard_status().unwrap();
+    assert_eq!(status.next_retry, None, "{status:?}");
+    assert_eq!(status.restarts, 0, "{status:?}");
     assert_eq!(later.state().unwrap(), DomainState::Shutoff);
 
     conn.close();

@@ -2,10 +2,11 @@
 //! the TLS-sim layer, exercised by the remote driver end-to-end.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use virt_core::xmlfmt::DomainConfig;
 use virt_core::{Connect, DomainState};
-use virt_rpc::transport::{TcpSocketListener, TlsSimListener, UnixSocketListener};
+use virt_rpc::transport::{Listener, TcpSocketListener, TlsSimListener, UnixSocketListener};
 use virtd::Virtd;
 
 fn unique(name: &str) -> String {
@@ -130,4 +131,85 @@ fn two_transports_into_one_daemon_share_state() {
     via_tcp.close();
     daemon.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+/// The daemon counts payload bytes where every connection passes, not
+/// per transport: after OPEN, one fixed session — hostname, define,
+/// start, dumpxml, destroy, undefine, close — moves the same
+/// `server.virtd.bytes_in`/`bytes_out` over an in-process channel, a Unix
+/// socket, TCP and TLS-sim (a reader-thread connection). The daemons'
+/// names have equal length, so the hostname reply does too.
+#[test]
+fn every_transport_counts_the_same_payload_bytes() {
+    let pid = std::process::id();
+    let tcp_uri = |listener: &TcpSocketListener, scheme: &str| {
+        format!("qemu+{scheme}://{}/system", listener.local_addr())
+    };
+    let wait_until = |done: &dyn Fn() -> bool, what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let mut deltas = Vec::new();
+    for kind in ["mem", "unx", "tcp", "tls"] {
+        let name = format!("bytes-{kind}-{pid}");
+        let daemon = Virtd::builder(&name).with_quiet_hosts().build().unwrap();
+        let path = format!("/tmp/{name}.sock");
+        let (listener, uri): (Option<Box<dyn Listener>>, String) = match kind {
+            "mem" => {
+                daemon.register_memory_endpoint(&name).unwrap();
+                (None, format!("qemu+memory://{name}/system"))
+            }
+            "unx" => (
+                Some(Box::new(UnixSocketListener::bind(&path).unwrap())),
+                format!("qemu+unix:///system?socket={path}"),
+            ),
+            "tcp" => {
+                let listener = TcpSocketListener::bind("127.0.0.1:0").unwrap();
+                let uri = tcp_uri(&listener, "tcp");
+                (Some(Box::new(listener)), uri)
+            }
+            _ => {
+                let listener = TcpSocketListener::bind("127.0.0.1:0").unwrap();
+                let uri = tcp_uri(&listener, "tls");
+                (Some(Box::new(TlsSimListener(listener))), uri)
+            }
+        };
+        if let Some(listener) = listener {
+            daemon.serve(listener);
+        }
+        let metrics = daemon.metrics();
+        let counters = ["server.virtd.bytes_in", "server.virtd.bytes_out"]
+            .map(|counter| metrics.counter(counter, ""));
+        let connected = metrics.gauge("server.virtd.clients_connected", "");
+
+        let conn = Connect::builder(uri).open().unwrap();
+        // A fresh daemon has sent nothing but OPEN's reply. The readings
+        // wait for a state, not for a count, so they hold wherever the
+        // count happens relative to the write.
+        wait_until(&|| counters[1].get() > 0, "OPEN's reply counted");
+        let opened = counters.each_ref().map(|counter| counter.get());
+        conn.hostname().unwrap();
+        let domain = conn
+            .define_domain(&DomainConfig::new("t-vm", 256, 1))
+            .unwrap();
+        domain.start().unwrap();
+        domain.xml_desc().unwrap();
+        domain.destroy().unwrap();
+        domain.undefine().unwrap();
+        conn.close();
+        wait_until(&|| connected.get() == 0, "the client dropped");
+        let delta = [0, 1].map(|i| counters[i].get() - opened[i]);
+        assert!(delta[0] > 0 && delta[1] > 0, "{kind}: nothing counted");
+        deltas.push((kind, delta));
+        daemon.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+    let (_, first) = deltas[0];
+    assert!(
+        deltas.iter().all(|&(_, delta)| delta == first),
+        "payload bytes [in, out] per transport: {deltas:?}"
+    );
 }

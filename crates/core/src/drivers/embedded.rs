@@ -15,8 +15,8 @@ use hypersim::{MigrationParams, SimErrorKind, SimHost};
 
 use crate::capabilities::Capabilities;
 use crate::driver::{
-    DomainRecord, DomainState, HypervisorConnection, MigrationOptions, MigrationReport,
-    NetworkRecord, NodeInfo, PoolRecord, StatsParams, VolumeRecord,
+    DomainRecord, HypervisorConnection, MigrationOptions, MigrationReport, NetworkRecord, NodeInfo,
+    PoolRecord, StatsParams, VolumeRecord,
 };
 use crate::error::{ErrorCode, VirtError, VirtResult};
 use crate::event::{
@@ -503,44 +503,27 @@ impl EmbeddedConnection {
             }
         }
 
-        // Guard pass: re-arm persisted policies, then immediately revive
-        // any keep-running domain the status records brought back as
-        // crashed — its guest died with the previous daemon, and the
+        // Guard pass: re-arm persisted policies. Arming reconciles the
+        // state recovery brought each domain back in, so a keep-running
+        // domain that died with the previous daemon is revived now — the
         // guard's whole point is that nobody has to notice.
         for (name, payload) in store.load_all(ObjectKind::Guard, driver) {
             let record = match GuardRecord::from_xml_str(&payload) {
                 Ok(record) if record.domain == name => record,
-                Ok(_) => {
-                    // Filename/content mismatch: treat as corruption.
-                    store.quarantine(ObjectKind::Guard, driver, &name);
-                    continue;
-                }
-                Err(_) => {
+                // A filename/content mismatch is corruption too.
+                _ => {
                     store.quarantine(ObjectKind::Guard, driver, &name);
                     continue;
                 }
             };
-            if self.host.domain(&record.domain).is_err() {
+            let Ok(domain) = self.record(&record.domain) else {
                 // The guarded domain no longer exists; sweep the record.
                 store.remove_behind(ObjectKind::Guard, driver, &name);
                 continue;
-            }
-            self.guard.set_policy(&record.domain, record.policy);
+            };
             report.guards += 1;
-            let crashed = self
-                .host
-                .domain(&record.domain)
-                .map(|d| d.state == hypersim::DomainState::Crashed)
-                .unwrap_or(false);
-            if crashed && matches!(record.policy, GuardPolicy::KeepRunning { .. }) {
-                // No backoff: the crash predates this daemon life.
-                if self.start_domain(&record.domain).is_ok() {
-                    self.guard.note_revived();
-                    report.revived += 1;
-                } else {
-                    // Let the worker climb the backoff ladder.
-                    self.guard.revive_now(&record.domain);
-                }
+            if self.guard.arm(&record.domain, record.policy, domain.state) {
+                report.revived += 1;
             }
         }
 
@@ -932,11 +915,16 @@ impl HypervisorConnection for EmbeddedConnection {
         // The domain must exist; guards on phantoms would loop forever.
         let record = self.record(name)?;
         // Persist standing policies so they survive daemon restarts.
-        // `graceful-stop` is a one-shot command, not a standing policy;
-        // re-arming it after a restart would re-kill the domain.
-        if !matches!(policy, GuardPolicy::GracefulStop { .. }) {
-            if let Some(binding) = &self.store {
-                let _span = span::stage(Stage::StateStore);
+        // `graceful-stop` is a one-shot command, not a standing policy:
+        // re-arming it after a restart would re-kill the domain, and the
+        // guard it replaces must not come back either.
+        if let Some(binding) = &self.store {
+            let _span = span::stage(Stage::StateStore);
+            if let GuardPolicy::GracefulStop { .. } = policy {
+                binding
+                    .store
+                    .remove(ObjectKind::Guard, &binding.driver, name)?;
+            } else {
                 let record = GuardRecord {
                     domain: name.to_string(),
                     policy: *policy,
@@ -949,23 +937,13 @@ impl HypervisorConnection for EmbeddedConnection {
                 )?;
             }
         }
-        self.guard.set_policy(name, *policy);
-        // Arm-time reconciliation: a guard set against a domain already
-        // in the exact state it polices acts now — nobody has to
-        // re-crash or re-pause a guest to wake its new guard. A shutoff
-        // domain is deliberately left alone: "define, guard, then start
-        // when ready" must stay a legal workflow.
-        match (policy, record.state) {
-            (GuardPolicy::KeepRunning { .. }, DomainState::Crashed) => self.guard.restart_now(name),
-            (GuardPolicy::AutoResume, DomainState::Paused) => self.guard.resume_now(name),
-            _ => {}
-        }
+        self.guard.arm(name, *policy, record.state);
         Ok(())
     }
 
     fn guard_remove(&self, name: &str) -> VirtResult<()> {
         self.ensure_alive()?;
-        let removed = self.guard.remove_policy(name);
+        let removed = self.guard.clear(name);
         if let Some(binding) = &self.store {
             binding
                 .store

@@ -64,6 +64,17 @@ for f in crates/rpc/src/reconnect.rs crates/rpc/src/session.rs; do
     fi
 done
 
+# The guard machine decides and the engine acts: the machine is handed
+# the time and reads no clock, never sleeps, takes no lock and calls no
+# driver, so its explorer walks every order of inputs on synthetic
+# instants.
+echo "== hygiene: the guard machine reads no clock, takes no lock and calls no driver =="
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/guard/machine.rs \
+    | grep -nE 'Instant::now\(\)|thread::sleep|parking_lot|HypervisorConnection'; then
+    echo "error: a clock read, sleep, lock or driver call in the product part of crates/core/src/guard/machine.rs — the engine (guard.rs) does those" >&2
+    exit 1
+fi
+
 # A daemon client is written to through its sink (eventloop.rs's
 # ConnSink), built with it at admission: no reply path writes to a
 # transport around it. Bytes are counted where every connection passes

@@ -27,7 +27,7 @@ use hypersim::{LatencyModel, OpKind, SimHost};
 use virt_core::guard::GuardPolicy;
 use virt_core::metrics::MetricValue;
 use virt_core::xmlfmt::DomainConfig;
-use virt_core::{BackoffSchedule, Connect, DomainState};
+use virt_core::{BackoffSchedule, Connect, DomainState, ErrorCode};
 use virt_fleet::FleetManager;
 use virtd::{AdminClient, Virtd, VirtdConfig};
 
@@ -355,6 +355,117 @@ fn guards_survive_daemon_rebuild_and_revive_their_domains() {
     assert!(!status.gave_up, "{status:?}");
     assert_eq!(daemon_counter(&daemon, "recovery.guards"), 1);
     assert_eq!(daemon_counter(&daemon, "recovery.revived"), 1);
+
+    conn.close();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `graceful-stop` is one-shot and never persisted, and it replaces the
+/// standing guard before it: once it has retired, a daemon rebuilt on the
+/// same statedir brings no guard back for the domain stopped on purpose.
+#[test]
+fn a_retired_graceful_stop_leaves_no_guard_to_recover() {
+    let name = unique("guard-stop-disk");
+    let dir = std::env::temp_dir().join(unique("guard-stop-state"));
+    {
+        let daemon = Virtd::builder(format!("{name}-1"))
+            .config(VirtdConfig::new().statedir(&dir))
+            .with_quiet_hosts()
+            .build()
+            .unwrap();
+        daemon.register_memory_endpoint(&name).unwrap();
+        let conn = Connect::builder(format!("qemu+memory://{name}/system"))
+            .open()
+            .unwrap();
+        let web = conn
+            .define_domain(&DomainConfig::new("web", 128, 1))
+            .unwrap();
+        web.start().unwrap();
+        web.guard_set(&GuardPolicy::KeepRunning { max_restarts: 5 })
+            .unwrap();
+        web.guard_set(&GuardPolicy::GracefulStop { timeout_ms: 2_000 })
+            .unwrap();
+        wait_for(
+            || web.guard_status().is_err(),
+            "graceful-stop guard to retire",
+        );
+        assert!(!web.state().unwrap().is_active());
+        conn.close();
+        daemon.shutdown();
+    }
+
+    let daemon = Virtd::builder(format!("{name}-2"))
+        .config(VirtdConfig::new().statedir(&dir))
+        .with_quiet_hosts()
+        .build()
+        .unwrap();
+    daemon.register_memory_endpoint(&name).unwrap();
+    let conn = Connect::builder(format!("qemu+memory://{name}/system"))
+        .open()
+        .unwrap();
+    let web = conn.domain_lookup_by_name("web").unwrap();
+    assert_eq!(daemon_counter(&daemon, "recovery.guards"), 0);
+    let err = web.guard_status().unwrap_err();
+    assert_eq!(err.code(), ErrorCode::NoDomain, "{err}");
+    assert_eq!(web.state().unwrap(), DomainState::Shutoff);
+
+    conn.close();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A start that leaves the domain crashed revives nothing, whether the
+/// worker or recovery ran it: recovery's start of a guarded domain that
+/// died with the previous daemon crashes again on a host whose every
+/// start crashes, so neither counter moves and the guard climbs the
+/// ladder's first rung as it would for any crash. (A budget of none
+/// holds the guard on that rung instead of racing the next restart.)
+#[test]
+fn recovery_counts_no_revival_for_a_start_that_crashes() {
+    let name = unique("guard-crash-start");
+    let dir = std::env::temp_dir().join(unique("guard-crash-start-state"));
+    {
+        let daemon = Virtd::builder(format!("{name}-1"))
+            .config(VirtdConfig::new().statedir(&dir))
+            .with_quiet_hosts()
+            .build()
+            .unwrap();
+        daemon.register_memory_endpoint(&name).unwrap();
+        let conn = Connect::builder(format!("qemu+memory://{name}/system"))
+            .open()
+            .unwrap();
+        let web = conn
+            .define_domain(&DomainConfig::new("web", 128, 1))
+            .unwrap();
+        web.start().unwrap();
+        web.guard_set(&GuardPolicy::KeepRunning { max_restarts: 0 })
+            .unwrap();
+        conn.close();
+        daemon.shutdown();
+    }
+
+    let qemu = SimHost::builder(format!("{name}-qemu"))
+        .personality(QemuLike)
+        .latency(LatencyModel::zero())
+        .faults(FaultPlan::new().always(OpKind::Start, FaultAction::CrashAfter))
+        .build();
+    let daemon = Virtd::builder(format!("{name}-2"))
+        .config(VirtdConfig::new().statedir(&dir))
+        .host(qemu)
+        .build()
+        .unwrap();
+    daemon.register_memory_endpoint(&name).unwrap();
+    let conn = Connect::builder(format!("qemu+memory://{name}/system"))
+        .open()
+        .unwrap();
+    let web = conn.domain_lookup_by_name("web").unwrap();
+    assert_eq!(web.state().unwrap(), DomainState::Crashed);
+    assert_eq!(daemon_counter(&daemon, "recovery.guards"), 1);
+    assert_eq!(daemon_counter(&daemon, "recovery.revived"), 0);
+    assert_eq!(daemon_counter(&daemon, "guard.revived"), 0);
+    let status = web.guard_status().unwrap();
+    assert_eq!(status.restarts, 1, "{status:?}");
 
     conn.close();
     daemon.shutdown();

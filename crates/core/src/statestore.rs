@@ -35,28 +35,30 @@
 //!   **write-behind**: they enqueue and return. Volatile `run/` status
 //!   records use this path; durability lags by at most the coalesce
 //!   window plus one flush cycle, and [`StateStore::flush`] or store
-//!   drop drains whatever is pending.
+//!   drop drains whatever is pending. `flush` is one more barrier
+//!   waiter: it returns once the queue has drained, with the first error
+//!   of any cycle completed since it was called.
 //! - Records queued for the same object are **coalesced last-writer-wins**
 //!   (a crash storm rewriting one status 50 times costs one write), and
-//!   a record whose payload matches the last cleanly committed frame is
-//!   skipped entirely (lifecycle ops rewrite unchanged definition files;
-//!   those cost nothing now).
-//! - Within a flush cycle each file still follows the atomic discipline
-//!   below, but the *directory* fsyncs are batched: one `sync_all` per
-//!   touched directory per cycle instead of per file.
+//!   a record whose payload matches the last frame a cycle committed
+//!   `Ok` is skipped entirely (lifecycle ops rewrite unchanged
+//!   definition files; those cost nothing now).
 //!
-//! The crash contract is unchanged by the pipeline: a reader sees either
-//! the old frame or the new frame of any object, never a torn mixture,
-//! and a SIGKILL can only cost write-behind records that had not yet
-//! reached their flush cycle — never a committed one.
+//! Every one of those decisions — what a cycle holds, when it starts,
+//! whom it releases — is made by the pure queue machine in
+//! `statestore/queue.rs`; the persister thread feeds it the time and
+//! each cycle's per-record outcome. A SIGKILL can only cost write-behind
+//! records that had not yet reached their flush cycle — never a
+//! committed one.
 //!
 //! ## Durability discipline
 //!
 //! Every write is *atomic*: the payload goes to a unique temp file in
-//! the target directory, the file is fsynced, renamed over the
-//! destination, and the directory is fsynced (once per batch) so the
-//! rename itself survives a power cut. A reader therefore sees either
-//! the previous committed version or the new one — never a torn mixture.
+//! the target directory, the file is synced, renamed over the
+//! destination, and the directory is synced (once per cycle, batched
+//! with the others) so the rename itself survives a power cut. A reader
+//! therefore sees either the previous committed version or the new one —
+//! never a torn mixture.
 //!
 //! Every read is *validated*: files carry a header line with the payload
 //! length and an FNV-1a checksum (corruption *detection*, not an
@@ -80,13 +82,15 @@
 //! inside the persister thread, per attempted file write, and surface
 //! through the barrier result exactly as a real I/O error would.
 
-use std::collections::HashMap;
+mod queue;
+
+use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -95,35 +99,26 @@ use crate::log::Logger;
 use crate::metrics::{Counter, Registry};
 use crate::uuid::Uuid;
 use hypersim::DomainState;
+use queue::{Queue, Step};
 use virt_rpc::fnv1a;
 use virt_xml::{Document, Element};
 
 /// Magic prefix of the header line; bump the version on format changes.
 const HEADER_MAGIC: &str = "#virtstate v1";
 
-#[cfg(target_os = "linux")]
-mod sys {
-    //! Raw declaration of the one libc entry point the batch flush
-    //! uses (same no-external-crates approach as `virt_rpc::poll`).
-    use std::os::raw::c_int;
-    extern "C" {
-        /// Flushes all dirty data and metadata of the filesystem
-        /// containing `fd` — one device flush covering every staged
-        /// frame of a batch, where per-file fsync pays one per file.
-        pub(crate) fn syncfs(fd: c_int) -> c_int;
-    }
-}
-
 /// Makes every staged frame of a batch durable with one filesystem-wide
-/// sync. Returns `false` when unsupported (non-Linux) or failed; the
-/// caller then falls back to per-file fsync.
+/// sync: one device flush, where per-file fsync pays one per file.
+/// Returns `false` when unsupported (non-Linux) or failed; the caller
+/// then falls back to per-file fsync.
 #[cfg(target_os = "linux")]
 fn sync_filesystem(root: &Path) -> bool {
     use std::os::fd::AsRawFd;
-    match File::open(root) {
-        Ok(f) => unsafe { sys::syncfs(f.as_raw_fd()) == 0 },
-        Err(_) => false,
+    // The one libc entry point the batch flush uses (same
+    // no-external-crates approach as `virt_rpc::poll`).
+    extern "C" {
+        fn syncfs(fd: std::os::raw::c_int) -> std::os::raw::c_int;
     }
+    File::open(root).is_ok_and(|f| unsafe { syncfs(f.as_raw_fd()) == 0 })
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -175,11 +170,6 @@ struct ArmedFault {
     /// Fires when the write counter reaches this sequence number.
     at_write: u64,
 }
-
-/// How long a batch holding only write-behind records may wait for more
-/// work to coalesce before it is flushed. A barrier waiter (durable
-/// `put`/`remove`, `flush`) always flushes immediately.
-const COALESCE_WINDOW: Duration = Duration::from_millis(2);
 
 /// One object's identity inside the store.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -241,67 +231,14 @@ impl StoreOp {
 }
 
 /// A queued mutation: the newest requested content for one object.
+#[cfg_attr(test, derive(Debug, Clone, PartialEq, Eq, Hash))]
 enum QueuedOp {
     Put(String),
     Remove,
 }
 
-/// A barrier waiter's completion slot.
-struct OpWaiter {
-    slot: Mutex<Option<VirtResult<()>>>,
-    cv: Condvar,
-}
-
-impl OpWaiter {
-    fn new() -> Arc<OpWaiter> {
-        Arc::new(OpWaiter {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, result: VirtResult<()>) {
-        *self.slot.lock() = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> VirtResult<()> {
-        let mut slot = self.slot.lock();
-        while slot.is_none() {
-            self.cv.wait(&mut slot);
-        }
-        slot.clone().expect("slot filled")
-    }
-}
-
-/// One pending dirty-object record: the latest op plus every barrier
-/// waiter whose write it absorbed (last-writer-wins coalescing keeps all
-/// waiters — a superseded snapshot is made durable *by* its successor).
-struct Pending {
-    op: QueuedOp,
-    waiters: Vec<Arc<OpWaiter>>,
-}
-
-/// The persister's work queue, protected by one mutex.
-struct PersistQueue {
-    /// Enqueue order of distinct dirty objects.
-    order: Vec<ObjKey>,
-    slots: HashMap<ObjKey, Pending>,
-    /// A barrier waiter is pending: flush without waiting out the window.
-    urgent: bool,
-    /// Total records ever enqueued (coalesced or not); the persister's
-    /// gather stall watches it to detect arrivals still landing.
-    enqueued: u64,
-    /// When the oldest pending record was enqueued (coalesce deadline).
-    oldest: Option<Instant>,
-    /// The persister is mid-cycle (queue already drained into a batch).
-    in_flight: bool,
-    shutdown: bool,
-    /// Bumped once per flush cycle that contained at least one failed
-    /// record; `flush()` uses it to report write-behind errors.
-    error_epoch: u64,
-    last_error: Option<VirtError>,
-}
+/// A barrier waiter: the persister sends its record's result.
+type Waiter = mpsc::Sender<VirtResult<()>>;
 
 virt_metrics::metric_set! {
     /// Pipeline + integrity metrics. Allocated with the store and
@@ -327,17 +264,12 @@ virt_metrics::metric_set! {
 /// State shared between the store handle and the persister thread.
 struct Shared {
     root: PathBuf,
-    queue: Mutex<PersistQueue>,
+    queue: Mutex<Queue<Waiter>>,
     /// Wakes the persister (work arrived, urgency changed, shutdown).
     work_cv: Condvar,
-    /// Wakes `flush()` waiters (a cycle completed and the queue is dry).
-    idle_cv: Condvar,
     /// Monotone write counter driving deterministic fault injection.
     writes: Counter,
     fault: Mutex<Option<ArmedFault>>,
-    /// FNV-1a of the last cleanly committed payload per object: a queued
-    /// put whose content already matches the committed frame is skipped.
-    committed: Mutex<HashMap<ObjKey, u64>>,
     logger: Mutex<Option<Arc<Logger>>>,
     /// Directory-fsync failures are counted per occurrence but logged
     /// once — a sick filesystem would otherwise flood the journal.
@@ -392,22 +324,10 @@ impl StateStore {
         fs::create_dir_all(root.join("quarantine")).map_err(|e| io_err("create layout", e))?;
         let shared = Arc::new(Shared {
             root,
-            queue: Mutex::new(PersistQueue {
-                order: Vec::new(),
-                slots: HashMap::new(),
-                urgent: false,
-                enqueued: 0,
-                oldest: None,
-                in_flight: false,
-                shutdown: false,
-                error_epoch: 0,
-                last_error: None,
-            }),
+            queue: Mutex::new(Queue::new()),
             work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
             writes: Counter::new(),
             fault: Mutex::new(None),
-            committed: Mutex::new(HashMap::new()),
             logger: Mutex::new(None),
             dirsync_logged: AtomicBool::new(false),
             metrics: StoreMetrics::new(),
@@ -463,13 +383,6 @@ impl StateStore {
         self.shared.metrics.quarantined.get()
     }
 
-    /// Writes that failed (real I/O errors, injected faults, and
-    /// directory-fsync failures).
-    #[cfg(test)]
-    pub(crate) fn write_error_total(&self) -> u64 {
-        self.shared.metrics.write_error.get()
-    }
-
     /// Flush cycles the persister has committed.
     pub fn group_commits_total(&self) -> u64 {
         self.shared.metrics.group_commits.get()
@@ -480,11 +393,16 @@ impl StateStore {
         self.shared.metrics.coalesced.get()
     }
 
-    /// Queues one record with a barrier waiter for the caller to block on.
-    fn enqueue_durable(&self, key: ObjKey, op: QueuedOp) -> Arc<OpWaiter> {
-        let waiter = OpWaiter::new();
-        enqueue(&self.shared, key, op, Some(Arc::clone(&waiter)));
-        waiter
+    /// Queues `records`, each with a barrier waiter, and blocks until
+    /// every one is released — not only up to the first failure.
+    fn barrier(&self, records: impl IntoIterator<Item = (ObjKey, QueuedOp)>) -> VirtResult<()> {
+        let (tx, rx) = mpsc::channel();
+        let mut count = 0;
+        for (key, op) in records {
+            enqueue(&self.shared, key, op, Some(tx.clone()));
+            count += 1;
+        }
+        rx.iter().take(count).fold(Ok(()), VirtResult::and)
     }
 
     /// Commits `payload` for `name`, atomically and durably: the record
@@ -500,8 +418,7 @@ impl StateStore {
     /// leaves a corrupt file for validation to catch.
     pub fn put(&self, kind: ObjectKind, driver: &str, name: &str, payload: &str) -> VirtResult<()> {
         let op = QueuedOp::Put(payload.to_string());
-        self.enqueue_durable(ObjKey::new(kind, driver, name), op)
-            .wait()
+        self.barrier([(ObjKey::new(kind, driver, name), op)])
     }
 
     /// Queues `payload` for `name` **write-behind** and returns
@@ -524,8 +441,7 @@ impl StateStore {
     ///
     /// [`ErrorCode::OperationFailed`] on I/O failure other than absence.
     pub fn remove(&self, kind: ObjectKind, driver: &str, name: &str) -> VirtResult<()> {
-        self.enqueue_durable(ObjKey::new(kind, driver, name), QueuedOp::Remove)
-            .wait()
+        self.barrier([(ObjKey::new(kind, driver, name), QueuedOp::Remove)])
     }
 
     /// Commits several records through **one** group-commit barrier: all
@@ -540,19 +456,7 @@ impl StateStore {
     /// failed independently (per-record semantics identical to
     /// [`StateStore::put`] / [`StateStore::remove`]).
     pub fn commit(&self, ops: Vec<StoreOp>) -> VirtResult<()> {
-        let waiters: Vec<_> = ops
-            .into_iter()
-            .map(|op| {
-                let (key, queued) = op.into_parts();
-                self.enqueue_durable(key, queued)
-            })
-            .collect();
-        // Wait for every record, not only up to the first failure.
-        let mut first_error = Ok(());
-        for waiter in waiters {
-            first_error = first_error.and(waiter.wait());
-        }
-        first_error
+        self.barrier(ops.into_iter().map(StoreOp::into_parts))
     }
 
     /// Queues a removal write-behind (see [`StateStore::put_behind`]).
@@ -570,29 +474,16 @@ impl StateStore {
     /// The first error of any flush cycle completed during the drain —
     /// this is how write-behind failures surface to a caller.
     pub fn flush(&self) -> VirtResult<()> {
-        let mut q = self.shared.queue.lock();
-        let epoch = q.error_epoch;
-        if !q.order.is_empty() {
-            q.urgent = true;
-            self.shared.work_cv.notify_one();
+        let (tx, rx) = mpsc::channel();
+        if !self.shared.queue.lock().flush(tx) {
+            return Ok(());
         }
-        while !q.order.is_empty() || q.in_flight {
-            self.shared.idle_cv.wait(&mut q);
-        }
-        if q.error_epoch != epoch {
-            return Err(q.last_error.clone().unwrap_or_else(|| {
-                VirtError::new(ErrorCode::OperationFailed, "state store: flush failed")
-            }));
-        }
-        Ok(())
-    }
-
-    fn dir(&self, kind: ObjectKind, driver: &str) -> PathBuf {
-        self.shared.dir(kind, driver)
+        self.shared.work_cv.notify_one();
+        rx.recv().expect("the persister releases every waiter")
     }
 
     fn file(&self, kind: ObjectKind, driver: &str, name: &str) -> PathBuf {
-        self.dir(kind, driver).join(format!("{name}.xml"))
+        self.shared.dir(kind, driver).join(format!("{name}.xml"))
     }
 
     /// Reads and validates one committed payload. `Ok(None)` when the
@@ -610,8 +501,7 @@ impl StateStore {
             Ok(bytes) => match validate(&bytes) {
                 Some(payload) => Ok(Some(payload)),
                 None => {
-                    self.shared.forget_committed(kind, driver, name);
-                    self.shared.quarantine_path(&path);
+                    self.quarantine(kind, driver, name);
                     Ok(None)
                 }
             },
@@ -625,7 +515,7 @@ impl StateStore {
     /// a torn write can cost at most the object it was updating, never
     /// the daemon's boot.
     pub fn load_all(&self, kind: ObjectKind, driver: &str) -> Vec<(String, String)> {
-        let dir = self.dir(kind, driver);
+        let dir = self.shared.dir(kind, driver);
         let Ok(entries) = fs::read_dir(&dir) else {
             return Vec::new();
         };
@@ -641,18 +531,9 @@ impl StateStore {
             if ext != "xml" || stem.starts_with('.') {
                 continue; // temp files and strays
             }
-            match fs::read(&path) {
-                Ok(bytes) => match validate(&bytes) {
-                    Some(payload) => out.push((stem.to_string(), payload)),
-                    None => {
-                        self.shared.forget_committed(kind, driver, stem);
-                        self.shared.quarantine_path(&path);
-                    }
-                },
-                Err(_) => {
-                    self.shared.forget_committed(kind, driver, stem);
-                    self.shared.quarantine_path(&path);
-                }
+            match fs::read(&path).ok().and_then(|bytes| validate(&bytes)) {
+                Some(payload) => out.push((stem.to_string(), payload)),
+                None => self.quarantine(kind, driver, stem),
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -662,18 +543,16 @@ impl StateStore {
     /// Moves a file that failed validation out of the store, preserving
     /// it for inspection under `quarantine/`.
     pub fn quarantine(&self, kind: ObjectKind, driver: &str, name: &str) {
-        self.shared.forget_committed(kind, driver, name);
+        let key = ObjKey::new(kind, driver, name);
+        self.shared.queue.lock().forget(&key);
         self.shared.quarantine_path(&self.file(kind, driver, name));
     }
 }
 
 impl Drop for StateStore {
     fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock();
-            q.shutdown = true;
-            self.shared.work_cv.notify_one();
-        }
+        self.shared.queue.lock().shutdown = true;
+        self.shared.work_cv.notify_one();
         // The persister drains every pending record before exiting —
         // this is the drain-on-shutdown half of the write-behind
         // contract. Errors were already counted and logged by the loop.
@@ -686,12 +565,6 @@ impl Drop for StateStore {
 impl Shared {
     fn dir(&self, kind: ObjectKind, driver: &str) -> PathBuf {
         self.root.join(kind.rel_dir()).join(driver)
-    }
-
-    fn forget_committed(&self, kind: ObjectKind, driver: &str, name: &str) {
-        self.committed
-            .lock()
-            .remove(&ObjKey::new(kind, driver, name));
     }
 
     /// Checks the armed fault against this write's sequence number.
@@ -765,125 +638,52 @@ fn sweep_stale_temps(kind_dir: &Path) {
     }
 }
 
-/// Enqueues one record, coalescing last-writer-wins per object. Cannot
-/// meet a shut-down pipeline: `shutdown` is set only by `Drop`, whose
-/// `&mut self` rules out a concurrent caller.
-fn enqueue(shared: &Shared, key: ObjKey, op: QueuedOp, waiter: Option<Arc<OpWaiter>>) {
+/// Enqueues one record. Cannot meet a shut-down pipeline: shutdown is
+/// set only by `Drop`, whose `&mut self` rules out a concurrent caller.
+fn enqueue(shared: &Shared, key: ObjKey, op: QueuedOp, waiter: Option<Waiter>) {
+    let now = Instant::now();
     let mut q = shared.queue.lock();
-    q.enqueued += 1;
-    let urgent = waiter.is_some();
-    match q.slots.get_mut(&key) {
-        Some(pending) => {
-            pending.op = op;
-            if let Some(w) = waiter {
-                pending.waiters.push(w);
-            }
-            shared.metrics.coalesced.inc();
-        }
-        None => {
-            let waiters = waiter.into_iter().collect();
-            q.slots.insert(key.clone(), Pending { op, waiters });
-            q.order.push(key);
-            if q.oldest.is_none() {
-                q.oldest = Some(Instant::now());
-            }
-        }
+    if q.push(key, op, waiter, now) {
+        shared.metrics.coalesced.inc();
     }
-    if urgent {
-        q.urgent = true;
-    }
-    shared.metrics.queue_depth.set(q.order.len() as u64);
+    shared.metrics.queue_depth.set(q.depth() as u64);
     shared.work_cv.notify_one();
 }
 
-/// The persister thread: waits for work, optionally lets a volatile-only
-/// batch coalesce, then commits the whole batch in one flush cycle.
+/// The persister thread: each turn reads the time once and does what the
+/// queue machine says — sleep, exit, or run one flush cycle with no lock
+/// held and report its per-record outcome.
 fn persister_loop(shared: &Shared) {
     let mut q = shared.queue.lock();
-    // Barrier waiters released by the previous flush cycle; used by the
-    // gather stall below to predict how many writers are about to
-    // re-enqueue.
-    let mut expected_writers: usize = 0;
     loop {
-        if q.order.is_empty() {
-            if q.shutdown {
-                break;
+        let now = Instant::now();
+        let plan = match q.next(now) {
+            Step::Flush(plan) => plan,
+            Step::Sleep(Some(deadline)) => {
+                shared.work_cv.wait_until(&mut q, deadline);
+                continue;
             }
-            shared.idle_cv.notify_all();
-            shared.work_cv.wait(&mut q);
-            continue;
-        }
-        if !q.urgent && !q.shutdown {
-            // Volatile-only batch: give the window a chance to absorb
-            // the rest of a storm before paying the fsync cycle.
-            let deadline = q.oldest.unwrap_or_else(Instant::now) + COALESCE_WINDOW;
-            let now = Instant::now();
-            if now < deadline {
-                shared.work_cv.wait_for(&mut q, deadline - now);
-                continue; // re-evaluate: urgency or shutdown may have changed
+            Step::Sleep(None) => {
+                shared.work_cv.wait(&mut q);
+                continue;
             }
-        } else if !q.shutdown && expected_writers > 1 {
-            // Group-commit gather: a barrier waiter wants the flush
-            // now, but the previous cycle just released
-            // `expected_writers` waiters who are typically about to
-            // re-enqueue their next record. Hold the cycle briefly
-            // until most of them land so they share one fsync instead
-            // of each paying their own. Self-calibrating: a lone
-            // writer (expected ≤ 1) never stalls.
-            let base = q.enqueued;
-            let goal = (expected_writers - 1) as u64;
-            let deadline = Instant::now() + Duration::from_micros(400);
-            while !q.shutdown && q.enqueued.saturating_sub(base) < goal {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                shared.work_cv.wait_for(&mut q, deadline - now);
-            }
-        }
-        let keys = std::mem::take(&mut q.order);
-        let mut batch: Vec<(ObjKey, Pending)> = keys
-            .into_iter()
-            .map(|key| {
-                let pending = q.slots.remove(&key).expect("ordered key has a slot");
-                (key, pending)
-            })
-            .collect();
-        q.urgent = false;
-        q.oldest = None;
-        q.in_flight = true;
-        expected_writers = batch.iter().map(|(_, p)| p.waiters.len()).sum();
+            Step::Exit => return,
+        };
         shared.metrics.queue_depth.set(0);
+        shared.metrics.deduped.add(plan.deduped);
         drop(q);
-
-        let started = Instant::now();
-        let results = flush_batch(shared, &batch);
-        shared.metrics.sync_us.record(started.elapsed());
+        for waiter in plan.released {
+            let _ = waiter.send(Ok(()));
+        }
+        let results = flush_batch(shared, &plan.writes);
+        shared.metrics.sync_us.record(now.elapsed());
         shared.metrics.group_commits.inc();
-
-        let mut first_error: Option<VirtError> = None;
-        for ((_, pending), result) in batch.iter_mut().zip(&results) {
-            if let Err(err) = result {
-                if first_error.is_none() {
-                    first_error = Some(err.clone());
-                }
-            }
-            for waiter in pending.waiters.drain(..) {
-                waiter.complete(result.clone());
-            }
+        let released = shared.queue.lock().outcome(results);
+        for (waiter, result) in released {
+            let _ = waiter.send(result);
         }
-
         q = shared.queue.lock();
-        q.in_flight = false;
-        if let Some(err) = first_error {
-            q.error_epoch += 1;
-            q.last_error = Some(err);
-        }
-        if q.order.is_empty() {
-            shared.idle_cv.notify_all();
-        }
     }
-    shared.idle_cv.notify_all();
 }
 
 /// A put staged across the batch's phases.
@@ -892,63 +692,43 @@ struct StagedPut {
     tmp: PathBuf,
     dest: PathBuf,
     dir: PathBuf,
-    file: Option<File>,
-    content_hash: u64,
+    file: File,
     torn: bool,
 }
 
-/// Commits one batch in phases, so the whole cycle costs ~one journal
-/// commit instead of one per file:
+/// Commits one batch in phases, so the whole cycle costs about one device
+/// flush instead of one per file:
 ///
 /// 1. write every record's frame to a temp file (no fsync yet);
-/// 2. fsync every temp file — the first fsync commits the filesystem
-///    journal transaction already carrying the others' data, so the
-///    rest are near-free;
-/// 3. rename each temp over its destination (a file is only renamed
-///    after **its own** fsync succeeded, so the per-file old-frame /
-///    new-frame contract is exactly the single-write discipline);
-/// 4. one directory fsync per touched directory.
+/// 2. make the staged frames durable: one `syncfs` for two or more,
+///    else (or when it fails) per-file fsync;
+/// 3. rename each temp over its destination — only after its bytes are
+///    durable, so the per-file old-frame / new-frame contract is exactly
+///    the single-write discipline;
+/// 4. sync the touched directories: one `syncfs` for two or more.
 ///
 /// Returns one result per record, in batch order.
-fn flush_batch(shared: &Shared, batch: &[(ObjKey, Pending)]) -> Vec<VirtResult<()>> {
+fn flush_batch(shared: &Shared, batch: &[(ObjKey, QueuedOp)]) -> Vec<VirtResult<()>> {
     let mut results: Vec<VirtResult<()>> = vec![Ok(()); batch.len()];
     // Directories whose entries changed this cycle, with the indices of
     // the records that depend on each one's fsync.
-    let mut touched: Vec<(PathBuf, Vec<usize>)> = Vec::new();
-    let touch = |touched: &mut Vec<(PathBuf, Vec<usize>)>, dir: &Path, index: usize| {
-        if let Some((_, indices)) = touched.iter_mut().find(|(d, _)| d == dir) {
-            indices.push(index);
-        } else {
-            touched.push((dir.to_path_buf(), vec![index]));
-        }
-    };
+    let mut touched: BTreeMap<PathBuf, Vec<usize>> = BTreeMap::new();
     let mut staged: Vec<StagedPut> = Vec::with_capacity(batch.len());
-    let mut committed = shared.committed.lock();
 
     // Phase 1: removals execute, puts stage their temp files.
-    for (index, (key, pending)) in batch.iter().enumerate() {
+    for (index, (key, op)) in batch.iter().enumerate() {
         let dir = shared.dir(key.kind, &key.driver);
         let dest = dir.join(format!("{}.xml", key.name));
-        match &pending.op {
-            QueuedOp::Remove => {
-                committed.remove(key);
-                match fs::remove_file(&dest) {
-                    Ok(()) => touch(&mut touched, &dir, index),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => {
-                        shared.metrics.write_error.inc();
-                        results[index] = Err(io_err(&format!("remove {}", key.name), e));
-                    }
+        match op {
+            QueuedOp::Remove => match fs::remove_file(&dest) {
+                Ok(()) => touched.entry(dir).or_default().push(index),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => {
+                    shared.metrics.write_error.inc();
+                    results[index] = Err(io_err(&format!("remove {}", key.name), e));
                 }
-            }
+            },
             QueuedOp::Put(payload) => {
-                let content_hash = fnv1a(payload.as_bytes());
-                if committed.get(key) == Some(&content_hash) {
-                    // The committed frame is already identical: the
-                    // record is durable by construction, no write owed.
-                    shared.metrics.deduped.inc();
-                    continue;
-                }
                 let seq = shared.writes.get() + 1;
                 shared.writes.inc();
                 let fault = shared.take_fault(seq);
@@ -958,8 +738,7 @@ fn flush_batch(shared: &Shared, batch: &[(ObjKey, Pending)]) -> Vec<VirtResult<(
                         tmp,
                         dest,
                         dir,
-                        file: Some(file),
-                        content_hash,
+                        file,
                         torn,
                     }),
                     Err(e) => {
@@ -971,38 +750,26 @@ fn flush_batch(shared: &Shared, batch: &[(ObjKey, Pending)]) -> Vec<VirtResult<(
         }
     }
 
-    // Phase 2 + 3: make each staged frame durable, then rename it into
-    // place. With two or more frames, one filesystem-wide sync replaces
-    // the per-file fsyncs — each fsync costs a full device flush, so
-    // this is where the batch collapses N flushes into one. A file is
-    // still only renamed after its bytes are durable, so the per-file
-    // old-frame/new-frame contract is exactly the single-write
-    // discipline.
+    // Phase 2 + 3: make each staged frame durable, then rename it.
     let batch_synced = staged.len() >= 2 && sync_filesystem(&shared.root);
-    for put in &mut staged {
+    for put in staged {
         let key = &batch[put.index].0;
-        let file = put.file.take().expect("staged file present");
         let synced = if batch_synced {
             Ok(())
         } else {
-            file.sync_all()
+            put.file.sync_all()
         };
-        drop(file);
-        let result = synced.and_then(|()| fs::rename(&put.tmp, &put.dest));
-        match result {
+        drop(put.file);
+        match synced.and_then(|()| fs::rename(&put.tmp, &put.dest)) {
             Ok(()) => {
-                touch(&mut touched, &put.dir, put.index);
+                touched.entry(put.dir).or_default().push(put.index);
                 if put.torn {
-                    // The torn bytes are in place; surface the "crash"
-                    // and forget the committed frame.
-                    committed.remove(key);
+                    // The torn bytes are in place; surface the "crash".
                     shared.metrics.write_error.inc();
                     results[put.index] = Err(VirtError::new(
                         ErrorCode::OperationFailed,
                         "state store: injected torn write",
                     ));
-                } else {
-                    committed.insert(key.clone(), put.content_hash);
                 }
             }
             Err(e) => {
@@ -1012,14 +779,10 @@ fn flush_batch(shared: &Shared, batch: &[(ObjKey, Pending)]) -> Vec<VirtResult<(
             }
         }
     }
-    drop(committed);
 
     // Phase 4: make the renames durable — they only count once their
-    // directory entries are. One dirsync per touched directory per
-    // batch; with several directories, a single filesystem-wide sync
-    // replaces them all. A failure here fails every record that
-    // depended on the directory (unless it already failed for its own
-    // reason).
+    // directory entries are. A failure fails every record that depended
+    // on the directory (unless it already failed for its own reason).
     if touched.len() >= 2 && sync_filesystem(&shared.root) {
         return results;
     }
@@ -1144,11 +907,9 @@ impl DomainStatus {
     pub fn to_xml_string(&self) -> String {
         let mut el = Element::new("domstatus");
         el.set_attr("state", state_str(self.state));
-        el.set_attr("autostart", if self.autostart { "1" } else { "0" });
-        el.set_attr(
-            "managed_save",
-            if self.has_managed_save { "1" } else { "0" },
-        );
+        let bit = |on: bool| if on { "1" } else { "0" };
+        el.set_attr("autostart", bit(self.autostart));
+        el.set_attr("managed_save", bit(self.has_managed_save));
         el.push_child(Element::with_text("name", self.name.clone()));
         el.push_child(Element::with_text("uuid", self.uuid.to_string()));
         el.to_pretty_string()
@@ -1204,6 +965,12 @@ impl StateStore {
     /// Queued records skipped because the committed frame was identical.
     fn deduped_total(&self) -> u64 {
         self.shared.metrics.deduped.get()
+    }
+
+    /// Writes that failed (real I/O errors, injected faults, and
+    /// directory-fsync failures).
+    fn write_error_total(&self) -> u64 {
+        self.shared.metrics.write_error.get()
     }
 }
 
@@ -1364,7 +1131,7 @@ mod tests {
             .map(|(kind, driver)| {
                 let (store, start) = (Arc::clone(&store), Arc::clone(&start));
                 std::thread::spawn(move || {
-                    let dir = store.dir(kind, driver);
+                    let dir = store.shared.dir(kind, driver);
                     fs::create_dir_all(&dir).unwrap();
                     for round in 0..rounds {
                         fs::write(dir.join("web.xml"), format!("{kind:?} {driver} {round}"))
@@ -1582,11 +1349,16 @@ mod tests {
         store
             .put(ObjectKind::Domain, "qemu", "web", "same")
             .unwrap();
-        let writes_after_first = store.group_commits_total();
+        let writes_after_first = store.shared.writes.get();
         store
             .put(ObjectKind::Domain, "qemu", "web", "same")
             .unwrap();
         assert_eq!(store.deduped_total(), 1);
+        assert_eq!(
+            store.shared.writes.get(),
+            writes_after_first,
+            "the identical put wrote a file"
+        );
         assert_eq!(
             store.get(ObjectKind::Domain, "qemu", "web").unwrap(),
             Some("same".to_string())
@@ -1597,7 +1369,7 @@ mod tests {
             store.get(ObjectKind::Domain, "qemu", "web").unwrap(),
             Some("new".to_string())
         );
-        let _ = writes_after_first;
+        assert_eq!(store.shared.writes.get(), writes_after_first + 1);
     }
 
     #[test]

@@ -63,6 +63,7 @@ fn mid_frame_death_releases_fd_and_pooled_buffer() {
     let addr = listener.local_addr().to_string();
     daemon.serve(Box::new(listener));
     let fds = "server.virtd.event_loop.registered_fds";
+    let reads = "server.virtd.event_loop.read_calls";
 
     // Warm the pool with one clean round trip so later acquisitions can
     // be freelist hits rather than fresh allocations.
@@ -82,6 +83,7 @@ fn mid_frame_death_releases_fd_and_pooled_buffer() {
     const CYCLES: usize = 32;
     const PROMISED_LEN: u32 = 4096;
     for _ in 0..CYCLES {
+        let reads_before = metric(&daemon, reads);
         let mut sock = TcpStream::connect(&addr).unwrap();
         // A length prefix promising 4 KiB, then only 100 bytes: the loop
         // has checked a pooled buffer out and is mid-frame when the
@@ -92,8 +94,12 @@ fn mid_frame_death_releases_fd_and_pooled_buffer() {
         wait_until("connection to register", Duration::from_secs(5), || {
             metric(&daemon, fds) == 1
         });
-        // Give the loop a beat to consume the partial body, then die.
-        std::thread::sleep(Duration::from_millis(10));
+        // Wait for the loop to read the partial frame, then die.
+        wait_until(
+            "loop to read the partial frame",
+            Duration::from_secs(5),
+            || metric(&daemon, reads) > reads_before,
+        );
         drop(sock);
         wait_until(
             "fd to deregister after death",

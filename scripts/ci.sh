@@ -75,6 +75,17 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/guard/machine.rs \
     exit 1
 fi
 
+# The statestore's queue machine decides and the persister acts: the
+# machine is handed the time and reads no clock, never sleeps, takes no
+# lock and touches no file, so its explorer walks every order of inputs
+# on synthetic instants.
+echo "== hygiene: the statestore queue machine reads no clock, takes no lock and touches no file =="
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/statestore/queue.rs \
+    | grep -nE 'Instant::now\(\)|thread::sleep|parking_lot|Condvar|std::fs|\bFile\b'; then
+    echo "error: a clock read, sleep, lock or file access in the product part of crates/core/src/statestore/queue.rs — the persister (statestore.rs) does those" >&2
+    exit 1
+fi
+
 # A daemon client is written to through its sink (eventloop.rs's
 # ConnSink), built with it at admission: no reply path writes to a
 # transport around it. Bytes are counted where every connection passes

@@ -108,6 +108,12 @@ fn crash_storm_of_50_guarded_domains_converges_without_a_herd() {
         "storm revival took {revive_latency:?}"
     );
 
+    // The engine counts a revival once the start call has returned, which
+    // can be after the domain is seen running.
+    wait_for(
+        || daemon_counter(&daemon, "guard.revived") >= STORM as u64,
+        "guard.revived to count the storm",
+    );
     assert!(
         daemon_counter(&daemon, "guard.revived") >= STORM as u64,
         "guard.revived={}",
@@ -284,6 +290,11 @@ fn auto_resume_and_graceful_stop_policies() {
     wait_for(
         || pausy.state().unwrap() == DomainState::Running,
         "auto-resume to unpause the domain",
+    );
+    // Counted once the resume call has returned, maybe after the state flip.
+    wait_for(
+        || daemon_counter(&daemon, "guard.resumed") >= 1,
+        "guard.resumed to count the resume",
     );
     assert!(daemon_counter(&daemon, "guard.resumed") >= 1);
 

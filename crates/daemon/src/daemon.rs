@@ -304,9 +304,12 @@ impl VirtdBuilder {
                 .duration_us
                 .add(started.elapsed().as_micros() as u64);
         }
-        // Each event thread multiplexes its share of the connections over
-        // one epoll instance; requests still execute on the worker pool,
-        // so two are enough even at thousands of clients.
+        // Two event threads wait on one epoll instance. A lone pooled
+        // call runs on the thread that read it while the other still
+        // waits there, so it costs no hop to a worker; the last thread
+        // waiting never takes a call that may block, and bursts and
+        // surplus calls go to the worker pool, so two are enough even at
+        // thousands of clients.
         let main_server = Server::new(
             "virtd",
             self.config.pool_limits,

@@ -407,6 +407,10 @@ impl ProgramDispatcher for RemoteDispatcher {
         protocol::is_high_priority(procedure)
     }
 
+    fn procedure_name(&self, procedure: u32) -> Option<&'static str> {
+        proc::name(procedure)
+    }
+
     fn dispatch(&self, client: &Arc<ClientHandle>, header: Header, payload: &[u8]) -> Packet {
         // Request id (client id + packet serial) threads through the
         // thread-local trace span so every log record emitted while this

@@ -1,61 +1,76 @@
-//! The event-driven connection core: a small fixed set of epoll loop
-//! threads owning every ready-capable client connection.
+//! The event-driven connection core: a small fixed set of event threads
+//! owning every ready-capable client connection.
 //!
 //! Thread-per-connection caps a daemon at thread-spawn cost: 5k idle
 //! monitoring clients would pin 5k stacks. Instead, each accepted
 //! transport that exposes a readiness surface ([`Readiness::Fd`] for
-//! sockets, [`Readiness::Notify`] for in-process channels) is handed to
-//! one of N loop threads, which multiplex all of them over a single
-//! [`Poller`]. A burst — whatever one client has sent by the time the
-//! loop gets to it — costs one read and one write, and wakes workers for
-//! its pooled calls only once it is handed up:
+//! sockets, [`Readiness::Notify`] for in-process channels) is registered
+//! with the server's one [`Poller`], and its N event threads all wait on
+//! it. Registrations are edge-triggered and each wait takes one event, so
+//! a readiness change wakes one thread. A connection's *turn* — hand up
+//! what it sent, answer what runs inline, write the replies — is run by
+//! one thread at a time: readiness that reaches another thread while a
+//! turn runs is left with the turn, and its owner acts on it before
+//! letting go (the rule, and its exhaustive check, are in `turn.rs`). A
+//! burst — whatever one client has sent by the time a thread gets to it —
+//! costs one read and one write:
 //!
 //! - **Reads** are nonblocking and buffered: one `try_read` of up to
 //!   [`READ_CHUNK`](virt_rpc::framebuf::READ_CHUNK) bytes lands in the
 //!   connection's [`FrameBuf`] (the same splitter the socket transports
 //!   use), and every complete frame in it is handed to the server *in
 //!   place*. Keepalive and high-priority procedures run inline on the
-//!   loop thread; everything else is queued for the worker pool through
-//!   one [`PoolBatch`] per turn, which wakes an idle worker for each of
-//!   them when the turn's frames are all handed up — just before its
-//!   gathered write, which then also carries the reply of a worker that
-//!   got the CPU at once — so the loop is not preempted mid-burst by a
-//!   worker woken per call. A pooled call thus starts at most the rest of
-//!   its own turn later (≤ `MAX_FRAMES_PER_EVENT` inline frames, which
-//!   never block), and a hung call strands nothing queued behind it while
-//!   a worker is idle. A short read
-//!   means the socket is drained — level-triggered epoll reports
-//!   whatever arrives next, so nothing probes for `EAGAIN`. A partial
-//!   frame stays buffered across any number of readiness events. At
-//!   most `MAX_FRAMES_PER_EVENT` frames are handed up per turn;
-//!   complete frames left in the buffer are bytes the kernel will never
-//!   announce again, so that connection goes on the loop's *ready list*
-//!   (the one in-process channels use) instead of waiting for an event
-//!   that will not come.
+//!   event thread. A lone frame's pooled call is held back (below);
+//!   every pooled call of a burst is queued for the worker pool through
+//!   one batch per pass, which
+//!   wakes an idle worker for each of them when the pass's frames are all
+//!   handed up — just before its gathered write — so the thread is not
+//!   preempted mid-burst by a worker woken per call, and a hung call
+//!   strands nothing queued behind it while a worker is idle. A short
+//!   read means the socket is drained: whatever arrives after it is a new
+//!   edge, so nothing probes for `EAGAIN` — except after the peer shut its
+//!   side, whose end-of-stream has no edge of its own. A partial frame
+//!   stays buffered across any number of turns. At most
+//!   `MAX_FRAMES_PER_EVENT` frames are handed up per pass; frames left in
+//!   the buffer or unread in the socket are bytes no edge will announce,
+//!   so that connection goes on the *ready list* (the one in-process
+//!   channels use, and a socket's first turn comes from) instead of
+//!   waiting for an event that will not come.
+//! - **The kept call.** A turn that hands up a lone frame — a client
+//!   that sent one call and waits for it — holds its pooled call back.
+//!   With the turn released, the thread runs that call itself — counted
+//!   as a pool job — if at least one other event thread still waits on
+//!   the poller, and queues it for the pool if not. So a lone pooled call
+//!   costs no thread hop while a thread is left watching, and the last
+//!   watcher never leaves the poller for a call that may block: a hung
+//!   call stalls no connection. A burst keeps nothing: its client has
+//!   more calls in flight, whose next burst would need a second thread
+//!   while the first ran the call — a hop all the same. Reader threads
+//!   keep nothing.
 //! - **Writes** go through a per-connection [`ConnSink`]: a reply is
 //!   tried as a direct nonblocking write, and only what the socket does
 //!   not take is kept — whole frames back to back in one pooled buffer,
-//!   drained on `EPOLLOUT`. When the loop finds more than one frame
-//!   buffered for a connection it *corks* the sink for that burst:
-//!   replies written meanwhile (inline ones, and any worker reply that
-//!   lands in the window) are gathered into the same buffer and leave in
-//!   one write when the burst ends. A cork never outlives one turn of
-//!   one connection on the loop thread, and a single-frame burst never
-//!   corks — a lone call keeps the direct write. Owed bytes, gathered or
-//!   spilled, count alike: past a soft cap the loop stops *reading* from
-//!   that client and hands out no more of its buffered frames (natural
-//!   backpressure; it resumes, from the buffer first, once a flush takes
-//!   the backlog under the resume mark); past a hard cap the client is
-//!   disconnected rather than allowed to balloon daemon memory.
+//!   drained on `EPOLLOUT`. When a turn finds more than one frame
+//!   buffered it *corks* the sink for that burst: replies written
+//!   meanwhile (inline ones, and any worker reply that lands in the
+//!   window) are gathered into the same buffer and leave in one write
+//!   when the burst ends. A cork never outlives one pass of one turn, and
+//!   a single-frame burst never corks — a lone call keeps the direct
+//!   write. Owed bytes, gathered or spilled, count alike: past a soft cap
+//!   the turn stops *reading* from that client and hands out no more of
+//!   its buffered frames (natural backpressure; it resumes, from the
+//!   buffer first, once a flush takes the backlog under the resume mark);
+//!   past a hard cap the client is disconnected rather than allowed to
+//!   balloon daemon memory.
 //! - **Idle connections hold no buffers.** The read buffer and the write
 //!   buffer are checked out of the [`BufferPool`] when a burst needs
 //!   them and go back as soon as they are empty.
-//! - **Teardown** is single-owner: whichever event notices the death
-//!   (read EOF, write error, hangup) removes the connection exactly
-//!   once, deregistering the fd and dropping whatever pooled buffers the
+//! - **Teardown** happens once: whichever turn notices the death (read
+//!   EOF, write error, hangup), or the stop, removes the connection,
+//!   deregistering the fd and dropping whatever pooled buffers the
 //!   connection held back to the freelist.
 //!
-//! Every admitted client has a sink. A socket the loop registered gets
+//! Every admitted client has a sink. A socket the core registered gets
 //! the queued route above; an in-process channel, and every connection a
 //! dedicated reader thread serves — a transport with no readiness surface
 //! ([`Readiness::Blocking`], e.g. the simulated-TLS transport), a socket
@@ -65,7 +80,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -73,21 +88,24 @@ use parking_lot::Mutex;
 
 use virt_metrics::Counter;
 use virt_rpc::framebuf::FrameBuf;
-use virt_rpc::poll::{PollEvent, Poller, WAKE_TOKEN};
+use virt_rpc::poll::{Events, PollEvent, Poller, WAKE_TOKEN};
 use virt_rpc::transport::{Readiness, Transport};
-use virt_rpc::{BufferPool, PoolBatch, PooledBuf};
+use virt_rpc::{BufferPool, PooledBuf};
 
-use crate::server::{ClientHandle, Server};
+use crate::server::{Calls, ClientHandle, Server};
 
-/// Frames processed per connection per turn before yielding. Capping the
-/// batch keeps one flooding client from starving the rest of the loop
-/// without losing any frames: what is left in the socket is re-reported
-/// by level-triggered epoll, what is left in the connection's buffer
-/// puts it on the ready list. (The bytes asked of a socket per read are
-/// the splitter's [`virt_rpc::framebuf::READ_CHUNK`].)
+mod turn;
+
+use turn::{Ready, Turn};
+
+/// Frames handed up per connection per pass before yielding. Capping the
+/// batch keeps one flooding client from starving the other connections
+/// without losing any frames: what is left in the connection's buffer or
+/// its socket puts it on the ready list. (The bytes asked of a socket per
+/// read are the splitter's [`virt_rpc::framebuf::READ_CHUNK`].)
 const MAX_FRAMES_PER_EVENT: usize = 32;
 
-/// Queued-write bytes above which the loop stops reading from a
+/// Queued-write bytes above which a turn stops reading from a
 /// connection until its queue drains.
 const WRITE_SOFT_CAP: usize = 256 * 1024;
 /// Queued-write bytes below which a paused connection resumes reads.
@@ -98,7 +116,7 @@ const WRITE_HARD_CAP: usize = 4 * 1024 * 1024;
 
 virt_metrics::metric_set! {
     /// `server.{name}.event_loop.*` instrumentation, shared across all
-    /// loop threads of one server.
+    /// event threads of one server.
     pub(crate) struct EventLoopMetrics {
         registered_fds: Gauge = "registered_fds",
             "Connections owned by the event loops (sockets and in-process channels)";
@@ -114,6 +132,7 @@ virt_metrics::metric_set! {
             "Times a connection's reads were paused by write backpressure";
         backpressure_closes: Counter = "backpressure_closes",
             "Connections dropped for exceeding the write-queue hard cap";
+        kept_calls: Counter = "kept_calls", "Pooled calls run by the thread that read them";
     }
 }
 
@@ -125,7 +144,7 @@ struct SinkState {
     /// buffer.
     out: Option<PooledBuf>,
     written: usize,
-    /// The owning loop is inside a multi-frame burst: replies gather in
+    /// A turn is inside a multi-frame burst: replies gather in
     /// `out` and leave in one write when the burst ends.
     corked: bool,
     /// EPOLLOUT interest is armed.
@@ -138,6 +157,15 @@ impl SinkState {
     fn queued(&self) -> usize {
         self.out.as_ref().map_or(0, |out| out.len() - self.written)
     }
+
+    /// Gives the buffer back to the pool — cut down to what the pool
+    /// parks, should a backlog have grown it past that.
+    fn release(&mut self) {
+        if let Some(mut out) = self.out.take() {
+            out.shrink_to_parked();
+        }
+        self.written = 0;
+    }
 }
 
 enum SinkRoute {
@@ -146,7 +174,7 @@ enum SinkRoute {
     Direct,
     /// Nonblocking fd: direct-write fast path, with what the socket does
     /// not take (and what a corked burst gathers) kept in one buffer the
-    /// owning loop writes out.
+    /// turn writes out.
     Queued {
         fd: i32,
         token: u64,
@@ -155,16 +183,16 @@ enum SinkRoute {
     },
 }
 
-/// The write side of one client connection. Shared between the owning
-/// loop (flushing on `EPOLLOUT`), if there is one, and every thread that
-/// replies (`ClientHandle::send`).
+/// The write side of one client connection. Shared between the
+/// connection's turn (flushing on `EPOLLOUT`), if it has turns, and every
+/// thread that replies (`ClientHandle::send`).
 pub(crate) struct ConnSink {
     transport: Arc<dyn Transport>,
     route: SinkRoute,
     /// EPOLLIN interest is dropped (write soft cap exceeded). Changed
-    /// only under the state lock, but read by the loop without it: a
+    /// only under the state lock, but read by turns without it: a
     /// worker can be pre-empted inside its reply's write with the lock
-    /// held, and the loop's next turn must not queue up behind that just
+    /// held, and the next turn must not queue up behind that just
     /// to look at a flag. It publishes nothing else, hence `Relaxed`.
     paused_reads: AtomicBool,
     metrics: Arc<EventLoopMetrics>,
@@ -173,7 +201,7 @@ pub(crate) struct ConnSink {
 
 impl ConnSink {
     /// The sink of a connection being admitted: queued behind the socket
-    /// a loop has `claim`ed, direct for everything else.
+    /// the event core has `claim`ed, direct for everything else.
     pub(crate) fn new(
         transport: Arc<dyn Transport>,
         claim: Option<&Claim>,
@@ -289,8 +317,8 @@ impl ConnSink {
     }
 
     /// Starts gathering: until [`ConnSink::uncork`], replies are appended
-    /// to the write buffer instead of written one by one. Loop thread
-    /// only, around one multi-frame burst.
+    /// to the write buffer instead of written one by one. The turn's
+    /// thread only, around one multi-frame burst.
     fn cork(&self) {
         if let SinkRoute::Queued { state, .. } = &self.route {
             state.lock().corked = true;
@@ -310,7 +338,7 @@ impl ConnSink {
     }
 
     /// Drains as much of the owed bytes as the socket accepts. Called by
-    /// the loop on `EPOLLOUT`; returns whether the connection survives.
+    /// a turn on `EPOLLOUT`; returns whether the connection survives.
     fn flush(&self) -> bool {
         let SinkRoute::Queued { state, .. } = &self.route else {
             return true;
@@ -328,8 +356,7 @@ impl ConnSink {
         }
         while let Some(out) = &st.out {
             if st.written == out.len() {
-                st.out = None;
-                st.written = 0;
+                st.release();
                 break;
             }
             self.metrics.write_calls.inc();
@@ -377,7 +404,7 @@ impl ConnSink {
     }
 
     /// Marks the sink dead, releases the buffer, and shuts the transport
-    /// down (which surfaces as a hangup on the owning loop).
+    /// down (which surfaces as a hangup to the turn).
     fn close(&self) {
         if let SinkRoute::Queued { state, .. } = &self.route {
             let mut st = state.lock();
@@ -392,10 +419,9 @@ impl ConnSink {
     fn close_locked(&self, st: &mut SinkState) {
         st.closed = true;
         self.metrics.write_queue_bytes.sub(st.queued() as u64);
-        st.out = None;
-        st.written = 0;
+        st.release();
         // Waking the peer: shutdown makes the fd readable-with-EOF, so
-        // the owning loop notices and runs the teardown path. EPOLLERR
+        // a turn notices and runs the teardown path. EPOLLERR
         // and EPOLLHUP are always delivered regardless of interest.
         let _ = self.transport.shutdown();
     }
@@ -415,53 +441,56 @@ enum ConnKind {
     Channel,
 }
 
-/// One event-loop-owned connection: the client (whose sink is the write
-/// side) plus the read buffer, keyed by the client id (which doubles as
-/// the epoll token).
+/// One event-core-owned connection: the client (whose sink is the write
+/// side), the read buffer and the turn, keyed by the client id (which
+/// doubles as the epoll token).
 struct Conn {
     client: Arc<ClientHandle>,
     kind: ConnKind,
     /// Fd conns: bytes read off the socket but not yet handed up.
-    /// `None` between bursts that ended with nothing left over.
+    /// `None` between bursts that ended with nothing left over. Only the
+    /// thread running the turn touches it.
     reader: Mutex<Option<FrameBuf<PooledBuf>>>,
-    /// On the ready list: set by whoever queues the connection (the
-    /// channel notifier, or the loop itself for frames left buffered),
-    /// cleared by the drain — one queued wakeup at a time.
-    ready_pending: Arc<AtomicBool>,
-    /// First closer wins; everything else becomes a no-op.
-    closing: AtomicBool,
+    /// Fd conns: the peer sends nothing more. Its end-of-stream follows
+    /// what the socket holds with no edge of its own, so the turn reads
+    /// until it instead of stopping at a short read. Set before the
+    /// event that saw it arrives at the turn, whose lock orders the store
+    /// before the pass that acts on that event — hence `Relaxed`.
+    read_closed: AtomicBool,
+    /// Who runs the connection's turn, what it owes, whether it is on
+    /// the ready list or torn down (`turn.rs` holds the rule).
+    turn: Mutex<Turn>,
 }
 
-struct LoopShared {
+struct Shared {
     poller: Arc<Poller>,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     /// Connections with frames to hand up that no fd event will
-    /// announce: channels flagged by their notifier, and sockets with
-    /// complete frames left in their read buffer.
+    /// announce: channels flagged by their notifier, sockets a turn's
+    /// frame budget left with frames buffered or unread, and sockets
+    /// just published.
     ready: Mutex<Vec<u64>>,
     shutdown: AtomicBool,
-    /// Set when the loop thread dies on a poller error: `claim` skips
-    /// dead loops so new connections never land on a poller nothing
-    /// waits on.
+    /// Set when the poller fails: `claim` hands out no more connections.
     dead: AtomicBool,
     /// Weak, so the core (owned by the server) never keeps it alive.
     server: Weak<Server>,
     metrics: Arc<EventLoopMetrics>,
 }
 
-/// A loop's hold on a connection being admitted: the loop that will own
-/// it and, for a socket, the fd — already registered with that loop's
-/// poller under `token`, and skipped by the loop until
-/// [`Claim::publish`] puts the connection in its map.
+/// The event core's hold on a connection being admitted: for a socket,
+/// the fd — already registered with the poller under `token`, and
+/// skipped by the event threads until [`Claim::publish`] puts the
+/// connection in the map.
 pub(crate) struct Claim {
-    shared: Arc<LoopShared>,
+    shared: Arc<Shared>,
     kind: ConnKind,
     token: u64,
 }
 
 impl Claim {
-    /// Hands the admitted client to its loop, which reads its frames from
-    /// here on.
+    /// Hands the admitted client to the event threads, which read its
+    /// frames from here on.
     pub(crate) fn publish(self, client: Arc<ClientHandle>) {
         let Claim {
             shared,
@@ -472,40 +501,43 @@ impl Claim {
             client,
             kind,
             reader: Mutex::new(None),
-            ready_pending: Arc::new(AtomicBool::new(false)),
-            closing: AtomicBool::new(false),
+            read_closed: AtomicBool::new(false),
+            turn: Mutex::new(Turn::default()),
         });
         shared.conns.lock().insert(token, Arc::clone(&conn));
         shared.metrics.registered_fds.inc();
-        if let ConnKind::Channel = conn.kind {
-            let flag = Arc::clone(&conn.ready_pending);
-            let weak: Weak<LoopShared> = Arc::downgrade(&shared);
-            // The notifier fires immediately if frames are already
-            // waiting, so publishing cannot miss a wakeup.
-            conn.client
-                .transport
-                .set_ready_notifier(Some(Arc::new(move || {
-                    if !flag.swap(true, Ordering::AcqRel) {
-                        if let Some(shared) = weak.upgrade() {
-                            shared.ready.lock().push(token);
-                            shared.poller.wake();
+        match conn.kind {
+            ConnKind::Channel => {
+                let (weak_shared, weak_conn) = (Arc::downgrade(&shared), Arc::downgrade(&conn));
+                // The notifier fires immediately if frames are already
+                // waiting, so publishing cannot miss a wakeup.
+                conn.client
+                    .transport
+                    .set_ready_notifier(Some(Arc::new(move || {
+                        if let (Some(shared), Some(conn)) =
+                            (weak_shared.upgrade(), weak_conn.upgrade())
+                        {
+                            EventCore::list(&shared, &conn);
                         }
-                    }
-                })));
+                    })));
+            }
+            // Readiness the socket had before its connection was in the
+            // map went to a thread that skipped it, and an edge is not
+            // reported twice: the first turn comes off the ready list.
+            ConnKind::Fd(_) => EventCore::list(&shared, &conn),
         }
     }
 }
 
-/// The event cores of one server: N loop threads, each with its own
-/// poller and connection map.
+/// The event core of one server: one poller, and `event_threads` threads
+/// waiting on it.
 pub(crate) struct EventCore {
-    loops: Vec<Arc<LoopShared>>,
+    shared: Arc<Shared>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next_loop: AtomicUsize,
 }
 
 impl EventCore {
-    /// Starts the loop threads. Fails where epoll is unavailable — the
+    /// Starts the event threads. Fails where epoll is unavailable — the
     /// server then serves every connection on a reader thread.
     pub(crate) fn start(
         server_name: &str,
@@ -513,54 +545,47 @@ impl EventCore {
         server: Weak<Server>,
         metrics: Arc<EventLoopMetrics>,
     ) -> io::Result<EventCore> {
-        let threads_wanted = event_threads.max(1);
-        let mut loops = Vec::with_capacity(threads_wanted);
-        let mut handles = Vec::with_capacity(threads_wanted);
-        for i in 0..threads_wanted {
-            let shared = Arc::new(LoopShared {
-                poller: Arc::new(Poller::new()?),
-                conns: Mutex::new(HashMap::new()),
-                ready: Mutex::new(Vec::new()),
-                shutdown: AtomicBool::new(false),
-                dead: AtomicBool::new(false),
-                server: server.clone(),
-                metrics: Arc::clone(&metrics),
-            });
-            let run_shared = Arc::clone(&shared);
+        let shared = Arc::new(Shared {
+            poller: Arc::new(Poller::new()?),
+            conns: Mutex::new(HashMap::new()),
+            ready: Mutex::new(Vec::new()),
+            shutdown: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            server,
+            metrics,
+        });
+        let core = EventCore {
+            shared,
+            threads: Mutex::new(Vec::new()),
+        };
+        for i in 0..event_threads.max(1) {
+            let shared = Arc::clone(&core.shared);
             let handle = std::thread::Builder::new()
                 .name(format!("{server_name}-evloop-{i}"))
-                .spawn(move || Self::run(&run_shared))
-                .map_err(|e| io::Error::other(format!("spawning event loop: {e}")))?;
-            loops.push(shared);
-            handles.push(handle);
+                .spawn(move || Self::run(&shared))
+                .map_err(|e| io::Error::other(format!("spawning event thread: {e}")))?;
+            core.threads.lock().push(handle);
         }
-        Ok(EventCore {
-            loops,
-            threads: Mutex::new(handles),
-            next_loop: AtomicUsize::new(0),
-        })
+        Ok(core)
     }
 
-    /// Picks a loop for a connection being admitted as `token` and, for
-    /// a socket, registers its fd there. `None` when no loop can own it —
-    /// a transport with no readiness surface, a stopped core, or a failed
-    /// registration — and the connection gets a reader thread instead.
+    /// Registers a connection being admitted as `token` — a socket's fd
+    /// with the poller. `None` when the event threads cannot own it — a
+    /// transport with no readiness surface, a stopped or failed core, or
+    /// a failed registration — and the connection gets a reader thread
+    /// instead.
     pub(crate) fn claim(&self, transport: &Arc<dyn Transport>, token: u64) -> Option<Claim> {
-        // Round-robin across loops that are still alive: a loop whose
-        // poller failed is marked dead and skipped, so new connections
-        // never land on a poller no thread waits on.
-        let start = self.next_loop.fetch_add(1, Ordering::Relaxed);
-        let shared = (0..self.loops.len())
-            .map(|i| &self.loops[(start + i) % self.loops.len()])
-            .find(|l| !l.shutdown.load(Ordering::Acquire) && !l.dead.load(Ordering::Acquire))?;
+        let shared = &self.shared;
+        if shared.shutdown.load(Ordering::Acquire) || shared.dead.load(Ordering::Acquire) {
+            return None;
+        }
         let kind = match transport.readiness() {
             Readiness::Fd(fd) => {
                 transport.set_nonblocking(true).ok()?;
-                // The loop cannot act on this fd before `publish`: it
-                // skips tokens absent from its conn map, and
-                // level-triggered epoll re-reports the readiness on the
-                // next wait. If epoll_ctl fails the socket goes back to
-                // blocking mode for its reader thread.
+                // No thread acts on this fd before `publish`: they skip
+                // tokens absent from the map, and `publish` lists the
+                // connection for its first turn. If epoll_ctl fails the
+                // socket goes back to blocking mode for its reader thread.
                 if shared.poller.register(fd, token, true, false).is_err() {
                     let _ = transport.set_nonblocking(false);
                     return None;
@@ -579,16 +604,12 @@ impl EventCore {
 
     /// Blocks until every connection's write queue is empty or the
     /// timeout passes — the graceful half of shutdown: in-flight replies
-    /// reach the wire before the loops stop.
+    /// reach the wire before the event threads stop.
     pub(crate) fn drain(&self, timeout: Duration) {
         let deadline = Instant::now() + timeout;
         loop {
-            let pending: usize = self
-                .loops
-                .iter()
-                .flat_map(|l| l.conns.lock().values().cloned().collect::<Vec<_>>())
-                .map(|c| c.client.sink.queued_bytes())
-                .sum();
+            let conns: Vec<Arc<Conn>> = self.shared.conns.lock().values().cloned().collect();
+            let pending: usize = conns.iter().map(|c| c.client.sink.queued_bytes()).sum();
             if pending == 0 || Instant::now() >= deadline {
                 return;
             }
@@ -596,86 +617,164 @@ impl EventCore {
         }
     }
 
-    /// Stops the loop threads and tears down every remaining connection
+    /// Stops the event threads and tears down every remaining connection
     /// (removing each from the server's client table).
     pub(crate) fn stop(&self) {
-        for shared in &self.loops {
-            shared.shutdown.store(true, Ordering::Release);
-            shared.poller.wake();
-        }
+        let shared = &self.shared;
+        shared.shutdown.store(true, Ordering::Release);
+        // One wake reaches one waiter; each passes it on as it leaves.
+        shared.poller.wake();
         for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
         }
-        for shared in &self.loops {
-            let conns: Vec<Arc<Conn>> = shared.conns.lock().values().cloned().collect();
-            for conn in conns {
-                Self::teardown(shared, &conn);
-            }
+        let conns: Vec<Arc<Conn>> = shared.conns.lock().values().cloned().collect();
+        for conn in &conns {
+            Self::close(shared, conn);
         }
     }
 
-    fn run(shared: &Arc<LoopShared>) {
-        let mut events: Vec<PollEvent> = Vec::with_capacity(256);
+    fn run(shared: &Arc<Shared>) {
+        // One event per wait: a thread that keeps a call — and then
+        // blocks in it — holds no other readiness; what else is ready
+        // stays with the poller for the next waiter.
+        let mut events = Events::with_capacity(1);
+        let mut listed: Vec<u64> = Vec::new();
         loop {
-            events.clear();
             if shared.shutdown.load(Ordering::Acquire) {
+                // One wake reaches one waiter: pass the stop on.
+                shared.poller.wake();
                 return;
             }
             if let Err(e) = shared.poller.wait(&mut events, None) {
-                // A broken poller strands every connection this loop
-                // owns. Mark the loop dead first (claim() skips dead
-                // loops), surface the error, then tear the connections
-                // down so clients see a close instead of a black hole.
-                shared.dead.store(true, Ordering::Release);
-                if !shared.shutdown.load(Ordering::Acquire) {
-                    if let Some(server) = shared.server.upgrade() {
-                        server.log_error(&format!(
-                            "event loop poller failed: {e}; its connections were closed and \
-                             new connections go to the remaining loops"
-                        ));
-                    }
-                }
-                let conns: Vec<Arc<Conn>> = shared.conns.lock().values().cloned().collect();
-                for conn in &conns {
-                    Self::teardown(shared, conn);
-                }
+                Self::fail(shared, &e);
                 return;
             }
             shared.metrics.wakeups.inc();
             shared.metrics.ready_events.add(events.len() as u64);
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            for ev in &events {
+            for ev in events.iter() {
                 if ev.token == WAKE_TOKEN {
-                    Self::drain_ready(shared);
+                    if shared.shutdown.load(Ordering::Acquire) {
+                        break;
+                    }
+                    // Only the last turn off the list may keep a call:
+                    // one that blocks strands no listed connection.
+                    listed.append(&mut shared.ready.lock());
+                    let last = listed.len().saturating_sub(1);
+                    for (i, id) in listed.drain(..).enumerate() {
+                        let conn = shared.conns.lock().get(&id).cloned();
+                        if let Some(conn) = conn {
+                            Self::turn(shared, &conn, None, i == last);
+                        }
+                    }
                     continue;
                 }
                 let conn = shared.conns.lock().get(&ev.token).cloned();
                 let Some(conn) = conn else { continue };
-                let mut keep = true;
-                let mut turn = ev.readable || ev.hangup;
-                if ev.writable {
-                    keep = conn.client.sink.flush();
-                    // A flush may have resumed paused reads: start with
-                    // what is buffered, which no fd event will announce.
-                    turn |= conn.reader.lock().is_some();
+                if ev.read_closed {
+                    conn.read_closed.store(true, Ordering::Relaxed);
                 }
-                if keep && turn {
-                    keep = Self::handle_readable(shared, &conn, ev.hangup);
-                }
-                if !keep {
-                    Self::teardown(shared, &conn);
-                }
+                Self::turn(shared, &conn, Some(ready_of(&ev)), true);
             }
         }
     }
 
-    /// One turn of an fd connection: hands up what is buffered, reads
-    /// the socket for more, wakes workers for the turn's pooled calls and
+    /// A broken poller strands every connection: no more are claimed,
+    /// the error is surfaced once, and the connections are torn down so
+    /// clients see a close instead of a black hole.
+    fn fail(shared: &Arc<Shared>, e: &io::Error) {
+        if shared.dead.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        if !shared.shutdown.load(Ordering::Acquire) {
+            if let Some(server) = shared.server.upgrade() {
+                server.log_error(&format!(
+                    "event poller failed: {e}; its connections were closed and new \
+                     connections get reader threads"
+                ));
+            }
+        }
+        let conns: Vec<Arc<Conn>> = shared.conns.lock().values().cloned().collect();
+        for conn in &conns {
+            Self::close(shared, conn);
+        }
+    }
+
+    /// Readiness for `conn` reached this thread: an fd event, or
+    /// (`None`) its ready-list entry. Runs the connection's turn unless
+    /// another thread does — which then acts on this readiness too — and,
+    /// with the turn released, settles the call the turn kept: run here
+    /// if another thread still waits on the poller (so a call that
+    /// blocks stalls no connection), queued for the pool if not.
+    fn turn(shared: &Arc<Shared>, conn: &Arc<Conn>, ready: Option<Ready>, may_keep: bool) {
+        // Without the server its core is being dropped: no turn.
+        let Some(server) = shared.server.upgrade() else {
+            return;
+        };
+        let handed = match ready {
+            Some(ready) => conn.turn.lock().arrive(ready),
+            None => conn.turn.lock().unlist(),
+        };
+        let Some(mut ready) = handed else { return };
+        let mut calls = Calls::new(&server, may_keep);
+        loop {
+            if !Self::act(shared, &server, conn, ready, &mut calls) {
+                Self::close(shared, conn);
+            }
+            match conn.turn.lock().finish() {
+                Some(owed) => ready = owed,
+                None => break,
+            }
+        }
+        let Some(call) = calls.into_kept() else {
+            return;
+        };
+        if shared.poller.waiting() > 0 {
+            shared.metrics.kept_calls.inc();
+            server.run_kept(call);
+        } else {
+            server.queue(call);
+        }
+    }
+
+    /// One pass of a turn: acts on `ready`. Returns whether the
+    /// connection survives.
+    fn act(
+        shared: &Arc<Shared>,
+        server: &Arc<Server>,
+        conn: &Arc<Conn>,
+        ready: Ready,
+        calls: &mut Calls<'_>,
+    ) -> bool {
+        if let ConnKind::Channel = conn.kind {
+            let alive = Self::drain_channel(shared, server, conn, calls);
+            calls.wake();
+            return alive;
+        }
+        let mut alive = true;
+        let mut read = ready.readable || ready.hangup;
+        if ready.writable {
+            alive = conn.client.sink.flush();
+            // A flush may have resumed paused reads: start with what is
+            // buffered, which no fd event will announce.
+            read |= conn.reader.lock().is_some();
+        }
+        if alive && read {
+            alive = Self::handle_readable(shared, server, conn, ready.hangup, calls);
+        }
+        alive
+    }
+
+    /// An fd connection's read pass: hands up what is buffered, reads
+    /// the socket for more, wakes workers for the pass's queued calls and
     /// sends gathered replies off. Returns whether the connection
     /// survives.
-    fn handle_readable(shared: &Arc<LoopShared>, conn: &Arc<Conn>, hangup: bool) -> bool {
+    fn handle_readable(
+        shared: &Arc<Shared>,
+        server: &Arc<Server>,
+        conn: &Arc<Conn>,
+        hangup: bool,
+        calls: &mut Calls<'_>,
+    ) -> bool {
         if conn.client.sink.reads_paused() {
             // Backpressure: nothing more is read or handed up until the
             // backlog drains. A peer that is gone will never drain it.
@@ -686,40 +785,45 @@ impl EventCore {
             .take()
             .unwrap_or_else(|| FrameBuf::new(BufferPool::global().get()));
         let mut corked = false;
-        let mut batch = None;
-        let mut keep = Self::read_burst(shared, conn, &mut buf, &mut corked, &mut batch);
+        let burst = Self::read_burst(shared, server, conn, &mut buf, &mut corked, calls);
         // The burst's wakes, just before its one write: a worker that
         // gets the CPU at once has its reply gathered into that write.
-        drop(batch);
+        calls.wake();
+        let mut alive = burst.is_some();
         if corked {
-            keep &= conn.client.sink.uncork();
+            alive &= conn.client.sink.uncork();
         }
-        if keep && !buf.is_empty() {
-            // Frames the budget (or a pause the gathered write has just
-            // lifted) left behind get their turn off the ready list;
-            // frames held back by a pause wait for the flush.
-            if buf.has_frame() && !conn.client.sink.reads_paused() {
-                Self::queue_ready(shared, conn);
+        if alive {
+            // Frames the budget left — in the buffer, or unread in the
+            // socket, which an edge-triggered fd does not announce again
+            // — get their turn off the ready list (a pause the gathered
+            // write has just lifted included); frames held back by a
+            // pause wait for the flush.
+            let unread = burst == Some(true);
+            if (unread || buf.has_frame()) && !conn.client.sink.reads_paused() {
+                Self::list(shared, conn);
             }
-            *slot = Some(buf);
+            if !buf.is_empty() {
+                *slot = Some(buf);
+            }
         }
-        keep
+        alive
     }
 
     /// Hands up complete frames and reads until the socket is drained
     /// (a short read), the frame budget is spent, backpressure pauses
-    /// the connection, or it dies.
+    /// the connection, or it dies. `None` when it died; otherwise whether
+    /// the socket may still hold bytes no edge will announce.
     fn read_burst(
-        shared: &Arc<LoopShared>,
+        shared: &Arc<Shared>,
+        server: &Arc<Server>,
         conn: &Arc<Conn>,
         buf: &mut FrameBuf<PooledBuf>,
         corked: &mut bool,
-        batch: &mut Option<PoolBatch>,
-    ) -> bool {
-        let Some(server) = shared.server.upgrade() else {
-            return false;
-        };
+        calls: &mut Calls<'_>,
+    ) -> Option<bool> {
         let metrics = &shared.metrics;
+        let to_the_end = conn.read_closed.load(Ordering::Relaxed);
         let mut frames = 0;
         let mut drained = false;
         loop {
@@ -727,83 +831,70 @@ impl EventCore {
                 let (body, more) = match buf.next_frame() {
                     Ok(Some(frame)) => frame,
                     Ok(None) => break,
-                    Err(_) => return false, // protocol garbage
+                    Err(_) => return None, // protocol garbage
                 };
                 if !*corked && (more || frames > 0) {
-                    // A burst: gather its replies into one write.
+                    // A burst: gather its replies into one write, and
+                    // keep no call.
                     conn.client.sink.cork();
                     *corked = true;
+                    calls.burst();
                 }
                 metrics.frames_in.inc();
-                if !server.process_frame(&conn.client, body, batch) {
-                    return false;
+                if !server.process_frame(&conn.client, body, calls) {
+                    return None;
                 }
                 frames += 1;
                 if frames >= MAX_FRAMES_PER_EVENT || conn.client.sink.reads_paused() {
-                    return true;
+                    return Some(!drained);
                 }
             }
             if drained {
-                return true;
+                return Some(false);
             }
             let read = buf.fill(|space| {
                 metrics.read_calls.inc();
                 conn.client.transport.try_read(space)
             });
             match read {
-                Ok(0) => return false, // EOF (mid-frame or not)
-                // Level-triggered epoll announces whatever comes after a
-                // short read; only a full buffer is worth another try.
-                Ok(_) => drained = !buf.is_full(),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Ok(0) => return None, // EOF (mid-frame or not)
+                // A short read drained the socket: whatever arrives
+                // after it is a new edge. Only a full buffer — or a
+                // stream whose end is still to be read — is worth
+                // another try.
+                Ok(_) => drained = !buf.is_full() && !to_the_end,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Some(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return false, // socket error or a bad prefix
+                Err(_) => return None, // socket error or a bad prefix
             }
         }
     }
 
-    /// Puts `conn` on the ready list (once) and wakes the loop for it.
-    fn queue_ready(shared: &Arc<LoopShared>, conn: &Arc<Conn>) {
-        if !conn.ready_pending.swap(true, Ordering::AcqRel) {
+    /// Puts `conn` on the ready list (once) and wakes a thread for it.
+    fn list(shared: &Shared, conn: &Conn) {
+        if conn.turn.lock().list() {
             shared.ready.lock().push(conn.client.id);
             shared.poller.wake();
         }
     }
 
-    /// Gives every connection on the ready list one turn. Whoever
-    /// queues a connection wakes the poller *after* pushing it, so one
-    /// pass per wake-up loses nothing — and a connection that re-queues
-    /// itself waits behind the fds of the next `epoll_wait`.
-    fn drain_ready(shared: &Arc<LoopShared>) {
-        let ids: Vec<u64> = std::mem::take(&mut *shared.ready.lock());
-        for id in ids {
-            let conn = shared.conns.lock().get(&id).cloned();
-            let Some(conn) = conn else { continue };
-            // Clear before the turn: a frame arriving mid-turn re-flags
-            // and re-queues rather than getting lost.
-            conn.ready_pending.store(false, Ordering::Release);
-            let keep = match conn.kind {
-                ConnKind::Fd(_) => Self::handle_readable(shared, &conn, false),
-                ConnKind::Channel => Self::drain_one_channel(shared, &conn),
-            };
-            if !keep {
-                Self::teardown(shared, &conn);
-            }
-        }
-    }
-
-    /// One turn of a channel connection; its pooled calls get their wake
-    /// when `batch` drops, on return.
-    fn drain_one_channel(shared: &Arc<LoopShared>, conn: &Arc<Conn>) -> bool {
-        let Some(server) = shared.server.upgrade() else {
-            return false;
-        };
-        let mut batch = None;
-        for _ in 0..MAX_FRAMES_PER_EVENT {
+    /// One pass of a channel connection, up to the frame budget; a
+    /// budget spent with frames still queued puts it back on the ready
+    /// list, behind the other connections.
+    fn drain_channel(
+        shared: &Arc<Shared>,
+        server: &Arc<Server>,
+        conn: &Arc<Conn>,
+        calls: &mut Calls<'_>,
+    ) -> bool {
+        for handed in 0..MAX_FRAMES_PER_EVENT {
             match conn.client.transport.try_recv_frame() {
                 Ok(Some(body)) => {
+                    if handed == 1 {
+                        calls.burst();
+                    }
                     shared.metrics.frames_in.inc();
-                    if !server.process_frame(&conn.client, &body, &mut batch) {
+                    if !server.process_frame(&conn.client, &body, calls) {
                         return false;
                     }
                 }
@@ -811,14 +902,14 @@ impl EventCore {
                 Err(_) => return false, // peer closed
             }
         }
-        // Budget spent with frames still queued: self-requeue so other
-        // connections get a turn first.
-        Self::queue_ready(shared, conn);
+        Self::list(shared, conn);
         true
     }
 
-    fn teardown(shared: &Arc<LoopShared>, conn: &Arc<Conn>) {
-        if conn.closing.swap(true, Ordering::AcqRel) {
+    /// Tears `conn` down if nobody has yet: whoever notices the death
+    /// first (the turn's owner) or the stop.
+    fn close(shared: &Shared, conn: &Conn) {
+        if !conn.turn.lock().close() {
             return;
         }
         shared.conns.lock().remove(&conn.client.id);
@@ -827,12 +918,23 @@ impl EventCore {
         }
         conn.client.transport.set_ready_notifier(None);
         conn.client.sink.close();
+        // The read buffer (if a partial frame held one) goes back to the
+        // freelist now, not when the last thread that looked the
+        // connection up lets go of it.
+        drop(conn.reader.lock().take());
         shared.metrics.registered_fds.dec();
         if let Some(server) = shared.server.upgrade() {
             server.remove_client(conn.client.id);
         }
-        // Dropping the last Conn reference returns its read buffer (if a
-        // partial frame held one) to the freelist.
+    }
+}
+
+/// What a turn acts on for one poller event.
+fn ready_of(ev: &PollEvent) -> Ready {
+    Ready {
+        readable: ev.readable,
+        writable: ev.writable,
+        hangup: ev.hangup,
     }
 }
 

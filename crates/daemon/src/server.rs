@@ -6,14 +6,20 @@
 //! turns every accepted transport into one [`ClientHandle`] with its
 //! write side, a `ConnSink`, in one critical section with the client
 //! limit. Clients whose transports expose a readiness surface are
-//! multiplexed onto a small fixed set of epoll loop threads (see
-//! [`crate::eventloop`]); the rest get a dedicated reader thread. Either
+//! multiplexed onto a small fixed set of event threads sharing one
+//! poller (see [`crate::eventloop`]); the rest get a dedicated reader
+//! thread. Either
 //! way, every complete frame goes through `Server::process_frame` —
 //! high-priority procedures run inline (on the event thread or reader
 //! thread), so control-plane queries stay responsive when ordinary
-//! workers are wedged on a hung hypervisor call.
+//! workers are wedged on a hung hypervisor call. Every other call is a
+//! pool job: queued for a worker, or — a lone call an event thread read,
+//! while another event thread still watches the poller — run by the
+//! thread that read it ([`Calls`]).
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -55,8 +61,16 @@ pub trait ProgramDispatcher: Send + Sync + 'static {
     /// Whether a procedure may run on priority workers.
     fn is_high_priority(&self, procedure: u32) -> bool;
 
-    /// Executes one call, returning the reply packet. Must not panic.
+    /// Executes one call, returning the reply packet. Must not panic; a
+    /// pooled call that does is answered with an error naming it.
     fn dispatch(&self, client: &Arc<ClientHandle>, header: Header, payload: &[u8]) -> Packet;
+
+    /// The procedure's name, for messages about it; `None` where the
+    /// program has no table of names.
+    fn procedure_name(&self, procedure: u32) -> Option<&'static str> {
+        let _ = procedure;
+        None
+    }
 
     /// Invoked when a client disconnects (cleanup of per-client state).
     fn on_disconnect(&self, client_id: u64);
@@ -170,6 +184,76 @@ virt_metrics::metric_set! {
             "Keepalive pings answered inline, never queued behind the pool";
         bytes_in: Counter = "bytes_in", "Frame payload bytes received from clients";
         bytes_out: Counter = "bytes_out", "Frame payload bytes sent to clients";
+        panics: Counter = "panics",
+            "Pooled calls whose dispatcher panicked, answered with an error reply";
+    }
+}
+
+/// One pooled call, owning its bytes: it runs after the buffer it was
+/// read from is reused, on whichever thread takes it.
+pub(crate) struct PooledCall {
+    client: Arc<ClientHandle>,
+    header: Header,
+    payload: Vec<u8>,
+    received: Instant,
+}
+
+/// The pooled calls of one turn. An event thread's turn holds back its
+/// first pooled call ([`Calls::new`] with `keep`), for the thread to run
+/// itself once the turn is over if another event thread still watches
+/// the poller — unless the turn turns out to be a burst of several
+/// frames ([`Calls::burst`]). The rest, and every pooled call of a
+/// reader thread, are queued in one [`PoolBatch`], whose wakes go out at
+/// [`Calls::wake`] (or when the value drops).
+pub(crate) struct Calls<'s> {
+    server: &'s Arc<Server>,
+    keep: bool,
+    kept: Option<PooledCall>,
+    batch: Option<PoolBatch>,
+}
+
+impl<'s> Calls<'s> {
+    /// The calls of a turn; `keep` holds back its first pooled call.
+    pub(crate) fn new(server: &'s Arc<Server>, keep: bool) -> Calls<'s> {
+        Calls {
+            server,
+            keep,
+            kept: None,
+            batch: None,
+        }
+    }
+
+    fn push(&mut self, call: PooledCall) {
+        if self.keep && self.kept.is_none() {
+            self.kept = Some(call);
+            return;
+        }
+        let server = Arc::clone(self.server);
+        self.batch
+            .get_or_insert_with(|| self.server.pool.batch())
+            .push(move || server.dispatch_pooled(call));
+    }
+
+    /// The turn hands up several frames at once: its client has more
+    /// calls in flight, whose next burst needs a thread while this one
+    /// would run the kept call — a hop all the same. So the turn keeps
+    /// nothing, and a call it held back joins the batch, still first.
+    pub(crate) fn burst(&mut self) {
+        self.keep = false;
+        if let Some(call) = self.kept.take() {
+            self.push(call);
+        }
+    }
+
+    /// The burst is handed up: wakes workers for the queued calls.
+    pub(crate) fn wake(&mut self) {
+        self.batch = None;
+    }
+
+    /// The call held back, for the thread that read it to settle
+    /// ([`Server::run_kept`] or [`Server::queue`]).
+    pub(crate) fn into_kept(mut self) -> Option<PooledCall> {
+        self.kept.take()
     }
 }
 
@@ -248,7 +332,8 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Creates a server with the given pool limits and dispatcher, its
-    /// connections spread round-robin over `event_threads` event loops.
+    /// connections served by `event_threads` threads waiting on one
+    /// poller.
     ///
     /// # Errors
     ///
@@ -537,17 +622,17 @@ impl Server {
     }
 
     /// Handles one complete frame body from `client` — keepalive and
-    /// high-priority procedures inline, everything else queued in
-    /// `batch` (opened here on the turn's first pooled call), whose drop
-    /// at the end of the caller's turn wakes workers. Returns whether to
-    /// keep the connection (protocol garbage drops it). Shared by the
-    /// event loops and reader threads, and the one place received
-    /// payload bytes are counted.
+    /// high-priority procedures inline, everything else into the turn's
+    /// `calls`: held back if it is the first of a turn that keeps one,
+    /// queued in the turn's batch otherwise. Returns whether to keep the
+    /// connection (protocol garbage drops it). Shared by the event
+    /// threads and reader threads, and the one place received payload
+    /// bytes are counted.
     pub(crate) fn process_frame(
-        &self,
+        self: &Arc<Self>,
         client: &Arc<ClientHandle>,
         body: &[u8],
-        batch: &mut Option<PoolBatch>,
+        calls: &mut Calls<'_>,
     ) -> bool {
         self.metrics.bytes_in.add(body.len() as u64);
         // The header is decoded in place; the payload stays a slice of
@@ -593,8 +678,8 @@ impl Server {
         // notice disconnects on its other connections.
         //
         // That leaves the pool's priority workers with nothing to do: the
-        // batch below is the daemon's only way into the pool and takes
-        // ordinary jobs only, so they sit parked — 5 on the main server,
+        // daemon hands the pool ordinary jobs only (a turn's batch, or a
+        // call kept or queued after the turn), so they sit parked — 5 on the main server,
         // 1 on the admin server, whose dispatcher classes every procedure
         // high-priority and so never reaches its pool at all. They are
         // kept only because the benchmark package still names
@@ -612,34 +697,88 @@ impl Server {
             return true;
         }
 
-        // The pooled path crosses a thread hop, so it alone must own its
-        // bytes.
-        let payload = payload.to_vec();
-        let dispatcher = Arc::clone(&self.dispatcher);
-        let job_client = Arc::clone(client);
-        let received = Instant::now();
-        let batch = batch.get_or_insert_with(|| self.pool.batch());
-        batch.push(move || {
-            // Re-enter the wire trace on the worker: the dispatch span
-            // becomes a child of the client's stub span, and the time
-            // this closure sat in the pool queue is attributed as a
-            // queue-wait stage.
-            let _trace = span::server_enter(
-                header.trace_id,
-                header.parent_span,
-                u64::from(header.procedure),
-            );
-            span::record_span_since(Stage::QueueWait, received, 0);
-            let reply = dispatcher.dispatch(&job_client, header, &payload);
-            debug_assert_eq!(reply.header.serial, header.serial);
-            debug_assert!(matches!(
-                reply.header.status,
-                MessageStatus::Ok | MessageStatus::Error
-            ));
-            let _write = span::stage(Stage::ReplyWrite);
-            let _ = job_client.send(&reply);
+        // A pooled call runs after this turn, so it owns its bytes.
+        calls.push(PooledCall {
+            client: Arc::clone(client),
+            header,
+            payload: payload.to_vec(),
+            received: Instant::now(),
         });
         true
+    }
+
+    /// Runs a turn's kept call on this thread, as a pool job (its wait,
+    /// run time and completion are the pool's; shutdown waits for it).
+    pub(crate) fn run_kept(&self, call: PooledCall) {
+        self.pool
+            .run_kept(call.received, || self.dispatch_pooled(call));
+    }
+
+    /// Queues a turn's kept call for a worker after all — no other event
+    /// thread was left watching the poller.
+    pub(crate) fn queue(self: &Arc<Self>, call: PooledCall) {
+        let server = Arc::clone(self);
+        self.pool
+            .submit(false, move || server.dispatch_pooled(call));
+    }
+
+    /// A pooled call, on whichever thread runs it. A dispatcher that
+    /// panics costs no thread: the caller gets an error reply naming the
+    /// procedure and the panic, and the daemon's log a line.
+    fn dispatch_pooled(&self, call: PooledCall) {
+        let PooledCall {
+            client,
+            header,
+            payload,
+            received,
+        } = call;
+        // Re-enter the wire trace here: the dispatch span becomes a child
+        // of the client's stub span, and the time since the frame was
+        // read is attributed as a queue-wait stage.
+        let _trace = span::server_enter(
+            header.trace_id,
+            header.parent_span,
+            u64::from(header.procedure),
+        );
+        span::record_span_since(Stage::QueueWait, received, 0);
+        let dispatched = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.dispatcher.dispatch(&client, header, &payload)
+        }));
+        let reply = match dispatched {
+            Ok(reply) => reply,
+            Err(panic) => self.panicked(client.id, header, panic.as_ref()),
+        };
+        debug_assert_eq!(reply.header.serial, header.serial);
+        debug_assert!(matches!(
+            reply.header.status,
+            MessageStatus::Ok | MessageStatus::Error
+        ));
+        let _write = span::stage(Stage::ReplyWrite);
+        let _ = client.send(&reply);
+    }
+
+    /// Counts and logs a dispatcher's panic; returns the caller's reply.
+    fn panicked(&self, client_id: u64, header: Header, panic: &(dyn Any + Send)) -> Packet {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a panic without a message".to_string());
+        let procedure = match self.dispatcher.procedure_name(header.procedure) {
+            Some(name) => format!("{name} ({})", header.procedure),
+            None => format!("procedure {}", header.procedure),
+        };
+        self.metrics.panics.inc();
+        self.log_error(&format!(
+            "client {client_id} {procedure} panicked: {message}"
+        ));
+        Packet::new(
+            header.reply_error(),
+            &RpcError::new(
+                virt_core::ErrorCode::Internal.as_u32(),
+                format!("{procedure} panicked: {message}"),
+            ),
+        )
     }
 
     /// Removes a client from the table, firing the dispatcher's
@@ -663,9 +802,10 @@ impl Server {
             if client.transport.recv_frame_into(&mut frame).is_err() {
                 break;
             }
-            // A reader thread's turn is one frame: the batch drops, and
-            // its call gets a worker, before the next blocking read.
-            if !self.process_frame(&client, &frame, &mut None) {
+            // A reader thread's turn is one frame, and it keeps no call:
+            // the batch drops, and its call gets a worker, before the
+            // next blocking read.
+            if !self.process_frame(&client, &frame, &mut Calls::new(&self, false)) {
                 break;
             }
         }
@@ -688,8 +828,9 @@ impl Server {
         for listener in services {
             listener.close();
         }
-        // 2. Let running jobs finish; their replies land in the sinks
-        //    (queued jobs that never started are dropped).
+        // 2. Let running jobs finish, on workers and kept by event
+        //    threads; their replies land in the sinks (queued jobs that
+        //    never started are dropped).
         self.pool.shutdown();
         // 3. Drain queued replies to the wire while the loops still run.
         if let Some(core) = &self.event_core {
@@ -702,7 +843,7 @@ impl Server {
             let _ = client.send(&bye);
             let _ = client.transport.shutdown();
         }
-        // 5. Flush any byes that queued, then stop the loop threads and
+        // 5. Flush any byes that queued, then stop the event threads and
         //    tear down what remains.
         if let Some(core) = &self.event_core {
             core.drain(Duration::from_millis(250));
@@ -720,12 +861,43 @@ mod tests {
     use virt_rpc::CallClient;
 
     /// Echo dispatcher: replies with the request payload; procedure 7 is
-    /// high priority; procedure 99 blocks until told to stop (a "hung
+    /// high priority; procedure 99 blocks while the gate is shut (a "hung
     /// hypervisor call").
     #[derive(Default)]
     struct EchoDispatcher {
-        hang_until: Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+        gate: Gate,
         disconnects: Mutex<Vec<u64>>,
+    }
+
+    /// Holds every call that reaches it while shut.
+    #[derive(Default)]
+    struct Gate {
+        shut: Mutex<bool>,
+        opened: parking_lot::Condvar,
+        /// Calls held right now.
+        held: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Gate {
+        fn shut(&self) {
+            *self.shut.lock() = true;
+        }
+
+        fn open(&self) {
+            *self.shut.lock() = false;
+            self.opened.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut shut = self.shut.lock();
+            if *shut {
+                self.held.fetch_add(1, Ordering::SeqCst);
+                while *shut {
+                    self.opened.wait(&mut shut);
+                }
+                self.held.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
     }
 
     impl ProgramDispatcher for EchoDispatcher {
@@ -739,9 +911,7 @@ mod tests {
 
         fn dispatch(&self, _client: &Arc<ClientHandle>, header: Header, payload: &[u8]) -> Packet {
             if header.procedure == 99 {
-                if let Some(rx) = self.hang_until.lock().take() {
-                    let _ = rx.recv();
-                }
+                self.gate.pass();
             }
             Packet {
                 header: header.reply_ok(),
@@ -1002,8 +1172,7 @@ mod tests {
     #[test]
     fn priority_procedure_completes_while_ordinary_workers_hang() {
         let dispatcher = Arc::new(EchoDispatcher::default());
-        let (hang_tx, hang_rx) = std::sync::mpsc::channel::<()>();
-        *dispatcher.hang_until.lock() = Some(hang_rx);
+        dispatcher.gate.shut();
         let server = Server::new(
             "t",
             PoolLimits {
@@ -1012,30 +1181,46 @@ mod tests {
                 priority_workers: 1,
             },
             10,
-            dispatcher,
+            dispatcher.clone(),
             2,
         )
         .unwrap();
         let client = connect(&server);
-        // Occupy the single ordinary worker with the hanging procedure
-        // from a second thread.
-        let hang_client = client.clone();
-        let hanging = std::thread::spawn(move || {
-            let _: String = hang_client
-                .call(REMOTE_PROGRAM, 99, &"hang".to_string())
-                .unwrap();
-        });
-        wait_until(
-            || server.pool_stats().free_workers == 0,
-            "ordinary worker busy",
-        );
+        // Hang ordinary calls, each from a thread of its own, until the
+        // single ordinary worker is wedged *and* an event thread holds a
+        // kept call: all the pooled capacity there is short of the last
+        // thread watching the poller.
+        let mut hanging = Vec::new();
+        let kept = || server.eventloop_metrics.kept_calls.get();
+        while !(server.pool_stats().free_workers == 0 && kept() == 1) {
+            assert!(
+                hanging.len() < 4,
+                "no worker and kept call hung after 4 calls"
+            );
+            let hang_client = client.clone();
+            hanging.push(std::thread::spawn(move || {
+                let _: String = hang_client
+                    .call(REMOTE_PROGRAM, 99, &"hang".to_string())
+                    .unwrap();
+            }));
+            let sent = hanging.len();
+            wait_until(
+                || {
+                    let held = dispatcher.gate.held.load(Ordering::SeqCst);
+                    held + server.pool_stats().job_queue_depth as usize == sent
+                },
+                "the hung call held or queued",
+            );
+        }
         // The high-priority procedure still completes.
         let reply: String = client
             .call(REMOTE_PROGRAM, 7, &"urgent".to_string())
             .unwrap();
         assert_eq!(reply, "urgent");
-        hang_tx.send(()).unwrap();
-        hanging.join().unwrap();
+        dispatcher.gate.open();
+        for hung in hanging {
+            hung.join().unwrap();
+        }
         server.shutdown();
     }
 

@@ -170,7 +170,16 @@ pub struct PooledBuf {
     pool: Arc<BufferPool>,
 }
 
-impl PooledBuf {}
+impl PooledBuf {
+    /// Empties the buffer and hands the allocator back whatever capacity
+    /// its pool would not park, so a buffer a backlog outgrew goes back
+    /// to the freelist when dropped instead of being freed (and another
+    /// allocated for the next checkout).
+    pub fn shrink_to_parked(&mut self) {
+        self.buf.clear();
+        self.buf.shrink_to(self.pool.max_buf_capacity);
+    }
+}
 
 impl Deref for PooledBuf {
     type Target = Vec<u8>;

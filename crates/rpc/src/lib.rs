@@ -71,7 +71,7 @@ pub use client::CallClient;
 pub use fanout::run_bounded;
 pub use framebuf::FrameBuf;
 pub use message::{Header, MessageStatus, MessageType, Packet, RpcError};
-pub use poll::{PollEvent, Poller};
+pub use poll::{Events, PollEvent, Poller};
 pub use pool::{PoolBatch, PoolLimits, PoolStats, WorkerPool};
 pub use reconnect::{ReconnectConfig, ReconnectMetrics, ReconnectingClient};
 pub use retry::BackoffSchedule;

@@ -7,13 +7,19 @@
 //! `Unsupported` and the server falls back to blocking reader threads,
 //! so the crate stays portable even though the fast path is Linux-only.
 //!
-//! The poller is level-triggered: a connection whose socket still holds
-//! input, or has room for queued output, keeps showing up in
-//! [`Poller::wait`] until it is drained. The daemon's loop relies on
-//! that: it stops reading at the first short read, and whatever arrives
-//! next is simply reported again.
+//! Registrations are edge-triggered, and any number of threads may wait
+//! on one poller: a readiness change — bytes arriving, room opening up
+//! for output, a hangup, an interest change that finds the fd ready —
+//! is reported once, to one waiting thread. Bytes a reader leaves in a
+//! socket are not reported again, so a reader that stops before a short
+//! read (a frame budget) must come back to the fd by itself; a short
+//! read means the socket was drained, and whatever arrives next is a
+//! new edge. [`Poller::waiting`] counts the threads inside
+//! [`Poller::wait`], so a thread can tell whether another is still
+//! watching before it takes on work that may block.
 
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Token value reserved for the internal wakeup channel. Connection
@@ -31,6 +37,10 @@ pub struct PollEvent {
     pub writable: bool,
     /// The peer hung up or the fd errored; the connection is dead.
     pub hangup: bool,
+    /// The peer will send nothing more (it shut its write side, hung up
+    /// or errored): what the socket holds ends in end-of-stream, and no
+    /// further edge announces that end — read until it.
+    pub read_closed: bool,
 }
 
 #[cfg(target_os = "linux")]
@@ -49,6 +59,7 @@ mod sys {
     pub(crate) const EPOLLERR: u32 = 0x008;
     pub(crate) const EPOLLHUP: u32 = 0x010;
     pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EPOLLET: u32 = 1 << 31;
 
     pub(crate) const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub(crate) const EFD_CLOEXEC: c_int = 0o2000000;
@@ -123,9 +134,80 @@ pub(crate) fn recv_nowait(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
     }
 }
 
+/// Caller-kept storage for the events of one [`Poller::wait`]: the
+/// kernel fills it in place, so a wait neither zero-fills nor allocates.
+pub struct Events {
+    #[cfg(target_os = "linux")]
+    buf: Vec<sys::EpollEvent>,
+}
+
+impl std::fmt::Debug for Events {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Events").field("len", &self.len()).finish()
+    }
+}
+
+impl Events {
+    /// Room for up to `capacity` events per wait (at least one).
+    pub fn with_capacity(capacity: usize) -> Events {
+        Events {
+            #[cfg(target_os = "linux")]
+            buf: Vec::with_capacity(capacity.max(1)),
+        }
+    }
+
+    /// Events the last wait delivered.
+    pub fn len(&self) -> usize {
+        #[cfg(target_os = "linux")]
+        {
+            self.buf.len()
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            0
+        }
+    }
+
+    /// Whether the last wait delivered nothing (it timed out).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The events the last wait delivered, in the kernel's order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PollEvent> + '_ {
+        #[cfg(target_os = "linux")]
+        {
+            self.buf.iter().map(|ev| {
+                let (token, bits) = (ev.data, ev.events);
+                if token == WAKE_TOKEN {
+                    return PollEvent {
+                        token,
+                        readable: false,
+                        writable: false,
+                        hangup: false,
+                        read_closed: false,
+                    };
+                }
+                PollEvent {
+                    token,
+                    readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
+                    writable: bits & sys::EPOLLOUT != 0,
+                    hangup: bits & (sys::EPOLLHUP | sys::EPOLLERR) != 0,
+                    read_closed: bits & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0,
+                }
+            })
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            std::iter::empty()
+        }
+    }
+}
+
 /// An epoll instance plus an eventfd wakeup channel.
 ///
-/// Thread model: one thread calls [`Poller::wait`]; any thread may call
+/// Thread model: any number of threads call [`Poller::wait`], and each
+/// readiness change goes to one of them; any thread may call
 /// [`Poller::register`], [`Poller::modify`], [`Poller::deregister`] or
 /// [`Poller::wake`] concurrently (epoll_ctl is thread-safe against
 /// epoll_wait by kernel contract).
@@ -135,6 +217,17 @@ pub struct Poller {
     epfd: std::os::raw::c_int,
     #[cfg(target_os = "linux")]
     wakefd: std::os::raw::c_int,
+    /// Threads inside [`Poller::wait`].
+    waiting: AtomicUsize,
+}
+
+impl Poller {
+    /// Threads inside [`Poller::wait`] right now — counted from just
+    /// before they block to just after they return, so a thread that
+    /// sees another counted knows it is not busy with work of its own.
+    pub fn waiting(&self) -> usize {
+        self.waiting.load(Ordering::SeqCst)
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -155,8 +248,17 @@ impl Poller {
             unsafe { sys::close(epfd) };
             return Err(err);
         }
-        let poller = Poller { epfd, wakefd };
-        poller.ctl(sys::EPOLL_CTL_ADD, wakefd, sys::EPOLLIN, WAKE_TOKEN)?;
+        let poller = Poller {
+            epfd,
+            wakefd,
+            waiting: AtomicUsize::new(0),
+        };
+        poller.ctl(
+            sys::EPOLL_CTL_ADD,
+            wakefd,
+            sys::EPOLLIN | sys::EPOLLET,
+            WAKE_TOKEN,
+        )?;
         Ok(poller)
     }
 
@@ -174,10 +276,10 @@ impl Poller {
 
     fn interest_mask(readable: bool, writable: bool) -> u32 {
         // A peer closing its write side is read-side news: an owner that
-        // has stopped reading (backpressure) must not be woken for it
-        // over and over — it is level-triggered — until it reads again.
-        // Full hangups and errors are reported regardless of the mask.
-        let mut mask = 0;
+        // has stopped reading (backpressure) hears of it when it asks
+        // for reads again. Full hangups and errors are reported
+        // regardless of the mask.
+        let mut mask = sys::EPOLLET;
         if readable {
             mask |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
@@ -187,7 +289,8 @@ impl Poller {
         mask
     }
 
-    /// Registers `fd` under `token` with the given interest.
+    /// Registers `fd` under `token` with the given interest,
+    /// edge-triggered. An fd already ready is reported once at once.
     ///
     /// # Errors
     ///
@@ -202,7 +305,9 @@ impl Poller {
         )
     }
 
-    /// Replaces the interest set of an already registered fd.
+    /// Replaces the interest set of an already registered fd. Readiness
+    /// the new set covers and the fd already has is reported once, as a
+    /// new edge.
     ///
     /// # Errors
     ///
@@ -222,63 +327,56 @@ impl Poller {
         let _ = self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0);
     }
 
-    /// Blocks until at least one event is ready (or `timeout` passes),
-    /// appending into `out`. Returns the number of events delivered.
-    /// Wakeups via [`Poller::wake`] are consumed internally and reported
-    /// as an event with [`WAKE_TOKEN`].
+    /// Blocks until at least one event is ready (or `timeout` passes)
+    /// and fills `events` with what is, replacing what it held. Returns
+    /// the number of events delivered. Wakeups via [`Poller::wake`] are
+    /// consumed internally and reported as an event with [`WAKE_TOKEN`].
+    /// The calling thread counts in [`Poller::waiting`] until it returns.
     ///
     /// # Errors
     ///
     /// epoll_wait failures other than `EINTR` (which retries).
-    pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<usize> {
-        const MAX_EVENTS: usize = 256;
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+    pub fn wait(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
         let timeout_ms: std::os::raw::c_int = match timeout {
             None => -1,
             Some(t) => t.as_millis().min(i32::MAX as u128) as std::os::raw::c_int,
         };
-        let n = loop {
+        let buf = &mut events.buf;
+        buf.clear();
+        let capacity = buf.capacity().min(i32::MAX as usize);
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let rc = loop {
+            // SAFETY: the kernel writes at most `capacity` events into
+            // the vector's spare capacity, which is that long.
             let rc = unsafe {
                 sys::epoll_wait(
                     self.epfd,
-                    events.as_mut_ptr(),
-                    MAX_EVENTS as std::os::raw::c_int,
+                    buf.as_mut_ptr(),
+                    capacity as std::os::raw::c_int,
                     timeout_ms,
                 )
             };
             if rc >= 0 {
-                break rc as usize;
+                break Ok(rc as usize);
             }
             let err = io::Error::last_os_error();
             if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
+                break Err(err);
             }
         };
-        for ev in &events[..n] {
-            let token = ev.data;
-            let bits = ev.events;
-            if token == WAKE_TOKEN {
-                self.drain_wake();
-                out.push(PollEvent {
-                    token,
-                    readable: false,
-                    writable: false,
-                    hangup: false,
-                });
-                continue;
-            }
-            out.push(PollEvent {
-                token,
-                readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
-                writable: bits & sys::EPOLLOUT != 0,
-                hangup: bits & (sys::EPOLLHUP | sys::EPOLLERR) != 0,
-            });
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        let n = rc?;
+        // SAFETY: epoll_wait initialised the first `n` entries.
+        unsafe { buf.set_len(n) };
+        if buf.iter().any(|ev| ev.data == WAKE_TOKEN) {
+            self.drain_wake();
         }
         Ok(n)
     }
 
-    /// Wakes a thread blocked in [`Poller::wait`]. Cheap and thread-safe;
-    /// multiple wakes before the next wait coalesce into one event.
+    /// Wakes one thread blocked in [`Poller::wait`] (or the next to
+    /// wait). Cheap and thread-safe; wakes before a waiter takes the
+    /// event coalesce into one.
     pub fn wake(&self) {
         let one: u64 = 1;
         unsafe {
@@ -337,7 +435,7 @@ impl Poller {
 
     pub fn deregister(&self, _fd: i32) {}
 
-    pub fn wait(&self, _out: &mut Vec<PollEvent>, _timeout: Option<Duration>) -> io::Result<usize> {
+    pub fn wait(&self, _events: &mut Events, _timeout: Option<Duration>) -> io::Result<usize> {
         unreachable!("poller cannot be constructed off-linux")
     }
 
@@ -357,14 +455,19 @@ mod tests {
         let poller = Arc::new(Poller::new().unwrap());
         let waker = Arc::clone(&poller);
         let handle = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            waker.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
-            out
+            let mut events = Events::with_capacity(8);
+            waker
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            events.iter().collect::<Vec<_>>()
         });
-        std::thread::sleep(Duration::from_millis(20));
+        while poller.waiting() == 0 {
+            std::thread::yield_now();
+        }
         poller.wake();
         let events = handle.join().unwrap();
         assert!(events.iter().any(|e| e.token == WAKE_TOKEN));
+        assert_eq!(poller.waiting(), 0);
     }
 
     #[test]
@@ -375,10 +478,21 @@ mod tests {
         poller.register(b.as_raw_fd(), 7, true, false).unwrap();
 
         a.write_all(b"x").unwrap();
-        let mut out = Vec::new();
-        poller.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
-        let ev = out.iter().find(|e| e.token == 7).expect("socket event");
+        let mut events = Events::with_capacity(8);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let ev = events.iter().find(|e| e.token == 7).expect("socket event");
         assert!(ev.readable);
+        // Edge-triggered: the unread byte is not reported a second time,
+        // but a byte arriving after it is a new edge.
+        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+        assert!(events.is_empty(), "unread bytes reported again");
+        a.write_all(b"y").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
         poller.deregister(b.as_raw_fd());
     }
 
@@ -388,11 +502,14 @@ mod tests {
         let (a, b) = UnixStream::pair().unwrap();
         poller.register(b.as_raw_fd(), 9, true, false).unwrap();
         drop(a);
-        let mut out = Vec::new();
-        poller.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
-        let ev = out.iter().find(|e| e.token == 9).expect("socket event");
+        let mut events = Events::with_capacity(8);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let ev = events.iter().find(|e| e.token == 9).expect("socket event");
         // Peer close arrives as EPOLLRDHUP (readable) and/or EPOLLHUP.
         assert!(ev.readable || ev.hangup);
+        assert!(ev.read_closed);
     }
 
     #[test]
@@ -401,9 +518,11 @@ mod tests {
         let (_a, b) = UnixStream::pair().unwrap();
         poller.register(b.as_raw_fd(), 3, true, false).unwrap();
         poller.modify(b.as_raw_fd(), 3, true, true).unwrap();
-        let mut out = Vec::new();
-        poller.wait(&mut out, Some(Duration::from_secs(5))).unwrap();
-        let ev = out.iter().find(|e| e.token == 3).expect("socket event");
+        let mut events = Events::with_capacity(8);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let ev = events.iter().find(|e| e.token == 3).expect("socket event");
         assert!(ev.writable, "an idle socket is immediately writable");
     }
 }

@@ -20,7 +20,13 @@
 //!   producer is not preempted mid-turn, and a queued job never waits
 //!   behind a running (possibly hung) job while a worker sits idle. Only
 //!   idle workers nobody has woken are woken (the rule, and its
-//!   exhaustive check, are in `handoff.rs`).
+//!   exhaustive check, are in `handoff.rs`);
+//! - a producer may run an ordinary job it held back on its own thread
+//!   ([`WorkerPool::run_kept`]) instead of queueing it — the daemon's
+//!   event threads do, for a lone pooled call, when another
+//!   event thread still watches the poller. It is a pool job all the
+//!   same: timed and counted with the workers' jobs, waited for by
+//!   [`WorkerPool::shutdown`] and [`WorkerPool::quiesce`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -136,6 +142,8 @@ struct PoolState {
     handoff: Handoff<QueuedJob>,
     priority_queue: VecDeque<QueuedJob>,
     current_workers: u32,
+    /// Jobs running on their producers' threads ([`WorkerPool::run_kept`]).
+    kept_running: u32,
     priority_workers_alive: u32,
     free_priority_workers: u32,
     quitting: bool,
@@ -200,6 +208,7 @@ impl WorkerPool {
                     handoff: Handoff::new(),
                     priority_queue: VecDeque::new(),
                     current_workers: 0,
+                    kept_running: 0,
                     priority_workers_alive: 0,
                     free_priority_workers: 0,
                     quitting: false,
@@ -256,6 +265,24 @@ impl WorkerPool {
         }
     }
 
+    /// Runs an ordinary job its producer held back, on the calling
+    /// thread, as a pool job: its wait since `held_since`, its run time
+    /// and its completion are recorded with the workers' jobs, and
+    /// [`WorkerPool::shutdown`] and [`WorkerPool::quiesce`] wait for it.
+    /// Once the pool is shutting down the job is dropped unrun, as a
+    /// queued job is.
+    pub fn run_kept(&self, held_since: Instant, job: impl FnOnce()) {
+        let mut state = self.inner.state.lock();
+        if state.quitting {
+            return;
+        }
+        state.kept_running += 1;
+        drop(state);
+        run_job(&self.inner.metrics, job, held_since);
+        self.inner.state.lock().kept_running -= 1;
+        self.inner.idle_cv.notify_all();
+    }
+
     /// Adjusts the limits at runtime.
     ///
     /// Raising `min_workers` spawns workers immediately; lowering
@@ -303,7 +330,8 @@ impl WorkerPool {
             .attach(registry, &format!("pool.{name}."));
     }
 
-    /// Blocks until both queues are empty and all workers are idle.
+    /// Blocks until both queues are empty, all workers are idle and no
+    /// kept job runs.
     ///
     /// Useful in tests and benchmarks; production code uses completion
     /// callbacks instead. Does not prevent concurrent submitters from
@@ -313,14 +341,16 @@ impl WorkerPool {
         while !(state.handoff.queued() == 0
             && state.priority_queue.is_empty()
             && state.handoff.idle() == state.current_workers
-            && state.free_priority_workers == state.priority_workers_alive)
+            && state.free_priority_workers == state.priority_workers_alive
+            && state.kept_running == 0)
         {
             self.inner.idle_cv.wait(&mut state);
         }
     }
 
     /// Stops the pool: queued jobs are dropped, workers exit after their
-    /// current job. Blocks until all workers have exited.
+    /// current job. Blocks until all workers have exited and every kept
+    /// job ([`WorkerPool::run_kept`]) has returned.
     pub fn shutdown(&self) {
         let mut state = self.inner.state.lock();
         state.quitting = true;
@@ -331,7 +361,10 @@ impl WorkerPool {
         self.inner.metrics.queue_depth.set(0);
         self.inner.work_cv.notify_all();
         self.inner.prio_cv.notify_all();
-        while state.current_workers > 0 || state.priority_workers_alive > 0 {
+        while state.current_workers > 0
+            || state.priority_workers_alive > 0
+            || state.kept_running > 0
+        {
             self.inner.idle_cv.wait(&mut state);
         }
     }
@@ -424,11 +457,9 @@ fn stats_of(state: &PoolState) -> PoolStats {
     }
 }
 
-/// Executes one dequeued job, recording its queue wait and run time.
-/// Called with the pool lock released; every record is a handful of
-/// relaxed atomic ops.
-fn run_job(metrics: &PoolMetrics, job: Job, enqueued: Instant) {
-    metrics.queue_depth.dec();
+/// Executes one job, recording its wait and run time. Called with the
+/// pool lock released; every record is a handful of relaxed atomic ops.
+fn run_job(metrics: &PoolMetrics, job: impl FnOnce(), enqueued: Instant) {
     metrics.wait_us.record(enqueued.elapsed());
     let started = Instant::now();
     job();
@@ -471,6 +502,7 @@ fn ordinary_worker(inner: Arc<PoolInner>) {
         };
         woken = false;
         drop(state);
+        inner.metrics.queue_depth.dec();
         run_job(&inner.metrics, job, enqueued);
         state = inner.state.lock();
     }
@@ -492,6 +524,7 @@ fn priority_worker(inner: Arc<PoolInner>) {
         match state.priority_queue.pop_front() {
             Some((job, enqueued)) => {
                 drop(state);
+                inner.metrics.queue_depth.dec();
                 run_job(&inner.metrics, job, enqueued);
                 state = inner.state.lock();
             }
@@ -817,6 +850,47 @@ mod tests {
         assert_eq!(pool.inner.metrics.wakeups.get(), 3);
         assert_eq!(pool.inner.metrics.empty_wakeups.get(), 0);
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_kept_job_counts_as_a_pool_job_and_holds_up_shutdown() {
+        let pool = WorkerPool::start(limits(1, 1, 0)).unwrap();
+        let ran = Arc::new(AtomicU32::new(0));
+        let r = ran.clone();
+        pool.run_kept(Instant::now(), move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(pool.completed(), 1);
+        assert_eq!(pool.inner.metrics.wakeups.get(), 0, "nobody was woken");
+        assert_eq!(pool.inner.metrics.queue_depth.get(), 0);
+
+        // Shutdown waits for a kept job that is still running.
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let keeper = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                pool.run_kept(Instant::now(), move || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                });
+            })
+        };
+        started_rx.recv().unwrap();
+        let stopper = {
+            let pool = pool.clone();
+            std::thread::spawn(move || pool.shutdown())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!stopper.is_finished(), "shutdown returned under a kept job");
+        release_tx.send(()).unwrap();
+        stopper.join().unwrap();
+        keeper.join().unwrap();
+        assert_eq!(pool.completed(), 2);
+
+        // After shutdown a kept job is dropped unrun.
+        pool.run_kept(Instant::now(), || panic!("ran after shutdown"));
     }
 
     use std::time::Duration;

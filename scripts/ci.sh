@@ -86,6 +86,18 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/statestore/queue.rs \
     exit 1
 fi
 
+# The event core's turn machine decides who runs a connection's turn and
+# the event threads act: the machine takes no lock, reads no clock,
+# sleeps not and touches no fd or atomic, so its explorer walks every
+# interleaving of two and three threads over events, ready-list
+# re-queues and teardowns.
+echo "== hygiene: the event core's turn machine takes no lock, reads no clock and makes no syscall =="
+if sed '/^#\[cfg(test)\]/,$d' crates/daemon/src/eventloop/turn.rs \
+    | grep -nE 'Instant::now\(\)|thread::sleep|parking_lot|Mutex|Condvar|Atomic|Poller|unsafe|std::(io|fs|net|os)'; then
+    echo "error: a lock, clock read, sleep, atomic or syscall in the product part of crates/daemon/src/eventloop/turn.rs — the event threads (eventloop.rs) do those" >&2
+    exit 1
+fi
+
 # A daemon client is written to through its sink (eventloop.rs's
 # ConnSink), built with it at admission: no reply path writes to a
 # transport around it. Bytes are counted where every connection passes
@@ -237,9 +249,15 @@ cargo test -q --release --offline -p virt-rpc --test client_hotpath --test clien
 # <= 1 read and exactly 1 write — plus the burst paths' regression tests
 # (budget re-queue, resume from the buffer). And the burst's wakes: with
 # an idle pool a pooled call starts only after the inline frames behind
-# it were handed up, and a hung pooled call strands none of the calls
-# queued behind it (fails by deadline with one wake per turn).
-echo "== perf guard (event loop: one read and one write per burst, wakes at its end, release) =="
+# it were handed up, and a hung pooled call — on a worker or kept by an
+# event thread — strands none of the calls queued behind it (fails by
+# deadline with one wake per turn). And the kept call, by the pool's and
+# the event core's counters: a lone pooled call while a second event
+# thread waits wakes 0 workers and is 1 kept call; with that thread hung
+# in a kept call the next pooled call goes to the pool, and inline calls
+# and pings on both connections are answered. A dispatcher panicking on
+# pooled calls costs no thread (fails by deadline where it does).
+echo "== perf guard (event loop: one read and one write per burst, wakes at its end, kept calls, release) =="
 cargo test -q --release --offline -p virtd --test eventloop_burst --test pooled_burst
 
 # Bulk stats: a daemon's reply, written row by row as the embedded

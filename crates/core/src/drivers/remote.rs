@@ -31,7 +31,7 @@ use crate::driver::{
     NetworkRecord, NodeInfo, OpenOptions, PoolRecord, VolumeRecord,
 };
 use crate::error::{ErrorCode, VirtError, VirtResult};
-use crate::event::{CallbackId, EventBus, EventCallback};
+use crate::event::{CallbackId, DomainEvent, EventBus, EventCallback};
 use crate::guard::{GuardPolicy, GuardStatus};
 use crate::job::JobStats;
 use crate::protocol::{self, proc};
@@ -135,10 +135,10 @@ impl HypervisorDriver for RemoteDriver {
                 && (packet.header.procedure == proc::EVENT_LIFECYCLE
                     || packet.header.procedure == proc::EVENT_DOMAIN_JOB)
             {
-                if let Ok(wire) = packet.decode_payload::<protocol::WireEvent>() {
-                    if let Some(event) = wire.into_event() {
-                        emit_events.emit(&event);
-                    }
+                // An event of a kind this build does not know fails to
+                // decode and is dropped.
+                if let Ok(event) = packet.decode_payload::<DomainEvent>() {
+                    emit_events.emit(&event);
                 }
             }
         });
@@ -341,25 +341,14 @@ impl HypervisorConnection for RemoteConnection {
         }
     }
 
-    fn list_domains(&self) -> VirtResult<Vec<DomainRecord>> {
-        let wire: Vec<protocol::WireDomain> = self.call(proc::LIST_DOMAINS, &())?;
-        Ok(wire.into_iter().map(DomainRecord::from).collect())
-    }
-
     fn lookup_domain_by_id(&self, id: u32) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(
+        self.call(
             proc::DOMAIN_LOOKUP_ID,
             &protocol::NameU32Args {
                 name: String::new(),
                 value: id,
             },
-        )?;
-        Ok(wire.into())
-    }
-
-    fn lookup_domain_by_uuid(&self, uuid: Uuid) -> VirtResult<DomainRecord> {
-        let wire: protocol::WireDomain = self.call(proc::DOMAIN_LOOKUP_UUID, &uuid.into_bytes())?;
-        Ok(wire.into())
+        )
     }
 
     fn guard_set(&self, name: &str, policy: &GuardPolicy) -> VirtResult<()> {

@@ -5,7 +5,6 @@
 //! messages pushed by the daemon. The [`EventBus`] is the shared
 //! dispatcher both paths feed.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -112,6 +111,14 @@ impl EventFilter {
 
 /// Dispatches domain events to registered callbacks.
 ///
+/// The registrations are one list behind an `Arc`, in registration order
+/// and copied on write: `emit` clones only the `Arc` under the lock and
+/// runs the callbacks after releasing it, and `register`/`unregister`
+/// edit the list in place when no emit holds it, a copy when one does.
+/// So a callback may (un)register during an `emit` without deadlocking —
+/// what it registers sees the next event, not this one — and emits on
+/// different threads do not serialize against each other.
+///
 /// # Examples
 ///
 /// ```
@@ -136,30 +143,13 @@ pub struct EventBus {
 #[derive(Default)]
 struct BusInner {
     next_id: CallbackId,
-    callbacks: HashMap<CallbackId, (EventFilter, EventCallback)>,
-    /// Immutable dispatch snapshot, rebuilt on (un)register. `emit`
-    /// clones only this one `Arc` under the lock, instead of cloning
-    /// every callback `Arc` per event.
-    snapshot: Arc<Vec<(CallbackId, EventFilter, EventCallback)>>,
-}
-
-impl BusInner {
-    fn rebuild_snapshot(&mut self) {
-        let mut subs: Vec<(CallbackId, EventFilter, EventCallback)> = self
-            .callbacks
-            .iter()
-            .map(|(id, (filter, callback))| (*id, *filter, Arc::clone(callback)))
-            .collect();
-        // Registration order, so delivery is deterministic.
-        subs.sort_by_key(|(id, _, _)| *id);
-        self.snapshot = Arc::new(subs);
-    }
+    callbacks: Arc<Vec<(CallbackId, EventFilter, EventCallback)>>,
 }
 
 impl std::fmt::Debug for EventBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventBus")
-            .field("callbacks", &self.inner.lock().callbacks.len())
+            .field("callbacks", &self.len())
             .finish()
     }
 }
@@ -186,19 +176,17 @@ impl EventBus {
         let mut inner = self.inner.lock();
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.callbacks.insert(id, (filter, callback));
-        inner.rebuild_snapshot();
+        Arc::make_mut(&mut inner.callbacks).push((id, filter, callback));
         id
     }
 
     /// Removes a callback; returns whether it existed.
     pub fn unregister(&self, id: CallbackId) -> bool {
         let mut inner = self.inner.lock();
-        let existed = inner.callbacks.remove(&id).is_some();
-        if existed {
-            inner.rebuild_snapshot();
-        }
-        existed
+        let callbacks = Arc::make_mut(&mut inner.callbacks);
+        let before = callbacks.len();
+        callbacks.retain(|(registered, _, _)| *registered != id);
+        callbacks.len() < before
     }
 
     /// Number of registered callbacks.
@@ -211,15 +199,11 @@ impl EventBus {
         self.len() == 0
     }
 
-    /// Delivers an event to every callback whose filter matches.
-    ///
-    /// Takes the bus lock only long enough to clone the current snapshot
-    /// `Arc`; callbacks run on the emitting thread, outside the lock, so
-    /// a callback may register/unregister without deadlocking and an
-    /// emit on one thread never serializes against emits on others.
+    /// Delivers an event to every callback whose filter matches, on the
+    /// emitting thread and in registration order.
     pub fn emit(&self, event: &DomainEvent) {
-        let snapshot = Arc::clone(&self.inner.lock().snapshot);
-        for (_, filter, callback) in snapshot.iter() {
+        let callbacks = Arc::clone(&self.inner.lock().callbacks);
+        for (_, filter, callback) in callbacks.iter() {
             if filter.matches(event.kind) {
                 callback(event);
             }

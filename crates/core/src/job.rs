@@ -15,11 +15,11 @@
 //! running jobs — the same reason libvirt has priority workers at all.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use virt_metrics::wire_enum;
 use virt_rpc::xdr_as_u32;
@@ -170,37 +170,35 @@ struct JobEntry {
 ///
 /// Completed/failed/aborted entries are retained so the most recent
 /// job's outcome stays queryable (as libvirt's completed-job stats do).
+///
+/// One lock over every domain's job: each operation takes it once and
+/// holds it for a lookup and a few field writes. A job publishes progress
+/// once per slice of simulated work, and a bulk-stats pass takes the lock
+/// once per call.
+#[derive(Default)]
 pub struct JobManager {
-    /// Read-mostly index of per-domain job slots, mirroring the host's
-    /// sharded domain table: progress updates and stats polls take the
-    /// read lock plus the one domain's mutex, so a migration publishing
-    /// a progress slice never blocks a stats query on another domain.
-    /// Only `begin` (slot insert/replace) takes the write lock.
-    entries: RwLock<HashMap<String, Arc<Mutex<JobEntry>>>>,
-    next_epoch: AtomicU64,
+    jobs: Mutex<Jobs>,
+}
+
+#[derive(Default)]
+struct Jobs {
+    entries: HashMap<String, JobEntry>,
+    /// The epoch of the latest job begun.
+    epoch: u64,
 }
 
 impl std::fmt::Debug for JobManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobManager")
-            .field("domains", &self.entries.read().len())
+            .field("domains", &self.jobs.lock().entries.len())
             .finish()
-    }
-}
-
-impl Default for JobManager {
-    fn default() -> Self {
-        JobManager::new()
     }
 }
 
 impl JobManager {
     /// An empty manager.
     pub fn new() -> Self {
-        JobManager {
-            entries: RwLock::new(HashMap::new()),
-            next_epoch: AtomicU64::new(0),
-        }
+        JobManager::default()
     }
 
     /// The shared manager for the host named `host`.
@@ -228,11 +226,10 @@ impl JobManager {
     /// [`ErrorCode::OperationInvalid`] when the domain already has a
     /// running job — libvirt's "another job is active" busy error.
     pub fn begin(self: &Arc<Self>, domain: &str, kind: JobKind) -> VirtResult<JobTicket> {
-        // Write lock: the busy-check and the slot replacement must be one
-        // atomic step or two racing begins could both pass the check.
-        let mut entries = self.entries.write();
-        if let Some(entry) = entries.get(domain) {
-            let entry = entry.lock();
+        // The busy-check and the slot replacement are one step under the
+        // lock, or two racing begins could both pass the check.
+        let mut jobs = self.jobs.lock();
+        if let Some(entry) = jobs.entries.get(domain) {
             if entry.stats.state.is_active() {
                 return Err(VirtError::new(
                     ErrorCode::OperationInvalid,
@@ -243,11 +240,12 @@ impl JobManager {
                 ));
             }
         }
-        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        jobs.epoch += 1;
+        let epoch = jobs.epoch;
         let abort = Arc::new(AtomicBool::new(false));
-        entries.insert(
+        jobs.entries.insert(
             domain.to_string(),
-            Arc::new(Mutex::new(JobEntry {
+            JobEntry {
                 stats: JobStats {
                     kind,
                     state: JobState::Running,
@@ -259,7 +257,7 @@ impl JobManager {
                 abort: Arc::clone(&abort),
                 started: Instant::now(),
                 epoch,
-            })),
+            },
         );
         job_metrics().active.inc();
         Ok(JobTicket {
@@ -274,21 +272,23 @@ impl JobManager {
     /// The current (or most recent) job stats for `domain`. A domain
     /// that never ran a job reports the [`JobKind::None`] default.
     pub fn stats(&self, domain: &str) -> JobStats {
-        self.entries
-            .read()
+        self.jobs
+            .lock()
+            .entries
             .get(domain)
-            .map(|e| e.lock().stats.clone())
+            .map(|e| e.stats.clone())
             .unwrap_or_default()
     }
 
     /// The [`JobManager::stats`] of every domain with job history, under
-    /// one index read lock — for a bulk pass over many domains, where
-    /// history is rare and a lookup per domain is mostly misses.
+    /// one lock — for a bulk pass over many domains, where history is rare
+    /// and a lookup per domain is mostly misses.
     pub fn snapshot(&self) -> HashMap<String, JobStats> {
-        self.entries
-            .read()
+        self.jobs
+            .lock()
+            .entries
             .iter()
-            .map(|(domain, entry)| (domain.clone(), entry.lock().stats.clone()))
+            .map(|(domain, entry)| (domain.clone(), entry.stats.clone()))
             .collect()
     }
 
@@ -300,9 +300,7 @@ impl JobManager {
     ///
     /// [`ErrorCode::OperationInvalid`] when no job is running.
     pub fn abort(&self, domain: &str) -> VirtResult<()> {
-        let entries = self.entries.read();
-        if let Some(entry) = entries.get(domain) {
-            let entry = entry.lock();
+        if let Some(entry) = self.jobs.lock().entries.get(domain) {
             if entry.stats.state.is_active() {
                 entry.abort.store(true, Ordering::SeqCst);
                 return Ok(());
@@ -320,9 +318,7 @@ impl JobManager {
     /// orphaned by a crash/restart; returns the affected domain names.
     pub fn fail_running(&self, reason: &str) -> Vec<String> {
         let mut failed = Vec::new();
-        let entries = self.entries.read();
-        for (domain, entry) in entries.iter() {
-            let mut entry = entry.lock();
+        for (domain, entry) in self.jobs.lock().entries.iter_mut() {
             if entry.stats.state.is_active() {
                 entry.stats.state = JobState::Failed;
                 entry.stats.error = reason.to_string();
@@ -336,10 +332,10 @@ impl JobManager {
     }
 
     fn finish(&self, domain: &str, epoch: u64, outcome: JobState, error: Option<&str>) {
-        let Some(entry) = self.entries.read().get(domain).cloned() else {
+        let mut jobs = self.jobs.lock();
+        let Some(entry) = jobs.entries.get_mut(domain) else {
             return;
         };
-        let mut entry = entry.lock();
         // A restart may already have failed this job (and a newer job
         // may even occupy the slot); a stale ticket must not touch it.
         if entry.epoch != epoch || !entry.stats.state.is_active() {
@@ -360,10 +356,10 @@ impl JobManager {
     }
 
     fn update(&self, domain: &str, epoch: u64, progress: JobProgress) {
-        let Some(entry) = self.entries.read().get(domain).cloned() else {
+        let mut jobs = self.jobs.lock();
+        let Some(entry) = jobs.entries.get_mut(domain) else {
             return;
         };
-        let mut entry = entry.lock();
         if entry.epoch == epoch && entry.stats.state.is_active() {
             entry.stats.elapsed_ms = progress.elapsed_ms;
             entry.stats.data_total_mib = progress.total_mib;

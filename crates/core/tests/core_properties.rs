@@ -9,7 +9,8 @@ use hypersim::network::ForwardMode;
 use hypersim::{DomainState, PoolBackend};
 use proptest::prelude::*;
 
-use virt_core::protocol::WireDomain;
+use virt_core::driver::{DomainRecord, NetworkRecord};
+use virt_core::event::{DomainEvent, DomainEventKind};
 use virt_core::typedparam::{stats_field, ParamValue, TypedParam, TypedParamList};
 use virt_core::uri::ConnectUri;
 use virt_core::xmlfmt::{
@@ -345,34 +346,143 @@ proptest! {
         ));
     }
 
-    /// Wire domain records survive encoding regardless of field values.
+    /// Domain records survive their wire form regardless of field values.
     #[test]
     fn wire_domain_round_trips(
         name in "\\PC{0,40}",
         uuid: [u8; 16],
-        id in -1i64..100_000,
+        id in proptest::option::of(any::<u32>()),
         state in 0u32..5,
         memory: u64,
         vcpus: u32,
         persistent: bool,
+        has_managed_save: bool,
         autostart: bool,
+        cpu_time_ns: u64,
     ) {
-        let wire = WireDomain {
+        let record = DomainRecord {
             name,
-            uuid,
+            uuid: Uuid::from_bytes(uuid),
             id,
-            state,
+            state: virt_core::DomainState::from(state),
             memory_mib: memory,
             max_memory_mib: memory,
             vcpus,
             persistent,
-            has_managed_save: false,
+            has_managed_save,
             autostart,
-            cpu_time_ns: 0,
+            cpu_time_ns,
         };
-        let decoded = WireDomain::from_xdr(&wire.to_xdr()).expect("decode");
-        prop_assert_eq!(decoded, wire);
+        let decoded = DomainRecord::from_xdr(&record.to_xdr()).expect("decode");
+        prop_assert_eq!(decoded, record);
     }
+
+    /// Network records survive encoding, their leases as three parallel
+    /// arrays.
+    #[test]
+    fn network_record_round_trips(
+        name in name_strategy(),
+        uuid: [u8; 16],
+        bridge in "\\PC{0,16}",
+        forward in "\\PC{0,8}",
+        active: bool,
+        leases in proptest::collection::vec(
+            ("\\PC{0,17}", "\\PC{0,15}", name_strategy()),
+            0..6,
+        ),
+    ) {
+        let record = NetworkRecord {
+            name,
+            uuid: Uuid::from_bytes(uuid),
+            bridge,
+            forward,
+            active,
+            leases,
+        };
+        let decoded = NetworkRecord::from_xdr(&record.to_xdr()).expect("decode");
+        prop_assert_eq!(decoded, record);
+    }
+
+    /// Events of every kind survive encoding.
+    #[test]
+    fn domain_event_round_trips(
+        domain in "\\PC{0,40}",
+        uuid: [u8; 16],
+        kind in 0u32..15,
+        trace_id: u64,
+    ) {
+        let event = DomainEvent {
+            domain,
+            uuid: Uuid::from_bytes(uuid),
+            kind: DomainEventKind::from_u32(kind).expect("a known kind"),
+            trace_id,
+        };
+        let decoded = DomainEvent::from_xdr(&event.to_xdr()).expect("decode");
+        prop_assert_eq!(decoded, event);
+    }
+}
+
+/// A domain record as a peer might build it: name "vm", UUID of 7s, then
+/// the id and state words as given, the rest fixed.
+fn domain_bytes(id: i64, state: u32) -> Vec<u8> {
+    let mut bytes = "vm".to_xdr();
+    bytes.extend_from_slice(&[7; 16]);
+    id.encode(&mut bytes);
+    state.encode(&mut bytes);
+    for field in [512u64, 1024] {
+        field.encode(&mut bytes);
+    }
+    2u32.encode(&mut bytes);
+    for flag in [true, false, true] {
+        flag.encode(&mut bytes);
+    }
+    99u64.encode(&mut bytes);
+    bytes
+}
+
+#[test]
+fn a_negative_domain_id_decodes_as_none() {
+    for id in [-1, -7, i64::MIN] {
+        let record = DomainRecord::from_xdr(&domain_bytes(id, 1)).expect("decode");
+        assert_eq!(record.id, None, "id {id}");
+        assert_eq!(record.state, virt_core::DomainState::Running);
+    }
+    let record = DomainRecord::from_xdr(&domain_bytes(12, 1)).expect("decode");
+    assert_eq!(record.id, Some(12));
+    assert_eq!((record.memory_mib, record.max_memory_mib), (512, 1024));
+    assert_eq!(record.vcpus, 2);
+    assert!(record.persistent && !record.has_managed_save && record.autostart);
+    assert_eq!(record.cpu_time_ns, 99);
+    // An encoded inactive record is those bytes exactly.
+    assert_eq!(
+        DomainRecord { id: None, ..record }.to_xdr(),
+        domain_bytes(-1, 1)
+    );
+}
+
+#[test]
+fn an_unknown_domain_state_decodes_as_shutoff() {
+    for state in [5, 77, u32::MAX] {
+        let record = DomainRecord::from_xdr(&domain_bytes(3, state)).expect("decode");
+        assert_eq!(
+            record.state,
+            virt_core::DomainState::Shutoff,
+            "state {state}"
+        );
+        assert_eq!(record.id, Some(3));
+    }
+}
+
+#[test]
+fn an_event_of_unknown_kind_fails_its_decode() {
+    let mut bytes = "vm".to_xdr();
+    bytes.extend_from_slice(&[7; 16]);
+    15u32.encode(&mut bytes);
+    0u64.encode(&mut bytes);
+    assert_eq!(
+        DomainEvent::from_xdr(&bytes).unwrap_err(),
+        XdrError::InvalidDiscriminant(15)
+    );
 }
 
 /// What a schema violation says is part of the wire contract (the text

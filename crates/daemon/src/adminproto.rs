@@ -13,12 +13,12 @@
 //!
 //! A reply record is defined once: `PoolStats` and `ClientSnapshot` are
 //! the API structs and, by one `xdr_fields!` line each, their own wire
-//! form. The `Wire*` structs that remain differ from what they carry —
-//! an enum flattened into scalar fields ([`WireMetric`]), discriminants
-//! that a newer daemon may extend ([`WireTraceEvent`]) — or back a method
-//! that returns a tuple ([`WireClientLimits`], [`WireLogInfo`]). List
-//! replies are a `Vec` of the record type, encoded by the one list codec
-//! in `virt_rpc::xdr`.
+//! form, and `CLIENT_LIMITS_INFO`'s tuple is its fields in order. The
+//! `Wire*` structs that remain differ from what they carry — an enum
+//! flattened into scalar fields ([`WireMetric`]), discriminants that a
+//! newer daemon may extend ([`WireTraceEvent`]) — or back a custom row
+//! ([`WireLogInfo`], [`WireTraceConfig`]). List replies are a `Vec` of the
+//! record type, encoded by the one list codec in `virt_rpc::xdr`.
 
 use virt_core::typedparam::TypedParamList;
 use virt_rpc::{xdr_fields, xdr_struct};
@@ -36,9 +36,9 @@ use crate::server::ClientSnapshot;
 /// says why — or the method with its arguments (the name of both the
 /// `AdminClient` stub and the `AdminDispatcher` handler), the wire
 /// argument struct (`()` for none; argument names are its field names)
-/// and the reply shape: `unit`, `plain(T)` for a `T` that is its own wire
-/// form, `wire(WireX, X)` for an `X` whose wire form differs. Argument
-/// type `str` is `&str` in the method and `String` on the wire.
+/// and the reply shape: `unit`, or `plain(T)` for a `T` that is its own
+/// wire form. Argument type `str` is `&str` in the method and `String` on
+/// the wire.
 ///
 /// There are no class columns, because each would hold one value. Every
 /// admin procedure is answered inline (`is_high_priority` is constantly
@@ -69,8 +69,7 @@ macro_rules! admin_procedures {
                     client_disconnect(server: str, client: u64), ClientArgs, unit);
                 (7, CLIENT_LIMITS_INFO,
                     "Client-limit statistics of a server: `(max, current, refused)`.",
-                    client_limits(server: str), ServerArgs,
-                    wire(WireClientLimits, (u32, u32, u64)));
+                    client_limits(server: str), ServerArgs, plain((u32, u32, u64)));
                 // The stub takes the limit and builds the one-parameter list.
                 (8, CLIENT_LIMITS_SET, "Adjust a server's client limit via typed parameters.",
                     custom);
@@ -155,34 +154,6 @@ xdr_struct! {
         pub server: String,
         /// Parameters to apply.
         pub params: TypedParamList,
-    }
-}
-
-xdr_struct! {
-    /// Client-limit statistics.
-    pub struct WireClientLimits {
-        /// Configured maximum.
-        pub max_clients: u32,
-        /// Currently connected.
-        pub current_clients: u32,
-        /// Connections refused so far.
-        pub refused: u64,
-    }
-}
-
-impl From<&(u32, u32, u64)> for WireClientLimits {
-    fn from(&(max_clients, current_clients, refused): &(u32, u32, u64)) -> Self {
-        WireClientLimits {
-            max_clients,
-            current_clients,
-            refused,
-        }
-    }
-}
-
-impl From<WireClientLimits> for (u32, u32, u64) {
-    fn from(wire: WireClientLimits) -> Self {
-        (wire.max_clients, wire.current_clients, wire.refused)
     }
 }
 

@@ -257,19 +257,9 @@ impl RemoteDispatcher {
                 ().to_xdr()
             }
             proc::GET_CAPABILITIES => c.capabilities()?.to_xml_string().to_xdr(),
-            proc::LIST_DOMAINS => {
-                let records = c.list_domains()?;
-                let wire: Vec<_> = records.iter().map(protocol::WireDomain::from).collect();
-                wire.to_xdr()
-            }
             proc::DOMAIN_LOOKUP_ID => {
                 let args: protocol::NameU32Args = decode_args(payload)?;
-                protocol::WireDomain::from(&c.lookup_domain_by_id(args.value)?).to_xdr()
-            }
-            proc::DOMAIN_LOOKUP_UUID => {
-                let uuid: [u8; 16] = decode_args(payload)?;
-                let record = c.lookup_domain_by_uuid(virt_core::Uuid::from_bytes(uuid))?;
-                protocol::WireDomain::from(&record).to_xdr()
+                c.lookup_domain_by_id(args.value)?.to_xdr()
             }
             proc::CONNECT_GET_ALL_DOMAIN_STATS => {
                 // The driver's rows go straight into the reply, reserved
@@ -324,10 +314,7 @@ impl RemoteDispatcher {
                         } else {
                             proc::EVENT_LIFECYCLE
                         };
-                        let packet = Packet::new(
-                            Header::event(REMOTE_PROGRAM, procedure),
-                            &protocol::WireEvent::from(event),
-                        );
+                        let packet = Packet::new(Header::event(REMOTE_PROGRAM, procedure), event);
                         let _ = event_client.send(&packet);
                     }));
                     session.event_callback = Some(id);

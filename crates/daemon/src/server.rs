@@ -185,7 +185,7 @@ virt_metrics::metric_set! {
         bytes_in: Counter = "bytes_in", "Frame payload bytes received from clients";
         bytes_out: Counter = "bytes_out", "Frame payload bytes sent to clients";
         panics: Counter = "panics",
-            "Pooled calls whose dispatcher panicked, answered with an error reply";
+            "Calls, inline or pooled, whose dispatcher panicked, answered with an error reply";
     }
 }
 
@@ -690,10 +690,7 @@ impl Server {
                 header.parent_span,
                 u64::from(header.procedure),
             );
-            let reply = self.dispatcher.dispatch(client, header, payload);
-            debug_assert_eq!(reply.header.serial, header.serial);
-            let _write = span::stage(Stage::ReplyWrite);
-            let _ = client.send(&reply);
+            self.answer(client, header, payload);
             return true;
         }
 
@@ -722,9 +719,7 @@ impl Server {
             .submit(false, move || server.dispatch_pooled(call));
     }
 
-    /// A pooled call, on whichever thread runs it. A dispatcher that
-    /// panics costs no thread: the caller gets an error reply naming the
-    /// procedure and the panic, and the daemon's log a line.
+    /// A pooled call, on whichever thread runs it.
     fn dispatch_pooled(&self, call: PooledCall) {
         let PooledCall {
             client,
@@ -741,8 +736,16 @@ impl Server {
             u64::from(header.procedure),
         );
         span::record_span_since(Stage::QueueWait, received, 0);
+        self.answer(&client, header, &payload);
+    }
+
+    /// Dispatches one call, inline or pooled, and sends the reply. A
+    /// dispatcher that panics costs no thread: the caller gets an error
+    /// reply naming the procedure and the panic, and the daemon's log a
+    /// line.
+    fn answer(&self, client: &Arc<ClientHandle>, header: Header, payload: &[u8]) {
         let dispatched = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            self.dispatcher.dispatch(&client, header, &payload)
+            self.dispatcher.dispatch(client, header, payload)
         }));
         let reply = match dispatched {
             Ok(reply) => reply,

@@ -184,16 +184,21 @@ fn gathered_reply_death_and_idle_after_a_burst_hold_no_pooled_buffer() {
         metric(&daemon, fds) == 0
     });
 
-    // A client that stops reading, sends one more 16-request burst and
-    // dies: its replies are gathered, the socket will not take them, and
-    // teardown is all that can release the buffer they sit in.
+    // A client that stops reading, floods 16-request bursts and dies:
+    // its replies are gathered, the socket will not take them, and
+    // teardown is all that can release the buffer they sit in. Every
+    // cycle floods until the backlog has outgrown the pool's per-buffer
+    // cap (64 KiB, below the loop's 256 KiB soft cap, where the daemon
+    // stops reading), so every death hands back an oversized buffer —
+    // not only those whose flood happened to outlast a corked pass.
+    const PARKED_BUFFER_CAP: u64 = 64 * 1024;
     let (_, misses_before, _) = pool.stats();
     const CYCLES: usize = 16;
     for _ in 0..CYCLES {
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.set_nonblocking(true).unwrap();
         let end = Instant::now() + Duration::from_secs(10);
-        while metric(&daemon, queued) == 0 {
+        while metric(&daemon, queued) <= PARKED_BUFFER_CAP {
             assert!(Instant::now() < end, "replies never backed up");
             match sock.write(&burst) {
                 // A torn burst would leave a partial frame behind; the

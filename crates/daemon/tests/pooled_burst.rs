@@ -22,11 +22,14 @@
 //! 4. **Panics.** A dispatcher that panics on pooled calls, more times
 //!    than there are workers and event threads, costs no thread: each
 //!    caller gets an error reply naming the procedure and the panic, and
-//!    pooled and inline calls are answered after them.
+//!    pooled and inline calls are answered after them. So does one that
+//!    panics on inline calls, more times than there are event threads:
+//!    that connection and a second one are answered after them.
 //!
 //! `scripts/ci.sh` runs them in release beside `eventloop_burst.rs`.
 
 use std::io::{Read, Write};
+use std::ops::RangeInclusive;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -49,6 +52,8 @@ const POOLED: u32 = 1;
 const HANGS: u32 = 99;
 /// The dispatcher panics on it.
 const PANICS: u32 = 66;
+/// Answered inline, and the dispatcher panics on it.
+const PANICS_INLINE: u32 = 67;
 
 /// How long a reply may take before the test fails instead of hanging.
 const DEADLINE: Duration = Duration::from_secs(5);
@@ -67,7 +72,7 @@ impl ProgramDispatcher for Recorder {
     }
 
     fn is_high_priority(&self, procedure: u32) -> bool {
-        procedure == INLINE
+        procedure == INLINE || procedure == PANICS_INLINE
     }
 
     fn dispatch(&self, _client: &Arc<ClientHandle>, header: Header, payload: &[u8]) -> Packet {
@@ -81,7 +86,7 @@ impl ProgramDispatcher for Recorder {
                 let _ = release.recv();
             }
         }
-        if header.procedure == PANICS {
+        if header.procedure == PANICS || header.procedure == PANICS_INLINE {
             panic!("boom at serial {}", header.serial);
         }
         Packet {
@@ -91,7 +96,11 @@ impl ProgramDispatcher for Recorder {
     }
 
     fn procedure_name(&self, procedure: u32) -> Option<&'static str> {
-        (procedure == PANICS).then_some("PANICS")
+        match procedure {
+            PANICS => Some("PANICS"),
+            PANICS_INLINE => Some("PANICS_INLINE"),
+            _ => None,
+        }
     }
 
     fn on_disconnect(&self, _client_id: u64) {}
@@ -190,6 +199,30 @@ fn ping(sock: &mut UnixStream) {
     sock.write_all(&ping_packet().to_frame()).unwrap();
     let pong = read_packet(sock).unwrap_or_else(|e| panic!("no pong: {e}"));
     assert!(is_pong(&pong));
+}
+
+/// One call to `procedure` per serial, each answered with the error reply
+/// of the dispatcher's panic.
+fn panics_answered(
+    sock: &mut UnixStream,
+    procedure: u32,
+    name: &str,
+    serials: RangeInclusive<u32>,
+) {
+    for serial in serials {
+        let mut wire = Vec::new();
+        call(procedure, serial, &mut wire);
+        sock.write_all(&wire).unwrap();
+        let reply = read_packet(sock)
+            .unwrap_or_else(|e| panic!("no reply to panicking call {serial}: {e}"));
+        assert_eq!(reply.header.serial, serial);
+        assert_eq!(reply.header.status, MessageStatus::Error);
+        let error: RpcError = reply.decode_payload().unwrap();
+        assert_eq!(
+            error.message,
+            format!("{name} ({procedure}) panicked: boom at serial {serial}")
+        );
+    }
 }
 
 fn metric(registry: &Registry, name: &str) -> u64 {
@@ -405,20 +438,7 @@ fn a_panicking_dispatcher_costs_no_thread() {
     let registry = Registry::new();
     server.publish_metrics(&registry);
 
-    for serial in 1..=PANIC_CALLS {
-        let mut wire = Vec::new();
-        call(PANICS, serial, &mut wire);
-        sock.write_all(&wire).unwrap();
-        let reply = read_packet(&mut sock)
-            .unwrap_or_else(|e| panic!("no reply to panicking call {serial}: {e}"));
-        assert_eq!(reply.header.serial, serial);
-        assert_eq!(reply.header.status, MessageStatus::Error);
-        let error: RpcError = reply.decode_payload().unwrap();
-        assert_eq!(
-            error.message,
-            format!("PANICS ({PANICS}) panicked: boom at serial {serial}")
-        );
-    }
+    panics_answered(&mut sock, PANICS, "PANICS", 1..=PANIC_CALLS);
     assert_eq!(
         metric(&registry, "server.panic.panics"),
         u64::from(PANIC_CALLS)
@@ -436,6 +456,36 @@ fn a_panicking_dispatcher_costs_no_thread() {
     }
 
     drop(sock);
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_panicking_inline_call_costs_no_event_thread() {
+    // Two event threads: three panics would kill both if a panic cost
+    // its thread, and with them every connection they serve.
+    const PANIC_CALLS: u32 = 3;
+    let dispatcher = Arc::new(Recorder::default());
+    let (server, path, mut sock) = start("ipanic", dispatcher, 2);
+    let registry = Registry::new();
+    server.publish_metrics(&registry);
+
+    panics_answered(&mut sock, PANICS_INLINE, "PANICS_INLINE", 1..=PANIC_CALLS);
+    assert_eq!(
+        metric(&registry, "server.ipanic.panics"),
+        u64::from(PANIC_CALLS)
+    );
+    // The same connection and a second one are answered after them,
+    // inline and pooled, and so are pings.
+    round_trip(&mut sock, INLINE, 10);
+    round_trip(&mut sock, POOLED, 11);
+    ping(&mut sock);
+    let mut other = connect(&path);
+    round_trip(&mut other, INLINE, 12);
+    round_trip(&mut other, POOLED, 13);
+    ping(&mut other);
+
+    drop((sock, other));
     server.shutdown();
     let _ = std::fs::remove_file(&path);
 }

@@ -366,6 +366,21 @@ impl<T: XdrDecode> XdrDecode for Vec<T> {
     }
 }
 
+/// A 3-tuple is its fields in order, as a struct's are.
+impl<A: XdrEncode, B: XdrEncode, C: XdrEncode> XdrEncode for (A, B, C) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+        self.2.encode(out);
+    }
+}
+
+impl<A: XdrDecode, B: XdrDecode, C: XdrDecode> XdrDecode for (A, B, C) {
+    fn decode(cursor: &mut Cursor<'_>) -> Result<Self, XdrError> {
+        Ok((A::decode(cursor)?, B::decode(cursor)?, C::decode(cursor)?))
+    }
+}
+
 /// XDR impls for a struct defined elsewhere: its fields in wire order.
 ///
 /// For an API record that is its own wire form — the struct stays where
@@ -663,6 +678,15 @@ mod tests {
         let mut buf = 1u32.to_xdr();
         buf.extend_from_slice(&[0, 0, 0, 0]);
         assert!(u32::from_xdr(&buf).is_err());
+    }
+
+    #[test]
+    fn triples_are_their_fields_in_order() {
+        round_trip((7u32, 8u32, u64::MAX));
+        assert_eq!(
+            (1u32, true, 2u64).to_xdr(),
+            [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2]
+        );
     }
 
     #[test]

@@ -190,6 +190,27 @@ if grep -rnF 'with_capacity((len as usize).min(4096))' crates --include='*.rs' \
     exit 1
 fi
 
+# A reply record is its own wire form: a layout that differs from the
+# record's fields is a codec written beside the type (DomainRecord's id,
+# NetworkRecord's leases), not a Wire* twin with conversions both ways.
+# The twins left, each for a reason a record's own codec cannot meet:
+#   WireGuardStatus - a policy kind this build does not know drops that
+#                     entry of GUARD_LIST, where a failed decode would
+#                     fail the whole list;
+#   WireMetric      - MetricSnapshot's value enum travels flattened into
+#                     scalar fields, and the benchmark package names it;
+#   WireTraceEvent  - a stage or phase a newer daemon adds drops that
+#                     event of TRACE_DUMP, not the whole dump.
+echo "== hygiene: no Wire* twin of a record beside its codec, bar the allowlisted =="
+for f in crates/core/src/protocol.rs crates/daemon/src/adminproto.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'impl From<[^>]*> for Wire[A-Za-z0-9_]+|impl From<Wire[A-Za-z0-9_]+> for ' \
+        | grep -vwE 'Wire(GuardStatus|Metric|TraceEvent)'; then
+        echo "error: a conversion between a record and a Wire* twin in $f — give the record an XDR codec (an xdr_fields! line, or one written beside the type) and a plain(..) row" >&2
+        exit 1
+    fi
+done
+
 # A wire enum states its numbers and names once, in its wire_enum! rows
 # (crates/metrics/src/wire_enum.rs generates the conversions); a type's
 # rule for a number it does not know is a From/TryFrom wrapper beside the
@@ -256,7 +277,8 @@ cargo test -q --release --offline -p virt-rpc --test client_hotpath --test clien
 # thread waits wakes 0 workers and is 1 kept call; with that thread hung
 # in a kept call the next pooled call goes to the pool, and inline calls
 # and pings on both connections are answered. A dispatcher panicking on
-# pooled calls costs no thread (fails by deadline where it does).
+# pooled or on inline calls costs no thread (fails by deadline where it
+# does).
 echo "== perf guard (event loop: one read and one write per burst, wakes at its end, kept calls, release) =="
 cargo test -q --release --offline -p virtd --test eventloop_burst --test pooled_burst
 

@@ -375,3 +375,71 @@ fn malformed_keepalive_param_is_rejected() {
         assert_eq!(err.code(), ErrorCode::InvalidUri, "{bad}");
     }
 }
+
+#[test]
+fn a_pushed_event_of_unknown_kind_reaches_no_callback() {
+    use virt_core::protocol::proc;
+    use virt_rpc::message::{Header, MessageType, Packet, REMOTE_PROGRAM};
+    use virt_rpc::transport::Listener as _;
+    use virt_rpc::xdr::XdrEncode;
+
+    // A daemon stand-in on a memory endpoint: it answers every call with
+    // an empty success, except GET_HOSTNAME, before whose reply it pushes
+    // two lifecycle events built by hand — first one of kind 99, which no
+    // build knows, then a `started`. (Pushed once the subscription is
+    // complete on the client's side too, not on the heels of the
+    // EVENT_REGISTER reply.)
+    let (listener, connector) = virt_rpc::transport::memory_listener();
+    let endpoint = unique("unknown-kind");
+    testbed::register_daemon(&endpoint, connector);
+    let daemon = std::thread::spawn(move || {
+        let transport = listener.accept().unwrap();
+        loop {
+            let packet = Packet::from_body(&transport.recv_frame().unwrap()).unwrap();
+            if packet.header.mtype != MessageType::Call {
+                continue;
+            }
+            let mut reply = Packet::new(packet.header.reply_ok(), &());
+            if packet.header.procedure == proc::GET_HOSTNAME {
+                for kind in [99, DomainEventKind::Started.as_u32()] {
+                    let mut payload = "vm".to_xdr();
+                    payload.extend_from_slice(&[7; 16]);
+                    kind.encode(&mut payload);
+                    0u64.encode(&mut payload);
+                    let event = Packet {
+                        header: Header::event(REMOTE_PROGRAM, proc::EVENT_LIFECYCLE),
+                        payload,
+                    };
+                    transport.send_frame(&event.to_frame()[4..]).unwrap();
+                }
+                reply.payload = "stand-in".to_xdr();
+            }
+            transport.send_frame(&reply.to_frame()[4..]).unwrap();
+            if packet.header.procedure == proc::CLOSE {
+                return;
+            }
+        }
+    });
+
+    let conn = Connect::builder(format!("qemu+memory://{endpoint}/system"))
+        .open()
+        .unwrap();
+    let (tx, rx) = mpsc::channel();
+    conn.register_event_callback(move |event| {
+        let _ = tx.send(event.kind);
+    })
+    .unwrap();
+    assert_eq!(conn.hostname().unwrap(), "stand-in");
+    // Events are handed up in the order they came: had the unknown one
+    // reached the callback, it would be first.
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+        DomainEventKind::Started
+    );
+    conn.close();
+    daemon.join().unwrap();
+    assert!(
+        rx.try_recv().is_err(),
+        "a second event reached the callback"
+    );
+}

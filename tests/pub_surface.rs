@@ -30,7 +30,6 @@ const NAMED_NOWHERE_ELSE: &[(&str, &str, &str)] = &[
     ("core", "JobMetrics", "reached through a public signature"),
     ("core", "LogFilter", "reached through a public signature"),
     ("core", "LogRecord", "reached through a public signature"),
-    ("core", "NetworkRecord", "reached through a public signature"),
     ("core", "RecoveryReport", "reached through a public signature"),
     ("core", "StoragePool", "reached through a public signature"),
     ("core", "StoreFault", "the persister runs its fault hook in every build; goes behind a DiskOps seam (ROADMAP 4(a))"),

@@ -399,14 +399,22 @@ impl HypervisorConnection for RemoteConnection {
     }
 
     fn register_event_callback(&self, callback: EventCallback) -> VirtResult<CallbackId> {
+        // On the bus before the daemon is asked: it pushes events from the
+        // moment it subscribes, and those read with (or right behind) its
+        // reply are handed up at once, by the caller that read them.
+        let id = self.events.register(callback);
         if !self.events_subscribed.swap(true, Ordering::AcqRel) {
             // Events come unasked: from here on the connection keeps a
             // listener on the socket, this generation and every later
             // one. Until now nobody read it between calls.
             self.client.listen();
-            self.call::<()>(proc::EVENT_REGISTER, &())?;
+            if let Err(e) = self.call::<()>(proc::EVENT_REGISTER, &()) {
+                self.events.unregister(id);
+                self.events_subscribed.store(false, Ordering::Release);
+                return Err(e);
+            }
         }
-        Ok(self.events.register(callback))
+        Ok(id)
     }
 
     fn unregister_event_callback(&self, id: CallbackId) -> VirtResult<()> {

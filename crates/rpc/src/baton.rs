@@ -8,17 +8,27 @@
 //! until their slot is filled or they are woken to take over. Whoever
 //! puts the baton down wakes exactly one parked waiter.
 //!
-//! A *listener* is a baton holder with no call of its own, for
-//! connections that expect frames nobody asked for (events, keepalive).
-//! Once it has the baton it keeps it, so every caller parks and the
-//! connection behaves as if it had a reader thread.
+//! A connection that expects frames nobody asked for (events, keepalive)
+//! also has a *watch*: the listener's registration of the connection —
+//! an epoll registration of its socket, or a channel's ready notifier —
+//! which is armed exactly while no call is registered and nobody holds
+//! the baton. The listener never blocks in a receive: woken by the
+//! watch, it takes the baton ([`Baton::take_armed`]), reads what has
+//! arrived without blocking, and puts the baton down again. A call
+//! disarms the watch when it opens its slot, before it sends, so its
+//! reply wakes nobody and a subscribed caller reads its own reply as an
+//! unsubscribed one does. A read pulls in whatever has arrived, and no
+//! edge announces a frame already pulled in: a holder that puts the
+//! baton down on a watched connection first routes every complete frame
+//! still buffered.
 //!
 //! Nothing here blocks, reads a clock or touches a socket: every method
-//! is one step taken under the connection's lock, and whom to wake is
-//! *returned* — the caller wakes them after unlocking. That keeps the
-//! rules small enough to enumerate: the tests at the bottom walk every
-//! interleaving of three callers, a listener, replies in any order,
-//! deadlines and a broken wire.
+//! is one step taken under the connection's lock, and whom to wake — and
+//! whether to arm or disarm the watch ([`Baton::settle_watch`]) — is
+//! *returned*, for the caller to act on. That keeps the rules small
+//! enough to enumerate: the tests at the bottom walk every interleaving
+//! of three callers, the listener, a liveness probe, replies and an
+//! event in any order, deadlines and a broken wire.
 
 /// One call in flight.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -36,14 +46,6 @@ enum SlotState<W, R> {
     /// The reply arrived (or the connection failed) before the owner
     /// came for it.
     Filled(R),
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Listener<W> {
-    Absent,
-    /// Started while a caller held the baton; next in line for it.
-    Waiting(W),
-    Reading,
 }
 
 /// What a caller does after [`Baton::enter`].
@@ -66,15 +68,28 @@ pub(crate) enum Routed<W> {
     Late,
 }
 
+/// What the holder does after [`Baton::put_down`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum PutDown<W> {
+    /// A complete frame is buffered on a watched connection, and no edge
+    /// will announce it: route it, then put the baton down again.
+    Route,
+    /// The baton is down; wake this waiter, if any, to read on.
+    Wake(Option<W>),
+}
+
 /// The receive side of one connection. `W` is whatever wakes a waiter
 /// (a thread handle), `R` a filed reply.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Baton<W, R> {
     /// Few and short-lived: a linear scan beats hashing the serial.
     slots: Vec<Slot<W, R>>,
-    /// A *caller* holds the baton.
-    reading: bool,
-    listener: Listener<W>,
+    /// Somebody holds the baton: a caller, the listener or a probe.
+    held: bool,
+    /// The connection has a listener's watch.
+    watched: bool,
+    /// The watch is armed, as of the last [`Baton::settle_watch`].
+    armed: bool,
     closed: bool,
 }
 
@@ -82,8 +97,9 @@ impl<W: Clone, R> Baton<W, R> {
     pub(crate) fn new() -> Self {
         Baton {
             slots: Vec::new(),
-            reading: false,
-            listener: Listener::Absent,
+            held: false,
+            watched: false,
+            armed: false,
             closed: false,
         }
     }
@@ -93,8 +109,9 @@ impl<W: Clone, R> Baton<W, R> {
     }
 
     /// Whether anybody holds the baton.
+    #[cfg(test)]
     pub(crate) fn is_read(&self) -> bool {
-        self.reading || matches!(self.listener, Listener::Reading)
+        self.held
     }
 
     fn slot(&mut self, serial: u32) -> Option<&mut Slot<W, R>> {
@@ -124,7 +141,7 @@ impl<W: Clone, R> Baton<W, R> {
     /// The caller's step after sending, and again each time it wakes.
     /// `me` is only called to park.
     pub(crate) fn enter(&mut self, serial: u32, me: impl FnOnce() -> W) -> Enter<R> {
-        let taken = self.is_read();
+        let taken = self.held;
         let Some(slot) = self.slot(serial) else {
             unreachable!("call {serial} entered without a slot");
         };
@@ -141,7 +158,7 @@ impl<W: Clone, R> Baton<W, R> {
             return Enter::Wait;
         }
         slot.state = SlotState::Active;
-        self.reading = true;
+        self.held = true;
         Enter::Read
     }
 
@@ -170,47 +187,68 @@ impl<W: Clone, R> Baton<W, R> {
     }
 
     /// Puts the baton down — the holder read its own reply, its deadline
-    /// passed, the wire broke, its probe is done — and returns the one
+    /// passed, the wire broke, its look is done — and returns the one
     /// waiter to wake, so the socket is never left unread while someone
-    /// waits on it: the listener if one is in line, else any parked
-    /// caller. The woken caller may find the baton gone again (a fresh
-    /// caller took it first) and simply parks again behind that one.
-    pub(crate) fn put_down(&mut self) -> Option<W> {
-        self.reading = false;
-        if let Listener::Waiting(listener) = &self.listener {
-            return Some(listener.clone());
+    /// waits on it. The woken caller may find the baton gone again (a
+    /// fresh caller took it first) and simply parks again behind that
+    /// one. On a watched connection the holder is first sent back to
+    /// route what `buffered` says is still buffered: a frame that has
+    /// been read off the socket raises no edge, so nobody else would.
+    pub(crate) fn put_down(&mut self, buffered: impl FnOnce() -> bool) -> PutDown<W> {
+        if self.watched && !self.closed && buffered() {
+            return PutDown::Route;
         }
-        self.slots.iter().find_map(|slot| match &slot.state {
+        self.held = false;
+        PutDown::Wake(self.slots.iter().find_map(|slot| match &slot.state {
             SlotState::Parked(waiter) => Some(waiter.clone()),
             _ => None,
-        })
+        }))
     }
 
-    /// Takes the baton for a probe of the socket if nobody has it.
+    /// Takes the baton for a look at the socket if nobody has it.
     pub(crate) fn try_take(&mut self) -> bool {
-        if self.closed || self.is_read() {
+        if self.closed || self.held {
             return false;
         }
-        self.reading = true;
+        self.held = true;
         true
     }
 
-    /// The listener's step at start, and again each time it wakes:
-    /// `true` once the baton is its own. It never puts it down.
-    pub(crate) fn listener_enter(&mut self, me: impl FnOnce() -> W) -> bool {
-        if self.reading {
-            if matches!(self.listener, Listener::Absent) {
-                self.listener = Listener::Waiting(me());
-            }
+    /// Takes the baton for the listener, which its watch woke: only while
+    /// the watch is armed — a wake-up that raced a call's registration
+    /// leaves that call's reply to its caller.
+    pub(crate) fn take_armed(&mut self) -> bool {
+        if !self.armed {
             return false;
         }
-        self.listener = Listener::Reading;
+        self.held = true;
         true
     }
 
-    /// Whether a listener has been started (and has not gone).
-    pub(crate) fn has_listener(&self) -> bool {
-        !matches!(self.listener, Listener::Absent)
+    /// The connection gets a listener's watch, disarmed until the next
+    /// [`Baton::settle_watch`].
+    pub(crate) fn watch(&mut self) {
+        self.watched = true;
+    }
+
+    /// Whether the connection has a listener's watch.
+    pub(crate) fn is_watched(&self) -> bool {
+        self.watched
+    }
+
+    /// The one rule of the watch: armed exactly while nobody holds the
+    /// baton, no call is registered and the connection is open. Returns
+    /// `Some(armed)` when the watch must be armed or disarmed to keep it,
+    /// `None` when it already does. Whoever changed the state steps here
+    /// before releasing the lock; arming a watch reports what is already
+    /// waiting on the socket as a new edge.
+    pub(crate) fn settle_watch(&mut self) -> Option<bool> {
+        let armed = self.watched && !self.closed && !self.held && self.slots.is_empty();
+        if armed == self.armed {
+            return None;
+        }
+        self.armed = armed;
+        Some(armed)
     }
 
     /// The connection is over: refuses new calls, fails every call in
@@ -228,10 +266,6 @@ impl<W: Clone, R> Baton<W, R> {
                 wake.push(owner);
             }
         }
-        if let Listener::Waiting(listener) = std::mem::replace(&mut self.listener, Listener::Absent)
-        {
-            wake.push(listener);
-        }
         wake
     }
 }
@@ -242,20 +276,26 @@ mod tests {
     //!
     //! The model runs the real [`Baton`] under a scheduler that may pick
     //! any enabled step next: three callers (send, enter, read a frame,
-    //! wake up), one baton holder without a call (a listener that stays,
-    //! or a liveness probe that looks and leaves), and the world around
-    //! them (a reply arriving — in any order —, a caller's deadline
-    //! passing, the wire breaking). A wake-up is a token, as with
-    //! `Thread::unpark`: set by whoever was told to wake the thread,
-    //! consumed when the thread runs. The search visits every reachable
-    //! state once and checks the hand-off rules in each.
+    //! route what is buffered on the way out, wake up), the listener
+    //! (started at any point, woken by its watch, reading until nothing
+    //! is left), a liveness probe that looks and leaves, and the world
+    //! around them (a reply arriving — in any order —, an event pushed, a
+    //! caller's deadline passing, the wire breaking). A read pulls in
+    //! every frame that has arrived: the first is served, the rest stay
+    //! buffered. The watch is a kernel registration: an edge reaches the
+    //! listener when a frame arrives while it is armed, or when it is
+    //! armed with frames waiting; a starting listener looks first, taking
+    //! the baton if it is free. A wake-up is a token, as with
+    //! `Thread::unpark` or an eventfd: set by whoever was told to wake the
+    //! thread, consumed when the thread runs. The search visits every
+    //! reachable state once and checks the rules in each.
 
     use super::*;
     use std::collections::{HashSet, VecDeque};
 
     const CALLERS: usize = 3;
-    /// The wake token index of the holder without a call.
-    const HOLDER: usize = CALLERS;
+    /// Frames `0..CALLERS` are the callers' replies; this one is an event.
+    const EVENT: usize = CALLERS;
 
     /// `Some(serial)`: the reply to that call; `None`: the connection
     /// failed first.
@@ -274,15 +314,28 @@ mod tests {
         Sent,
         Reading,
         Parked,
+        /// Its call is over and its slot gone, but it still holds the
+        /// baton: routing what is buffered before it may put it down.
+        Leaving(End),
         Finished(End),
     }
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    enum Holder {
+    enum Listener {
         /// Not part of this run, or not started yet.
         Off,
-        ListenerWaiting,
-        ListenerReading,
+        /// Its watch exists; its thread has yet to take its first look.
+        Starting,
+        /// In its poller's wait.
+        Waiting,
+        /// Holds the baton: reads until nothing is left.
+        Reading,
+        Gone,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Probe {
+        Off,
         Probing,
         Gone,
     }
@@ -292,7 +345,8 @@ mod tests {
         Pending,
         /// Read by its own caller.
         Direct,
-        /// Filed in its caller's slot by another reader.
+        /// Filed in its caller's slot by another reader, or, for the
+        /// event, handed to the handler.
         Filed,
         /// Read after its caller had given up.
         Late,
@@ -304,12 +358,18 @@ mod tests {
         Run(usize),
         Read(usize),
         ReaderTimesOut(usize),
+        RouteBuffered(usize),
         Reply(usize),
+        Push,
         Deadline(usize),
         Break,
-        HolderStarts,
-        HolderRuns,
-        HolderReads,
+        ListenerStarts,
+        ListenerLooks,
+        ListenerWakes,
+        ListenerReads,
+        ListenerPutsDown,
+        ProbeStarts,
+        ProbeReads,
         ProbeEnds,
     }
 
@@ -317,21 +377,30 @@ mod tests {
     struct World {
         baton: Model,
         callers: [Caller; CALLERS],
-        holder: Holder,
-        woken: [bool; CALLERS + 1],
+        listener: Listener,
+        probe: Probe,
+        woken: [bool; CALLERS],
         expired: [bool; CALLERS],
-        /// Reply frames sent by the peer and not yet read, oldest first.
+        /// Frames sent by the peer and not yet read, oldest first.
         wire: VecDeque<usize>,
+        /// Frames a read pulled in beyond the one it served.
+        buffered: VecDeque<usize>,
+        /// The kernel side of the watch: its interest set.
+        armed: bool,
+        /// An edge (or a close's wake-up) waits for the listener.
+        edge: bool,
         replied: [bool; CALLERS],
+        pushed: bool,
         broken: bool,
-        delivery: [Delivery; CALLERS],
+        delivery: [Delivery; CALLERS + 1],
     }
 
     #[derive(Clone, Copy)]
     struct Scenario {
         listener: bool,
         probe: bool,
-        deadlines: bool,
+        /// How many callers have a deadline (the first ones).
+        deadlines: usize,
         breaks: bool,
     }
 
@@ -340,13 +409,18 @@ mod tests {
             World {
                 baton: Baton::new(),
                 callers: [Caller::Idle; CALLERS],
-                holder: Holder::Off,
-                woken: [false; CALLERS + 1],
+                listener: Listener::Off,
+                probe: Probe::Off,
+                woken: [false; CALLERS],
                 expired: [false; CALLERS],
                 wire: VecDeque::new(),
+                buffered: VecDeque::new(),
+                armed: false,
+                edge: false,
                 replied: [false; CALLERS],
+                pushed: false,
                 broken: false,
-                delivery: [Delivery::Pending; CALLERS],
+                delivery: [Delivery::Pending; CALLERS + 1],
             }
         }
 
@@ -360,6 +434,30 @@ mod tests {
             if let Some(waiter) = waiter {
                 self.woken[waiter] = true;
             }
+        }
+
+        /// A frame arrives on the socket: an armed watch reports it.
+        fn arrive(&mut self, frame: usize) {
+            self.wire.push_back(frame);
+            if self.armed {
+                self.edge = true;
+            }
+        }
+
+        /// What a read gets: a buffered frame first, else the oldest on
+        /// the wire, pulling in everything behind it. `None`: nothing has
+        /// arrived.
+        fn read_frame(&mut self) -> Option<usize> {
+            if let Some(frame) = self.buffered.pop_front() {
+                return Some(frame);
+            }
+            let frame = self.wire.pop_front()?;
+            self.buffered.extend(self.wire.drain(..));
+            Some(frame)
+        }
+
+        fn nothing_arrived(&self) -> bool {
+            self.buffered.is_empty() && self.wire.is_empty()
         }
 
         fn finish(&mut self, caller: usize, filed: Option<u32>) {
@@ -386,13 +484,17 @@ mod tests {
             }
         }
 
-        /// The baton holder files a frame that is not its own.
+        /// The baton holder delivers a frame that is not its own.
         fn route(&mut self, frame: usize) {
             assert_eq!(
                 self.delivery[frame],
                 Delivery::Pending,
                 "a frame read twice"
             );
+            if frame == EVENT {
+                self.delivery[frame] = Delivery::Filed;
+                return;
+            }
             match self.baton.route(frame as u32, || Some(frame as u32)) {
                 Routed::Filed(owner) => {
                     self.delivery[frame] = Delivery::Filed;
@@ -402,57 +504,108 @@ mod tests {
             }
         }
 
-        /// A reading caller's call is over, as the call path ends it.
-        fn leave(&mut self, caller: usize) -> Option<usize> {
-            self.baton.abandon(caller as u32);
-            self.baton.put_down()
+        /// `put_down`, as every holder drives it. `false`: routing what
+        /// is buffered comes first.
+        fn put_down(&mut self) -> bool {
+            let buffered = !self.buffered.is_empty();
+            match self.baton.put_down(|| buffered) {
+                PutDown::Route => false,
+                PutDown::Wake(next) => {
+                    // Nothing read off the socket stays buffered once the
+                    // baton is down on a listened connection: no edge
+                    // would announce it.
+                    assert!(
+                        !self.baton.is_watched() || self.baton.is_closed() || !buffered,
+                        "frames {:?} stay buffered with the baton down",
+                        self.buffered
+                    );
+                    self.wake(next);
+                    true
+                }
+            }
         }
 
-        /// The wire failed under the baton holder.
+        /// A reading caller's call is over, as the call path ends it.
+        fn leave(&mut self, caller: usize, end: End) {
+            self.baton.abandon(caller as u32);
+            self.callers[caller] = if self.put_down() {
+                Caller::Finished(end)
+            } else {
+                Caller::Leaving(end)
+            };
+        }
+
+        /// The wire failed under the baton holder, which closes the
+        /// connection: every waiter is failed, the listener woken.
         fn fail(&mut self) {
             for waiter in self.baton.fail_all(|| None) {
                 self.woken[waiter] = true;
+            }
+            self.edge = true;
+        }
+
+        /// Every unlock: the watch is armed or disarmed as the baton says,
+        /// and arming a socket with frames waiting on it is an edge.
+        fn settle(&mut self) {
+            if let Some(armed) = self.baton.settle_watch() {
+                self.armed = armed;
+                if armed && (!self.wire.is_empty() || self.broken) {
+                    self.edge = true;
+                }
             }
         }
 
         fn steps(&self, scenario: Scenario) -> Vec<Step> {
             let mut steps = Vec::new();
+            let readable = !self.nothing_arrived() || self.broken;
             for (i, caller) in self.callers.iter().enumerate() {
                 match caller {
                     Caller::Idle => steps.push(Step::Send(i)),
                     Caller::Sent => steps.push(Step::Run(i)),
                     Caller::Parked if self.woken[i] => steps.push(Step::Run(i)),
                     Caller::Reading => {
-                        if !self.wire.is_empty() || self.broken {
+                        if readable {
                             steps.push(Step::Read(i));
                         }
                         if self.expired[i] {
                             steps.push(Step::ReaderTimesOut(i));
                         }
                     }
+                    Caller::Leaving(_) => steps.push(Step::RouteBuffered(i)),
                     Caller::Parked | Caller::Finished(_) => {}
                 }
-                let in_flight = !matches!(caller, Caller::Idle | Caller::Finished(_));
-                if in_flight && scenario.deadlines && !self.expired[i] {
+                let in_flight = matches!(caller, Caller::Sent | Caller::Reading | Caller::Parked);
+                if in_flight && i < scenario.deadlines && !self.expired[i] {
                     steps.push(Step::Deadline(i));
                 }
                 if !matches!(caller, Caller::Idle) && !self.replied[i] && !self.broken {
                     steps.push(Step::Reply(i));
                 }
             }
+            if scenario.listener && !self.pushed && !self.broken {
+                steps.push(Step::Push);
+            }
             if scenario.breaks && !self.broken {
                 steps.push(Step::Break);
             }
-            match self.holder {
-                Holder::Off if scenario.listener || scenario.probe => {
-                    steps.push(Step::HolderStarts);
-                }
-                Holder::ListenerWaiting if self.woken[HOLDER] => steps.push(Step::HolderRuns),
-                Holder::ListenerReading | Holder::Probing => {
-                    if !self.wire.is_empty() || self.broken {
-                        steps.push(Step::HolderReads);
+            match self.listener {
+                Listener::Off if scenario.listener => steps.push(Step::ListenerStarts),
+                Listener::Starting => steps.push(Step::ListenerLooks),
+                Listener::Waiting if self.edge => steps.push(Step::ListenerWakes),
+                Listener::Reading if readable => steps.push(Step::ListenerReads),
+                Listener::Reading => steps.push(Step::ListenerPutsDown),
+                _ => {}
+            }
+            match self.probe {
+                Probe::Off if scenario.probe => steps.push(Step::ProbeStarts),
+                Probe::Probing => {
+                    if readable {
+                        steps.push(Step::ProbeReads);
                     }
-                    if self.holder == Holder::Probing {
+                    // A transport that cannot look without blocking ends
+                    // the look at once; one that can looks until nothing
+                    // is left.
+                    if !scenario.listener || (self.nothing_arrived() && !self.broken) {
                         steps.push(Step::ProbeEnds);
                     }
                 }
@@ -461,7 +614,7 @@ mod tests {
             steps
         }
 
-        fn apply(&mut self, step: Step, scenario: Scenario) {
+        fn apply(&mut self, step: Step) {
             match step {
                 Step::Send(i) => {
                     self.callers[i] = if self.baton.register(i as u32) {
@@ -474,29 +627,39 @@ mod tests {
                     self.woken[i] = false;
                     self.enter(i);
                 }
-                Step::Read(i) => match self.wire.pop_front() {
+                Step::Read(i) => match self.read_frame() {
                     Some(frame) if frame == i => {
                         assert_eq!(self.delivery[i], Delivery::Pending, "a frame read twice");
                         self.delivery[i] = Delivery::Direct;
-                        let next = self.leave(i);
-                        self.wake(next);
-                        self.callers[i] = Caller::Finished(End::Reply);
+                        self.leave(i, End::Reply);
                     }
                     Some(frame) => self.route(frame),
                     None => {
                         self.fail();
-                        self.leave(i);
-                        self.callers[i] = Caller::Finished(End::Disconnected);
+                        self.leave(i, End::Disconnected);
                     }
                 },
-                Step::ReaderTimesOut(i) => {
-                    let next = self.leave(i);
-                    self.wake(next);
-                    self.callers[i] = Caller::Finished(End::TimedOut);
+                Step::ReaderTimesOut(i) => self.leave(i, End::TimedOut),
+                Step::RouteBuffered(i) => {
+                    let Caller::Leaving(end) = self.callers[i] else {
+                        unreachable!("only a leaving caller routes on its way out");
+                    };
+                    let frame = self
+                        .buffered
+                        .pop_front()
+                        .expect("sent back to route nothing");
+                    self.route(frame);
+                    if self.put_down() {
+                        self.callers[i] = Caller::Finished(end);
+                    }
                 }
                 Step::Reply(i) => {
                     self.replied[i] = true;
-                    self.wire.push_back(i);
+                    self.arrive(i);
+                }
+                Step::Push => {
+                    self.pushed = true;
+                    self.arrive(EVENT);
                 }
                 Step::Deadline(i) => {
                     self.expired[i] = true;
@@ -505,59 +668,103 @@ mod tests {
                         self.woken[i] = true;
                     }
                 }
-                Step::Break => self.broken = true,
-                Step::HolderStarts if scenario.probe => {
-                    self.holder = if self.baton.try_take() {
-                        Holder::Probing
+                Step::Break => {
+                    // The hang-up is readable news, and raises an edge.
+                    self.broken = true;
+                    if self.armed {
+                        self.edge = true;
+                    }
+                }
+                Step::ListenerStarts => {
+                    self.listener = if self.baton.is_closed() {
+                        Listener::Gone
                     } else {
-                        Holder::Gone
+                        self.baton.watch();
+                        Listener::Starting
                     };
                 }
-                Step::HolderStarts | Step::HolderRuns => {
-                    self.woken[HOLDER] = false;
-                    self.holder = if self.baton.is_closed() {
-                        Holder::Gone
-                    } else if self.baton.listener_enter(|| HOLDER) {
-                        Holder::ListenerReading
+                Step::ListenerLooks => {
+                    self.listener = if self.baton.is_closed() {
+                        Listener::Gone
+                    } else if self.baton.try_take() {
+                        Listener::Reading
                     } else {
-                        Holder::ListenerWaiting
+                        Listener::Waiting
                     };
                 }
-                Step::HolderReads => match self.wire.pop_front() {
+                Step::ListenerWakes => {
+                    self.edge = false;
+                    if self.baton.is_closed() {
+                        self.listener = Listener::Gone;
+                    } else if self.baton.take_armed() {
+                        self.listener = Listener::Reading;
+                    }
+                }
+                Step::ListenerReads => match self.read_frame() {
                     Some(frame) => self.route(frame),
                     None => {
                         self.fail();
-                        if self.holder == Holder::Probing {
-                            self.baton.put_down();
-                        }
-                        self.holder = Holder::Gone;
+                        assert!(self.put_down(), "a closed connection has nothing to route");
+                        self.listener = Listener::Waiting;
+                    }
+                },
+                Step::ListenerPutsDown => {
+                    assert!(self.put_down(), "the listener read everything");
+                    self.listener = Listener::Waiting;
+                }
+                Step::ProbeStarts => {
+                    self.probe = if self.baton.try_take() {
+                        Probe::Probing
+                    } else {
+                        Probe::Gone
+                    };
+                }
+                Step::ProbeReads => match self.read_frame() {
+                    Some(frame) => self.route(frame),
+                    None => {
+                        self.fail();
+                        assert!(self.put_down(), "a closed connection has nothing to route");
+                        self.probe = Probe::Gone;
                     }
                 },
                 Step::ProbeEnds => {
-                    let next = self.baton.put_down();
-                    self.wake(next);
-                    self.holder = Holder::Gone;
+                    assert!(self.put_down(), "the probe read everything");
+                    self.probe = Probe::Gone;
                 }
             }
+            self.settle();
         }
 
         /// The rules, checked in every reachable state.
         fn check(&self, scenario: Scenario) {
-            let reading = self
+            let holding = self
                 .callers
                 .iter()
-                .filter(|caller| **caller == Caller::Reading)
+                .filter(|caller| matches!(caller, Caller::Reading | Caller::Leaving(_)))
                 .count()
-                + usize::from(matches!(
-                    self.holder,
-                    Holder::ListenerReading | Holder::Probing
-                ));
-            assert!(reading <= 1, "two readers");
+                + usize::from(self.listener == Listener::Reading)
+                + usize::from(self.probe == Probe::Probing);
+            assert!(holding <= 1, "two readers");
             assert_eq!(
                 self.baton.is_read(),
-                reading == 1,
+                holding == 1,
                 "the baton disagrees with who is reading"
             );
+
+            // The watch: armed exactly while no call is registered and
+            // nobody holds the baton (and the connection is open).
+            if self.baton.is_watched() {
+                let registered = self.callers.iter().any(|caller| {
+                    matches!(caller, Caller::Sent | Caller::Reading | Caller::Parked)
+                });
+                assert_eq!(
+                    self.armed,
+                    !registered && holding == 0 && !self.baton.is_closed(),
+                    "the watch is {} with a call registered: {registered}, held: {}",
+                    if self.armed { "armed" } else { "disarmed" },
+                    holding == 1
+                );
+            }
 
             let someone_woken = self.woken.iter().any(|woken| *woken);
             for (i, caller) in self.callers.iter().enumerate() {
@@ -569,7 +776,7 @@ mod tests {
                     "caller {i} has its reply and was not woken"
                 );
                 assert!(
-                    reading == 1 || someone_woken,
+                    holding == 1 || someone_woken,
                     "caller {i} waits, nobody reads and nobody was woken to"
                 );
             }
@@ -590,7 +797,8 @@ mod tests {
             }
 
             // Nothing may depend on a deadline or a failure to make
-            // progress: if only those are left, every call is over.
+            // progress: if only those are left, every call is over — and
+            // on a connection with a listener, every frame was read.
             let stuck = self
                 .steps(scenario)
                 .iter()
@@ -603,6 +811,17 @@ mod tests {
                     );
                 }
                 assert!(self.baton.slots.is_empty(), "a slot outlived its call");
+                if scenario.listener && !self.baton.is_closed() {
+                    assert_eq!(
+                        self.delivery[EVENT],
+                        Delivery::Filed,
+                        "the event was never handed up: wire {:?}, buffered {:?}",
+                        self.wire,
+                        self.buffered
+                    );
+                    assert!(self.nothing_arrived(), "frames nobody will read");
+                    assert!(!self.broken, "a hang-up nobody will see");
+                }
             }
         }
     }
@@ -610,33 +829,36 @@ mod tests {
     /// Visits every state reachable under `scenario`; returns how many.
     fn explore(scenario: Scenario) -> usize {
         let mut seen = HashSet::new();
-        let mut stack = vec![(World::new(), Vec::<Step>::new())];
-        while let Some((world, path)) = stack.pop() {
-            if !seen.insert(world.clone()) {
-                continue;
-            }
-            let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                world.check(scenario);
+        visit(World::new(), scenario, &mut seen, &mut Vec::new());
+        seen.len()
+    }
+
+    /// Depth first from `world`, reached by `path`, which names the steps
+    /// to a violation.
+    fn visit(world: World, scenario: Scenario, seen: &mut HashSet<World>, path: &mut Vec<Step>) {
+        if !seen.insert(world.clone()) {
+            return;
+        }
+        let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            world.check(scenario);
+        }));
+        if let Err(violation) = checked {
+            eprintln!("violated after {path:?}");
+            std::panic::resume_unwind(violation);
+        }
+        for step in world.steps(scenario) {
+            let mut next = world.clone();
+            path.push(step);
+            let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                next.apply(step);
             }));
-            if let Err(violation) = checked {
-                eprintln!("violated after {path:?}");
+            if let Err(violation) = applied {
+                eprintln!("violated by {path:?}");
                 std::panic::resume_unwind(violation);
             }
-            for step in world.steps(scenario) {
-                let mut next = world.clone();
-                let mut path = path.clone();
-                path.push(step);
-                let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    next.apply(step, scenario);
-                }));
-                if let Err(violation) = applied {
-                    eprintln!("violated by {path:?}");
-                    std::panic::resume_unwind(violation);
-                }
-                stack.push((next, path));
-            }
+            visit(next, scenario, seen, path);
+            path.pop();
         }
-        seen.len()
     }
 
     #[test]
@@ -644,7 +866,7 @@ mod tests {
         let states = explore(Scenario {
             listener: false,
             probe: false,
-            deadlines: true,
+            deadlines: CALLERS,
             breaks: true,
         });
         assert!(
@@ -658,7 +880,7 @@ mod tests {
         let states = explore(Scenario {
             listener: true,
             probe: false,
-            deadlines: true,
+            deadlines: 1,
             breaks: true,
         });
         assert!(
@@ -672,8 +894,22 @@ mod tests {
         let states = explore(Scenario {
             listener: false,
             probe: true,
-            deadlines: true,
+            deadlines: CALLERS,
             breaks: true,
+        });
+        assert!(
+            states > 10_000,
+            "only {states} states: the model lost its steps"
+        );
+    }
+
+    #[test]
+    fn a_probe_may_cut_in_on_a_listened_connection() {
+        let states = explore(Scenario {
+            listener: true,
+            probe: true,
+            deadlines: 0,
+            breaks: false,
         });
         assert!(
             states > 10_000,
@@ -688,5 +924,28 @@ mod tests {
         assert!(baton.fail_all(|| None).is_empty(), "nobody was parked");
         assert!(!baton.register(2));
         assert_eq!(baton.enter(1, || 0), Enter::Done(None));
+    }
+
+    #[test]
+    fn a_call_disarms_the_watch_before_it_sends_and_its_end_rearms_it() {
+        let mut baton: Model = Baton::new();
+        baton.watch();
+        assert_eq!(baton.settle_watch(), Some(true), "idle: armed");
+        assert!(baton.register(1));
+        assert_eq!(baton.settle_watch(), Some(false), "registered: disarmed");
+        assert_eq!(baton.enter(1, || 0), Enter::Read);
+        assert_eq!(baton.settle_watch(), None);
+        baton.abandon(1);
+        assert_eq!(
+            baton.put_down(|| true),
+            PutDown::Route,
+            "an event read with the reply"
+        );
+        assert_eq!(baton.put_down(|| false), PutDown::Wake(None));
+        assert_eq!(
+            baton.settle_watch(),
+            Some(true),
+            "down and idle: armed again"
+        );
     }
 }

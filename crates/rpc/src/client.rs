@@ -13,21 +13,27 @@
 //! Frames nobody asked for — events, keepalive — are read by whoever
 //! reads next. A connection that must see them promptly starts a
 //! *listener* ([`CallClient::listen`]): the one thread this module can
-//! spawn, which takes the baton and keeps it.
+//! spawn. It never blocks in a receive: it waits on its own poller for
+//! the connection's *watch*, which is armed only while no call is in
+//! flight and nobody holds the baton, takes the baton when woken, reads
+//! what has arrived without waiting and puts the baton down. A caller on
+//! a subscribed connection therefore still reads its own reply.
 
 use std::io;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use virt_metrics::span::{self, Stage};
 
-use crate::baton::{Baton, Enter, Routed};
+use crate::baton::{Baton, Enter, PutDown, Routed};
 use crate::bufpool::{BufferPool, MAX_PARKED_RECORD_CAPACITY};
 use crate::message::{self, Header, MessageStatus, MessageType, Packet, RpcError};
-use crate::transport::Transport;
+use crate::poll::{Events, Poller};
+use crate::transport::{Readiness, ReadyNotifier, Transport};
 use crate::xdr::{XdrDecode, XdrEncode, XdrError};
 
 /// A failure of a remote call.
@@ -87,9 +93,9 @@ impl From<XdrError> for CallError {
 
 type EventHandler = Box<dyn Fn(&CallClient, Packet) + Send + 'static>;
 
-/// What a listener does between frames: called before each receive, it
+/// What a listener does between wake-ups: called before each wait, it
 /// returns when to call it again at the latest (`None`: at the next
-/// frame).
+/// wake-up).
 type Idle = Box<dyn FnMut(&CallClient) -> Option<Instant> + Send + 'static>;
 
 /// The receive side of a connection, under one lock.
@@ -100,6 +106,105 @@ struct Receive {
     /// The receive buffer of the callers, taken with the baton and put
     /// back with it. Grown to the working frame size, it stays there.
     buf: Vec<u8>,
+    /// The listener's watch, once [`CallClient::listen`] started one.
+    watch: Option<Arc<Watch>>,
+}
+
+impl Receive {
+    /// Arms or disarms the watch as the baton's rule says it must be.
+    fn settle_watch(&mut self, transport: &dyn Transport) {
+        if let (Some(armed), Some(watch)) = (self.baton.settle_watch(), &self.watch) {
+            watch.set(transport, armed);
+        }
+    }
+}
+
+/// The receive side, locked. Unlocking first brings the listener's watch
+/// in line with the baton, so no step leaves it armed against the rule
+/// or disarmed with nobody to read.
+struct Locked<'a> {
+    receive: MutexGuard<'a, Receive>,
+    transport: &'a dyn Transport,
+}
+
+impl Deref for Locked<'_> {
+    type Target = Receive;
+
+    fn deref(&self) -> &Receive {
+        &self.receive
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Receive {
+        &mut self.receive
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        self.receive.settle_watch(self.transport);
+    }
+}
+
+/// The poller token of a watched socket; the wake channel has its own.
+const WATCH_TOKEN: u64 = 0;
+
+/// What the listener waits on: a poller of its own — an epoll instance
+/// and an eventfd, so two descriptors per subscribed connection — and
+/// what wakes it while the watch is armed.
+struct Watch {
+    poller: Arc<Poller>,
+    source: Source,
+}
+
+enum Source {
+    /// The connection's socket, registered in the poller; arming and
+    /// disarming change its interest set, which only this poller's one
+    /// waiter sees.
+    Fd(i32),
+    /// A channel whose ready notifier, installed while armed, wakes the
+    /// poller. Installing it fires it at once if frames are waiting, so
+    /// a frame queued while disarmed is not missed.
+    Notify(ReadyNotifier),
+}
+
+impl Watch {
+    /// # Errors
+    ///
+    /// `Unsupported` for a transport with neither a descriptor nor a
+    /// ready notifier, and in a build without epoll; the poller's own
+    /// failures (descriptors exhausted).
+    fn new(transport: &dyn Transport) -> io::Result<Watch> {
+        let poller = Arc::new(Poller::new()?);
+        let source = if let Some(fd) = transport.watch_fd() {
+            poller.register(fd, WATCH_TOKEN, false, false)?;
+            Source::Fd(fd)
+        } else if transport.readiness() == Readiness::Notify {
+            let poller = Arc::downgrade(&poller);
+            Source::Notify(Arc::new(move || {
+                if let Some(poller) = poller.upgrade() {
+                    poller.wake();
+                }
+            }))
+        } else {
+            return Err(io::ErrorKind::Unsupported.into());
+        };
+        Ok(Watch { poller, source })
+    }
+
+    fn set(&self, transport: &dyn Transport, armed: bool) {
+        match &self.source {
+            Source::Fd(fd) => {
+                // A failure means the socket is gone; so is the call
+                // that would have needed the watch.
+                let _ = self.poller.modify(*fd, WATCH_TOKEN, armed, false);
+            }
+            Source::Notify(notify) => {
+                transport.set_ready_notifier(armed.then(|| Arc::clone(notify)));
+            }
+        }
+    }
 }
 
 virt_metrics::metric_set! {
@@ -131,13 +236,26 @@ struct ClientInner {
     metrics: &'static StubMetrics,
 }
 
+impl ClientInner {
+    fn receive(&self) -> Locked<'_> {
+        Locked {
+            receive: self.receive.lock(),
+            transport: &*self.transport,
+        }
+    }
+}
+
 impl Drop for ClientInner {
-    /// The last handle is gone: hang up, so the peer sees it now and a
-    /// listener — which holds the transport but only a `Weak` of this —
-    /// falls out of its receive and exits.
+    /// The last handle is gone: hang up, so the peer sees it now, and wake
+    /// a listener — which holds only a `Weak` of this — so it exits.
     fn drop(&mut self) {
-        unpark_all(self.receive.get_mut().baton.fail_all(|| None));
+        let receive = self.receive.get_mut();
+        unpark_all(receive.baton.fail_all(|| None));
+        receive.settle_watch(&*self.transport);
         let _ = self.transport.shutdown();
+        if let Some(watch) = &receive.watch {
+            watch.poller.wake();
+        }
     }
 }
 
@@ -180,6 +298,7 @@ impl CallClient {
                 receive: Mutex::new(Receive {
                     baton: Baton::new(),
                     buf: Vec::new(),
+                    watch: None,
                 }),
                 event_handler: Mutex::new(None),
                 call_timeout: Mutex::new(Some(Duration::from_secs(30))),
@@ -224,38 +343,46 @@ impl CallClient {
     /// first, without blocking, and handles what it finds — a farewell,
     /// a late reply, the peer's hang-up.
     pub(crate) fn is_closed(&self) -> bool {
-        {
-            let mut receive = self.inner.receive.lock();
-            if !receive.baton.try_take() {
-                return receive.baton.is_closed();
-            }
-        }
-        let holding = Holding {
-            client: self,
-            serial: None,
-            buf: Vec::new(),
-        };
-        loop {
-            match self.inner.transport.try_recv_frame() {
-                Ok(Some(frame)) if self.route(&frame, None).is_ok() => {}
-                Ok(None) => break,
-                // A transport that cannot look without blocking: all we
-                // know is what the last call saw.
-                Err(e) if e.kind() == io::ErrorKind::Unsupported => break,
-                Ok(Some(_)) | Err(_) => {
-                    self.close();
-                    break;
-                }
-            }
-        }
-        drop(holding);
+        self.look(Baton::try_take);
         self.is_known_closed()
     }
 
     /// Whether the connection is closed as far as anyone has seen —
     /// without looking at the socket.
     pub(crate) fn is_known_closed(&self) -> bool {
-        self.inner.receive.lock().baton.is_closed()
+        self.inner.receive().baton.is_closed()
+    }
+
+    /// Takes the baton if `take` hands it over, routes every frame that
+    /// has arrived, without waiting for more, and puts the baton down.
+    fn look(&self, take: fn(&mut Baton<Thread, Option<Packet>>) -> bool) {
+        if !take(&mut self.inner.receive().baton) {
+            return;
+        }
+        let holding = Holding {
+            client: self,
+            serial: None,
+            buf: Vec::new(),
+        };
+        while self.route_arrived() {}
+        drop(holding);
+    }
+
+    /// Reads one frame that has already arrived and routes it, for the
+    /// baton's holder; `false` when there is none. A connection that
+    /// fails here is closed.
+    fn route_arrived(&self) -> bool {
+        match self.inner.transport.try_recv_frame() {
+            Ok(Some(frame)) if self.route(&frame, None).is_ok() => true,
+            Ok(None) => false,
+            // A transport that cannot look without blocking: all we
+            // know is what the last call saw.
+            Err(e) if e.kind() == io::ErrorKind::Unsupported => false,
+            Ok(Some(_)) | Err(_) => {
+                self.close();
+                false
+            }
+        }
     }
 
     /// The underlying transport's peer description.
@@ -361,7 +488,7 @@ impl CallClient {
             header.parent_span = ctx.span_id;
         }
 
-        if !inner.receive.lock().baton.register(serial) {
+        if !inner.receive().baton.register(serial) {
             return Err(CallError::Disconnected);
         }
 
@@ -378,11 +505,11 @@ impl CallClient {
             // frame — carries nothing more: every call on it is over,
             // and the next one should find the connection closed.
             self.close();
-            inner.receive.lock().baton.abandon(serial);
+            inner.receive().baton.abandon(serial);
             return Err(CallError::Io(e));
         }
 
-        let mut receive = inner.receive.lock();
+        let mut receive = inner.receive();
         let mut holding = loop {
             match receive.baton.enter(serial, std::thread::current) {
                 Enter::Done(filed) => {
@@ -411,7 +538,7 @@ impl CallClient {
                         Some(left) => std::thread::park_timeout(left),
                         None => std::thread::park(),
                     }
-                    receive = inner.receive.lock();
+                    receive = inner.receive();
                 }
             }
         };
@@ -464,8 +591,7 @@ impl CallClient {
             MessageType::Reply => {
                 let routed = self
                     .inner
-                    .receive
-                    .lock()
+                    .receive()
                     .baton
                     .route(header.serial, || Some(owned()));
                 match routed {
@@ -513,32 +639,49 @@ impl CallClient {
     }
 
     /// Starts the connection's listener, if it has none: a thread that
-    /// takes the receive side as soon as it is free and keeps it, so
-    /// frames nobody called for are handled when they arrive, not when
-    /// the next call happens to read them. From then on every caller
-    /// waits for the listener to file its reply — one thread hop more
-    /// per call, which is why a connection only gets a listener when it
-    /// subscribes to something.
+    /// handles frames nobody called for when they arrive, not when the
+    /// next call happens to read them. It waits on a poller of its own
+    /// for the connection's watch, which is armed only while no call is
+    /// in flight and nobody holds the baton; when woken it takes the
+    /// baton, reads what has arrived and puts it down. Callers still
+    /// read their own replies: arming and disarming cost a call two
+    /// `epoll_ctl`s on a socket, and wake nobody. The poller costs the
+    /// connection an epoll descriptor and an eventfd.
     ///
-    /// `idle` runs on the listener before each receive and returns when
-    /// it wants to run again at the latest; keepalive probing lives
-    /// there. The listener holds the connection weakly: it exits when
-    /// the connection closes or its last handle is dropped.
+    /// A transport with neither a descriptor to poll
+    /// ([`Transport::watch_fd`]) nor a ready notifier, or a build without
+    /// epoll, gets no listener: its frames wait for the next call.
+    ///
+    /// `idle` runs on the listener before each wait and returns when it
+    /// wants to run again at the latest; keepalive probing lives there.
+    /// The listener holds the connection weakly: it exits when the
+    /// connection closes or its last handle is dropped.
     pub fn listen(&self, idle: impl FnMut(&CallClient) -> Option<Instant> + Send + 'static) {
-        let mut receive = self.inner.receive.lock();
-        if receive.baton.is_closed() || receive.baton.has_listener() {
+        let mut receive = self.inner.receive();
+        if receive.baton.is_closed() || receive.baton.is_watched() {
             return;
         }
+        let watch = match Watch::new(&*self.inner.transport) {
+            Ok(watch) => Arc::new(watch),
+            Err(e) => {
+                if rpc_debug() {
+                    eprintln!(
+                        "virt-rpc: no listener on {}: {e}",
+                        self.inner.transport.peer()
+                    );
+                }
+                return;
+            }
+        };
+        // Armed as the lock is released, if the connection is idle.
+        receive.watch = Some(Arc::clone(&watch));
+        receive.baton.watch();
         let weak = Arc::downgrade(&self.inner);
-        let transport = Arc::clone(&self.inner.transport);
         let idle: Idle = Box::new(idle);
-        let listener = std::thread::Builder::new()
+        std::thread::Builder::new()
             .name("virt-rpc-listener".to_string())
-            .spawn(move || listener_loop(weak, transport, idle))
+            .spawn(move || listener_loop(weak, &watch, idle))
             .expect("spawning rpc listener thread");
-        // Claimed here, under the lock the thread starts by taking, so a
-        // second `listen` cannot start a second listener.
-        receive.baton.listener_enter(|| listener.thread().clone());
     }
 
     /// Sends a message without expecting a reply (events, keepalive pongs).
@@ -557,33 +700,75 @@ impl CallClient {
 
     /// Closes the connection, failing all in-flight calls.
     pub fn close(&self) {
-        unpark_all(self.inner.receive.lock().baton.fail_all(|| None));
+        let (waiters, watch) = {
+            let mut receive = self.inner.receive();
+            (receive.baton.fail_all(|| None), receive.watch.clone())
+        };
+        unpark_all(waiters);
         let _ = self.inner.transport.shutdown();
+        if let Some(watch) = watch {
+            watch.poller.wake();
+        }
     }
 }
 
 /// The baton in a thread's hand. Dropping it puts the baton down — the
 /// caller's slot forgotten, its receive buffer back with the connection,
-/// one waiter woken to read on — however the holder's work ended.
+/// on a watched connection every frame already read off the socket
+/// routed, one waiter woken to read on — however the holder's work
+/// ended.
 struct Holding<'a> {
     client: &'a CallClient,
-    /// The holder's own call; `None` for a liveness probe.
+    /// The holder's own call; `None` for a look at the socket.
     serial: Option<u32>,
     buf: Vec<u8>,
 }
 
 impl Drop for Holding<'_> {
     fn drop(&mut self) {
-        let mut receive = self.client.inner.receive.lock();
+        let client = self.client;
+        let transport = &*client.inner.transport;
+        let mut receive = client.inner.receive();
         if (1..=MAX_PARKED_RECORD_CAPACITY).contains(&self.buf.capacity()) {
             receive.buf = std::mem::take(&mut self.buf);
         }
         if let Some(serial) = self.serial {
             receive.baton.abandon(serial);
         }
-        let next = receive.baton.put_down();
-        drop(receive);
-        self.client.hand_off(next);
+        // A holder unwinding from a panic — a handler's, say — routes
+        // nothing more, lest the next frame panic it again and abort the
+        // process: the listener is woken to route what is buffered.
+        let unwinding = std::thread::panicking();
+        loop {
+            match receive
+                .baton
+                .put_down(|| !unwinding && transport.has_buffered_frame())
+            {
+                PutDown::Wake(next) => {
+                    let watch = receive.watch.clone().filter(|_| unwinding);
+                    drop(receive);
+                    client.hand_off(next);
+                    if let Some(watch) = watch {
+                        watch.poller.wake();
+                    }
+                    return;
+                }
+                PutDown::Route => {
+                    drop(receive);
+                    // Routing runs the event handler with the baton still
+                    // held: should it panic, this puts it down on the way
+                    // out.
+                    let on_panic = Holding {
+                        client,
+                        serial: None,
+                        buf: Vec::new(),
+                    };
+                    client.route_arrived();
+                    std::mem::forget(on_panic);
+                    receive = client.inner.receive();
+                }
+            }
+        }
     }
 }
 
@@ -610,44 +795,38 @@ fn rpc_debug() -> bool {
     *ON.get_or_init(|| std::env::var_os("VIRT_RPC_DEBUG").is_some())
 }
 
-/// The listener: waits for the baton, then reads every frame the
-/// connection receives for as long as the connection lives. It holds the
-/// transport (it blocks in it) but the connection only weakly, and only
-/// upgrades for as long as one frame or one `idle` call takes.
-fn listener_loop(weak: Weak<ClientInner>, transport: Arc<dyn Transport>, mut idle: Idle) {
+/// The listener: waits for its watch (or `idle`'s deadline), then takes
+/// the baton if the watch is still armed and routes what has arrived —
+/// for as long as the connection lives. Its first look takes the baton
+/// whenever it is free: frames read off the socket before there was a
+/// watch raise no edge. It never blocks in a receive, and holds the
+/// connection only weakly, upgrading for as long as one look or one
+/// `idle` call takes; the close, and the drop of the last handle, wake it
+/// to exit.
+fn listener_loop(weak: Weak<ClientInner>, watch: &Watch, mut idle: Idle) {
     let client = || weak.upgrade().map(|inner| CallClient { inner });
-    loop {
-        let Some(client) = client() else { return };
-        let mut receive = client.inner.receive.lock();
-        if receive.baton.is_closed() {
-            return;
-        }
-        if receive.baton.listener_enter(std::thread::current) {
-            break;
-        }
-        drop(receive);
-        drop(client);
-        // Woken by the caller that puts the baton down, or by the close.
-        std::thread::park();
-    }
-    let mut frame = BufferPool::global().get();
+    let mut take: fn(&mut Baton<Thread, Option<Packet>>) -> bool = Baton::try_take;
+    let mut events = Events::with_capacity(2);
     loop {
         let deadline = {
             let Some(client) = client() else { return };
+            client.look(take);
             if client.is_known_closed() {
                 return;
             }
             idle(&client)
         };
-        let received = transport.recv_frame_until(&mut frame, deadline);
-        let Some(client) = client() else { return };
-        match received {
-            Ok(_) if client.route(&frame, None).is_ok() => {}
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
-            Ok(_) | Err(_) => {
+        take = Baton::take_armed;
+        // Rounded up to the poller's millisecond: a wait that ended just
+        // short of the deadline would only come straight back.
+        let timeout = deadline.map(|deadline| {
+            deadline.saturating_duration_since(Instant::now()) + Duration::from_nanos(999_999)
+        });
+        if watch.poller.wait(&mut events, timeout).is_err() {
+            if let Some(client) = client() {
                 client.close();
-                return;
             }
+            return;
         }
     }
 }

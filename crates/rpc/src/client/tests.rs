@@ -446,3 +446,142 @@ fn deadline_none_uses_the_default_timeout() {
     assert_eq!(reply, "hi");
     client.close();
 }
+
+/// A transport's name, and a client and a server end of one connection.
+type Pair = (&'static str, Box<dyn Transport>, Box<dyn Transport>);
+
+/// A connected pair of each transport a listener watches in its own way:
+/// a socket (its descriptor), a memory channel (its ready notifier) and
+/// TLS-sim over a socket (the socket under the records).
+fn watched_pairs() -> Vec<Pair> {
+    use crate::transport::{TlsSimTransport, UnixTransport};
+    use std::os::unix::net::UnixStream;
+
+    let unix = |(ours, theirs): (UnixStream, UnixStream)| {
+        (
+            UnixTransport::from_stream(ours, "client").expect("client transport"),
+            UnixTransport::from_stream(theirs, "server").expect("server transport"),
+        )
+    };
+    let (client, server) = unix(UnixStream::pair().expect("socketpair"));
+    let (memory_client, memory_server) = memory_pair();
+    let (tls_client, tls_server) = unix(UnixStream::pair().expect("socketpair"));
+    let tls_server = std::thread::spawn(move || TlsSimTransport::server(tls_server, 2));
+    let tls_client = TlsSimTransport::client(tls_client, 1).expect("client handshake");
+    let tls_server = tls_server.join().unwrap().expect("server handshake");
+    vec![
+        ("unix", Box::new(client), Box::new(server)),
+        ("memory", Box::new(memory_client), Box::new(memory_server)),
+        ("tls", Box::new(tls_client), Box::new(tls_server)),
+    ]
+}
+
+#[test]
+fn a_listener_hands_up_events_between_calls_runs_idle_and_exits_on_every_transport() {
+    for (kind, client_side, server_side) in watched_pairs() {
+        let client = CallClient::new(client_side);
+        let (events, handled) = std::sync::mpsc::channel();
+        client.set_event_handler(move |_, packet| {
+            let _ = events.send(packet.header.procedure);
+        });
+        let (ticks, ticked) = std::sync::mpsc::channel::<()>();
+        client.listen(move |_| {
+            let _ = ticks.send(());
+            Some(Instant::now() + Duration::from_millis(5))
+        });
+
+        // No call in flight: only the listener can hand it up.
+        let event = Packet::new(Header::event(REMOTE_PROGRAM, 9), &());
+        server_side.send_frame(&event.to_frame()[4..]).unwrap();
+        assert_eq!(
+            handled.recv_timeout(Duration::from_secs(5)),
+            Ok(9),
+            "{kind}: an event between calls"
+        );
+
+        // Calls still go through, and a second event after them.
+        spawn_echo_server(server_side);
+        for n in 0..20u32 {
+            let echoed: u32 = client.call(REMOTE_PROGRAM, 1, &n).expect("echo");
+            assert_eq!(echoed, n, "{kind}");
+        }
+        let reply: String = client
+            .call(REMOTE_PROGRAM, 50, &"x".to_string())
+            .expect("call ok");
+        assert_eq!(reply, "x");
+        assert_eq!(
+            handled.recv_timeout(Duration::from_secs(5)),
+            Ok(7),
+            "{kind}"
+        );
+
+        // The keepalive hook runs on its deadline, with nothing arriving.
+        while ticked.try_recv().is_ok() {}
+        for _ in 0..3 {
+            ticked
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{kind}: idle stopped running"));
+        }
+
+        // The listener holds the `idle` closure, and with it `ticks`:
+        // once it has exited, the channel reports a disconnect.
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match ticked.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(()) => continue,
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("{kind}: the listener outlived the last handle")
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_handler_that_panics_on_a_buffered_event_does_not_wedge_a_listened_connection() {
+    use crate::transport::UnixTransport;
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let (ours, mut theirs) = UnixStream::pair().expect("socketpair");
+    let client = CallClient::new(UnixTransport::from_stream(ours, "client").expect("transport"));
+    let (handled, seen) = std::sync::mpsc::channel();
+    client.set_event_handler(move |_, packet| {
+        assert_ne!(packet.header.procedure, 66, "a handler that panics");
+        let _ = handled.send(packet.header.procedure);
+    });
+    client.listen(|_| None);
+    // Each call's reply and an event behind it in one write: the caller's
+    // read pulls the event in with its reply, and routes it on its way out.
+    let peer = std::thread::spawn(move || {
+        for event in [66, 9] {
+            let mut prefix = [0u8; 4];
+            theirs.read_exact(&mut prefix).unwrap();
+            let mut body = vec![0u8; u32::from_be_bytes(prefix) as usize];
+            theirs.read_exact(&mut body).unwrap();
+            let call = Packet::from_body(&body).unwrap();
+            let reply = Packet {
+                header: call.header.reply_ok(),
+                payload: call.payload,
+            };
+            let mut bytes = reply.to_frame();
+            bytes.extend(Packet::new(Header::event(REMOTE_PROGRAM, event), &()).to_frame());
+            theirs.write_all(&bytes).unwrap();
+        }
+        theirs
+    });
+    let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        client.call::<u32>(REMOTE_PROGRAM, 1, &1u32)
+    }));
+    assert!(first.is_err(), "the handler's panic reaches the caller");
+    client.set_call_timeout(Some(Duration::from_secs(5)));
+    let second: u32 = client
+        .call(REMOTE_PROGRAM, 1, &2u32)
+        .expect("the baton was put down");
+    assert_eq!(second, 2);
+    assert_eq!(seen.recv_timeout(Duration::from_secs(5)), Ok(9));
+    drop(peer.join().unwrap());
+    client.close();
+}

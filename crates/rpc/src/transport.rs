@@ -61,7 +61,7 @@ pub enum Readiness {
 /// Callback invoked (from the sending thread) when a [`Readiness::Notify`]
 /// transport has frames ready to consume. Must be cheap and must not
 /// block: it typically flags the connection ready and wakes a poller.
-type ReadyNotifier = Arc<dyn Fn() + Send + Sync>;
+pub(crate) type ReadyNotifier = Arc<dyn Fn() + Send + Sync>;
 
 fn unsupported(what: &str) -> io::Error {
     io::Error::new(
@@ -229,6 +229,25 @@ pub trait Transport: Send + Sync {
     /// Registers (or clears) the readiness callback of a
     /// [`Readiness::Notify`] transport. No-op on other transports.
     fn set_ready_notifier(&self, _notifier: Option<ReadyNotifier>) {}
+
+    /// The descriptor that turns readable when frames arrive, for a
+    /// client that watches its connection without reading it: a
+    /// [`Readiness::Fd`] transport's own, or the socket's under a wrapper
+    /// that frames records of its own on it. `None` without one.
+    fn watch_fd(&self) -> Option<i32> {
+        match self.readiness() {
+            Readiness::Fd(fd) => Some(fd),
+            Readiness::Notify | Readiness::Blocking => None,
+        }
+    }
+
+    /// Whether a complete frame has arrived that
+    /// [`Transport::try_recv_frame`] would return without a syscall: read
+    /// off the socket by an earlier receive, or queued on the channel.
+    /// No readiness edge announces such a frame.
+    fn has_buffered_frame(&self) -> bool {
+        false
+    }
 }
 
 /// A boxed transport is a transport: what a [`Listener`] hands out can go
@@ -291,6 +310,14 @@ impl Transport for Box<dyn Transport> {
 
     fn set_ready_notifier(&self, notifier: Option<ReadyNotifier>) {
         (**self).set_ready_notifier(notifier);
+    }
+
+    fn watch_fd(&self) -> Option<i32> {
+        (**self).watch_fd()
+    }
+
+    fn has_buffered_frame(&self) -> bool {
+        (**self).has_buffered_frame()
     }
 }
 
@@ -460,6 +487,10 @@ impl Transport for MemoryTransport {
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => memory_frame(None).map(Some),
         }
+    }
+
+    fn has_buffered_frame(&self) -> bool {
+        !self.inbound.rx.is_empty()
     }
 
     fn set_ready_notifier(&self, notifier: Option<ReadyNotifier>) {
@@ -688,6 +719,10 @@ macro_rules! socket_transport {
             fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
                 let _w = self.write_lock.lock();
                 (&self.stream).write(buf)
+            }
+
+            fn has_buffered_frame(&self) -> bool {
+                self.read.lock().frames.has_frame()
             }
         }
     };
@@ -947,6 +982,17 @@ impl<T: Transport> Transport for TlsSimTransport<T> {
 
     fn shutdown(&self) -> io::Result<()> {
         self.inner.shutdown()
+    }
+
+    /// The records travel on the inner transport's socket: a client
+    /// watches that. (The daemon still reads TLS-sim through a thread:
+    /// its readiness stays [`Readiness::Blocking`].)
+    fn watch_fd(&self) -> Option<i32> {
+        self.inner.watch_fd()
+    }
+
+    fn has_buffered_frame(&self) -> bool {
+        self.inner.has_buffered_frame()
     }
 }
 

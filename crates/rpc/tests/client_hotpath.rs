@@ -6,9 +6,12 @@
 //! the same send-then-receive done by hand on a bare transport, the
 //! calling thread allocates nothing for the plumbing, no thread exists
 //! that the test did not start, and the stub's own counters say every
-//! reply was read by its caller. With many callers on one connection
-//! every reply is still accounted for: read by its owner or filed for
-//! it, never lost and never late.
+//! reply was read by its caller. A connection that has a listener (it
+//! subscribed to events) is no different: its listener watches the
+//! socket only while no call is in flight, so its callers read their own
+//! replies too. With many callers on one connection every reply is still
+//! accounted for: read by its owner or filed for it, never lost and never
+//! late.
 //!
 //! Run in release by `scripts/ci.sh` (the allocation bound is calibrated
 //! for it). One test, its parts in sequence: they read process-wide
@@ -35,11 +38,14 @@ extern "C" {
     fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
 }
 
-/// Context switches, voluntary and not, of every thread of this process.
-/// How a blocking receive is accounted — the thread slept, or was
-/// preempted by the peer it had just woken — is the scheduler's whim;
-/// the sum per round trip is not.
-fn process_context_switches() -> u64 {
+/// Context switches of every thread of this process: voluntary and not,
+/// or only the voluntary ones — the times a thread blocked. How a
+/// blocking receive is accounted — the thread slept, or was preempted by
+/// the peer it had just woken — is the scheduler's whim; the sum per
+/// round trip is not, as long as the caller's own work per call stays
+/// small. Each round trip blocks each side exactly once, whatever else
+/// the caller does: a send and a receive by hand block 2.00 times a call.
+fn process_context_switches(voluntary_only: bool) -> u64 {
     let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
     tasks
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
@@ -47,6 +53,7 @@ fn process_context_switches() -> u64 {
             status
                 .lines()
                 .filter_map(|line| line.split_once("ctxt_switches:"))
+                .filter(|(kind, _)| !voluntary_only || *kind == "voluntary_")
                 .map(|(_, count)| count.trim().parse::<u64>().expect("a number"))
                 .collect::<Vec<_>>()
         })
@@ -89,16 +96,34 @@ fn the_stub_adds_no_thread_no_hop_and_no_allocation() {
     unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
     creating_clients_starts_no_threads();
     a_lone_caller_reads_its_own_reply_without_a_thread_hop_or_an_allocation();
+    a_subscribed_caller_reads_its_own_reply_while_the_listener_sleeps();
     every_reply_is_read_by_its_caller_or_filed_for_it();
 }
 
 const WARMUP: u64 = 256;
 const CALLS: u64 = 4096;
 
+/// A client over an echoing peer; with a listener that wants nothing
+/// but to be there when `subscribed`.
+fn echo_client(subscribed: bool) -> (CallClient, std::thread::JoinHandle<()>) {
+    let (transport, echo) = echo_transport();
+    let client = CallClient::new(transport);
+    if subscribed {
+        client.listen(|_| None);
+    }
+    (client, echo)
+}
+
 /// Context switches of the process over `CALLS` round trips done by
 /// hand on a bare transport — send, then read your own reply: the
-/// yardstick — and over as many calls through the stub.
-fn switches_by_hand_and_through_the_stub() -> (u64, u64) {
+/// yardstick — and over as many calls through the stub, on a connection
+/// with a listener when `subscribed`. A subscribed call counts only the
+/// times a thread blocked: its watch's two `epoll_ctl`s move the
+/// scheduler's preemptions, as any two syscalls a call would (two
+/// `getppid`s took the unsubscribed stub from 1.0 to 1.4 times the
+/// yardstick in all switches), while a thread hop is a thread that
+/// blocks.
+fn switches_by_hand_and_through_the_stub(subscribed: bool) -> (u64, u64) {
     let (bare, echo) = echo_transport();
     let (mut frame, mut reply) = (Vec::new(), Vec::new());
     let mut by_hand = |n: u64| {
@@ -107,22 +132,21 @@ fn switches_by_hand_and_through_the_stub() -> (u64, u64) {
         bare.recv_frame_into(&mut reply).expect("reply");
     };
     (0..WARMUP).for_each(&mut by_hand);
-    let before = process_context_switches();
+    let before = process_context_switches(subscribed);
     (0..CALLS).for_each(&mut by_hand);
-    let by_hand = process_context_switches() - before;
+    let by_hand = process_context_switches(subscribed) - before;
     bare.shutdown().expect("shutdown");
     echo.join().expect("echo thread");
 
-    let (transport, echo) = echo_transport();
-    let client = CallClient::new(transport);
+    let (client, echo) = echo_client(subscribed);
     let call = |n: u64| {
         let echoed: u64 = client.call(REMOTE_PROGRAM, 1, &n).expect("echo");
         assert_eq!(echoed, n);
     };
     (0..WARMUP).for_each(call);
-    let before = process_context_switches();
+    let before = process_context_switches(subscribed);
     (0..CALLS).for_each(call);
-    let through_the_stub = process_context_switches() - before;
+    let through_the_stub = process_context_switches(subscribed) - before;
     client.close();
     echo.join().expect("echo thread");
     (by_hand, through_the_stub)
@@ -159,19 +183,84 @@ fn a_lone_caller_reads_its_own_reply_without_a_thread_hop_or_an_allocation() {
 
     // A reader thread between the socket and the caller is one more
     // sleep and one more wake-up per call: the stub that had one read
-    // 1.6-1.7 times the yardstick here, this one 0.95-1.1 times. Other
-    // load on the machine only ever adds switches, so the best of three
-    // attempts is the one that says what the code does.
+    // 1.6-1.7 times the yardstick here, this one 0.95-1.1 times.
+    assert_switches_within_the_yardstick(false);
+}
+
+/// The best of three attempts: other load on the machine only ever adds
+/// switches, so that one says what the code does.
+fn assert_switches_within_the_yardstick(subscribed: bool) {
     let attempts: Vec<_> = (0..3)
-        .map(|_| switches_by_hand_and_through_the_stub())
+        .map(|_| switches_by_hand_and_through_the_stub(subscribed))
         .collect();
     assert!(
         attempts
             .iter()
             .any(|(by_hand, through_the_stub)| through_the_stub * 100 <= by_hand * 125),
-        "context switches over {CALLS} calls (by hand, through the stub) in three attempts: \
-         {attempts:?} (allowed: 1.25 times in the best)"
+        "{} over {CALLS} calls (by hand, through the stub{}) in three attempts: \
+         {attempts:?} (allowed: 1.25 times in the best)",
+        if subscribed {
+            "voluntary context switches"
+        } else {
+            "context switches"
+        },
+        if subscribed { " with a listener" } else { "" }
     );
+}
+
+/// Context switches of the connection's listener thread.
+fn listener_context_switches() -> u64 {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    let listeners: Vec<u64> = tasks
+        .filter_map(|task| {
+            let task = task.ok()?.path();
+            // The kernel keeps 15 bytes of "virt-rpc-listener".
+            let name = std::fs::read_to_string(task.join("comm")).ok()?;
+            (name.trim() == "virt-rpc-listen").then_some(())?;
+            let status = std::fs::read_to_string(task.join("status")).ok()?;
+            Some(
+                status
+                    .lines()
+                    .filter_map(|line| line.split_once("ctxt_switches:"))
+                    .map(|(_, count)| count.trim().parse::<u64>().expect("a number"))
+                    .sum(),
+            )
+        })
+        .collect();
+    assert_eq!(listeners.len(), 1, "one listener thread");
+    listeners[0]
+}
+
+/// A listener that kept the baton would read every reply and file it:
+/// each call a routed reply and a thread hop. Its watch is armed only
+/// while no call is in flight, so it sleeps through the calls.
+fn a_subscribed_caller_reads_its_own_reply_while_the_listener_sleeps() {
+    let (client, echo) = echo_client(true);
+    let call = |n: u64| {
+        let echoed: u64 = client.call(REMOTE_PROGRAM, 1, &n).expect("echo");
+        assert_eq!(echoed, n);
+    };
+    (0..WARMUP).for_each(call);
+    let counters = stub_counters();
+    let listener = listener_context_switches();
+    (0..CALLS).for_each(call);
+    let listener = listener_context_switches() - listener;
+    let [direct, routed, handoffs, late] = {
+        let after = stub_counters();
+        [0, 1, 2, 3].map(|i| after[i] - counters[i])
+    };
+    client.close();
+    echo.join().expect("echo thread");
+    assert_eq!(
+        [direct, routed, handoffs, late],
+        [CALLS, 0, 0, 0],
+        "direct / routed / handoffs / late over {CALLS} depth-1 calls with a listener"
+    );
+    assert_eq!(
+        listener, 0,
+        "the listener ran {listener} times over {CALLS} calls"
+    );
+    assert_switches_within_the_yardstick(true);
 }
 
 fn creating_clients_starts_no_threads() {

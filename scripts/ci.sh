@@ -98,6 +98,28 @@ if sed '/^#\[cfg(test)\]/,$d' crates/daemon/src/eventloop/turn.rs \
     exit 1
 fi
 
+# A subscribed connection's listener never blocks in a receive: it waits
+# on its own poller for the connection's watch, which is armed only while
+# no call is in flight, and reads what has arrived without waiting — so
+# a caller always reads its own reply. A blocking receive in the
+# functions the listener runs would take the socket from the callers
+# again. (try_recv_frame is the non-blocking one, and is not matched.)
+echo "== hygiene: no blocking receive in the client listener's loop =="
+listener_body=$(awk '
+    match($0, /^ *(pub(\(crate\))? )?fn (listener_loop|look|route_arrived)[(<]/) {
+        match($0, /^ */); indent = substr($0, 1, RLENGTH); on = 1
+    }
+    on { print FNR ": " $0 }
+    on && $0 == indent "}" { on = 0 }' crates/rpc/src/client.rs)
+if [ "$(grep -cE 'fn (listener_loop|look|route_arrived)[(<]' <<<"$listener_body")" -ne 3 ]; then
+    echo "error: listener_loop, look or route_arrived not found in crates/rpc/src/client.rs — point this gate at the listener's loop" >&2
+    exit 1
+fi
+if grep -wE 'recv_frame|recv_frame_into|recv_frame_until' <<<"$listener_body"; then
+    echo "error: a blocking receive in the client listener's loop (crates/rpc/src/client.rs) — the listener waits on its watch and reads with try_recv_frame" >&2
+    exit 1
+fi
+
 # A daemon client is written to through its sink (eventloop.rs's
 # ConnSink), built with it at admission: no reply path writes to a
 # transport around it. Bytes are counted where every connection passes
@@ -255,14 +277,17 @@ cargo test -q --offline --test hostile_xml
 echo "== perf smoke (zero-alloc framing hot path, buffered receive + warm TLS-sim record layer, release) =="
 cargo test -q --release --offline -p virt-rpc --test framing_hotpath
 
-# Structural, not timed: a lone caller reads its own reply — <= 1.1
-# voluntary context switches and <= 2 allocations per call on the calling
-# thread, no thread per connection, and by the stub's own counters every
-# reply read by its caller (depth 1) or by its caller or filed for it
-# (16 callers). Then the hand-off under scheduler pressure: 8 callers x
-# 20 k calls on one pinned CPU (the tests pin themselves), no call may
-# wait out its 2 s timeout.
-echo "== perf guard (client stub: the caller reads its own reply; baton hand-off stress, release) =="
+# Structural, not timed: a lone caller reads its own reply — context
+# switches within 1.25x a by-hand send-then-receive and <= 2 allocations
+# per call on the calling thread, no thread per connection, and by the
+# stub's own counters every reply read by its caller (depth 1) or by its
+# caller or filed for it (16 callers). The same depth-1 counts and
+# switches on a subscribed connection, one whose listener watches the
+# socket only while no call is in flight: [CALLS, 0, 0, 0] direct /
+# routed / hand-offs / late. Then the hand-off under scheduler pressure:
+# 8 callers x 20 k calls on one pinned CPU (the tests pin themselves), no
+# call may wait out its 2 s timeout.
+echo "== perf guard (client stub: the caller reads its own reply, subscribed or not; baton hand-off stress, release) =="
 cargo test -q --release --offline -p virt-rpc --test client_hotpath --test client_handoff_stress
 
 # Structural, not timed: by the daemon's own read_calls/write_calls

@@ -376,51 +376,75 @@ fn malformed_keepalive_param_is_rejected() {
     }
 }
 
-#[test]
-fn a_pushed_event_of_unknown_kind_reaches_no_callback() {
+/// A daemon stand-in on a memory endpoint at `endpoint`: it answers
+/// every call with an empty success (GET_HOSTNAME with `"stand-in"`)
+/// until CLOSE, except EVENT_REGISTER: `verdict(n)` for the n-th one,
+/// counted from one, says whether it succeeds, and which lifecycle
+/// events, built by hand, it pushes right behind the reply. Returns how
+/// many EVENT_REGISTERs it saw.
+fn stand_in_daemon(
+    endpoint: &str,
+    verdict: impl Fn(u32) -> (bool, Vec<u32>) + Send + 'static,
+) -> std::thread::JoinHandle<u32> {
     use virt_core::protocol::proc;
-    use virt_rpc::message::{Header, MessageType, Packet, REMOTE_PROGRAM};
+    use virt_rpc::message::{Header, MessageType, Packet, RpcError, REMOTE_PROGRAM};
     use virt_rpc::transport::Listener as _;
     use virt_rpc::xdr::XdrEncode;
 
-    // A daemon stand-in on a memory endpoint: it answers every call with
-    // an empty success, except GET_HOSTNAME, before whose reply it pushes
-    // two lifecycle events built by hand — first one of kind 99, which no
-    // build knows, then a `started`. (Pushed once the subscription is
-    // complete on the client's side too, not on the heels of the
-    // EVENT_REGISTER reply.)
     let (listener, connector) = virt_rpc::transport::memory_listener();
-    let endpoint = unique("unknown-kind");
-    testbed::register_daemon(&endpoint, connector);
-    let daemon = std::thread::spawn(move || {
+    testbed::register_daemon(endpoint, connector);
+    std::thread::spawn(move || {
         let transport = listener.accept().unwrap();
+        let mut registers = 0;
         loop {
             let packet = Packet::from_body(&transport.recv_frame().unwrap()).unwrap();
             if packet.header.mtype != MessageType::Call {
                 continue;
             }
             let mut reply = Packet::new(packet.header.reply_ok(), &());
-            if packet.header.procedure == proc::GET_HOSTNAME {
-                for kind in [99, DomainEventKind::Started.as_u32()] {
-                    let mut payload = "vm".to_xdr();
-                    payload.extend_from_slice(&[7; 16]);
-                    kind.encode(&mut payload);
-                    0u64.encode(&mut payload);
-                    let event = Packet {
-                        header: Header::event(REMOTE_PROGRAM, proc::EVENT_LIFECYCLE),
-                        payload,
-                    };
-                    transport.send_frame(&event.to_frame()[4..]).unwrap();
+            let mut behind = Vec::new();
+            match packet.header.procedure {
+                proc::GET_HOSTNAME => reply.payload = "stand-in".to_xdr(),
+                proc::EVENT_REGISTER => {
+                    registers += 1;
+                    let (ok, events) = verdict(registers);
+                    if !ok {
+                        reply = Packet::new(
+                            packet.header.reply_error(),
+                            &RpcError::new(1, "stand-in refuses"),
+                        );
+                    }
+                    behind = events;
                 }
-                reply.payload = "stand-in".to_xdr();
+                _ => {}
             }
             transport.send_frame(&reply.to_frame()[4..]).unwrap();
+            for kind in behind {
+                let mut payload = "vm".to_xdr();
+                payload.extend_from_slice(&[7; 16]);
+                kind.encode(&mut payload);
+                0u64.encode(&mut payload);
+                let event = Packet {
+                    header: Header::event(REMOTE_PROGRAM, proc::EVENT_LIFECYCLE),
+                    payload,
+                };
+                transport.send_frame(&event.to_frame()[4..]).unwrap();
+            }
             if packet.header.procedure == proc::CLOSE {
-                return;
+                return registers;
             }
         }
-    });
+    })
+}
 
+#[test]
+fn a_pushed_event_of_unknown_kind_reaches_no_callback() {
+    // Right behind EVENT_REGISTER's reply, two events: first one of kind
+    // 99, which no build knows, then a `started`.
+    let endpoint = unique("unknown-kind");
+    let daemon = stand_in_daemon(&endpoint, |_| {
+        (true, vec![99, DomainEventKind::Started.as_u32()])
+    });
     let conn = Connect::builder(format!("qemu+memory://{endpoint}/system"))
         .open()
         .unwrap();
@@ -429,17 +453,89 @@ fn a_pushed_event_of_unknown_kind_reaches_no_callback() {
         let _ = tx.send(event.kind);
     })
     .unwrap();
-    assert_eq!(conn.hostname().unwrap(), "stand-in");
     // Events are handed up in the order they came: had the unknown one
     // reached the callback, it would be first.
     assert_eq!(
         rx.recv_timeout(Duration::from_secs(5)).unwrap(),
         DomainEventKind::Started
     );
+    assert_eq!(conn.hostname().unwrap(), "stand-in");
     conn.close();
     daemon.join().unwrap();
     assert!(
         rx.try_recv().is_err(),
         "a second event reached the callback"
+    );
+}
+
+#[test]
+fn events_pushed_right_behind_the_register_reply_reach_the_callback() {
+    // The daemon pushes from the moment it subscribes: the first events
+    // may travel with the reply. Whoever reads them hands them up at
+    // once, so the callback must already be there.
+    let endpoint = unique("behind-register");
+    let daemon = stand_in_daemon(&endpoint, |_| {
+        (
+            true,
+            vec![
+                DomainEventKind::Started.as_u32(),
+                DomainEventKind::Suspended.as_u32(),
+            ],
+        )
+    });
+    let conn = Connect::builder(format!("qemu+memory://{endpoint}/system"))
+        .open()
+        .unwrap();
+    let (tx, rx) = mpsc::channel();
+    conn.register_event_callback(move |event| {
+        let _ = tx.send(event.kind);
+    })
+    .unwrap();
+    for expected in [DomainEventKind::Started, DomainEventKind::Suspended] {
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(expected),
+            "an event pushed right behind EVENT_REGISTER's reply was lost"
+        );
+    }
+    conn.close();
+    assert_eq!(daemon.join().unwrap(), 1);
+}
+
+#[test]
+fn a_failed_register_leaves_no_subscription_behind_and_the_next_one_subscribes() {
+    let endpoint = unique("register-fails");
+    // As a daemon does, the stand-in pushes events only once subscribed.
+    let daemon = stand_in_daemon(&endpoint, |n| {
+        let subscribed = n > 1;
+        let events = if subscribed {
+            vec![DomainEventKind::Started.as_u32()]
+        } else {
+            Vec::new()
+        };
+        (subscribed, events)
+    });
+    let conn = Connect::builder(format!("qemu+memory://{endpoint}/system"))
+        .open()
+        .unwrap();
+    let (refused_tx, refused_rx) = mpsc::channel();
+    conn.register_event_callback(move |event| {
+        let _ = refused_tx.send(event.kind);
+    })
+    .expect_err("the stand-in refuses the first EVENT_REGISTER");
+    let (tx, rx) = mpsc::channel();
+    conn.register_event_callback(move |event| {
+        let _ = tx.send(event.kind);
+    })
+    .expect("the second registration asks the daemon again");
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(5)),
+        Ok(DomainEventKind::Started)
+    );
+    conn.close();
+    assert_eq!(daemon.join().unwrap(), 2, "EVENT_REGISTER sent twice");
+    assert!(
+        refused_rx.try_recv().is_err(),
+        "the refused registration's callback stayed on the bus"
     );
 }

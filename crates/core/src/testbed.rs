@@ -60,7 +60,7 @@ pub fn unregister_host(name: &str) {
     testbed().lock().hosts.remove(name);
 }
 
-/// Registers a daemon's in-memory connector under `name` (the host part
+/// Registers a daemon's in-process connector under `name` (the host part
 /// of e.g. `qemu+memory://name/system`). Replaces any previous
 /// registration.
 pub fn register_daemon(name: impl Into<String>, connector: MemoryConnector) {

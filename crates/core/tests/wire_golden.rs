@@ -25,7 +25,7 @@ use virt_core::protocol::{
 use virt_core::typedparam::{ParamValue, TypedParam, TypedParamList};
 use virt_core::Uuid;
 use virt_rpc::message::{encode_frame, Header, Packet, REMOTE_PROGRAM};
-use virt_rpc::transport::{memory_pair, MemoryTransport, TlsSimTransport, Transport};
+use virt_rpc::transport::{memory_pair, TlsSimTransport, Transport, UnixTransport};
 use virt_rpc::xdr::{XdrDecode, XdrEncode};
 
 /// A `CONNECT_GET_ALL_DOMAIN_STATS` reply (serial 7) carrying the three
@@ -163,7 +163,7 @@ fn prelude(i: u8) -> Vec<u8> {
 /// A TLS-sim client over one end of a memory pair, with the raw other
 /// end standing in for the server so the test sees the records as the
 /// inner transport carries them.
-fn tls_session() -> (TlsSimTransport<MemoryTransport>, MemoryTransport) {
+fn tls_session() -> (TlsSimTransport<UnixTransport>, UnixTransport) {
     let (client_side, raw) = memory_pair();
     // Queue the server's half of the handshake first: memory sends never
     // block, so the client handshake completes on this thread.

@@ -410,7 +410,7 @@ impl Virtd {
         self.serve_handles.lock().push(handle);
     }
 
-    /// Creates an in-memory service on the main server, registers it in
+    /// Creates an in-process service on the main server, registers it in
     /// the [`virt_core::testbed`] under `endpoint`, and returns the
     /// connector. After this, `scheme+memory://endpoint/...` URIs reach
     /// this daemon.
@@ -426,7 +426,7 @@ impl Virtd {
         Ok(connector)
     }
 
-    /// Creates an in-memory service on the admin server and returns its
+    /// Creates an in-process service on the admin server and returns its
     /// connector (for [`crate::AdminClient`]).
     pub fn admin_memory_connector(&self) -> MemoryConnector {
         let (listener, connector) = memory_listener();

@@ -3,11 +3,11 @@
 //!
 //! Thread-per-connection caps a daemon at thread-spawn cost: 5k idle
 //! monitoring clients would pin 5k stacks. Instead, each accepted
-//! transport that exposes a readiness surface ([`Readiness::Fd`] for
-//! sockets, [`Readiness::Notify`] for in-process channels) is registered
-//! with the server's one [`Poller`], and its N event threads all wait on
-//! it. Registrations are edge-triggered and each wait takes one event, so
-//! a readiness change wakes one thread. A connection's *turn* — hand up
+//! transport that exposes a descriptor ([`Readiness::Fd`]: sockets, the
+//! socketpairs of in-process connections included) is registered with
+//! the server's one [`Poller`], and its N event threads all wait on it.
+//! Registrations are edge-triggered and each wait takes one event, so a
+//! readiness change wakes one thread. A connection's *turn* — hand up
 //! what it sent, answer what runs inline, write the replies — is run by
 //! one thread at a time: readiness that reaches another thread while a
 //! turn runs is left with the turn, and its owner acts on it before
@@ -33,9 +33,8 @@
 //!   stays buffered across any number of turns. At most
 //!   `MAX_FRAMES_PER_EVENT` frames are handed up per pass; frames left in
 //!   the buffer or unread in the socket are bytes no edge will announce,
-//!   so that connection goes on the *ready list* (the one in-process
-//!   channels use, and a socket's first turn comes from) instead of
-//!   waiting for an event that will not come.
+//!   so that connection goes on the *ready list* (where its first turn
+//!   also comes from) instead of waiting for an event that will not come.
 //! - **The kept call.** A turn that hands up a lone frame — a client
 //!   that sent one call and waits for it — holds its pooled call back.
 //!   With the turn released, the thread runs that call itself — counted
@@ -71,12 +70,12 @@
 //!   connection held back to the freelist.
 //!
 //! Every admitted client has a sink. A socket the core registered gets
-//! the queued route above; an in-process channel, and every connection a
-//! dedicated reader thread serves — a transport with no readiness surface
-//! ([`Readiness::Blocking`], e.g. the simulated-TLS transport), a socket
-//! whose registration failed, or any connection where epoll is missing —
-//! gets the direct route, the transport's own send. Payload bytes out are
-//! counted in [`ConnSink::send_wire`], whichever the route.
+//! the queued route above; every connection a dedicated reader thread
+//! serves — a transport with no descriptor ([`Readiness::Blocking`], e.g.
+//! the simulated-TLS transport), a socket whose registration failed, or
+//! any connection where epoll is missing — gets the direct route, the
+//! transport's own send. Payload bytes out are counted in
+//! [`ConnSink::send_wire`], whichever the route.
 
 use std::collections::HashMap;
 use std::io;
@@ -119,7 +118,7 @@ virt_metrics::metric_set! {
     /// event threads of one server.
     pub(crate) struct EventLoopMetrics {
         registered_fds: Gauge = "registered_fds",
-            "Connections owned by the event loops (sockets and in-process channels)";
+            "Connections owned by the event loops (sockets, in-process socketpairs included)";
         wakeups: Counter = "wakeups", "Event-loop thread wakeups from epoll_wait";
         ready_events: Counter = "ready_events", "Readiness events delivered to the event loops";
         read_calls: Counter = "read_calls", "Socket reads issued by the event loops";
@@ -169,8 +168,7 @@ impl SinkState {
 }
 
 enum SinkRoute {
-    /// The transport's own send: an in-process channel, whose send never
-    /// blocks, and every connection a reader thread serves.
+    /// The transport's own send: every connection a reader thread serves.
     Direct,
     /// Nonblocking fd: direct-write fast path, with what the socket does
     /// not take (and what a corked burst gathers) kept in one buffer the
@@ -209,17 +207,13 @@ impl ConnSink {
         bytes_out: Arc<Counter>,
     ) -> ConnSink {
         let route = match claim {
-            Some(Claim {
-                shared,
-                kind: ConnKind::Fd(fd),
-                token,
-            }) => SinkRoute::Queued {
+            Some(Claim { shared, fd, token }) => SinkRoute::Queued {
                 fd: *fd,
                 token: *token,
                 poller: Arc::clone(&shared.poller),
                 state: Mutex::default(),
             },
-            _ => SinkRoute::Direct,
+            None => SinkRoute::Direct,
         };
         ConnSink {
             transport,
@@ -436,22 +430,17 @@ impl ConnSink {
     }
 }
 
-enum ConnKind {
-    Fd(i32),
-    Channel,
-}
-
 /// One event-core-owned connection: the client (whose sink is the write
-/// side), the read buffer and the turn, keyed by the client id (which
-/// doubles as the epoll token).
+/// side), its registered fd, the read buffer and the turn, keyed by the
+/// client id (which doubles as the epoll token).
 struct Conn {
     client: Arc<ClientHandle>,
-    kind: ConnKind,
-    /// Fd conns: bytes read off the socket but not yet handed up.
-    /// `None` between bursts that ended with nothing left over. Only the
-    /// thread running the turn touches it.
+    fd: i32,
+    /// Bytes read off the socket but not yet handed up. `None` between
+    /// bursts that ended with nothing left over. Only the thread running
+    /// the turn touches it.
     reader: Mutex<Option<FrameBuf<PooledBuf>>>,
-    /// Fd conns: the peer sends nothing more. Its end-of-stream follows
+    /// The peer sends nothing more. Its end-of-stream follows
     /// what the socket holds with no edge of its own, so the turn reads
     /// until it instead of stopping at a short read. Set before the
     /// event that saw it arrives at the turn, whose lock orders the store
@@ -466,9 +455,8 @@ struct Shared {
     poller: Arc<Poller>,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     /// Connections with frames to hand up that no fd event will
-    /// announce: channels flagged by their notifier, sockets a turn's
-    /// frame budget left with frames buffered or unread, and sockets
-    /// just published.
+    /// announce: those a turn's frame budget left with frames buffered or
+    /// unread, and those just published.
     ready: Mutex<Vec<u64>>,
     shutdown: AtomicBool,
     /// Set when the poller fails: `claim` hands out no more connections.
@@ -478,13 +466,12 @@ struct Shared {
     metrics: Arc<EventLoopMetrics>,
 }
 
-/// The event core's hold on a connection being admitted: for a socket,
-/// the fd — already registered with the poller under `token`, and
-/// skipped by the event threads until [`Claim::publish`] puts the
-/// connection in the map.
+/// The event core's hold on a connection being admitted: its fd,
+/// already registered with the poller under `token`, and skipped by the
+/// event threads until [`Claim::publish`] puts the connection in the map.
 pub(crate) struct Claim {
     shared: Arc<Shared>,
-    kind: ConnKind,
+    fd: i32,
     token: u64,
 }
 
@@ -492,40 +479,20 @@ impl Claim {
     /// Hands the admitted client to the event threads, which read its
     /// frames from here on.
     pub(crate) fn publish(self, client: Arc<ClientHandle>) {
-        let Claim {
-            shared,
-            kind,
-            token,
-        } = self;
+        let Claim { shared, fd, token } = self;
         let conn = Arc::new(Conn {
             client,
-            kind,
+            fd,
             reader: Mutex::new(None),
             read_closed: AtomicBool::new(false),
             turn: Mutex::new(Turn::default()),
         });
         shared.conns.lock().insert(token, Arc::clone(&conn));
         shared.metrics.registered_fds.inc();
-        match conn.kind {
-            ConnKind::Channel => {
-                let (weak_shared, weak_conn) = (Arc::downgrade(&shared), Arc::downgrade(&conn));
-                // The notifier fires immediately if frames are already
-                // waiting, so publishing cannot miss a wakeup.
-                conn.client
-                    .transport
-                    .set_ready_notifier(Some(Arc::new(move || {
-                        if let (Some(shared), Some(conn)) =
-                            (weak_shared.upgrade(), weak_conn.upgrade())
-                        {
-                            EventCore::list(&shared, &conn);
-                        }
-                    })));
-            }
-            // Readiness the socket had before its connection was in the
-            // map went to a thread that skipped it, and an edge is not
-            // reported twice: the first turn comes off the ready list.
-            ConnKind::Fd(_) => EventCore::list(&shared, &conn),
-        }
+        // Readiness the socket had before its connection was in the map
+        // went to a thread that skipped it, and an edge is not reported
+        // twice: the first turn comes off the ready list.
+        EventCore::list(&shared, &conn);
     }
 }
 
@@ -569,35 +536,31 @@ impl EventCore {
         Ok(core)
     }
 
-    /// Registers a connection being admitted as `token` — a socket's fd
-    /// with the poller. `None` when the event threads cannot own it — a
-    /// transport with no readiness surface, a stopped or failed core, or
-    /// a failed registration — and the connection gets a reader thread
+    /// Registers the fd of a connection being admitted with the poller,
+    /// as `token`. `None` when the event threads cannot own it — a
+    /// transport with no descriptor, a stopped or failed core, or a
+    /// failed registration — and the connection gets a reader thread
     /// instead.
     pub(crate) fn claim(&self, transport: &Arc<dyn Transport>, token: u64) -> Option<Claim> {
         let shared = &self.shared;
         if shared.shutdown.load(Ordering::Acquire) || shared.dead.load(Ordering::Acquire) {
             return None;
         }
-        let kind = match transport.readiness() {
-            Readiness::Fd(fd) => {
-                transport.set_nonblocking(true).ok()?;
-                // No thread acts on this fd before `publish`: they skip
-                // tokens absent from the map, and `publish` lists the
-                // connection for its first turn. If epoll_ctl fails the
-                // socket goes back to blocking mode for its reader thread.
-                if shared.poller.register(fd, token, true, false).is_err() {
-                    let _ = transport.set_nonblocking(false);
-                    return None;
-                }
-                ConnKind::Fd(fd)
-            }
-            Readiness::Notify => ConnKind::Channel,
-            Readiness::Blocking => return None,
+        let Readiness::Fd(fd) = transport.readiness() else {
+            return None;
         };
+        transport.set_nonblocking(true).ok()?;
+        // No thread acts on this fd before `publish`: they skip tokens
+        // absent from the map, and `publish` lists the connection for its
+        // first turn. If epoll_ctl fails the socket goes back to blocking
+        // mode for its reader thread.
+        if shared.poller.register(fd, token, true, false).is_err() {
+            let _ = transport.set_nonblocking(false);
+            return None;
+        }
         Some(Claim {
             shared: Arc::clone(shared),
-            kind,
+            fd,
             token,
         })
     }
@@ -745,11 +708,6 @@ impl EventCore {
         ready: Ready,
         calls: &mut Calls<'_>,
     ) -> bool {
-        if let ConnKind::Channel = conn.kind {
-            let alive = Self::drain_channel(shared, server, conn, calls);
-            calls.wake();
-            return alive;
-        }
         let mut alive = true;
         let mut read = ready.readable || ready.hangup;
         if ready.writable {
@@ -764,7 +722,7 @@ impl EventCore {
         alive
     }
 
-    /// An fd connection's read pass: hands up what is buffered, reads
+    /// A connection's read pass: hands up what is buffered, reads
     /// the socket for more, wakes workers for the pass's queued calls and
     /// sends gathered replies off. Returns whether the connection
     /// survives.
@@ -878,34 +836,6 @@ impl EventCore {
         }
     }
 
-    /// One pass of a channel connection, up to the frame budget; a
-    /// budget spent with frames still queued puts it back on the ready
-    /// list, behind the other connections.
-    fn drain_channel(
-        shared: &Arc<Shared>,
-        server: &Arc<Server>,
-        conn: &Arc<Conn>,
-        calls: &mut Calls<'_>,
-    ) -> bool {
-        for handed in 0..MAX_FRAMES_PER_EVENT {
-            match conn.client.transport.try_recv_frame() {
-                Ok(Some(body)) => {
-                    if handed == 1 {
-                        calls.burst();
-                    }
-                    shared.metrics.frames_in.inc();
-                    if !server.process_frame(&conn.client, &body, calls) {
-                        return false;
-                    }
-                }
-                Ok(None) => return true,
-                Err(_) => return false, // peer closed
-            }
-        }
-        Self::list(shared, conn);
-        true
-    }
-
     /// Tears `conn` down if nobody has yet: whoever notices the death
     /// first (the turn's owner) or the stop.
     fn close(shared: &Shared, conn: &Conn) {
@@ -913,10 +843,7 @@ impl EventCore {
             return;
         }
         shared.conns.lock().remove(&conn.client.id);
-        if let ConnKind::Fd(fd) = conn.kind {
-            shared.poller.deregister(fd);
-        }
-        conn.client.transport.set_ready_notifier(None);
+        shared.poller.deregister(conn.fd);
         conn.client.sink.close();
         // The read buffer (if a partial frame held one) goes back to the
         // freelist now, not when the last thread that looked the

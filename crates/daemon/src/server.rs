@@ -5,7 +5,7 @@
 //! returns a [`ServeHandle`] for graceful shutdown/join. [`Server::admit`]
 //! turns every accepted transport into one [`ClientHandle`] with its
 //! write side, a `ConnSink`, in one critical section with the client
-//! limit. Clients whose transports expose a readiness surface are
+//! limit. Clients whose transports expose a descriptor to poll are
 //! multiplexed onto a small fixed set of event threads sharing one
 //! poller (see [`crate::eventloop`]); the rest get a dedicated reader
 //! thread. Either
@@ -102,7 +102,7 @@ pub struct ClientHandle {
     /// The write side, built at admission: queued behind the socket of
     /// the loop that owns it (direct-write fast path, replies of a burst
     /// gathered into one write, bounded backlog), or the transport's own
-    /// send for a channel and for a connection a reader thread serves.
+    /// send for a connection a reader thread serves.
     pub(crate) sink: ConnSink,
 }
 

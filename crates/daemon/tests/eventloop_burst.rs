@@ -15,6 +15,9 @@
 //! 3. (in `eventloop_teardown.rs`, which owns the buffer-pool deltas) a
 //!    client dying with gathered replies unwritten.
 //!
+//! An in-process (`memory://`) connection is a socketpair on the same
+//! path, so it is held to the same write caps as a Unix socket.
+//!
 //! The last two tests are the structural guard `scripts/ci.sh` also runs
 //! in release: syscalls per burst and per lone call, counted by the
 //! daemon's own `event_loop.{read_calls, write_calls}` counters.
@@ -30,9 +33,9 @@ use virt_core::xmlfmt::DomainConfig;
 use virt_core::Connect;
 use virt_metrics::{MetricValue, Registry};
 use virt_rpc::framebuf::READ_CHUNK;
-use virt_rpc::keepalive::{is_pong, ping_packet};
+use virt_rpc::keepalive::{self, is_pong, ping_packet};
 use virt_rpc::message::{encode_frame, Header, MessageStatus, REMOTE_PROGRAM};
-use virt_rpc::transport::UnixSocketListener;
+use virt_rpc::transport::{Transport, UnixSocketListener, UnixTransport};
 use virt_rpc::{Packet, PoolLimits};
 use virtd::server::{ClientHandle, ProgramDispatcher};
 use virtd::{Server, Virtd};
@@ -253,6 +256,130 @@ fn paused_connection_resumes_from_its_buffer_when_the_flush_lifts_the_pause() {
     drop(sock);
     service.join();
     server.shutdown();
+}
+
+/// The event loop's write caps (`eventloop.rs`): owed reply bytes past
+/// which a connection's reads pause, and past which it is cut loose.
+const WRITE_SOFT_CAP: u64 = 256 * 1024;
+const WRITE_HARD_CAP: u64 = 4 * 1024 * 1024;
+
+/// One connection of each kind into `daemon`: an in-process one dialled
+/// through its memory endpoint, and a Unix socket.
+fn memory_and_unix_clients(
+    connector: &virt_rpc::transport::MemoryConnector,
+    path: &str,
+) -> [(&'static str, Box<dyn Transport>); 2] {
+    [
+        ("memory", Box::new(connector.connect().unwrap())),
+        ("unix", Box::new(UnixTransport::connect(path).unwrap())),
+    ]
+}
+
+#[test]
+fn a_memory_client_that_never_reads_is_paused_then_cut_loose_like_a_unix_one() {
+    let name = format!("noread-{}", std::process::id());
+    let daemon = Virtd::builder(&name).with_quiet_hosts().build().unwrap();
+    let path = socket_path("noread");
+    daemon.serve(Box::new(UnixSocketListener::bind(&path).unwrap()));
+    let connector = daemon.register_memory_endpoint(&name).unwrap();
+    let registry = daemon.metrics();
+    let queued = "server.virtd.event_loop.write_queue_bytes";
+    let paused = "server.virtd.event_loop.reads_paused";
+    let cut_loose = "server.virtd.event_loop.backpressure_closes";
+
+    // Pings flooded and never read: their pongs pile up behind the
+    // client's full socket until one takes the backlog past the soft cap
+    // and the loop stops reading; the client's writes then stall.
+    let pong_len = keepalive::pong_packet().to_frame().len() as u64;
+    let pings = ping_packet().to_frame().repeat(1024);
+    for (kind, client) in memory_and_unix_clients(&connector, &path) {
+        let pauses = metric(registry, paused);
+        client.set_nonblocking(true).unwrap();
+        let end = Instant::now() + Duration::from_secs(10);
+        let mut sent = 0;
+        while metric(registry, paused) == pauses {
+            assert!(
+                Instant::now() < end,
+                "{kind}: a client that never reads was never paused"
+            );
+            match client.try_write(&pings[sent % pings.len()..]) {
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => panic!("{kind}: flooding: {e}"),
+            }
+        }
+        let owed = metric(registry, queued);
+        assert!(
+            owed > WRITE_SOFT_CAP && owed <= WRITE_SOFT_CAP + pong_len,
+            "{kind}: paused with {owed} bytes owed (soft cap {WRITE_SOFT_CAP})"
+        );
+        assert_eq!(metric(registry, paused), pauses + 1, "{kind}");
+        drop(client);
+        wait_until("the stalled client's backlog to go", || {
+            metric(registry, queued) == 0
+        });
+    }
+
+    // A reply that cannot fit under the hard cap: the domain list, with
+    // long names. The client sends for it and reads nothing more.
+    let conn = Connect::builder(format!("qemu+memory://{name}/system"))
+        .open()
+        .unwrap();
+    let long_name = "n".repeat(64 * 1024);
+    for i in 0..96 {
+        conn.define_domain(&DomainConfig::new(format!("{long_name}{i}"), 256, 1))
+            .unwrap();
+    }
+    conn.close();
+    let mut wire = Vec::new();
+    let args = protocol::OpenArgs {
+        uri: "qemu:///system".to_string(),
+        readonly: false,
+    };
+    for (kind, client) in memory_and_unix_clients(&connector, &path) {
+        let closes = metric(registry, cut_loose);
+        encode_frame(
+            &Header::call(REMOTE_PROGRAM, proc::OPEN, 1),
+            &args,
+            &mut wire,
+        );
+        client.send_framed(&wire).unwrap();
+        let opened = Packet::from_body(&client.recv_frame().unwrap()).unwrap();
+        assert_eq!(opened.header.status, MessageStatus::Ok, "{kind}: OPEN");
+        encode_frame(
+            &Header::call(REMOTE_PROGRAM, proc::LIST_DOMAINS, 2),
+            &(),
+            &mut wire,
+        );
+        client.send_framed(&wire).unwrap();
+        wait_until("the hard-cap close", || {
+            metric(registry, cut_loose) == closes + 1
+        });
+        assert_eq!(
+            metric(registry, queued),
+            0,
+            "{kind}: the backlog went with it"
+        );
+        // What the socket took before the cap is still there to read;
+        // then the stream ends.
+        let (mut rest, mut buf) = (0u64, vec![0u8; 64 * 1024]);
+        loop {
+            match client.try_read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => rest += n as u64,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => panic!("{kind}: reading to the end: {e}"),
+            }
+        }
+        assert!(
+            rest > 0 && rest < WRITE_HARD_CAP,
+            "{kind}: {rest} bytes of the reply reached the client"
+        );
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A hand-driven remote-protocol connection: `OPEN` done, calls encoded

@@ -9,9 +9,9 @@
 //! puts the baton down wakes exactly one parked waiter.
 //!
 //! A connection that expects frames nobody asked for (events, keepalive)
-//! also has a *watch*: the listener's registration of the connection —
-//! an epoll registration of its socket, or a channel's ready notifier —
-//! which is armed exactly while no call is registered and nobody holds
+//! also has a *watch*: the listener's epoll registration of the
+//! connection's socket, which is armed exactly while no call is
+//! registered and nobody holds
 //! the baton. The listener never blocks in a receive: woken by the
 //! watch, it takes the baton ([`Baton::take_armed`]), reads what has
 //! arrived without blocking, and puts the baton down again. A call

@@ -33,7 +33,7 @@ use crate::baton::{Baton, Enter, PutDown, Routed};
 use crate::bufpool::{BufferPool, MAX_PARKED_RECORD_CAPACITY};
 use crate::message::{self, Header, MessageStatus, MessageType, Packet, RpcError};
 use crate::poll::{Events, Poller};
-use crate::transport::{Readiness, ReadyNotifier, Transport};
+use crate::transport::Transport;
 use crate::xdr::{XdrDecode, XdrEncode, XdrError};
 
 /// A failure of a remote call.
@@ -112,9 +112,9 @@ struct Receive {
 
 impl Receive {
     /// Arms or disarms the watch as the baton's rule says it must be.
-    fn settle_watch(&mut self, transport: &dyn Transport) {
+    fn settle_watch(&mut self) {
         if let (Some(armed), Some(watch)) = (self.baton.settle_watch(), &self.watch) {
-            watch.set(transport, armed);
+            watch.set(armed);
         }
     }
 }
@@ -124,7 +124,6 @@ impl Receive {
 /// or disarmed with nobody to read.
 struct Locked<'a> {
     receive: MutexGuard<'a, Receive>,
-    transport: &'a dyn Transport,
 }
 
 impl Deref for Locked<'_> {
@@ -143,67 +142,39 @@ impl DerefMut for Locked<'_> {
 
 impl Drop for Locked<'_> {
     fn drop(&mut self) {
-        self.receive.settle_watch(self.transport);
+        self.receive.settle_watch();
     }
 }
 
-/// The poller token of a watched socket; the wake channel has its own.
+/// The poller token of the watched socket; the wake channel has its own.
 const WATCH_TOKEN: u64 = 0;
 
 /// What the listener waits on: a poller of its own — an epoll instance
-/// and an eventfd, so two descriptors per subscribed connection — and
-/// what wakes it while the watch is armed.
+/// and an eventfd, so two descriptors per subscribed connection — with
+/// the connection's socket registered in it. Arming and disarming change
+/// the socket's interest set, which only this poller's one waiter sees.
 struct Watch {
     poller: Arc<Poller>,
-    source: Source,
-}
-
-enum Source {
-    /// The connection's socket, registered in the poller; arming and
-    /// disarming change its interest set, which only this poller's one
-    /// waiter sees.
-    Fd(i32),
-    /// A channel whose ready notifier, installed while armed, wakes the
-    /// poller. Installing it fires it at once if frames are waiting, so
-    /// a frame queued while disarmed is not missed.
-    Notify(ReadyNotifier),
+    fd: i32,
 }
 
 impl Watch {
     /// # Errors
     ///
-    /// `Unsupported` for a transport with neither a descriptor nor a
-    /// ready notifier, and in a build without epoll; the poller's own
-    /// failures (descriptors exhausted).
+    /// `Unsupported` for a transport without a descriptor to poll, and in
+    /// a build without epoll; the poller's own failures (descriptors
+    /// exhausted).
     fn new(transport: &dyn Transport) -> io::Result<Watch> {
+        let fd = transport.watch_fd().ok_or(io::ErrorKind::Unsupported)?;
         let poller = Arc::new(Poller::new()?);
-        let source = if let Some(fd) = transport.watch_fd() {
-            poller.register(fd, WATCH_TOKEN, false, false)?;
-            Source::Fd(fd)
-        } else if transport.readiness() == Readiness::Notify {
-            let poller = Arc::downgrade(&poller);
-            Source::Notify(Arc::new(move || {
-                if let Some(poller) = poller.upgrade() {
-                    poller.wake();
-                }
-            }))
-        } else {
-            return Err(io::ErrorKind::Unsupported.into());
-        };
-        Ok(Watch { poller, source })
+        poller.register(fd, WATCH_TOKEN, false, false)?;
+        Ok(Watch { poller, fd })
     }
 
-    fn set(&self, transport: &dyn Transport, armed: bool) {
-        match &self.source {
-            Source::Fd(fd) => {
-                // A failure means the socket is gone; so is the call
-                // that would have needed the watch.
-                let _ = self.poller.modify(*fd, WATCH_TOKEN, armed, false);
-            }
-            Source::Notify(notify) => {
-                transport.set_ready_notifier(armed.then(|| Arc::clone(notify)));
-            }
-        }
+    fn set(&self, armed: bool) {
+        // A failure means the socket is gone; so is the call that would
+        // have needed the watch.
+        let _ = self.poller.modify(self.fd, WATCH_TOKEN, armed, false);
     }
 }
 
@@ -240,7 +211,6 @@ impl ClientInner {
     fn receive(&self) -> Locked<'_> {
         Locked {
             receive: self.receive.lock(),
-            transport: &*self.transport,
         }
     }
 }
@@ -251,7 +221,7 @@ impl Drop for ClientInner {
     fn drop(&mut self) {
         let receive = self.receive.get_mut();
         unpark_all(receive.baton.fail_all(|| None));
-        receive.settle_watch(&*self.transport);
+        receive.settle_watch();
         let _ = self.transport.shutdown();
         if let Some(watch) = &receive.watch {
             watch.poller.wake();
@@ -648,9 +618,9 @@ impl CallClient {
     /// `epoll_ctl`s on a socket, and wake nobody. The poller costs the
     /// connection an epoll descriptor and an eventfd.
     ///
-    /// A transport with neither a descriptor to poll
-    /// ([`Transport::watch_fd`]) nor a ready notifier, or a build without
-    /// epoll, gets no listener: its frames wait for the next call.
+    /// A transport without a descriptor to poll ([`Transport::watch_fd`]:
+    /// one from outside this crate that does not provide it), or a build
+    /// without epoll, gets no listener: its frames wait for the next call.
     ///
     /// `idle` runs on the listener before each wait and returns when it
     /// wants to run again at the latest; keepalive probing lives there.

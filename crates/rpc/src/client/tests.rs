@@ -450,9 +450,9 @@ fn deadline_none_uses_the_default_timeout() {
 /// A transport's name, and a client and a server end of one connection.
 type Pair = (&'static str, Box<dyn Transport>, Box<dyn Transport>);
 
-/// A connected pair of each transport a listener watches in its own way:
-/// a socket (its descriptor), a memory channel (its ready notifier) and
-/// TLS-sim over a socket (the socket under the records).
+/// A connected pair of each transport a listener watches: a socket (its
+/// descriptor), an in-process pair (the descriptor of its socketpair) and
+/// TLS-sim over either (the socket under the records).
 fn watched_pairs() -> Vec<Pair> {
     use crate::transport::{TlsSimTransport, UnixTransport};
     use std::os::unix::net::UnixStream;
@@ -469,10 +469,21 @@ fn watched_pairs() -> Vec<Pair> {
     let tls_server = std::thread::spawn(move || TlsSimTransport::server(tls_server, 2));
     let tls_client = TlsSimTransport::client(tls_client, 1).expect("client handshake");
     let tls_server = tls_server.join().unwrap().expect("server handshake");
+    let (tls_memory_client, tls_memory_server) = memory_pair();
+    let tls_memory_server =
+        std::thread::spawn(move || TlsSimTransport::server(tls_memory_server, 4));
+    let tls_memory_client =
+        TlsSimTransport::client(tls_memory_client, 3).expect("client handshake");
+    let tls_memory_server = tls_memory_server.join().unwrap().expect("server handshake");
     vec![
         ("unix", Box::new(client), Box::new(server)),
         ("memory", Box::new(memory_client), Box::new(memory_server)),
         ("tls", Box::new(tls_client), Box::new(tls_server)),
+        (
+            "tls over memory",
+            Box::new(tls_memory_client),
+            Box::new(tls_memory_server),
+        ),
     ]
 }
 

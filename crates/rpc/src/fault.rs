@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::transport::{Readiness, ReadyNotifier, Transport, TransportKind};
+use crate::transport::{Transport, TransportKind};
 
 /// What a [`FaultyTransport`] does to traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,14 +183,6 @@ impl Transport for FaultyTransport {
 
     // What a client needs to watch the connection passes through, so a
     // listener on a faulty transport is the listener on the inner one.
-
-    fn readiness(&self) -> Readiness {
-        self.inner.readiness()
-    }
-
-    fn set_ready_notifier(&self, notifier: Option<ReadyNotifier>) {
-        self.inner.set_ready_notifier(notifier);
-    }
 
     fn watch_fd(&self) -> Option<i32> {
         self.inner.watch_fd()

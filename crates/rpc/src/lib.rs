@@ -11,7 +11,7 @@
 //! - [`framebuf`] — the one frame splitter: buffered stream bytes in,
 //!   whole frames out, shared by the socket transports and the daemon's
 //!   event loop,
-//! - [`transport`] — in-memory, Unix-socket, TCP and simulated-TLS
+//! - [`transport`] — in-process (socketpair), Unix-socket, TCP and simulated-TLS
 //!   transports behind one object-safe trait,
 //! - [`pool`] — the worker pool with min/max limits and priority workers,
 //! - [`client`] — a concurrent call client with serial matching, in

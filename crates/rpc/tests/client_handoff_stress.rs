@@ -92,9 +92,9 @@ fn eight_callers_share_a_unix_connection_on_one_cpu() {
 /// closing must fail as a lost connection, promptly. The reader-thread
 /// stub checked `closed` and registered its reply slot in two steps; a
 /// reader that saw EOF in between failed an empty pending map and
-/// exited, and the memory transport accepts a send to a closed peer, so
-/// the call sat out its whole timeout (the 30 s default, in the PR 15
-/// soak). Registration and close now happen under one lock.
+/// exited, and the channel transport of the time accepted a send to a
+/// closed peer, so the call sat out its whole timeout (the 30 s default,
+/// in a soak run). Registration and close now happen under one lock.
 #[test]
 fn a_call_racing_the_peers_close_never_waits_for_its_timeout() {
     const ROUNDS: usize = 3_000;

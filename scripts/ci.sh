@@ -120,6 +120,16 @@ if grep -wE 'recv_frame|recv_frame_into|recv_frame_until' <<<"$listener_body"; t
     exit 1
 fi
 
+# In-process connections are socketpairs on the socket path: the daemon
+# has one kind of polled connection and the client one kind of watch. No
+# product source names the channel transport's machinery, so dropping the
+# vendored crossbeam shim takes only manifest edits.
+echo "== hygiene: no channel transport — no crossbeam, ready notifier or Readiness::Notify in crates/*/src =="
+if grep -rnE 'crossbeam|set_ready_notifier|ReadyNotifier|Readiness::Notify' crates/*/src; then
+    echo "error: the channel transport's machinery named under crates/*/src — in-process connections are socketpairs (transport::memory_pair)" >&2
+    exit 1
+fi
+
 # A daemon client is written to through its sink (eventloop.rs's
 # ConnSink), built with it at admission: no reply path writes to a
 # transport around it. Bytes are counted where every connection passes

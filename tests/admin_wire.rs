@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use virt_core::log::LogLevel;
 use virt_core::TypedParam;
 use virt_rpc::message::{Header, MessageStatus, MessageType, Packet, ADMIN_PROGRAM};
-use virt_rpc::transport::{memory_pair, MemoryTransport, Transport};
+use virt_rpc::transport::{memory_pair, Transport, UnixTransport};
 use virt_rpc::xdr::{XdrDecode, XdrEncode};
 use virt_rpc::PoolStats;
 use virtd::adminproto::{self, proc};
@@ -57,7 +57,7 @@ fn pump(from: Arc<dyn Transport>, to: Arc<dyn Transport>, dir: char, tap: Tap) {
 }
 
 /// One connection to the daemon's admin server through a recording proxy.
-fn proxied_admin_connection(daemon: &Virtd) -> (MemoryTransport, Tap) {
+fn proxied_admin_connection(daemon: &Virtd) -> (UnixTransport, Tap) {
     let tap: Tap = Arc::default();
     let (client_side, proxy_side) = memory_pair();
     let proxy_side: Arc<dyn Transport> = Arc::new(proxy_side);

@@ -136,7 +136,7 @@ fn two_transports_into_one_daemon_share_state() {
 /// The daemon counts payload bytes where every connection passes, not
 /// per transport: after OPEN, one fixed session — hostname, define,
 /// start, dumpxml, destroy, undefine, close — moves the same
-/// `server.virtd.bytes_in`/`bytes_out` over an in-process channel, a Unix
+/// `server.virtd.bytes_in`/`bytes_out` over an in-process socketpair, a Unix
 /// socket, TCP and TLS-sim (a reader-thread connection). The daemons'
 /// names have equal length, so the hostname reply does too.
 #[test]
